@@ -5,8 +5,7 @@ acceleration admits an exact solution in terms of the Weierstrass
 elliptic functions.  This package evaluates that solution (radius, polar
 angle and the radial Kepler equation relating pseudo-time to time),
 classifies bounded/unbounded motion, computes radial periods and searches
-for closed orbits, with an independent Runge-Kutta/quadrature oracle used
-by the test suite.
+for closed orbits.  The package needs only the standard library.
 """
 
 from .analysis import (
@@ -38,7 +37,6 @@ from .elliptic import carlson_rf, elliptic_K
 from .propagation import (
     PropagatedState,
     SolutionContext,
-    TrajectorySample,
     build_context,
     invert_kepler,
     propagate,
@@ -47,6 +45,7 @@ from .propagation import (
     r_of_tau_general,
     r_prime_of_tau,
     radial_kepler,
+    state_at_tau,
     tau0_from_r0,
     theta_of_tau,
     theta_phase,

@@ -1,10 +1,11 @@
 """Periods, boundedness conditions and periodic-orbit search.
 
-Bounded radial motion has pseudo-period T_tau = 2 K(m) / sqrt(e1 - e3)
-(the real period of the lattice) and physical period T_t obtained by
-pushing T_tau through the radial Kepler equation.  Boundedness itself is
-a pure root comparison: the motion is bounded iff the largest real root
-of 4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.
+Bounded radial motion has pseudo-period T_tau, the real period of the
+lattice, and physical period T_t = t(T_tau); ``build_context`` computes
+both once, T_t in closed form through eta = zeta(T_tau/2), and the period
+functions here return the context's values.  Boundedness itself is a pure
+root comparison: the motion is bounded iff the largest real root of
+4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Callable
 
 from . import dynamics, propagation
 from .dynamics import InitialState
-from .elliptic import elliptic_K
 from .errors import (
     BracketError,
     DegenerateLatticeError,
@@ -44,23 +44,15 @@ class BoundednessReport:
 
 
 def pseudo_period(ctx: SolutionContext) -> float:
-    """Radial period in pseudo-time, from the K(m) form of the real period."""
+    """Radial period in pseudo-time: the real period of the lattice."""
     _require_bounded(ctx)
-    e = ctx.lattice.roots.e_tilde
-    e1, e2, e3 = (z.real for z in e)
-    m = (e2 - e3) / (e1 - e3)
-    return 2.0 * elliptic_K(m) / math.sqrt(e1 - e3)
+    return ctx.T_tau
 
 
 def true_period(ctx: SolutionContext) -> float:
-    """Radial period in physical time via the zeta(T_tau/2) closed form."""
+    """Radial period in physical time, t(T_tau)."""
     _require_bounded(ctx)
-    t_tau = pseudo_period(ctx)
-    eta = ctx.lattice.periods.eta.real   # zeta at the real half period
-    if math.isfinite(ctx.kepler_coeff):
-        return (ctx.r_m * t_tau
-                - ctx.kepler_coeff * (2.0 * ctx.e_k * t_tau + 4.0 * eta))
-    return propagation.radial_kepler(ctx, t_tau)
+    return ctx.T_t
 
 
 def period_info(ctx: SolutionContext) -> PeriodInfo:
@@ -166,8 +158,12 @@ def escape_alpha(family: Callable[[float], InitialState],
     """Bisect the boundedness margin over a one-parameter alpha family.
 
     ``family(alpha)`` must produce a valid state; the bracket must be
-    bounded at alpha_lo and unbounded at alpha_hi.
+    bounded at alpha_lo and unbounded at alpha_hi.  Bisection stops once
+    the bracket is narrower than ``tol`` or can no longer be halved.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
     def is_bounded(alpha: float) -> bool:
         state = family(alpha)
         if state.alpha < 0.0:
@@ -191,6 +187,8 @@ def escape_alpha(family: Callable[[float], InitialState],
     lo, hi = alpha_lo, alpha_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if is_bounded(mid):
             lo = mid
         else:

@@ -18,12 +18,7 @@ import sys
 
 from . import analysis, dynamics, propagation
 from .dynamics import InitialState
-from .errors import (
-    ConvergenceError,
-    RadialOrbitError,
-    StepUnderflowError,
-    WpInverseError,
-)
+from .errors import ConvergenceError, RadialOrbitError, WpInverseError
 
 _SAMPLE_COLUMNS = ("t", "tau", "r", "theta", "v", "gamma")
 
@@ -122,41 +117,27 @@ def cmd_propagate(args) -> int:
     if n < 1 or (n < 2 and args.t_span != 0.0):
         raise ValueError("need at least 2 samples for a nonzero span")
 
+    t0 = units.time_in(args.t0)
+    span = units.time_in(args.t_span)
     rows = []
-    if args.tau_span is not None:
-        taus = [ctx.tau0 + args.tau_span * i / max(n - 1, 1) for i in range(n)]
-        for tau in taus:
-            rows.append(_row_at_tau(ctx, units, tau))
-    else:
-        t0 = units.time_in(args.t0)
-        span = units.time_in(args.t_span)
-        for i in range(n):
+    for i in range(n):
+        if args.tau_span is not None:
+            tau = ctx.tau0 + args.tau_span * i / max(n - 1, 1)
+            ps = propagation.state_at_tau(ctx, tau)
+            dt = ps.t - ctx.t0
+        else:
             dt = t0 + span * i / max(n - 1, 1)
             ps = propagation.propagate_ctx(ctx, dt)
-            rows.append({
-                "t": units.time_out(ps.t - ctx.t0),
-                "tau": ps.tau,
-                "r": units.length_out(ps.r),
-                "theta": ps.theta,
-                "v": units.speed_out(ps.v),
-                "gamma": ps.gamma,
-            })
+        rows.append({
+            "t": units.time_out(dt),
+            "tau": ps.tau,
+            "r": units.length_out(ps.r),
+            "theta": ps.theta,
+            "v": units.speed_out(ps.v),
+            "gamma": ps.gamma,
+        })
     _emit(_format_samples(rows, _meta_block(ctx, units), args.format), args.out)
     return 0
-
-
-def _row_at_tau(ctx, units: _Units, tau: float) -> dict:
-    smp = propagation.sample(ctx, tau)
-    v_sq = 2.0 * ctx.energy + 2.0 / smp.r + 2.0 * ctx.state.alpha * smp.r
-    v = math.sqrt(max(v_sq, 0.0))
-    return {
-        "t": units.time_out(smp.t - ctx.t0),
-        "tau": tau,
-        "r": units.length_out(smp.r),
-        "theta": smp.theta,
-        "v": units.speed_out(v),
-        "gamma": math.atan2(smp.r_prime, ctx.momentum),
-    }
 
 
 def cmd_classify(args) -> int:
@@ -195,6 +176,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_period(args) -> int:
+    if args.kepler_curve and args.samples < 2:
+        raise ValueError("--kepler-curve needs at least 2 samples")
     units = _Units(args.mu, args.du)
     state = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha)
     ctx = propagation.build_context(state)
@@ -373,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, StepUnderflowError, WpInverseError) as exc:
+    except (ConvergenceError, WpInverseError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3

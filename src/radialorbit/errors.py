@@ -45,10 +45,6 @@ class NonMonotoneArcError(RadialOrbitError):
     """Radial arc crosses a turning point; split the arc first."""
 
 
-class ForbiddenIntervalError(RadialOrbitError):
-    """Quadrature interval leaves the allowed region f(r) >= 0."""
-
-
 class BracketError(RadialOrbitError):
     """Bisection bracket does not enclose a sign change."""
 
@@ -59,7 +55,3 @@ class NoCrossingError(RadialOrbitError):
 
 class ConvergenceError(RadialOrbitError):
     """Iteration cap exceeded; indicates a kernel defect, not bad input."""
-
-
-class StepUnderflowError(RadialOrbitError):
-    """Integrator step collapsed near a singularity (r -> 0)."""

@@ -14,6 +14,16 @@ w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch.  t(tau) is the radial Kepler equation; its
 numerical inversion recovers the state as a function of physical time.
 
+``build_context`` evaluates what does not depend on tau once per state:
+the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
+which propagated angles are measured) and, for bounded motion, the
+periods.  The lattice of bounded motion is rectangular; T_tau = 2 omega is
+its real period and T_t = t(T_tau) follows in closed form, because
+quasi-periodicity turns zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta
+with eta = zeta(omega):
+
+    T_t = r_m T_tau - ek f'(r_m) / (2 g3 + 16 ek^3) * (2 ek T_tau + 4 eta).
+
 Equivalent affine route used for cross-checks and the degenerate Kepler
 coefficient: r(tau) = (2/a) p(tau + w_k) - E/(3a), whence
 t(tau) = -(2/a) [zeta(tau + w_k) - zeta(w_k)] - E tau/(3a).
@@ -65,22 +75,16 @@ class SolutionContext:
     kepler_coeff: float         # ek f'(r_m) / (2 g3 + 16 ek^3); nan -> affine route
     tau0: float
     t0: float
+    theta0: float               # theta(tau0): the epoch angle from pericenter
     T_tau: float | None
     T_t: float | None
     dtheta_period: float | None
 
 
 @dataclasses.dataclass(frozen=True)
-class TrajectorySample:
-    tau: float
-    t: float
-    r: float
-    theta: float
-    r_prime: float
-
-
-@dataclasses.dataclass(frozen=True)
 class PropagatedState:
+    """State at pseudo-time tau; t counts from pericenter, theta from the epoch."""
+
     r: float
     theta: float
     v: float
@@ -146,8 +150,13 @@ def build_context(state: InitialState) -> SolutionContext:
     coeff = (e_k * fp_m / denom) if abs(denom) > 1e-13 * scale else math.nan
 
     if bounded:
+        # T_tau = 2 omega and T_t = t(T_tau) in closed form (module docstring)
         t_tau = 2.0 * lat.real_half_period
-        t_t = _kepler_time(lat, r_m, e_k, coeff, k, state.alpha, e, t_tau)
+        eta = lat.periods.eta.real
+        if math.isfinite(coeff):
+            t_t = r_m * t_tau - coeff * (2.0 * e_k * t_tau + 4.0 * eta)
+        else:
+            t_t = -4.0 * eta / state.alpha - e * t_tau / (3.0 * state.alpha)
     else:
         t_tau = t_t = None
 
@@ -156,7 +165,8 @@ def build_context(state: InitialState) -> SolutionContext:
         r_m=r_m, v_m=v_m, lattice=lat, k=k, e_k=e_k,
         bounded=bounded, margin=margin,
         v=v, zeta_v=zeta_v, kepler_coeff=coeff,
-        tau0=0.0, t0=0.0, T_tau=t_tau, T_t=t_t, dtheta_period=None,
+        tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
+        dtheta_period=None,
     )
     if bounded:
         # The quasi-periodicity increment 4 Im[(T/2) zeta(v) - v zeta(T/2)]
@@ -173,13 +183,13 @@ def build_context(state: InitialState) -> SolutionContext:
                 f"disagree ({dtheta} vs {stepped})"
             )
         ctx = dataclasses.replace(ctx, dtheta_period=dtheta)
+    tau0 = t0 = 0.0
     if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
         sign = 1 if state.rdot0 >= 0.0 else -1
         tau0 = tau0_from_r0(ctx, state.r0, sign)
-        ctx = dataclasses.replace(
-            ctx, tau0=tau0, t0=radial_kepler(ctx, tau0)
-        )
-    return ctx
+        t0 = radial_kepler(ctx, tau0)
+    return dataclasses.replace(ctx, tau0=tau0, t0=t0,
+                               theta0=theta_of_tau(ctx, tau0))
 
 
 def _tau_centered(ctx: SolutionContext, tau: float) -> float:
@@ -206,16 +216,6 @@ def r_prime_of_tau(ctx: SolutionContext, tau: float) -> float:
         return 0.5 * ctx.f.df(ctx.r_m) * tau_c
     p, pp, _, _ = ctx.lattice.wp_all(complex(tau_c))
     return (-0.25 * ctx.f.df(ctx.r_m) * pp / (p - ctx.e_k) ** 2).real
-
-
-def sample(ctx: SolutionContext, tau: float) -> TrajectorySample:
-    return TrajectorySample(
-        tau=tau,
-        t=radial_kepler(ctx, tau),
-        r=r_of_tau(ctx, tau),
-        theta=theta_of_tau(ctx, tau),
-        r_prime=r_prime_of_tau(ctx, tau),
-    )
 
 
 def r_of_tau_general(state: InitialState, tau: float) -> float:
@@ -406,12 +406,21 @@ def propagate(state: InitialState, dt: float) -> PropagatedState:
 
 
 def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:
+    """State at epoch + dt."""
     tau = invert_kepler(ctx, ctx.t0 + dt) if dt != 0.0 else ctx.tau0
+    return _state(ctx, tau, ctx.t0 + dt)
+
+
+def state_at_tau(ctx: SolutionContext, tau: float) -> PropagatedState:
+    """State at pseudo-time tau measured from pericenter passage."""
+    return _state(ctx, tau, radial_kepler(ctx, tau))
+
+
+def _state(ctx: SolutionContext, tau: float, t: float) -> PropagatedState:
     r = r_of_tau(ctx, tau)
     rp = r_prime_of_tau(ctx, tau)
-    theta = theta_of_tau(ctx, tau) - theta_of_tau(ctx, ctx.tau0)
+    theta = theta_of_tau(ctx, tau) - ctx.theta0
     v_sq = 2.0 * ctx.energy + 2.0 / r + 2.0 * ctx.state.alpha * r
     v = math.sqrt(max(v_sq, 0.0))
     gamma = math.atan2(rp, ctx.momentum)
-    return PropagatedState(r=r, theta=theta, v=v, gamma=gamma,
-                           tau=tau, t=ctx.t0 + dt)
+    return PropagatedState(r=r, theta=theta, v=v, gamma=gamma, tau=tau, t=t)

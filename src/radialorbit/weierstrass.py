@@ -112,33 +112,19 @@ class HalfPeriods:
     eta_prime: complex    # zeta(omega')
     m: float              # elliptic parameter of the K-reduction
 
-    @property
-    def omega1(self) -> complex:
-        return self.omega
-
-    @property
-    def omega2(self) -> complex:
-        return self.omega + self.omega_prime
-
-    @property
-    def omega3(self) -> complex:
-        return self.omega_prime
-
-    @property
-    def eta2(self) -> complex:
-        return self.eta + self.eta_prime
+    def omega_k(self, k: int) -> complex:
+        return self._pick(k, self.omega, self.omega_prime)
 
     def eta_k(self, k: int) -> complex:
-        if k == 1:
-            return self.eta
-        if k == 2:
-            return self.eta + self.eta_prime
-        if k == 3:
-            return self.eta_prime
-        raise ValueError(f"half-period index must be 1, 2 or 3, got {k}")
+        """zeta(omega_k)."""
+        return self._pick(k, self.eta, self.eta_prime)
 
-    def omega_k(self, k: int) -> complex:
-        return (self.omega1, self.omega2, self.omega3)[k - 1]
+    @staticmethod
+    def _pick(k: int, first: complex, third: complex) -> complex:
+        # omega_2 = omega_1 + omega_3, and likewise for eta
+        if k not in (1, 2, 3):
+            raise ValueError(f"half-period index must be 1, 2 or 3, got {k}")
+        return (first, first + third, third)[k - 1]
 
 
 def g_roots(inv: Invariants) -> GRoots:
@@ -170,7 +156,6 @@ class Lattice:
         self._dmin, self._radius = self._distance_and_radius()
         self._horner = _horner_coefficients(inv.g2, inv.g3)
         self._finish_periods()
-        self._check_root_values()
 
     @classmethod
     def from_invariants(cls, g2: float, g3: float,
@@ -223,15 +208,16 @@ class Lattice:
         return dmin, dmin * (_UNIT_ROUNDOFF / tail) ** (1.0 / (2 * k))
 
     def _finish_periods(self) -> None:
+        """Fix labelling and orientation, set eta, check p(omega_k) = e_k."""
         p = self.periods
         omega, omega_p = p.omega, p.omega_prime
         # Conjugate-pair labelling: pick the representative with p(omega) = e1
         # (for a rhombic lattice the R_F construction may land on e3 = conj e1).
-        p1 = self._eval_raw(omega)[0]
+        p1, _, eta, _ = self._eval_raw(omega)
         if abs(p1 - self.roots.e1) > abs(p1 - self.roots.e3):
             omega, omega_p = omega.conjugate(), omega_p.conjugate()
-        eta = self._eval_raw(omega)[2]
-        eta_p = self._eval_raw(omega_p)[2]
+            p1, _, eta, _ = self._eval_raw(omega)
+        p3, _, eta_p, _ = self._eval_raw(omega_p)
         # Normalize orientation so the Legendre relation reads +i pi/2.
         legendre = eta * omega_p - eta_p * omega
         if legendre.imag < 0.0:
@@ -244,11 +230,10 @@ class Lattice:
             )
         self.periods = HalfPeriods(omega=omega, omega_prime=omega_p,
                                    eta=eta, eta_prime=eta_p, m=p.m)
-
-    def _check_root_values(self) -> None:
+        # p is even, so the orientation flip leaves p3 as it is.
+        p2 = self._eval_raw(omega + omega_p)[0]
         scale = max(abs(z) for z in self.roots.e_tilde) + 1.0
-        for k in (1, 2, 3):
-            val = self._eval_raw(self.periods.omega_k(k))[0]
+        for k, val in enumerate((p1, p2, p3), start=1):
             if abs(val - self.roots.e_tilde[k - 1]) > 1e-6 * scale:
                 raise DegenerateLatticeError(
                     f"p(omega_{k}) does not reproduce root {k}; "
@@ -328,14 +313,19 @@ class Lattice:
             )
         p, pp, zt, sg = self._eval_raw(zr)
         if m or n:
-            per = self.periods
-            eta_mn = 2.0 * (m * per.eta + n * per.eta_prime)
+            eta_mn, sg = self._shift(zr, m, n, sg)
             zt = zt + eta_mn
-            sign = -1.0 if (m + n + m * n) % 2 else 1.0
-            sg = sg * sign * cmath.exp(
-                eta_mn * (zr + m * per.omega + n * per.omega_prime)
-            )
         return p, pp, zt, sg
+
+    def _shift(self, zr: complex, m: int, n: int,
+               sg: complex) -> tuple[complex, complex]:
+        """(zeta increment, sigma) at zr + 2 m omega + 2 n omega', sg = sigma(zr)."""
+        per = self.periods
+        eta_mn = 2.0 * (m * per.eta + n * per.eta_prime)
+        sign = -1.0 if (m + n + m * n) % 2 else 1.0
+        return eta_mn, sg * sign * cmath.exp(
+            eta_mn * (zr + m * per.omega + n * per.omega_prime)
+        )
 
     def wp(self, z: complex) -> complex:
         return self.wp_all(z)[0]
@@ -356,62 +346,10 @@ class Lattice:
         else:
             sg = self._eval_raw(zr)[3]
         if m or n:
-            per = self.periods
-            eta_mn = 2.0 * (m * per.eta + n * per.eta_prime)
-            sign = -1.0 if (m + n + m * n) % 2 else 1.0
-            sg = sg * sign * cmath.exp(
-                eta_mn * (zr + m * per.omega + n * per.omega_prime)
-            )
+            sg = self._shift(zr, m, n, sg)[1]
         return sg
 
     # -- inversion ----------------------------------------------------------
-
-    @cached_property
-    def _real_contours(self):
-        """Monotone contours covering all real values of p (for real targets).
-
-        Each entry is (lo_value, hi_value, start, direction, length) with p
-        monotone along start + t*direction, t in (0, length].
-        """
-        per = self.periods
-        e = self.roots.e_tilde
-        if self.roots.discriminant > 0.0:
-            om, omp = per.omega.real, per.omega_prime.imag
-            return [
-                # p: +inf -> e1 along (0, omega]
-                (e[0].real, math.inf, 0j, complex(1.0, 0.0), om),
-                # e1 -> e2 along omega + i(0, |omega'|]
-                (e[1].real, e[0].real, complex(om, 0.0), 1j, omp),
-                # e2 -> e3 descending along omega' + (omega -> 0]
-                (e[2].real, e[1].real, complex(om, omp), complex(-1.0, 0.0), om),
-                # e3 -> -inf along omega' - i(0, |omega'|) toward 0
-                (-math.inf, e[2].real, complex(0.0, omp), -1j, omp),
-            ]
-        om_r = (per.omega - per.omega_prime).real  # real half period
-        om_i = (per.omega + per.omega_prime).imag  # imaginary half period / i
-        return [
-            (e[1].real, math.inf, 0j, complex(1.0, 0.0), om_r),
-            (-math.inf, e[1].real, complex(0.0, om_i), -1j, om_i),
-        ]
-
-    def _invert_real(self, w: float) -> complex:
-        for lo, hi, start, direction, length in self._real_contours:
-            if lo <= w <= hi:
-                t_lo, t_hi = 1e-14 * length, length
-                f_hi = (self.wp(start + t_hi * direction) - w).real
-                for _ in range(200):
-                    t_mid = 0.5 * (t_lo + t_hi)
-                    f_mid = (self.wp(start + t_mid * direction) - w).real
-                    if f_mid == 0.0 or (t_hi - t_lo) < 1e-17 * length:
-                        break
-                    # p decreases away from the pole on every contour here,
-                    # except the descending top edge where it also decreases.
-                    if (f_mid > 0.0) == (f_hi > 0.0):
-                        t_hi, f_hi = t_mid, f_mid
-                    else:
-                        t_lo = t_mid
-                return start + 0.5 * (t_lo + t_hi) * direction
-        raise WpInverseError(f"value {w!r} not attained on the real contours")
 
     def wp_inverse(self, w: complex, branch: int = -1) -> complex:
         """z with p(z) = w and the sign of p'(z) matching ``branch``.
@@ -426,10 +364,7 @@ class Lattice:
         if branch not in (-1, 1):
             raise ValueError("branch must be +1 or -1")
         e1, e2, e3 = self.roots.e_tilde
-        z = carlson_rf(w - e1, w - e2, w - e3)
-        z = self._polish_inverse(z, w)
-        if z is None and abs(w.imag) <= 1e-12 * (1.0 + abs(w)):
-            z = self._polish_inverse(self._invert_real(w.real), w)
+        z = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w)
         if z is None:
             raise WpInverseError(f"inversion failed for w={w!r}")
         return self._select_branch(z, branch)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -88,3 +90,18 @@ def sample_states(seed, count, bounded=None, g3_sign=None, max_t_tau=80.0):
 def wrap_angle(x):
     """Fold an angle difference into (-pi, pi]."""
     return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

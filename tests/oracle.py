@@ -1,10 +1,11 @@
 """Independent numerical ground truth: adaptive RK integration and quadrature.
 
-Test scaffolding only; the closed form is the product.  The equations of
-motion are integrated in Cartesian coordinates so that both conserved
-quantities are genuine drift monitors (in polar form h would be an input,
-not an output), with the accumulated polar angle carried as an extra
-state to avoid unwrap ambiguity.
+Test scaffolding only; the closed form is the product, and numpy and
+scipy are test dependencies.  The equations of motion are integrated in
+Cartesian coordinates so that both conserved quantities are genuine
+drift monitors (in polar form h would be an input, not an output), with
+the accumulated polar angle carried as an extra state to avoid unwrap
+ambiguity.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .dynamics import InitialState, build_f
-from .errors import ForbiddenIntervalError, StepUnderflowError
+from radialorbit.dynamics import InitialState, build_f
+from radialorbit.errors import RadialOrbitError
 
 _RTOL_DEFAULT = 1e-11
 _ATOL_DEFAULT = 1e-13
 _COLLISION_RADIUS = 1e-6
+
+
+class StepUnderflowError(RadialOrbitError):
+    """Integrator step collapsed near a singularity (r -> 0)."""
+
+
+class ForbiddenIntervalError(RadialOrbitError):
+    """Quadrature interval leaves the allowed region f(r) >= 0."""
 
 
 @dataclass

@@ -1,0 +1,240 @@
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import radialorbit
+from radialorbit import cli
+
+from conftest import deadline
+
+WORKED = ["--r0", "1.0", "--v0", "1.2", "--alpha", "0.02"]
+ROSETTE = ["--r0", "1.0", "--v0", "1.2601352426205996", "--alpha", "-0.05"]
+# off-pericenter epoch: tau0, t0 and the epoch angle are all nonzero
+TILTED = ["--r0", "1.3", "--v0", "1.0", "--gamma0-deg", "25", "--alpha", "0.02"]
+
+# Outputs of the CLI for the two anchor states, kept as a regression
+# record of the closed form; compared at 1e-12 relative.
+GOLDEN_JSON = {
+    "classify_worked": (["classify", *WORKED, "--format", "json"], {
+        "verdict": "bounded", "tag": "bounded-below-gap",
+        "energy": -0.30000000000000004, "momentum": 1.2,
+        "allowed_interval": [1.0, 3.394448724536009],
+        "f_roots": [[10.605551275463993, 0.0], [3.394448724536009, 0.0],
+                    [1.0, 0.0]],
+        "e_tilde_max": 0.05605551275463992,
+        "threshold": -0.04000000000000001,
+        "margin": 0.09605551275463993,
+    }),
+    "classify_rosette": (["classify", *ROSETTE, "--format", "json"], {
+        "verdict": "bounded", "tag": "bounded-annulus",
+        "energy": -0.15602958515276127, "momentum": 1.2601352426205996,
+        "allowed_interval": [1.0, 2.425707636296117],
+        "f_roots": [[2.425707636296117, 0.0], [1.0, 0.0],
+                    [-6.546299339351342, 0.0]],
+        "e_tilde_max": 0.13765255262499002,
+        "threshold": -0.05100493085879355,
+        "margin": 0.18865748348378356,
+    }),
+    "period_worked": (["period", *WORKED, "--format", "json"], {
+        "T_tau": 10.875802896338927,
+        "T_t": 24.362743957666375,
+        "T_t_implicit": 24.362743957666346,
+    }),
+    "period_rosette": (["period", *ROSETTE, "--format", "json"], {
+        "T_tau": 6.923421686981128,
+        "T_t": 11.752090973005838,
+        "T_t_implicit": 11.752090973005842,
+    }),
+    "find_periodic_worked": (
+        ["find-periodic", "--r-m", "1.0", "--alpha", "0.02", "--M", "1",
+         "--N", "10", "--bracket-lo", "1.15", "--bracket-hi", "1.22",
+         "--format", "json"], {
+            "v_m": 1.1978720061021888,
+            "winding_ratio": 1.099999999999504,
+            "T_t": 23.564355220902456,
+        }),
+    "find_periodic_rosette": (
+        ["find-periodic", "--r-m", "1.0", "--alpha", "-0.05", "--M", "9",
+         "--N", "10", "--bracket-lo", "1.25", "--bracket-hi", "1.27",
+         "--format", "json"], {
+            "v_m": 1.2601352426205996,
+            "winding_ratio": 0.8999999999999709,
+            "T_t": 11.752090973005837,
+        }),
+    "escape_alpha_worked": (
+        ["escape-alpha", "--r0", "1.0", "--v0", "1.2", "--alpha-lo", "0.01",
+         "--alpha-hi", "0.05", "--format", "json"],
+        {"alpha_star": 0.027222222201526168}),
+    "escape_alpha_rosette": (
+        ["escape-alpha", "--r0", "1.0", "--v0", "1.2601352426205996",
+         "--alpha-lo", "-0.05", "--alpha-hi", "0.05", "--format", "json"],
+        {"alpha_star": 0.013365797093138097}),
+}
+
+GOLDEN_SWEEP = {
+    "worked": (
+        ["period-sweep", "--r0", "1.0", "--v0-lo", "1.15", "--v0-hi", "1.25",
+         "--v0-samples", "3", "--alpha-lo", "0.01", "--alpha-hi", "0.03",
+         "--alpha-samples", "3"], [
+            (1.15, 0.01, 8.077725779241574),
+            (1.15, 0.019999999999999997, 8.696712157695146),
+            (1.15, 0.03, 9.697777403927818),
+            (1.2, 0.01, 9.226173066919939),
+            (1.2, 0.019999999999999997, 10.875802896338927),
+            (1.25, 0.01, 11.646032513328633),
+        ]),
+    "rosette": (
+        ["period-sweep", "--r0", "1.0", "--v0-lo", "1.25", "--v0-hi", "1.27",
+         "--v0-samples", "3", "--alpha-lo", "-0.06", "--alpha-hi", "-0.04",
+         "--alpha-samples", "3"], [
+            (1.25, -0.06, 6.64217365566649),
+            (1.25, -0.05, 6.8757909768269),
+            (1.25, -0.04, 7.154115820899627),
+            (1.26, -0.06, 6.680445901832603),
+            (1.26, -0.05, 6.922790019452678),
+            (1.26, -0.04, 7.213203649447237),
+            (1.27, -0.06, 6.718014170819311),
+            (1.27, -0.05, 6.969166171495008),
+            (1.27, -0.04, 7.271892576899888),
+        ]),
+}
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_ok(argv):
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    return out
+
+
+def assert_close(got, want, rel=1e-12):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert_close(got[key], want[key], rel)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w, rel)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+    else:
+        assert got == want
+
+
+def propagate_rows(argv):
+    return json.loads(run_ok(["propagate", *argv, "--format", "json"]))["samples"]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+    def test_json_commands(self, name):
+        argv, want = GOLDEN_JSON[name]
+        assert_close(json.loads(run_ok(argv)), want)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
+    def test_period_sweep(self, name):
+        argv, want = GOLDEN_SWEEP[name]
+        header, *lines = run_ok(argv).strip().splitlines()
+        assert header == "v0,alpha,T_tau"
+        got = [tuple(float(x) for x in line.split(",")) for line in lines]
+        assert_close([list(row) for row in got], [list(row) for row in want])
+
+
+class TestPropagate:
+    def test_tau_span_measures_theta_from_epoch(self):
+        rows = propagate_rows([*TILTED, "--tau-span", "1.0", "--samples", "2"])
+        assert rows[0]["t"] == 0.0
+        assert rows[0]["theta"] == 0.0
+        assert rows[0]["r"] == pytest.approx(1.3, rel=1e-12)
+
+    def test_tau_span_matches_t_span_at_equal_t(self):
+        rows = propagate_rows([*TILTED, "--tau-span", "6.0", "--samples", "4"])
+        for row in rows[1:]:
+            (other,) = propagate_rows([*TILTED, "--t0", repr(row["t"]),
+                                       "--samples", "1"])
+            assert other["t"] == row["t"]
+            assert other["tau"] == pytest.approx(row["tau"], rel=1e-12)
+            for key in ("r", "theta", "v", "gamma"):
+                assert other[key] == pytest.approx(row[key], rel=1e-10,
+                                                   abs=1e-12)
+
+    def test_t_column_is_the_requested_time(self):
+        rows = propagate_rows([*TILTED, "--t-span", "1.0", "--samples", "2"])
+        assert [row["t"] for row in rows] == [0.0, 1.0]
+        rows = propagate_rows([*TILTED, "--t0", "0.3", "--t-span", "2.0",
+                               "--samples", "5"])
+        assert [row["t"] for row in rows] == [0.3 + 2.0 * i / 4 for i in range(5)]
+
+    def test_single_sample_needs_zero_span(self):
+        code, _, err = run_cli(["propagate", *WORKED, "--t-span", "1.0",
+                                "--samples", "1"])
+        assert code == 2
+        assert json.loads(err)["error"] == "ValueError"
+
+
+class TestPeriod:
+    def test_kepler_curve_spans_one_pseudo_period(self):
+        doc = json.loads(run_ok(["period", *WORKED, "--kepler-curve",
+                                 "--samples", "3", "--format", "json"]))
+        curve = doc["kepler_curve"]
+        assert [row["tau"] for row in curve] == pytest.approx(
+            [0.0, 0.5 * doc["T_tau"], doc["T_tau"]], rel=1e-15)
+        assert curve[0]["t"] == 0.0
+        assert curve[-1]["t"] == pytest.approx(doc["T_t"], rel=1e-12)
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_kepler_curve_rejects_fewer_than_two_samples(self, samples):
+        code, out, err = run_cli(["period", *WORKED, "--kepler-curve",
+                                  "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_unbounded_is_a_domain_error(self):
+        code, _, err = run_cli(["period", "--r0", "1.0", "--v0", "1.2",
+                                "--alpha", "0.1"])
+        assert code == 2
+        assert json.loads(err)["error"] == "RadialOrbitError"
+
+
+class TestEscapeAlpha:
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan"])
+    def test_non_positive_tol_rejected(self, tol):
+        with deadline(5.0):
+            code, _, err = run_cli(["escape-alpha", "--r0", "1.0", "--v0",
+                                    "1.2", "--alpha-lo", "0.01", "--alpha-hi",
+                                    "0.05", f"--tol={tol}"])
+        assert code == 2
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_tol_below_float_spacing_terminates(self):
+        argv = ["escape-alpha", "--r0", "1.0", "--v0", "1.2", "--alpha-lo",
+                "0.01", "--alpha-hi", "0.05", "--format", "json"]
+        with deadline(5.0):
+            fine = json.loads(run_ok([*argv, "--tol", "1e-30"]))["alpha_star"]
+        coarse = json.loads(run_ok(argv))["alpha_star"]
+        assert fine == pytest.approx(coarse, abs=1e-10)
+
+
+def test_import_leaves_numpy_and_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(radialorbit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, radialorbit, radialorbit.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"

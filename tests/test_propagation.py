@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radialorbit import oracle
+import oracle
 from radialorbit.dynamics import InitialState
 from radialorbit.errors import (
     NonMonotoneArcError,
@@ -20,7 +20,7 @@ from radialorbit.propagation import (
     r_of_tau_general,
     r_prime_of_tau,
     radial_kepler,
-    sample,
+    state_at_tau,
     tau0_from_r0,
     theta_of_tau,
     theta_phase,
@@ -407,11 +407,13 @@ class TestPropagate:
         assert ps.r == pytest.approx(1.0, abs=1e-7)
         assert abs(wrap_angle(ps.theta)) < 1e-9
 
-    def test_sample_struct_consistency(self, worked_ctx):
-        smp = sample(worked_ctx, 1.1)
-        assert smp.t == pytest.approx(radial_kepler(worked_ctx, 1.1))
-        assert smp.r == pytest.approx(r_of_tau(worked_ctx, 1.1))
-        assert smp.r_prime**2 == pytest.approx(worked_ctx.f(smp.r), rel=1e-8)
+    def test_state_at_tau_consistency(self, worked_ctx):
+        ps = state_at_tau(worked_ctx, 1.1)
+        assert ps.t == pytest.approx(radial_kepler(worked_ctx, 1.1))
+        assert ps.r == pytest.approx(r_of_tau(worked_ctx, 1.1))
+        # tan(gamma) = (dr/dtau) / h
+        r_prime = worked_ctx.momentum * math.tan(ps.gamma)
+        assert r_prime**2 == pytest.approx(worked_ctx.f(ps.r), rel=1e-8)
 
 
 class TestOracleEquivalence:

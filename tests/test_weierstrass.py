@@ -179,6 +179,25 @@ class TestHalfPeriods:
         for k in (1, 2, 3):
             assert abs(lat.wp_prime(lat.periods.omega_k(k))) <= 1e-9 * max(1.0, scale)
 
+    def test_construction_evaluates_each_half_period_once(self, monkeypatch):
+        calls = []
+        raw = Lattice._eval_raw
+
+        def counted(self, z):
+            calls.append(z)
+            return raw(self, z)
+
+        monkeypatch.setattr(Lattice, "_eval_raw", counted)
+        for g2, g3 in LATTICE_GRID:
+            calls.clear()
+            lat = Lattice.from_invariants(g2, g3)
+            # omega (again after a switch to the conjugate representative),
+            # omega' and omega + omega'
+            assert len(calls) in (3, 4)
+            if len(calls) == 4:
+                assert calls[1] == calls[0].conjugate()
+            assert calls[-1] == lat.periods.omega_k(2)
+
     def test_rectangular_orientation_for_positive_g3(self):
         per = half_periods(Invariants(3.0, 0.5))
         assert per.omega.imag == 0.0 and per.omega.real > 0.0

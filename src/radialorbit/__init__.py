@@ -20,7 +20,6 @@ from .analysis import (
     pseudo_period,
     true_period,
     true_period_implicit,
-    winding_increment,
 )
 from .dynamics import (
     ConservedQuantities,
@@ -48,7 +47,6 @@ from .propagation import (
     state_at_tau,
     tau0_from_r0,
     theta_of_tau,
-    theta_phase,
     time_of_flight_implicit,
 )
 from .weierstrass import GRoots, HalfPeriods, Invariants, Lattice, g_roots, half_periods

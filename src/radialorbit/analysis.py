@@ -196,14 +196,6 @@ def escape_alpha(family: Callable[[float], InitialState],
     return 0.5 * (lo + hi)
 
 
-def winding_increment(ctx: SolutionContext, n_periods: int) -> float:
-    """Angle advance over n_periods full radial librations (exact linearity)."""
-    _require_bounded(ctx)
-    if n_periods == 0:
-        return 0.0
-    return n_periods * ctx.dtheta_period
-
-
 def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
                     bracket: tuple[float, float],
                     tol: float = 1e-12) -> float:

@@ -114,7 +114,7 @@ def cmd_propagate(args) -> int:
     state = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha)
     ctx = propagation.build_context(state)
     n = args.samples
-    if n < 1 or (n < 2 and args.t_span != 0.0):
+    if n < 1 or (n < 2 and (args.t_span or args.tau_span)):
         raise ValueError("need at least 2 samples for a nonzero span")
 
     t0 = units.time_in(args.t0)

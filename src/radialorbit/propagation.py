@@ -3,26 +3,37 @@
 With pseudo-time tau defined by dt = r dtau (Sundmann change of variable)
 and the epoch at pericenter passage, the radius, polar angle and time read
 
-    r(tau)  = r_m + f'(r_m) / (4 (p(tau) - ek)),        ek = f''(r_m)/24
-    exp(i (v_m tau - theta)) = sigma(v - tau)/sigma(v + tau) * exp(2 tau zeta(v))
-    t(tau)  = r_m tau - ek f'(r_m) / (2 g3 + 16 ek^3)
-              * [2 ek tau + zeta(tau - w_k) + zeta(tau + w_k)]
+    r(tau)     = r_m + f'(r_m) / (4 (p(tau) - ek)),        ek = f''(r_m)/24
+    theta(tau) = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)]
+    t(tau)     = r_m tau - ek f'(r_m) / (2 g3 + 16 ek^3)
+                 * [2 ek tau + zeta(tau - w_k) + zeta(tau + w_k)]
 
 where p, zeta, sigma live on the lattice with invariants g2 = E^2/3 - a,
 g3 = a^2 h^2/4 + a E/6 - E^3/27, ek is always a root of 4 s^3 - g2 s - g3,
 w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
-with p'(v) on the +i branch.  t(tau) is the radial Kepler equation; its
-numerical inversion recovers the state as a function of physical time.
+with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
+the radial Kepler equation; its numerical inversion recovers the state as
+a function of physical time.
+
+theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
+exp(2 tau zeta(v))] with the argument continuous in tau: L is the branch of
+log sigma that ``Lattice.log_sigma`` keeps continuous along the line
+Im z = Im v > 0 on which v -/+ tau run, so theta costs two sigma
+evaluations for any tau.
 
 ``build_context`` evaluates what does not depend on tau once per state:
 the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
 which propagated angles are measured) and, for bounded motion, the
 periods.  The lattice of bounded motion is rectangular; T_tau = 2 omega is
-its real period and T_t = t(T_tau) follows in closed form, because
-quasi-periodicity turns zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta
-with eta = zeta(omega):
+its real period.  Quasi-periodicity turns zeta(T_tau - w_k) + zeta(T_tau + w_k)
+into 4 eta (eta = zeta(omega)), and L(v - T_tau) - L(v + T_tau) into
+-4 eta v + 2 pi i, so t and theta advance per period by
 
-    T_t = r_m T_tau - ek f'(r_m) / (2 g3 + 16 ek^3) * (2 ek T_tau + 4 eta).
+    T_t    = r_m T_tau - ek f'(r_m) / (2 g3 + 16 ek^3) * (2 ek T_tau + 4 eta),
+    dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi.
+
+Bounded t and theta fold whole periods off by these increments, which
+keeps sigma's quasi-periodic factor within one period of the origin.
 
 Equivalent affine route used for cross-checks and the degenerate Kepler
 coefficient: r(tau) = (2/a) p(tau + w_k) - E/(3a), whence
@@ -31,7 +42,6 @@ t(tau) = -(2/a) [zeta(tau + w_k) - zeta(w_k)] - E tau/(3a).
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 
@@ -99,19 +109,6 @@ def invariants_from_conserved(alpha: float, energy: float, momentum: float) -> I
     return Invariants(g2, g3)
 
 
-def _kepler_time(lat: Lattice, r_m: float, e_k: float, coeff: float, k: int,
-                 alpha: float, energy: float, tau: float) -> float:
-    if tau == 0.0:
-        return 0.0
-    w_k = lat.periods.omega_k(k)
-    if math.isfinite(coeff):
-        zsum = lat.zeta(tau - w_k) + lat.zeta(tau + w_k)
-        return (r_m * tau - coeff * (2.0 * e_k * tau + zsum)).real
-    eta_k = lat.periods.eta_k(k)
-    return (-(2.0 / alpha) * (lat.zeta(tau + w_k) - eta_k)
-            - energy * tau / (3.0 * alpha)).real
-
-
 def build_context(state: InitialState) -> SolutionContext:
     """Assemble the closed-form evaluation context for one initial state."""
     e = state.energy
@@ -150,15 +147,18 @@ def build_context(state: InitialState) -> SolutionContext:
     coeff = (e_k * fp_m / denom) if abs(denom) > 1e-13 * scale else math.nan
 
     if bounded:
-        # T_tau = 2 omega and T_t = t(T_tau) in closed form (module docstring)
+        # T_tau = 2 omega; T_t and dtheta in closed form (module docstring)
         t_tau = 2.0 * lat.real_half_period
         eta = lat.periods.eta.real
         if math.isfinite(coeff):
             t_t = r_m * t_tau - coeff * (2.0 * e_k * t_tau + 4.0 * eta)
         else:
             t_t = -4.0 * eta / state.alpha - e * t_tau / (3.0 * state.alpha)
+        dtheta = (v_m * t_tau
+                  - 4.0 * (0.5 * t_tau * zeta_v - v * lat.periods.eta).imag
+                  - 2.0 * math.pi)
     else:
-        t_tau = t_t = None
+        t_tau = t_t = dtheta = None
 
     ctx = SolutionContext(
         state=state, energy=e, momentum=h, f=f, region=region,
@@ -166,23 +166,8 @@ def build_context(state: InitialState) -> SolutionContext:
         bounded=bounded, margin=margin,
         v=v, zeta_v=zeta_v, kepler_coeff=coeff,
         tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
-        dtheta_period=None,
+        dtheta_period=dtheta,
     )
-    if bounded:
-        # The quasi-periodicity increment 4 Im[(T/2) zeta(v) - v zeta(T/2)]
-        # fixes the per-period angle advance only modulo 2 pi; the stepped
-        # phase pins the winding integer once, here.
-        formula = v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_v
-                                       - v * lat.periods.eta).imag
-        stepped = v_m * t_tau - _phase_arg(ctx, t_tau)
-        dtheta = formula - 2.0 * math.pi * round((formula - stepped)
-                                                 / (2.0 * math.pi))
-        if abs(dtheta - stepped) > 1e-9 * (1.0 + abs(dtheta)):
-            raise RadialOrbitError(
-                "per-period angle increment: closed form and stepped phase "
-                f"disagree ({dtheta} vs {stepped})"
-            )
-        ctx = dataclasses.replace(ctx, dtheta_period=dtheta)
     tau0 = t0 = 0.0
     if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
         sign = 1 if state.rdot0 >= 0.0 else -1
@@ -192,30 +177,36 @@ def build_context(state: InitialState) -> SolutionContext:
                                theta0=theta_of_tau(ctx, tau0))
 
 
-def _tau_centered(ctx: SolutionContext, tau: float) -> float:
-    # r and dr/dtau share the real period of p; fold tau to the pericenter-
-    # centered representative so period multiples hit the series expansion
-    # instead of the lattice pole.
+def _periods_folded(ctx: SolutionContext, tau: float) -> tuple[int, float]:
+    """(n, tau - n T_tau) with n = floor(tau / T_tau); (0, tau) when unbounded."""
+    if not ctx.bounded:
+        return 0, tau
+    n = math.floor(tau / ctx.T_tau)
+    return n, tau - n * ctx.T_tau
+
+
+def _radius_and_slope(ctx: SolutionContext, tau: float) -> tuple[float, float]:
+    """(r, dr/dtau) at pseudo-time tau from one kernel evaluation."""
+    # fold tau to the pericenter-centered representative so period
+    # multiples hit the series expansion instead of the lattice pole
     period = 2.0 * ctx.lattice.real_half_period
-    return tau - period * round(tau / period)
+    tau_c = tau - period * round(tau / period)
+    fp_m = ctx.f.df(ctx.r_m)
+    if abs(tau_c) < _PERI_TAU_GUARD:
+        return ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
+    p, pp, _, _ = ctx.lattice.wp_all(complex(tau_c))
+    return (ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k),
+            (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real)
 
 
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Radius at pseudo-time tau measured from pericenter passage (even in tau)."""
-    tau_c = _tau_centered(ctx, tau)
-    if abs(tau_c) < _PERI_TAU_GUARD:
-        return ctx.r_m + 0.25 * ctx.f.df(ctx.r_m) * tau_c * tau_c
-    p = ctx.lattice.wp(complex(tau_c)).real
-    return ctx.r_m + 0.25 * ctx.f.df(ctx.r_m) / (p - ctx.e_k)
+    return _radius_and_slope(ctx, tau)[0]
 
 
 def r_prime_of_tau(ctx: SolutionContext, tau: float) -> float:
     """dr/dtau; equals +/- sqrt(f(r)) along the trajectory."""
-    tau_c = _tau_centered(ctx, tau)
-    if abs(tau_c) < _PERI_TAU_GUARD:
-        return 0.5 * ctx.f.df(ctx.r_m) * tau_c
-    p, pp, _, _ = ctx.lattice.wp_all(complex(tau_c))
-    return (-0.25 * ctx.f.df(ctx.r_m) * pp / (p - ctx.e_k) ** 2).real
+    return _radius_and_slope(ctx, tau)[1]
 
 
 def r_of_tau_general(state: InitialState, tau: float) -> float:
@@ -272,49 +263,44 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
 
 # -- polar angle ---------------------------------------------------------
 
-def theta_phase(ctx: SolutionContext, tau: float) -> complex:
-    """Unimodular factor z = sigma(v - tau)/sigma(v + tau) exp(2 tau zeta(v))."""
-    lat = ctx.lattice
-    return (lat.sigma(ctx.v - tau) / lat.sigma(ctx.v + tau)
-            * cmath.exp(2.0 * tau * ctx.zeta_v))
-
-
 def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Continuous polar angle with theta(0) = 0 at pericenter.
 
-    theta = v_m tau - arg z(tau) with the winding of z tracked: whole
-    pseudo-periods advance by the closed-form increment, the remainder is
-    unwrapped stepwise (the phase speed v_m - h/r lies in [0, v_m), so
-    steps of pi/(2 v_m) can never alias).
+    theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)], L = B +
+    Log(sigma exp(-B)) with the carrier B(z) = eta z^2/(2 omega) +
+    log(2 omega/pi) + log sin(pi z/(2 omega)) of ``Lattice.log_sigma``.
+    L is continuous in tau while Im v > 0 and sigma exp(-B), the theta_1
+    product, keeps off the negative real axis along Im z = Im v.  Bounded
+    motion folds whole pseudo-periods, each adding ``dtheta_period``.
     """
-    base = 0.0
-    tau_r = tau
-    if ctx.bounded and ctx.T_tau is not None:
-        n_per = math.floor(tau / ctx.T_tau)
-        if n_per:
-            base = n_per * ctx.dtheta_period
-            tau_r = tau - n_per * ctx.T_tau
-    return base + ctx.v_m * tau_r - _phase_arg(ctx, tau_r)
-
-
-def _phase_arg(ctx: SolutionContext, tau: float) -> float:
-    """Continuous arg of the phase factor from 0 to tau, unwrapped stepwise."""
-    steps = max(1, math.ceil(abs(tau) * ctx.v_m / (0.5 * math.pi)))
-    arg_acc = 0.0
-    z_prev = 1.0 + 0j
-    for j in range(1, steps + 1):
-        z_j = theta_phase(ctx, tau * j / steps)
-        arg_acc += cmath.phase(z_j / z_prev)
-        z_prev = z_j
-    return arg_acc
+    n, tau = _periods_folded(ctx, tau)
+    lat = ctx.lattice
+    phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
+             + 2.0 * tau * ctx.zeta_v)
+    theta = ctx.v_m * tau - phase.imag
+    return theta + n * ctx.dtheta_period if n else theta
 
 
 # -- radial Kepler equation ----------------------------------------------
 
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
-    """Physical time since pericenter passage, t(0) = 0, odd and increasing."""
-    return _kepler_time(ctx.lattice, ctx.r_m, ctx.e_k, ctx.kepler_coeff,
-                        ctx.k, ctx.state.alpha, ctx.energy, tau)
+    """Physical time since pericenter passage, t(0) = 0, odd and increasing.
+
+    Bounded motion folds whole pseudo-periods, t(tau + n T_tau) = t(tau) + n T_t.
+    """
+    n, tau = _periods_folded(ctx, tau)
+    t = 0.0
+    if tau != 0.0:
+        lat, alpha = ctx.lattice, ctx.state.alpha
+        w_k = lat.periods.omega_k(ctx.k)
+        if math.isfinite(ctx.kepler_coeff):
+            zsum = lat.zeta(tau - w_k) + lat.zeta(tau + w_k)
+            t = (ctx.r_m * tau
+                 - ctx.kepler_coeff * (2.0 * ctx.e_k * tau + zsum)).real
+        else:
+            t = (-(2.0 / alpha) * (lat.zeta(tau + w_k) - lat.periods.eta_k(ctx.k))
+                 - ctx.energy * tau / (3.0 * alpha)).real
+    return t + n * ctx.T_t if n else t
 
 
 def invert_kepler(ctx: SolutionContext, t: float) -> float:
@@ -417,8 +403,7 @@ def state_at_tau(ctx: SolutionContext, tau: float) -> PropagatedState:
 
 
 def _state(ctx: SolutionContext, tau: float, t: float) -> PropagatedState:
-    r = r_of_tau(ctx, tau)
-    rp = r_prime_of_tau(ctx, tau)
+    r, rp = _radius_and_slope(ctx, tau)
     theta = theta_of_tau(ctx, tau) - ctx.theta0
     v_sq = 2.0 * ctx.energy + 2.0 / r + 2.0 * ctx.state.alpha * r
     v = math.sqrt(max(v_sq, 0.0))

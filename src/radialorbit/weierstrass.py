@@ -349,6 +349,26 @@ class Lattice:
             sg = self._shift(zr, m, n, sg)[1]
         return sg
 
+    def log_sigma(self, z: complex) -> complex:
+        """log sigma(z) on a branch continuous along each line Im z = c > 0.
+
+        With w the real half period, e = zeta(w) and u = pi z/(2 w), DLMF
+        23.6.9 and 20.5.1 write sigma = exp(B) P with the carrier
+        B(z) = e z^2/(2 w) + log(2 w/pi) + log(i/2) - i u + Log(1 - exp(2 i u)),
+        whose last three terms are log sin u and continuous for Im z > 0,
+        and P the theta_1 product, 2w-periodic and bounded on the line.
+        The principal Log of P is continuous while P keeps off the negative
+        real axis.
+        """
+        w = self.real_half_period
+        # the real half period is omega (rectangular) or omega + omega' (rhombic)
+        eta = self.periods.eta_k(1 if self.roots.discriminant > 0.0 else 2).real
+        u = math.pi * z / (2.0 * w)
+        carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
+                   + cmath.log(0.5j) - 1j * u
+                   + cmath.log(1.0 - cmath.exp(2j * u)))
+        return carrier + cmath.log(self.sigma(z) * cmath.exp(-carrier))
+
     # -- inversion ----------------------------------------------------------
 
     def wp_inverse(self, w: complex, branch: int = -1) -> complex:

@@ -10,6 +10,7 @@ ambiguity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -201,3 +202,26 @@ def quadrature_theta(state: InitialState, r_a: float, r_b: float,
     """Angle swept over a monotone arc: h * integral of du / (u sqrt(f(u)))."""
     h = state.momentum
     return _arc_integral(state, r_a, r_b, lambda u: h / u, tol)
+
+
+def stepped_theta(ctx, tau: float) -> float:
+    """Polar angle v_m tau - arg z(tau), z(s) = sigma(v - s)/sigma(v + s) exp(2 s zeta(v)).
+
+    Reference for the closed-form angle: the argument of z is unwrapped in
+    steps from s = 0, with no period folding and no branch of log sigma.
+    The phase speed v_m - h/r lies in [0, v_m), so steps of pi/(2 v_m) move
+    it by less than pi/2 and cannot alias.
+    """
+    lat = ctx.lattice
+
+    def phase(s):
+        return (lat.sigma(ctx.v - s) / lat.sigma(ctx.v + s)
+                * cmath.exp(2.0 * s * ctx.zeta_v))
+
+    steps = max(1, math.ceil(abs(tau) * ctx.v_m / (0.5 * math.pi)))
+    arg, prev = 0.0, 1.0 + 0j
+    for j in range(1, steps + 1):
+        z = phase(tau * j / steps)
+        arg += cmath.phase(z / prev)
+        prev = z
+    return ctx.v_m * tau - arg

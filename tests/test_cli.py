@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ WORKED = ["--r0", "1.0", "--v0", "1.2", "--alpha", "0.02"]
 ROSETTE = ["--r0", "1.0", "--v0", "1.2601352426205996", "--alpha", "-0.05"]
 # off-pericenter epoch: tau0, t0 and the epoch angle are all nonzero
 TILTED = ["--r0", "1.3", "--v0", "1.0", "--gamma0-deg", "25", "--alpha", "0.02"]
+# inbound epoch in a confining field (alpha < 0)
+INBOUND = ["--r0", "1.5", "--v0", "0.9", "--gamma0-deg=-40", "--alpha", "-0.03"]
 
 # Outputs of the CLI for the two anchor states, kept as a regression
 # record of the closed form; compared at 1e-12 relative.
@@ -105,6 +108,17 @@ GOLDEN_SWEEP = {
 }
 
 
+# `propagate --format json` rows of the four anchors over 41 samples, kept
+# in golden_propagate.json under "<state>_<span>"; compared at 1e-12.
+GOLDEN_PROPAGATE_STATES = {"worked": WORKED, "rosette": ROSETTE,
+                           "tilted": TILTED, "inbound": INBOUND}
+GOLDEN_PROPAGATE_SPANS = {"t_span": ["--t-span", "500"],
+                          "tau_span": ["--tau-span", "100"]}
+with open(os.path.join(os.path.dirname(__file__),
+                       "golden_propagate.json")) as _fh:
+    GOLDEN_PROPAGATE = json.load(_fh)
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -144,6 +158,15 @@ class TestGolden:
         argv, want = GOLDEN_JSON[name]
         assert_close(json.loads(run_ok(argv)), want)
 
+    @pytest.mark.parametrize("state", sorted(GOLDEN_PROPAGATE_STATES))
+    @pytest.mark.parametrize("span", sorted(GOLDEN_PROPAGATE_SPANS))
+    def test_propagate(self, state, span):
+        argv = ["propagate", *GOLDEN_PROPAGATE_STATES[state],
+                *GOLDEN_PROPAGATE_SPANS[span], "--samples", "41",
+                "--format", "json"]
+        assert_close(json.loads(run_ok(argv)),
+                     GOLDEN_PROPAGATE[f"{state}_{span}"])
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
     def test_period_sweep(self, name):
         argv, want = GOLDEN_SWEEP[name]
@@ -178,11 +201,36 @@ class TestPropagate:
                                "--samples", "5"])
         assert [row["t"] for row in rows] == [0.3 + 2.0 * i / 4 for i in range(5)]
 
-    def test_single_sample_needs_zero_span(self):
-        code, _, err = run_cli(["propagate", *WORKED, "--t-span", "1.0",
-                                "--samples", "1"])
+    @pytest.mark.parametrize("flag", ["--t-span", "--tau-span"])
+    def test_single_sample_needs_zero_span(self, flag):
+        code, out, err = run_cli(["propagate", *WORKED, flag, "1.0",
+                                  "--samples", "1"])
         assert code == 2
+        assert out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("flag", ["--t-span", "--tau-span"])
+    def test_single_sample_with_zero_span_is_the_epoch(self, flag):
+        (row,) = propagate_rows([*TILTED, flag, "0", "--samples", "1"])
+        assert row["t"] == 0.0 and row["theta"] == 0.0
+
+    @pytest.mark.parametrize("state, span", [(WORKED, 300.0),
+                                             (ROSETTE, 150.0)])
+    def test_long_tau_span_folds_whole_periods(self, state, span):
+        # unfolded, sigma's quasi-periodic factor overflows past ~20
+        # periods; both states start at pericenter
+        doc = json.loads(run_ok(["propagate", *state, "--tau-span", repr(span),
+                                 "--samples", "3", "--format", "json"]))
+        meta, last = doc["meta"], doc["samples"][-1]
+        n = math.floor(span / meta["T_tau"])
+        assert n >= 20
+        ref = propagate_rows([*state, "--tau-span",
+                              repr(span - n * meta["T_tau"]), "--samples", "2"])[-1]
+        assert last["t"] == pytest.approx(ref["t"] + n * meta["T_t"], rel=1e-12)
+        assert last["theta"] == pytest.approx(
+            ref["theta"] + n * meta["dtheta_period"], rel=1e-12)
+        for key in ("r", "v", "gamma"):
+            assert last[key] == pytest.approx(ref[key], rel=1e-9)
 
 
 class TestPeriod:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -23,9 +24,10 @@ from radialorbit.propagation import (
     state_at_tau,
     tau0_from_r0,
     theta_of_tau,
-    theta_phase,
     time_of_flight_implicit,
 )
+
+from radialorbit.weierstrass import Lattice
 
 from conftest import sample_states, wrap_angle
 
@@ -239,8 +241,11 @@ class TestTheta:
 
     def test_phase_factor_unimodular(self, worked_ctx, rosette_ctx):
         for ctx in (worked_ctx, rosette_ctx):
+            lat = ctx.lattice
             for tau in np.linspace(-1.8 * ctx.T_tau, 1.8 * ctx.T_tau, 200):
-                assert abs(abs(theta_phase(ctx, tau)) - 1.0) <= 1e-9
+                z = (lat.sigma(ctx.v - tau) / lat.sigma(ctx.v + tau)
+                     * cmath.exp(2.0 * tau * ctx.zeta_v))
+                assert abs(abs(z) - 1.0) <= 1e-9
 
     def test_period_increment_formula(self, worked_ctx):
         # stored increment equals the sigma/zeta evaluation at any offset
@@ -263,6 +268,104 @@ class TestTheta:
             tau = tau0_from_r0(ctx, r_hi, 1)
             ref = oracle.quadrature_theta(ctx.state, ctx.r_m, r_hi)
             assert theta_of_tau(ctx, tau) == pytest.approx(ref, abs=1e-9)
+
+
+# Unbounded states for the closed-form angle: rhombic lattices (the first
+# five, then pericenter starts just above the escape threshold alpha*, where
+# the real period grows without bound) and two rectangular ones.
+UNBOUNDED = [(1.0, 1.2, 0.0, 0.1), (3.0, 1.1, -0.9, 0.1), (1.0, 1.6, 0.3, 0.05),
+             (2.0, 1.2, -0.5, 0.01), (0.7, 1.8, 0.2, 0.2),
+             *[(r0, math.sqrt(u / r0), 0.0,
+                (2.0 - u) ** 2 / (8.0 * r0**2 * u) * (1.0 + eps))
+               for r0, u in ((1.0, 1.44), (0.8, 1.2), (1.5, 1.7), (1.2, 0.9))
+               for eps in (1e-6, 1e-3, 0.3)],
+             (1.0, 0.5, 0.0, 1.0), (1.0, 0.5, 0.4, 1.2)]
+
+# Largest |arg(sigma exp(-B))| on the lines the sweeps below visit: 0.60
+# bounded, 0.91 unbounded, 1.49 at the parabolic speed with |alpha| = 1e-11,
+# where it creeps towards pi/2 as alpha -> 0.  The branch of log sigma
+# needs it below pi.
+BRANCH_ARG_BOUND = 1.6
+
+
+def product_arg(lat, z):
+    """arg(sigma(z) exp(-B(z))), with the carrier B rebuilt from its definition."""
+    w = lat.real_half_period
+    u = math.pi * z / (2.0 * w)
+    carrier = (lat.zeta(w).real * z * z / (2.0 * w)
+               + math.log(2.0 * w / math.pi) + cmath.log(cmath.sin(u)))
+    return cmath.phase(lat.sigma(z) * cmath.exp(-carrier))
+
+
+class TestThetaClosedForm:
+    """theta_of_tau against the stepped unwrapping of the sigma ratio."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bounded_matches_stepped_reference(self, seed):
+        for ctx in sample_states(seed=seed, count=4, bounded=True):
+            for tau in np.linspace(-3.0 * ctx.T_tau, 3.0 * ctx.T_tau, 13):
+                ref = oracle.stepped_theta(ctx, tau)
+                # the unfolded reference drifts by up to ~2e-13 at 3 periods
+                assert theta_of_tau(ctx, tau) == pytest.approx(
+                    ref, abs=1e-12 * (1.0 + abs(ref)))
+            for tau in np.linspace(0.0, ctx.T_tau, 25):
+                for z in (ctx.v - tau, ctx.v + tau):
+                    assert abs(product_arg(ctx.lattice, z)) < BRANCH_ARG_BOUND
+
+    @pytest.mark.parametrize("state", UNBOUNDED)
+    def test_unbounded_matches_stepped_reference(self, state):
+        ctx = build_context(InitialState(*state))
+        assert not ctx.bounded
+        assert ctx.v.imag > 0.0
+        w = ctx.lattice.real_half_period
+        for tau in np.linspace(-0.98 * w, 0.98 * w, 15):
+            ref = oracle.stepped_theta(ctx, tau)
+            assert theta_of_tau(ctx, tau) == pytest.approx(
+                ref, abs=1e-13 * (1.0 + abs(ref)))
+            for z in (ctx.v - tau, ctx.v + tau):
+                assert abs(product_arg(ctx.lattice, z)) < BRANCH_ARG_BOUND
+
+    @pytest.mark.parametrize("alpha", [1e-11, -1e-11])
+    def test_parabolic_speed_at_tiny_alpha(self, alpha):
+        # r0 v0^2 = 2: the real period is thousands of pericenter units
+        ctx = build_context(InitialState(1.0, math.sqrt(2.0), 0.0, alpha))
+        span = ctx.T_tau if ctx.bounded else 0.99 * ctx.lattice.real_half_period
+        assert span > 1000.0
+        for tau in np.linspace(-span, span, 5):
+            assert theta_of_tau(ctx, tau) == pytest.approx(
+                oracle.stepped_theta(ctx, tau), abs=1e-10)
+        for tau in np.linspace(0.0, span, 41):
+            for z in (ctx.v - tau, ctx.v + tau):
+                assert abs(product_arg(ctx.lattice, z)) < BRANCH_ARG_BOUND
+
+    def test_unbounded_sweep_covers_rhombic_near_escape(self):
+        rhombic = [build_context(InitialState(*s)).lattice.roots.discriminant < 0.0
+                   for s in UNBOUNDED]
+        assert rhombic == [True] * 17 + [False] * 2
+
+    def test_period_increment_is_closed_form(self, worked_ctx, rosette_ctx):
+        for ctx in (worked_ctx, rosette_ctx):
+            omega, eta = 0.5 * ctx.T_tau, ctx.lattice.zeta(0.5 * ctx.T_tau).real
+            want = (ctx.v_m * ctx.T_tau
+                    - 4.0 * (omega * ctx.zeta_v - eta * ctx.v).imag - 2.0 * math.pi)
+            assert ctx.dtheta_period == pytest.approx(want, abs=1e-12)
+            assert ctx.dtheta_period == pytest.approx(
+                oracle.stepped_theta(ctx, ctx.T_tau), abs=1e-12)
+
+    def test_two_sigma_evaluations_at_any_tau(self, worked_ctx, monkeypatch):
+        calls = []
+        sigma = Lattice.sigma
+
+        def counted(self, z):
+            calls.append(z)
+            return sigma(self, z)
+
+        monkeypatch.setattr(Lattice, "sigma", counted)
+        # 50.6 periods fold to 0.6 T_tau, which the stepped phase took in 5 steps
+        for periods in (0.1, 50.6):
+            calls.clear()
+            theta_of_tau(worked_ctx, periods * worked_ctx.T_tau)
+            assert len(calls) == 2
 
 
 class TestRadialKepler:
@@ -288,6 +391,16 @@ class TestRadialKepler:
                 fd = (radial_kepler(ctx, tau + h)
                       - radial_kepler(ctx, tau - h)) / (2.0 * h)
                 assert fd == pytest.approx(r_of_tau(ctx, tau), abs=1e-7)
+
+    def test_fifty_periods_fold(self, worked_ctx, rosette_ctx):
+        # unfolded, sigma's quasi-periodic factor overflows past ~20 periods
+        for ctx in (worked_ctx, rosette_ctx):
+            for n in (50, -60, 200):
+                assert radial_kepler(ctx, (n + 0.5) * ctx.T_tau) == pytest.approx(
+                    (n + 0.5) * ctx.T_t, rel=1e-13)
+                tau = n * ctx.T_tau + 0.3
+                assert radial_kepler(ctx, tau) == pytest.approx(
+                    n * ctx.T_t + radial_kepler(ctx, 0.3), rel=1e-13)
 
     def test_full_period_value(self, worked_ctx):
         assert radial_kepler(worked_ctx, worked_ctx.T_tau) == pytest.approx(
@@ -414,6 +527,23 @@ class TestPropagate:
         # tan(gamma) = (dr/dtau) / h
         r_prime = worked_ctx.momentum * math.tan(ps.gamma)
         assert r_prime**2 == pytest.approx(worked_ctx.f(ps.r), rel=1e-8)
+
+    def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
+                                                       monkeypatch):
+        calls = []
+        wp_all = Lattice.wp_all
+
+        def counted(self, z):
+            calls.append(z)
+            return wp_all(self, z)
+
+        monkeypatch.setattr(Lattice, "wp_all", counted)
+        for tau in (1.1, 30.0):
+            calls.clear()
+            ps = state_at_tau(worked_ctx, tau)
+            # r and dr/dtau share one call; t(tau) takes zeta at tau -/+ w_k
+            assert len(calls) == len(set(calls)) == 3
+            assert ps.r == r_of_tau(worked_ctx, tau)
 
 
 class TestOracleEquivalence:

@@ -327,6 +327,36 @@ class TestEvaluation:
         assert abs(res) <= 1e-10 * (1.0 + abs(p)) ** 3
 
 
+class TestLogSigma:
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    def test_branch_is_continuous_along_lines(self, g2, g3):
+        lat = Lattice.from_invariants(g2, g3)
+        per = lat.periods
+        w = lat.real_half_period
+        eta = lat.zeta(w).real
+        # lines between the real axis and the half periods above it; the
+        # first lattice points off the axis lie twice as high
+        height = min(abs(x.imag) for x in (per.omega, per.omega_prime)
+                     if abs(x.imag) > 1e-12 * abs(x))
+        xs = np.linspace(-2.0 * w, 2.0 * w, 201)
+        for frac in (0.25, 0.5, 0.95):
+            line = [complex(x, frac * height) for x in xs]
+            logs = [lat.log_sigma(z) for z in line]
+            # d log sigma / dz = zeta: a jump between branches would miss
+            # the midpoint-rule step by 2 pi, the rule itself by below 1e-2
+            for a, b, la, lb in zip(line, line[1:], logs, logs[1:]):
+                step = lat.zeta(0.5 * (a + b)) * (b - a)
+                assert abs(lb - la - step) <= 0.1
+            for z, log in zip(line[::20], logs[::20]):
+                assert abs(cmath.exp(log) - lat.sigma(z)) <= \
+                    1e-13 * abs(lat.sigma(z))
+                # sigma(z + 2w) = -exp(2 eta (z + w)) sigma(z); on this branch
+                # the sign is exp(-i pi)
+                want = 2.0 * eta * (z + w) - 1j * math.pi
+                assert abs(lat.log_sigma(z + 2.0 * w) - log - want) <= \
+                    1e-12 * (1.0 + abs(log))
+
+
 class TestInverse:
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID[:8])
     def test_round_trip_from_real_axis(self, g2, g3):

@@ -12,6 +12,7 @@ numerical failure.  Domain errors emit a one-line JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -272,7 +273,10 @@ def cmd_escape_alpha(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was, and
+    # an in-process caller may call main many times
     ap = argparse.ArgumentParser(
         prog="radialorbit",
         description="Constant radial acceleration orbits in closed form",

@@ -15,6 +15,30 @@ with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
 a function of physical time.
 
+t(tau) costs one kernel call at a real argument.  By the addition theorem
+(DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
+
+    S = zeta(tau - w_k) + zeta(tau + w_k) = 2 zeta(tau) + p'(tau)/(p(tau) - ek),
+
+so the call at the pericenter-centered tau that gives r and dr/dtau gives
+t as well.  Unbounded motion has w_k = w_r, the real half period, and
+p(tau) - ek -> 0 at the escape asymptote tau -> w_r, where that quotient
+loses its digits; there zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k turns
+S into 2 zeta(|tau| - w_k) + 2 eta_k (odd in tau), one more call.  Near
+tau = 0 the 1/tau parts of 2 zeta and the quotient cancel, so for
+|tau| < tau_g = 0.3 rho, rho the distance to the nearest pole of r (a point
+of w_k + lattice), t takes its series r_m tau + sum_j b_j tau^(2j+1)/(2j+1),
+the b_j from r'' = f'(r)/2 (``_pericenter_series``).  The series carries
+no 1/a factor; the closed form's coefficient equals 1/a and scales the
+rounding error of S by it.  At small |a| the series reaches the apocenter,
+and T_t = 2 t(T_tau/2) comes from it too.
+
+``invert_kepler`` starts from Kepler's equation, which holds for a = 0:
+there tau is proportional to the eccentric anomaly E, so E - e sin E =
+2 pi t/T_t with e = (r_M - r_m)/(r_M + r_m) gives tau = E T_tau/(2 pi).
+Halley steps follow, since t' = r and t'' = dr/dtau come from the same
+call, and the last one's r and dr/dtau serve the propagated state.
+
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau: L is the branch of
 log sigma that ``Lattice.log_sigma`` keeps continuous along the line
@@ -30,20 +54,23 @@ into 4 eta (eta = zeta(omega)), and L(v - T_tau) - L(v + T_tau) into
 -4 eta v + 2 pi i, so t and theta advance per period by
 
     T_t    = r_m T_tau - ek f'(r_m) / (2 g3 + 16 ek^3) * (2 ek T_tau + 4 eta),
-    dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi.
+    dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
-Bounded t and theta fold whole periods off by these increments, which
-keeps sigma's quasi-periodic factor within one period of the origin.
+(T_t from the series when tau_g > omega).  Bounded t and theta fold whole
+periods off by these increments, t to the pericenter-centered tau in
+[-omega, omega] and theta to [0, T_tau), which keeps sigma's
+quasi-periodic factor within one period of the origin.
 
 Equivalent affine route used for cross-checks and the degenerate Kepler
 coefficient: r(tau) = (2/a) p(tau + w_k) - E/(3a), whence
-t(tau) = -(2/a) [zeta(tau + w_k) - zeta(w_k)] - E tau/(3a).
+t(tau) = -(2/a) [zeta(tau + w_k) - zeta(w_k)] - E tau/(3a) = -S/a - E tau/(3a).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import cached_property
 
 from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
@@ -57,7 +84,10 @@ from .errors import (
 )
 from .weierstrass import Invariants, Lattice
 
-_PERI_TAU_GUARD = 1e-6     # below this |tau| the Laurent expansion takes over
+_PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
+_SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
+_POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
+_UNIT_ROUNDOFF = 2.0**-53
 _REAL_SNAP = 1e-9
 
 
@@ -65,7 +95,8 @@ _REAL_SNAP = 1e-9
 class SolutionContext:
     """Everything needed to evaluate the closed form for one instance.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction, apart from the pericenter series, which
+    is made on first use; safe to share across threads.
     """
 
     state: InitialState
@@ -89,6 +120,13 @@ class SolutionContext:
     T_tau: float | None
     T_t: float | None
     dtheta_period: float | None
+    series_reach: float         # tau_g: t(tau) takes its pericenter series below it
+
+    @cached_property
+    def _series(self) -> tuple[float, ...]:
+        # made on the first use of the series: contexts that never evaluate
+        # t inside tau_g, apse starts among them, never pay for it
+        return _pericenter_series(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,14 +205,26 @@ def build_context(state: InitialState) -> SolutionContext:
         v=v, zeta_v=zeta_v, kepler_coeff=coeff,
         tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
         dtheta_period=dtheta,
+        series_reach=_SERIES_REACH * _pole_distance(lat, k, bounded),
     )
+    if bounded and ctx.series_reach > lat.real_half_period:
+        # the series reaches the apocenter: T_t = 2 t(T_tau/2) from it
+        # escapes the 1/a by which the closed form scales rounding error
+        ctx = _replace(ctx, T_t=2.0 * radial_kepler(ctx, 0.5 * t_tau))
     tau0 = t0 = 0.0
     if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
         sign = 1 if state.rdot0 >= 0.0 else -1
         tau0 = tau0_from_r0(ctx, state.r0, sign)
         t0 = radial_kepler(ctx, tau0)
-    return dataclasses.replace(ctx, tau0=tau0, t0=t0,
-                               theta0=theta_of_tau(ctx, tau0))
+    return _replace(ctx, tau0=tau0, t0=t0, theta0=theta_of_tau(ctx, tau0))
+
+
+def _replace(ctx: SolutionContext, **changes) -> SolutionContext:
+    """dataclasses.replace that keeps the pericenter series made so far."""
+    new = dataclasses.replace(ctx, **changes)
+    if "_series" in vars(ctx):
+        vars(new)["_series"] = ctx._series
+    return new
 
 
 def _periods_folded(ctx: SolutionContext, tau: float) -> tuple[int, float]:
@@ -185,18 +235,109 @@ def _periods_folded(ctx: SolutionContext, tau: float) -> tuple[int, float]:
     return n, tau - n * ctx.T_tau
 
 
-def _radius_and_slope(ctx: SolutionContext, tau: float) -> tuple[float, float]:
-    """(r, dr/dtau) at pseudo-time tau from one kernel evaluation."""
+def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
+    """rho: distance from 0 to the nearest pole of r, a point of w_k + lattice.
+
+    The lattice of bounded motion is rectangular, and w_k is that point.
+    Otherwise the 5 x 5 block of lattice translates around the cell
+    representative of w_k holds it; on rhombic lattices it is often not
+    w_k itself (rho = 6.6 against |w_k| = 37 near the escape threshold).
+    """
+    per = lat.periods
+    if bounded:
+        return abs(per.omega_k(k))
+    w1, w2 = 2.0 * per.omega, 2.0 * per.omega_prime
+    u0 = lat.reduce(per.omega_k(k))[0]
+    return min(abs(u0 + m * w1 + n * w2) for m in range(-2, 3) for n in range(-2, 3))
+
+
+def _pericenter_series(ctx: SolutionContext) -> tuple[float, ...]:
+    """(a_K, ..., a_1) with t = r_m tau + sum_j a_j tau^(2j+1) for |tau| < tau_g.
+
+    r = r_m + sum_j b_j tau^(2j) solves r'' = f'(r)/2 with f cubic, so
+    b_1 = f'/4, b_2 = f'' f'/96 and
+    2 (2j+2)(2j+1) b_(j+1) = f'' b_j + f''' (b_1 b_(j-1) + ... + b_(j-1) b_1)/2,
+    derivatives at r_m; dt = r dtau gives a_j = b_j/(2j+1).  The series
+    converges out to rho, the distance to the nearest pole of r, and
+    serves |tau| < tau_g = 0.3 rho.  As r - r_m = (2/a)(p(tau + w_k) - e_k),
+    b_j = (2/a)(2j+1) sum_u u^(-2j-2) over the poles u, so the j-th term
+    at tau is at most (2/(|a| tau)) sum_u (tau/|u|)^(2j+2).  That sum is
+    taken as 25 (tau/rho)^(2j+2): 25 poles as near as the nearest one.
+    Summed over the whole lattice, sum_u (rho/|u|)^(2j+2) at the index
+    where the series stops is at most 4.1 over 76 test states (near-escape,
+    |a| down to 3e-7).  The bound shrinks by (tau/rho)^2 <= 0.09 per term,
+    and the series stops at the first term whose bound, with that
+    geometric tail, is below the unit roundoff relative to r_m tau at
+    the largest |tau| it serves.
+    """
+    rho = ctx.series_reach / _SERIES_REACH
+    tau = min(ctx.series_reach, ctx.lattice.real_half_period)
+    scale = 2.0 * _POLE_BLOCK / (abs(ctx.state.alpha) * ctx.r_m * tau * tau
+                                 * (1.0 - _SERIES_REACH**2))
+    # first left-out index j: scale (tau/rho)^(2j+2) <= unit roundoff
+    stop = max(2, math.ceil(math.log(_UNIT_ROUNDOFF / scale)
+                            / (2.0 * math.log(tau / rho))) - 1)
+    f = ctx.f
+    fpp, half_fppp = f.d2f(ctx.r_m), 0.5 * f.d3f
+    b = [0.0, 0.25 * f.df(ctx.r_m)]
+    for j in range(1, stop - 1):
+        conv = math.fsum(b[i] * b[j - i] for i in range(1, j))
+        b.append((fpp * b[j] + half_fppp * conv) / (2.0 * (2 * j + 2) * (2 * j + 1)))
+    return tuple(b[j] / (2 * j + 1) for j in range(len(b) - 1, 0, -1))
+
+
+def _orbit_point(ctx: SolutionContext, tau: float,
+                 timed: bool = True) -> tuple[float, float, float]:
+    """(t, r, dr/dtau) at pseudo-time tau; t is nan unless ``timed``.
+
+    One kernel call at the real, pericenter-centered tau_c gives r and
+    dr/dtau and, for bounded motion, t.  Unbounded t outside the
+    pericenter series takes one more call (module docstring).
+    """
+    lat = ctx.lattice
     # fold tau to the pericenter-centered representative so period
     # multiples hit the series expansion instead of the lattice pole
-    period = 2.0 * ctx.lattice.real_half_period
-    tau_c = tau - period * round(tau / period)
+    period = 2.0 * lat.real_half_period
+    n = round(tau / period)
+    tau_c = tau - period * n
     fp_m = ctx.f.df(ctx.r_m)
-    if abs(tau_c) < _PERI_TAU_GUARD:
-        return ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
-    p, pp, _, _ = ctx.lattice.wp_all(complex(tau_c))
-    return (ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k),
-            (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real)
+    if abs(tau_c) < _PERI_TAU_GUARD:     # well inside the series reach tau_g
+        r, rp = ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
+    else:
+        p, pp, zt, _ = lat.wp_all(complex(tau_c))
+        r = ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k)
+        rp = (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real
+    if not timed:
+        return math.nan, r, rp
+    if not ctx.bounded:
+        n, tau_c = 0, tau          # t has no period; r is periodic all the same
+    if abs(tau_c) < ctx.series_reach:
+        u = tau_c * tau_c
+        acc = 0.0
+        for a in ctx._series:
+            acc = acc * u + a
+        t = ctx.r_m * tau_c + tau_c * u * acc
+    else:
+        if ctx.bounded:
+            # zeta(tau + w_k) + zeta(tau - w_k) = 2 zeta(tau) + p'/(p - e_k)
+            bracket = 2.0 * zt + pp / (p - ctx.e_k)
+        else:
+            # w_k is real: zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k
+            w_k = lat.periods.omega_k(ctx.k)
+            bracket = math.copysign(2.0, tau_c) * (
+                lat.zeta(abs(tau_c) - w_k) + lat.periods.eta_k(ctx.k))
+        if math.isfinite(ctx.kepler_coeff):
+            t = (ctx.r_m * tau_c
+                 - ctx.kepler_coeff * (2.0 * ctx.e_k * tau_c + bracket)).real
+        else:
+            t = (-bracket / ctx.state.alpha
+                 - ctx.energy * tau_c / (3.0 * ctx.state.alpha)).real
+    return (t + n * ctx.T_t if n else t), r, rp
+
+
+def _radius_and_slope(ctx: SolutionContext, tau: float) -> tuple[float, float]:
+    """(r, dr/dtau) at pseudo-time tau from one kernel evaluation."""
+    return _orbit_point(ctx, tau, timed=False)[1:]
 
 
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
@@ -215,11 +356,14 @@ def r_of_tau_general(state: InitialState, tau: float) -> float:
     Works directly from r0 (no pericenter shift): with F = f(r0) and the
     branch of sqrt(F) tied to the sign of the initial radial velocity,
     r(tau) solves (dr/dtau)^2 = f(r) with r(0) = r0.  Agrees with the
-    pericenter form shifted by tau0 wherever both are defined.
+    pericenter form shifted by tau0 wherever both are defined.  r is
+    periodic in tau, so tau is first reduced by the real period of p.
     """
     f = dynamics.build_f(state)
     lat = Lattice(invariants_from_conserved(state.alpha, state.energy,
                                             state.momentum))
+    period = 2.0 * lat.real_half_period
+    tau = tau - period * round(tau / period)
     r0 = state.r0
     big_f = max(f(r0), 0.0)
     s = 1.0 if state.rdot0 >= 0.0 else -1.0
@@ -286,35 +430,42 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
     """Physical time since pericenter passage, t(0) = 0, odd and increasing.
 
-    Bounded motion folds whole pseudo-periods, t(tau + n T_tau) = t(tau) + n T_t.
+    One kernel call at real tau: the addition theorem turns the pair
+    zeta(tau - w_k) + zeta(tau + w_k) into 2 zeta(tau) + p'(tau)/(p(tau) - e_k).
+    Unbounded motion takes the pair as 2 zeta(|tau| - w_k) + 2 eta_k, odd in
+    tau, from a second call, and |tau| < tau_g takes the pericenter series
+    instead (module docstring).  Bounded motion folds whole pseudo-periods,
+    t(tau + n T_tau) = t(tau) + n T_t.
     """
-    n, tau = _periods_folded(ctx, tau)
-    t = 0.0
-    if tau != 0.0:
-        lat, alpha = ctx.lattice, ctx.state.alpha
-        w_k = lat.periods.omega_k(ctx.k)
-        if math.isfinite(ctx.kepler_coeff):
-            zsum = lat.zeta(tau - w_k) + lat.zeta(tau + w_k)
-            t = (ctx.r_m * tau
-                 - ctx.kepler_coeff * (2.0 * ctx.e_k * tau + zsum)).real
-        else:
-            t = (-(2.0 / alpha) * (lat.zeta(tau + w_k) - lat.periods.eta_k(ctx.k))
-                 - ctx.energy * tau / (3.0 * alpha)).real
-    return t + n * ctx.T_t if n else t
+    return _orbit_point(ctx, tau)[0]
 
 
 def invert_kepler(ctx: SolutionContext, t: float) -> float:
-    """Solve t(tau) = t for tau; safeguarded Newton on the monotone branch."""
+    """Solve t(tau) = t for tau: safeguarded Halley steps on the monotone branch.
+
+    Bounded motion starts from Kepler's equation, exact for a = 0, where
+    tau is proportional to the eccentric anomaly: M = E - e sin E with
+    M = 2 pi t/T_t and e = (r_M - r_m)/(r_M + r_m), then tau = E T_tau/(2 pi);
+    unbounded motion starts from t/r_m below a bracketed asymptote.  Each
+    step takes t, t' = r and t'' = dr/dtau from one evaluation; a step that
+    leaves the bracket bisects it.  Once |t(tau) - t| <= 1e-13 max(1, |t|)
+    one more Newton step from the same evaluation refines tau.
+    """
+    return _invert(ctx, t)[0]
+
+
+def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
+    """(tau, r, dr/dtau) with t(tau) = t; r and dr/dtau from the last step."""
     if t == 0.0:
-        return 0.0
+        return 0.0, ctx.r_m, 0.0
     if ctx.bounded:
         n_per = math.floor(t / ctx.T_t)
         t_r = t - n_per * ctx.T_t
-        guess = t_r / ctx.T_t * ctx.T_tau
-        tau = _newton_bisect(ctx, t_r, 0.0, ctx.T_tau, guess)
-        return tau + n_per * ctx.T_tau
+        tau, r, rp = _halley_bisect(ctx, t_r, 0.0, ctx.T_tau, _kepler_start(ctx, t_r))
+        return tau + n_per * ctx.T_tau, r, rp
     if t < 0.0:
-        return -invert_kepler(ctx, -t)
+        tau, r, rp = _invert(ctx, -t)
+        return -tau, r, -rp
     # unbounded: escape as tau -> real half period; bracket from below
     asymptote = ctx.lattice.real_half_period
     hi = 0.5 * asymptote
@@ -328,27 +479,45 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
         hi = 0.5 * (hi + asymptote)
     else:
         raise ConvergenceError("failed to bracket the escape asymptote")
-    return _newton_bisect(ctx, t, 0.0, hi, min(t / ctx.r_m, hi))
+    return _halley_bisect(ctx, t, 0.0, hi, min(t / ctx.r_m, hi))
 
 
-def _newton_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
-                   guess: float) -> float:
+def _kepler_start(ctx: SolutionContext, t: float) -> float:
+    """tau at time t in [0, T_t) on the a = 0 orbit with the same apses and periods."""
+    r_hi = ctx.region.r_hi
+    ecc = (r_hi - ctx.r_m) / (r_hi + ctx.r_m)
+    mean = 2.0 * math.pi * t / ctx.T_t
+    anomaly = mean + 0.85 * ecc * (1.0 if mean < math.pi else -1.0)
+    for _ in range(50):
+        step = (anomaly - ecc * math.sin(anomaly) - mean) / (1.0 - ecc * math.cos(anomaly))
+        anomaly -= step
+        if abs(step) <= 1e-12:
+            break
+    return anomaly / (2.0 * math.pi) * ctx.T_tau
+
+
+def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
+                   guess: float) -> tuple[float, float, float]:
     tol = 1e-13 * max(1.0, abs(t))
     tau = min(max(guess, lo), hi)
     for _ in range(100):
-        err = radial_kepler(ctx, tau) - t
+        t_tau, r, rp = _orbit_point(ctx, tau)
+        err = t_tau - t
         if abs(err) <= tol:
-            return tau
+            # one more Newton step for free: tau to O(err^2), r and r' by Taylor
+            step = -err / r
+            return tau + step, r + rp * step, rp + 0.5 * ctx.f.df(r) * step
         if err > 0.0:
             hi = tau
         else:
             lo = tau
-        step = err / r_of_tau(ctx, tau)   # dt/dtau = r > 0
-        tau_new = tau - step
+        # Halley: the Newton step err/r corrected by the curvature dr/dtau
+        denom = 2.0 * r * r - err * rp
+        tau_new = tau - 2.0 * err * r / denom if denom > 0.0 else math.nan
         if not (lo < tau_new < hi):
             tau_new = 0.5 * (lo + hi)
         if tau_new == tau:
-            return tau
+            return tau, r, rp
         tau = tau_new
     raise ConvergenceError(
         f"radial Kepler inversion failed to reach {tol:.1e} for t={t!r}"
@@ -393,17 +562,29 @@ def propagate(state: InitialState, dt: float) -> PropagatedState:
 
 def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:
     """State at epoch + dt."""
-    tau = invert_kepler(ctx, ctx.t0 + dt) if dt != 0.0 else ctx.tau0
-    return _state(ctx, tau, ctx.t0 + dt)
+    t = ctx.t0 + dt
+    if dt == 0.0:
+        return _state(ctx, ctx.tau0, t, *_radius_and_slope(ctx, ctx.tau0))
+    tau, r, rp = _invert(ctx, t)
+    return _state(ctx, tau, t, r, rp)
 
 
 def state_at_tau(ctx: SolutionContext, tau: float) -> PropagatedState:
-    """State at pseudo-time tau measured from pericenter passage."""
-    return _state(ctx, tau, radial_kepler(ctx, tau))
+    """State at pseudo-time tau measured from pericenter passage.
+
+    Unbounded motion escapes at |tau| = w_r, the real half period; beyond
+    it the closed form describes no trajectory, and tau there is rejected.
+    """
+    if not ctx.bounded and abs(tau) >= ctx.lattice.real_half_period:
+        raise OutOfIntervalError(
+            f"tau = {tau} at or past the escape asymptote "
+            f"|tau| = {ctx.lattice.real_half_period}"
+        )
+    return _state(ctx, tau, *_orbit_point(ctx, tau))
 
 
-def _state(ctx: SolutionContext, tau: float, t: float) -> PropagatedState:
-    r, rp = _radius_and_slope(ctx, tau)
+def _state(ctx: SolutionContext, tau: float, t: float, r: float,
+           rp: float) -> PropagatedState:
     theta = theta_of_tau(ctx, tau) - ctx.theta0
     v_sq = 2.0 * ctx.energy + 2.0 / r + 2.0 * ctx.state.alpha * r
     v = math.sqrt(max(v_sq, 0.0))

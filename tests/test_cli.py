@@ -232,6 +232,49 @@ class TestPropagate:
         for key in ("r", "v", "gamma"):
             assert last[key] == pytest.approx(ref[key], rel=1e-9)
 
+    UNBOUNDED = ["--r0", "1", "--v0", "1.2", "--alpha", "0.1"]   # w_r = 5.68
+
+    def test_tau_span_past_the_escape_asymptote_is_rejected(self):
+        code, out, err = run_cli(["propagate", *self.UNBOUNDED, "--tau-span",
+                                  "20", "--samples", "5"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutOfIntervalError"
+
+    def test_tau_span_inside_the_escape_asymptote(self):
+        rows = propagate_rows([*self.UNBOUNDED, "--tau-span", "5.5",
+                               "--samples", "5"])
+        assert rows[-1]["tau"] == 5.5
+        assert all(b["t"] > a["t"] and b["r"] > a["r"]
+                   for a, b in zip(rows, rows[1:]))
+
+
+class TestParser:
+    # subcommands and flags alternate, so state left behind by one parse
+    # (a --tau-span before a default --t-span run) would show in the next
+    SEQUENCE = [
+        ["propagate", *TILTED, "--tau-span", "2.0", "--samples", "3"],
+        ["propagate", *TILTED, "--samples", "3"],
+        ["classify", *WORKED],
+        ["propagate", *TILTED, "--t-span", "1.5", "--samples", "3",
+         "--format", "json"],
+        ["period", *WORKED, "--kepler-curve", "--samples", "3"],
+        ["propagate", *TILTED, "--t0", "0.5", "--samples", "2"],
+        ["period", *WORKED],
+    ]
+
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reuse_matches_fresh_parsers(self, monkeypatch):
+        fresh = cli._build_parser.__wrapped__
+        for argv in self.SEQUENCE:
+            assert vars(cli._build_parser().parse_args(argv)) == \
+                vars(fresh().parse_args(argv))
+        reused = [run_ok(argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_build_parser", fresh)
+        assert reused == [run_ok(argv) for argv in self.SEQUENCE]
+
 
 class TestPeriod:
     def test_kepler_curve_spans_one_pseudo_period(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+from radialorbit import propagation
 from radialorbit.dynamics import InitialState
 from radialorbit.errors import (
     NonMonotoneArcError,
@@ -165,6 +166,13 @@ class TestGeneralForm:
             assert r_of_tau_general(state, dtau) == pytest.approx(
                 r_of_tau(ctx, ctx.tau0 + dtau), abs=1e-9
             )
+
+    def test_long_tau_reduces_by_the_period(self, worked_state, worked_ctx):
+        # unreduced, sigma's quasi-periodic factor overflowed at tau = 300
+        n = math.floor(300.0 / worked_ctx.T_tau)
+        assert r_of_tau_general(worked_state, 300.0) == pytest.approx(
+            r_of_tau_general(worked_state, 300.0 - n * worked_ctx.T_tau),
+            rel=1e-12)
 
     def test_random_instances_against_oracle(self):
         for ctx in sample_states(seed=609, count=4):
@@ -415,6 +423,96 @@ class TestRadialKepler:
             assert radial_kepler(ctx, tau) == pytest.approx(ref, abs=1e-9)
 
 
+# Bounded states at |alpha| ~ 1e-6, where the closed form of t(tau) scales
+# rounding error by 1/alpha: pericenter and off-apse starts, either sign.
+LOW_ALPHA = [(1.0, 1.2, 0.0, 1e-6), (1.0, 1.2, 0.0, -1e-6),
+             (1.3, 1.0, math.radians(25.0), 1e-6),
+             (0.8, 1.3, math.radians(10.0), -3e-7),
+             (1.2, 1.0, math.radians(30.0), -1e-6)]
+TILTED_STATE = InitialState(1.3, 1.0, math.radians(25.0), 0.02)
+
+
+def zeta_pair_time(ctx, tau):
+    """t(tau) from the paper's form, zeta at the two points tau -/+ w_k."""
+    lat, w_k = ctx.lattice, ctx.lattice.periods.omega_k(ctx.k)
+    pair = lat.zeta(tau - w_k) + lat.zeta(tau + w_k)
+    return (ctx.r_m * tau
+            - ctx.kepler_coeff * (2.0 * ctx.e_k * tau + pair)).real
+
+
+class TestPericenterSeries:
+    @pytest.fixture(params=["worked", "rosette", "tilted"])
+    def anchor_ctx(self, request, worked_ctx, rosette_ctx):
+        return {"worked": worked_ctx, "rosette": rosette_ctx,
+                "tilted": build_context(TILTED_STATE)}[request.param]
+
+    def test_leading_coefficients(self, anchor_ctx):
+        ctx = anchor_ctx
+        fp, fpp = ctx.f.df(ctx.r_m), ctx.f.d2f(ctx.r_m)
+        a = ctx._series[::-1]            # a_j = b_j / (2j + 1)
+        assert 3.0 * a[0] == pytest.approx(fp / 4.0, rel=1e-15)
+        assert 5.0 * a[1] == pytest.approx(fpp * fp / 96.0, rel=1e-14)
+
+    def test_coefficients_are_lattice_sums(self, anchor_ctx):
+        # r - r_m = (2/a)(p(tau + w_k) - e_k): b_j = (2/a)(2j+1) sum u^-(2j+2)
+        ctx = anchor_ctx
+        per = ctx.lattice.periods
+        w_k = per.omega_k(ctx.k)
+        poles = [w_k + 2.0 * m * per.omega + 2.0 * n * per.omega_prime
+                 for m in range(-40, 41) for n in range(-40, 41)]
+        a = ctx._series[::-1]
+        for j in range(3, 7):
+            lattice_sum = sum(u ** (-2 * j - 2) for u in poles).real
+            want = 2.0 / ctx.state.alpha * (2 * j + 1) * lattice_sum
+            assert (2 * j + 1) * a[j - 1] == pytest.approx(want, rel=1e-9)
+
+    def test_joins_the_zeta_pair_form_across_the_reach(self, anchor_ctx):
+        ctx = anchor_ctx
+        tau_g = ctx.series_reach
+        assert 0.0 < tau_g < ctx.lattice.real_half_period
+        for tau in np.linspace(0.5 * tau_g, 1.5 * tau_g, 21):
+            want = zeta_pair_time(ctx, tau)
+            assert radial_kepler(ctx, tau) == pytest.approx(want, rel=5e-14)
+            assert radial_kepler(ctx, -tau) == pytest.approx(-want, rel=5e-14)
+
+    @pytest.mark.parametrize("state", [(1.0, 1.2, 0.0, 0.02),
+                                       (1.0, 1.2601352426205996, 0.0, -0.05),
+                                       LOW_ALPHA[0]])
+    def test_matches_quadrature_across_the_reach(self, state):
+        ctx = build_context(InitialState(*state))
+        w = ctx.lattice.real_half_period
+        for tau in np.linspace(0.2 * ctx.series_reach,
+                               min(2.0 * ctx.series_reach, 0.95 * w), 9):
+            ref = oracle.quadrature_tof(ctx.state, ctx.r_m, r_of_tau(ctx, tau))
+            assert radial_kepler(ctx, tau) == pytest.approx(ref, rel=1e-11)
+
+    def test_reach_covers_the_orbit_at_tiny_alpha(self):
+        # T_t then comes from the series as well, not from the closed form
+        ctx = build_context(InitialState(*LOW_ALPHA[0]))
+        assert ctx.series_reach > ctx.lattice.real_half_period
+        ref = 2.0 * oracle.quadrature_tof(ctx.state, ctx.r_m, ctx.region.r_hi)
+        assert ctx.T_t == pytest.approx(ref, rel=1e-11)
+
+    def test_made_once_and_only_when_needed(self, monkeypatch):
+        made = []
+        series = propagation._pericenter_series
+
+        def counted(ctx):
+            made.append(ctx)
+            return series(ctx)
+
+        monkeypatch.setattr(propagation, "_pericenter_series", counted)
+        apse = build_context(InitialState(1.0, 1.2, 0.0, 0.02))
+        state_at_tau(apse, 0.5 * apse.T_tau)     # outside the reach
+        assert made == []
+        off_apse = build_context(TILTED_STATE)   # t0 lies inside the reach
+        assert len(made) == 1
+        for dt in (0.1, 3.0, 25.0):
+            propagate_ctx(off_apse, dt)
+        state_at_tau(apse, 0.3)
+        assert len(made) == 2
+
+
 class TestInvertKepler:
     def test_zero(self, worked_ctx):
         assert invert_kepler(worked_ctx, 0.0) == 0.0
@@ -436,6 +534,23 @@ class TestInvertKepler:
     def test_half_period_symmetry(self, worked_ctx):
         tau = invert_kepler(worked_ctx, worked_ctx.T_t / 2.0)
         assert tau == pytest.approx(worked_ctx.T_tau / 2.0, abs=1e-10)
+
+    def test_kernel_calls_per_propagated_sample(self, worked_ctx, monkeypatch):
+        calls = []
+        wp_all = Lattice.wp_all
+
+        def counted(self, z):
+            calls.append(z)
+            return wp_all(self, z)
+
+        monkeypatch.setattr(Lattice, "wp_all", counted)
+        times = np.linspace(0.3, 10.0 * worked_ctx.T_t, 50)
+        for t in times:
+            propagate_ctx(worked_ctx, t)
+        # a Kepler-equation start and Halley steps: about three t(tau)
+        # evaluations per sample, each one kernel call on the real axis
+        assert len(calls) / len(times) <= 4.0
+        assert all(z.imag == 0.0 for z in calls)
 
     def test_unbounded_branch(self):
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
@@ -528,6 +643,14 @@ class TestPropagate:
         r_prime = worked_ctx.momentum * math.tan(ps.gamma)
         assert r_prime**2 == pytest.approx(worked_ctx.f(ps.r), rel=1e-8)
 
+    def test_state_at_tau_stops_at_the_escape_asymptote(self):
+        ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
+        w = ctx.lattice.real_half_period
+        assert state_at_tau(ctx, 0.99 * w).t > state_at_tau(ctx, 0.9 * w).t
+        for tau in (w, -w, 1.5 * w, 20.0):
+            with pytest.raises(OutOfIntervalError):
+                state_at_tau(ctx, tau)
+
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):
         calls = []
@@ -538,11 +661,13 @@ class TestPropagate:
             return wp_all(self, z)
 
         monkeypatch.setattr(Lattice, "wp_all", counted)
-        for tau in (1.1, 30.0):
+        # inside (1.1) and outside (3.0; 30.0 folds to -2.6) the series reach 2.09
+        for tau in (1.1, 3.0, 30.0):
             calls.clear()
             ps = state_at_tau(worked_ctx, tau)
-            # r and dr/dtau share one call; t(tau) takes zeta at tau -/+ w_k
-            assert len(calls) == len(set(calls)) == 3
+            # r, dr/dtau and t(tau) share one call at the real argument
+            assert len(calls) == 1
+            assert calls[0].imag == 0.0
             assert ps.r == r_of_tau(worked_ctx, tau)
 
 
@@ -565,3 +690,15 @@ class TestOracleEquivalence:
                 ps = propagate_ctx(ctx, t)
                 assert abs(ps.r - r_ref) / r_ref < 1e-7
                 assert abs(ps.theta - th_ref) / (1.0 + abs(th_ref)) < 1e-7
+
+    @pytest.mark.parametrize("state", LOW_ALPHA)
+    def test_low_alpha_against_rk(self, state):
+        # the zeta-pair form missed these by 2e-6 to 2e-4
+        state = InitialState(*state)
+        ctx = build_context(state)
+        traj = oracle.integrate_ode(state, 2.0 * ctx.T_t)
+        for t in np.linspace(0.1, 1.9, 7) * ctx.T_t:
+            r_ref, th_ref, _, _ = traj.at(t)
+            ps = propagate_ctx(ctx, t)
+            assert abs(ps.r - r_ref) / r_ref < 1e-8
+            assert abs(ps.theta - th_ref) / (1.0 + abs(th_ref)) < 1e-8

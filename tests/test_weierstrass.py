@@ -403,3 +403,26 @@ class TestInverse:
         lat = Lattice.from_invariants(*WORKED_G)
         with pytest.raises(ValueError):
             lat.wp_inverse(0.3, branch=0)
+
+
+class TestAdditionTheorem:
+    """zeta(z + w_k) + zeta(z - w_k) = 2 zeta(z) + p'(z)/(p(z) - e_k).
+
+    DLMF 23.10.4 with p(w_k) = e_k; the radial Kepler equation takes its
+    zeta pair from one evaluation at z this way.
+    """
+
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zeta_pair_from_one_point(self, g2, g3, k):
+        lat = Lattice.from_invariants(g2, g3)
+        w_k, e_k = lat.periods.omega_k(k), lat.roots.e_tilde[k - 1]
+        real = [x * lat.real_half_period for x in (0.1, 0.45, 0.8, 1.3)]
+        for z in real + sample_points(lat, 20, seed=13):
+            if min(abs(lat.reduce(z + s * w_k)[0]) for s in (-1, 0, 1)) < 0.05 * abs(w_k):
+                continue
+            p, pp, zt, _ = lat.wp_all(z)
+            pair = lat.zeta(z + w_k) + lat.zeta(z - w_k)
+            quotient = pp / (p - e_k)
+            assert abs(pair - 2.0 * zt - quotient) <= \
+                1e-12 * (1.0 + abs(zt) + abs(quotient))

@@ -5,7 +5,11 @@ lattice, and physical period T_t = t(T_tau); ``build_context`` computes
 both once, T_t in closed form through eta = zeta(T_tau/2), and the period
 functions here return the context's values.  Boundedness itself is a pure
 root comparison: the motion is bounded iff the largest real root of
-4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.
+4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.  The closed form also
+gives the angle advance per radial period, v_m T_tau - 4 Im[omega zeta(v)
+- eta v] - 2 pi, a smooth function of the pericenter speed, so closed
+orbits are the roots of a 1-D function: ``find_periodic_v`` solves it by
+safeguarded regula falsi at one context per evaluation.
 """
 
 from __future__ import annotations
@@ -205,7 +209,15 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     +/- 2 pi M / N, so the trajectory repeats after N radial librations
     (an advance of 2 pi (n - M/N) describes the same closed orbit as a
     regression of 2 pi M/N past n full turns).  The winding ratio is
-    smooth and monotone enough in v_m for plain bisection on the bracket.
+    smooth and monotone in v_m on the bracket, so regula falsi on it
+    converges superlinearly.  Each step takes the secant point of the
+    bracket ends, or the midpoint when that is not strictly inside.  An end
+    kept twice running has its value scaled by the Anderson-Bjorck factor
+    1 - f_new/f_old of the end replaced, or halved as in the Illinois method
+    when that factor is not positive (Dowell & Jarratt, BIT 11, 1971;
+    Anderson & Bjorck, BIT 13, 1973).  The search stops at the last
+    evaluated speed when f = 0 or the bracket is narrower than
+    tol * max(1, v_m).
     """
     m_turns, n_periods = q
     if n_periods <= 0:
@@ -238,15 +250,28 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
         return lo
     if f_hi == 0.0:
         return hi
+    moved = 0  # bracket end replaced by the last step: -1 lo, +1 hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = ratio(mid) - target
-        if f_mid == 0.0 or hi - lo < tol * max(1.0, abs(mid)):
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        v_m = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < v_m < hi:
+            v_m = 0.5 * (lo + hi)
+        f_v = ratio(v_m) - target
+        if f_v == 0.0:
+            return v_m
+        if (f_v > 0.0) == (f_lo > 0.0):
+            if moved < 0:
+                m = 1.0 - f_v / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo = v_m, f_v
+            moved = -1
         else:
-            hi, f_hi = mid, f_mid
+            if moved > 0:
+                m = 1.0 - f_v / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi = v_m, f_v
+            moved = 1
+        if hi - lo < tol * max(1.0, abs(v_m)):
+            return v_m
     return 0.5 * (lo + hi)
 
 

@@ -174,12 +174,11 @@ def build_context(state: InitialState) -> SolutionContext:
     w_v = e_k - 0.25 * fp_m / r_m          # p(v) = -delta/gamma
     v = lat.wp_inverse(w_v, branch=+1)
     target = 0.25 * v_m * fp_m / r_m       # p'(v) must equal +i * target
-    pv = lat.wp_prime(v)
+    _, pv, zeta_v, _ = lat.wp_all(v)
     if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
         raise RadialOrbitError(
             f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
         )
-    zeta_v = lat.zeta(v)
 
     denom = 2.0 * g3 + 16.0 * e_k**3
     coeff = (e_k * fp_m / denom) if abs(denom) > 1e-13 * scale else math.nan
@@ -216,7 +215,9 @@ def build_context(state: InitialState) -> SolutionContext:
         sign = 1 if state.rdot0 >= 0.0 else -1
         tau0 = tau0_from_r0(ctx, state.r0, sign)
         t0 = radial_kepler(ctx, tau0)
-    return _replace(ctx, tau0=tau0, t0=t0, theta0=theta_of_tau(ctx, tau0))
+    # theta(0) = 0 exactly; skip the two sigma calls at a pericenter epoch
+    theta0 = theta_of_tau(ctx, tau0) if tau0 else 0.0
+    return _replace(ctx, tau0=tau0, t0=t0, theta0=theta0)
 
 
 def _replace(ctx: SolutionContext, **changes) -> SolutionContext:

@@ -442,10 +442,14 @@ def half_periods(inv: Invariants, roots: GRoots | None = None) -> HalfPeriods:
 def _horner_coefficients(g2: float, g3: float) -> tuple[tuple[float, ...], ...]:
     """Coefficients of u^(k-2) in the p, p', zeta and log sigma sums, k descending."""
     # c_2 = g2/20, c_3 = g3/28, c_k = 3 sum(c_m c_{k-m}) / ((2k+1)(k-3)).
+    # The sum is symmetric in m <-> k-m: each pair enters doubled, which is
+    # exact, so the correctly rounded fsum is unchanged bit for bit.
     c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
     for k in range(4, _SERIES_TERMS + 1):
-        acc = math.fsum(c[m] * c[k - m] for m in range(2, k - 1))
-        c.append(3.0 * acc / ((2 * k + 1) * (k - 3)))
+        terms = [2.0 * c[m] * c[k - m] for m in range(2, (k + 1) // 2)]
+        if k % 2 == 0:
+            terms.append(c[k // 2] * c[k // 2])
+        c.append(3.0 * math.fsum(terms) / ((2 * k + 1) * (k - 3)))
     return tuple(
         (c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1), c[k] / ((2 * k - 1) * (2 * k)))
         for k in range(_SERIES_TERMS, 1, -1)

@@ -87,3 +87,32 @@ class TestEscapeAlpha:
     def test_non_positive_tol_rejected(self, tol):
         with deadline(5.0), pytest.raises(ValueError):
             analysis.escape_alpha(self.family, 0.01, 0.05, tol=tol)
+
+
+# (r_m, alpha, (M, N), bracket, closing winding ratio): the ROSETTE and
+# WORKED anchors, an inward-thrust family whose ratio falls with v_m and
+# an outward-thrust one whose ratio rises.
+PERIODIC_FAMILIES = {
+    "rosette": (1.0, -0.05, (9, 10), (1.25, 1.27), 0.9),
+    "worked": (1.0, 0.02, (1, 10), (1.15, 1.22), 1.1),
+    "inward": (1.2, -0.01, (39, 40), (1.0, 1.08), 0.975),
+    "outward": (0.8, 0.05, (1, 8), (1.2, 1.3), 1.125),
+}
+
+
+class TestFindPeriodic:
+    @pytest.mark.parametrize("family", sorted(PERIODIC_FAMILIES))
+    def test_closes_the_orbit_in_few_contexts(self, family, monkeypatch):
+        r_m, alpha, q, bracket, winding = PERIODIC_FAMILIES[family]
+        built = []
+
+        def counted(state):
+            built.append(state)
+            return propagation.build_context(state)
+
+        monkeypatch.setattr(analysis, "build_context", counted)
+        v_m = analysis.find_periodic_v(r_m, alpha, q, bracket)
+        assert len(built) <= 10
+        assert bracket[0] < v_m < bracket[1]
+        ctx = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
+        assert abs(ctx.dtheta_period / (2.0 * math.pi) - winding) <= 1e-13

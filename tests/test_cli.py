@@ -57,9 +57,9 @@ GOLDEN_JSON = {
         ["find-periodic", "--r-m", "1.0", "--alpha", "0.02", "--M", "1",
          "--N", "10", "--bracket-lo", "1.15", "--bracket-hi", "1.22",
          "--format", "json"], {
-            "v_m": 1.1978720061021888,
-            "winding_ratio": 1.099999999999504,
-            "T_t": 23.564355220902456,
+            "v_m": 1.1978720061024752,
+            "winding_ratio": 1.1000000000000005,
+            "T_t": 23.564355221005474,
         }),
     "find_periodic_rosette": (
         ["find-periodic", "--r-m", "1.0", "--alpha", "-0.05", "--M", "9",

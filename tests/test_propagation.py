@@ -30,7 +30,7 @@ from radialorbit.propagation import (
 
 from radialorbit.weierstrass import Lattice
 
-from conftest import sample_states, wrap_angle
+from conftest import ROSETTE, WORKED, sample_states, wrap_angle
 
 SQRT13 = math.sqrt(13.0)
 APO = 7.0 - SQRT13
@@ -78,6 +78,38 @@ class TestBuildContext:
             g2, g3 = ctx.lattice.inv.g2, ctx.lattice.inv.g3
             res = 4.0 * ctx.e_k**3 - g2 * ctx.e_k - g3
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
+
+    def test_apse_start_kernel_work(self, monkeypatch):
+        # theta0 = 0 needs no sigma, and p'(v) and zeta(v) share one call
+        sigma_calls, kernel_calls, inverting = [], [], []
+        sigma, wp_all, wp_inverse = Lattice.sigma, Lattice.wp_all, Lattice.wp_inverse
+
+        def counted_sigma(self, z):
+            sigma_calls.append(z)
+            return sigma(self, z)
+
+        def counted_wp_all(self, z):
+            if not inverting:
+                kernel_calls.append(z)
+            return wp_all(self, z)
+
+        def marked_inverse(self, w, branch=-1):
+            inverting.append(w)
+            try:
+                return wp_inverse(self, w, branch)
+            finally:
+                inverting.pop()
+
+        monkeypatch.setattr(Lattice, "sigma", counted_sigma)
+        monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
+        monkeypatch.setattr(Lattice, "wp_inverse", marked_inverse)
+        for kw in (WORKED, ROSETTE):
+            sigma_calls.clear()
+            kernel_calls.clear()
+            ctx = build_context(InitialState(**kw))
+            assert ctx.theta0 == 0.0
+            assert sigma_calls == []
+            assert [z for z in kernel_calls if z.imag != 0.0] == [ctx.v]
 
     def test_theta_pole_branch(self, worked_ctx):
         ctx = worked_ctx

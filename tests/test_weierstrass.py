@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radialorbit import weierstrass
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError
 from radialorbit.weierstrass import (
     GRoots,
@@ -403,6 +404,25 @@ class TestInverse:
         lat = Lattice.from_invariants(*WORKED_G)
         with pytest.raises(ValueError):
             lat.wp_inverse(0.3, branch=0)
+
+
+class TestLaurentCoefficients:
+    @staticmethod
+    def full_range(g2, g3):
+        """The recurrence summed over every m, both orders of each pair."""
+        c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
+        for k in range(4, weierstrass._SERIES_TERMS + 1):
+            acc = math.fsum(c[m] * c[k - m] for m in range(2, k - 1))
+            c.append(3.0 * acc / ((2 * k + 1) * (k - 3)))
+        return tuple(
+            (c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1),
+             c[k] / ((2 * k - 1) * (2 * k)))
+            for k in range(weierstrass._SERIES_TERMS, 1, -1)
+        )
+
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    def test_half_sum_is_bit_identical(self, g2, g3):
+        assert weierstrass._horner_coefficients(g2, g3) == self.full_range(g2, g3)
 
 
 class TestAdditionTheorem:

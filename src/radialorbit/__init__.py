@@ -10,26 +10,18 @@ for closed orbits.  The package needs only the standard library.
 
 from .analysis import (
     BoundednessReport,
-    PeriodInfo,
-    bounded_condition,
     boundedness_from_state,
     escape_alpha,
     find_periodic_v,
-    pericenter_start_conditions,
-    period_info,
-    pseudo_period,
-    true_period,
     true_period_implicit,
 )
 from .dynamics import (
-    ConservedQuantities,
     CubicF,
     InitialState,
     MotionClass,
     MotionTag,
     build_f,
     classify_region,
-    conserved,
     pericenter,
 )
 from .elliptic import carlson_rf, elliptic_K
@@ -41,7 +33,6 @@ from .propagation import (
     propagate,
     propagate_ctx,
     r_of_tau,
-    r_of_tau_general,
     r_prime_of_tau,
     radial_kepler,
     state_at_tau,
@@ -49,7 +40,7 @@ from .propagation import (
     theta_of_tau,
     time_of_flight_implicit,
 )
-from .weierstrass import GRoots, HalfPeriods, Invariants, Lattice, g_roots, half_periods
+from .weierstrass import GRoots, HalfPeriods, Invariants, Lattice, g_roots
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -1,9 +1,10 @@
-"""Periods, boundedness conditions and periodic-orbit search.
+"""Boundedness, the escape threshold and periodic-orbit search.
 
 Bounded radial motion has pseudo-period T_tau, the real period of the
 lattice, and physical period T_t = t(T_tau); ``build_context`` computes
-both once, T_t in closed form through eta = zeta(T_tau/2), and the period
-functions here return the context's values.  Boundedness itself is a pure
+both once (``SolutionContext.T_tau`` and ``T_t``), T_t in closed form
+through eta = zeta(T_tau/2).  ``true_period_implicit`` recomputes T_t by
+the zeta quadrature of the time of flight.  Boundedness itself is a pure
 root comparison: the motion is bounded iff the largest real root of
 4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.  The closed form also
 gives the angle advance per radial period, v_m T_tau - 4 Im[omega zeta(v)
@@ -33,12 +34,6 @@ _MARGINAL_BAND = 1e-9
 
 
 @dataclass(frozen=True)
-class PeriodInfo:
-    T_tau: float
-    T_t: float
-
-
-@dataclass(frozen=True)
 class BoundednessReport:
     bounded: bool
     marginal: bool
@@ -47,40 +42,12 @@ class BoundednessReport:
     margin: float          # e_tilde_max - threshold
 
 
-def pseudo_period(ctx: SolutionContext) -> float:
-    """Radial period in pseudo-time: the real period of the lattice."""
-    _require_bounded(ctx)
-    return ctx.T_tau
-
-
-def true_period(ctx: SolutionContext) -> float:
-    """Radial period in physical time, t(T_tau)."""
-    _require_bounded(ctx)
-    return ctx.T_t
-
-
-def period_info(ctx: SolutionContext) -> PeriodInfo:
-    return PeriodInfo(T_tau=pseudo_period(ctx), T_t=true_period(ctx))
-
-
 def true_period_implicit(ctx: SolutionContext) -> float:
     """T_t as twice the pericenter-to-apocenter implicit time of flight."""
-    _require_bounded(ctx)
+    if not ctx.bounded:
+        raise UnboundedMotionError("no period: motion is unbounded")
     return 2.0 * propagation.time_of_flight_implicit(
         ctx, ctx.region.r_lo, ctx.region.r_hi, ascending=True
-    )
-
-
-def bounded_condition(ctx: SolutionContext) -> BoundednessReport:
-    """Boundedness from the root comparison e_tilde_max > f''(r_m)/24."""
-    margin = ctx.margin
-    marginal = abs(margin) < _MARGINAL_BAND
-    return BoundednessReport(
-        bounded=margin > 0.0 and not marginal,
-        marginal=marginal,
-        e_tilde_max=ctx.lattice.roots.max_real_root,
-        threshold=ctx.e_k,
-        margin=margin,
     )
 
 
@@ -110,36 +77,6 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
         threshold=threshold,
         margin=margin,
     )
-
-
-def pericenter_start_conditions(r0: float, v0: float) -> dict:
-    """Escape threshold in alpha for a state given at pericenter.
-
-    With u = r0 v0^2 the three regimes are
-        u < 2/3:       alpha* = min((1 - u)/r0^2, (2 - u)^2 / (8 r0^3 v0^2))
-        2/3 <= u <= 2: alpha* = (2 - u)^2 / (8 r0^3 v0^2)
-        u > 2:         alpha* = 0
-    and the motion is bounded iff alpha < alpha*.  Returns the regime, the
-    threshold and the root expressions w1, w23 discriminant for reporting.
-    """
-    if r0 <= 0.0 or v0 < 0.0:
-        raise ValueError("need r0 > 0 and v0 >= 0")
-    u = r0 * v0 * v0
-    a1 = (1.0 - u) / r0**2
-    a3 = (2.0 - u) ** 2 / (8.0 * r0**3 * v0**2) if v0 > 0.0 else math.inf
-    if u < 2.0 / 3.0:
-        regime, threshold = "low-speed", min(a1, a3)
-    elif u <= 2.0:
-        regime, threshold = "mid-speed", a3
-    else:
-        regime, threshold = "high-speed", 0.0
-    return {
-        "u": u,
-        "regime": regime,
-        "alpha_threshold": threshold,
-        "alpha_double_root": a3,
-        "alpha_w1_crossing": a1,
-    }
 
 
 def w_roots_pericenter(r0: float, v0: float, alpha: float) -> tuple[float, complex, complex]:
@@ -274,10 +211,3 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
             return v_m
     return 0.5 * (lo + hi)
 
-
-def _require_bounded(ctx: SolutionContext) -> None:
-    if not ctx.bounded:
-        raise UnboundedMotionError(
-            "operation requires bounded motion "
-            f"(margin = {ctx.margin:.3e})"
-        )

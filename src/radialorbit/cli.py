@@ -184,18 +184,17 @@ def cmd_period(args) -> int:
     ctx = propagation.build_context(state)
     if not ctx.bounded:
         raise RadialOrbitError("no period: motion is unbounded")
-    info = analysis.period_info(ctx)
     payload: dict = {
-        "T_tau": info.T_tau,
-        "T_t": units.time_out(info.T_t),
+        "T_tau": ctx.T_tau,
+        "T_t": units.time_out(ctx.T_t),
         "T_t_implicit": units.time_out(analysis.true_period_implicit(ctx)),
     }
     if args.kepler_curve:
         n = args.samples
         payload["kepler_curve"] = [
-            {"tau": info.T_tau * i / (n - 1),
+            {"tau": ctx.T_tau * i / (n - 1),
              "t": units.time_out(
-                 propagation.radial_kepler(ctx, info.T_tau * i / (n - 1)))}
+                 propagation.radial_kepler(ctx, ctx.T_tau * i / (n - 1)))}
             for i in range(n)
         ]
     if args.format == "json":
@@ -222,12 +221,10 @@ def cmd_period_sweep(args) -> int:
             try:
                 state = units.state(args.r0, v0, 0.0, alpha)
                 ctx = propagation.build_context(state)
-                if not ctx.bounded:
-                    continue
-                t_tau = analysis.pseudo_period(ctx)
             except RadialOrbitError:
                 continue
-            lines.append(f"{v0!r},{alpha!r},{t_tau!r}")
+            if ctx.bounded:
+                lines.append(f"{v0!r},{alpha!r},{ctx.T_tau!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -41,12 +41,11 @@ def _polish(root: complex, a: float, b: float, c: float, d: float) -> complex:
     return z
 
 
-def solve_cubic(a: float, b: float, c: float, d: float,
-                tie_tol: float = 1e-12) -> tuple[list[complex], float, bool]:
+def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[list[complex], float, bool]:
     """Roots of a*x^3 + b*x^2 + c*x + d ordered by the descending convention.
 
     Returns (roots, discriminant, has_double_root).  The double-root flag
-    fires when two roots coincide within ``tie_tol`` relative to the root
+    fires when two roots coincide within 1e-12 relative to the root
     scale (the homoclinic boundary in the dynamics application).
     """
     if a == 0.0:
@@ -112,7 +111,7 @@ def solve_cubic(a: float, b: float, c: float, d: float,
 
     root_scale = max(abs(z) for z in roots) + 1e-300
     double = any(
-        abs(roots[i] - roots[j]) <= tie_tol * root_scale
+        abs(roots[i] - roots[j]) <= 1e-12 * root_scale
         for i in range(3)
         for j in range(i + 1, 3)
     )

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cubic import cubic_discriminant, solve_cubic
+from .cubic import solve_cubic
 from .errors import (
     InfeasibleStateError,
     NoPericenterError,
@@ -20,14 +20,6 @@ from .errors import (
 
 _ALPHA_FLOOR = 1e-12   # |alpha| below this counts as the Kepler limit
 _FEAS_RTOL = 1e-12     # clamp band for f(r0) slightly negative from rounding
-
-
-@dataclass(frozen=True)
-class ConservedQuantities:
-    """Specific energy and angular momentum of one problem instance."""
-
-    energy: float
-    momentum: float
 
 
 @dataclass(frozen=True)
@@ -68,11 +60,6 @@ class InitialState:
     @property
     def rdot0(self) -> float:
         return self.v0 * math.sin(self.gamma0)
-
-
-def conserved(state: InitialState) -> ConservedQuantities:
-    """E = v^2/2 - 1/r - alpha r and h = r v cos(gamma) at the epoch."""
-    return ConservedQuantities(energy=state.energy, momentum=state.momentum)
 
 
 @dataclass(frozen=True)
@@ -139,8 +126,8 @@ class MotionClass:
     def bounded(self) -> bool:
         return math.isfinite(self.r_hi)
 
-    def contains(self, r: float, rtol: float = 1e-9) -> bool:
-        pad = rtol * max(1.0, abs(self.r_lo), 0.0 if math.isinf(self.r_hi) else self.r_hi)
+    def contains(self, r: float) -> bool:
+        pad = 1e-9 * max(1.0, abs(self.r_lo), 0.0 if math.isinf(self.r_hi) else self.r_hi)
         return self.r_lo - pad <= r <= self.r_hi + pad
 
 
@@ -225,21 +212,3 @@ def pericenter(f: CubicF, r0: float) -> tuple[float, float]:
         raise NoPericenterError("pericenter speed undefined for h = 0")
     return r_m, f.momentum / r_m
 
-
-def circular_start_roots(r0: float, alpha: float) -> tuple[float, float, float]:
-    """Roots (rho1, rho2, rho3) for a circular start r0 v0^2 = 1, gamma = 0.
-
-    rho1 = r0, rho2/rho3 = (1 -/+ sqrt(1 - 8 a r0^2)) / (4 a r0); complex
-    for a r0^2 > 1/8 (returned via the quadratic solved in complex form).
-    """
-    disc = 1.0 - 8.0 * alpha * r0 * r0
-    if disc < -1e-12:
-        raise ValueError("alpha r0^2 > 1/8: companion roots are complex")
-    s = math.sqrt(max(disc, 0.0))
-    return r0, (1.0 - s) / (4.0 * alpha * r0), (1.0 + s) / (4.0 * alpha * r0)
-
-
-def discriminant_f(state: InitialState) -> float:
-    """Discriminant of f without solving for the roots."""
-    e, h = state.energy, state.momentum
-    return cubic_discriminant(2.0 * state.alpha, 2.0 * e, 2.0, -h * h)

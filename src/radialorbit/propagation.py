@@ -5,15 +5,18 @@ and the epoch at pericenter passage, the radius, polar angle and time read
 
     r(tau)     = r_m + f'(r_m) / (4 (p(tau) - ek)),        ek = f''(r_m)/24
     theta(tau) = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)]
-    t(tau)     = r_m tau - ek f'(r_m) / (2 g3 + 16 ek^3)
-                 * [2 ek tau + zeta(tau - w_k) + zeta(tau + w_k)]
+    t(tau)     = r_m tau - [2 ek tau + zeta(tau - w_k) + zeta(tau + w_k)] / a
 
 where p, zeta, sigma live on the lattice with invariants g2 = E^2/3 - a,
 g3 = a^2 h^2/4 + a E/6 - E^3/27, ek is always a root of 4 s^3 - g2 s - g3,
 w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
-a function of physical time.
+a function of physical time.  The paper's coefficient
+ek f'(r_m)/(2 g3 + 16 ek^3) of the bracket is exactly 1/a, which keeps
+all its digits at small |a| and at ek = 0: r(tau) = (2/a) p(tau + w_k) -
+E/(3a) integrates to t = -(S + E tau/3)/a, S the zeta pair below, and
+E/3 = 2 ek - a r_m.
 
 t(tau) costs one kernel call at a real argument.  By the addition theorem
 (DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
@@ -29,9 +32,9 @@ tau = 0 the 1/tau parts of 2 zeta and the quotient cancel, so for
 |tau| < tau_g = 0.3 rho, rho the distance to the nearest pole of r (a point
 of w_k + lattice), t takes its series r_m tau + sum_j b_j tau^(2j+1)/(2j+1),
 the b_j from r'' = f'(r)/2 (``_pericenter_series``).  The series carries
-no 1/a factor; the closed form's coefficient equals 1/a and scales the
-rounding error of S by it.  At small |a| the series reaches the apocenter,
-and T_t = 2 t(T_tau/2) comes from it too.
+no 1/a factor, while the closed form scales the rounding error of S by
+1/a.  At small |a| the series reaches the apocenter, and T_t = 2 t(T_tau/2)
+comes from it too.
 
 ``invert_kepler`` starts from Kepler's equation, which holds for a = 0:
 there tau is proportional to the eccentric anomaly E, so E - e sin E =
@@ -53,17 +56,13 @@ its real period.  Quasi-periodicity turns zeta(T_tau - w_k) + zeta(T_tau + w_k)
 into 4 eta (eta = zeta(omega)), and L(v - T_tau) - L(v + T_tau) into
 -4 eta v + 2 pi i, so t and theta advance per period by
 
-    T_t    = r_m T_tau - ek f'(r_m) / (2 g3 + 16 ek^3) * (2 ek T_tau + 4 eta),
+    T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
 (T_t from the series when tau_g > omega).  Bounded t and theta fold whole
 periods off by these increments, t to the pericenter-centered tau in
 [-omega, omega] and theta to [0, T_tau), which keeps sigma's
 quasi-periodic factor within one period of the origin.
-
-Equivalent affine route used for cross-checks and the degenerate Kepler
-coefficient: r(tau) = (2/a) p(tau + w_k) - E/(3a), whence
-t(tau) = -(2/a) [zeta(tau + w_k) - zeta(w_k)] - E tau/(3a) = -S/a - E tau/(3a).
 """
 
 from __future__ import annotations
@@ -110,10 +109,8 @@ class SolutionContext:
     k: int                      # index with e_tilde_k = f''(r_m)/24
     e_k: float
     bounded: bool
-    margin: float               # max real g-root minus e_k (0 when unbounded)
     v: complex                  # theta pole location, p(v) = e_k - f'(r_m)/(4 r_m)
     zeta_v: complex
-    kepler_coeff: float         # ek f'(r_m) / (2 g3 + 16 ek^3); nan -> affine route
     tau0: float
     t0: float
     theta0: float               # theta(tau0): the epoch angle from pericenter
@@ -167,7 +164,6 @@ def build_context(state: InitialState) -> SolutionContext:
             "inconsistent pericenter"
         )
     k = min((1, 2, 3), key=lambda i: abs(lat.roots.e_tilde[i - 1] - e_k))
-    margin = lat.roots.max_real_root - e_k
     bounded = region.bounded
 
     fp_m = f.df(r_m)
@@ -180,17 +176,11 @@ def build_context(state: InitialState) -> SolutionContext:
             f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
         )
 
-    denom = 2.0 * g3 + 16.0 * e_k**3
-    coeff = (e_k * fp_m / denom) if abs(denom) > 1e-13 * scale else math.nan
-
     if bounded:
         # T_tau = 2 omega; T_t and dtheta in closed form (module docstring)
         t_tau = 2.0 * lat.real_half_period
         eta = lat.periods.eta.real
-        if math.isfinite(coeff):
-            t_t = r_m * t_tau - coeff * (2.0 * e_k * t_tau + 4.0 * eta)
-        else:
-            t_t = -4.0 * eta / state.alpha - e * t_tau / (3.0 * state.alpha)
+        t_t = r_m * t_tau - (1.0 / state.alpha) * (2.0 * e_k * t_tau + 4.0 * eta)
         dtheta = (v_m * t_tau
                   - 4.0 * (0.5 * t_tau * zeta_v - v * lat.periods.eta).imag
                   - 2.0 * math.pi)
@@ -200,8 +190,7 @@ def build_context(state: InitialState) -> SolutionContext:
     ctx = SolutionContext(
         state=state, energy=e, momentum=h, f=f, region=region,
         r_m=r_m, v_m=v_m, lattice=lat, k=k, e_k=e_k,
-        bounded=bounded, margin=margin,
-        v=v, zeta_v=zeta_v, kepler_coeff=coeff,
+        bounded=bounded, v=v, zeta_v=zeta_v,
         tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
         dtheta_period=dtheta,
         series_reach=_SERIES_REACH * _pole_distance(lat, k, bounded),
@@ -288,8 +277,8 @@ def _pericenter_series(ctx: SolutionContext) -> tuple[float, ...]:
 
 
 def _orbit_point(ctx: SolutionContext, tau: float,
-                 timed: bool = True) -> tuple[float, float, float]:
-    """(t, r, dr/dtau) at pseudo-time tau; t is nan unless ``timed``.
+                 timed: bool = True) -> tuple[float | None, float, float]:
+    """(t, r, dr/dtau) at pseudo-time tau; t is None unless ``timed``.
 
     One kernel call at the real, pericenter-centered tau_c gives r and
     dr/dtau and, for bounded motion, t.  Unbounded t outside the
@@ -309,7 +298,7 @@ def _orbit_point(ctx: SolutionContext, tau: float,
         r = ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k)
         rp = (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real
     if not timed:
-        return math.nan, r, rp
+        return None, r, rp
     if not ctx.bounded:
         n, tau_c = 0, tau          # t has no period; r is periodic all the same
     if abs(tau_c) < ctx.series_reach:
@@ -327,12 +316,8 @@ def _orbit_point(ctx: SolutionContext, tau: float,
             w_k = lat.periods.omega_k(ctx.k)
             bracket = math.copysign(2.0, tau_c) * (
                 lat.zeta(abs(tau_c) - w_k) + lat.periods.eta_k(ctx.k))
-        if math.isfinite(ctx.kepler_coeff):
-            t = (ctx.r_m * tau_c
-                 - ctx.kepler_coeff * (2.0 * ctx.e_k * tau_c + bracket)).real
-        else:
-            t = (-bracket / ctx.state.alpha
-                 - ctx.energy * tau_c / (3.0 * ctx.state.alpha)).real
+        t = (ctx.r_m * tau_c
+             - (1.0 / ctx.state.alpha) * (2.0 * ctx.e_k * tau_c + bracket)).real
     return (t + n * ctx.T_t if n else t), r, rp
 
 
@@ -349,34 +334,6 @@ def r_of_tau(ctx: SolutionContext, tau: float) -> float:
 def r_prime_of_tau(ctx: SolutionContext, tau: float) -> float:
     """dr/dtau; equals +/- sqrt(f(r)) along the trajectory."""
     return _radius_and_slope(ctx, tau)[1]
-
-
-def r_of_tau_general(state: InitialState, tau: float) -> float:
-    """Radius from an arbitrary epoch radius via the general inversion formula.
-
-    Works directly from r0 (no pericenter shift): with F = f(r0) and the
-    branch of sqrt(F) tied to the sign of the initial radial velocity,
-    r(tau) solves (dr/dtau)^2 = f(r) with r(0) = r0.  Agrees with the
-    pericenter form shifted by tau0 wherever both are defined.  r is
-    periodic in tau, so tau is first reduced by the real period of p.
-    """
-    f = dynamics.build_f(state)
-    lat = Lattice(invariants_from_conserved(state.alpha, state.energy,
-                                            state.momentum))
-    period = 2.0 * lat.real_half_period
-    tau = tau - period * round(tau / period)
-    r0 = state.r0
-    big_f = max(f(r0), 0.0)
-    s = 1.0 if state.rdot0 >= 0.0 else -1.0
-    if abs(tau) < _PERI_TAU_GUARD:
-        return r0 + s * math.sqrt(big_f) * tau + 0.25 * f.df(r0) * tau * tau
-    p, pp, _, _ = lat.wp_all(complex(tau))
-    gk = f.d2f(r0) / 24.0
-    num = (-s * math.sqrt(big_f) * pp
-           + big_f * f.d3f / 24.0
-           + 0.5 * f.df(r0) * (p - gk))
-    den = 2.0 * (p - gk) ** 2
-    return (r0 + num / den).real
 
 
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
@@ -514,8 +471,8 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
             lo = tau
         # Halley: the Newton step err/r corrected by the curvature dr/dtau
         denom = 2.0 * r * r - err * rp
-        tau_new = tau - 2.0 * err * r / denom if denom > 0.0 else math.nan
-        if not (lo < tau_new < hi):
+        tau_new = tau - 2.0 * err * r / denom if denom > 0.0 else lo
+        if not (lo < tau_new < hi):    # outside the bracket, or no Halley step
             tau_new = 0.5 * (lo + hi)
         if tau_new == tau:
             return tau, r, rp

@@ -51,7 +51,7 @@ from .errors import (
 
 _SERIES_TERMS = 30          # Laurent coefficients c_2..c_{TERMS}
 _UNIT_ROUNDOFF = 2.0**-53   # truncation target of the series at the halving radius
-_DEFAULT_POLE_GUARD = 1e-12
+_POLE_GUARD = 1e-12         # |z - lattice point| below which p, p' and zeta raise
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class Invariants:
     def discriminant(self) -> float:
         return self.g2**3 - 27.0 * self.g3**2
 
-    def is_degenerate(self, rtol: float = 1e-14) -> bool:
+    def is_degenerate(self) -> bool:
         scale = max(abs(self.g2) ** 3, 27.0 * self.g3**2, 1e-300)
-        return abs(self.discriminant) <= rtol * scale
+        return abs(self.discriminant) <= 1e-14 * scale
 
 
 @dataclass(frozen=True)
@@ -82,24 +82,9 @@ class GRoots:
     discriminant: float
 
     @property
-    def e1(self) -> complex:
-        return self.e_tilde[0]
-
-    @property
-    def e2(self) -> complex:
-        return self.e_tilde[1]
-
-    @property
-    def e3(self) -> complex:
-        return self.e_tilde[2]
-
-    def real_roots(self, atol: float = 0.0) -> list[float]:
-        scale = max(abs(z) for z in self.e_tilde) + 1e-300
-        return [z.real for z in self.e_tilde if abs(z.imag) <= atol + 1e-12 * scale]
-
-    @property
     def max_real_root(self) -> float:
-        return max(self.real_roots())
+        scale = max(abs(z) for z in self.e_tilde) + 1e-300
+        return max(z.real for z in self.e_tilde if abs(z.imag) <= 1e-12 * scale)
 
 
 @dataclass(frozen=True)
@@ -110,7 +95,6 @@ class HalfPeriods:
     omega_prime: complex
     eta: complex          # zeta(omega)
     eta_prime: complex    # zeta(omega')
-    m: float              # elliptic parameter of the K-reduction
 
     def omega_k(self, k: int) -> complex:
         return self._pick(k, self.omega, self.omega_prime)
@@ -147,20 +131,17 @@ class Lattice:
     are pure.
     """
 
-    def __init__(self, inv: Invariants, roots: GRoots | None = None,
-                 pole_guard: float = _DEFAULT_POLE_GUARD) -> None:
+    def __init__(self, inv: Invariants) -> None:
         self.inv = inv
-        self.roots = g_roots(inv) if roots is None else roots
-        self.pole_guard = pole_guard
+        self.roots = g_roots(inv)
         self.periods = self._build_periods()
         self._dmin, self._radius = self._distance_and_radius()
         self._horner = _horner_coefficients(inv.g2, inv.g3)
         self._finish_periods()
 
     @classmethod
-    def from_invariants(cls, g2: float, g3: float,
-                        pole_guard: float = _DEFAULT_POLE_GUARD) -> "Lattice":
-        return cls(Invariants(g2, g3), pole_guard=pole_guard)
+    def from_invariants(cls, g2: float, g3: float) -> "Lattice":
+        return cls(Invariants(g2, g3))
 
     # -- construction ----------------------------------------------------
 
@@ -178,12 +159,9 @@ class Lattice:
             # the same object for (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3).
             om_r = carlson_rf(0.0, e2 - e1, e2 - e3)
             om_i = carlson_rf(0.0, e1 - e2, e3 - e2)
-            big_h = abs(e2 - e1)
-            m = 0.5 + 3.0 * e2.real / (4.0 * big_h)
             omega = 0.5 * complex(abs(om_r), abs(om_i))
             omega_p = 0.5 * complex(-abs(om_r), abs(om_i))
-        return HalfPeriods(omega=omega, omega_prime=omega_p,
-                           eta=0j, eta_prime=0j, m=m)
+        return HalfPeriods(omega=omega, omega_prime=omega_p, eta=0j, eta_prime=0j)
 
     def _distance_and_radius(self) -> tuple[float, float]:
         """Shortest lattice vector and the halving radius of the series.
@@ -214,7 +192,8 @@ class Lattice:
         # Conjugate-pair labelling: pick the representative with p(omega) = e1
         # (for a rhombic lattice the R_F construction may land on e3 = conj e1).
         p1, _, eta, _ = self._eval_raw(omega)
-        if abs(p1 - self.roots.e1) > abs(p1 - self.roots.e3):
+        e1, _, e3 = self.roots.e_tilde
+        if abs(p1 - e1) > abs(p1 - e3):
             omega, omega_p = omega.conjugate(), omega_p.conjugate()
             p1, _, eta, _ = self._eval_raw(omega)
         p3, _, eta_p, _ = self._eval_raw(omega_p)
@@ -229,7 +208,7 @@ class Lattice:
                 "invariants too close to the degenerate boundary"
             )
         self.periods = HalfPeriods(omega=omega, omega_prime=omega_p,
-                                   eta=eta, eta_prime=eta_p, m=p.m)
+                                   eta=eta, eta_prime=eta_p)
         # p is even, so the orientation flip leaves p3 as it is.
         p2 = self._eval_raw(omega + omega_p)[0]
         scale = max(abs(z) for z in self.roots.e_tilde) + 1.0
@@ -242,26 +221,22 @@ class Lattice:
 
     @cached_property
     def real_half_period(self) -> float:
-        """Half the smallest positive real lattice vector (period of p on R)."""
-        w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
-        best = math.inf
-        for m in range(-2, 3):
-            for n in range(-2, 3):
-                vec = m * w1 + n * w2
-                if vec.real > 0.0 and abs(vec.imag) <= 1e-12 * abs(vec):
-                    best = min(best, vec.real)
-        if not math.isfinite(best):  # pragma: no cover - real invariants
-            raise DegenerateLatticeError("no real period found")
-        return 0.5 * best
+        """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
+        return self.periods.omega_k(1 if self.roots.discriminant > 0.0 else 2).real
 
     # -- reduction and series ---------------------------------------------
 
-    def reduce(self, z: complex) -> tuple[complex, int, int]:
-        """Translate z by lattice vectors into the centered fundamental cell."""
+    def _cell_coordinates(self, z: complex) -> tuple[float, float, complex, complex]:
+        """(x, y, w1, w2) with z = x w1 + y w2 on the basis (2 omega, 2 omega')."""
         w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
         det = w1.real * w2.imag - w1.imag * w2.real
         x = (z.real * w2.imag - z.imag * w2.real) / det
         y = (-z.real * w1.imag + z.imag * w1.real) / det
+        return x, y, w1, w2
+
+    def reduce(self, z: complex) -> tuple[complex, int, int]:
+        """Translate z by lattice vectors into the centered fundamental cell."""
+        x, y, w1, w2 = self._cell_coordinates(z)
         m = math.floor(x + 0.5)
         n = math.floor(y + 0.5)
         return z - m * w1 - n * w2, m, n
@@ -307,9 +282,9 @@ class Lattice:
     def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
         """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
         zr, m, n = self.reduce(complex(z))
-        if abs(zr) < self.pole_guard:
+        if abs(zr) < _POLE_GUARD:
             raise PoleProximityError(
-                f"|z - lattice| = {abs(zr):.2e} below pole guard {self.pole_guard:.1e}"
+                f"|z - lattice| = {abs(zr):.2e} below pole guard {_POLE_GUARD:.1e}"
             )
         p, pp, zt, sg = self._eval_raw(zr)
         if m or n:
@@ -330,9 +305,6 @@ class Lattice:
     def wp(self, z: complex) -> complex:
         return self.wp_all(z)[0]
 
-    def wp_prime(self, z: complex) -> complex:
-        return self.wp_all(z)[1]
-
     def zeta(self, z: complex) -> complex:
         return self.wp_all(z)[2]
 
@@ -340,7 +312,7 @@ class Lattice:
         zr, m, n = self.reduce(complex(z))
         if abs(zr) < 1e-300:
             return 0j
-        if abs(zr) < self.pole_guard:
+        if abs(zr) < _POLE_GUARD:
             # sigma is entire; only the shared evaluator guard is bypassed.
             sg = zr
         else:
@@ -361,7 +333,7 @@ class Lattice:
         real axis.
         """
         w = self.real_half_period
-        # the real half period is omega (rectangular) or omega + omega' (rhombic)
+        # zeta(w), with the index k of w = omega_k in real_half_period
         eta = self.periods.eta_k(1 if self.roots.discriminant > 0.0 else 2).real
         u = math.pi * z / (2.0 * w)
         carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
@@ -394,7 +366,7 @@ class Lattice:
         best, best_res = z, math.inf
         for _ in range(60):
             zr, _, _ = self.reduce(z)
-            if abs(zr) < 10.0 * self.pole_guard:
+            if abs(zr) < 10.0 * _POLE_GUARD:
                 break
             p, pp, _, _ = self.wp_all(z)
             res = abs(p - w)
@@ -424,19 +396,11 @@ class Lattice:
 
     def _canonical(self, z: complex) -> complex:
         """Representative with cell coordinates in [0, 1); real input -> [0, 2w)."""
-        w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
-        det = w1.real * w2.imag - w1.imag * w2.real
-        x = (z.real * w2.imag - z.imag * w2.real) / det
-        y = (-z.real * w1.imag + z.imag * w1.real) / det
+        x, y, w1, w2 = self._cell_coordinates(z)
         z = z - math.floor(x + 1e-13) * w1 - math.floor(y + 1e-13) * w2
         if abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
             z = complex(z.real, 0.0)
         return z
-
-
-def half_periods(inv: Invariants, roots: GRoots | None = None) -> HalfPeriods:
-    """Half periods, eta values and elliptic parameter for the invariants."""
-    return Lattice(inv, roots=roots).periods
 
 
 def _horner_coefficients(g2: float, g3: float) -> tuple[tuple[float, ...], ...]:

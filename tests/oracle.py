@@ -1,7 +1,10 @@
 """Independent numerical ground truth: adaptive RK integration and quadrature.
 
 Test scaffolding only; the closed form is the product, and numpy and
-scipy are test dependencies.  The equations of motion are integrated in
+scipy are test dependencies.  Alongside the numerical oracles sit closed
+forms that the package does not use itself: the radius from an arbitrary
+epoch, the roots of a circular start and the escape threshold of an
+apse start.  The equations of motion are integrated in
 Cartesian coordinates so that both conserved quantities are genuine
 drift monitors (in polar form h would be an input, not an output), with
 the accumulated polar angle carried as an extra state to avoid unwrap
@@ -19,6 +22,8 @@ from scipy.integrate import quad, solve_ivp
 
 from radialorbit.dynamics import InitialState, build_f
 from radialorbit.errors import RadialOrbitError
+from radialorbit.propagation import invariants_from_conserved
+from radialorbit.weierstrass import Lattice
 
 _RTOL_DEFAULT = 1e-11
 _ATOL_DEFAULT = 1e-13
@@ -225,3 +230,65 @@ def stepped_theta(ctx, tau: float) -> float:
         arg += cmath.phase(z / prev)
         prev = z
     return ctx.v_m * tau - arg
+
+
+def r_of_tau_general(state: InitialState, tau: float) -> float:
+    """Radius from an arbitrary epoch radius via the general inversion formula.
+
+    Works directly from r0 (no pericenter shift): with F = f(r0) and the
+    branch of sqrt(F) tied to the sign of the initial radial velocity,
+    r(tau) solves (dr/dtau)^2 = f(r) with r(0) = r0.  Agrees with the
+    pericenter form shifted by tau0 wherever both are defined.  r is
+    periodic in tau, so tau is first reduced by the real period of p.
+    """
+    f = build_f(state)
+    lat = Lattice(invariants_from_conserved(state.alpha, state.energy,
+                                            state.momentum))
+    period = 2.0 * lat.real_half_period
+    tau = tau - period * round(tau / period)
+    r0 = state.r0
+    big_f = max(f(r0), 0.0)
+    s = 1.0 if state.rdot0 >= 0.0 else -1.0
+    if abs(tau) < 1e-6:
+        return r0 + s * math.sqrt(big_f) * tau + 0.25 * f.df(r0) * tau * tau
+    p, pp, _, _ = lat.wp_all(complex(tau))
+    gk = f.d2f(r0) / 24.0
+    num = (-s * math.sqrt(big_f) * pp
+           + big_f * f.d3f / 24.0
+           + 0.5 * f.df(r0) * (p - gk))
+    den = 2.0 * (p - gk) ** 2
+    return (r0 + num / den).real
+
+
+def circular_start_roots(r0: float, alpha: float) -> tuple[float, float, float]:
+    """Roots (rho1, rho2, rho3) of f for a circular start r0 v0^2 = 1, gamma = 0.
+
+    rho1 = r0, rho2/rho3 = (1 -/+ sqrt(1 - 8 a r0^2)) / (4 a r0); the pair
+    is complex for a r0^2 > 1/8, which is rejected.
+    """
+    disc = 1.0 - 8.0 * alpha * r0 * r0
+    if disc < -1e-12:
+        raise ValueError("alpha r0^2 > 1/8: companion roots are complex")
+    s = math.sqrt(max(disc, 0.0))
+    return r0, (1.0 - s) / (4.0 * alpha * r0), (1.0 + s) / (4.0 * alpha * r0)
+
+
+def pericenter_start_conditions(r0: float, v0: float) -> tuple[str, float]:
+    """(regime, alpha*): escape threshold in alpha for a state given at an apse.
+
+    With u = r0 v0^2 the three regimes are
+        u < 2/3:       alpha* = min((1 - u)/r0^2, (2 - u)^2 / (8 r0^3 v0^2))
+        2/3 <= u <= 2: alpha* = (2 - u)^2 / (8 r0^3 v0^2)
+        u > 2:         alpha* = 0
+    and the motion is bounded iff alpha < alpha*.
+    """
+    if r0 <= 0.0 or v0 < 0.0:
+        raise ValueError("need r0 > 0 and v0 >= 0")
+    u = r0 * v0 * v0
+    a1 = (1.0 - u) / r0**2
+    a3 = (2.0 - u) ** 2 / (8.0 * r0**3 * v0**2) if v0 > 0.0 else math.inf
+    if u < 2.0 / 3.0:
+        return "low-speed", min(a1, a3)
+    if u <= 2.0:
+        return "mid-speed", a3
+    return "high-speed", 0.0

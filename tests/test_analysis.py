@@ -25,51 +25,60 @@ class TestPeriods:
             e1, e2, e3 = (z.real for z in ctx.lattice.roots.e_tilde)
             m = (e2 - e3) / (e1 - e3)
             k_form = 2.0 * elliptic_K(m) / math.sqrt(e1 - e3)
-            assert analysis.pseudo_period(ctx) == pytest.approx(k_form,
-                                                               rel=1e-14)
+            assert ctx.T_tau == pytest.approx(k_form, rel=1e-14)
 
     def test_true_period_against_quadrature(self, worked_ctx, rosette_ctx):
         for ctx in bounded_contexts(worked_ctx, rosette_ctx):
             ref = 2.0 * oracle.quadrature_tof(ctx.state, ctx.region.r_lo,
                                               ctx.region.r_hi)
-            assert analysis.true_period(ctx) == pytest.approx(ref, rel=1e-9)
+            assert ctx.T_t == pytest.approx(ref, rel=1e-9)
 
     def test_true_period_against_implicit(self, worked_ctx, rosette_ctx):
         for ctx in bounded_contexts(worked_ctx, rosette_ctx):
             implicit = 2.0 * propagation.time_of_flight_implicit(
                 ctx, ctx.region.r_lo, ctx.region.r_hi, ascending=True)
-            assert analysis.true_period(ctx) == pytest.approx(implicit,
-                                                             rel=1e-12)
+            assert ctx.T_t == pytest.approx(implicit, rel=1e-12)
             assert analysis.true_period_implicit(ctx) == implicit
 
     def test_true_period_is_kepler_time_of_pseudo_period(self, worked_ctx,
                                                         rosette_ctx):
         for ctx in bounded_contexts(worked_ctx, rosette_ctx):
-            assert analysis.true_period(ctx) == pytest.approx(
+            assert ctx.T_t == pytest.approx(
                 propagation.radial_kepler(ctx, ctx.T_tau), rel=1e-12)
 
-    def test_affine_route_period(self):
-        # E = -3 alpha r_m puts e_k at 0, where the pericenter coefficient
-        # e_k f'(r_m) / (2 g3 + 16 e_k^3) is 0/0 and T_t takes the affine form
+    def test_zero_e_k_state(self):
+        # E = -3 alpha r_m puts e_k = f''(r_m)/24 at 0, where the paper's
+        # coefficient e_k f'(r_m) / (2 g3 + 16 e_k^3) of t(tau) is 0/0; the
+        # code's 1/alpha is not
         state = InitialState(1.0, math.sqrt(2.2), 0.0, -0.05)
         ctx = propagation.build_context(state)
-        assert math.isnan(ctx.kepler_coeff)
+        assert abs(ctx.e_k) < 1e-15
         ref = 2.0 * oracle.quadrature_tof(state, ctx.region.r_lo,
                                           ctx.region.r_hi)
-        assert analysis.true_period(ctx) == pytest.approx(ref, rel=1e-9)
-        assert analysis.true_period(ctx) == pytest.approx(
+        assert ctx.T_t == pytest.approx(ref, rel=1e-12)
+        assert ctx.T_t == pytest.approx(
             propagation.radial_kepler(ctx, ctx.T_tau), rel=1e-12)
-
-    def test_period_info_holds_context_values(self, worked_ctx):
-        info = analysis.period_info(worked_ctx)
-        assert (info.T_tau, info.T_t) == (worked_ctx.T_tau, worked_ctx.T_t)
+        # tau outside the series reach, on the outbound and inbound halves
+        for share in (0.3, 0.45, 0.6, 0.8, 0.95):
+            tau = share * ctx.T_tau
+            assert tau > ctx.series_reach
+            flight = oracle.quadrature_tof(state, ctx.r_m,
+                                           propagation.r_of_tau(ctx, tau))
+            want = flight if share < 0.5 else ctx.T_t - flight
+            assert propagation.radial_kepler(ctx, tau) == pytest.approx(
+                want, rel=1e-12)
 
     def test_unbounded_has_no_period(self):
         ctx = propagation.build_context(UNBOUNDED)
-        for fn in (analysis.pseudo_period, analysis.true_period,
-                   analysis.period_info, analysis.true_period_implicit):
-            with pytest.raises(UnboundedMotionError):
-                fn(ctx)
+        assert ctx.T_tau is None and ctx.T_t is None
+        with pytest.raises(UnboundedMotionError):
+            analysis.true_period_implicit(ctx)
+
+
+# (r0, v0) of apse starts: mid-speed 2/3 <= u <= 2 (the first is WORKED),
+# low-speed u < 2/3 and high-speed u > 2
+APSE_STARTS = [(1.0, 1.2), (1.0, 0.9), (0.7, 1.5), (1.0, 0.7), (1.0, 0.5),
+               (2.0, 0.5), (1.0, 1.5)]
 
 
 class TestEscapeAlpha:
@@ -78,10 +87,17 @@ class TestEscapeAlpha:
         return InitialState(1.0, 1.2, 0.0, alpha)
 
     def test_matches_closed_form_threshold(self):
-        # apse start with u = r0 v0^2 = 1.44: alpha* = (2 - u)^2 / (8 u)
-        got = analysis.escape_alpha(self.family, 0.01, 0.05)
-        assert got == pytest.approx((2.0 - 1.44) ** 2 / (8.0 * 1.44),
-                                    abs=1e-10)
+        # apse starts (r0, v0) in all three regimes of u = r0 v0^2; the
+        # low-speed ones take the (1 - u)/r0^2 branch of the threshold
+        regimes = set()
+        for r0, v0 in APSE_STARTS:
+            regime, want = oracle.pericenter_start_conditions(r0, v0)
+            regimes.add(regime)
+            lo, hi = (0.5 * want, 1.5 * want) if want > 0.0 else (-0.01, 0.01)
+            got = analysis.escape_alpha(
+                lambda alpha: InitialState(r0, v0, 0.0, alpha), lo, hi)
+            assert got == pytest.approx(want, abs=1e-10), (r0, v0, regime)
+        assert regimes == {"low-speed", "mid-speed", "high-speed"}
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_non_positive_tol_rejected(self, tol):

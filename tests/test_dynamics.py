@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracle import circular_start_roots
 from radialorbit.dynamics import (
     InitialState,
     MotionTag,
     build_f,
-    circular_start_roots,
     classify_region,
-    conserved,
     pericenter,
 )
 from radialorbit.errors import (
@@ -23,24 +22,24 @@ SQRT13 = math.sqrt(13.0)
 
 class TestConserved:
     def test_circular_kepler(self):
-        cq = conserved(InitialState(1.0, 1.0, 0.0, 0.0))
-        assert cq.energy == pytest.approx(-0.5, abs=1e-15)
-        assert cq.momentum == pytest.approx(1.0, abs=1e-15)
+        state = InitialState(1.0, 1.0, 0.0, 0.0)
+        assert state.energy == pytest.approx(-0.5, abs=1e-15)
+        assert state.momentum == pytest.approx(1.0, abs=1e-15)
 
     def test_worked_instance(self):
-        cq = conserved(InitialState(1.0, 1.2, 0.0, 0.02))
-        assert cq.energy == pytest.approx(-0.3, abs=1e-15)
-        assert cq.momentum == pytest.approx(1.2, abs=1e-15)
+        state = InitialState(1.0, 1.2, 0.0, 0.02)
+        assert state.energy == pytest.approx(-0.3, abs=1e-15)
+        assert state.momentum == pytest.approx(1.2, abs=1e-15)
 
     def test_rosette_instance(self):
-        cq = conserved(InitialState(1.0, 1.26014, 0.0, -0.05))
-        assert cq.energy == pytest.approx(0.5 * 1.26014**2 - 0.95, abs=1e-15)
-        assert cq.momentum == pytest.approx(1.26014, abs=1e-15)
+        state = InitialState(1.0, 1.26014, 0.0, -0.05)
+        assert state.energy == pytest.approx(0.5 * 1.26014**2 - 0.95, abs=1e-15)
+        assert state.momentum == pytest.approx(1.26014, abs=1e-15)
 
     def test_gamma_reduces_momentum(self):
-        cq = conserved(InitialState(2.0, 1.0, math.pi / 3.0, 0.01))
-        assert cq.momentum == pytest.approx(2.0 * math.cos(math.pi / 3.0),
-                                            rel=1e-15)
+        state = InitialState(2.0, 1.0, math.pi / 3.0, 0.01)
+        assert state.momentum == pytest.approx(2.0 * math.cos(math.pi / 3.0),
+                                               rel=1e-15)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

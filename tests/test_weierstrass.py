@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from radialorbit import weierstrass
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError
-from radialorbit.weierstrass import (
-    GRoots,
-    Invariants,
-    Lattice,
-    g_roots,
-    half_periods,
-)
+from radialorbit.weierstrass import Invariants, Lattice, g_roots
 
 # Invariant pairs spanning both discriminant signs and both g3 signs,
 # including the physically derived anchors (rectangular and rhombic,
@@ -144,8 +138,7 @@ class TestGRoots:
 
 class TestHalfPeriods:
     def test_lemniscatic_case(self):
-        per = half_periods(Invariants(4.0, 0.0))
-        assert per.m == pytest.approx(0.5, abs=1e-15)
+        per = Lattice(Invariants(4.0, 0.0)).periods
         assert per.omega.real == pytest.approx(
             1.8540746773013719 / math.sqrt(2.0), rel=1e-14
         )
@@ -178,7 +171,22 @@ class TestHalfPeriods:
         lat = Lattice.from_invariants(g2, g3)
         scale = max(abs(z) for z in lat.roots.e_tilde) ** 1.5
         for k in (1, 2, 3):
-            assert abs(lat.wp_prime(lat.periods.omega_k(k))) <= 1e-9 * max(1.0, scale)
+            assert abs(lat.wp_all(lat.periods.omega_k(k))[1]) <= 1e-9 * max(1.0, scale)
+
+    @staticmethod
+    def shortest_real_vector(lat):
+        """Half the shortest positive real vector in the 5 x 5 block of the basis."""
+        w1, w2 = 2.0 * lat.periods.omega, 2.0 * lat.periods.omega_prime
+        return 0.5 * min(vec.real
+                         for vec in (m * w1 + n * w2
+                                     for m in range(-2, 3) for n in range(-2, 3))
+                         if vec.real > 0.0 and abs(vec.imag) <= 1e-12 * abs(vec))
+
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    def test_real_half_period_is_the_shortest_real_vector(self, g2, g3):
+        # omega on rectangular lattices, omega + omega' on rhombic ones
+        lat = Lattice.from_invariants(g2, g3)
+        assert lat.real_half_period == self.shortest_real_vector(lat)
 
     def test_construction_evaluates_each_half_period_once(self, monkeypatch):
         calls = []
@@ -200,7 +208,7 @@ class TestHalfPeriods:
             assert calls[-1] == lat.periods.omega_k(2)
 
     def test_rectangular_orientation_for_positive_g3(self):
-        per = half_periods(Invariants(3.0, 0.5))
+        per = Lattice(Invariants(3.0, 0.5)).periods
         assert per.omega.imag == 0.0 and per.omega.real > 0.0
         assert abs(per.omega_prime.real) < 1e-15
         assert per.omega_prime.imag > 0.0
@@ -388,7 +396,7 @@ class TestInverse:
         w = lat.wp(0.41).real
         z_minus = lat.wp_inverse(w, branch=-1)
         z_plus = lat.wp_inverse(w, branch=+1)
-        assert lat.wp_prime(z_minus).real < 0.0 < lat.wp_prime(z_plus).real
+        assert lat.wp_all(z_minus)[1].real < 0.0 < lat.wp_all(z_plus)[1].real
         # both within one real period, mapping to the same p value
         assert 0.0 <= z_minus.real < 2.0 * lat.real_half_period
         assert 0.0 <= z_plus.real < 2.0 * lat.real_half_period
@@ -398,7 +406,7 @@ class TestInverse:
         lat = Lattice.from_invariants(*WORKED_G)
         z = lat.wp_inverse(-0.27, branch=+1)
         assert abs(z.real) < 1e-10
-        assert lat.wp_prime(z).imag > 0.0
+        assert lat.wp_all(z)[1].imag > 0.0
 
     def test_branch_validation(self):
         lat = Lattice.from_invariants(*WORKED_G)

@@ -18,13 +18,16 @@ all its digits at small |a| and at ek = 0: r(tau) = (2/a) p(tau + w_k) -
 E/(3a) integrates to t = -(S + E tau/3)/a, S the zeta pair below, and
 E/3 = 2 ek - a r_m.
 
-t(tau) costs one kernel call at a real argument.  By the addition theorem
-(DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
+t(tau) needs p, p' and zeta at one real argument.  By the addition
+theorem (DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
 
     S = zeta(tau - w_k) + zeta(tau + w_k) = 2 zeta(tau) + p'(tau)/(p(tau) - ek),
 
-so the call at the pericenter-centered tau that gives r and dr/dtau gives
-t as well.  Unbounded motion has w_k = w_r, the real half period, and
+so the values at the pericenter-centered tau that give r and dr/dtau give
+t as well.  Bounded motion has a rectangular lattice, and takes them from
+its nome series (``Lattice.nome_series``, DLMF 23.8.1-23.8.2): one
+(sin, cos) pair and a few terms, with no kernel call.  Unbounded motion
+takes them from one kernel call.  It has w_k = w_r, the real half period, and
 p(tau) - ek -> 0 at the escape asymptote tau -> w_r, where that quotient
 loses its digits; there zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k turns
 S into 2 zeta(|tau| - w_k) + 2 eta_k (odd in tau), one more call.  Near
@@ -43,10 +46,15 @@ Halley steps follow, since t' = r and t'' = dr/dtau come from the same
 call, and the last one's r and dr/dtau serve the propagated state.
 
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
-exp(2 tau zeta(v))] with the argument continuous in tau: L is the branch of
-log sigma that ``Lattice.log_sigma`` keeps continuous along the line
-Im z = Im v > 0 on which v -/+ tau run, so theta costs two sigma
-evaluations for any tau.
+exp(2 tau zeta(v))] with the argument continuous in tau.  On bounded
+motion the theta_1 product (DLMF 23.6.9, 20.5.1) turns it into
+slope tau +/- arg W(tau) + sum s_m sin 2mb, b = pi tau/(2 omega), with
+constants made once per context (``_theta_series``), so theta also costs
+one (sin, cos) pair.  Unbounded motion takes L, the branch of log sigma
+that ``Lattice.log_sigma`` keeps continuous along the line Im z = Im v > 0
+on which v -/+ tau run, at two sigma evaluations.  The Laurent kernel
+serves the construction (eta, the p^-1 polish, the pole v and zeta(v))
+and unbounded motion.
 
 ``build_context`` evaluates what does not depend on tau once per state:
 the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
@@ -61,12 +69,13 @@ into 4 eta (eta = zeta(omega)), and L(v - T_tau) - L(v + T_tau) into
 
 (T_t from the series when tau_g > omega).  Bounded t and theta fold whole
 periods off by these increments, t to the pericenter-centered tau in
-[-omega, omega] and theta to [0, T_tau), which keeps sigma's
-quasi-periodic factor within one period of the origin.
+[-omega, omega] and theta to [0, T_tau), which keeps the series'
+arguments within one period of the origin.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 from functools import cached_property
@@ -94,8 +103,9 @@ _REAL_SNAP = 1e-9
 class SolutionContext:
     """Everything needed to evaluate the closed form for one instance.
 
-    Immutable after construction, apart from the pericenter series, which
-    is made on first use; safe to share across threads.
+    Immutable after construction, apart from the pericenter series and
+    the theta series, which are made on first use; safe to share across
+    threads.
     """
 
     state: InitialState
@@ -124,6 +134,12 @@ class SolutionContext:
         # made on the first use of the series: contexts that never evaluate
         # t inside tau_g, apse starts among them, never pay for it
         return _pericenter_series(self)
+
+    @cached_property
+    def _theta_series(self) -> tuple[float, float, float, complex, tuple[float, ...]]:
+        # bounded motion only; made on the first theta, so contexts that
+        # only need the periods (period sweeps, find_periodic_v) never pay for it
+        return _theta_series(self.lattice, self.v, self.zeta_v, self.v_m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,9 +184,8 @@ def build_context(state: InitialState) -> SolutionContext:
 
     fp_m = f.df(r_m)
     w_v = e_k - 0.25 * fp_m / r_m          # p(v) = -delta/gamma
-    v = lat.wp_inverse(w_v, branch=+1)
+    v, (_, pv, zeta_v, _) = lat.wp_inverse_all(w_v, branch=+1)
     target = 0.25 * v_m * fp_m / r_m       # p'(v) must equal +i * target
-    _, pv, zeta_v, _ = lat.wp_all(v)
     if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
         raise RadialOrbitError(
             f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
@@ -200,7 +215,13 @@ def build_context(state: InitialState) -> SolutionContext:
         # escapes the 1/a by which the closed form scales rounding error
         ctx = _replace(ctx, T_t=2.0 * radial_kepler(ctx, 0.5 * t_tau))
     tau0 = t0 = 0.0
-    if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
+    if state.rdot0 == 0.0:
+        # an apse: the nearer one, with no p^-1 (which leaves the real
+        # axis when the cubic's root misses r0 by more than its snap)
+        if bounded and state.r0 - r_m > ctx.region.r_hi - state.r0:
+            tau0 = 0.5 * t_tau
+            t0 = radial_kepler(ctx, tau0)
+    elif abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
         sign = 1 if state.rdot0 >= 0.0 else -1
         tau0 = tau0_from_r0(ctx, state.r0, sign)
         t0 = radial_kepler(ctx, tau0)
@@ -210,11 +231,59 @@ def build_context(state: InitialState) -> SolutionContext:
 
 
 def _replace(ctx: SolutionContext, **changes) -> SolutionContext:
-    """dataclasses.replace that keeps the pericenter series made so far."""
+    """dataclasses.replace that keeps the series made so far."""
     new = dataclasses.replace(ctx, **changes)
-    if "_series" in vars(ctx):
-        vars(new)["_series"] = ctx._series
+    for name in ("_series", "_theta_series"):
+        if name in vars(ctx):
+            vars(new)[name] = vars(ctx)[name]
     return new
+
+
+def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
+                  ) -> tuple[float, float, float, complex, tuple[float, ...]]:
+    """(k, slope, sign, E, (s_1, s_2, ...)): theta(tau) of bounded motion.
+
+    v is first reduced into the centred cell, v = v_c + 2 m omega +
+    2 n omega'; by quasi-periodicity that adds -4 (m eta + n eta') tau to
+    L(v - tau) - L(v + tau).  With a = k v_c and b = k tau, the theta_1
+    product (DLMF 23.6.9, 20.5.1) gives
+
+        L(v_c - tau) - L(v_c + tau) = -2 eta v_c tau/omega
+            + log[sin(a - b)/sin(a + b)] - sum (4 c_m/m) sin 2ma sin 2mb,
+
+    c_m = q^(2m)/(1 - q^(2m)).  The log is +/-2ib + Log(1 - E e^(-/+2ib))
+    - Log(1 - E e^(+/-2ib)) with E = e^(+/-2ia), the sign of Im a, so that
+    |E| < 1 and each Log stays off its cut; its imaginary part is
+    -/+ arg[(1 - E e^(2ib))(1 - conj(E) e^(2ib))].  Every term linear in
+    tau folds into one real slope, so
+
+        theta = slope tau +/- arg[...] + sum s_m sin 2mb,
+        s_m = Im(4 c_m sin 2ma)/m.
+
+    |s_m| <= 4 c_m e^(2m|Im a|)/m, and |Im v_c| <= |omega'| makes the
+    ratio of successive bounds at most q; the sum stops before the first m
+    whose bound is below 2^-53 (1 - q), which leaves a tail below the unit
+    roundoff in radians.
+    """
+    ns = lat.nome_series
+    per = lat.periods
+    v_c, m, n = lat.reduce(v)
+    a = ns.k * v_c
+    sign = 1.0 if a.imag > 0.0 else -1.0
+    shift = 2.0 * (m * per.eta + n * per.eta_prime)      # zeta(v) - zeta(v_c)
+    slope = (v_m + (2.0 * ns.eta_over_omega * v_c + 2.0 * shift - 2.0 * zeta_v).imag
+             - sign * 2.0 * ns.k)
+    q = ns.nome
+    spread = math.exp(2.0 * abs(a.imag))
+    coeffs = []
+    j, q2j, grow = 1, q * q, spread
+    while True:
+        c = q2j / (1.0 - q2j)
+        if 4.0 * c * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
+            break
+        coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
+        j, q2j, grow = j + 1, q2j * q * q, grow * spread
+    return ns.k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
 
 
 def _periods_folded(ctx: SolutionContext, tau: float) -> tuple[int, float]:
@@ -280,9 +349,10 @@ def _orbit_point(ctx: SolutionContext, tau: float,
                  timed: bool = True) -> tuple[float | None, float, float]:
     """(t, r, dr/dtau) at pseudo-time tau; t is None unless ``timed``.
 
-    One kernel call at the real, pericenter-centered tau_c gives r and
-    dr/dtau and, for bounded motion, t.  Unbounded t outside the
-    pericenter series takes one more call (module docstring).
+    p, p' and zeta at the real, pericenter-centered tau_c give r and
+    dr/dtau and, for bounded motion, t: from the nome series when bounded,
+    from one kernel call otherwise.  Unbounded t outside the pericenter
+    series takes one more call (module docstring).
     """
     lat = ctx.lattice
     # fold tau to the pericenter-centered representative so period
@@ -294,7 +364,8 @@ def _orbit_point(ctx: SolutionContext, tau: float,
     if abs(tau_c) < _PERI_TAU_GUARD:     # well inside the series reach tau_g
         r, rp = ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
     else:
-        p, pp, zt, _ = lat.wp_all(complex(tau_c))
+        p, pp, zt = (lat.nome_series.at(tau_c) if ctx.bounded
+                     else lat.wp_all(complex(tau_c))[:3])
         r = ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k)
         rp = (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real
     if not timed:
@@ -368,18 +439,34 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
 def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Continuous polar angle with theta(0) = 0 at pericenter.
 
-    theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)], L = B +
-    Log(sigma exp(-B)) with the carrier B(z) = eta z^2/(2 omega) +
-    log(2 omega/pi) + log sin(pi z/(2 omega)) of ``Lattice.log_sigma``.
-    L is continuous in tau while Im v > 0 and sigma exp(-B), the theta_1
-    product, keeps off the negative real axis along Im z = Im v.  Bounded
-    motion folds whole pseudo-periods, each adding ``dtheta_period``.
+    theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)].  Bounded
+    motion folds whole pseudo-periods, each adding ``dtheta_period``, and
+    sums the series of ``_theta_series``: slope tau + sign arg W +
+    sum s_m sin 2mb, with b = k tau and W = (1 - E e^(2ib))(1 - conj(E)
+    e^(2ib)), sin 2mb by angle addition from (sin 2b, cos 2b).  Unbounded
+    motion takes L = B + Log(sigma exp(-B)) with the carrier
+    B(z) = eta z^2/(2 omega) + log(2 omega/pi) + log sin(pi z/(2 omega)) of
+    ``Lattice.log_sigma``; L is continuous in tau while Im v > 0 and
+    sigma exp(-B), the theta_1 product, keeps off the negative real axis
+    along Im z = Im v.
     """
     n, tau = _periods_folded(ctx, tau)
-    lat = ctx.lattice
-    phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
-             + 2.0 * tau * ctx.zeta_v)
-    theta = ctx.v_m * tau - phase.imag
+    if not ctx.bounded:
+        lat = ctx.lattice
+        phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
+                 + 2.0 * tau * ctx.zeta_v)
+        theta = ctx.v_m * tau - phase.imag
+    else:
+        k, slope, sign, e, coeffs = ctx._theta_series
+        b2 = 2.0 * k * tau
+        s2, c2 = math.sin(b2), math.cos(b2)
+        turn = complex(c2, s2)                          # e^(2ib)
+        w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
+        acc, sn, cn = 0.0, s2, c2
+        for s_j in coeffs:
+            acc += s_j * sn
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+        theta = slope * tau + sign * math.atan2(w.imag, w.real) + acc
     return theta + n * ctx.dtheta_period if n else theta
 
 
@@ -388,7 +475,8 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
     """Physical time since pericenter passage, t(0) = 0, odd and increasing.
 
-    One kernel call at real tau: the addition theorem turns the pair
+    p, p' and zeta at real tau (the nome series when bounded, one kernel
+    call otherwise): the addition theorem turns the pair
     zeta(tau - w_k) + zeta(tau + w_k) into 2 zeta(tau) + p'(tau)/(p(tau) - e_k).
     Unbounded motion takes the pair as 2 zeta(|tau| - w_k) + 2 eta_k, odd in
     tau, from a second call, and |tau| < tau_g takes the pericenter series

@@ -27,6 +27,16 @@ with coefficient lists fixed at construction.  Values outside the cell
 follow from periodicity of p, p' and the quasi-periodicity of zeta and
 sigma.
 
+On the real axis of a rectangular lattice (positive discriminant) p, p'
+and zeta also have Fourier series in the nome q = exp(-pi |omega'|/omega)
+(DLMF 23.8.1-23.8.2, ``NomeSeries``): one (sin, cos) pair and a few terms
+(q <= 0.07 on most lattices of bounded motion, so under ten), with
+constants made once per lattice.  They serve the per-sample path of
+bounded motion; the Laurent kernel serves construction (eta, the p^-1
+polish, complex arguments) and the rhombic lattices of unbounded motion.
+The series take omega as it is, so they inherit its error from K(m),
+which grows near the double-root boundary.
+
 Half-periods come from K(m) for a positive discriminant (rectangular
 lattice, A&S 18.9) and from the conjugate-pair construction via Carlson
 R_F for a negative one (rhombic lattice).  Conventions follow A&S ch. 18:
@@ -127,8 +137,9 @@ class Lattice:
     """Immutable evaluation context for one pair of invariants.
 
     Construction computes the cubic roots, half-periods, eta values, the
-    series coefficients and the halving radius; all evaluation methods
-    are pure.
+    series coefficients and the halving radius; the nome series of a
+    rectangular lattice is made on first use.  All evaluation methods are
+    pure.
     """
 
     def __init__(self, inv: Invariants) -> None:
@@ -218,6 +229,15 @@ class Lattice:
                     f"p(omega_{k}) does not reproduce root {k}; "
                     "lattice construction failed (near-degenerate invariants?)"
                 )
+
+    @cached_property
+    def nome_series(self) -> "NomeSeries":
+        """The real-axis series of a rectangular lattice, made on first use."""
+        if self.roots.discriminant <= 0.0:
+            raise ValueError("the nome series needs a rectangular lattice")
+        per = self.periods
+        omega = per.omega.real
+        return NomeSeries(omega, abs(per.omega_prime.imag), per.eta.real / omega)
 
     @cached_property
     def real_half_period(self) -> float:
@@ -352,6 +372,19 @@ class Lattice:
         results land in [0, 2 omega).  At the half periods (w a lattice
         root) the branch is immaterial since p' vanishes there.
         """
+        return self._inverse(w, branch)[0]
+
+    def wp_inverse_all(self, w: complex, branch: int = -1) -> tuple[
+            complex, tuple[complex, complex, complex, complex]]:
+        """(z, wp_all(z)) for z = wp_inverse(w, branch).
+
+        The branch check's kernel call at z serves, so z costs no further
+        call unless the check flips it to the other branch.
+        """
+        z, values = self._inverse(w, branch)
+        return z, (values if values is not None else self.wp_all(z))
+
+    def _inverse(self, w: complex, branch: int) -> tuple[complex, tuple | None]:
         w = complex(w)
         if branch not in (-1, 1):
             raise ValueError("branch must be +1 or -1")
@@ -383,16 +416,18 @@ class Lattice:
             z = z - step
         return best if best_res <= tol else None
 
-    def _select_branch(self, z: complex, branch: int) -> complex:
+    def _select_branch(self, z: complex, branch: int) -> tuple[complex, tuple | None]:
+        """(z, wp_all(z)) on the branch; None for the values when z flipped."""
         z = self._canonical(z)
-        p, pp, _, _ = self.wp_all(z)
+        values = self.wp_all(z)
+        p, pp = values[0], values[1]
         scale = (1.0 + abs(p)) ** 1.5
         if abs(pp) <= 1e-10 * scale:
-            return z
+            return z, values
         comp = pp.real if abs(pp.real) >= abs(pp.imag) else pp.imag
         if comp * branch < 0.0:
-            z = self._canonical(-z)
-        return z
+            return self._canonical(-z), None
+        return z, values
 
     def _canonical(self, z: complex) -> complex:
         """Representative with cell coordinates in [0, 1); real input -> [0, 2w)."""
@@ -401,6 +436,69 @@ class Lattice:
         if abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
             z = complex(z.real, 0.0)
         return z
+
+
+class NomeSeries:
+    """p, p' and zeta at real z on a rectangular lattice (DLMF 23.8.1-23.8.2).
+
+    With k = pi/(2 omega), u = k z, the nome q = exp(-pi |omega'|/omega)
+    and c_n = q^(2n)/(1 - q^(2n)):
+
+        p     = -eta/omega + k^2 (csc^2 u - 8 sum n c_n cos 2nu),
+        p'    = k^3 (-2 cos u/sin^3 u + 16 sum n^2 c_n sin 2nu),
+        zeta  = eta z/omega + k (cot u + 4 sum c_n sin 2nu).
+
+    sin u and cos u are taken directly, since csc^2 u from 1 - cos 2u
+    would lose digits near the pole, and sin 2nu, cos 2nu follow by angle
+    addition.  The series stops before the first n with
+    16 n^2 c_n <= 2^-53 (1 - q).  From that n on, successive terms shrink
+    by at most ((n+1)/n)^2 q^2, and that is below q at the stopping index
+    for every q < 0.98 (q = 0.41 on the bounded near-escape states of the
+    benchmark).  So the omitted tail of each sum is below the unit
+    roundoff in units of k^2, k^3 and k, the sizes of the leading terms
+    csc^2 u >= 1, the cube and the cotangent.
+    """
+
+    __slots__ = ("k", "nome", "eta_over_omega", "terms")
+
+    def __init__(self, omega: float, omega_imag: float, eta_over_omega: float) -> None:
+        q = math.exp(-math.pi * omega_imag / omega)
+        q2 = q * q
+        terms = []
+        n, q2n = 1, q2
+        while True:
+            c = q2n / (1.0 - q2n)
+            if 16.0 * n * n * c <= _UNIT_ROUNDOFF * (1.0 - q):
+                break
+            terms.append((8.0 * n * c, 16.0 * n * n * c, 4.0 * c))
+            n, q2n = n + 1, q2n * q2
+        self.k = math.pi / (2.0 * omega)
+        self.nome = q
+        self.eta_over_omega = eta_over_omega
+        self.terms = tuple(terms)   # (8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ...
+
+    def at(self, x: float) -> tuple[float, float, float]:
+        """(p, p', zeta) at real x."""
+        k = self.k
+        u = k * x
+        s, c = math.sin(u), math.cos(u)
+        if abs(s) < k * _POLE_GUARD:
+            raise PoleProximityError(f"real argument {x!r} at a lattice point")
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        sn, cn = s2, c2
+        sp = spp = szt = 0.0
+        for a, b, d in self.terms:
+            sp += a * cn
+            spp += b * sn
+            szt += d * sn
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+        inv_s = 1.0 / s
+        csc2 = inv_s * inv_s
+        kk = k * k
+        p = kk * (csc2 - sp) - self.eta_over_omega
+        pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
+        zt = self.eta_over_omega * x + k * (c * inv_s + szt)
+        return p, pp, zt
 
 
 def _horner_coefficients(g2: float, g3: float) -> tuple[tuple[float, ...], ...]:

@@ -23,6 +23,9 @@ WORKED = dict(r0=1.0, v0=1.2, gamma0=0.0, alpha=0.02)
 # misses the advance by 1.07e-5.
 ROSETTE = dict(r0=1.0, v0=1.2601352426205996, gamma0=0.0, alpha=-0.05)
 
+# An off-apse start: r0 = 1.3, v0 = 1, flight-path angle 25 degrees.
+TILTED = dict(r0=1.3, v0=1.0, gamma0=math.radians(25.0), alpha=0.02)
+
 
 @pytest.fixture(scope="session")
 def worked_state():

@@ -30,7 +30,7 @@ from radialorbit.propagation import (
 from radialorbit.weierstrass import Lattice
 
 from oracle import r_of_tau_general
-from conftest import ROSETTE, WORKED, sample_states, wrap_angle
+from conftest import ROSETTE, TILTED, WORKED, sample_states, wrap_angle
 
 SQRT13 = math.sqrt(13.0)
 APO = 7.0 - SQRT13
@@ -80,36 +80,81 @@ class TestBuildContext:
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
     def test_apse_start_kernel_work(self, monkeypatch):
-        # theta0 = 0 needs no sigma, and p'(v) and zeta(v) share one call
-        sigma_calls, kernel_calls, inverting = [], [], []
-        sigma, wp_all, wp_inverse = Lattice.sigma, Lattice.wp_all, Lattice.wp_inverse
+        # theta0 = 0 needs no sigma, and p'(v) and zeta(v) come from the
+        # branch check's call inside the inversion: no call at v outside it
+        sigma_calls, kernel_calls, outside, inverting = [], [], [], []
+        sigma, wp_all = Lattice.sigma, Lattice.wp_all
+        wp_inverse_all = Lattice.wp_inverse_all
 
         def counted_sigma(self, z):
             sigma_calls.append(z)
             return sigma(self, z)
 
         def counted_wp_all(self, z):
+            kernel_calls.append(z)
             if not inverting:
-                kernel_calls.append(z)
+                outside.append(z)
             return wp_all(self, z)
 
         def marked_inverse(self, w, branch=-1):
             inverting.append(w)
             try:
-                return wp_inverse(self, w, branch)
+                return wp_inverse_all(self, w, branch)
             finally:
                 inverting.pop()
 
         monkeypatch.setattr(Lattice, "sigma", counted_sigma)
         monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
-        monkeypatch.setattr(Lattice, "wp_inverse", marked_inverse)
+        monkeypatch.setattr(Lattice, "wp_inverse_all", marked_inverse)
         for kw in (WORKED, ROSETTE):
-            sigma_calls.clear()
-            kernel_calls.clear()
+            for calls in (sigma_calls, kernel_calls, outside):
+                calls.clear()
             ctx = build_context(InitialState(**kw))
             assert ctx.theta0 == 0.0
             assert sigma_calls == []
-            assert [z for z in kernel_calls if z.imag != 0.0] == [ctx.v]
+            assert [z for z in outside if z.imag != 0.0] == []
+            assert kernel_calls.count(ctx.v) == 1
+
+    @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
+    def test_pole_values_from_the_branch_check(self, kw):
+        # the reused values equal a separate kernel call at v bit for bit
+        ctx = build_context(InitialState(**kw))
+        lat = ctx.lattice
+        fp_m = ctx.f.df(ctx.r_m)
+        v = lat.wp_inverse(ctx.e_k - 0.25 * fp_m / ctx.r_m, branch=+1)
+        assert v == ctx.v
+        assert lat.wp_all(v)[2] == ctx.zeta_v
+
+    def test_apse_epoch_without_inversion(self):
+        # near-circular apse start: the cubic's r_m lies 4.2e-12 above r0,
+        # outside the 1e-12 snap, and p^-1 of r0 left the real axis (0.00057j)
+        state = InitialState(1.8218007400985097, 0.7503783122147819, 0.0,
+                             -0.007764854127632678)
+        ctx = build_context(state)
+        assert ctx.r_m - state.r0 > 1e-12 * ctx.r_m
+        assert ctx.tau0 == ctx.t0 == ctx.theta0 == 0.0
+        traj = oracle.integrate_ode(state, 2.0 * ctx.T_t)
+        for t in np.linspace(0.1, 1.9, 7) * ctx.T_t:
+            r_ref, th_ref, _, _ = traj.at(t)
+            ps = propagate_ctx(ctx, t)
+            assert abs(ps.r - r_ref) / r_ref < 1e-9
+            # a near-circular orbit: theta is sensitive to the apse radius
+            assert abs(ps.theta - th_ref) < 1e-8
+
+    def test_apocenter_epoch_without_inversion(self, monkeypatch):
+        # apse start at the far apse: tau0 = T_tau/2, no p^-1 call
+        worked = build_context(InitialState(**WORKED))
+        r_hi = worked.region.r_hi
+        state = InitialState(r_hi, WORKED["v0"] * WORKED["r0"] / r_hi, 0.0,
+                             WORKED["alpha"])
+        calls = []
+        monkeypatch.setattr(Lattice, "wp_inverse",
+                            lambda self, w, branch=-1: calls.append(w))
+        ctx = build_context(state)
+        assert calls == []
+        assert ctx.tau0 == 0.5 * ctx.T_tau
+        assert ctx.t0 == pytest.approx(0.5 * ctx.T_t, rel=1e-13)
+        assert ctx.theta0 == pytest.approx(0.5 * ctx.dtheta_period, rel=1e-13)
 
     def test_theta_pole_branch(self, worked_ctx):
         ctx = worked_ctx
@@ -393,19 +438,106 @@ class TestThetaClosedForm:
                 oracle.stepped_theta(ctx, ctx.T_tau), abs=1e-12)
 
     def test_two_sigma_evaluations_at_any_tau(self, worked_ctx, monkeypatch):
-        calls = []
-        sigma = Lattice.sigma
+        # bounded theta sums its nome series with no kernel call at all;
+        # unbounded theta takes the two sigma evaluations of log sigma
+        sigma_calls, kernel_calls = [], []
+        sigma, wp_all = Lattice.sigma, Lattice.wp_all
 
-        def counted(self, z):
-            calls.append(z)
+        def counted_sigma(self, z):
+            sigma_calls.append(z)
             return sigma(self, z)
 
-        monkeypatch.setattr(Lattice, "sigma", counted)
+        def counted_wp_all(self, z):
+            kernel_calls.append(z)
+            return wp_all(self, z)
+
+        monkeypatch.setattr(Lattice, "sigma", counted_sigma)
+        monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
         # 50.6 periods fold to 0.6 T_tau, which the stepped phase took in 5 steps
         for periods in (0.1, 50.6):
-            calls.clear()
             theta_of_tau(worked_ctx, periods * worked_ctx.T_tau)
-            assert len(calls) == 2
+        assert sigma_calls == [] and kernel_calls == []
+        ctx = build_context(InitialState(*UNBOUNDED[0]))
+        for frac in (0.1, -0.9):
+            sigma_calls.clear()
+            theta_of_tau(ctx, frac * ctx.lattice.real_half_period)
+            assert len(sigma_calls) == 2
+
+
+def log_sigma_theta(ctx, tau):
+    """Bounded theta through two log sigma evaluations, the unbounded route."""
+    n = math.floor(tau / ctx.T_tau)
+    tau -= n * ctx.T_tau
+    lat = ctx.lattice
+    phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
+             + 2.0 * tau * ctx.zeta_v)
+    return ctx.v_m * tau - phase.imag + n * ctx.dtheta_period
+
+
+# alpha at which the apse start r0 = 1, v0 = 1.2 stops being bounded
+ESCAPE_ALPHA = (2.0 - 1.44) ** 2 / (8.0 * 1.44)
+NEAR_ESCAPE_8 = InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 - 1e-8))   # q = 0.41
+
+# (state, tolerance in rad between the two routes over +/-50 periods)
+THETA_SERIES_STATES = [
+    # both routes agree to rounding; |theta| reaches 350 rad, spaced 5.7e-14
+    (InitialState(**WORKED), 2e-13),
+    (InitialState(**ROSETTE), 2e-13),
+    (InitialState(**TILTED), 2e-13),
+    (InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 - 1e-4)), 2e-13),
+    # the log sigma route itself is off by 4.2e-13 against an mpmath
+    # quadrature of h dtau/r, the series by 4.3e-15
+    (InitialState(1.3, 1.0, math.radians(25.0), 1e-4), 1.5e-12),
+    # near-circular anchor: the log sigma route is off by 1.4e-12 there,
+    # the series by 3.2e-14
+    (InitialState(1.0, math.sqrt(0.99 * 1.01), 1e-3, 0.01), 5e-12),
+    # q = 0.41: 23 terms of the theta sum, 5.7e-13 apart; both routes
+    # carry the 6e-10 error of omega from K(m) near the double root
+    (NEAR_ESCAPE_8, 2e-12),
+]
+
+
+class TestThetaSeries:
+    """Bounded theta from the nome series against the log sigma route."""
+
+    @pytest.mark.parametrize("state,tol", THETA_SERIES_STATES, ids=[
+        "worked", "rosette", "tilted", "escape_1e-4", "alpha_1e-4",
+        "near_circular", "escape_1e-8"])
+    def test_matches_log_sigma_route_over_fifty_periods(self, state, tol):
+        ctx = build_context(state)
+        assert ctx.bounded
+        for tau in np.linspace(-50.0 * ctx.T_tau, 50.0 * ctx.T_tau, 401):
+            assert abs(theta_of_tau(ctx, tau) - log_sigma_theta(ctx, tau)) <= tol
+
+    def test_term_counts_at_q_041(self):
+        ctx = build_context(NEAR_ESCAPE_8)
+        series = ctx.lattice.nome_series
+        assert 0.40 < series.nome < 0.42
+        assert len(series.terms) == 26
+        assert len(ctx._theta_series[4]) == 23
+
+    def test_constants_made_once_per_context(self, monkeypatch):
+        made = []
+        build = propagation._theta_series
+
+        def counted(*args):
+            made.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(propagation, "_theta_series", counted)
+        # the epoch angle makes them inside build_context; the
+        # dataclasses.replace that sets the epoch carries them over
+        ctx = build_context(TILTED_STATE)
+        assert len(made) == 1
+        for t in (0.5, 7.0, 40.0):
+            propagate_ctx(ctx, t)
+        assert len(made) == 1
+        # an apse start needs no theta at build time
+        made.clear()
+        apse = build_context(InitialState(**WORKED))
+        assert made == []
+        theta_of_tau(apse, 1.0)
+        assert len(made) == 1
 
 
 class TestRadialKepler:
@@ -461,7 +593,7 @@ LOW_ALPHA = [(1.0, 1.2, 0.0, 1e-6), (1.0, 1.2, 0.0, -1e-6),
              (1.3, 1.0, math.radians(25.0), 1e-6),
              (0.8, 1.3, math.radians(10.0), -3e-7),
              (1.2, 1.0, math.radians(30.0), -1e-6)]
-TILTED_STATE = InitialState(1.3, 1.0, math.radians(25.0), 0.02)
+TILTED_STATE = InitialState(**TILTED)
 
 
 def zeta_pair_time(ctx, tau):
@@ -579,10 +711,9 @@ class TestInvertKepler:
         times = np.linspace(0.3, 10.0 * worked_ctx.T_t, 50)
         for t in times:
             propagate_ctx(worked_ctx, t)
-        # a Kepler-equation start and Halley steps: about three t(tau)
-        # evaluations per sample, each one kernel call on the real axis
-        assert len(calls) / len(times) <= 4.0
-        assert all(z.imag == 0.0 for z in calls)
+        # a Kepler-equation start and Halley steps, about three t(tau)
+        # evaluations per sample, each from the nome series: no kernel call
+        assert calls == []
 
     def test_unbounded_branch(self):
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
@@ -693,14 +824,24 @@ class TestPropagate:
             return wp_all(self, z)
 
         monkeypatch.setattr(Lattice, "wp_all", counted)
-        # inside (1.1) and outside (3.0; 30.0 folds to -2.6) the series reach 2.09
+        # inside (1.1) and outside (3.0; 30.0 folds to -2.6) the series reach
+        # 2.09: bounded r, dr/dtau, t and theta come from the nome series
         for tau in (1.1, 3.0, 30.0):
-            calls.clear()
             ps = state_at_tau(worked_ctx, tau)
-            # r, dr/dtau and t(tau) share one call at the real argument
-            assert len(calls) == 1
-            assert calls[0].imag == 0.0
             assert ps.r == r_of_tau(worked_ctx, tau)
+        assert calls == []
+        # unbounded: r, dr/dtau and t(tau) share one call at the real
+        # argument inside the series reach; outside it the zeta pair
+        # 2 zeta(|tau| - w_k) + 2 eta_k takes a second one
+        ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
+        for tau, count in ((0.5 * ctx.series_reach, 1),
+                           (-0.5 * ctx.series_reach, 1),
+                           (1.5 * ctx.series_reach, 2)):
+            calls.clear()
+            ps = state_at_tau(ctx, tau)
+            assert len(calls) == count
+            assert all(z.imag == 0.0 for z in calls)
+            assert ps.r == r_of_tau(ctx, tau)
 
 
 class TestOracleEquivalence:

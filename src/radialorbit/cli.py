@@ -107,7 +107,7 @@ def _format_samples(rows: list[dict], meta: dict, fmt: str) -> str:
             ",".join(repr(row[c]) for c in _SAMPLE_COLUMNS) for row in rows
         ]
         return "\n".join(lines) + "\n"
-    return json.dumps({"meta": meta, "samples": rows}, indent=1) + "\n"
+    return json.dumps({"meta": meta, "samples": rows}) + "\n"
 
 
 def cmd_propagate(args) -> int:
@@ -163,7 +163,7 @@ def cmd_classify(args) -> int:
         "margin": report.margin,
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(json.dumps(payload) + "\n", args.out)
     else:
         lines = [f"verdict: {verdict}", f"tag: {region.tag.value}"]
         lines.append(f"E = {state.energy!r}, h = {state.momentum!r}")
@@ -198,7 +198,7 @@ def cmd_period(args) -> int:
             for i in range(n)
         ]
     if args.format == "json":
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(json.dumps(payload) + "\n", args.out)
     else:
         lines = [f"T_tau = {payload['T_tau']!r}", f"T_t = {payload['T_t']!r}"]
         if args.kepler_curve:
@@ -243,7 +243,7 @@ def cmd_find_periodic(args) -> int:
         "T_t": units.time_out(ctx.T_t),
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(json.dumps(payload) + "\n", args.out)
     else:
         _emit(f"v_m = {payload['v_m']!r}\n"
               f"winding_ratio = {payload['winding_ratio']!r}\n"

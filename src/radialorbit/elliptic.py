@@ -1,10 +1,14 @@
-"""Complete elliptic integral of the first kind and Carlson's R_F.
+"""Complete elliptic integrals K and E, and Carlson's R_F.
 
-K(m) uses the arithmetic-geometric mean (quadratic convergence, full
-double precision).  R_F follows Carlson's duplication algorithm with the
-fifth-order series tail (Carlson 1995, Numerical Algorithms 10) and
-principal-branch square roots, which is what the half-period and inverse-p
-computations need for real invariants.
+K(m) and E(m) come from one arithmetic-geometric mean (A&S 17.6;
+quadratic convergence, full double precision).  The AGM starts from
+(1, sqrt(m1)) with the complementary parameter m1 = 1 - m passed on its
+own, so a caller that knows m1 to full relative precision (m near 1)
+keeps it.  R_F follows Carlson's duplication algorithm with the
+fifth-order series tail (Carlson 1995, Numerical Algorithms 10): real
+square roots for nonnegative real arguments, principal-branch complex
+ones otherwise, which is what the half-period and inverse-p computations
+need for real invariants.
 """
 
 from __future__ import annotations
@@ -19,35 +23,56 @@ _RF_TOL = 1e-4  # spread tolerance before the series tail; error ~ spread^6
 
 def elliptic_K(m: float) -> float:
     """K(m) with the parameter convention K(m) = F(pi/2 | m)."""
-    if not (0.0 <= m < 1.0) or math.isnan(m):
-        raise EllipticDomainError(f"parameter m={m!r} outside [0, 1)")
-    a = 1.0
-    b = math.sqrt(1.0 - m)
+    return elliptic_KE(m, 1.0 - m)[0]
+
+
+def elliptic_KE(m: float, m1: float) -> tuple[float, float]:
+    """(K(m), E(m)) for m + m1 = 1, each of the two passed to full precision.
+
+    With a_0 = 1, b_0 = sqrt(m1), c_0 = sqrt(m) and the AGM steps
+    a_(n+1) = (a_n + b_n)/2, b_(n+1) = sqrt(a_n b_n), A&S 17.6.3-4 give
+    K = pi/(2 a_N) and E = K (1 - sum_(n>=0) 2^(n-1) c_n^2).  The sum takes
+    c_(n+1) = (a_n - b_n)/2 as c_n^2/(4 a_(n+1)), which does not cancel,
+    and its first term m/2 folds into (1 + m1)/2.
+    """
+    if not (0.0 <= m < 1.0 and 0.0 < m1 <= 1.0):
+        raise EllipticDomainError(f"parameters m={m!r}, m1={m1!r} outside [0, 1)")
+    a, b, c = 1.0, math.sqrt(m1), math.sqrt(m)
+    tail, weight = 0.0, 1.0
     for _ in range(200):
         if abs(a - b) <= 2e-16 * a:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        tail += weight * c * c
+        weight *= 2.0
     # final mean squeezes the remaining O((a-b)^2) error below 1 ulp
-    return math.pi / (a + b)
+    k = math.pi / (a + b)
+    return k, k * (0.5 * (1.0 + m1) - tail)
 
 
 def carlson_rf(x: complex, y: complex, z: complex) -> complex:
     """Symmetric elliptic integral R_F(x, y, z), principal branches.
 
     At most one argument may be zero.  Arguments on the negative real
-    axis take the +i0 side of the cut (cmath.sqrt convention).
+    axis take the +i0 side of the cut (cmath.sqrt convention).  Three
+    nonnegative real arguments give a real result in real arithmetic.
     """
-    x, y, z = complex(x), complex(y), complex(z)
+    if all(isinstance(v, (int, float)) and v >= 0.0 for v in (x, y, z)):
+        sqrt = math.sqrt
+        x, y, z = float(x), float(y), float(z)
+    else:
+        sqrt = cmath.sqrt
+        x, y, z = complex(x), complex(y), complex(z)
     if sum(1 for v in (x, y, z) if v == 0) > 1:
         raise ValueError("at most one argument of R_F may be zero")
-    scale = 1.0
     for _ in range(120):
         mu = (x + y + z) / 3.0
         denom = abs(mu) + 1e-300
         spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / denom
         if spread < _RF_TOL:
             break
-        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
     mu = (x + y + z) / 3.0
@@ -63,4 +88,4 @@ def carlson_rf(x: complex, y: complex, z: complex) -> complex:
         + e2 * e2 / 24.0
         - 3.0 * e2 * e3 / 44.0
     )
-    return series / cmath.sqrt(mu)
+    return series / sqrt(mu)

@@ -53,16 +53,20 @@ constants made once per context (``_theta_series``), so theta also costs
 one (sin, cos) pair.  Unbounded motion takes L, the branch of log sigma
 that ``Lattice.log_sigma`` keeps continuous along the line Im z = Im v > 0
 on which v -/+ tau run, at two sigma evaluations.  The Laurent kernel
-serves the construction (eta, the p^-1 polish, the pole v and zeta(v))
-and unbounded motion.
+serves unbounded motion only.
 
 ``build_context`` evaluates what does not depend on tau once per state:
 the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
 which propagated angles are measured) and, for bounded motion, the
-periods.  The lattice of bounded motion is rectangular; T_tau = 2 omega is
-its real period.  Quasi-periodicity turns zeta(T_tau - w_k) + zeta(T_tau + w_k)
-into 4 eta (eta = zeta(omega)), and L(v - T_tau) - L(v + T_tau) into
--4 eta v + 2 pi i, so t and theta advance per period by
+periods.  The lattice of bounded motion is rectangular, with omega, eta
+and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)
+lies below e3 (``_bounded_pole``), so v lies on the imaginary axis: R_F of
+the root gaps seeds it and Newton steps on the nome series polish it, and
+tau0 comes from the real R_F polished the same way on the real axis.  A
+bounded context thus makes no kernel call.  Quasi-periodicity turns
+zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta (eta = zeta(omega)), and
+L(v - T_tau) - L(v + T_tau) into -4 eta v + 2 pi i, so t and theta
+advance per period by
 
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
@@ -84,10 +88,10 @@ from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     ConvergenceError,
+    DegenerateLatticeError,
     NonMonotoneArcError,
     NoPericenterError,
     OutOfIntervalError,
-    PoleProximityError,
     RadialOrbitError,
 )
 from .weierstrass import Invariants, Lattice
@@ -183,9 +187,12 @@ def build_context(state: InitialState) -> SolutionContext:
     bounded = region.bounded
 
     fp_m = f.df(r_m)
-    w_v = e_k - 0.25 * fp_m / r_m          # p(v) = -delta/gamma
-    v, (_, pv, zeta_v, _) = lat.wp_inverse_all(w_v, branch=+1)
-    target = 0.25 * v_m * fp_m / r_m       # p'(v) must equal +i * target
+    c_v = 0.25 * fp_m / r_m                # p(v) = e_k - c_v = -delta/gamma
+    if bounded:
+        v, (_, pv, zeta_v) = _bounded_pole(lat, k, e_k, c_v)
+    else:
+        v, (_, pv, zeta_v, _) = lat.wp_inverse_all(e_k - c_v, branch=+1)
+    target = v_m * c_v                     # p'(v) must equal +i * target
     if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
         raise RadialOrbitError(
             f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
@@ -228,6 +235,36 @@ def build_context(state: InitialState) -> SolutionContext:
     # theta(0) = 0 exactly; skip the two sigma calls at a pericenter epoch
     theta0 = theta_of_tau(ctx, tau0) if tau0 else 0.0
     return _replace(ctx, tau0=tau0, t0=t0, theta0=theta0)
+
+
+def _root_offsets(lat: Lattice, k: int, e_k: float) -> tuple[float, float, float]:
+    """e_i - e_k for the lattice roots e_i, exactly 0 at i = k."""
+    return tuple(0.0 if i == k else z.real - e_k
+                 for i, z in enumerate(lat.roots.e_tilde, start=1))
+
+
+def _bounded_pole(lat: Lattice, k: int, e_k: float, c_v: float
+                  ) -> tuple[complex, tuple[complex, complex, complex]]:
+    """(v, (p, p', zeta) at v) for bounded motion, p(v) = w_v = e_k - c_v.
+
+    c_v = f'(r_m)/(4 r_m), and w_v < e3, so v lies on the imaginary axis
+    (``Lattice.wp_inverse_imaginary``).  Proof: r(tau) maps e(r) =
+    e_k + f'(r_m)/(4 (r - r_m)) to r, so e takes the roots of f to the
+    lattice roots, r = +/-inf to e_k and r = 0 to w_v.  Bounded motion
+    librates between roots r_m < r_M of f = 2 alpha r^3 + ... - h^2, with
+    f > 0 between them, so f'(r_m) > 0 and e falls on each side of r_m.
+    f(0) = -h^2 < 0 puts 0 below r_m, outside (r_m, r_M), and the third
+    root r_3 where the sign of alpha sends it:
+    - alpha > 0: f > 0 again beyond r_3 > r_M.  Both map above e_k, so
+      e_k = e3 (k = 3), and w_v = e(0) < e(-inf) = e_k = e3.
+    - alpha < 0: f > 0 below r_3, so r_3 < 0 < r_m.  Then e(r_3) < e_k <
+      e(r_M) gives e3 = e(r_3) (k = 2), and w_v = e(0) < e(r_3) = e3.
+    The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.
+    """
+    if lat.roots.discriminant <= 0.0:
+        raise DegenerateLatticeError("bounded motion on a rhombic lattice")
+    gaps = tuple(d + c_v for d in _root_offsets(lat, k, e_k))
+    return lat.wp_inverse_imaginary(e_k - c_v, gaps)
 
 
 def _replace(ctx: SolutionContext, **changes) -> SolutionContext:
@@ -424,11 +461,16 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
         return 0.0
     if ctx.bounded and abs(r0 - ctx.region.r_hi) <= 1e-12 * max(1.0, ctx.region.r_hi):
         return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
-    w = ctx.e_k + 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)
-    z = ctx.lattice.wp_inverse(w, branch=-1)   # ascending branch: p' <= 0
-    if abs(z.imag) > _REAL_SNAP * (1.0 + abs(z)):
-        raise RadialOrbitError(f"pseudo-time inversion left the real axis: {z!r}")
-    z = abs(z.real)
+    c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
+    if ctx.bounded:
+        # r_m < r0 <= r_M puts p(tau0) at or above e(r_M) = e1 (``_bounded_pole``)
+        gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k, ctx.e_k))
+        z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
+    else:
+        z = ctx.lattice.wp_inverse(ctx.e_k + c_0, branch=-1)  # ascending: p' <= 0
+        if abs(z.imag) > _REAL_SNAP * (1.0 + abs(z)):
+            raise RadialOrbitError(f"pseudo-time inversion left the real axis: {z!r}")
+        z = abs(z.real)
     if sign_rdot > 0:
         return z
     return ctx.T_tau - z if ctx.bounded else -z
@@ -492,7 +534,9 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
     Bounded motion starts from Kepler's equation, exact for a = 0, where
     tau is proportional to the eccentric anomaly: M = E - e sin E with
     M = 2 pi t/T_t and e = (r_M - r_m)/(r_M + r_m), then tau = E T_tau/(2 pi);
-    unbounded motion starts from t/r_m below a bracketed asymptote.  Each
+    unbounded motion brackets tau by [0, w_r), the escape asymptote, and
+    starts from the pericenter series or the pole term of t at w_r
+    (``_unbounded_start``).  Each
     step takes t, t' = r and t'' = dr/dtau from one evaluation; a step that
     leaves the bracket bisects it.  Once |t(tau) - t| <= 1e-13 max(1, |t|)
     one more Newton step from the same evaluation refines tau.
@@ -512,20 +556,41 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     if t < 0.0:
         tau, r, rp = _invert(ctx, -t)
         return -tau, r, -rp
-    # unbounded: escape as tau -> real half period; bracket from below
-    asymptote = ctx.lattice.real_half_period
-    hi = 0.5 * asymptote
-    for _ in range(200):
-        try:
-            if radial_kepler(ctx, hi) >= t:
-                break
-        except PoleProximityError:
-            hi = 0.5 * (hi + asymptote * (1.0 - 1e-9))
-            break
-        hi = 0.5 * (hi + asymptote)
+    # unbounded: the bracket is [0, w_r), w_r the real half period (escape
+    # asymptote); its upper end is never evaluated
+    return _halley_bisect(ctx, t, 0.0, ctx.lattice.real_half_period,
+                          _unbounded_start(ctx, t))
+
+
+def _unbounded_start(ctx: SolutionContext, t: float) -> float:
+    """tau at time t > 0 on unbounded motion: the smaller of two estimates.
+
+    Near pericenter, t = r_m tau + f'(r_m) tau^3/12 + ..., the pericenter
+    series to its second term; its root comes from the sinh form of the
+    depressed cubic.  Near the escape asymptote, x = w_r - tau -> 0 with
+    w_k = w_r and zeta(tau - w_r) = -1/x + O(x^3) turn the unbounded
+    t(tau) = r_m tau - (2 e_k tau + 2 zeta(tau - w_r) + 2 eta_k)/a into
+    t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a, C = B w_r - 2 eta_k/a;
+    x is the positive root of B x^2 + (t - C) x - 2/a, taken in a form
+    without cancellation (a > 0 on unbounded motion), when it lies below w_r.
+    """
+    a, r_m = ctx.state.alpha, ctx.r_m
+    cube = ctx.f.df(r_m) / 12.0
+    if cube > 0.0:
+        p = r_m / cube
+        tau = 2.0 * math.sqrt(p / 3.0) * math.sinh(
+            math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
     else:
-        raise ConvergenceError("failed to bracket the escape asymptote")
-    return _halley_bisect(ctx, t, 0.0, hi, min(t / ctx.r_m, hi))
+        tau = t / r_m
+    w_r = ctx.lattice.real_half_period
+    b = r_m - 2.0 * ctx.e_k / a
+    d = t - (b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
+    disc = d * d + 8.0 * b / a
+    if disc >= 0.0 and d + math.sqrt(disc) > 0.0:
+        x = 4.0 / (a * (d + math.sqrt(disc)))
+        if x < w_r:
+            tau = min(tau, w_r - x)
+    return tau
 
 
 def _kepler_start(ctx: SolutionContext, t: float) -> float:

@@ -22,26 +22,31 @@ stays below the unit roundoff for |z| up to the radius where that bound at
 k = TERMS + 1 equals 2^-53.  With 30 terms the radius is about half the
 shortest lattice vector, so a point of a squat cell needs at most one
 duplication; the radius grows only like (2^-53)^(1/(2 TERMS)), so further
-terms save few duplications.  The series are summed in Horner form in z^2
-with coefficient lists fixed at construction.  Values outside the cell
-follow from periodicity of p, p' and the quasi-periodicity of zeta and
-sigma.
+terms save few duplications.  The series are summed in Horner form in z^2;
+the coefficient lists and the radius are made on a lattice's first kernel
+call.  Values outside the cell follow from periodicity of p, p' and the
+quasi-periodicity of zeta and sigma.
 
-On the real axis of a rectangular lattice (positive discriminant) p, p'
-and zeta also have Fourier series in the nome q = exp(-pi |omega'|/omega)
-(DLMF 23.8.1-23.8.2, ``NomeSeries``): one (sin, cos) pair and a few terms
-(q <= 0.07 on most lattices of bounded motion, so under ten), with
-constants made once per lattice.  They serve the per-sample path of
-bounded motion; the Laurent kernel serves construction (eta, the p^-1
-polish, complex arguments) and the rhombic lattices of unbounded motion.
-The series take omega as it is, so they inherit its error from K(m),
-which grows near the double-root boundary.
+On a rectangular lattice (positive discriminant) p, p' and zeta also have
+Fourier series in the nome q = exp(-pi |omega'|/omega) (DLMF 23.8.1-23.8.2,
+``NomeSeries``): on the real axis one (sin, cos) pair and a few terms
+(q <= 0.07 on most lattices of bounded motion, so under ten), and off it
+up to |Im z| = |omega'| a few more, with constants made once per lattice.
+They serve bounded motion whole: the per-sample path, and in construction
+the theta pole, where the Newton polish of the inverse runs on them.  The
+Laurent kernel serves the rhombic lattices of unbounded motion (their eta
+and every evaluation), unbounded motion on rectangular lattices and
+callers of ``wp_all``, ``sigma`` and ``wp_inverse``.  The series take
+omega and eta as they are, so they inherit their error from the roots
+e_i, which grows near the double-root boundary.
 
-Half-periods come from K(m) for a positive discriminant (rectangular
-lattice, A&S 18.9) and from the conjugate-pair construction via Carlson
-R_F for a negative one (rhombic lattice).  Conventions follow A&S ch. 18:
-omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
-with the roots e1, e2, e3 ordered by descending imaginary then real part.
+Half-periods and eta come from K and E for a positive discriminant
+(rectangular lattice, A&S 18.9), in closed form and with no kernel call,
+and from the conjugate-pair construction via Carlson R_F, with eta from the
+kernel, for a negative one (rhombic lattice).  Conventions follow A&S
+ch. 18: omega1 = omega, omega2 = omega + omega', omega3 = omega',
+p(omega_k) = e_k, with the roots e1, e2, e3 ordered by descending
+imaginary then real part.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cubic import solve_cubic
-from .elliptic import carlson_rf, elliptic_K
+from .elliptic import carlson_rf, elliptic_KE
 from .errors import (
     DegenerateLatticeError,
     PoleProximityError,
@@ -136,19 +141,20 @@ def g_roots(inv: Invariants) -> GRoots:
 class Lattice:
     """Immutable evaluation context for one pair of invariants.
 
-    Construction computes the cubic roots, half-periods, eta values, the
-    series coefficients and the halving radius; the nome series of a
-    rectangular lattice is made on first use.  All evaluation methods are
-    pure.
+    Construction computes the cubic roots, the half-periods and the eta
+    values: in closed form from K and E on a rectangular lattice, through
+    the Laurent kernel on a rhombic one.  The Laurent coefficients, the
+    halving radius and the nome series of a rectangular lattice are made
+    on first use.  All evaluation methods are pure.
     """
 
     def __init__(self, inv: Invariants) -> None:
         self.inv = inv
         self.roots = g_roots(inv)
-        self.periods = self._build_periods()
-        self._dmin, self._radius = self._distance_and_radius()
-        self._horner = _horner_coefficients(inv.g2, inv.g3)
-        self._finish_periods()
+        if self.roots.discriminant > 0.0:
+            self.periods = self._rectangular_periods()
+        else:
+            self.periods = self._rhombic_periods()
 
     @classmethod
     def from_invariants(cls, g2: float, g3: float) -> "Lattice":
@@ -156,26 +162,70 @@ class Lattice:
 
     # -- construction ----------------------------------------------------
 
-    def _build_periods(self) -> HalfPeriods:
-        e1, e2, e3 = self.roots.e_tilde
-        if self.roots.discriminant > 0.0:
-            # Rectangular: three real roots e1 > e2 > e3.
-            a = math.sqrt(e1.real - e3.real)
-            m = (e2.real - e3.real) / (e1.real - e3.real)
-            omega = complex(elliptic_K(m) / a, 0.0)
-            omega_p = complex(0.0, elliptic_K(1.0 - m) / a)
-        else:
-            # Rhombic: e2 real, e1/e3 a conjugate pair.  Real half period
-            # from R_F at the real root for (g2, g3); the imaginary one is
-            # the same object for (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3).
-            om_r = carlson_rf(0.0, e2 - e1, e2 - e3)
-            om_i = carlson_rf(0.0, e1 - e2, e3 - e2)
-            omega = 0.5 * complex(abs(om_r), abs(om_i))
-            omega_p = 0.5 * complex(-abs(om_r), abs(om_i))
-        return HalfPeriods(omega=omega, omega_prime=omega_p, eta=0j, eta_prime=0j)
+    def _rectangular_periods(self) -> HalfPeriods:
+        """Half periods and eta values of three real roots e1 > e2 > e3.
 
-    def _distance_and_radius(self) -> tuple[float, float]:
-        """Shortest lattice vector and the halving radius of the series.
+        With d = e1 - e3, m = (e2 - e3)/d and m1 = (e1 - e2)/d, each from
+        its own root difference so that neither loses digits as 1 - the
+        other, A&S 18.9 gives omega = K(m)/sqrt(d), omega' = i K(m1)/sqrt(d),
+
+            eta  = sqrt(d) E(m) - e1 omega,
+            eta' = -i (sqrt(d) E(m1) + e3 |omega'|).
+
+        Then eta omega' - eta' omega = i (E K' + E' K - K K') = i pi/2 is
+        Legendre's relation for K and E, and p(omega_k) = e_k holds by
+        construction, so neither needs a check here.
+        """
+        e1, e2, e3 = (z.real for z in self.roots.e_tilde)
+        d = e1 - e3
+        m, m1 = (e2 - e3) / d, (e1 - e2) / d
+        if not (m > 0.0 and m1 > 0.0):
+            raise DegenerateLatticeError(
+                f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})"
+            )
+        s = math.sqrt(d)
+        big_k, big_e = elliptic_KE(m, m1)
+        big_k1, big_e1 = elliptic_KE(m1, m)
+        omega, omega_i = big_k / s, big_k1 / s
+        return HalfPeriods(omega=complex(omega, 0.0),
+                           omega_prime=complex(0.0, omega_i),
+                           eta=complex(s * big_e - e1 * omega, 0.0),
+                           eta_prime=complex(0.0, -(s * big_e1 + e3 * omega_i)))
+
+    def _rhombic_periods(self) -> HalfPeriods:
+        """Half periods from R_F at the conjugate pair; eta from the kernel.
+
+        e2 is real and e1, e3 a conjugate pair.  The real half period comes
+        from R_F at the real root for (g2, g3); the imaginary one is the same
+        object for (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3).  The basis
+        is set before ``_finish_periods``, whose kernel calls reduce on it;
+        the halving radius made from it holds after that conjugates or
+        flips it, which keeps every vector length.
+        """
+        e1, e2, e3 = self.roots.e_tilde
+        om_r = carlson_rf(0.0, e2 - e1, e2 - e3)
+        om_i = carlson_rf(0.0, e1 - e2, e3 - e2)
+        self.periods = HalfPeriods(omega=0.5 * complex(abs(om_r), abs(om_i)),
+                                   omega_prime=0.5 * complex(-abs(om_r), abs(om_i)),
+                                   eta=0j, eta_prime=0j)
+        return self._finish_periods()
+
+    @cached_property
+    def _lengths(self) -> tuple[float, ...]:
+        """Lengths of the nonzero vectors of the 5 x 5 block of the basis."""
+        w1 = 2.0 * self.periods.omega
+        w2 = 2.0 * self.periods.omega_prime
+        return tuple(abs(m * w1 + n * w2)
+                     for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (0, 0))
+
+    @cached_property
+    def _dmin(self) -> float:
+        """Length of the shortest lattice vector."""
+        return min(self._lengths)
+
+    @cached_property
+    def _radius(self) -> float:
+        """Halving radius of the Laurent series.
 
         The radius R solves (2K-1) sum_w (R/|w|)^(2K) = unit roundoff for
         the first omitted index K = TERMS + 1, the bound on the relative
@@ -183,25 +233,21 @@ class Lattice:
         Vectors beyond the 5 x 5 block are at least 1.5 times longer than
         the shortest one, so leaving them out moves R by less than 1e-10.
         """
-        w1 = 2.0 * self.periods.omega
-        w2 = 2.0 * self.periods.omega_prime
-        lengths = [
-            abs(m * w1 + n * w2)
-            for m in range(-2, 3)
-            for n in range(-2, 3)
-            if (m, n) != (0, 0)
-        ]
-        dmin = min(lengths)
+        dmin = self._dmin
         k = _SERIES_TERMS + 1
-        tail = (2 * k - 1) * math.fsum((dmin / w) ** (2 * k) for w in lengths)
-        return dmin, dmin * (_UNIT_ROUNDOFF / tail) ** (1.0 / (2 * k))
+        tail = (2 * k - 1) * math.fsum((dmin / w) ** (2 * k) for w in self._lengths)
+        return dmin * (_UNIT_ROUNDOFF / tail) ** (1.0 / (2 * k))
 
-    def _finish_periods(self) -> None:
+    @cached_property
+    def _horner(self) -> tuple[tuple[float, ...], ...]:
+        return _horner_coefficients(self.inv.g2, self.inv.g3)
+
+    def _finish_periods(self) -> HalfPeriods:
         """Fix labelling and orientation, set eta, check p(omega_k) = e_k."""
         p = self.periods
         omega, omega_p = p.omega, p.omega_prime
         # Conjugate-pair labelling: pick the representative with p(omega) = e1
-        # (for a rhombic lattice the R_F construction may land on e3 = conj e1).
+        # (the R_F construction may land on e3 = conj e1).
         p1, _, eta, _ = self._eval_raw(omega)
         e1, _, e3 = self.roots.e_tilde
         if abs(p1 - e1) > abs(p1 - e3):
@@ -218,8 +264,6 @@ class Lattice:
                 f"Legendre relation violated ({legendre!r}); "
                 "invariants too close to the degenerate boundary"
             )
-        self.periods = HalfPeriods(omega=omega, omega_prime=omega_p,
-                                   eta=eta, eta_prime=eta_p)
         # p is even, so the orientation flip leaves p3 as it is.
         p2 = self._eval_raw(omega + omega_p)[0]
         scale = max(abs(z) for z in self.roots.e_tilde) + 1.0
@@ -229,6 +273,7 @@ class Lattice:
                     f"p(omega_{k}) does not reproduce root {k}; "
                     "lattice construction failed (near-degenerate invariants?)"
                 )
+        return HalfPeriods(omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p)
 
     @cached_property
     def nome_series(self) -> "NomeSeries":
@@ -389,28 +434,81 @@ class Lattice:
         if branch not in (-1, 1):
             raise ValueError("branch must be +1 or -1")
         e1, e2, e3 = self.roots.e_tilde
-        z = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w)
-        if z is None:
+        found = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w,
+                                     self.wp_all, 0.25 * self._dmin)
+        if found is None:
             raise WpInverseError(f"inversion failed for w={w!r}")
-        return self._select_branch(z, branch)
+        return self._select_branch(found[0], branch)
 
-    def _polish_inverse(self, z: complex, w: complex) -> complex | None:
+    def wp_inverse_real(self, w: float, gaps: tuple[float, float, float]) -> float:
+        """x in [0, omega] with p(x) = w >= e1 on a rectangular lattice.
+
+        ``gaps`` are w - e_i for i = 1, 2, 3, which a caller can often form
+        with less cancellation than the subtraction; a gap a rounding
+        below 0 counts as 0 (w = e1, x = omega).  The real R_F of the gaps
+        is x, and Newton steps on the nome series polish it.
+        """
+        omega = self.periods.omega.real
+        seed = carlson_rf(*(max(g, 0.0) for g in gaps))
+        found = self._polish_inverse(seed, w, self.nome_series.at,
+                                     0.5 * min(omega, self.periods.omega_prime.imag))
+        if found is None:
+            raise WpInverseError(f"inversion failed for w={w!r}")
+        x = abs(found[0])          # p is even, and symmetric about omega
+        return 2.0 * omega - x if x > omega else x
+
+    def wp_inverse_imaginary(self, w: float, gaps: tuple[float, float, float]
+                             ) -> tuple[complex, tuple[complex, complex, complex]]:
+        """(v, (p, p', zeta) at v) with p(v) = w <= e3 on a rectangular lattice.
+
+        ``gaps`` are e_i - w >= 0 for i = 1, 2, 3, formed by the caller as
+        for ``wp_inverse_real``.  p(iy; g2, g3) = -p(y; g2, -g3) makes
+        y = R_F(gaps) the point of (0, |omega'|] with p(iy) = w; there
+        p'(iy) = -i dp(iy)/dy lies on the -i branch, and its mirror
+        v = 2 omega' - iy, with |omega'| <= Im v < 2 |omega'|, on the +i
+        branch.  Newton steps on the nome series at the reduced point
+        v_c = -iy (``NomeSeries.at_complex``) polish y; the values at v are
+        those at v_c with 2 eta' added to zeta.
+        """
+        ns = self.nome_series
+        half = self.periods.omega_prime.imag
+        seed = complex(0.0, -carlson_rf(*(max(g, 0.0) for g in gaps)))
+        found = self._polish_inverse(seed, w, ns.at_complex,
+                                     0.5 * min(self.periods.omega.real, half))
+        if found is None:
+            raise WpInverseError(f"inversion failed for w={w!r}")
+        v_c, values = found
+        y = abs(v_c.imag)
+        if y > half:               # a step past omega' lands on the mirror point
+            y = 2.0 * half - y
+        if v_c.imag != -y:
+            v_c = complex(0.0, -y)
+            values = ns.at_complex(v_c)
+        p, pp, zt = values
+        return complex(0.0, 2.0 * half - y), (p, pp, zt + 2.0 * self.periods.eta_prime)
+
+    def _polish_inverse(self, z, w, evaluate, lim) -> tuple | None:
+        """(z, evaluate(z)) at the Newton iterate with the least |p(z) - w|.
+
+        ``evaluate`` returns p and p' first; a step is cut to length lim.
+        None when the least residual exceeds 1e-11 (1 + |w|).
+        """
         tol = 1e-11 * (1.0 + abs(w))
-        best, best_res = z, math.inf
+        best, best_res = None, math.inf
         for _ in range(60):
             zr, _, _ = self.reduce(z)
             if abs(zr) < 10.0 * _POLE_GUARD:
                 break
-            p, pp, _, _ = self.wp_all(z)
+            values = evaluate(z)
+            p, pp = values[0], values[1]
             res = abs(p - w)
             if res < best_res:
-                best, best_res = z, res
+                best, best_res = (z, values), res
             if res <= 1e-13 * (1.0 + abs(w)):
                 break
             if abs(pp) < 1e-13 * (1.0 + abs(p)) ** 1.5:
                 break  # half-period target; Carlson seed is already exact
             step = (p - w) / pp
-            lim = 0.25 * self._dmin
             if abs(step) > lim:
                 step *= lim / abs(step)
             z = z - step
@@ -498,6 +596,48 @@ class NomeSeries:
         p = kk * (csc2 - sp) - self.eta_over_omega
         pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
         zt = self.eta_over_omega * x + k * (c * inv_s + szt)
+        return p, pp, zt
+
+    def at_complex(self, z: complex) -> tuple[complex, complex, complex]:
+        """(p, p', zeta) at complex z with |Im z| <= |omega'|.
+
+        The same series continued off the real axis: sin 2nu and cos 2nu
+        grow like e^(2n|Im u|), so the n-th term of the p' sum is at most
+        B_n = 16 n^2 c_n e^(2n|Im u|), and B_(n+1)/B_n <= r_n =
+        ((n+1)/n)^2 q^2 e^(2|Im u|), which falls with n.  |Im u| <=
+        pi |omega'|/(2 omega) makes e^(2|Im u|) <= 1/q, so r_n <= 4q.  The
+        sums stop before the first n with r_n < 1 and B_n <= 2^-53 (1 - r_n),
+        so the omitted tail of each is below the unit roundoff in units of
+        k^2, k^3 and k.
+        """
+        k = self.k
+        u = k * z
+        s, c = cmath.sin(u), cmath.cos(u)
+        if abs(s) < k * _POLE_GUARD:
+            raise PoleProximityError(f"argument {z!r} at a lattice point")
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        q2 = self.nome * self.nome
+        spread = math.exp(2.0 * abs(u.imag))
+        sn, cn = s2, c2
+        sp = spp = szt = 0j
+        n, q2n, grow = 1, q2, spread
+        while True:
+            cq = q2n / (1.0 - q2n)
+            bound = 16.0 * n * n * cq * grow
+            ratio = ((n + 1) / n) ** 2 * q2 * spread
+            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
+                break
+            sp += 8.0 * n * cq * cn
+            spp += 16.0 * n * n * cq * sn
+            szt += 4.0 * cq * sn
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+            n, q2n, grow = n + 1, q2n * q2, grow * spread
+        inv_s = 1.0 / s
+        csc2 = inv_s * inv_s
+        kk = k * k
+        p = kk * (csc2 - sp) - self.eta_over_omega
+        pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
+        zt = self.eta_over_omega * z + k * (c * inv_s + szt)
         return p, pp, zt
 
 

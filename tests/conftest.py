@@ -26,6 +26,29 @@ ROSETTE = dict(r0=1.0, v0=1.2601352426205996, gamma0=0.0, alpha=-0.05)
 # An off-apse start: r0 = 1.3, v0 = 1, flight-path angle 25 degrees.
 TILTED = dict(r0=1.3, v0=1.0, gamma0=math.radians(25.0), alpha=0.02)
 
+# An inbound epoch in a confining field (alpha < 0), as in the CLI goldens.
+INBOUND = dict(r0=1.5, v0=0.9, gamma0=math.radians(-40.0), alpha=-0.03)
+
+# Valid states (r0, v0, gamma0, alpha) whose lattices the Legendre gate
+# rejected while eta and eta' came from the Laurent kernel, which misses
+# them by up to 3e-10 on such elongated cells: the 11 ops of the
+# benchmark's state_scatter workload (seed 1) that raised
+# DegenerateLatticeError.  Six generic low-|alpha| states, four
+# near-circular ones and one unbounded state on a rectangular lattice.
+FORMER_DEGENERATE = [
+    (2.434760613931593, 0.7029512544899879, -0.18881908840145467, -2.3098609715209972e-08),
+    (1.4571908751331857, 0.8040462831768894, 0.8645018743027925, 5.731344860499385e-08),
+    (1.8423873704093694, 0.7468507541351906, -0.3887209684715492, -7.381211541287273e-08),
+    (2.3843940669034898, 0.6539996133569167, 0.5267836809282777, -2.1366721847876065e-08),
+    (1.665773006031094, 0.956917227801671, -0.02672854778529778, 6.9825613431659086e-09),
+    (1.0326024160581744, 0.9154000604594033, -0.06020358555030591, 2.9178732458526814e-07),
+    (2.0564218201408266, 0.6976554115799691, 6.133697182864231e-06, -0.00020448886490636412),
+    (1.649335860257966, 0.7790549021508132, 8.323285056082786e-05, -0.0003770512157542604),
+    (2.48817692588625, 0.6360462591046082, 1.8903158193369315e-05, -0.0010667071120920284),
+    (1.1155884479779221, 0.9467382872010618, -0.0006350338239889057, 5.812345935332118e-05),
+    (1.1145401014789063, 1.5862729441050805, 0.0065459891049633925, 2.4236447667058404e-08),
+]
+
 
 @pytest.fixture(scope="session")
 def worked_state():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from radialorbit.elliptic import carlson_rf, elliptic_K
+from radialorbit.elliptic import carlson_rf, elliptic_K, elliptic_KE
 from radialorbit.errors import EllipticDomainError
 
 
@@ -34,6 +34,40 @@ def test_K_matches_quadrature(m):
 def test_K_domain_errors(m):
     with pytest.raises(EllipticDomainError):
         elliptic_K(m)
+
+
+# the smaller of m and m1 = 1 - m, passed exactly; the other one is 1 - it
+SMALL_PARAMETERS = [1e-12, 3e-11, 1e-9, 2e-7, 1e-5, 1e-3, 0.05, 0.3, 0.5]
+
+
+@pytest.mark.parametrize("small", SMALL_PARAMETERS)
+@pytest.mark.parametrize("side", ["m", "m1"])
+def test_K_and_E_match_mpmath(small, side):
+    # K, K', E and E' for m and m1 from 1e-12 to 1 - 1e-12; the reference
+    # takes the parameter from the exact one of the pair.  Measured worst:
+    # 2.4e-16 for K, 3.4e-15 for E at m1 = 1e-9, where E = K (1 - sum)
+    # cancels by about a factor K/E
+    mp = pytest.importorskip("mpmath")
+    m, m1 = (small, 1.0 - small) if side == "m" else (1.0 - small, small)
+    with mp.workdps(40):
+        exact = mp.mpf(small) if side == "m" else 1 - mp.mpf(small)
+        for (k, e), param in ((elliptic_KE(m, m1), exact),
+                              (elliptic_KE(m1, m), 1 - exact)):
+            assert abs(k - mp.ellipk(param)) <= 1e-15 * mp.ellipk(param)
+            assert abs(e - mp.ellipe(param)) <= 1e-14 * mp.ellipe(param)
+
+
+def test_KE_domain_errors():
+    for m, m1 in ((-0.1, 1.1), (1.0, 0.0), (0.5, -0.5), (math.nan, 0.5)):
+        with pytest.raises(EllipticDomainError):
+            elliptic_KE(m, m1)
+
+
+def test_rf_real_arguments_take_real_arithmetic():
+    # nonnegative real arguments: a float, equal to the complex route
+    val = carlson_rf(0.3, 1.7, 2.9)
+    assert isinstance(val, float)
+    assert val == pytest.approx(carlson_rf(0.3 + 0j, 1.7, 2.9).real, rel=1e-15)
 
 
 def test_rf_degenerate_equal_arguments():

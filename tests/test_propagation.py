@@ -7,6 +7,7 @@ import pytest
 import oracle
 from radialorbit import propagation
 from radialorbit.dynamics import InitialState
+from radialorbit.elliptic import carlson_rf
 from radialorbit.errors import (
     NonMonotoneArcError,
     NoPericenterError,
@@ -30,7 +31,16 @@ from radialorbit.propagation import (
 from radialorbit.weierstrass import Lattice
 
 from oracle import r_of_tau_general
-from conftest import ROSETTE, TILTED, WORKED, sample_states, wrap_angle
+from conftest import (
+    FORMER_DEGENERATE,
+    INBOUND,
+    ROSETTE,
+    TILTED,
+    WORKED,
+    sample_states,
+    wrap_angle,
+)
+from test_weierstrass import theta_reference
 
 SQRT13 = math.sqrt(13.0)
 APO = 7.0 - SQRT13
@@ -80,8 +90,10 @@ class TestBuildContext:
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
     def test_apse_start_kernel_work(self, monkeypatch):
-        # theta0 = 0 needs no sigma, and p'(v) and zeta(v) come from the
-        # branch check's call inside the inversion: no call at v outside it
+        # theta0 = 0 needs no sigma.  A bounded context makes no kernel call
+        # at all: the pole comes from R_F and the nome series.  An unbounded
+        # one takes p'(v) and zeta(v) from the branch check's call inside
+        # the inversion: no call at v outside it
         sigma_calls, kernel_calls, outside, inverting = [], [], [], []
         sigma, wp_all = Lattice.sigma, Lattice.wp_all
         wp_inverse_all = Lattice.wp_inverse_all
@@ -106,24 +118,36 @@ class TestBuildContext:
         monkeypatch.setattr(Lattice, "sigma", counted_sigma)
         monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
         monkeypatch.setattr(Lattice, "wp_inverse_all", marked_inverse)
-        for kw in (WORKED, ROSETTE):
+        for kw in (WORKED, ROSETTE, dict(r0=1.0, v0=1.2, gamma0=0.0, alpha=0.1)):
             for calls in (sigma_calls, kernel_calls, outside):
                 calls.clear()
             ctx = build_context(InitialState(**kw))
             assert ctx.theta0 == 0.0
             assert sigma_calls == []
-            assert [z for z in outside if z.imag != 0.0] == []
-            assert kernel_calls.count(ctx.v) == 1
+            if ctx.bounded:
+                assert kernel_calls == []
+                assert "_horner" not in vars(ctx.lattice)
+            else:
+                assert [z for z in outside if z.imag != 0.0] == []
+                assert kernel_calls.count(ctx.v) == 1
 
     @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
     def test_pole_values_from_the_branch_check(self, kw):
-        # the reused values equal a separate kernel call at v bit for bit
+        # the checked values at v are the nome series' at the reduced pole
+        # v - 2 omega', with 2 eta' added to zeta; the Laurent kernel at v
+        # agrees, and p'(v) = +i v_m f'(r_m)/(4 r_m)
         ctx = build_context(InitialState(**kw))
         lat = ctx.lattice
-        fp_m = ctx.f.df(ctx.r_m)
-        v = lat.wp_inverse(ctx.e_k - 0.25 * fp_m / ctx.r_m, branch=+1)
-        assert v == ctx.v
-        assert lat.wp_all(v)[2] == ctx.zeta_v
+        c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
+        v, (p, pp, zt) = propagation._bounded_pole(lat, ctx.k, ctx.e_k, c_v)
+        assert v == ctx.v and zt == ctx.zeta_v
+        series = lat.nome_series.at_complex(v - 2.0 * lat.periods.omega_prime)
+        shifted = (series[0], series[1], series[2] + 2.0 * lat.periods.eta_prime)
+        kernel = lat.wp_all(v)[:3]
+        for got, near, far in zip((p, pp, zt), shifted, kernel):
+            assert abs(got - near) <= 1e-14 * (1.0 + abs(got))
+            assert abs(got - far) <= 1e-13 * (1.0 + abs(got))
+        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13)
 
     def test_apse_epoch_without_inversion(self):
         # near-circular apse start: the cubic's r_m lies 4.2e-12 above r0,
@@ -175,6 +199,69 @@ class TestBuildContext:
         assert ctx.v_m == pytest.approx(1.2, abs=1e-10)
         assert ctx.tau0 == pytest.approx(WORKED_TAU0_11, abs=1e-10)
         assert ctx.t0 == pytest.approx(WORKED_T0_11, abs=1e-10)
+
+
+# near-circular k = 2 start (state_scatter, seed 1): p(v) lies 5.8e-7 (e1 - e3)
+# below e3, next to the critical point p(omega') = e3, and |p'(v)| is 1.5e-6 k^3
+NEAR_CIRCULAR_K2 = dict(r0=2.208153375893444, v0=0.8480389974494841, gamma0=0.0,
+                        alpha=-0.12060017329104744)
+
+
+class TestThetaPole:
+    """v, p'(v) and zeta(v) of bounded motion against the theta_1 reference.
+
+    The reference lattice has the context's computed roots (shifted to sum
+    zero, which shifts p by their mean m and zeta by -m z): on near-circular
+    states ``solve_cubic``'s roots of the lattice cubic miss those of the
+    rounded invariants by up to 1e-5 relative in e2 - e3, which this does
+    not test.  The target is w = e_k - f'(r_m)/(4 r_m) in exact arithmetic.
+    Errors of 1e-13 in units of k^2, k^3 and k (k = pi/(2 omega)) are
+    allowed in p, p' and zeta, and 1e-13 (|v| + k^2/|p'(v)|) in v, the
+    first-order effect of such an error in p.
+    """
+
+    @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED, INBOUND, NEAR_CIRCULAR_K2])
+    def test_pole_matches_theta_reference(self, kw):
+        mp = pytest.importorskip("mpmath")
+        ctx = build_context(InitialState(**kw))
+        assert ctx.k in (2, 3)
+        lat = ctx.lattice
+        c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
+        v, (p, pp, zt) = propagation._bounded_pole(lat, ctx.k, ctx.e_k, c_v)
+        assert v == ctx.v and zt == ctx.zeta_v
+        k = lat.nome_series.k
+        with mp.workdps(40):
+            e = [mp.mpf(z.real) for z in lat.roots.e_tilde]
+            mean = sum(e) / 3
+            e = [x - mean for x in e]
+            g2 = -4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2])
+            ref, _, omega3 = theta_reference(g2, 4 * e[0] * e[1] * e[2], mp)
+            w = mp.mpf(ctx.e_k) - mp.mpf(c_v) - mean
+            v_ref = 2 * omega3 - 1j * mp.elliprf(*(x - w for x in e))
+            assert abs(v - v_ref) <= 1e-13 * (abs(v) + k**2 / abs(pp))
+            want_p, want_zt, _, want_pp = ref(mp.mpc(v))
+            assert abs(p - mean - want_p) <= 1e-13 * k**2
+            assert abs(p - ctx.e_k + c_v) <= 1e-13 * k**2
+            assert abs(pp - want_pp) <= 1e-13 * max(abs(want_pp), k**3)
+            assert abs(zt + mean * v - want_zt) <= 1e-13 * max(abs(want_zt), k)
+
+    def test_near_circular_pole_is_polished(self):
+        # next to the critical point p(omega') = e3, R_F of the root gaps
+        # (the k-th one f'(r_m)/(4 r_m), exact) misses p(v) = w by 6.7e-12,
+        # 60 times the polish's stop level; the Newton steps on the series
+        # meet it
+        ctx = build_context(InitialState(**NEAR_CIRCULAR_K2))
+        lat = ctx.lattice
+        series = lat.nome_series
+        roots = [z.real for z in lat.roots.e_tilde]
+        c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
+        w = ctx.e_k - c_v
+        assert 0.0 < roots[2] - w < 1e-6 * (roots[0] - roots[2])
+        gaps = [c_v if i == ctx.k - 1 else (e - ctx.e_k) + c_v for i, e in enumerate(roots)]
+        seed = complex(0.0, -carlson_rf(*gaps))
+        assert abs(series.at_complex(seed)[0] - w) > 1e-12 * (1.0 + abs(w))
+        v_c = ctx.v - 2.0 * lat.periods.omega_prime
+        assert abs(series.at_complex(v_c)[0] - w) <= 1e-13 * (1.0 + abs(w))
 
 
 class TestRadius:
@@ -604,6 +691,17 @@ def zeta_pair_time(ctx, tau):
             - (1.0 / ctx.state.alpha) * (2.0 * ctx.e_k * tau + pair)).real
 
 
+def test_near_parabolic_period_at_tiny_inward_alpha():
+    # T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a scales the error of eta by
+    # 1/a = -5.9e8.  The reference is perfbench's mpmath quadrature of the
+    # state (30 digits); the Laurent eta missed it by 1.49e-10, eta from K
+    # and E by 8.0e-12
+    ctx = build_context(InitialState(1.7136312244517515, 1.131364515621618,
+                                     -0.3286883833003511, -1.6906792983117208e-09))
+    assert ctx.series_reach < ctx.lattice.real_half_period
+    assert ctx.T_t == pytest.approx(397432877.89283483412, rel=2e-11)
+
+
 class TestPericenterSeries:
     @pytest.fixture(params=["worked", "rosette", "tilted"])
     def anchor_ctx(self, request, worked_ctx, rosette_ctx):
@@ -714,6 +812,27 @@ class TestInvertKepler:
         # a Kepler-equation start and Halley steps, about three t(tau)
         # evaluations per sample, each from the nome series: no kernel call
         assert calls == []
+
+    def test_unbounded_kernel_calls_per_sample(self, monkeypatch):
+        # Halley from the pericenter series' first two terms or the pole
+        # term of t at the escape asymptote: at most 6 calls per sample on
+        # this sweep (22 when bracketing halfway to the asymptote step by step)
+        ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
+        calls = []
+        wp_all = Lattice.wp_all
+
+        def counted(self, z):
+            calls.append(z)
+            return wp_all(self, z)
+
+        monkeypatch.setattr(Lattice, "wp_all", counted)
+        counts = []
+        for t in np.geomspace(0.5, 500.0, 60):
+            calls.clear()
+            ps = propagate_ctx(ctx, t)
+            counts.append(len(calls))
+            assert abs(radial_kepler(ctx, ps.tau) - t) <= 1e-12 * t
+        assert max(counts) <= 6
 
     def test_unbounded_branch(self):
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
@@ -863,6 +982,20 @@ class TestOracleEquivalence:
                 ps = propagate_ctx(ctx, t)
                 assert abs(ps.r - r_ref) / r_ref < 1e-7
                 assert abs(ps.theta - th_ref) / (1.0 + abs(th_ref)) < 1e-7
+
+    @pytest.mark.parametrize("state", FORMER_DEGENERATE)
+    def test_former_degenerate_lattices_against_rk(self, state):
+        # one period (a span of 30 for the unbounded state); measured worst
+        # 1.3e-10 in r and 3.8e-10 in theta
+        state = InitialState(*state)
+        ctx = build_context(state)
+        span = ctx.T_t if ctx.bounded else 30.0
+        traj = oracle.integrate_ode(state, span)
+        for t in np.linspace(0.05, 1.0, 8) * span:
+            r_ref, th_ref, _, _ = traj.at(t)
+            ps = propagate_ctx(ctx, t)
+            assert abs(ps.r - r_ref) / r_ref < 1e-9
+            assert abs(ps.theta - th_ref) < 1e-8
 
     @pytest.mark.parametrize("state", LOW_ALPHA)
     def test_low_alpha_against_rk(self, state):

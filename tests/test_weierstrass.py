@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radialorbit import weierstrass
+from radialorbit.dynamics import InitialState
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError
+from radialorbit.propagation import build_context
 from radialorbit.weierstrass import Invariants, Lattice, g_roots
+
+from conftest import FORMER_DEGENERATE
 
 # Invariant pairs spanning both discriminant signs and both g3 signs,
 # including the physically derived anchors (rectangular and rhombic,
@@ -154,11 +158,48 @@ class TestHalfPeriods:
         assert lat.periods.omega.real == pytest.approx(3.4617219524189613,
                                                        abs=2e-12)
 
+    @staticmethod
+    def former_degenerate_lattices():
+        return [build_context(InitialState(*st)).lattice for st in FORMER_DEGENERATE]
+
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_legendre_relation(self, g2, g3):
+        # by construction from K and E on rectangular lattices (measured
+        # worst 1.3e-15), checked in construction on rhombic ones
         per = Lattice.from_invariants(g2, g3).periods
         legendre = per.eta * per.omega_prime - per.eta_prime * per.omega
-        assert abs(legendre - 1j * math.pi / 2.0) <= 1e-12
+        assert abs(legendre - 1j * math.pi / 2.0) <= 1e-13
+
+    def test_legendre_relation_on_former_degenerate_lattices(self):
+        # the Laurent eta' missed these by up to 3e-10 and the 1e-10 gate
+        # rejected them; measured worst now 5.3e-15
+        for lat in self.former_degenerate_lattices():
+            assert lat.roots.discriminant > 0.0
+            per = lat.periods
+            legendre = per.eta * per.omega_prime - per.eta_prime * per.omega
+            assert abs(legendre - 1j * math.pi / 2.0) <= 1e-13
+
+    @staticmethod
+    def assert_half_periods_give_roots(lat):
+        # p(omega_k) = e_k: from the nome series on rectangular lattices,
+        # where it holds by construction, from the Laurent kernel otherwise
+        scale = max(abs(z) for z in lat.roots.e_tilde)
+        for k in (1, 2, 3):
+            w = lat.periods.omega_k(k)
+            if lat.roots.discriminant > 0.0:
+                got = lat.nome_series.at_complex(w)[0]
+            else:
+                got = lat.wp(w)
+            assert abs(got - lat.roots.e_tilde[k - 1]) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    def test_half_periods_give_the_roots(self, g2, g3):
+        self.assert_half_periods_give_roots(Lattice.from_invariants(g2, g3))
+
+    def test_half_periods_give_the_roots_on_former_degenerate_lattices(self):
+        # the Laurent kernel misses these by up to 2.3e-9 of the root scale
+        for lat in self.former_degenerate_lattices():
+            self.assert_half_periods_give_roots(lat)
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_wp_at_half_periods_returns_roots(self, g2, g3):
@@ -191,19 +232,32 @@ class TestHalfPeriods:
         assert lat.real_half_period == self.shortest_real_vector(lat)
 
     def test_construction_evaluates_each_half_period_once(self, monkeypatch):
-        calls = []
+        # rectangular lattices take the half periods and eta from K and E:
+        # no Laurent evaluation and no Laurent coefficients.  Rhombic ones
+        # evaluate omega (again after a switch to the conjugate
+        # representative), omega' and omega + omega' with the kernel
+        calls, made = [], []
         raw = Lattice._eval_raw
+        coefficients = weierstrass._horner_coefficients
 
         def counted(self, z):
             calls.append(z)
             return raw(self, z)
 
+        def counted_coefficients(g2, g3):
+            made.append((g2, g3))
+            return coefficients(g2, g3)
+
         monkeypatch.setattr(Lattice, "_eval_raw", counted)
+        monkeypatch.setattr(weierstrass, "_horner_coefficients", counted_coefficients)
         for g2, g3 in LATTICE_GRID:
             calls.clear()
+            made.clear()
             lat = Lattice.from_invariants(g2, g3)
-            # omega (again after a switch to the conjugate representative),
-            # omega' and omega + omega'
+            if lat.roots.discriminant > 0.0:
+                assert calls == [] and made == []
+                continue
+            assert made == [(g2, g3)]
             assert len(calls) in (3, 4)
             if len(calls) == 4:
                 assert calls[1] == calls[0].conjugate()
@@ -371,6 +425,26 @@ class TestNomeSeries:
                     assert abs(got - want) <= 1e-13 * scale
 
     @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
+    def test_complex_argument_matches_theta_reference(self, g2, g3):
+        # off the real axis up to |Im z| = |omega'|, where the terms grow
+        # by e^(2 |Im u|) <= 1/q per index; scales as on the real axis
+        mp = pytest.importorskip("mpmath")
+        lat = Lattice.from_invariants(g2, g3)
+        series = lat.nome_series
+        w, w_i = lat.periods.omega.real, lat.periods.omega_prime.imag
+        points = [complex(x * w, y * w_i) for x, y in
+                  ((0.3, 0.2), (-1.1, 0.7), (0.0, -0.5), (1.7, -1.0), (0.0, 1.0), (1.0, 1.0))]
+        with mp.workdps(30):
+            ref, _, _ = theta_reference(g2, g3, mp)
+            for z in points:
+                got = series.at_complex(z)
+                want_p, want_zt, _, want_pp = ref(mp.mpc(z))
+                for a, b, order in ((got[0], want_p, 2), (got[1], want_pp, 3),
+                                    (got[2], want_zt, 1)):
+                    scale = max(abs(b), series.k**order)
+                    assert abs(a - b) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
     def test_agrees_with_laurent_kernel(self, g2, g3):
         lat = Lattice.from_invariants(g2, g3)
         for x in np.linspace(0.05, 1.95, 39) * lat.real_half_period:
@@ -481,6 +555,43 @@ class TestInverse:
         z = lat.wp_inverse(-0.27, branch=+1)
         assert abs(z.real) < 1e-10
         assert lat.wp_all(z)[1].imag > 0.0
+
+    @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
+    def test_real_inverse_from_root_gaps(self, g2, g3):
+        # x in [0, omega] with p(x) = w >= e1; w = e1 gives omega itself
+        lat = Lattice.from_invariants(g2, g3)
+        series = lat.nome_series
+        roots = [z.real for z in lat.roots.e_tilde]
+        omega = lat.periods.omega.real
+        for frac in (0.05, 0.4, 0.9, 0.999, 1.0):
+            w = roots[0] if frac == 1.0 else series.at(frac * omega)[0]
+            x = lat.wp_inverse_real(w, tuple(w - e for e in roots))
+            assert 0.0 < x <= omega
+            assert abs(series.at(x)[0] - w) <= 1e-13 * (1.0 + abs(w))
+            if frac < 0.95:
+                assert x == pytest.approx(frac * omega, rel=1e-12)
+        x = lat.wp_inverse_real(roots[0], (0.0, roots[0] - roots[1], roots[0] - roots[2]))
+        assert x == pytest.approx(omega, rel=1e-15)
+
+    @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
+    def test_imaginary_inverse_from_root_gaps(self, g2, g3):
+        # v = i y with |omega'| <= y < 2 |omega'|, p(v) = w <= e3, p' on the
+        # +i branch; the values are those of the Laurent kernel at v
+        lat = Lattice.from_invariants(g2, g3)
+        series = lat.nome_series
+        roots = [z.real for z in lat.roots.e_tilde]
+        w_i = lat.periods.omega_prime.imag
+        for frac in (0.05, 0.4, 0.9, 0.999):
+            w = series.at_complex(complex(0.0, frac * w_i))[0].real
+            v, (p, pp, zt) = lat.wp_inverse_imaginary(w, tuple(e - w for e in roots))
+            assert v.real == 0.0 and w_i <= v.imag < 2.0 * w_i
+            assert abs(p - w) <= 1e-13 * (1.0 + abs(w))
+            assert pp.imag > 0.0
+            if frac < 0.95:
+                assert v.imag == pytest.approx((2.0 - frac) * w_i, rel=1e-12)
+            kernel = lat.wp_all(v)
+            for got, want in zip((p, pp, zt), kernel):
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
     def test_branch_validation(self):
         lat = Lattice.from_invariants(*WORKED_G)

@@ -30,10 +30,8 @@ from .propagation import (
     SolutionContext,
     build_context,
     invert_kepler,
-    propagate,
     propagate_ctx,
     r_of_tau,
-    r_prime_of_tau,
     radial_kepler,
     state_at_tau,
     tau0_from_r0,

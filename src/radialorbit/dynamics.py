@@ -77,7 +77,6 @@ class CubicF:
     e2: complex
     e3: complex
     discriminant: float
-    double_root: bool
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
@@ -141,11 +140,11 @@ def build_f(state: InitialState) -> CubicF:
     e = state.energy
     h = state.momentum
     c3, c2, c1, c0 = 2.0 * state.alpha, 2.0 * e, 2.0, -h * h
-    roots, disc, double = solve_cubic(c3, c2, c1, c0)
+    roots, disc, _ = solve_cubic(c3, c2, c1, c0)
     cubic = CubicF(
         alpha=state.alpha, energy=e, momentum=h,
         e1=roots[0], e2=roots[1], e3=roots[2],
-        discriminant=disc, double_root=double,
+        discriminant=disc,
     )
     scale = max(abs(c) for c in (c3, c2, c1, c0))
     f0 = cubic(state.r0)

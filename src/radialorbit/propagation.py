@@ -24,13 +24,14 @@ theorem (DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
     S = zeta(tau - w_k) + zeta(tau + w_k) = 2 zeta(tau) + p'(tau)/(p(tau) - ek),
 
 so the values at the pericenter-centered tau that give r and dr/dtau give
-t as well.  Bounded motion has a rectangular lattice, and takes them from
-its nome series (``Lattice.nome_series``, DLMF 23.8.1-23.8.2): one
-(sin, cos) pair and a few terms, with no kernel call.  Unbounded motion
-takes them from one kernel call.  It has w_k = w_r, the real half period, and
+t as well.  Every context takes them from one evaluation of the lattice's
+nome series at the real argument (``Lattice.wp_real``, DLMF 23.8.1-23.8.2):
+on the rectangular lattice of bounded motion one (sin, cos) pair and a
+few real terms, on a rhombic one the series of the reduced basis.
+Unbounded motion has w_k = w_r, the real half period, and
 p(tau) - ek -> 0 at the escape asymptote tau -> w_r, where that quotient
 loses its digits; there zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k turns
-S into 2 zeta(|tau| - w_k) + 2 eta_k (odd in tau), one more call.  Near
+S into 2 zeta(|tau| - w_k) + 2 eta_k (odd in tau), one more evaluation.  Near
 tau = 0 the 1/tau parts of 2 zeta and the quotient cancel, so for
 |tau| < tau_g = 0.3 rho, rho the distance to the nearest pole of r (a point
 of w_k + lattice), t takes its series r_m tau + sum_j b_j tau^(2j+1)/(2j+1),
@@ -52,8 +53,8 @@ slope tau +/- arg W(tau) + sum s_m sin 2mb, b = pi tau/(2 omega), with
 constants made once per context (``_theta_series``), so theta also costs
 one (sin, cos) pair.  Unbounded motion takes L, the branch of log sigma
 that ``Lattice.log_sigma`` keeps continuous along the line Im z = Im v > 0
-on which v -/+ tau run, at two sigma evaluations.  The Laurent kernel
-serves unbounded motion only.
+on which v -/+ tau run, at two sigma evaluations (the theta_1 series of
+the lattice's basis).
 
 ``build_context`` evaluates what does not depend on tau once per state:
 the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
@@ -63,7 +64,8 @@ and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)
 lies below e3 (``_bounded_pole``), so v lies on the imaginary axis: R_F of
 the root gaps seeds it and Newton steps on the nome series polish it, and
 tau0 comes from the real R_F polished the same way on the real axis.  A
-bounded context thus makes no kernel call.  Quasi-periodicity turns
+bounded context thus makes no ``wp_all`` call; an unbounded one takes v
+from ``Lattice.wp_inverse_all``.  Quasi-periodicity turns
 zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta (eta = zeta(omega)), and
 L(v - T_tau) - L(v + T_tau) into -4 eta v + 2 pi i, so t and theta
 advance per period by
@@ -100,6 +102,7 @@ _PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
 _SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
 _POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
 _UNIT_ROUNDOFF = 2.0**-53
+_ROUNDING_ULPS = 8          # the unbounded Kepler inversion stops this near t's rounding
 _REAL_SNAP = 1e-9
 
 
@@ -339,11 +342,10 @@ def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
     representative of w_k holds it; on rhombic lattices it is often not
     w_k itself (rho = 6.6 against |w_k| = 37 near the escape threshold).
     """
-    per = lat.periods
     if bounded:
-        return abs(per.omega_k(k))
-    w1, w2 = 2.0 * per.omega, 2.0 * per.omega_prime
-    u0 = lat.reduce(per.omega_k(k))[0]
+        return abs(lat.periods.omega_k(k))
+    w1, w2 = 2.0 * lat.basis.omega, 2.0 * lat.basis.omega_prime
+    u0 = lat.reduce(lat.periods.omega_k(k))[0]
     return min(abs(u0 + m * w1 + n * w2) for m in range(-2, 3) for n in range(-2, 3))
 
 
@@ -386,10 +388,10 @@ def _orbit_point(ctx: SolutionContext, tau: float,
                  timed: bool = True) -> tuple[float | None, float, float]:
     """(t, r, dr/dtau) at pseudo-time tau; t is None unless ``timed``.
 
-    p, p' and zeta at the real, pericenter-centered tau_c give r and
-    dr/dtau and, for bounded motion, t: from the nome series when bounded,
-    from one kernel call otherwise.  Unbounded t outside the pericenter
-    series takes one more call (module docstring).
+    p, p' and zeta at the real, pericenter-centered tau_c
+    (``Lattice.wp_real``) give r and dr/dtau and, for bounded motion, t.
+    Unbounded t outside the pericenter series takes zeta at one more real
+    point (module docstring).
     """
     lat = ctx.lattice
     # fold tau to the pericenter-centered representative so period
@@ -401,10 +403,9 @@ def _orbit_point(ctx: SolutionContext, tau: float,
     if abs(tau_c) < _PERI_TAU_GUARD:     # well inside the series reach tau_g
         r, rp = ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
     else:
-        p, pp, zt = (lat.nome_series.at(tau_c) if ctx.bounded
-                     else lat.wp_all(complex(tau_c))[:3])
-        r = ctx.r_m + 0.25 * fp_m / (p.real - ctx.e_k)
-        rp = (-0.25 * fp_m * pp / (p - ctx.e_k) ** 2).real
+        p, pp, zt = lat.wp_real(tau_c)
+        r = ctx.r_m + 0.25 * fp_m / (p - ctx.e_k)
+        rp = -0.25 * fp_m * pp / (p - ctx.e_k) ** 2
     if not timed:
         return None, r, rp
     if not ctx.bounded:
@@ -421,27 +422,21 @@ def _orbit_point(ctx: SolutionContext, tau: float,
             bracket = 2.0 * zt + pp / (p - ctx.e_k)
         else:
             # w_k is real: zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k
-            w_k = lat.periods.omega_k(ctx.k)
+            w_k = lat.periods.omega_k(ctx.k).real
             bracket = math.copysign(2.0, tau_c) * (
-                lat.zeta(abs(tau_c) - w_k) + lat.periods.eta_k(ctx.k))
-        t = (ctx.r_m * tau_c
-             - (1.0 / ctx.state.alpha) * (2.0 * ctx.e_k * tau_c + bracket)).real
+                lat.wp_real(abs(tau_c) - w_k)[2] + lat.periods.eta_k(ctx.k).real)
+        t = ctx.r_m * tau_c - (1.0 / ctx.state.alpha) * (2.0 * ctx.e_k * tau_c + bracket)
     return (t + n * ctx.T_t if n else t), r, rp
 
 
 def _radius_and_slope(ctx: SolutionContext, tau: float) -> tuple[float, float]:
-    """(r, dr/dtau) at pseudo-time tau from one kernel evaluation."""
+    """(r, dr/dtau) at pseudo-time tau from one series evaluation."""
     return _orbit_point(ctx, tau, timed=False)[1:]
 
 
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Radius at pseudo-time tau measured from pericenter passage (even in tau)."""
     return _radius_and_slope(ctx, tau)[0]
-
-
-def r_prime_of_tau(ctx: SolutionContext, tau: float) -> float:
-    """dr/dtau; equals +/- sqrt(f(r)) along the trajectory."""
-    return _radius_and_slope(ctx, tau)[1]
 
 
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
@@ -517,11 +512,11 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
     """Physical time since pericenter passage, t(0) = 0, odd and increasing.
 
-    p, p' and zeta at real tau (the nome series when bounded, one kernel
-    call otherwise): the addition theorem turns the pair
-    zeta(tau - w_k) + zeta(tau + w_k) into 2 zeta(tau) + p'(tau)/(p(tau) - e_k).
-    Unbounded motion takes the pair as 2 zeta(|tau| - w_k) + 2 eta_k, odd in
-    tau, from a second call, and |tau| < tau_g takes the pericenter series
+    p, p' and zeta at real tau (``Lattice.wp_real``): the addition theorem
+    turns the pair zeta(tau - w_k) + zeta(tau + w_k) into
+    2 zeta(tau) + p'(tau)/(p(tau) - e_k).  Unbounded motion takes the pair
+    as 2 zeta(|tau| - w_k) + 2 eta_k, odd in tau, from a second
+    evaluation, and |tau| < tau_g takes the pericenter series
     instead (module docstring).  Bounded motion folds whole pseudo-periods,
     t(tau + n T_tau) = t(tau) + n T_t.
     """
@@ -538,7 +533,8 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
     starts from the pericenter series or the pole term of t at w_r
     (``_unbounded_start``).  Each
     step takes t, t' = r and t'' = dr/dtau from one evaluation; a step that
-    leaves the bracket bisects it.  Once |t(tau) - t| <= 1e-13 max(1, |t|)
+    leaves the bracket bisects it.  Once |t(tau) - t| <= 1e-13 max(1, |t|),
+    or on unbounded motion the rounding level of t (``_halley_bisect``),
     one more Newton step from the same evaluation refines tau.
     """
     return _invert(ctx, t)[0]
@@ -609,13 +605,38 @@ def _kepler_start(ctx: SolutionContext, t: float) -> float:
 
 def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
                    guess: float) -> tuple[float, float, float]:
+    """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess.
+
+    The steps stop once |t(tau) - t| <= 1e-13 max(1, |t|), and one more
+    Newton step h = -err/r from the same evaluation refines tau.  Unbounded
+    motion outside the pericenter series, where t = r_m tau -
+    (2 e_k tau + S)/a rounds its two terms and scales them by 1/a, relaxes
+    the stop so that it never chases rounding noise down to the last ulp
+    of tau (48 evaluations per sample at a = 1e-6 before):
+    - to at least _ROUNDING_ULPS units of that rounding level,
+      eps (|2 e_k tau| + |S|)/|a|, with S = a (r_m tau - t) - 2 e_k tau
+      recovered from t;
+    - and it also stops once the residual that the Newton step leaves,
+      h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 (the next terms of the Taylor
+      series of t, whose second and third derivatives are dr/dtau and
+      f'(r)/2), is within that stop.
+    """
     tol = 1e-13 * max(1.0, abs(t))
     tau = min(max(guess, lo), hi)
+    unbounded, a = not ctx.bounded, ctx.state.alpha
     for _ in range(100):
         t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
-        if abs(err) <= tol:
-            # one more Newton step for free: tau to O(err^2), r and r' by Taylor
+        done = abs(err) <= tol
+        if not done and unbounded and abs(tau) >= ctx.series_reach:
+            x = 2.0 * ctx.e_k * tau
+            s = a * (ctx.r_m * tau - t_tau) - x
+            stop = _ROUNDING_ULPS * _UNIT_ROUNDOFF * (abs(x) + abs(s)) / abs(a)
+            h = err / r
+            left = h * h * (0.5 * abs(rp) + abs(ctx.f.df(r) * h) / 12.0)
+            done = min(abs(err), left) <= max(tol, stop)
+        if done:
+            # tau to O(err^2), r and r' by Taylor
             step = -err / r
             return tau + step, r + rp * step, rp + 0.5 * ctx.f.df(r) * step
         if err > 0.0:
@@ -664,11 +685,6 @@ def time_of_flight_implicit(ctx: SolutionContext, r_start: float, r_end: float,
     val = ((2.0 / a) * (ctx.lattice.zeta(rho_a) - ctx.lattice.zeta(rho_b))
            + e / (3.0 * a) * (rho_a - rho_b))
     return val.real
-
-
-def propagate(state: InitialState, dt: float) -> PropagatedState:
-    """Full state at epoch + dt; theta is measured from the epoch position."""
-    return propagate_ctx(build_context(state), dt)
 
 
 def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:

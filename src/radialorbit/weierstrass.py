@@ -1,52 +1,43 @@
 """Weierstrass elliptic functions for real invariants (g2, g3).
 
-Evaluation strategy: the Laurent/Taylor series of p, p', zeta and sigma
-about the origin, combined with argument reduction into the fundamental
-cell and the duplication formulas
+One kernel serves every lattice: the Fourier series in the nome
+q = exp(i pi tau), tau = omega3/omega1, of a basis (omega1, omega3) with
+Im tau > 0 (``NomeSeries``).  With k = pi/(2 omega1), u = k z and
+c_n = q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 and 23.6.9 give
 
-    p(2z)  = (p''/p')^2 / 4 - 2 p,          p'' = 6 p^2 - g2/2
-    p'(2z) = D (12 p - D^2) / 4 - p',       D = p''/p'
-    z(2z)  = 2 zeta(z) + p''/(2 p'),
-    s(2z)  = -sigma(z)^4 p'(z),
+    p     = -eta1/omega1 + k^2 (csc^2 u - 8 sum n c_n cos 2nu),
+    zeta  = eta1 z/omega1 + k (cot u + 4 sum c_n sin 2nu),
+    sigma = k^-1 exp(eta1 z^2/(2 omega1))
+            sum (-1)^n q^(n(n+1)) sin (2n+1)u / sum (-1)^n (2n+1) q^(n(n+1)),
 
-so a reduced argument is halved until the series converges to machine
-precision and then doubled back.  Each duplication step amplifies the
-rounding error of its input, so the kernel halves only as far as the
-truncation bound requires.  The Laurent coefficients are
-c_k = (2k-1) sum_w w^(-2k) over the nonzero lattice vectors w, hence
-
-    |c_k z^(2k)| <= (2k-1) sum_w (|z|/|w|)^(2k),
-
-and the first omitted term of the p series, relative to its leading 1/z^2,
-stays below the unit roundoff for |z| up to the radius where that bound at
-k = TERMS + 1 equals 2^-53.  With 30 terms the radius is about half the
-shortest lattice vector, so a point of a squat cell needs at most one
-duplication; the radius grows only like (2^-53)^(1/(2 TERMS)), so further
-terms save few duplications.  The series are summed in Horner form in z^2;
-the coefficient lists and the radius are made on a lattice's first kernel
-call.  Values outside the cell follow from periodicity of p, p' and the
+and p' by differentiation.  A point is first reduced into the centred
+cell of the basis, where |Im u| <= pi Im tau/2 bounds the growth
+e^(2n|Im u|) of the n-th term by |q|^(-n); each sum stops where a bound on
+its omitted tail falls below the unit roundoff in units of its leading
+term.  Values outside the cell follow from periodicity of p, p' and the
 quasi-periodicity of zeta and sigma.
 
-On a rectangular lattice (positive discriminant) p, p' and zeta also have
-Fourier series in the nome q = exp(-pi |omega'|/omega) (DLMF 23.8.1-23.8.2,
-``NomeSeries``): on the real axis one (sin, cos) pair and a few terms
-(q <= 0.07 on most lattices of bounded motion, so under ten), and off it
-up to |Im z| = |omega'| a few more, with constants made once per lattice.
-They serve bounded motion whole: the per-sample path, and in construction
-the theta pole, where the Newton polish of the inverse runs on them.  The
-Laurent kernel serves the rhombic lattices of unbounded motion (their eta
-and every evaluation), unbounded motion on rectangular lattices and
-callers of ``wp_all``, ``sigma`` and ``wp_inverse``.  The series take
-omega and eta as they are, so they inherit their error from the roots
-e_i, which grows near the double-root boundary.
+The basis:
+- A rectangular lattice (positive discriminant) uses (omega, omega') of
+  A&S 18.9, with q = exp(-pi |omega'|/omega) real.  On the real axis its
+  sums take one (sin u, cos u) pair and a fixed list of terms (``at``):
+  q <= 0.07 on most lattices of bounded motion, so under ten.  Its half
+  periods and eta come from K and E in closed form.
+- A rhombic lattice (negative discriminant) keeps its half periods from
+  Carlson R_F at the conjugate pair and evaluates on their
+  Lagrange-reduced basis, where Im tau >= sqrt(3)/2 and so
+  |q| <= exp(-pi sqrt(3)/2) = 0.066.  eta1 is the series' constant term,
+  eta1 = omega1 k^2 (1/3 - 8 sum n c_n), and eta3 follows from the
+  Legendre relation eta1 omega3 - eta3 omega1 = i pi/2.  The eta of any
+  half period is the same integer combination of eta1 and eta3 as the
+  half period is of omega1 and omega3.
 
-Half-periods and eta come from K and E for a positive discriminant
-(rectangular lattice, A&S 18.9), in closed form and with no kernel call,
-and from the conjugate-pair construction via Carlson R_F, with eta from the
-kernel, for a negative one (rhombic lattice).  Conventions follow A&S
-ch. 18: omega1 = omega, omega2 = omega + omega', omega3 = omega',
-p(omega_k) = e_k, with the roots e1, e2, e3 ordered by descending
-imaginary then real part.
+So the Legendre relation and p(omega_k) = e_k hold by construction, and
+no kernel call is made to build a lattice.  The series take omega and eta
+as they are, so they inherit their error from the roots e_i, which grows
+near the double-root boundary.  Conventions follow A&S ch. 18: omega1 =
+omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k, with
+the roots e1, e2, e3 ordered by descending imaginary then real part.
 """
 
 from __future__ import annotations
@@ -64,8 +55,7 @@ from .errors import (
     WpInverseError,
 )
 
-_SERIES_TERMS = 30          # Laurent coefficients c_2..c_{TERMS}
-_UNIT_ROUNDOFF = 2.0**-53   # truncation target of the series at the halving radius
+_UNIT_ROUNDOFF = 2.0**-53   # truncation target of the series
 _POLE_GUARD = 1e-12         # |z - lattice point| below which p, p' and zeta raise
 
 
@@ -141,20 +131,20 @@ def g_roots(inv: Invariants) -> GRoots:
 class Lattice:
     """Immutable evaluation context for one pair of invariants.
 
-    Construction computes the cubic roots, the half-periods and the eta
-    values: in closed form from K and E on a rectangular lattice, through
-    the Laurent kernel on a rhombic one.  The Laurent coefficients, the
-    halving radius and the nome series of a rectangular lattice are made
-    on first use.  All evaluation methods are pure.
+    Construction computes the cubic roots, the half-periods, the eta
+    values and the nome series of the kernel basis (module docstring):
+    ``basis`` holds omega1, omega3, eta1 and eta3 of that basis, which is
+    ``periods`` itself on a rectangular lattice.  All evaluation methods
+    are pure.
     """
 
     def __init__(self, inv: Invariants) -> None:
         self.inv = inv
         self.roots = g_roots(inv)
         if self.roots.discriminant > 0.0:
-            self.periods = self._rectangular_periods()
+            self._rectangular_periods()
         else:
-            self.periods = self._rhombic_periods()
+            self._rhombic_periods()
 
     @classmethod
     def from_invariants(cls, g2: float, g3: float) -> "Lattice":
@@ -162,8 +152,8 @@ class Lattice:
 
     # -- construction ----------------------------------------------------
 
-    def _rectangular_periods(self) -> HalfPeriods:
-        """Half periods and eta values of three real roots e1 > e2 > e3.
+    def _rectangular_periods(self) -> None:
+        """Half periods, eta values and series of three real roots e1 > e2 > e3.
 
         With d = e1 - e3, m = (e2 - e3)/d and m1 = (e1 - e2)/d, each from
         its own root difference so that neither loses digits as 1 - the
@@ -187,203 +177,116 @@ class Lattice:
         big_k, big_e = elliptic_KE(m, m1)
         big_k1, big_e1 = elliptic_KE(m1, m)
         omega, omega_i = big_k / s, big_k1 / s
-        return HalfPeriods(omega=complex(omega, 0.0),
-                           omega_prime=complex(0.0, omega_i),
-                           eta=complex(s * big_e - e1 * omega, 0.0),
-                           eta_prime=complex(0.0, -(s * big_e1 + e3 * omega_i)))
+        eta = s * big_e - e1 * omega
+        self.periods = self.basis = HalfPeriods(
+            omega=complex(omega, 0.0), omega_prime=complex(0.0, omega_i),
+            eta=complex(eta, 0.0), eta_prime=complex(0.0, -(s * big_e1 + e3 * omega_i)))
+        self.nome_series = NomeSeries(math.pi / (2.0 * omega),
+                                      math.exp(-math.pi * omega_i / omega), eta / omega)
 
-    def _rhombic_periods(self) -> HalfPeriods:
-        """Half periods from R_F at the conjugate pair; eta from the kernel.
+    def _rhombic_periods(self) -> None:
+        """Half periods from R_F at the conjugate pair; eta from the series.
 
-        e2 is real and e1, e3 a conjugate pair.  The real half period comes
-        from R_F at the real root for (g2, g3); the imaginary one is the same
-        object for (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3).  The basis
-        is set before ``_finish_periods``, whose kernel calls reduce on it;
-        the halving radius made from it holds after that conjugates or
-        flips it, which keeps every vector length.
+        e2 is real and e1, e3 a conjugate pair.  The real half period
+        w_r = R_F(0, e2 - e1, e2 - e3) comes from the real root for
+        (g2, g3); the imaginary one w_i is the same object for (g2, -g3),
+        by p(iz; g2, -g3) = -p(z; g2, g3) (``_rf_zero_pair``).
+        omega = (w_r - i w_i)/2 is the half period with p(omega) = e1, and
+        omega' = conj(omega) puts Im(omega'/omega) > 0, so omega + omega'
+        = w_r.  The series of the reduced basis give eta1, Legendre's
+        relation eta3, and each of eta, eta' is the combination of the two
+        that its half period is of the basis.
         """
-        e1, e2, e3 = self.roots.e_tilde
-        om_r = carlson_rf(0.0, e2 - e1, e2 - e3)
-        om_i = carlson_rf(0.0, e1 - e2, e3 - e2)
-        self.periods = HalfPeriods(omega=0.5 * complex(abs(om_r), abs(om_i)),
-                                   omega_prime=0.5 * complex(-abs(om_r), abs(om_i)),
-                                   eta=0j, eta_prime=0j)
-        return self._finish_periods()
+        e1, e2, _ = self.roots.e_tilde
+        w_r, w_i = _rf_zero_pair(e2 - e1), _rf_zero_pair(e1 - e2)
+        omega = 0.5 * complex(w_r, -w_i)
+        omega_p = omega.conjugate()
+        b1, b3 = _reduced_basis(omega, omega_p)
+        k = math.pi / (2.0 * b1)
+        series = NomeSeries(k, cmath.exp(1j * math.pi * b3 / b1))
+        eta1 = series.eta_over_omega * b1
+        eta3 = (eta1 * b3 - 0.5j * math.pi) / b1
+        self.basis = HalfPeriods(omega=b1, omega_prime=b3, eta=eta1, eta_prime=eta3)
+        self.nome_series = series
 
-    @cached_property
-    def _lengths(self) -> tuple[float, ...]:
-        """Lengths of the nonzero vectors of the 5 x 5 block of the basis."""
-        w1 = 2.0 * self.periods.omega
-        w2 = 2.0 * self.periods.omega_prime
-        return tuple(abs(m * w1 + n * w2)
-                     for m in range(-2, 3) for n in range(-2, 3) if (m, n) != (0, 0))
+        def eta_of(w: complex) -> complex:
+            x, y = _coordinates(w, b1, b3)
+            return round(x) * eta1 + round(y) * eta3
+
+        self.periods = HalfPeriods(omega=omega, omega_prime=omega_p,
+                                   eta=eta_of(omega), eta_prime=eta_of(omega_p))
 
     @cached_property
     def _dmin(self) -> float:
         """Length of the shortest lattice vector."""
-        return min(self._lengths)
-
-    @cached_property
-    def _radius(self) -> float:
-        """Halving radius of the Laurent series.
-
-        The radius R solves (2K-1) sum_w (R/|w|)^(2K) = unit roundoff for
-        the first omitted index K = TERMS + 1, the bound on the relative
-        size of the first term the p series leaves out (module docstring).
-        Vectors beyond the 5 x 5 block are at least 1.5 times longer than
-        the shortest one, so leaving them out moves R by less than 1e-10.
-        """
-        dmin = self._dmin
-        k = _SERIES_TERMS + 1
-        tail = (2 * k - 1) * math.fsum((dmin / w) ** (2 * k) for w in self._lengths)
-        return dmin * (_UNIT_ROUNDOFF / tail) ** (1.0 / (2 * k))
-
-    @cached_property
-    def _horner(self) -> tuple[tuple[float, ...], ...]:
-        return _horner_coefficients(self.inv.g2, self.inv.g3)
-
-    def _finish_periods(self) -> HalfPeriods:
-        """Fix labelling and orientation, set eta, check p(omega_k) = e_k."""
-        p = self.periods
-        omega, omega_p = p.omega, p.omega_prime
-        # Conjugate-pair labelling: pick the representative with p(omega) = e1
-        # (the R_F construction may land on e3 = conj e1).
-        p1, _, eta, _ = self._eval_raw(omega)
-        e1, _, e3 = self.roots.e_tilde
-        if abs(p1 - e1) > abs(p1 - e3):
-            omega, omega_p = omega.conjugate(), omega_p.conjugate()
-            p1, _, eta, _ = self._eval_raw(omega)
-        p3, _, eta_p, _ = self._eval_raw(omega_p)
-        # Normalize orientation so the Legendre relation reads +i pi/2.
-        legendre = eta * omega_p - eta_p * omega
-        if legendre.imag < 0.0:
-            omega_p, eta_p = -omega_p, -eta_p
-            legendre = -legendre
-        if abs(legendre - 1j * math.pi / 2.0) > 1e-10 * (1.0 + abs(legendre)):
-            raise DegenerateLatticeError(
-                f"Legendre relation violated ({legendre!r}); "
-                "invariants too close to the degenerate boundary"
-            )
-        # p is even, so the orientation flip leaves p3 as it is.
-        p2 = self._eval_raw(omega + omega_p)[0]
-        scale = max(abs(z) for z in self.roots.e_tilde) + 1.0
-        for k, val in enumerate((p1, p2, p3), start=1):
-            if abs(val - self.roots.e_tilde[k - 1]) > 1e-6 * scale:
-                raise DegenerateLatticeError(
-                    f"p(omega_{k}) does not reproduce root {k}; "
-                    "lattice construction failed (near-degenerate invariants?)"
-                )
-        return HalfPeriods(omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p)
-
-    @cached_property
-    def nome_series(self) -> "NomeSeries":
-        """The real-axis series of a rectangular lattice, made on first use."""
-        if self.roots.discriminant <= 0.0:
-            raise ValueError("the nome series needs a rectangular lattice")
-        per = self.periods
-        omega = per.omega.real
-        return NomeSeries(omega, abs(per.omega_prime.imag), per.eta.real / omega)
+        return 2.0 * min(abs(self.basis.omega), abs(self.basis.omega_prime))
 
     @cached_property
     def real_half_period(self) -> float:
         """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
         return self.periods.omega_k(1 if self.roots.discriminant > 0.0 else 2).real
 
-    # -- reduction and series ---------------------------------------------
-
-    def _cell_coordinates(self, z: complex) -> tuple[float, float, complex, complex]:
-        """(x, y, w1, w2) with z = x w1 + y w2 on the basis (2 omega, 2 omega')."""
-        w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
-        det = w1.real * w2.imag - w1.imag * w2.real
-        x = (z.real * w2.imag - z.imag * w2.real) / det
-        y = (-z.real * w1.imag + z.imag * w1.real) / det
-        return x, y, w1, w2
+    # -- reduction ---------------------------------------------------------
 
     def reduce(self, z: complex) -> tuple[complex, int, int]:
-        """Translate z by lattice vectors into the centered fundamental cell."""
-        x, y, w1, w2 = self._cell_coordinates(z)
+        """(z_c, m, n) with z = z_c + 2 m omega1 + 2 n omega3, z_c in the centred cell.
+
+        The cell is that of the kernel basis (``basis``), where the series
+        converge as the module docstring bounds.
+        """
+        w1, w3 = 2.0 * self.basis.omega, 2.0 * self.basis.omega_prime
+        x, y = _coordinates(z, w1, w3)
         m = math.floor(x + 0.5)
         n = math.floor(y + 0.5)
-        return z - m * w1 - n * w2, m, n
-
-    def _eval_raw(self, z: complex) -> tuple[complex, complex, complex, complex]:
-        """(p, p', zeta, sigma) at z, assumed inside (or near) the cell."""
-        r = abs(z)
-        if r == 0.0:
-            raise PoleProximityError("evaluation at a lattice point")
-        halvings = 0
-        if r > self._radius:
-            halvings = math.ceil(math.log2(r / self._radius))
-        zs = z / (2**halvings)
-
-        # p = 1/z^2 + sum c_k z^(2k-2); zeta = 1/z - sum c_k z^(2k-1)/(2k-1)
-        # p' = -2/z^3 + sum (2k-2) c_k z^(2k-3); log(sigma/z) = -sum c_k z^(2k)/((2k-1)2k)
-        # Each sum is z^j times a polynomial in u = z^2, summed by Horner.
-        u = zs * zs
-        sp = spp = szt = sls = 0j
-        for cp, cpp, czt, cls in self._horner:
-            sp = sp * u + cp
-            spp = spp * u + cpp
-            szt = szt * u + czt
-            sls = sls * u + cls
-        p = 1.0 / u + u * sp
-        pp = zs * spp - 2.0 / (u * zs)
-        zt = 1.0 / zs - zs * u * szt
-        sg = zs * cmath.exp(-u * u * sls)
-
-        g2 = self.inv.g2
-        for _ in range(halvings):
-            ppp = 6.0 * p * p - 0.5 * g2
-            d = ppp / pp
-            sg = -(sg**4) * pp
-            zt = 2.0 * zt + 0.5 * d
-            p_new = 0.25 * d * d - 2.0 * p
-            pp = 0.25 * d * (12.0 * p - d * d) - pp
-            p = p_new
-        return p, pp, zt, sg
+        return z - m * w1 - n * w3, m, n
 
     # -- public evaluation -------------------------------------------------
 
-    def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
-        """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
+    def _values(self, z: complex) -> tuple[complex, complex, complex]:
+        """(p, p', zeta) at arbitrary z."""
         zr, m, n = self.reduce(complex(z))
         if abs(zr) < _POLE_GUARD:
             raise PoleProximityError(
                 f"|z - lattice| = {abs(zr):.2e} below pole guard {_POLE_GUARD:.1e}"
             )
-        p, pp, zt, sg = self._eval_raw(zr)
+        p, pp, zt = self.nome_series.at_complex(zr)
         if m or n:
-            eta_mn, sg = self._shift(zr, m, n, sg)
-            zt = zt + eta_mn
-        return p, pp, zt, sg
+            zt += 2.0 * (m * self.basis.eta + n * self.basis.eta_prime)
+        return p, pp, zt
 
-    def _shift(self, zr: complex, m: int, n: int,
-               sg: complex) -> tuple[complex, complex]:
-        """(zeta increment, sigma) at zr + 2 m omega + 2 n omega', sg = sigma(zr)."""
-        per = self.periods
-        eta_mn = 2.0 * (m * per.eta + n * per.eta_prime)
-        sign = -1.0 if (m + n + m * n) % 2 else 1.0
-        return eta_mn, sg * sign * cmath.exp(
-            eta_mn * (zr + m * per.omega + n * per.omega_prime)
-        )
+    def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
+        """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
+        return (*self._values(z), self._sigma(z))
+
+    def wp_real(self, x: float) -> tuple[float, float, float]:
+        """(p, p', zeta) at real x, all three real.
+
+        A rectangular lattice sums its real-axis series (``NomeSeries.at``);
+        a rhombic one reduces x into the cell of its basis, off the real
+        axis, and takes the real parts.
+        """
+        if self.roots.discriminant > 0.0:
+            return self.nome_series.at(x)
+        p, pp, zt = self._values(x)
+        return p.real, pp.real, zt.real
 
     def wp(self, z: complex) -> complex:
-        return self.wp_all(z)[0]
+        return self._values(z)[0]
 
     def zeta(self, z: complex) -> complex:
-        return self.wp_all(z)[2]
+        return self._values(z)[2]
 
     def sigma(self, z: complex) -> complex:
+        return self._sigma(z)
+
+    def _sigma(self, z: complex) -> complex:
         zr, m, n = self.reduce(complex(z))
-        if abs(zr) < 1e-300:
-            return 0j
-        if abs(zr) < _POLE_GUARD:
-            # sigma is entire; only the shared evaluator guard is bypassed.
-            sg = zr
-        else:
-            sg = self._eval_raw(zr)[3]
+        sg = self.nome_series.sigma(zr)
         if m or n:
-            sg = self._shift(zr, m, n, sg)[1]
+            b = self.basis
+            eta_mn = 2.0 * (m * b.eta + n * b.eta_prime)
+            sign = -1.0 if (m + n + m * n) % 2 else 1.0
+            sg *= sign * cmath.exp(eta_mn * (zr + m * b.omega + n * b.omega_prime))
         return sg
 
     def log_sigma(self, z: complex) -> complex:
@@ -435,7 +338,7 @@ class Lattice:
             raise ValueError("branch must be +1 or -1")
         e1, e2, e3 = self.roots.e_tilde
         found = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w,
-                                     self.wp_all, 0.25 * self._dmin)
+                                     self._values, 0.25 * self._dmin)
         if found is None:
             raise WpInverseError(f"inversion failed for w={w!r}")
         return self._select_branch(found[0], branch)
@@ -529,7 +432,8 @@ class Lattice:
 
     def _canonical(self, z: complex) -> complex:
         """Representative with cell coordinates in [0, 1); real input -> [0, 2w)."""
-        x, y, w1, w2 = self._cell_coordinates(z)
+        w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
+        x, y = _coordinates(z, w1, w2)
         z = z - math.floor(x + 1e-13) * w1 - math.floor(y + 1e-13) * w2
         if abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
             z = complex(z.real, 0.0)
@@ -537,46 +441,62 @@ class Lattice:
 
 
 class NomeSeries:
-    """p, p' and zeta at real z on a rectangular lattice (DLMF 23.8.1-23.8.2).
+    """p, p', zeta and sigma of one lattice basis from its nome series.
 
-    With k = pi/(2 omega), u = k z, the nome q = exp(-pi |omega'|/omega)
-    and c_n = q^(2n)/(1 - q^(2n)):
+    With k = pi/(2 omega1), u = k z, the nome q = exp(i pi omega3/omega1)
+    and c_n = q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 give
 
         p     = -eta/omega + k^2 (csc^2 u - 8 sum n c_n cos 2nu),
         p'    = k^3 (-2 cos u/sin^3 u + 16 sum n^2 c_n sin 2nu),
-        zeta  = eta z/omega + k (cot u + 4 sum c_n sin 2nu).
+        zeta  = eta z/omega + k (cot u + 4 sum c_n sin 2nu),
 
-    sin u and cos u are taken directly, since csc^2 u from 1 - cos 2u
-    would lose digits near the pole, and sin 2nu, cos 2nu follow by angle
-    addition.  The series stops before the first n with
-    16 n^2 c_n <= 2^-53 (1 - q).  From that n on, successive terms shrink
-    by at most ((n+1)/n)^2 q^2, and that is below q at the stopping index
-    for every q < 0.98 (q = 0.41 on the bounded near-escape states of the
-    benchmark).  So the omitted tail of each sum is below the unit
-    roundoff in units of k^2, k^3 and k, the sizes of the leading terms
-    csc^2 u >= 1, the cube and the cotangent.
+    eta/omega = eta1/omega1 = k^2 (1/3 - 8 sum n c_n), and DLMF 23.6.9 the
+    theta_1 form of sigma (``sigma``).  k, q and eta/omega are real on a
+    rectangular lattice and complex on a rhombic one.  sin u and cos u are
+    taken directly, since csc^2 u from 1 - cos 2u would lose digits near
+    the pole, and the sines and cosines of multiples of u follow by angle
+    addition.
+
+    On the real axis of a rectangular lattice (``at``) the sums stop
+    before the first n with 16 n^2 c_n <= 2^-53 (1 - q).  From that n on,
+    successive terms shrink by at most ((n+1)/n)^2 q^2, and that is below
+    q at the stopping index for every q < 0.98 (q = 0.41 on the bounded
+    near-escape states of the benchmark).  So the omitted tail of each sum
+    is below the unit roundoff in units of k^2, k^3 and k, the sizes of
+    the leading terms csc^2 u >= 1, the cube and the cotangent.  The same
+    list of terms gives eta/omega when it is not known in closed form.
     """
 
-    __slots__ = ("k", "nome", "eta_over_omega", "terms")
+    __slots__ = ("k", "nome", "eta_over_omega", "terms", "theta1_prime")
 
-    def __init__(self, omega: float, omega_imag: float, eta_over_omega: float) -> None:
-        q = math.exp(-math.pi * omega_imag / omega)
-        q2 = q * q
+    def __init__(self, k: complex, nome: complex,
+                 eta_over_omega: complex | None = None) -> None:
+        q2 = nome * nome
+        bound = _UNIT_ROUNDOFF * (1.0 - abs(nome))
         terms = []
         n, q2n = 1, q2
         while True:
             c = q2n / (1.0 - q2n)
-            if 16.0 * n * n * c <= _UNIT_ROUNDOFF * (1.0 - q):
+            if 16.0 * n * n * abs(c) <= bound:
                 break
             terms.append((8.0 * n * c, 16.0 * n * n * c, 4.0 * c))
             n, q2n = n + 1, q2n * q2
-        self.k = math.pi / (2.0 * omega)
-        self.nome = q
+        if eta_over_omega is None:
+            eta_over_omega = k * k * (1.0 / 3.0 - sum(a for a, _, _ in reversed(terms)))
+        # theta_1'(0) / (2 q^(1/4)) = sum (-1)^n (2n+1) q^(n(n+1)), n >= 0
+        norm, n, qn, q2n = 1.0, 1, q2, q2
+        while (2 * n + 1) * abs(qn) > _UNIT_ROUNDOFF:
+            norm += (-1) ** n * (2 * n + 1) * qn
+            n, q2n = n + 1, q2n * q2
+            qn *= q2n
+        self.k = k
+        self.nome = nome
         self.eta_over_omega = eta_over_omega
         self.terms = tuple(terms)   # (8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ...
+        self.theta1_prime = norm
 
     def at(self, x: float) -> tuple[float, float, float]:
-        """(p, p', zeta) at real x."""
+        """(p, p', zeta) at real x on a rectangular lattice."""
         k = self.k
         u = k * x
         s, c = math.sin(u), math.cos(u)
@@ -599,32 +519,33 @@ class NomeSeries:
         return p, pp, zt
 
     def at_complex(self, z: complex) -> tuple[complex, complex, complex]:
-        """(p, p', zeta) at complex z with |Im z| <= |omega'|.
+        """(p, p', zeta) at z in the centred cell of the basis.
 
-        The same series continued off the real axis: sin 2nu and cos 2nu
-        grow like e^(2n|Im u|), so the n-th term of the p' sum is at most
-        B_n = 16 n^2 c_n e^(2n|Im u|), and B_(n+1)/B_n <= r_n =
-        ((n+1)/n)^2 q^2 e^(2|Im u|), which falls with n.  |Im u| <=
-        pi |omega'|/(2 omega) makes e^(2|Im u|) <= 1/q, so r_n <= 4q.  The
-        sums stop before the first n with r_n < 1 and B_n <= 2^-53 (1 - r_n),
-        so the omitted tail of each is below the unit roundoff in units of
-        k^2, k^3 and k.
+        The same series off the real axis: sin 2nu and cos 2nu grow like
+        e^(2n|Im u|), so the n-th term of the p' sum is at most
+        B_n = 16 n^2 |c_n| e^(2n|Im u|), and B_(n+1)/B_n <= r_n =
+        ((n+1)/n)^2 |q|^2 e^(2|Im u|), which falls with n.  In the cell
+        |Im u| <= pi Im(omega3/omega1)/2 makes e^(2|Im u|) <= 1/|q|, so
+        r_n <= 4|q|.  The sums stop before the first n with r_n < 1 and
+        B_n <= 2^-53 (1 - r_n), so the omitted tail of each is below the
+        unit roundoff in units of |k|^2, |k|^3 and |k|.
         """
         k = self.k
         u = k * z
         s, c = cmath.sin(u), cmath.cos(u)
-        if abs(s) < k * _POLE_GUARD:
+        if abs(s) < abs(k) * _POLE_GUARD:
             raise PoleProximityError(f"argument {z!r} at a lattice point")
         s2, c2 = 2.0 * s * c, (c - s) * (c + s)
         q2 = self.nome * self.nome
         spread = math.exp(2.0 * abs(u.imag))
+        step = abs(q2) * spread
         sn, cn = s2, c2
         sp = spp = szt = 0j
         n, q2n, grow = 1, q2, spread
         while True:
             cq = q2n / (1.0 - q2n)
-            bound = 16.0 * n * n * cq * grow
-            ratio = ((n + 1) / n) ** 2 * q2 * spread
+            bound = 16.0 * n * n * abs(cq) * grow
+            ratio = ((n + 1) / n) ** 2 * step
             if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
                 break
             sp += 8.0 * n * cq * cn
@@ -640,19 +561,71 @@ class NomeSeries:
         zt = self.eta_over_omega * z + k * (c * inv_s + szt)
         return p, pp, zt
 
+    def sigma(self, z: complex) -> complex:
+        """sigma(z) at z in the centred cell (DLMF 23.6.9, 20.2.1).
 
-def _horner_coefficients(g2: float, g3: float) -> tuple[tuple[float, ...], ...]:
-    """Coefficients of u^(k-2) in the p, p', zeta and log sigma sums, k descending."""
-    # c_2 = g2/20, c_3 = g3/28, c_k = 3 sum(c_m c_{k-m}) / ((2k+1)(k-3)).
-    # The sum is symmetric in m <-> k-m: each pair enters doubled, which is
-    # exact, so the correctly rounded fsum is unchanged bit for bit.
-    c = [0.0, 0.0, g2 / 20.0, g3 / 28.0]
-    for k in range(4, _SERIES_TERMS + 1):
-        terms = [2.0 * c[m] * c[k - m] for m in range(2, (k + 1) // 2)]
-        if k % 2 == 0:
-            terms.append(c[k // 2] * c[k // 2])
-        c.append(3.0 * math.fsum(terms) / ((2 * k + 1) * (k - 3)))
-    return tuple(
-        (c[k], (2 * k - 2) * c[k], c[k] / (2 * k - 1), c[k] / ((2 * k - 1) * (2 * k)))
-        for k in range(_SERIES_TERMS, 1, -1)
-    )
+        sigma = exp(eta z^2/(2 omega)) T(u)/(k T'(0)) with
+        T(u) = sum (-1)^n q^(n(n+1)) sin (2n+1)u, theta_1 without its
+        factor 2 q^(1/4).  |sin (2n+1)u| <= (2n+1) e^(2n|Im u|) |sin u|, so
+        the n-th term is at most A_n = (2n+1) |q|^(n(n+1)) e^(2n|Im u|) in
+        units of the leading sin u, and A_(n+1)/A_n <= s_n =
+        (2n+3)/(2n+1) |q|^(2n+2) e^(2|Im u|), which falls with n.  The sum
+        stops before the first n with s_n < 1 and A_n <= 2^-53 (1 - s_n).
+        """
+        k = self.k
+        u = k * z
+        s, c = cmath.sin(u), cmath.cos(u)
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        q2 = self.nome * self.nome
+        spread = math.exp(2.0 * abs(u.imag))
+        acc, sn, cn = s, s, c
+        n, qn, q2n, grow = 1, q2, q2, spread
+        while True:
+            bound = (2 * n + 1) * abs(qn) * grow
+            ratio = (2 * n + 3) / (2 * n + 1) * abs(q2n * q2) * spread
+            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
+                break
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+            acc += qn * sn if n % 2 == 0 else -qn * sn
+            n, q2n, grow = n + 1, q2n * q2, grow * spread
+            qn *= q2n
+        return cmath.exp(0.5 * self.eta_over_omega * z * z) * acc / (k * self.theta1_prime)
+
+
+def _rf_zero_pair(y: complex) -> float:
+    """R_F(0, y, conj y), with its first duplication step taken by hand.
+
+    sqrt(y) sqrt(conj y) = |y|, so duplication (DLMF 19.26.18) gives
+    2 R_F(|y|, y + |y|, conj y + |y|).  Near the negative real axis,
+    Re y + |y| = (Im y)^2/(|y| - Re y) keeps the digits that the sum, and
+    the plain algorithm's first step, cancel: near the escape threshold
+    R_F(0, e2 - e1, e2 - e3) lost 1e-13 of w_r that way.
+    """
+    r = abs(y)
+    s = y.imag * y.imag / (r - y.real) if y.real < 0.0 else y.real + r
+    y1 = complex(s, y.imag)
+    return 2.0 * carlson_rf(r, y1, y1.conjugate()).real
+
+
+def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
+    """Real (x, y) with z = x a + y b."""
+    det = a.real * b.imag - a.imag * b.real
+    return ((z.real * b.imag - z.imag * b.real) / det,
+            (z.imag * a.real - z.real * a.imag) / det)
+
+
+def _reduced_basis(a: complex, b: complex) -> tuple[complex, complex]:
+    """Lagrange-reduced basis of the lattice spanned by a and b.
+
+    Returns (a, b) with |a| <= |b|, |Re(b/a)| <= 1/2 and Im(b/a) > 0, so
+    that tau = b/a lies in the fundamental domain, where Im tau >=
+    sqrt(3)/2 (DLMF 23.18).
+    """
+    if abs(b) < abs(a):
+        a, b = b, a
+    while True:
+        b = b - round((b / a).real) * a
+        if abs(b) >= abs(a):
+            break
+        a, b = b, a
+    return (a, b) if (b / a).imag > 0.0 else (a, -b)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracle import circular_start_roots
+from radialorbit.cubic import solve_cubic
 from radialorbit.dynamics import (
     InitialState,
     MotionTag,
@@ -53,7 +54,7 @@ class TestConserved:
 class TestBuildF:
     def test_homoclinic_double_root_at_two(self):
         f = build_f(InitialState(1.0, 1.0, 0.0, 0.125))
-        assert f.double_root
+        assert solve_cubic(*f.coefficients)[2]
         roots = f.real_roots_desc()
         assert roots[0] == pytest.approx(2.0, abs=1e-10)
         assert roots[1] == pytest.approx(2.0, abs=1e-10)

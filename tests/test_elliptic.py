@@ -25,9 +25,12 @@ def test_K_matches_scipy(m):
 
 @pytest.mark.parametrize("m", [0.3, 0.8])
 def test_K_matches_quadrature(m):
-    ref, _ = quad(lambda th: 1.0 / math.sqrt(1.0 - m * math.sin(th) ** 2),
-                  0.0, math.pi / 2.0, epsabs=1e-14, epsrel=1e-14)
-    assert elliptic_K(m) == pytest.approx(ref, rel=1e-12)
+    # the defining integral by mpmath quadrature at 30 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = mp.quad(lambda th: 1 / mp.sqrt(1 - mp.mpf(m) * mp.sin(th) ** 2),
+                      [0, mp.pi / 2])
+    assert elliptic_K(m) == pytest.approx(float(ref), rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [-0.1, 1.0, 1.5, math.nan])

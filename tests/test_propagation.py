@@ -17,10 +17,8 @@ from radialorbit.propagation import (
     build_context,
     invariants_from_conserved,
     invert_kepler,
-    propagate,
     propagate_ctx,
     r_of_tau,
-    r_prime_of_tau,
     radial_kepler,
     state_at_tau,
     tau0_from_r0,
@@ -53,6 +51,11 @@ WORKED_T_T = 24.362743957667902
 WORKED_DTHETA = 6.935691098437957
 WORKED_TAU0_11 = 0.6652228189700489
 WORKED_T0_11 = 0.6875539671379249
+
+
+def r_prime_of_tau(ctx, tau):
+    """dr/dtau at pseudo-time tau, from the same evaluation as r."""
+    return propagation._orbit_point(ctx, tau, timed=False)[2]
 
 
 def shifted_worked_state(r0=1.1, sign=+1):
@@ -126,7 +129,6 @@ class TestBuildContext:
             assert sigma_calls == []
             if ctx.bounded:
                 assert kernel_calls == []
-                assert "_horner" not in vars(ctx.lattice)
             else:
                 assert [z for z in outside if z.imag != 0.0] == []
                 assert kernel_calls.count(ctx.v) == 1
@@ -134,8 +136,8 @@ class TestBuildContext:
     @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
     def test_pole_values_from_the_branch_check(self, kw):
         # the checked values at v are the nome series' at the reduced pole
-        # v - 2 omega', with 2 eta' added to zeta; the Laurent kernel at v
-        # agrees, and p'(v) = +i v_m f'(r_m)/(4 r_m)
+        # v - 2 omega', with 2 eta' added to zeta; wp_all at v agrees, and
+        # p'(v) = +i v_m f'(r_m)/(4 r_m)
         ctx = build_context(InitialState(**kw))
         lat = ctx.lattice
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
@@ -819,13 +821,13 @@ class TestInvertKepler:
         # this sweep (22 when bracketing halfway to the asymptote step by step)
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
         calls = []
-        wp_all = Lattice.wp_all
+        wp_real = Lattice.wp_real
 
-        def counted(self, z):
-            calls.append(z)
-            return wp_all(self, z)
+        def counted(self, x):
+            calls.append(x)
+            return wp_real(self, x)
 
-        monkeypatch.setattr(Lattice, "wp_all", counted)
+        monkeypatch.setattr(Lattice, "wp_real", counted)
         counts = []
         for t in np.geomspace(0.5, 500.0, 60):
             calls.clear()
@@ -843,6 +845,33 @@ class TestInvertKepler:
         assert invert_kepler(ctx, -5.0) == pytest.approx(
             -invert_kepler(ctx, 5.0), abs=1e-12
         )
+
+    def test_unbounded_stop_at_the_rounding_of_t(self, monkeypatch):
+        # past the series reach 7.32, t(tau) scales the rounding of its two
+        # terms by 1/a = 1e6, about 1e-10 here, far above 1e-13 |t|; the
+        # inversion took 42-48 kernel calls per sample chasing it.  The
+        # error against the ODE, 1.5e-9 in r and 4e-11 in theta, is the
+        # lattice's own (its roots carry the 1/a-scaled error of
+        # solve_cubic); the stop rule leaves it at the level it had
+        state = InitialState(1.0, 1.5, 0.0, 1e-6)
+        ctx = build_context(state)
+        assert not ctx.bounded and ctx.series_reach < 7.4
+        traj = oracle.integrate_ode(state, 450.0)
+        calls = []
+        wp_real = Lattice.wp_real
+
+        def counted(self, x):
+            calls.append(x)
+            return wp_real(self, x)
+
+        monkeypatch.setattr(Lattice, "wp_real", counted)
+        for t in (174.3, 200.0, 400.0):
+            calls.clear()
+            ps = propagate_ctx(ctx, t)
+            assert len(calls) <= 8
+            r_ref, th_ref, _, _ = traj.at(t)
+            assert abs(ps.r - r_ref) / r_ref < 1.6e-9
+            assert abs(ps.theta - th_ref) < 5e-11
 
 
 class TestTimeOfFlight:
@@ -894,7 +923,7 @@ class TestTimeOfFlight:
 class TestPropagate:
     def test_zero_dt_identity(self):
         state = shifted_worked_state()
-        ps = propagate(state, 0.0)
+        ps = propagate_ctx(build_context(state), 0.0)
         assert ps.r == pytest.approx(state.r0, abs=1e-10)
         assert ps.theta == pytest.approx(0.0, abs=1e-12)
         assert ps.v == pytest.approx(state.v0, rel=1e-10)
@@ -936,22 +965,24 @@ class TestPropagate:
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):
         calls = []
-        wp_all = Lattice.wp_all
+        wp_real = Lattice.wp_real
 
-        def counted(self, z):
-            calls.append(z)
-            return wp_all(self, z)
+        def counted(self, x):
+            calls.append(x)
+            return wp_real(self, x)
 
-        monkeypatch.setattr(Lattice, "wp_all", counted)
+        monkeypatch.setattr(Lattice, "wp_real", counted)
         # inside (1.1) and outside (3.0; 30.0 folds to -2.6) the series reach
-        # 2.09: bounded r, dr/dtau, t and theta come from the nome series
+        # 2.09: bounded r, dr/dtau, t and theta take one evaluation of the
+        # series at the real argument, and theta none
         for tau in (1.1, 3.0, 30.0):
+            calls.clear()
             ps = state_at_tau(worked_ctx, tau)
+            assert len(calls) == 1
             assert ps.r == r_of_tau(worked_ctx, tau)
-        assert calls == []
-        # unbounded: r, dr/dtau and t(tau) share one call at the real
-        # argument inside the series reach; outside it the zeta pair
-        # 2 zeta(|tau| - w_k) + 2 eta_k takes a second one
+        # unbounded: r, dr/dtau and t(tau) share one evaluation inside the
+        # series reach; outside it the zeta pair 2 zeta(|tau| - w_k) + 2 eta_k
+        # takes a second one
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
         for tau, count in ((0.5 * ctx.series_reach, 1),
                            (-0.5 * ctx.series_reach, 1),
@@ -959,7 +990,7 @@ class TestPropagate:
             calls.clear()
             ps = state_at_tau(ctx, tau)
             assert len(calls) == count
-            assert all(z.imag == 0.0 for z in calls)
+            assert all(isinstance(x, float) for x in calls)
             assert ps.r == r_of_tau(ctx, tau)
 
 

@@ -10,7 +10,8 @@ root comparison: the motion is bounded iff the largest real root of
 gives the angle advance per radial period, v_m T_tau - 4 Im[omega zeta(v)
 - eta v] - 2 pi, a smooth function of the pericenter speed, so closed
 orbits are the roots of a 1-D function: ``find_periodic_v`` solves it by
-safeguarded regula falsi at one context per evaluation.
+safeguarded regula falsi, each evaluation on the frame and pole stages
+of ``build_context`` alone (``build_frame``, ``build_pole``).
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import dynamics, propagation
-from .dynamics import InitialState
+from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     BracketError,
     DegenerateLatticeError,
     NoCrossingError,
     UnboundedMotionError,
 )
-from .propagation import SolutionContext, build_context
+from .propagation import SolutionContext, build_frame, build_pole
 from .weierstrass import g_roots
 
 _MARGINAL_BAND = 1e-9
@@ -40,6 +41,8 @@ class BoundednessReport:
     e_tilde_max: float     # largest real root = minimum of p on the real axis
     threshold: float       # f''(r_m)/24
     margin: float          # e_tilde_max - threshold
+    f: CubicF
+    region: MotionClass    # allowed component of f >= 0 holding r0
 
 
 def true_period_implicit(ctx: SolutionContext) -> float:
@@ -58,7 +61,8 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
     degenerate boundary where the lattice itself cannot be constructed.
     """
     f = dynamics.build_f(state)
-    r_m, _ = dynamics.pericenter(f, state.r0)
+    region = dynamics.classify_region(f, state.r0)
+    r_m, _ = dynamics.pericenter(f, region, state.r0)
     threshold = 0.5 * state.alpha * r_m + state.energy / 6.0
     inv = propagation.invariants_from_conserved(
         state.alpha, state.energy, state.momentum
@@ -76,6 +80,8 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
         e_tilde_max=e_max,
         threshold=threshold,
         margin=margin,
+        f=f,
+        region=region,
     )
 
 
@@ -161,10 +167,10 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
         raise ValueError("q = (M, N) needs N >= 1")
 
     def ratio(v_m: float) -> float:
-        ctx = build_context(InitialState(r_m, v_m, 0.0, alpha))
-        if not ctx.bounded:
+        frame = build_frame(InitialState(r_m, v_m, 0.0, alpha))
+        if frame[-1] is None:           # no T_tau
             raise UnboundedMotionError(f"v_m = {v_m} gives unbounded motion")
-        return ctx.dtheta_period / (2.0 * math.pi)
+        return build_pole(frame)[2] / (2.0 * math.pi)
 
     lo, hi = bracket
     d_lo, d_hi = ratio(lo), ratio(hi)

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from . import analysis, dynamics, propagation
+from . import analysis, propagation
 from .dynamics import InitialState
 from .errors import ConvergenceError, RadialOrbitError, WpInverseError
 
@@ -145,8 +145,7 @@ def cmd_classify(args) -> int:
     units = _Units(args.mu, args.du)
     state = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha)
     report = analysis.boundedness_from_state(state)
-    f = dynamics.build_f(state)
-    region = dynamics.classify_region(f, state.r0)
+    f, region = report.f, report.region
     verdict = ("marginal" if report.marginal
                else "bounded" if report.bounded else "unbounded")
     payload = {
@@ -220,11 +219,11 @@ def cmd_period_sweep(args) -> int:
                      + (args.alpha_hi - args.alpha_lo) * j / max(n_a - 1, 1))
             try:
                 state = units.state(args.r0, v0, 0.0, alpha)
-                ctx = propagation.build_context(state)
+                t_tau = propagation.build_frame(state)[-1]
             except RadialOrbitError:
                 continue
-            if ctx.bounded:
-                lines.append(f"{v0!r},{alpha!r},{ctx.T_tau!r}")
+            if t_tau is not None:       # bounded
+                lines.append(f"{v0!r},{alpha!r},{t_tau!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -195,13 +195,12 @@ def classify_region(f: CubicF, r0: float) -> MotionClass:
     )
 
 
-def pericenter(f: CubicF, r0: float) -> tuple[float, float]:
+def pericenter(f: CubicF, region: MotionClass, r0: float) -> tuple[float, float]:
     """(r_m, v_m): closest real root <= r0 and the speed there (v_m = h/r_m).
 
-    The pericenter is the lower endpoint of the allowed component holding
-    r0; the flight-path angle vanishes there, so h = r_m v_m.
+    The pericenter is the lower endpoint of ``region``, the allowed component
+    holding r0; the flight-path angle vanishes there, so h = r_m v_m.
     """
-    region = classify_region(f, r0)
     r_m = region.r_lo
     if r_m <= 1e-9 * r0:
         raise NoPericenterError(

@@ -56,10 +56,12 @@ that ``Lattice.log_sigma`` keeps continuous along the line Im z = Im v > 0
 on which v -/+ tau run, at two sigma evaluations (the theta_1 series of
 the lattice's basis).
 
-``build_context`` evaluates what does not depend on tau once per state:
-the pole v and zeta(v), the epoch (tau0, t0 and theta0 = theta(tau0), from
-which propagated angles are measured) and, for bounded motion, the
-periods.  The lattice of bounded motion is rectangular, with omega, eta
+``build_context`` evaluates what does not depend on tau once per state,
+in stages: ``build_frame`` (f, r_m, v_m, the lattice and T_tau),
+``build_pole`` (v, zeta(v) and dtheta) and the epoch (tau_g, T_t, tau0,
+t0 and theta0 = theta(tau0), from which propagated angles are measured).
+Period sweeps run the first stage, ``analysis.find_periodic_v`` the first
+two.  The lattice of bounded motion is rectangular, with omega, eta
 and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)
 lies below e3 (``_bounded_pole``), so v lies on the imaginary axis: R_F of
 the root gaps seeds it and Newton steps on the nome series polish it, and
@@ -144,8 +146,8 @@ class SolutionContext:
 
     @cached_property
     def _theta_series(self) -> tuple[float, float, float, complex, tuple[float, ...]]:
-        # bounded motion only; made on the first theta, so contexts that
-        # only need the periods (period sweeps, find_periodic_v) never pay for it
+        # bounded motion only; made on the first theta, which a context
+        # with a pericenter epoch, read for its periods alone, never takes
         return _theta_series(self.lattice, self.v, self.zeta_v, self.v_m)
 
 
@@ -168,14 +170,23 @@ def invariants_from_conserved(alpha: float, energy: float, momentum: float) -> I
 
 
 def build_context(state: InitialState) -> SolutionContext:
-    """Assemble the closed-form evaluation context for one initial state."""
+    """The closed-form context of one state: frame, pole and epoch stages."""
+    frame = build_frame(state)
+    return _build_epoch(state, frame, build_pole(frame))
+
+
+def build_frame(state: InitialState) -> tuple:
+    """Stage 1: (f, region, r_m, v_m, lattice, k, e_k, T_tau), T_tau None if unbounded.
+
+    Bounded motion needs the rectangular lattice T_tau is read from.
+    """
     e = state.energy
     h = state.momentum
     if h <= 0.0:
         raise NoPericenterError("closed-form solution requires h > 0")
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
-    r_m, v_m = dynamics.pericenter(f, state.r0)
+    r_m, v_m = dynamics.pericenter(f, region, state.r0)
     lat = Lattice(invariants_from_conserved(state.alpha, e, h))
 
     e_k = 0.5 * state.alpha * r_m + e / 6.0  # f''(r_m)/24
@@ -187,11 +198,18 @@ def build_context(state: InitialState) -> SolutionContext:
             "inconsistent pericenter"
         )
     k = min((1, 2, 3), key=lambda i: abs(lat.roots.e_tilde[i - 1] - e_k))
-    bounded = region.bounded
+    if not region.bounded:
+        return f, region, r_m, v_m, lat, k, e_k, None
+    if lat.roots.discriminant <= 0.0:
+        raise DegenerateLatticeError("bounded motion on a rhombic lattice")
+    return f, region, r_m, v_m, lat, k, e_k, 2.0 * lat.real_half_period
 
-    fp_m = f.df(r_m)
-    c_v = 0.25 * fp_m / r_m                # p(v) = e_k - c_v = -delta/gamma
-    if bounded:
+
+def build_pole(frame: tuple) -> tuple[complex, complex, float | None]:
+    """Stage 2: (v, zeta(v), dtheta_period), p'(v) on the +i branch."""
+    f, region, r_m, v_m, lat, k, e_k, t_tau = frame
+    c_v = 0.25 * f.df(r_m) / r_m            # p(v) = e_k - c_v = -delta/gamma
+    if region.bounded:
         v, (_, pv, zeta_v) = _bounded_pole(lat, k, e_k, c_v)
     else:
         v, (_, pv, zeta_v, _) = lat.wp_inverse_all(e_k - c_v, branch=+1)
@@ -200,20 +218,24 @@ def build_context(state: InitialState) -> SolutionContext:
         raise RadialOrbitError(
             f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
         )
+    if not region.bounded:
+        return v, zeta_v, None
+    dtheta = (v_m * t_tau
+              - 4.0 * (0.5 * t_tau * zeta_v - v * lat.periods.eta).imag
+              - 2.0 * math.pi)
+    return v, zeta_v, dtheta
 
-    if bounded:
-        # T_tau = 2 omega; T_t and dtheta in closed form (module docstring)
-        t_tau = 2.0 * lat.real_half_period
-        eta = lat.periods.eta.real
-        t_t = r_m * t_tau - (1.0 / state.alpha) * (2.0 * e_k * t_tau + 4.0 * eta)
-        dtheta = (v_m * t_tau
-                  - 4.0 * (0.5 * t_tau * zeta_v - v * lat.periods.eta).imag
-                  - 2.0 * math.pi)
-    else:
-        t_tau = t_t = dtheta = None
 
+def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionContext:
+    """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0)."""
+    f, region, r_m, v_m, lat, k, e_k, t_tau = frame
+    v, zeta_v, dtheta = pole
+    bounded = region.bounded
+    eta = lat.periods.eta.real            # T_t in closed form (module docstring)
+    t_t = (r_m * t_tau - (1.0 / state.alpha) * (2.0 * e_k * t_tau + 4.0 * eta)
+           if bounded else None)
     ctx = SolutionContext(
-        state=state, energy=e, momentum=h, f=f, region=region,
+        state=state, energy=state.energy, momentum=state.momentum, f=f, region=region,
         r_m=r_m, v_m=v_m, lattice=lat, k=k, e_k=e_k,
         bounded=bounded, v=v, zeta_v=zeta_v,
         tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
@@ -224,20 +246,18 @@ def build_context(state: InitialState) -> SolutionContext:
         # the series reaches the apocenter: T_t = 2 t(T_tau/2) from it
         # escapes the 1/a by which the closed form scales rounding error
         ctx = _replace(ctx, T_t=2.0 * radial_kepler(ctx, 0.5 * t_tau))
-    tau0 = t0 = 0.0
     if state.rdot0 == 0.0:
         # an apse: the nearer one, with no p^-1 (which leaves the real
         # axis when the cubic's root misses r0 by more than its snap)
-        if bounded and state.r0 - r_m > ctx.region.r_hi - state.r0:
-            tau0 = 0.5 * t_tau
-            t0 = radial_kepler(ctx, tau0)
+        if not (bounded and state.r0 - r_m > region.r_hi - state.r0):
+            return ctx      # the pericenter: tau0 = t0 = theta0 = 0
+        tau0 = 0.5 * t_tau
     elif abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
-        sign = 1 if state.rdot0 >= 0.0 else -1
-        tau0 = tau0_from_r0(ctx, state.r0, sign)
-        t0 = radial_kepler(ctx, tau0)
-    # theta(0) = 0 exactly; skip the two sigma calls at a pericenter epoch
-    theta0 = theta_of_tau(ctx, tau0) if tau0 else 0.0
-    return _replace(ctx, tau0=tau0, t0=t0, theta0=theta0)
+        tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
+    else:
+        return ctx
+    return _replace(ctx, tau0=tau0, t0=radial_kepler(ctx, tau0),
+                    theta0=theta_of_tau(ctx, tau0))
 
 
 def _root_offsets(lat: Lattice, k: int, e_k: float) -> tuple[float, float, float]:
@@ -264,8 +284,6 @@ def _bounded_pole(lat: Lattice, k: int, e_k: float, c_v: float
       e(r_M) gives e3 = e(r_3) (k = 2), and w_v = e(0) < e(r_3) = e3.
     The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.
     """
-    if lat.roots.discriminant <= 0.0:
-        raise DegenerateLatticeError("bounded motion on a rhombic lattice")
     gaps = tuple(d + c_v for d in _root_offsets(lat, k, e_k))
     return lat.wp_inverse_imaginary(e_k - c_v, gaps)
 
@@ -324,14 +342,6 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
         coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
         j, q2j, grow = j + 1, q2j * q * q, grow * spread
     return ns.k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
-
-
-def _periods_folded(ctx: SolutionContext, tau: float) -> tuple[int, float]:
-    """(n, tau - n T_tau) with n = floor(tau / T_tau); (0, tau) when unbounded."""
-    if not ctx.bounded:
-        return 0, tau
-    n = math.floor(tau / ctx.T_tau)
-    return n, tau - n * ctx.T_tau
 
 
 def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
@@ -429,14 +439,9 @@ def _orbit_point(ctx: SolutionContext, tau: float,
     return (t + n * ctx.T_t if n else t), r, rp
 
 
-def _radius_and_slope(ctx: SolutionContext, tau: float) -> tuple[float, float]:
-    """(r, dr/dtau) at pseudo-time tau from one series evaluation."""
-    return _orbit_point(ctx, tau, timed=False)[1:]
-
-
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Radius at pseudo-time tau measured from pericenter passage (even in tau)."""
-    return _radius_and_slope(ctx, tau)[0]
+    return _orbit_point(ctx, tau, timed=False)[1]
 
 
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
@@ -487,23 +492,23 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     sigma exp(-B), the theta_1 product, keeps off the negative real axis
     along Im z = Im v.
     """
-    n, tau = _periods_folded(ctx, tau)
     if not ctx.bounded:
         lat = ctx.lattice
         phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
                  + 2.0 * tau * ctx.zeta_v)
-        theta = ctx.v_m * tau - phase.imag
-    else:
-        k, slope, sign, e, coeffs = ctx._theta_series
-        b2 = 2.0 * k * tau
-        s2, c2 = math.sin(b2), math.cos(b2)
-        turn = complex(c2, s2)                          # e^(2ib)
-        w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
-        acc, sn, cn = 0.0, s2, c2
-        for s_j in coeffs:
-            acc += s_j * sn
-            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
-        theta = slope * tau + sign * math.atan2(w.imag, w.real) + acc
+        return ctx.v_m * tau - phase.imag
+    n = math.floor(tau / ctx.T_tau)
+    tau -= n * ctx.T_tau
+    k, slope, sign, e, coeffs = ctx._theta_series
+    b2 = 2.0 * k * tau
+    s2, c2 = math.sin(b2), math.cos(b2)
+    turn = complex(c2, s2)                          # e^(2ib)
+    w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
+    acc, sn, cn = 0.0, s2, c2
+    for s_j in coeffs:
+        acc += s_j * sn
+        sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+    theta = slope * tau + sign * math.atan2(w.imag, w.real) + acc
     return theta + n * ctx.dtheta_period if n else theta
 
 
@@ -691,7 +696,7 @@ def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:
     """State at epoch + dt."""
     t = ctx.t0 + dt
     if dt == 0.0:
-        return _state(ctx, ctx.tau0, t, *_radius_and_slope(ctx, ctx.tau0))
+        return _state(ctx, ctx.tau0, t, *_orbit_point(ctx, ctx.tau0, timed=False)[1:])
     tau, r, rp = _invert(ctx, t)
     return _state(ctx, tau, t, r, rp)
 

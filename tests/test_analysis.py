@@ -120,15 +120,25 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("family", sorted(PERIODIC_FAMILIES))
     def test_closes_the_orbit_in_few_contexts(self, family, monkeypatch):
         r_m, alpha, q, bracket, winding = PERIODIC_FAMILIES[family]
-        built = []
+        built, poles = [], []
 
         def counted(state):
             built.append(state)
-            return propagation.build_context(state)
+            return propagation.build_frame(state)
 
-        monkeypatch.setattr(analysis, "build_context", counted)
+        def recorded(frame):
+            poles.append(propagation.build_pole(frame))
+            return poles[-1]
+
+        monkeypatch.setattr(analysis, "build_frame", counted)
+        monkeypatch.setattr(analysis, "build_pole", recorded)
         v_m = analysis.find_periodic_v(r_m, alpha, q, bracket)
         assert len(built) <= 10
         assert bracket[0] < v_m < bracket[1]
         ctx = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
         assert abs(ctx.dtheta_period / (2.0 * math.pi) - winding) <= 1e-13
+        # the first two evaluations are the bracket ends, on the same route
+        # as the context's angle advance
+        for state, (_, _, dtheta) in zip(built[:2], poles[:2]):
+            assert state.v0 in bracket
+            assert dtheta == propagation.build_context(state).dtheta_period

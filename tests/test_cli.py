@@ -174,6 +174,11 @@ class TestGolden:
         assert header == "v0,alpha,T_tau"
         got = [tuple(float(x) for x in line.split(",")) for line in lines]
         assert_close([list(row) for row in got], [list(row) for row in want])
+        # the sweep's T_tau is the context's, bit for bit
+        r0 = float(argv[argv.index("--r0") + 1])
+        for v0, alpha, t_tau in got:
+            state = radialorbit.InitialState(r0, v0, 0.0, alpha)
+            assert t_tau == radialorbit.build_context(state).T_tau
 
 
 class TestPropagate:

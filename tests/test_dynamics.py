@@ -185,23 +185,23 @@ class TestClassify:
 class TestPericenter:
     def test_identity_at_pericenter_start(self):
         f = build_f(InitialState(1.0, 1.2, 0.0, 0.02))
-        r_m, v_m = pericenter(f, 1.0)
+        r_m, v_m = pericenter(f, classify_region(f, 1.0), 1.0)
         assert r_m == pytest.approx(1.0, abs=1e-12)
         assert v_m == pytest.approx(1.2, abs=1e-12)
 
     def test_worked_instance_from_r0_above(self):
         f = build_f(InitialState(1.0, 1.2, 0.0, 0.02))
-        r_m, v_m = pericenter(f, 1.1)
+        r_m, v_m = pericenter(f, classify_region(f, 1.1), 1.1)
         assert r_m == pytest.approx(1.0, abs=1e-10)
         assert v_m == pytest.approx(1.2, abs=1e-10)
 
     def test_rosette_instance(self):
         f = build_f(InitialState(1.0, 1.26014, 0.0, -0.05))
-        r_m, v_m = pericenter(f, 1.0)
+        r_m, v_m = pericenter(f, classify_region(f, 1.0), 1.0)
         assert r_m == pytest.approx(1.0, abs=1e-12)
         assert v_m == pytest.approx(1.26014, abs=1e-12)
 
     def test_h_zero_rejected(self):
         f = build_f(InitialState(1.0, 1.0, math.pi / 2.0, -0.05))
         with pytest.raises(NoPericenterError):
-            pericenter(f, 1.0)
+            pericenter(f, classify_region(f, 1.0), 1.0)

@@ -2,11 +2,13 @@
 
 Bounded radial motion has pseudo-period T_tau, the real period of the
 lattice, and physical period T_t = t(T_tau); ``build_context`` computes
-both once (``SolutionContext.T_tau`` and ``T_t``), T_t in closed form
-through eta = zeta(T_tau/2).  ``true_period_implicit`` recomputes T_t by
-the zeta quadrature of the time of flight.  Boundedness itself is a pure
-root comparison: the motion is bounded iff the largest real root of
-4 s^3 - g2 s - g3 strictly exceeds f''(r_m)/24.  The closed form also
+both once (``SolutionContext.T_tau`` and ``T_t``), in closed form from K
+and E.  ``true_period_implicit`` recomputes T_t by
+the zeta quadrature of the time of flight.  Boundedness itself is the
+root structure of f, solved once at r0 (``dynamics.build_f``): the
+allowed component holding r0 is bounded iff a root of f lies above it,
+which with a > 0 needs three real roots and r0 below the upper two.  The
+escape threshold is where those two merge.  The closed form also
 gives the angle advance per radial period, v_m T_tau - 4 Im[omega zeta(v)
 - eta v] - 2 pi, a smooth function of the pericenter speed, so closed
 orbits are the roots of a 1-D function: ``find_periodic_v`` solves it by
@@ -24,22 +26,21 @@ from . import dynamics, propagation
 from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     BracketError,
-    DegenerateLatticeError,
     NoCrossingError,
     UnboundedMotionError,
 )
 from .propagation import SolutionContext, build_frame, build_pole
-from .weierstrass import g_roots
 
 _MARGINAL_BAND = 1e-9
+_RATIO_LEVEL = 2.0**-50   # rounding level of the winding ratio: 4 ulps of the target
 
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    bounded: bool
-    marginal: bool
-    e_tilde_max: float     # largest real root = minimum of p on the real axis
-    threshold: float       # f''(r_m)/24
+    bounded: bool          # region.bounded
+    marginal: bool         # the pair that merges at escape within _MARGINAL_BAND
+    e_tilde_max: float     # largest real lattice root = minimum of p on the real axis
+    threshold: float       # f''(r_m)/24, the lattice root of r_m
     margin: float          # e_tilde_max - threshold
     f: CubicF
     region: MotionClass    # allowed component of f >= 0 holding r0
@@ -55,29 +56,23 @@ def true_period_implicit(ctx: SolutionContext) -> float:
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:
-    """Boundedness without building the full solution context.
+    """Boundedness from the roots of f alone (``propagation.lattice_roots``).
 
-    Only the two cubics are solved; usable arbitrarily close to the
-    degenerate boundary where the lattice itself cannot be constructed.
+    ``bounded`` is that of the allowed region; the margin, of the largest
+    real lattice root over e_k (0 beside a conjugate pair).  ``marginal``:
+    the two lattice roots besides e_k, which merge at the escape threshold,
+    lie within ``_MARGINAL_BAND``, |a (r_i - r_j)|/2 for f's roots.
     """
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
     r_m, _ = dynamics.pericenter(f, region, state.r0)
     threshold = 0.5 * state.alpha * r_m + state.energy / 6.0
-    inv = propagation.invariants_from_conserved(
-        state.alpha, state.energy, state.momentum
-    )
-    try:
-        e_max = g_roots(inv).max_real_root
-    except DegenerateLatticeError:
-        # exactly on the double-root boundary: margin is identically zero
-        e_max = threshold
-    margin = e_max - threshold
-    marginal = abs(margin) < _MARGINAL_BAND
+    roots, k = propagation.lattice_roots(f, region, threshold)
+    margin = (0.0, *roots.gaps[:2])[k - 1].real if roots.e_tilde[0].imag == 0.0 else 0.0
     return BoundednessReport(
-        bounded=margin > 0.0 and not marginal,
-        marginal=marginal,
-        e_tilde_max=e_max,
+        bounded=region.bounded,
+        marginal=abs(roots.gaps[3 - k]) < _MARGINAL_BAND,
+        e_tilde_max=threshold + margin,
         threshold=threshold,
         margin=margin,
         f=f,
@@ -85,47 +80,25 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
     )
 
 
-def w_roots_pericenter(r0: float, v0: float, alpha: float) -> tuple[float, complex, complex]:
-    """Lattice-cubic roots for a pericenter start in closed form.
-
-    w1 = alpha r0/2 + E/6; w2/w3 = -w1/2 +/- sqrt((2 - u)^2 - 8 a r0^3 v0^2)/(8 r0).
-    """
-    energy = 0.5 * v0 * v0 - 1.0 / r0 - alpha * r0
-    w1 = 0.5 * alpha * r0 + energy / 6.0
-    disc = (2.0 - r0 * v0 * v0) ** 2 - 8.0 * alpha * r0**3 * v0**2
-    s = math.sqrt(abs(disc)) / (8.0 * r0)
-    if disc >= 0.0:
-        return w1, complex(-0.5 * w1 + s), complex(-0.5 * w1 - s)
-    return w1, complex(-0.5 * w1, s), complex(-0.5 * w1, -s)
-
-
 def escape_alpha(family: Callable[[float], InitialState],
                  alpha_lo: float, alpha_hi: float,
                  tol: float = 1e-10) -> float:
-    """Bisect the boundedness margin over a one-parameter alpha family.
+    """Bisect boundedness over a one-parameter alpha family.
 
     ``family(alpha)`` must produce a valid state; the bracket must be
     bounded at alpha_lo and unbounded at alpha_hi.  Bisection stops once
     the bracket is narrower than ``tol`` or can no longer be halved.
+    Boundedness is that of the allowed region of f; at alpha = 0, where f
+    is a quadratic, it is Kepler's E < 0.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     def is_bounded(alpha: float) -> bool:
         state = family(alpha)
-        if state.alpha < 0.0:
-            return True
-        if abs(state.rdot0) <= 1e-14 * max(1.0, state.v0):
-            # apse start: the root comparison has an exact closed form,
-            # immune to the near-double-root noise at crossing thresholds
-            w1, w2, w3 = w_roots_pericenter(state.r0, state.v0, alpha)
-            if w2.imag != 0.0:
-                return False
-            return max(w2.real, w3.real) - w1 > 0.0
-        rep = boundedness_from_state(state)
-        # root-solver noise band: well under the bisection tolerance, well
-        # over the ~1e-16 rounding of an exactly-zero margin
-        return rep.margin > 1e-13 * max(1.0, abs(rep.e_tilde_max))
+        if state.alpha <= 0.0:      # inward thrust always confines
+            return state.alpha < 0.0 or state.energy < 0.0
+        return dynamics.classify_region(dynamics.build_f(state), state.r0).bounded
 
     if not is_bounded(alpha_lo) or is_bounded(alpha_hi):
         raise BracketError(
@@ -159,8 +132,8 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     1 - f_new/f_old of the end replaced, or halved as in the Illinois method
     when that factor is not positive (Dowell & Jarratt, BIT 11, 1971;
     Anderson & Bjorck, BIT 13, 1973).  The search stops at the last
-    evaluated speed when f = 0 or the bracket is narrower than
-    tol * max(1, v_m).
+    evaluated speed when |f| is at the level the winding ratio is computed
+    to, or the bracket is narrower than tol * max(1, v_m).
     """
     m_turns, n_periods = q
     if n_periods <= 0:
@@ -188,10 +161,11 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
             f"bracket; no advance congruent to {m_turns}/{n_periods} crossed"
         )
     target = targets[0]
+    level = _RATIO_LEVEL * max(1.0, abs(target))
     f_lo, f_hi = d_lo - target, d_hi - target
-    if f_lo == 0.0:
+    if abs(f_lo) <= level:
         return lo
-    if f_hi == 0.0:
+    if abs(f_hi) <= level:
         return hi
     moved = 0  # bracket end replaced by the last step: -1 lo, +1 hi
     for _ in range(200):
@@ -199,7 +173,7 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
         if not lo < v_m < hi:
             v_m = 0.5 * (lo + hi)
         f_v = ratio(v_m) - target
-        if f_v == 0.0:
+        if abs(f_v) <= level:
             return v_m
         if (f_v > 0.0) == (f_lo > 0.0):
             if moved < 0:

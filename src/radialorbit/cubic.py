@@ -1,118 +1,97 @@
-"""Cubic root solver shared by the dynamics and lattice polynomials.
+"""Cubic roots: the most isolated root by Newton steps, the pair by deflation.
 
-Closed-form evaluation (trigonometric for three real roots, Cardano
-otherwise) followed by one Newton polish per root, then ordering by the
-A&S 18.1 convention: descending imaginary part first, then descending
-real part.  For a positive discriminant that yields e1 >= e2 > e3 real;
-for a negative one e1 = a+ib, e2 real, e3 = a-ib.
+One solver serves the dynamics cubic at the epoch radius
+(``dynamics.build_f``) and the lattice cubic of given invariants
+(``solve_cubic``).  Roots come in the A&S 18.1 order, descending
+imaginary then real part: e1 >= e2 >= e3, or e1 = a+ib, e2 real, e3 = a-ib.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
-
-def cubic_discriminant(a: float, b: float, c: float, d: float) -> float:
-    """Discriminant of a*x^3 + b*x^2 + c*x + d (positive iff 3 distinct real roots)."""
-    return (
-        18.0 * a * b * c * d
-        - 4.0 * b**3 * d
-        + b**2 * c**2
-        - 4.0 * a * c**3
-        - 27.0 * a**2 * d**2
-    )
+_ULP = 2.0**-52
 
 
-def _polish(root: complex, a: float, b: float, c: float, d: float) -> complex:
-    # One or two Newton steps on the original cubic; cheap insurance on
-    # top of the closed forms, skipped when the derivative is tiny
-    # (double root, where Newton would amplify noise).
-    z = root
-    for _ in range(2):
-        f = ((a * z + b) * z + c) * z + d
-        fp = (3.0 * a * z + 2.0 * b) * z + c
-        if abs(fp) < 1e-14 * (abs(z) ** 2 * abs(a) * 3.0 + 1e-300):
-            break
-        step = f / fp
-        if not (abs(step) < 1e30):
-            break
-        z = z - step
-    return z
-
-
-def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[list[complex], float, bool]:
-    """Roots of a*x^3 + b*x^2 + c*x + d ordered by the descending convention.
-
-    Returns (roots, discriminant, has_double_root).  The double-root flag
-    fires when two roots coincide within 1e-12 relative to the root
-    scale (the homoclinic boundary in the dynamics application).
-    """
+def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[complex, complex, complex]:
+    """Roots of a x^3 + b x^2 + c x + d in descending (Im, Re) order (``cubic_roots``)."""
     if a == 0.0:
         raise ValueError("leading coefficient is zero; not a cubic")
+    return cubic_roots(d, c, b, a)
 
-    disc = cubic_discriminant(a, b, c, d)
 
-    # Depressed form t^3 + p t + q with x = t - b/(3a).
-    shift = b / (3.0 * a)
-    p = (3.0 * a * c - b * b) / (3.0 * a * a)
-    q = (2.0 * b**3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a**3)
-    disc_dep = -4.0 * p**3 - 27.0 * q * q  # same sign as disc
-    disc_scale = max(4.0 * abs(p) ** 3, 27.0 * q * q, 1e-300)
+def cubic_roots(f0: float, f1: float, f2: float, f3: float
+                ) -> tuple[complex, complex, complex]:
+    """Roots x of f0 + f1 x + f2 x^2 + f3 x^3 (f3 != 0), descending (Im, Re).
 
-    roots: list[complex]
-    if abs(disc_dep) <= 1e-13 * disc_scale and p != 0.0:
-        # Within rounding of a repeated root: the generic formulas lose half
-        # the digits there, but the double root u and simple root -2u follow
-        # exactly from q = 2u^3, p = -3u^2 -- provided that model actually
-        # fits (a vanishing discriminant can also be pure underflow).
-        u = -1.5 * q / p
-        if (abs(u * u + p / 3.0) <= 1e-8 * max(u * u, abs(p), 1e-300)
-                and abs(2.0 * u**3 - q) <= 1e-8 * max(abs(u) ** 3, abs(q), 1e-300)):
-            roots = [complex(u - shift), complex(u - shift),
-                     complex(-2.0 * u - shift)]
-            roots.sort(key=lambda z: -z.real)
-            return roots, disc, True
-    if disc_dep > 0.0:
-        # Three distinct real roots: trigonometric form.
-        rho = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * rho)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        roots = [
-            complex(rho * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift)
-            for k in range(3)
-        ]
+    x_s, the root farthest from the mean and so the most isolated, is 0
+    when f0 = 0 and otherwise comes from Newton steps (``_isolated_root``).
+    Vieta deflates to the pair's x^2 + b x + c: c = -f0/(f3 x_s), and
+    b = (c - f1/f3)/x_s when x_s is the far root (x_s^2 >= |c|), else
+    f2/f3 + x_s; at x_s = 0 the pair solves f3 x^2 + f2 x + f1 = 0 as posed.
+    The stable quadratic formula gives the pair, and one Newton step on
+    the cubic polishes every root.  f0 >= 0 with f3 x_s > 0 makes c <= 0:
+    the pair straddles 0, the epoch radius of the dynamics, by construction.
+    A polishing step that takes a real root across 0, or by half its
+    distance to another root (noise at a near-double root), is refused.
+    """
+    x_s = 0.0 if f0 == 0.0 else _isolated_root(f0, f1, f2, f3)
+    if x_s == 0.0:
+        a, b, c = f3, f2, f1
     else:
-        # One real root (or a multiple root): Cardano, arranged to avoid
-        # cancellation between the two cube roots.
-        half_q = q / 2.0
-        s = cmath.sqrt(half_q * half_q + p**3 / 27.0)
-        u = -half_q + s if abs(-half_q + s) >= abs(-half_q - s) else -half_q - s
-        u = u ** (1.0 / 3.0)
-        v = -p / (3.0 * u) if u != 0 else 0.0
-        w = complex(-0.5, math.sqrt(3.0) / 2.0)
-        roots = [u + v - shift, u * w + v / w - shift, u * w * w + v / (w * w) - shift]
+        a, c = 1.0, -f0 / (f3 * x_s)
+        b = (c - f1 / f3) / x_s if x_s * x_s >= abs(c) else f2 / f3 + x_s
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        z = complex(-0.5 * b / a, 0.5 * math.sqrt(-disc) / abs(a))
+        z = _polish(z, x_s, z.conjugate(), f0, f1, f2, f3)
+        return z, complex(x_s), z.conjugate()
+    s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    x1, x2, x3 = x_s, s / a, c / s if s else 0.0
+    xs = sorted((_polish(x1, x2, x3, f0, f1, f2, f3), _polish(x2, x1, x3, f0, f1, f2, f3),
+                 _polish(x3, x1, x2, f0, f1, f2, f3)), reverse=True)
+    return complex(xs[0]), complex(xs[1]), complex(xs[2])
 
-    roots = [_polish(z, a, b, c, d) for z in roots]
 
-    # Snap near-real roots exactly real; classify by the discriminant.
-    if disc_dep >= 0.0:
-        roots = [complex(z.real, 0.0) for z in roots]
+def _polish(x, y, z, f0: float, f1: float, f2: float, f3: float):
+    """x after one Newton step on the cubic with roots y, z besides (``cubic_roots``)."""
+    dp = (3.0 * f3 * x + 2.0 * f2) * x + f1
+    if dp == 0.0:
+        return x
+    new = x - (((f3 * x + f2) * x + f1) * x + f0) / dp
+    if abs(new - x) >= 0.5 * min(abs(x - y), abs(x - z)):
+        return x
+    if isinstance(x, float) and new * x <= 0.0:
+        return x
+    return new
+
+
+def _isolated_root(f0: float, f1: float, f2: float, f3: float) -> float:
+    """The real root of the cubic farthest from the mean of its roots.
+
+    In t = x + a2/3 the monic cubic is depressed, with Q = (a2^2 - 3 a1)/9
+    and R = (2 a2^3 - 9 a2 a1 + 27 a0)/54; its root of largest |t| is
+    -sgn(R) 2 sqrt(Q) cos(phi/3), cos phi = |R|/Q^(3/2), if R^2 < Q^3, else
+    A + Q/A with A = -sgn(R) (|R| + sqrt(R^2 - Q^3))^(1/3).  Newton steps
+    on the cubic take it to the rounding level of x.
+    """
+    a2, a1, a0 = f2 / f3, f1 / f3, f0 / f3
+    q = (a2 * a2 - 3.0 * a1) / 9.0
+    r = (a2 * (2.0 * a2 * a2 - 9.0 * a1) + 27.0 * a0) / 54.0
+    q3 = q * q * q
+    if r * r < q3:
+        phi = math.acos(min(1.0, abs(r) / math.sqrt(q3)))
+        t = -math.copysign(2.0 * math.sqrt(q) * math.cos(phi / 3.0), r)
     else:
-        roots.sort(key=lambda z: abs(z.imag))
-        roots[0] = complex(roots[0].real, 0.0)
-        pair = 0.5 * (roots[1] + roots[2].conjugate())
-        roots[1] = pair
-        roots[2] = pair.conjugate()
-
-    # Descending order: imaginary part first, then real part.
-    roots.sort(key=lambda z: (-z.imag, -z.real))
-
-    root_scale = max(abs(z) for z in roots) + 1e-300
-    double = any(
-        abs(roots[i] - roots[j]) <= 1e-12 * root_scale
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    return roots, disc, double
+        big = -math.copysign((abs(r) + math.sqrt(r * r - q3)) ** (1.0 / 3.0), r)
+        t = big + q / big if big else 0.0
+    x = t - a2 / 3.0
+    for _ in range(60):
+        dp = (3.0 * f3 * x + 2.0 * f2) * x + f1
+        if dp == 0.0:
+            break
+        step = (((f3 * x + f2) * x + f1) * x + f0) / dp
+        x -= step
+        if abs(step) <= _ULP * abs(x):
+            break
+    return x

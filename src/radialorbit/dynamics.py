@@ -3,6 +3,15 @@
 Canonical units with mu = 1 throughout.  The radial motion is governed by
 (r dr/dt)^2 = f(r) = 2 a r^3 + 2 E r^2 + 2 r - h^2, so the sign structure
 of f over r > 0 fixes where motion is allowed and whether it is bounded.
+
+The roots of f come from one real solve in x = r - r0 (``build_f``) on
+the Taylor coefficients of f at r0, which need no E:
+
+    f(r0 + x) = F0 + F1 x + F2 x^2 + F3 x^3,        F0 = (r0 rdot0)^2,
+    F1 = 2 (r0 v0^2 - 1 + a r0^2),   F2 = 4 a r0 + v0^2 - 2/r0,   F3 = 2 a.
+
+The allowed region, the lattice of the closed form
+(``propagation.build_frame``) and boundedness all read these roots.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .cubic import solve_cubic
+from .cubic import cubic_roots
 from .errors import (
     InfeasibleStateError,
     NoPericenterError,
@@ -19,7 +28,7 @@ from .errors import (
 )
 
 _ALPHA_FLOOR = 1e-12   # |alpha| below this counts as the Kepler limit
-_FEAS_RTOL = 1e-12     # clamp band for f(r0) slightly negative from rounding
+_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant for doubles
 
 
 @dataclass(frozen=True)
@@ -67,24 +76,24 @@ class CubicF:
     """f(r) = 2 a r^3 + 2 E r^2 + 2 r - h^2 with ordered roots.
 
     Root order follows the descending (Im, Re) convention: with three real
-    roots e1 >= e2 > e3; otherwise e2 is the real root and e1 = conj(e3).
+    roots r1 >= r2 >= r3; otherwise r2 is the real root and r1 = conj(r3).
+    ``offsets`` are the roots minus the epoch radius r0, as solved: their
+    differences keep the digits that those of ``roots`` lose to r0.
     """
 
     alpha: float
     energy: float
     momentum: float
-    e1: complex
-    e2: complex
-    e3: complex
-    discriminant: float
+    r0: float
+    offsets: tuple[complex, complex, complex]
+
+    @property
+    def roots(self) -> tuple[complex, ...]:
+        return tuple(complex(self.r0 + x.real, x.imag) for x in self.offsets)
 
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
         return (2.0 * self.alpha, 2.0 * self.energy, 2.0, -self.momentum**2)
-
-    @property
-    def roots(self) -> tuple[complex, complex, complex]:
-        return (self.e1, self.e2, self.e3)
 
     def __call__(self, r: float) -> float:
         c3, c2, c1, c0 = self.coefficients
@@ -101,10 +110,7 @@ class CubicF:
         return 12.0 * self.alpha
 
     def real_roots_desc(self) -> list[float]:
-        scale = max(abs(z) for z in self.roots) + 1e-300
-        out = [z.real for z in self.roots if abs(z.imag) <= 1e-11 * scale]
-        out.sort(reverse=True)
-        return out
+        return sorted((z.real for z in self.roots if z.imag == 0.0), reverse=True)
 
 
 class MotionTag(enum.Enum):
@@ -131,68 +137,77 @@ class MotionClass:
 
 
 def build_f(state: InitialState) -> CubicF:
-    """Dynamics cubic with Table-ordered roots; requires alpha != 0."""
+    """Dynamics cubic with its roots from one solve at r0; requires alpha != 0."""
     if abs(state.alpha) < _ALPHA_FLOOR:
         raise QuadraticDegeneracyError(
             "alpha = 0 reduces f(r) to a quadratic (Kepler limit); "
             "the cubic machinery does not apply"
         )
-    e = state.energy
-    h = state.momentum
-    c3, c2, c1, c0 = 2.0 * state.alpha, 2.0 * e, 2.0, -h * h
-    roots, disc, _ = solve_cubic(c3, c2, c1, c0)
-    cubic = CubicF(
-        alpha=state.alpha, energy=e, momentum=h,
-        e1=roots[0], e2=roots[1], e3=roots[2],
-        discriminant=disc,
-    )
-    scale = max(abs(c) for c in (c3, c2, c1, c0))
-    f0 = cubic(state.r0)
-    if f0 < -_FEAS_RTOL * scale * max(1.0, state.r0**3):
-        raise InfeasibleStateError(
-            f"f(r0) = {f0:.3e} < 0: state inconsistent with its own invariants"
-        )
-    return cubic
+    return CubicF(alpha=state.alpha, energy=state.energy, momentum=state.momentum,
+                  r0=state.r0, offsets=cubic_roots(*_taylor_coefficients(state)))
 
 
-def _allowed_components(f: CubicF) -> list[tuple[float, float]]:
-    """Connected components of {r > 0 : f(r) >= 0}, ascending."""
-    bounds = [0.0] + [r for r in sorted(f.real_roots_desc()) if r > 0.0]
-    comps: list[tuple[float, float]] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if f(0.5 * (lo + hi)) > 0.0:
-            comps.append((lo, hi))
-    top = bounds[-1]
-    if f(top + max(1.0, top)) > 0.0:  # sign of the leading coefficient tail
-        comps.append((top, math.inf))
-    # merge components that share a double-root endpoint
-    merged: list[tuple[float, float]] = []
-    for lo, hi in comps:
-        if merged and math.isclose(merged[-1][1], lo, rel_tol=1e-12, abs_tol=0.0):
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971)."""
+    p = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _taylor_coefficients(state: InitialState) -> tuple[float, float, float, float]:
+    """(F0, F1, F2, F3) of f at r0 (module docstring), F1 and F2 rounded once.
+
+    They cancel on near-circular and near-parabolic states.  Products enter
+    as Dekker pairs, 2/r0 as q + (2 - q r0)/r0 (2 - fl(q r0) is exact by
+    Sterbenz's lemma), each exact to the second order, and math.fsum
+    rounds each sum once.
+    """
+    r0, v0, a = state.r0, state.v0, state.alpha
+    vv, vv_lo = _two_product(v0, v0)
+    u, u_lo = _two_product(r0, vv)
+    rr, rr_lo = _two_product(r0, r0)
+    w, w_lo = _two_product(a, rr)
+    ar, ar_lo = _two_product(a, r0)
+    q = 2.0 / r0
+    qr, qr_lo = _two_product(q, r0)
+    q_lo = ((2.0 - qr) - qr_lo) / r0
+    f1 = 2.0 * math.fsum((u, u_lo, r0 * vv_lo, -1.0, w, w_lo, a * rr_lo))
+    f2 = math.fsum((4.0 * ar, 4.0 * ar_lo, vv, vv_lo, -q, -q_lo))
+    return (r0 * state.rdot0) ** 2, f1, f2, 2.0 * a
 
 
 def classify_region(f: CubicF, r0: float) -> MotionClass:
-    """Allowed component of f >= 0 containing r0, tagged bounded/unbounded."""
-    comps = _allowed_components(f)
-    scale = max(1.0, r0)
-    for i, (lo, hi) in enumerate(comps):
-        pad = 1e-9 * scale
-        if lo - pad <= r0 <= (hi if math.isfinite(hi) else math.inf) + pad:
-            if not math.isfinite(hi):
-                return MotionClass(MotionTag.UNBOUNDED_ABOVE, lo, math.inf)
-            tag = (
-                MotionTag.BOUNDED_BELOW_GAP
-                if i + 1 < len(comps)
-                else MotionTag.BOUNDED_ANNULUS
-            )
-            return MotionClass(tag, lo, hi)
-    raise InfeasibleStateError(
-        f"r0 = {r0} lies in a forbidden region (f(r0) < 0)"
-    )
+    """Allowed component of f >= 0 holding r0, from the real roots of f.
+
+    Just above r0, f has the sign of alpha times (-1)^(number of roots
+    above r0); just below, with the roots at r0 counted too.  Compared as
+    offsets from f's epoch radius, exact there, where ``build_f`` put r0
+    inside its component; another radius may lie in a forbidden gap.
+    """
+    x0 = r0 - f.r0
+    xs = sorted(x.real for x in f.offsets if x.imag == 0.0)
+    above = sum(1 for x in xs if x > x0)
+    if (f.alpha > 0.0) == (above % 2 == 0):
+        lo = max((x for x in xs if x <= x0), default=-math.inf)
+        hi = xs[-above] if above else math.inf
+    elif (f.alpha > 0.0) == (sum(1 for x in xs if x >= x0) % 2 == 0):
+        lo = max((x for x in xs if x < x0), default=-math.inf)
+        hi = x0
+    else:
+        raise InfeasibleStateError(
+            f"r0 = {r0} lies in a forbidden region (f(r0) < 0)"
+        )
+    lo += f.r0
+    if not math.isfinite(hi):
+        return MotionClass(MotionTag.UNBOUNDED_ABOVE, lo, math.inf)
+    # alpha > 0 leaves f > 0 beyond the largest root: an outer region above
+    tag = MotionTag.BOUNDED_BELOW_GAP if f.alpha > 0.0 else MotionTag.BOUNDED_ANNULUS
+    return MotionClass(tag, lo, f.r0 + hi)
 
 
 def pericenter(f: CubicF, region: MotionClass, r0: float) -> tuple[float, float]:

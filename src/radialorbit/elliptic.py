@@ -23,17 +23,24 @@ _RF_TOL = 1e-4  # spread tolerance before the series tail; error ~ spread^6
 
 def elliptic_K(m: float) -> float:
     """K(m) with the parameter convention K(m) = F(pi/2 | m)."""
-    return elliptic_KE(m, 1.0 - m)[0]
+    return elliptic_K_tail(m, 1.0 - m)[0]
 
 
 def elliptic_KE(m: float, m1: float) -> tuple[float, float]:
-    """(K(m), E(m)) for m + m1 = 1, each of the two passed to full precision.
+    """(K(m), E(m)) for m + m1 = 1, each of the two passed to full precision."""
+    k, tail = elliptic_K_tail(m, m1)
+    return k, k * (0.5 * (1.0 + m1) - tail)
+
+
+def elliptic_K_tail(m: float, m1: float) -> tuple[float, float]:
+    """(K(m), tail) with E(m) = K(m) ((1 + m1)/2 - tail), for m + m1 = 1.
 
     With a_0 = 1, b_0 = sqrt(m1), c_0 = sqrt(m) and the AGM steps
     a_(n+1) = (a_n + b_n)/2, b_(n+1) = sqrt(a_n b_n), A&S 17.6.3-4 give
     K = pi/(2 a_N) and E = K (1 - sum_(n>=0) 2^(n-1) c_n^2).  The sum takes
     c_(n+1) = (a_n - b_n)/2 as c_n^2/(4 a_(n+1)), which does not cancel,
-    and its first term m/2 folds into (1 + m1)/2.
+    and its first term m/2 folds into (1 + m1)/2; the rest, the tail
+    sum_(n>=1) 2^(n-1) c_n^2, is of order m^2 and keeps its relative digits.
     """
     if not (0.0 <= m < 1.0 and 0.0 < m1 <= 1.0):
         raise EllipticDomainError(f"parameters m={m!r}, m1={m1!r} outside [0, 1)")
@@ -47,8 +54,7 @@ def elliptic_KE(m: float, m1: float) -> tuple[float, float]:
         tail += weight * c * c
         weight *= 2.0
     # final mean squeezes the remaining O((a-b)^2) error below 1 ulp
-    k = math.pi / (a + b)
-    return k, k * (0.5 * (1.0 + m1) - tail)
+    return math.pi / (a + b), tail
 
 
 def carlson_rf(x: complex, y: complex, z: complex) -> complex:

@@ -37,8 +37,7 @@ tau = 0 the 1/tau parts of 2 zeta and the quotient cancel, so for
 of w_k + lattice), t takes its series r_m tau + sum_j b_j tau^(2j+1)/(2j+1),
 the b_j from r'' = f'(r)/2 (``_pericenter_series``).  The series carries
 no 1/a factor, while the closed form scales the rounding error of S by
-1/a.  At small |a| the series reaches the apocenter, and T_t = 2 t(T_tau/2)
-comes from it too.
+1/a.  At small |a| the series reaches the apocenter.
 
 ``invert_kepler`` starts from Kepler's equation, which holds for a = 0:
 there tau is proportional to the eccentric anomaly E, so E - e sin E =
@@ -61,7 +60,9 @@ in stages: ``build_frame`` (f, r_m, v_m, the lattice and T_tau),
 ``build_pole`` (v, zeta(v) and dtheta) and the epoch (tau_g, T_t, tau0,
 t0 and theta0 = theta(tau0), from which propagated angles are measured).
 Period sweeps run the first stage, ``analysis.find_periodic_v`` the first
-two.  The lattice of bounded motion is rectangular, with omega, eta
+two.  r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
+e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_roots``).
+The lattice of bounded motion is rectangular, with omega, eta
 and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)
 lies below e3 (``_bounded_pole``), so v lies on the imaginary axis: R_F of
 the root gaps seeds it and Newton steps on the nome series polish it, and
@@ -75,7 +76,8 @@ advance per period by
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
-(T_t from the series when tau_g > omega).  Bounded t and theta fold whole
+(T_t in a form without the 1/a, ``_build_epoch``, and dtheta with
+Legendre's relation taken exactly, ``build_pole``).  Bounded t and theta fold whole
 periods off by these increments, t to the pericenter-centered tau in
 [-omega, omega] and theta to [0, T_tau), which keeps the series'
 arguments within one period of the origin.
@@ -92,13 +94,11 @@ from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     ConvergenceError,
-    DegenerateLatticeError,
     NonMonotoneArcError,
-    NoPericenterError,
     OutOfIntervalError,
     RadialOrbitError,
 )
-from .weierstrass import Invariants, Lattice
+from .weierstrass import GRoots, Invariants, Lattice
 
 _PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
 _SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
@@ -178,31 +178,37 @@ def build_context(state: InitialState) -> SolutionContext:
 def build_frame(state: InitialState) -> tuple:
     """Stage 1: (f, region, r_m, v_m, lattice, k, e_k, T_tau), T_tau None if unbounded.
 
-    Bounded motion needs the rectangular lattice T_tau is read from.
+    Bounded motion has three real roots of f, so its lattice is the
+    rectangular one T_tau is read from.
     """
-    e = state.energy
-    h = state.momentum
-    if h <= 0.0:
-        raise NoPericenterError("closed-form solution requires h > 0")
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
     r_m, v_m = dynamics.pericenter(f, region, state.r0)
-    lat = Lattice(invariants_from_conserved(state.alpha, e, h))
+    e_k = 0.5 * state.alpha * r_m + state.energy / 6.0  # f''(r_m)/24
+    roots, k = lattice_roots(f, region, e_k)
+    lat = Lattice(roots)
+    t_tau = 2.0 * lat.real_half_period if region.bounded else None
+    return f, region, r_m, v_m, lat, k, e_k, t_tau
 
-    e_k = 0.5 * state.alpha * r_m + e / 6.0  # f''(r_m)/24
-    g2, g3 = lat.inv.g2, lat.inv.g3
-    scale = max(1.0, abs(g2), abs(g3))
-    if abs(4.0 * e_k**3 - g2 * e_k - g3) > 1e-9 * scale:
-        raise RadialOrbitError(
-            "f''(r_m)/24 fails to be a root of the lattice cubic; "
-            "inconsistent pericenter"
-        )
-    k = min((1, 2, 3), key=lambda i: abs(lat.roots.e_tilde[i - 1] - e_k))
-    if not region.bounded:
-        return f, region, r_m, v_m, lat, k, e_k, None
-    if lat.roots.discriminant <= 0.0:
-        raise DegenerateLatticeError("bounded motion on a rhombic lattice")
-    return f, region, r_m, v_m, lat, k, e_k, 2.0 * lat.real_half_period
+
+def lattice_roots(f: CubicF, region: MotionClass, e_k: float) -> tuple[GRoots, int]:
+    """(roots, k): the lattice roots of f's, with e_tilde_k = e_k at r_m.
+
+    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0.
+    The map keeps f's descending order for a > 0 and reverses it for
+    a < 0, where r_m is the middle root (k = 2); for a > 0 it is the least
+    of three on bounded motion (k = 3), else the largest real root (k = 1,
+    or 2 beside a conjugate pair).
+    """
+    half = 0.5 * f.alpha
+    if f.alpha < 0.0:
+        xs, k = f.offsets[::-1], 2
+    else:
+        xs, k = f.offsets, 3 if region.bounded else 1 if f.offsets[0].imag == 0.0 else 2
+    x_m = xs[k - 1].real
+    x1, x2, x3 = xs
+    return GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
+                  gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3))), k
 
 
 def build_pole(frame: tuple) -> tuple[complex, complex, float | None]:
@@ -220,19 +226,31 @@ def build_pole(frame: tuple) -> tuple[complex, complex, float | None]:
         )
     if not region.bounded:
         return v, zeta_v, None
-    dtheta = (v_m * t_tau
-              - 4.0 * (0.5 * t_tau * zeta_v - v * lat.periods.eta).imag
-              - 2.0 * math.pi)
+    # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', so Legendre's
+    # relation makes Im[omega zeta(v) - eta v] = omega Im zeta(-iy) + eta y
+    # - pi, with pi exact instead of the relation rounded in the floats
+    per = lat.periods
+    y = 2.0 * per.omega_prime.imag - v.imag
+    zeta_c = zeta_v - 2.0 * per.eta_prime
+    dtheta = (v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_c.imag + per.eta.real * y)
+              + 2.0 * math.pi)
     return v, zeta_v, dtheta
 
 
 def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionContext:
-    """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0)."""
+    """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0).
+
+    T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a scales the rounding of eta by
+    1/a.  eta = sqrt(d) E - e1 omega, E = K ((1 + m1)/2 - tail) (A&S
+    17.6.3-4) and e_i = e_k + a (r_i - r_m)/2 turn it into T_tau (r_m +
+    r_M)/2 + 2 d T_tau tail/a for k = 3 and 2, where d/a is a difference of
+    f's roots and the tail of order m^2: no term cancels.
+    """
     f, region, r_m, v_m, lat, k, e_k, t_tau = frame
     v, zeta_v, dtheta = pole
     bounded = region.bounded
-    eta = lat.periods.eta.real            # T_t in closed form (module docstring)
-    t_t = (r_m * t_tau - (1.0 / state.alpha) * (2.0 * e_k * t_tau + 4.0 * eta)
+    t_t = (t_tau * (0.5 * (r_m + region.r_hi)
+                    + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
            if bounded else None)
     ctx = SolutionContext(
         state=state, energy=state.energy, momentum=state.momentum, f=f, region=region,
@@ -242,15 +260,7 @@ def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionCont
         dtheta_period=dtheta,
         series_reach=_SERIES_REACH * _pole_distance(lat, k, bounded),
     )
-    if bounded and ctx.series_reach > lat.real_half_period:
-        # the series reaches the apocenter: T_t = 2 t(T_tau/2) from it
-        # escapes the 1/a by which the closed form scales rounding error
-        ctx = _replace(ctx, T_t=2.0 * radial_kepler(ctx, 0.5 * t_tau))
-    if state.rdot0 == 0.0:
-        # an apse: the nearer one, with no p^-1 (which leaves the real
-        # axis when the cubic's root misses r0 by more than its snap)
-        if not (bounded and state.r0 - r_m > region.r_hi - state.r0):
-            return ctx      # the pericenter: tau0 = t0 = theta0 = 0
+    if state.r0 == region.r_hi:     # an apse start at the apocenter, a root exactly
         tau0 = 0.5 * t_tau
     elif abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
         tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
@@ -260,10 +270,10 @@ def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionCont
                     theta0=theta_of_tau(ctx, tau0))
 
 
-def _root_offsets(lat: Lattice, k: int, e_k: float) -> tuple[float, float, float]:
-    """e_i - e_k for the lattice roots e_i, exactly 0 at i = k."""
-    return tuple(0.0 if i == k else z.real - e_k
-                 for i, z in enumerate(lat.roots.e_tilde, start=1))
+def _root_offsets(lat: Lattice, k: int) -> tuple[float, float, float]:
+    """e_i - e_k for the real lattice roots e_i, from their differences; 0 at i = k."""
+    g12, g13, g23 = (g.real for g in lat.roots.gaps)
+    return ((0.0, -g12, -g13), (g12, 0.0, -g23), (g13, g23, 0.0))[k - 1]
 
 
 def _bounded_pole(lat: Lattice, k: int, e_k: float, c_v: float
@@ -284,7 +294,7 @@ def _bounded_pole(lat: Lattice, k: int, e_k: float, c_v: float
       e(r_M) gives e3 = e(r_3) (k = 2), and w_v = e(0) < e(r_3) = e3.
     The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.
     """
-    gaps = tuple(d + c_v for d in _root_offsets(lat, k, e_k))
+    gaps = tuple(d + c_v for d in _root_offsets(lat, k))
     return lat.wp_inverse_imaginary(e_k - c_v, gaps)
 
 
@@ -464,7 +474,7 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
     if ctx.bounded:
         # r_m < r0 <= r_M puts p(tau0) at or above e(r_M) = e1 (``_bounded_pole``)
-        gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k, ctx.e_k))
+        gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k))
         z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
     else:
         z = ctx.lattice.wp_inverse(ctx.e_k + c_0, branch=-1)  # ascending: p' <= 0

@@ -34,10 +34,12 @@ The basis:
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
 no kernel call is made to build a lattice.  The series take omega and eta
-as they are, so they inherit their error from the roots e_i, which grows
-near the double-root boundary.  Conventions follow A&S ch. 18: omega1 =
-omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k, with
-the roots e1, e2, e3 ordered by descending imaginary then real part.
+as they are, so they inherit their error from the roots e_i and their
+differences (``GRoots``): a lattice of the dynamics takes both from the
+roots of f (``propagation.lattice_roots``), ``Lattice.from_invariants``
+from the rounded invariants (``g_roots``).  Conventions follow A&S ch. 18:
+omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
+with the roots e1, e2, e3 ordered by descending imaginary then real part.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cubic import solve_cubic
-from .elliptic import carlson_rf, elliptic_KE
+from .elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
 from .errors import (
     DegenerateLatticeError,
     PoleProximityError,
@@ -57,6 +59,7 @@ from .errors import (
 
 _UNIT_ROUNDOFF = 2.0**-53   # truncation target of the series
 _POLE_GUARD = 1e-12         # |z - lattice point| below which p, p' and zeta raise
+_LAST_STEP = 16 * _UNIT_ROUNDOFF   # reach of the refining Newton step after a polish
 
 
 @dataclass(frozen=True)
@@ -81,15 +84,17 @@ class Invariants:
 
 @dataclass(frozen=True)
 class GRoots:
-    """Roots of 4 s^3 - g2 s - g3 in descending (Im, Re) order."""
+    """Roots of 4 s^3 - g2 s - g3, descending (Im, Re), with ``gaps`` =
+    (e1 - e2, e1 - e3, e2 - e3), often known to more digits than the roots."""
 
     e_tilde: tuple[complex, complex, complex]
-    discriminant: float
+    gaps: tuple[complex, complex, complex]
 
     @property
-    def max_real_root(self) -> float:
-        scale = max(abs(z) for z in self.e_tilde) + 1e-300
-        return max(z.real for z in self.e_tilde if abs(z.imag) <= 1e-12 * scale)
+    def discriminant(self) -> float:
+        """g2^3 - 27 g3^2 = 16 ((e1 - e2)(e1 - e3)(e2 - e3))^2."""
+        g12, g13, g23 = self.gaps
+        return (16.0 * (g12 * g13 * g23) ** 2).real
 
 
 @dataclass(frozen=True)
@@ -123,32 +128,32 @@ def g_roots(inv: Invariants) -> GRoots:
             f"g2^3 - 27 g3^2 = {inv.discriminant:.3e} vanishes; "
             "the lattice degenerates (alpha = 0 / double-root boundary)"
         )
-    roots, _, _ = solve_cubic(4.0, 0.0, -inv.g2, -inv.g3)
-    return GRoots(e_tilde=(roots[0], roots[1], roots[2]),
-                  discriminant=inv.discriminant)
+    e1, e2, e3 = solve_cubic(4.0, 0.0, -inv.g2, -inv.g3)
+    return GRoots(e_tilde=(e1, e2, e3), gaps=(e1 - e2, e1 - e3, e2 - e3))
 
 
 class Lattice:
-    """Immutable evaluation context for one pair of invariants.
+    """Immutable evaluation context for the lattice of one set of roots.
 
-    Construction computes the cubic roots, the half-periods, the eta
-    values and the nome series of the kernel basis (module docstring):
-    ``basis`` holds omega1, omega3, eta1 and eta3 of that basis, which is
-    ``periods`` itself on a rectangular lattice.  All evaluation methods
-    are pure.
+    Construction computes the half-periods, the eta values and the nome
+    series of the kernel basis from the roots and their differences
+    (module docstring): ``basis`` holds omega1, omega3, eta1 and eta3 of
+    that basis, which is ``periods`` itself on a rectangular lattice.  All
+    evaluation methods are pure.
     """
 
-    def __init__(self, inv: Invariants) -> None:
-        self.inv = inv
-        self.roots = g_roots(inv)
-        if self.roots.discriminant > 0.0:
+    def __init__(self, roots: GRoots) -> None:
+        self.roots = roots
+        self.rectangular = roots.discriminant > 0.0
+        if self.rectangular:
             self._rectangular_periods()
         else:
             self._rhombic_periods()
 
     @classmethod
     def from_invariants(cls, g2: float, g3: float) -> "Lattice":
-        return cls(Invariants(g2, g3))
+        """The lattice of invariants (g2, g3), its roots from ``g_roots``."""
+        return cls(g_roots(Invariants(g2, g3)))
 
     # -- construction ----------------------------------------------------
 
@@ -164,17 +169,19 @@ class Lattice:
 
         Then eta omega' - eta' omega = i (E K' + E' K - K K') = i pi/2 is
         Legendre's relation for K and E, and p(omega_k) = e_k holds by
-        construction, so neither needs a check here.
+        construction, so neither needs a check here.  ``tail``, of order
+        m^2 in E = K ((1 + m1)/2 - tail), serves ``propagation._build_epoch``.
         """
-        e1, e2, e3 = (z.real for z in self.roots.e_tilde)
-        d = e1 - e3
-        m, m1 = (e2 - e3) / d, (e1 - e2) / d
-        if not (m > 0.0 and m1 > 0.0):
+        e1, _, e3 = (z.real for z in self.roots.e_tilde)
+        g12, d, g23 = (g.real for g in self.roots.gaps)
+        m, m1 = g23 / d, g12 / d
+        if not (0.0 < m < 1.0 and 0.0 < m1 < 1.0):
             raise DegenerateLatticeError(
                 f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})"
             )
         s = math.sqrt(d)
-        big_k, big_e = elliptic_KE(m, m1)
+        big_k, self.tail = elliptic_K_tail(m, m1)
+        big_e = big_k * (0.5 * (1.0 + m1) - self.tail)
         big_k1, big_e1 = elliptic_KE(m1, m)
         omega, omega_i = big_k / s, big_k1 / s
         eta = s * big_e - e1 * omega
@@ -195,15 +202,18 @@ class Lattice:
         omega' = conj(omega) puts Im(omega'/omega) > 0, so omega + omega'
         = w_r.  The series of the reduced basis give eta1, Legendre's
         relation eta3, and each of eta, eta' is the combination of the two
-        that its half period is of the basis.
+        that its half period is of the basis.  The series give the p of
+        roots that sum to 0; adding their mean s as given makes p(omega_k)
+        = e_k, as on a rectangular lattice.
         """
-        e1, e2, _ = self.roots.e_tilde
-        w_r, w_i = _rf_zero_pair(e2 - e1), _rf_zero_pair(e1 - e2)
+        g12 = self.roots.gaps[0]          # e1 - e2
+        w_r, w_i = _rf_zero_pair(-g12), _rf_zero_pair(g12)
         omega = 0.5 * complex(w_r, -w_i)
         omega_p = omega.conjugate()
         b1, b3 = _reduced_basis(omega, omega_p)
         k = math.pi / (2.0 * b1)
         series = NomeSeries(k, cmath.exp(1j * math.pi * b3 / b1))
+        series.eta_over_omega -= sum(self.roots.e_tilde).real / 3.0
         eta1 = series.eta_over_omega * b1
         eta3 = (eta1 * b3 - 0.5j * math.pi) / b1
         self.basis = HalfPeriods(omega=b1, omega_prime=b3, eta=eta1, eta_prime=eta3)
@@ -224,7 +234,7 @@ class Lattice:
     @cached_property
     def real_half_period(self) -> float:
         """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
-        return self.periods.omega_k(1 if self.roots.discriminant > 0.0 else 2).real
+        return self.periods.omega_k(1 if self.rectangular else 2).real
 
     # -- reduction ---------------------------------------------------------
 
@@ -265,7 +275,7 @@ class Lattice:
         a rhombic one reduces x into the cell of its basis, off the real
         axis, and takes the real parts.
         """
-        if self.roots.discriminant > 0.0:
+        if self.rectangular:
             return self.nome_series.at(x)
         p, pp, zt = self._values(x)
         return p.real, pp.real, zt.real
@@ -302,7 +312,7 @@ class Lattice:
         """
         w = self.real_half_period
         # zeta(w), with the index k of w = omega_k in real_half_period
-        eta = self.periods.eta_k(1 if self.roots.discriminant > 0.0 else 2).real
+        eta = self.periods.eta_k(1 if self.rectangular else 2).real
         u = math.pi * z / (2.0 * w)
         carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
                    + cmath.log(0.5j) - 1j * u
@@ -337,11 +347,9 @@ class Lattice:
         if branch not in (-1, 1):
             raise ValueError("branch must be +1 or -1")
         e1, e2, e3 = self.roots.e_tilde
-        found = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w,
-                                     self._values, 0.25 * self._dmin)
-        if found is None:
-            raise WpInverseError(f"inversion failed for w={w!r}")
-        return self._select_branch(found[0], branch)
+        z, _ = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w,
+                                    self._values, 0.25 * self._dmin)
+        return self._select_branch(z, branch)
 
     def wp_inverse_real(self, w: float, gaps: tuple[float, float, float]) -> float:
         """x in [0, omega] with p(x) = w >= e1 on a rectangular lattice.
@@ -353,12 +361,9 @@ class Lattice:
         """
         omega = self.periods.omega.real
         seed = carlson_rf(*(max(g, 0.0) for g in gaps))
-        found = self._polish_inverse(seed, w, self.nome_series.at,
-                                     0.5 * min(omega, self.periods.omega_prime.imag))
-        if found is None:
-            raise WpInverseError(f"inversion failed for w={w!r}")
-        x = abs(found[0])          # p is even, and symmetric about omega
-        return 2.0 * omega - x if x > omega else x
+        x = abs(self._polish_inverse(seed, w, self.nome_series.at,
+                                     0.5 * min(omega, self.periods.omega_prime.imag))[0])
+        return 2.0 * omega - x if x > omega else x   # p is even, symmetric about omega
 
     def wp_inverse_imaginary(self, w: float, gaps: tuple[float, float, float]
                              ) -> tuple[complex, tuple[complex, complex, complex]]:
@@ -376,11 +381,8 @@ class Lattice:
         ns = self.nome_series
         half = self.periods.omega_prime.imag
         seed = complex(0.0, -carlson_rf(*(max(g, 0.0) for g in gaps)))
-        found = self._polish_inverse(seed, w, ns.at_complex,
-                                     0.5 * min(self.periods.omega.real, half))
-        if found is None:
-            raise WpInverseError(f"inversion failed for w={w!r}")
-        v_c, values = found
+        v_c, values = self._polish_inverse(seed, w, ns.at_complex,
+                                           0.5 * min(self.periods.omega.real, half))
         y = abs(v_c.imag)
         if y > half:               # a step past omega' lands on the mirror point
             y = 2.0 * half - y
@@ -390,11 +392,15 @@ class Lattice:
         p, pp, zt = values
         return complex(0.0, 2.0 * half - y), (p, pp, zt + 2.0 * self.periods.eta_prime)
 
-    def _polish_inverse(self, z, w, evaluate, lim) -> tuple | None:
-        """(z, evaluate(z)) at the Newton iterate with the least |p(z) - w|.
+    def _polish_inverse(self, z, w, evaluate, lim) -> tuple:
+        """(z, (p, p', zeta) at z) polished by Newton steps to p(z) = w.
 
-        ``evaluate`` returns p and p' first; a step is cut to length lim.
-        None when the least residual exceeds 1e-11 (1 + |w|).
+        ``evaluate`` returns (p, p', zeta); a step is cut to length lim.
+        WpInverseError when the least residual exceeds 1e-11 (1 + |w|).  Its
+        iterate, a few ulps short (up to 8e-15 of the angle advance per
+        period on the anchors, 3e-15 after), takes one more step from its
+        own evaluation, zeta moved by zeta' = -p; a larger step, next to a
+        critical point of p, would chase rounding divided by a small p'.
         """
         tol = 1e-11 * (1.0 + abs(w))
         best, best_res = None, math.inf
@@ -415,7 +421,13 @@ class Lattice:
             if abs(step) > lim:
                 step *= lim / abs(step)
             z = z - step
-        return best if best_res <= tol else None
+        if best_res > tol:
+            raise WpInverseError(f"inversion failed for w={w!r}")
+        z, (p, pp, zt) = best
+        step = (w - p) / pp if pp else 0.0
+        if 0.0 < abs(step) <= _LAST_STEP * abs(z):
+            return z + step, (w, pp, zt - p * step)
+        return best
 
     def _select_branch(self, z: complex, branch: int) -> tuple[complex, tuple | None]:
         """(z, wp_all(z)) on the branch; None for the values when z flipped."""

@@ -242,8 +242,8 @@ def r_of_tau_general(state: InitialState, tau: float) -> float:
     periodic in tau, so tau is first reduced by the real period of p.
     """
     f = build_f(state)
-    lat = Lattice(invariants_from_conserved(state.alpha, state.energy,
-                                            state.momentum))
+    inv = invariants_from_conserved(state.alpha, state.energy, state.momentum)
+    lat = Lattice.from_invariants(inv.g2, inv.g3)
     period = 2.0 * lat.real_half_period
     tau = tau - period * round(tau / period)
     r0 = state.r0

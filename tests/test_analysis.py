@@ -99,6 +99,26 @@ class TestEscapeAlpha:
             assert got == pytest.approx(want, abs=1e-10), (r0, v0, regime)
         assert regimes == {"low-speed", "mid-speed", "high-speed"}
 
+    def test_off_apse_family_matches_the_discriminant(self):
+        # TILTED's family (r0 = 1.3, v0 = 1, gamma0 = 25 deg): boundedness
+        # is lost where the discriminant of f, a cubic in alpha, changes sign
+        mp = pytest.importorskip("mpmath")
+        r0, v0, gamma0 = 1.3, 1.0, math.radians(25.0)
+        with mp.workdps(40):
+            h = mp.mpf(r0) * v0 * mp.cos(gamma0)
+
+            def disc(a):
+                energy = mp.mpf(v0) ** 2 / 2 - 1 / mp.mpf(r0) - a * r0
+                b, d = 2 * energy, -h * h
+                return (18 * 2 * a * b * 2 * d - 4 * b**3 * d + 4 * b**2
+                        - 4 * 2 * a * 8 - 27 * 4 * a * a * d * d)
+
+            want = mp.findroot(disc, (mp.mpf("0.02"), mp.mpf("0.08")),
+                               solver="anderson")
+        got = analysis.escape_alpha(
+            lambda alpha: InitialState(r0, v0, gamma0, alpha), 0.02, 0.08)
+        assert abs(got - float(want)) <= 1e-10
+
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_non_positive_tol_rejected(self, tol):
         with deadline(5.0), pytest.raises(ValueError):

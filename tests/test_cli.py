@@ -306,6 +306,21 @@ class TestPeriod:
         assert json.loads(err)["error"] == "RadialOrbitError"
 
 
+class TestClassify:
+    # f has one real root: the pair that merges at the escape threshold is
+    # complex and far apart, and e_k is the only real lattice root, so the
+    # margin is 0 and says nothing about nearness to escape
+    @pytest.mark.parametrize("state", [
+        ["--r0", "1", "--v0", "1.5", "--alpha", "0.05"],
+        ["--r0", "1.1", "--v0", "1.5", "--gamma0-deg", "30", "--alpha", "0.05"],
+    ])
+    def test_unbounded_verdict_follows_the_region(self, state):
+        doc = json.loads(run_ok(["classify", *state, "--format", "json"]))
+        assert doc["verdict"] == "unbounded"
+        assert doc["tag"] == "unbounded-above"
+        assert doc["margin"] == 0.0
+
+
 class TestEscapeAlpha:
     @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan"])
     def test_non_positive_tol_rejected(self, tol):

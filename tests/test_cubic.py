@@ -1,29 +1,25 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialorbit.cubic import cubic_discriminant, solve_cubic
+from radialorbit.cubic import cubic_roots, solve_cubic
 
 
 def test_simple_integer_roots():
-    roots, disc, double = solve_cubic(1.0, -6.0, 11.0, -6.0)
+    roots = solve_cubic(1.0, -6.0, 11.0, -6.0)
     assert [z.real for z in roots] == pytest.approx([3.0, 2.0, 1.0], abs=1e-13)
-    assert disc > 0.0
-    assert not double
+    assert all(z.imag == 0.0 for z in roots)
 
 
 def test_descending_order_three_real():
-    roots, _, _ = solve_cubic(4.0, 0.0, -4.0, 0.0)  # 4s^3 - 4s
+    roots = solve_cubic(4.0, 0.0, -4.0, 0.0)  # 4s^3 - 4s
     assert [z.real for z in roots] == pytest.approx([1.0, 0.0, -1.0], abs=1e-14)
     assert all(z.imag == 0.0 for z in roots)
 
 
 def test_complex_pair_convention():
     # one real root, conjugate pair: order is (a+ib, real, a-ib)
-    roots, disc, _ = solve_cubic(4.0, 0.0, -0.12, 0.016)
-    assert disc < 0.0
+    roots = solve_cubic(4.0, 0.0, -0.12, 0.016)
     assert roots[0].imag > 0.0
     assert roots[1].imag == 0.0
     assert roots[2] == roots[0].conjugate()
@@ -34,8 +30,7 @@ def test_complex_pair_convention():
 
 def test_exact_double_root():
     # 0.25 (r-2)^2 (r-1): the homoclinic cubic of the circular family
-    roots, _, double = solve_cubic(0.25, -1.25, 2.0, -1.0)
-    assert double
+    roots = solve_cubic(0.25, -1.25, 2.0, -1.0)
     assert roots[0].real == pytest.approx(2.0, abs=1e-10)
     assert roots[1].real == pytest.approx(2.0, abs=1e-10)
     assert roots[2].real == pytest.approx(1.0, abs=1e-10)
@@ -46,6 +41,24 @@ def test_leading_zero_rejected():
         solve_cubic(0.0, 1.0, 1.0, 1.0)
 
 
+def test_root_at_the_expansion_point_is_exact():
+    # f0 = 0: x = 0 is a root as posed, and the pair solves the quadratic
+    # f3 x^2 + f2 x + f1 with no deflation error
+    roots = cubic_roots(0.0, 2.0, -3.0, 1.0)
+    assert roots == (2.0, 1.0, 0.0)
+
+
+def test_pair_straddles_a_point_where_the_cubic_is_positive():
+    # f0 > 0 with the far root on the side f3 x_s > 0 gives c <= 0: one
+    # root of the pair on each side of 0, however close the two are
+    for gap in (1e-3, 1e-9, 1e-15):
+        x1, x2 = -gap, 2.0 * gap
+        f = np.poly1d([2.0, -100.0]) * np.poly1d([1.0, -(x1 + x2), x1 * x2])
+        f3, f2, f1, f0 = f.coeffs
+        roots = sorted(z.real for z in cubic_roots(f0, f1, f2, f3))
+        assert roots[0] <= 0.0 <= roots[1] < roots[2]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a=st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3),
@@ -54,7 +67,7 @@ def test_leading_zero_rejected():
     d=st.floats(-3.0, 3.0),
 )
 def test_residuals_and_vieta(a, b, c, d):
-    roots, disc, _ = solve_cubic(a, b, c, d)
+    roots = solve_cubic(a, b, c, d)
     scale = max(abs(a), abs(b), abs(c), abs(d))
     rmax = max(abs(z) for z in roots) + 1.0
     for z in roots:
@@ -68,17 +81,9 @@ def test_residuals_and_vieta(a, b, c, d):
     assert s2 == pytest.approx(c / a, abs=1e-7 * rmax**2)
     assert s3 == pytest.approx(-d / a, abs=1e-7 * rmax**3)
     # discriminant sign consistent with root reality
+    disc = (18.0 * a * b * c * d - 4.0 * b**3 * d + b**2 * c**2
+            - 4.0 * a * c**3 - 27.0 * a**2 * d**2)
     if disc > 1e-10 * scale**4:
         assert all(z.imag == 0.0 for z in roots)
     if disc < -1e-10 * scale**4:
         assert roots[0].imag > 0.0 > roots[2].imag
-
-
-def test_discriminant_formula():
-    # matches the expanded product over root differences
-    a, b, c, d = 2.0, -3.0, -4.0, 5.0
-    roots, disc, _ = solve_cubic(a, b, c, d)
-    prod = (roots[0] - roots[1]) ** 2 * (roots[0] - roots[2]) ** 2 \
-        * (roots[1] - roots[2]) ** 2
-    assert disc == pytest.approx((a**4 * prod).real, rel=1e-10)
-    assert cubic_discriminant(a, b, c, d) == disc

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oracle import circular_start_roots
-from radialorbit.cubic import solve_cubic
 from radialorbit.dynamics import (
     InitialState,
     MotionTag,
@@ -54,7 +53,8 @@ class TestConserved:
 class TestBuildF:
     def test_homoclinic_double_root_at_two(self):
         f = build_f(InitialState(1.0, 1.0, 0.0, 0.125))
-        assert solve_cubic(*f.coefficients)[2]
+        # an apse start: the pair solves 0.25 x^2 - 0.5 x + 0.25 = 0 exactly
+        assert f.roots[0] == f.roots[1] == 2.0
         roots = f.real_roots_desc()
         assert roots[0] == pytest.approx(2.0, abs=1e-10)
         assert roots[1] == pytest.approx(2.0, abs=1e-10)
@@ -144,7 +144,7 @@ class TestClassify:
     def test_negative_discriminant_single_component(self):
         state = InitialState(1.0, 1.2, 0.0, 0.1)
         f = build_f(state)
-        assert f.discriminant < 0.0
+        assert f.roots[0].imag > 0.0 and f.roots[1].imag == 0.0
         region = classify_region(f, 1.0)
         assert region.tag is MotionTag.UNBOUNDED_ABOVE
         assert region.r_lo == pytest.approx(1.0, abs=1e-10)

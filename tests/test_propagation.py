@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracle
-from radialorbit import propagation
+from radialorbit import analysis, cubic, propagation, weierstrass
 from radialorbit.dynamics import InitialState
 from radialorbit.elliptic import carlson_rf
 from radialorbit.errors import (
+    DegenerateLatticeError,
     NonMonotoneArcError,
     NoPericenterError,
     OutOfIntervalError,
@@ -68,8 +69,10 @@ def shifted_worked_state(r0=1.1, sign=+1):
 
 class TestBuildContext:
     def test_worked_invariants_and_root_index(self, worked_ctx):
-        assert worked_ctx.lattice.inv.g2 == pytest.approx(0.01, abs=1e-15)
-        assert worked_ctx.lattice.inv.g3 == pytest.approx(0.000144, abs=1e-18)
+        inv = invariants_from_conserved(worked_ctx.state.alpha, worked_ctx.energy,
+                                        worked_ctx.momentum)
+        assert inv.g2 == pytest.approx(0.01, abs=1e-15)
+        assert inv.g3 == pytest.approx(0.000144, abs=1e-18)
         assert worked_ctx.e_k == pytest.approx(-0.04, abs=1e-15)
         # f''(r_m)/24 = (12 a r_m + 4 E)/24 direct cross-check
         assert worked_ctx.e_k == pytest.approx(
@@ -88,7 +91,9 @@ class TestBuildContext:
 
     def test_ek_is_a_lattice_root(self, worked_ctx, rosette_ctx):
         for ctx in (worked_ctx, rosette_ctx):
-            g2, g3 = ctx.lattice.inv.g2, ctx.lattice.inv.g3
+            inv = invariants_from_conserved(ctx.state.alpha, ctx.energy,
+                                            ctx.momentum)
+            g2, g3 = inv.g2, inv.g3
             res = 4.0 * ctx.e_k**3 - g2 * ctx.e_k - g3
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
@@ -152,12 +157,12 @@ class TestBuildContext:
         assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13)
 
     def test_apse_epoch_without_inversion(self):
-        # near-circular apse start: the cubic's r_m lies 4.2e-12 above r0,
-        # outside the 1e-12 snap, and p^-1 of r0 left the real axis (0.00057j)
+        # near-circular apse start: f(r0) = 0 makes r0 a root exactly, the
+        # pericenter here (p^-1 of r0 once left the real axis, 0.00057j)
         state = InitialState(1.8218007400985097, 0.7503783122147819, 0.0,
                              -0.007764854127632678)
         ctx = build_context(state)
-        assert ctx.r_m - state.r0 > 1e-12 * ctx.r_m
+        assert ctx.r_m == state.r0
         assert ctx.tau0 == ctx.t0 == ctx.theta0 == 0.0
         traj = oracle.integrate_ode(state, 2.0 * ctx.T_t)
         for t in np.linspace(0.1, 1.9, 7) * ctx.T_t:
@@ -249,9 +254,11 @@ class TestThetaPole:
 
     def test_near_circular_pole_is_polished(self):
         # next to the critical point p(omega') = e3, R_F of the root gaps
-        # (the k-th one f'(r_m)/(4 r_m), exact) misses p(v) = w by 6.7e-12,
-        # 60 times the polish's stop level; the Newton steps on the series
-        # meet it
+        # (the k-th one f'(r_m)/(4 r_m), exact) seeds the pole.  With the
+        # gaps from f's root differences the seed already meets p(v) = w at
+        # the polish's stop level (within 1e-15 on 5748 random bounded
+        # states; 6.7e-12 here when the lattice had roots of its own), and
+        # the polished pole keeps it
         ctx = build_context(InitialState(**NEAR_CIRCULAR_K2))
         lat = ctx.lattice
         series = lat.nome_series
@@ -259,9 +266,10 @@ class TestThetaPole:
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
         w = ctx.e_k - c_v
         assert 0.0 < roots[2] - w < 1e-6 * (roots[0] - roots[2])
-        gaps = [c_v if i == ctx.k - 1 else (e - ctx.e_k) + c_v for i, e in enumerate(roots)]
+        gaps = [d + c_v for d in propagation._root_offsets(lat, ctx.k)]
+        assert gaps[ctx.k - 1] == c_v
         seed = complex(0.0, -carlson_rf(*gaps))
-        assert abs(series.at_complex(seed)[0] - w) > 1e-12 * (1.0 + abs(w))
+        assert abs(series.at_complex(seed)[0] - w) <= 1e-13 * (1.0 + abs(w))
         v_c = ctx.v - 2.0 * lat.periods.omega_prime
         assert abs(series.at_complex(v_c)[0] - w) <= 1e-13 * (1.0 + abs(w))
 
@@ -702,6 +710,75 @@ def test_near_parabolic_period_at_tiny_inward_alpha():
                                      -0.3286883833003511, -1.6906792983117208e-09))
     assert ctx.series_reach < ctx.lattice.real_half_period
     assert ctx.T_t == pytest.approx(397432877.89283483412, rel=2e-11)
+
+
+class TestRootsOfF:
+    """States whose roots of f once came from a second, rounded solve.
+
+    The references are perfbench's mpmath quadratures of each state (30
+    digits), or mpmath's roots of f with the state's coefficients.
+    """
+
+    def test_tiny_inward_alpha_keeps_its_pericenter(self):
+        # the lattice-cubic route lost r_m (NoPericenterError, "h = 0")
+        mp = pytest.importorskip("mpmath")
+        state = InitialState(1.4745863932276193, 1.0014379600425212,
+                             0.47399852117435864, -1.68e-9)
+        ctx = build_context(state)
+        assert ctx.bounded
+        with mp.workdps(40):
+            r0, v0, g, a = (mp.mpf(x) for x in (state.r0, state.v0, state.gamma0,
+                                                  state.alpha))
+            energy = v0**2 / 2 - 1 / r0 - a * r0
+            h = r0 * v0 * mp.cos(g)
+            roots = sorted(mp.re(z) for z in mp.polyroots(
+                [2 * a, 2 * energy, 2, -h * h], maxsteps=200, extraprec=200))
+        assert ctx.r_m == pytest.approx(float(roots[1]), rel=1e-12)
+        assert ctx.region.r_hi == pytest.approx(float(roots[2]), rel=1e-12)
+
+    def test_near_escape_periods(self):
+        # state_scatter's near_escape37 (seed 204): T_tau was 8.7e-7 and T_t
+        # 1.1e-6 off, a wrong answer past the benchmark's 1e-6
+        ctx = build_context(InitialState(1.1431567328044703, 1.3226467658507197,
+                                         0.0, 1.3489470917761692e-9))
+        assert ctx.T_tau == pytest.approx(2323.4981376509725271, rel=1e-9)
+        assert ctx.T_t == pytest.approx(50552995.066334265619, rel=1e-9)
+
+    def test_unbounded_radius_past_the_series_reach(self):
+        # the 1/a of the closed form scaled the lattice roots' error to
+        # 1.5e-9 in r
+        ctx = build_context(InitialState(1.0, 1.5, 0.0, 1e-6))
+        ps = propagate_ctx(ctx, 174.3)
+        assert ps.tau > ctx.series_reach
+        assert ps.r == pytest.approx(98.125204137170427955, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, -0.01, 1e-6, 1e-10])
+    def test_exact_circular_start_is_a_degenerate_lattice(self, alpha):
+        # r0 v0^2 = 1 - alpha r0^2 at an apse: the pair of f's roots at r0
+        # is double within rounding, and so is the lattice's
+        state = InitialState(1.0, math.sqrt(1.0 - alpha), 0.0, alpha)
+        with pytest.raises(DegenerateLatticeError):
+            build_context(state)
+
+    def test_state_path_makes_no_second_solve(self, monkeypatch):
+        # only Lattice.from_invariants solves the lattice cubic
+        def refuse(*args):
+            raise AssertionError("solve_cubic reached")
+
+        monkeypatch.setattr(cubic, "solve_cubic", refuse)
+        monkeypatch.setattr(weierstrass, "solve_cubic", refuse)
+        states = [InitialState(**kw) for kw in (WORKED, ROSETTE, TILTED, INBOUND)]
+        states += [InitialState(1.0, 1.2, 0.0, 0.1), shifted_worked_state(12.0)]
+        for state in states:
+            build_context(state)
+            analysis.boundedness_from_state(state)
+        outer, rhombic = build_context(states[-1]), build_context(states[-2])
+        assert not outer.bounded and outer.lattice.rectangular
+        assert not rhombic.bounded and not rhombic.lattice.rectangular
+        analysis.escape_alpha(lambda a: InitialState(1.3, 1.0, 0.4, a), 0.02, 0.08)
+        analysis.escape_alpha(lambda a: InitialState(1.0, 1.2, 0.0, a), 0.01, 0.05)
+        with pytest.raises(AssertionError):
+            Lattice.from_invariants(0.01, 0.000144)
 
 
 class TestPericenterSeries:

@@ -144,7 +144,7 @@ class TestGRoots:
 
 class TestHalfPeriods:
     def test_lemniscatic_case(self):
-        per = Lattice(Invariants(4.0, 0.0)).periods
+        per = Lattice.from_invariants(4.0, 0.0).periods
         assert per.omega.real == pytest.approx(
             1.8540746773013719 / math.sqrt(2.0), rel=1e-14
         )
@@ -269,7 +269,7 @@ class TestHalfPeriods:
         assert lat.nome_series.nome == pytest.approx(cmath.exp(1j * math.pi * tau), rel=1e-14)
 
     def test_rectangular_orientation_for_positive_g3(self):
-        per = Lattice(Invariants(3.0, 0.5)).periods
+        per = Lattice.from_invariants(3.0, 0.5).periods
         assert per.omega.imag == 0.0 and per.omega.real > 0.0
         assert abs(per.omega_prime.real) < 1e-15
         assert per.omega_prime.imag > 0.0
@@ -388,7 +388,7 @@ class TestEvaluation:
         scale = max(abs(g2) ** 3, 27.0 * g3**2, 1e-30)
         if abs(inv.discriminant) < 1e-6 * scale:
             return
-        lat = Lattice(inv)
+        lat = Lattice.from_invariants(g2, g3)
         z = 2.0 * (x * lat.periods.omega + y * lat.periods.omega_prime)
         zr, _, _ = lat.reduce(z)
         if abs(zr) < 1e-5:
@@ -515,13 +515,25 @@ def rhombic_lattices():
     return [Lattice.from_invariants(g2, g3) for g2, g3 in RHOMBIC_GRID] + near_escape
 
 
+def own_roots(lat, mp):
+    """The lattice's roots at mpmath precision: e2 and its own differences.
+
+    A lattice of the dynamics has its differences to more digits than
+    those of its rounded roots (``GRoots.gaps``).
+    """
+    g12, _, g23 = (mp.mpc(g) for g in lat.roots.gaps)
+    e2 = mp.mpc(lat.roots.e_tilde[1])
+    return [e2 + g12, e2, e2 - g23]
+
+
 class TestRhombicSeries:
     """The series of the reduced basis on rhombic lattices.
 
-    The reference lattice has the lattice's computed roots, shifted to sum
-    zero (which shifts p by their mean m, zeta by -m z and sigma by the
-    factor exp(-m z^2/2)): near the escape threshold ``solve_cubic``'s
-    roots miss those of the rounded invariants, which this does not test.
+    The reference lattice has the lattice's own roots (``own_roots``),
+    shifted to sum zero (which shifts p by their mean m, zeta by -m z and
+    sigma by the factor exp(-m z^2/2)): near the escape threshold the
+    roots of the rounded invariants miss those of f, which this does not
+    test.
     """
 
     @pytest.mark.parametrize("index", range(len(RHOMBIC_GRID) + len(NEAR_ESCAPE_RHOMBIC)))
@@ -532,7 +544,7 @@ class TestRhombicSeries:
         lat = rhombic_lattices()[index]
         assert lat.roots.discriminant < 0.0
         with mp.workdps(30):
-            e = [mp.mpc(z) for z in lat.roots.e_tilde]
+            e = own_roots(lat, mp)
             mean = sum(e) / 3
             e = [x - mean for x in e]
             g2 = mp.re(-4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]))

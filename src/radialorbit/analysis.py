@@ -8,24 +8,30 @@ the zeta quadrature of the time of flight.  Boundedness itself is the
 root structure of f, solved once at r0 (``dynamics.build_f``): the
 allowed component holding r0 is bounded iff a root of f lies above it,
 which with a > 0 needs three real roots and r0 below the upper two.  The
-escape threshold is where those two merge.  The closed form also
-gives the angle advance per radial period, v_m T_tau - 4 Im[omega zeta(v)
-- eta v] - 2 pi, a smooth function of the pericenter speed, so closed
-orbits are the roots of a 1-D function: ``find_periodic_v`` solves it by
-safeguarded regula falsi, each evaluation on the frame and pole stages
-of ``build_context`` alone (``build_frame``, ``build_pole``).
+escape threshold is where those two merge: with alpha eliminated from
+f = f' = 0 that is one cubic in the merge offset from r0, so
+``escape_alpha`` takes the threshold from its roots and evaluates
+boundedness only at the bracket ends and between candidates.  The closed
+form also gives the angle advance per radial period, v_m T_tau -
+4 Im[omega zeta(v) - eta v] - 2 pi, a smooth function of the pericenter
+speed, so closed orbits are the roots of a 1-D function:
+``find_periodic_v`` solves it by safeguarded regula falsi, each
+evaluation on the frame and pole stages of ``build_context`` alone
+(``build_frame``, ``build_pole``), and the closing speed's context adds
+the epoch stage to its evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import dynamics, propagation
+from .cubic import cubic_roots
 from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     BracketError,
+    ConvergenceError,
     NoCrossingError,
     UnboundedMotionError,
 )
@@ -80,46 +86,73 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
     )
 
 
-def escape_alpha(family: Callable[[float], InitialState],
-                 alpha_lo: float, alpha_hi: float,
-                 tol: float = 1e-10) -> float:
-    """Bisect boundedness over a one-parameter alpha family.
+def escape_alpha(r0: float, v0: float, gamma0: float,
+                 alpha_lo: float, alpha_hi: float) -> float:
+    """Escape threshold in alpha of the state (r0, v0, gamma0), in closed form.
 
-    ``family(alpha)`` must produce a valid state; the bracket must be
-    bounded at alpha_lo and unbounded at alpha_hi.  Bisection stops once
-    the bracket is narrower than ``tol`` or can no longer be halved.
-    Boundedness is that of the allowed region of f; at alpha = 0, where f
-    is a quadratic, it is Kepler's E < 0.
+    The bracket must be bounded at alpha_lo and unbounded at alpha_hi.
+    Boundedness is that of the allowed region of f; below the Kepler floor
+    of ``dynamics.build_f`` it is Kepler's E < 0, and inward thrust
+    (alpha < 0) always confines.
+
+    With (F0, G1, G2) the Taylor coefficients of f at r0 for alpha = 0
+    (``dynamics._taylor_coefficients``), f(r0 + x) = K(x) + 2 alpha x rho^2
+    with K = F0 + G1 x + G2 x^2 and rho = r0 + x.  If E = G2 r0/2 >= 0 at
+    alpha = 0 the threshold is 0 exactly: then G1 = 2 (u - 1) > 0, with
+    u = r0 v0^2, so f > 0 everywhere above r0 once alpha > 0.  Otherwise
+    boundedness is lost where two roots of f merge: f = f' = 0, which with
+    alpha eliminated is one cubic in the merge offset,
+
+        G2 x^3 + (2 G1 - G2 r0) x^2 + 3 F0 x + F0 r0 = 0.
+
+    Each real root with rho > 0 gives a candidate alpha = -K'(x) /
+    (2 rho (rho + 2 x)) from f' = 0, or equally -K(x) / (2 x rho^2) from
+    f = 0.  The second is the one evaluated: f' = 0 at the double root
+    makes it stationary in x, so the rounding of the root enters only at
+    second order, and its denominator stays positive where rho + 2 x = 0.
+    K/x = F0/x + G1 + G2 x, which is G1 at x = 0.  At an apse start
+    (F0 = 0) the candidates are (1 - u)/r0^2 and (2 - u)^2/(8 r0^3 v0^2).
+    One candidate in the bracket is the threshold; between several,
+    boundedness at the midpoints picks the first flip from bounded to
+    unbounded.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
     def is_bounded(alpha: float) -> bool:
-        state = family(alpha)
-        if state.alpha <= 0.0:      # inward thrust always confines
-            return state.alpha < 0.0 or state.energy < 0.0
-        return dynamics.classify_region(dynamics.build_f(state), state.r0).bounded
+        state = InitialState(r0, v0, gamma0, alpha)
+        if alpha < dynamics._ALPHA_FLOOR:
+            return alpha < 0.0 or state.energy < 0.0
+        return dynamics.classify_region(dynamics.build_f(state), r0).bounded
 
     if not is_bounded(alpha_lo) or is_bounded(alpha_hi):
         raise BracketError(
             f"need bounded at alpha={alpha_lo} and unbounded at alpha={alpha_hi}"
         )
-    lo, hi = alpha_lo, alpha_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if is_bounded(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    f0, g1, g2, _ = dynamics._taylor_coefficients(InitialState(r0, v0, gamma0, 0.0))
+    if g2 >= 0.0:
+        return 0.0
+    candidates = set()
+    for z in cubic_roots(f0 * r0, 3.0 * f0, 2.0 * g1 - g2 * r0, g2):
+        rho = r0 + z.real
+        if z.imag != 0.0 or rho <= 0.0:
+            continue
+        x = rho - r0                    # the offset that the rounded rho has
+        p, p_lo = dynamics._two_product(g2, x)
+        k_over_x = math.fsum((f0 / x if x else 0.0, g1, p, p_lo))
+        candidates.add(-0.5 * k_over_x / (rho * rho))
+    inside = sorted(a for a in candidates if alpha_lo <= a <= alpha_hi)
+    if not inside:
+        raise ConvergenceError(
+            f"no double root of f for alpha in [{alpha_lo}, {alpha_hi}]"
+        )
+    for a, b in zip(inside, inside[1:]):
+        if not is_bounded(0.5 * (a + b)):
+            return a
+    return inside[-1]
 
 
 def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
                     bracket: tuple[float, float],
-                    tol: float = 1e-12) -> float:
-    """Pericenter speed closing the orbit after N radial periods.
+                    tol: float = 1e-12) -> tuple[float, SolutionContext]:
+    """Pericenter speed closing the orbit after N radial periods, and its context.
 
     ``q = (M, N)`` requests a per-period angle advance congruent to
     +/- 2 pi M / N, so the trajectory repeats after N radial librations
@@ -133,20 +166,28 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     when that factor is not positive (Dowell & Jarratt, BIT 11, 1971;
     Anderson & Bjorck, BIT 13, 1973).  The search stops at the last
     evaluated speed when |f| is at the level the winding ratio is computed
-    to, or the bracket is narrower than tol * max(1, v_m).
+    to, or the bracket is narrower than tol * max(1, v_m).  The context of
+    that speed takes the epoch stage on the frame and pole the evaluation
+    built; only the exit after 200 steps, at a midpoint never evaluated,
+    builds one afresh.
     """
     m_turns, n_periods = q
     if n_periods <= 0:
         raise ValueError("q = (M, N) needs N >= 1")
 
-    def ratio(v_m: float) -> float:
-        frame = build_frame(InitialState(r_m, v_m, 0.0, alpha))
+    def ratio(v_m: float) -> tuple[float, tuple]:
+        state = InitialState(r_m, v_m, 0.0, alpha)
+        frame = build_frame(state)
         if frame[-1] is None:           # no T_tau
             raise UnboundedMotionError(f"v_m = {v_m} gives unbounded motion")
-        return build_pole(frame)[2] / (2.0 * math.pi)
+        pole = build_pole(frame)
+        return pole[2] / (2.0 * math.pi), (state, frame, pole)
+
+    def closed(evaluation: tuple) -> tuple[float, SolutionContext]:
+        return evaluation[0].v0, propagation._build_epoch(*evaluation)
 
     lo, hi = bracket
-    d_lo, d_hi = ratio(lo), ratio(hi)
+    (d_lo, e_lo), (d_hi, e_hi) = ratio(lo), ratio(hi)
     d_min, d_max = min(d_lo, d_hi), max(d_lo, d_hi)
     frac = (m_turns / n_periods) % 1.0
     targets = sorted(
@@ -164,17 +205,18 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     level = _RATIO_LEVEL * max(1.0, abs(target))
     f_lo, f_hi = d_lo - target, d_hi - target
     if abs(f_lo) <= level:
-        return lo
+        return closed(e_lo)
     if abs(f_hi) <= level:
-        return hi
+        return closed(e_hi)
     moved = 0  # bracket end replaced by the last step: -1 lo, +1 hi
     for _ in range(200):
         v_m = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < v_m < hi:
             v_m = 0.5 * (lo + hi)
-        f_v = ratio(v_m) - target
+        d_v, e_v = ratio(v_m)
+        f_v = d_v - target
         if abs(f_v) <= level:
-            return v_m
+            return closed(e_v)
         if (f_v > 0.0) == (f_lo > 0.0):
             if moved < 0:
                 m = 1.0 - f_v / f_lo
@@ -188,6 +230,7 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
             hi, f_hi = v_m, f_v
             moved = 1
         if hi - lo < tol * max(1.0, abs(v_m)):
-            return v_m
-    return 0.5 * (lo + hi)
+            return closed(e_v)
+    v_m = 0.5 * (lo + hi)
+    return v_m, propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
 

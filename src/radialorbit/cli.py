@@ -234,10 +234,9 @@ def cmd_find_periodic(args) -> int:
     units = _Units(args.mu, args.du)
     r_m = args.r_m / units.du
     alpha = args.alpha * units.tu**2 / units.du
-    v_m = analysis.find_periodic_v(
+    v_m, ctx = analysis.find_periodic_v(
         r_m, alpha, (args.M, args.N), (args.bracket_lo, args.bracket_hi)
     )
-    ctx = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
     payload = {
         "v_m": units.speed_out(v_m),
         "winding_ratio": ctx.dtheta_period / (2.0 * math.pi),
@@ -254,15 +253,10 @@ def cmd_find_periodic(args) -> int:
 
 def cmd_escape_alpha(args) -> int:
     units = _Units(args.mu, args.du)
-
-    def family(alpha: float) -> InitialState:
-        return InitialState(args.r0 / units.du,
-                            args.v0 * units.tu / units.du,
-                            math.radians(args.gamma0_deg), alpha)
-
-    a_lo = args.alpha_lo * units.tu**2 / units.du
+    at_lo = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha_lo)
     a_hi = args.alpha_hi * units.tu**2 / units.du
-    alpha_star = analysis.escape_alpha(family, a_lo, a_hi, tol=args.tol)
+    alpha_star = analysis.escape_alpha(at_lo.r0, at_lo.v0, at_lo.gamma0,
+                                       at_lo.alpha, a_hi)
     out = alpha_star * units.du / units.tu**2
     if args.format == "json":
         _emit(json.dumps({"alpha_star": out}) + "\n", args.out)
@@ -338,13 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_find_periodic)
 
     p = sub.add_parser("escape-alpha",
-                       help="bisect the boundedness threshold in alpha")
+                       help="escape threshold in alpha: where two roots of f merge")
     p.add_argument("--r0", type=float, required=True)
     p.add_argument("--v0", type=float, required=True)
     p.add_argument("--gamma0-deg", type=float, default=0.0)
     p.add_argument("--alpha-lo", type=float, required=True)
     p.add_argument("--alpha-hi", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--du", type=float, default=1.0)
     p.add_argument("--format", choices=("text", "json"), default="text")

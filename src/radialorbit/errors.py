@@ -46,7 +46,7 @@ class NonMonotoneArcError(RadialOrbitError):
 
 
 class BracketError(RadialOrbitError):
-    """Bisection bracket does not enclose a sign change."""
+    """Search bracket does not enclose a sign change."""
 
 
 class NoCrossingError(RadialOrbitError):

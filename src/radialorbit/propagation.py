@@ -60,7 +60,7 @@ in stages: ``build_frame`` (f, r_m, v_m, the lattice and T_tau),
 ``build_pole`` (v, zeta(v) and dtheta) and the epoch (tau_g, T_t, tau0,
 t0 and theta0 = theta(tau0), from which propagated angles are measured).
 Period sweeps run the first stage, ``analysis.find_periodic_v`` the first
-two.  r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
+two per speed and the epoch for the speed it returns.  r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
 e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_roots``).
 The lattice of bounded motion is rectangular, with omega, eta
 and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)

@@ -18,9 +18,9 @@ WORKED = dict(r0=1.0, v0=1.2, gamma0=0.0, alpha=0.02)
 # speed tuned so the angle advance per radial period is 2 pi * 9/10.  The
 # speed is pinned by perfbench and the CLI goldens; it lies 8.0e-14 from
 # the closing speed of an mpmath reference, and
-# analysis.find_periodic_v(1.0, -0.05, (9, 10), (1.25, 1.27)) returns
-# 1.2601352426205195, within 1.3e-16 of it.  Rounded to 1.26014 the speed
-# misses the advance by 1.07e-5.
+# analysis.find_periodic_v(1.0, -0.05, (9, 10), (1.25, 1.27)) returns the
+# speed 1.2601352426205188, within 4.6e-16 of it.  Rounded to 1.26014
+# the speed misses the advance by 1.07e-5.
 ROSETTE = dict(r0=1.0, v0=1.2601352426205996, gamma0=0.0, alpha=-0.05)
 
 # An off-apse start: r0 = 1.3, v0 = 1, flight-path angle 25 degrees.

@@ -1,14 +1,15 @@
 import math
+import random
 
 import pytest
 
 import oracle
-from radialorbit import analysis, propagation
-from radialorbit.dynamics import InitialState
+from radialorbit import analysis, dynamics, propagation
+from radialorbit.dynamics import InitialState, build_f
 from radialorbit.elliptic import elliptic_K
 from radialorbit.errors import UnboundedMotionError
 
-from conftest import deadline, sample_states
+from conftest import sample_states
 
 UNBOUNDED = InitialState(1.0, 1.2, 0.0, 0.1)
 
@@ -81,11 +82,12 @@ APSE_STARTS = [(1.0, 1.2), (1.0, 0.9), (0.7, 1.5), (1.0, 0.7), (1.0, 0.5),
                (2.0, 0.5), (1.0, 1.5)]
 
 
-class TestEscapeAlpha:
-    @staticmethod
-    def family(alpha):
-        return InitialState(1.0, 1.2, 0.0, alpha)
+def bounded_at(r0, v0, gamma0, alpha):
+    state = InitialState(r0, v0, gamma0, alpha)
+    return dynamics.classify_region(dynamics.build_f(state), r0).bounded
 
+
+class TestEscapeAlpha:
     def test_matches_closed_form_threshold(self):
         # apse starts (r0, v0) in all three regimes of u = r0 v0^2; the
         # low-speed ones take the (1 - u)/r0^2 branch of the threshold
@@ -94,9 +96,8 @@ class TestEscapeAlpha:
             regime, want = oracle.pericenter_start_conditions(r0, v0)
             regimes.add(regime)
             lo, hi = (0.5 * want, 1.5 * want) if want > 0.0 else (-0.01, 0.01)
-            got = analysis.escape_alpha(
-                lambda alpha: InitialState(r0, v0, 0.0, alpha), lo, hi)
-            assert got == pytest.approx(want, abs=1e-10), (r0, v0, regime)
+            got = analysis.escape_alpha(r0, v0, 0.0, lo, hi)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), (r0, v0, regime)
         assert regimes == {"low-speed", "mid-speed", "high-speed"}
 
     def test_off_apse_family_matches_the_discriminant(self):
@@ -115,14 +116,60 @@ class TestEscapeAlpha:
 
             want = mp.findroot(disc, (mp.mpf("0.02"), mp.mpf("0.08")),
                                solver="anderson")
-        got = analysis.escape_alpha(
-            lambda alpha: InitialState(r0, v0, gamma0, alpha), 0.02, 0.08)
-        assert abs(got - float(want)) <= 1e-10
+        got = analysis.escape_alpha(r0, v0, gamma0, 0.02, 0.08)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
-    def test_non_positive_tol_rejected(self, tol):
-        with deadline(5.0), pytest.raises(ValueError):
-            analysis.escape_alpha(self.family, 0.01, 0.05, tol=tol)
+    @pytest.mark.parametrize("r0, v0", [(2.0, 1.0), (0.5, 2.0)])
+    def test_parabolic_apse_start_escapes_at_zero(self, r0, v0):
+        # u = r0 v0^2 = 2 exactly: E = 0 at alpha = 0, f's cubic in the
+        # merge offset drops to a quadratic, and any outward thrust escapes
+        assert r0 * v0 * v0 == 2.0
+        assert analysis.escape_alpha(r0, v0, 0.0, -0.01, 0.01) == 0.0
+
+    @pytest.mark.parametrize("r0, v0, lo, hi", [
+        (1.0, 0.7, 0.3, 0.7),     # low-speed: the flip is (1 - u)/r0^2
+        (1.0, 0.9, 0.1, 0.3),     # mid-speed: r0's merge at (1 - u)/r0^2 keeps it bounded
+    ])
+    def test_bracket_holding_both_apse_candidates(self, r0, v0, lo, hi):
+        u = r0 * v0 * v0
+        candidates = ((1.0 - u) / r0**2, (2.0 - u) ** 2 / (8.0 * r0**3 * v0**2))
+        assert all(lo < a < hi for a in candidates)
+        got = analysis.escape_alpha(r0, v0, 0.0, lo, hi)
+        assert got == pytest.approx(oracle.pericenter_start_conditions(r0, v0)[1],
+                                    rel=1e-15, abs=0.0)
+        assert bounded_at(r0, v0, 0.0, got * (1.0 - 1e-9))
+        assert not bounded_at(r0, v0, 0.0, got * (1.0 + 1e-9))
+
+    def test_seeded_off_apse_families_flip_at_the_threshold(self):
+        rng = random.Random(13)
+        escaping = 0
+        for _ in range(200):
+            r0, v0 = rng.uniform(0.5, 2.5), rng.uniform(0.3, 1.6)
+            gamma0 = rng.uniform(-1.4, 1.4)
+            got = analysis.escape_alpha(r0, v0, gamma0, -1.0, 100.0)
+            escaping += got == 0.0
+            step = 1e-9 * max(1.0, abs(got))
+            assert bounded_at(r0, v0, gamma0, got - step), (r0, v0, gamma0)
+            assert not bounded_at(r0, v0, gamma0, got + step), (r0, v0, gamma0)
+        assert 0 < escaping < 200      # both E >= 0 and E < 0 at alpha = 0
+
+    @pytest.mark.parametrize("family, lo, hi", [
+        ((1.0, 1.2, 0.0), 0.01, 0.05),
+        ((1.0, 0.7, 0.0), 0.3, 0.7),
+        ((1.3, 1.0, math.radians(25.0)), 0.02, 0.08),
+        ((1.4734618297053863, 1.2119748394999497, math.radians(-57.62033099214291)),
+         -0.2, 1.5),
+    ])
+    def test_few_cubics_built(self, family, lo, hi, monkeypatch):
+        built = []
+
+        def counted(state):
+            built.append(state)
+            return build_f(state)
+
+        monkeypatch.setattr(dynamics, "build_f", counted)
+        analysis.escape_alpha(*family, lo, hi)
+        assert len(built) <= 4
 
 
 # (r_m, alpha, (M, N), bracket, closing winding ratio): the ROSETTE and
@@ -152,11 +199,16 @@ class TestFindPeriodic:
 
         monkeypatch.setattr(analysis, "build_frame", counted)
         monkeypatch.setattr(analysis, "build_pole", recorded)
-        v_m = analysis.find_periodic_v(r_m, alpha, q, bracket)
+        v_m, ctx = analysis.find_periodic_v(r_m, alpha, q, bracket)
         assert len(built) <= 10
         assert bracket[0] < v_m < bracket[1]
-        ctx = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
         assert abs(ctx.dtheta_period / (2.0 * math.pi) - winding) <= 1e-13
+        # the returned context is the one built afresh at v_m, bit for bit
+        fresh = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
+        assert ctx.state == fresh.state
+        assert (ctx.dtheta_period, ctx.T_tau, ctx.T_t) == (
+            fresh.dtheta_period, fresh.T_tau, fresh.T_t)
+        assert built[-1] == fresh.state
         # the first two evaluations are the bracket ends, on the same route
         # as the context's angle advance
         for state, (_, _, dtheta) in zip(built[:2], poles[:2]):

@@ -11,7 +11,6 @@ import pytest
 import radialorbit
 from radialorbit import cli
 
-from conftest import deadline
 
 WORKED = ["--r0", "1.0", "--v0", "1.2", "--alpha", "0.02"]
 ROSETTE = ["--r0", "1.0", "--v0", "1.2601352426205996", "--alpha", "-0.05"]
@@ -72,11 +71,11 @@ GOLDEN_JSON = {
     "escape_alpha_worked": (
         ["escape-alpha", "--r0", "1.0", "--v0", "1.2", "--alpha-lo", "0.01",
          "--alpha-hi", "0.05", "--format", "json"],
-        {"alpha_star": 0.027222222201526168}),
+        {"alpha_star": 0.02722222222222223}),
     "escape_alpha_rosette": (
         ["escape-alpha", "--r0", "1.0", "--v0", "1.2601352426205996",
          "--alpha-lo", "-0.05", "--alpha-hi", "0.05", "--format", "json"],
-        {"alpha_star": 0.013365797093138097}),
+        {"alpha_star": 0.013365797126831863}),
 }
 
 GOLDEN_SWEEP = {
@@ -322,22 +321,32 @@ class TestClassify:
 
 
 class TestEscapeAlpha:
-    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan"])
-    def test_non_positive_tol_rejected(self, tol):
-        with deadline(5.0):
-            code, _, err = run_cli(["escape-alpha", "--r0", "1.0", "--v0",
-                                    "1.2", "--alpha-lo", "0.01", "--alpha-hi",
-                                    "0.05", f"--tol={tol}"])
-        assert code == 2
-        assert json.loads(err)["error"] == "ValueError"
+    @pytest.mark.parametrize("name", ["escape_alpha_worked", "escape_alpha_rosette"])
+    def test_goldens_at_rounding_of_the_apse_threshold(self, name):
+        # apse starts: alpha* = (v0^2/2 - 1/r0)^2 / (2 r0 v0^2) exactly, for
+        # the doubles the CLI parses
+        mp = pytest.importorskip("mpmath")
+        argv, want = GOLDEN_JSON[name]
+        r0, v0 = (float(argv[argv.index(k) + 1]) for k in ("--r0", "--v0"))
+        with mp.workdps(40):
+            r0, v0 = mp.mpf(r0), mp.mpf(v0)
+            exact = (v0**2 / 2 - 1 / r0) ** 2 / (2 * r0 * v0**2)
+            assert abs(want["alpha_star"] - exact) <= 2e-16 * exact
 
-    def test_tol_below_float_spacing_terminates(self):
-        argv = ["escape-alpha", "--r0", "1.0", "--v0", "1.2", "--alpha-lo",
-                "0.01", "--alpha-hi", "0.05", "--format", "json"]
-        with deadline(5.0):
-            fine = json.loads(run_ok([*argv, "--tol", "1e-30"]))["alpha_star"]
-        coarse = json.loads(run_ok(argv))["alpha_star"]
-        assert fine == pytest.approx(coarse, abs=1e-10)
+    def test_parabolic_family_escapes_at_zero(self):
+        # E > 0 at alpha = 0: the threshold is exactly 0, which bisection
+        # probes in 0 < alpha < 1e-12 used to fail on (the Kepler limit)
+        argv = ["escape-alpha", "--r0", "1.4734618297053863",
+                "--v0", "1.2119748394999497",
+                "--gamma0-deg", "-57.62033099214291",
+                "--alpha-lo", "-0.2", "--alpha-hi", "1.5", "--format", "json"]
+        assert json.loads(run_ok(argv)) == {"alpha_star": 0.0}
+
+    def test_bad_bracket_is_a_domain_error(self):
+        code, _, err = run_cli(["escape-alpha", "--r0", "1.0", "--v0", "1.2",
+                                "--alpha-lo", "0.03", "--alpha-hi", "0.05"])
+        assert code == 2
+        assert json.loads(err)["error"] == "BracketError"
 
 
 def test_import_leaves_numpy_and_scipy_unloaded():

@@ -775,8 +775,8 @@ class TestRootsOfF:
         outer, rhombic = build_context(states[-1]), build_context(states[-2])
         assert not outer.bounded and outer.lattice.rectangular
         assert not rhombic.bounded and not rhombic.lattice.rectangular
-        analysis.escape_alpha(lambda a: InitialState(1.3, 1.0, 0.4, a), 0.02, 0.08)
-        analysis.escape_alpha(lambda a: InitialState(1.0, 1.2, 0.0, a), 0.01, 0.05)
+        analysis.escape_alpha(1.3, 1.0, 0.4, 0.02, 0.08)
+        analysis.escape_alpha(1.0, 1.2, 0.0, 0.01, 0.05)
         with pytest.raises(AssertionError):
             Lattice.from_invariants(0.01, 0.000144)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 _ULP = 2.0**-52
+_SMALLEST_NORMAL = 2.0**-1022   # below it a float keeps fewer than 53 bits
 
 
 def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[complex, complex, complex]:
@@ -28,7 +29,9 @@ def cubic_roots(f0: float, f1: float, f2: float, f3: float
     when f0 = 0 and otherwise comes from Newton steps (``_isolated_root``).
     Vieta deflates to the pair's x^2 + b x + c: c = -f0/(f3 x_s), and
     b = (c - f1/f3)/x_s when x_s is the far root (x_s^2 >= |c|), else
-    f2/f3 + x_s; at x_s = 0 the pair solves f3 x^2 + f2 x + f1 = 0 as posed.
+    f2/f3 + x_s.  At x_s = 0 the pair solves f3 x^2 + f2 x + f1 = 0 as posed,
+    and so it does at a subnormal x_s, off by O(x_s): there x_s has lost
+    the relative digits c needs (g3 = 5e-324 gave c = 0.25 for 0.375).
     The stable quadratic formula gives the pair, and one Newton step on
     the cubic polishes every root.  f0 >= 0 with f3 x_s > 0 makes c <= 0:
     the pair straddles 0, the epoch radius of the dynamics, by construction.
@@ -36,7 +39,7 @@ def cubic_roots(f0: float, f1: float, f2: float, f3: float
     distance to another root (noise at a near-double root), is refused.
     """
     x_s = 0.0 if f0 == 0.0 else _isolated_root(f0, f1, f2, f3)
-    if x_s == 0.0:
+    if abs(x_s) < _SMALLEST_NORMAL:
         a, b, c = f3, f2, f1
     else:
         a, c = 1.0, -f0 / (f3 * x_s)

@@ -63,12 +63,12 @@ Period sweeps run the first stage, ``analysis.find_periodic_v`` the first
 two per speed and the epoch for the speed it returns.  r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
 e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_roots``).
 The lattice of bounded motion is rectangular, with omega, eta
-and eta' from K and E; T_tau = 2 omega is its real period.  There p(v)
-lies below e3 (``_bounded_pole``), so v lies on the imaginary axis: R_F of
-the root gaps seeds it and Newton steps on the nome series polish it, and
-tau0 comes from the real R_F polished the same way on the real axis.  A
-bounded context thus makes no ``wp_all`` call; an unbounded one takes v
-from ``Lattice.wp_inverse_all``.  Quasi-periodicity turns
+and eta' from K and E; T_tau = 2 omega is its real period.  Every p^-1
+lies on a line where p is real (``_theta_pole``): tau0 on the real axis,
+v on the imaginary axis or on Re v = omega, which p(omega + u) = e1 +
+(e1 - e2)(e1 - e3)/(p(u) - e1) maps to it.  R_F of the root gaps seeds
+each and Newton steps on the nome series polish it, so no context makes
+a ``wp_all`` call.  Quasi-periodicity turns
 zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta (eta = zeta(omega)), and
 L(v - T_tau) - L(v + T_tau) into -4 eta v + 2 pi i, so t and theta
 advance per period by
@@ -105,7 +105,6 @@ _SERIES_REACH = 0.3        # t takes its pericenter series below this share of r
 _POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
 _UNIT_ROUNDOFF = 2.0**-53
 _ROUNDING_ULPS = 8          # the unbounded Kepler inversion stops this near t's rounding
-_REAL_SNAP = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,10 +214,7 @@ def build_pole(frame: tuple) -> tuple[complex, complex, float | None]:
     """Stage 2: (v, zeta(v), dtheta_period), p'(v) on the +i branch."""
     f, region, r_m, v_m, lat, k, e_k, t_tau = frame
     c_v = 0.25 * f.df(r_m) / r_m            # p(v) = e_k - c_v = -delta/gamma
-    if region.bounded:
-        v, (_, pv, zeta_v) = _bounded_pole(lat, k, e_k, c_v)
-    else:
-        v, (_, pv, zeta_v, _) = lat.wp_inverse_all(e_k - c_v, branch=+1)
+    v, (_, pv, zeta_v) = _theta_pole(lat, k, e_k, c_v)
     target = v_m * c_v                     # p'(v) must equal +i * target
     if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
         raise RadialOrbitError(
@@ -260,42 +256,68 @@ def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionCont
         dtheta_period=dtheta,
         series_reach=_SERIES_REACH * _pole_distance(lat, k, bounded),
     )
-    if state.r0 == region.r_hi:     # an apse start at the apocenter, a root exactly
-        tau0 = 0.5 * t_tau
-    elif abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
-        tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
-    else:
+    if abs(state.r0 - r_m) <= 1e-12 * max(1.0, r_m):
         return ctx
+    tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
     return _replace(ctx, tau0=tau0, t0=radial_kepler(ctx, tau0),
                     theta0=theta_of_tau(ctx, tau0))
 
 
-def _root_offsets(lat: Lattice, k: int) -> tuple[float, float, float]:
-    """e_i - e_k for the real lattice roots e_i, from their differences; 0 at i = k."""
-    g12, g13, g23 = (g.real for g in lat.roots.gaps)
+def _root_offsets(lat: Lattice, k: int) -> tuple:
+    """e_i - e_k for the lattice roots e_i, from their differences; 0 at i = k.
+
+    Real on a rectangular lattice; on a rhombic one (k = 2) e1 - e2 and
+    e3 - e2 are a conjugate pair.
+    """
+    gaps = lat.roots.gaps
+    g12, g13, g23 = (g.real for g in gaps) if lat.rectangular else gaps
     return ((0.0, -g12, -g13), (g12, 0.0, -g23), (g13, g23, 0.0))[k - 1]
 
 
-def _bounded_pole(lat: Lattice, k: int, e_k: float, c_v: float
-                  ) -> tuple[complex, tuple[complex, complex, complex]]:
-    """(v, (p, p', zeta) at v) for bounded motion, p(v) = w_v = e_k - c_v.
+def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
+                ) -> tuple[complex, tuple[complex, complex, complex]]:
+    """(v, (p, p', zeta) at v) with p(v) = w_v = e_k - c_v, p'(v) on the +i branch.
 
-    c_v = f'(r_m)/(4 r_m), and w_v < e3, so v lies on the imaginary axis
-    (``Lattice.wp_inverse_imaginary``).  Proof: r(tau) maps e(r) =
-    e_k + f'(r_m)/(4 (r - r_m)) to r, so e takes the roots of f to the
-    lattice roots, r = +/-inf to e_k and r = 0 to w_v.  Bounded motion
-    librates between roots r_m < r_M of f = 2 alpha r^3 + ... - h^2, with
-    f > 0 between them, so f'(r_m) > 0 and e falls on each side of r_m.
-    f(0) = -h^2 < 0 puts 0 below r_m, outside (r_m, r_M), and the third
-    root r_3 where the sign of alpha sends it:
+    c_v = f'(r_m)/(4 r_m).  v lies on the imaginary axis
+    (``Lattice.wp_inverse_imaginary``) or, in case (b), on Re v = omega.
+    Proof: r(tau) maps e(r) = e_k + f'(r_m)/(4 (r - r_m)) to r, so e takes
+    the roots of f to the lattice roots, r = +/-inf to e_k and r = 0 to
+    w_v, and f(0) = -h^2 < 0.  Bounded motion librates between roots
+    r_m < r_M of f = 2 alpha r^3 + ... - h^2, with f > 0 between them, so
+    f'(r_m) > 0 and e falls on each side of r_m; f(0) < 0 puts 0 below r_m,
+    outside (r_m, r_M), and the third root r_3 where the sign of alpha
+    sends it:
     - alpha > 0: f > 0 again beyond r_3 > r_M.  Both map above e_k, so
       e_k = e3 (k = 3), and w_v = e(0) < e(-inf) = e_k = e3.
     - alpha < 0: f > 0 below r_3, so r_3 < 0 < r_m.  Then e(r_3) < e_k <
       e(r_M) gives e3 = e(r_3) (k = 2), and w_v = e(0) < e(r_3) = e3.
+    Unbounded motion needs alpha > 0 (else f -> -inf as r -> inf), and e
+    falls on (-inf, r_m), r_m the largest real root, from e(-inf) = e_k.
+    - Three real roots r_m > r_2 > r_3: a rectangular lattice, e_k = e1
+      (k = 1), e(r_3) = e2, e(r_2) = e3, and f > 0 on (r_3, r_2).  (a) 0 in
+      (r_2, r_m): w_v < e3, the imaginary axis.  (b) 0 < r_3: e2 < w_v < e1,
+      the line Re v = omega.  With p'(omega) = 0 the addition theorems give
+      p(omega + u) = e1 + g12 g13/(p(u) - e1), p'(omega + u) =
+      -g12 g13 p'(u)/(p(u) - e1)^2 and zeta(omega + u) = zeta(u) + eta +
+      p'(u)/(2 (p(u) - e1)), so u = iy on the -i branch at w_u = e1 -
+      g12 g13/(e1 - w_v) gives v = omega + iy on the +i one.  The gaps of
+      w_u, g12 g13/(e1 - w_v), g12 (w_v - e3)/(e1 - w_v) and
+      g13 (w_v - e2)/(e1 - w_v), are products of positive factors.
+    - (c) A conjugate pair: a rhombic lattice, e_k = e2 (k = 2), and f < 0
+      on all of (-inf, r_m), so w_v < e2, the imaginary axis.
     The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.
     """
     gaps = tuple(d + c_v for d in _root_offsets(lat, k))
-    return lat.wp_inverse_imaginary(e_k - c_v, gaps)
+    if gaps[1] >= 0.0:              # w_v <= e2: the imaginary axis
+        return lat.wp_inverse_imaginary(e_k - c_v, gaps)
+    g12, g13, _ = (g.real for g in lat.roots.gaps)
+    s = g12 * g13 / c_v             # (b): e1 - w_u, as e1 - w_v = c_v
+    u, (_, pp, zt) = lat.wp_inverse_imaginary(
+        e_k - s, (s, -g12 * gaps[2] / c_v, -g13 * gaps[1] / c_v))
+    # at iy = 2 omega' - u: p - e1 = -s, p' = -pp and zeta = 2 eta' - zt
+    per = lat.periods
+    return (per.omega + 2.0 * per.omega_prime - u,
+            (e_k - c_v, pp * c_v / s, 2.0 * per.eta_prime - zt + per.eta + 0.5 * pp / s))
 
 
 def _replace(ctx: SolutionContext, **changes) -> SolutionContext:
@@ -457,8 +479,10 @@ def r_of_tau(ctx: SolutionContext, tau: float) -> float:
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     """Pseudo-time at radius r0 on the branch with sign(dr/dtau) = sign_rdot.
 
-    Bounded motion returns tau0 in [0, T_tau); an inbound unbounded state
-    returns a negative tau0 (pericenter passage lies ahead at tau = 0).
+    r0 > r_m puts p(tau0) = e(r0) above e_k (``_theta_pole``), so tau0 is
+    real: ``Lattice.wp_inverse_real`` on every lattice.  Bounded motion
+    returns tau0 in [0, T_tau); an inbound unbounded state returns a
+    negative tau0 (pericenter passage lies ahead at tau = 0).
     """
     if sign_rdot not in (-1, 1):
         raise ValueError("sign_rdot must be +1 or -1")
@@ -472,15 +496,8 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     if ctx.bounded and abs(r0 - ctx.region.r_hi) <= 1e-12 * max(1.0, ctx.region.r_hi):
         return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
     c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
-    if ctx.bounded:
-        # r_m < r0 <= r_M puts p(tau0) at or above e(r_M) = e1 (``_bounded_pole``)
-        gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k))
-        z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
-    else:
-        z = ctx.lattice.wp_inverse(ctx.e_k + c_0, branch=-1)  # ascending: p' <= 0
-        if abs(z.imag) > _REAL_SNAP * (1.0 + abs(z)):
-            raise RadialOrbitError(f"pseudo-time inversion left the real axis: {z!r}")
-        z = abs(z.real)
+    gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k))
+    z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
     if sign_rdot > 0:
         return z
     return ctx.T_tau - z if ctx.bounded else -z

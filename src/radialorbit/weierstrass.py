@@ -321,76 +321,62 @@ class Lattice:
 
     # -- inversion ----------------------------------------------------------
 
-    def wp_inverse(self, w: complex, branch: int = -1) -> complex:
-        """z with p(z) = w and the sign of p'(z) matching ``branch``.
+    def wp_inverse_real(self, w: float, gaps: tuple) -> float:
+        """x in [0, w_r] with p(x) = w >= e_k, w_r the real half period.
 
-        ``branch`` selects the sign of the dominant component (real or
-        imaginary, whichever is larger in magnitude) of p'(z).  The result
-        lies in the fundamental cell spanned by (2 omega, 2 omega'); real
-        results land in [0, 2 omega).  At the half periods (w a lattice
-        root) the branch is immaterial since p' vanishes there.
+        e_k is e1 on a rectangular lattice and e2, the real root, on a
+        rhombic one; p falls from +inf at 0 to e_k at w_r.  ``gaps`` are
+        w - e_i for i = 1, 2, 3, which a caller can often form with less
+        cancellation than the subtraction: real ones, or on a rhombic lattice
+        a conjugate pair and a real one.  A real gap a rounding below 0
+        counts as 0 (w = e_k, x = w_r).  R_F of the gaps is x, real as its
+        arguments are closed under conjugation, and Newton steps on
+        ``wp_real`` polish it.
         """
-        return self._inverse(w, branch)[0]
+        w_r = self.real_half_period
+        seed = carlson_rf(*self._clamped(gaps)).real
+        x = abs(self._polish_inverse(seed, w, self.wp_real, 0.25 * self._dmin)[0])
+        return 2.0 * w_r - x if x > w_r else x   # p is even, symmetric about w_r
 
-    def wp_inverse_all(self, w: complex, branch: int = -1) -> tuple[
-            complex, tuple[complex, complex, complex, complex]]:
-        """(z, wp_all(z)) for z = wp_inverse(w, branch).
-
-        The branch check's kernel call at z serves, so z costs no further
-        call unless the check flips it to the other branch.
-        """
-        z, values = self._inverse(w, branch)
-        return z, (values if values is not None else self.wp_all(z))
-
-    def _inverse(self, w: complex, branch: int) -> tuple[complex, tuple | None]:
-        w = complex(w)
-        if branch not in (-1, 1):
-            raise ValueError("branch must be +1 or -1")
-        e1, e2, e3 = self.roots.e_tilde
-        z, _ = self._polish_inverse(carlson_rf(w - e1, w - e2, w - e3), w,
-                                    self._values, 0.25 * self._dmin)
-        return self._select_branch(z, branch)
-
-    def wp_inverse_real(self, w: float, gaps: tuple[float, float, float]) -> float:
-        """x in [0, omega] with p(x) = w >= e1 on a rectangular lattice.
-
-        ``gaps`` are w - e_i for i = 1, 2, 3, which a caller can often form
-        with less cancellation than the subtraction; a gap a rounding
-        below 0 counts as 0 (w = e1, x = omega).  The real R_F of the gaps
-        is x, and Newton steps on the nome series polish it.
-        """
-        omega = self.periods.omega.real
-        seed = carlson_rf(*(max(g, 0.0) for g in gaps))
-        x = abs(self._polish_inverse(seed, w, self.nome_series.at,
-                                     0.5 * min(omega, self.periods.omega_prime.imag))[0])
-        return 2.0 * omega - x if x > omega else x   # p is even, symmetric about omega
-
-    def wp_inverse_imaginary(self, w: float, gaps: tuple[float, float, float]
+    def wp_inverse_imaginary(self, w: float, gaps: tuple
                              ) -> tuple[complex, tuple[complex, complex, complex]]:
-        """(v, (p, p', zeta) at v) with p(v) = w <= e3 on a rectangular lattice.
+        """(v, (p, p', zeta) at v) with p(v) = w on the imaginary axis.
 
-        ``gaps`` are e_i - w >= 0 for i = 1, 2, 3, formed by the caller as
-        for ``wp_inverse_real``.  p(iy; g2, g3) = -p(y; g2, -g3) makes
-        y = R_F(gaps) the point of (0, |omega'|] with p(iy) = w; there
-        p'(iy) = -i dp(iy)/dy lies on the -i branch, and its mirror
-        v = 2 omega' - iy, with |omega'| <= Im v < 2 |omega'|, on the +i
-        branch.  Newton steps on the nome series at the reduced point
-        v_c = -iy (``NomeSeries.at_complex``) polish y; the values at v are
-        those at v_c with 2 eta' added to zeta.
+        w <= e3 on a rectangular lattice, w <= e2 on a rhombic one, and
+        ``gaps`` are e_i - w for i = 1, 2, 3, formed by the caller as for
+        ``wp_inverse_real``.  p(iy; g2, g3) = -p(y; g2, -g3) makes y =
+        R_F(gaps) the point of (0, h] with p(iy) = w, where ih is the first
+        half period up the axis: omega' on a rectangular lattice, omega' -
+        omega on a rhombic one.  There p'(iy) = -i dp(iy)/dy lies on the -i
+        branch, and its mirror v = 2 omega' - iy on the +i branch: Re v = 0
+        and h <= Im v < 2h on a rectangular lattice, Re v = w_r and
+        0 <= Im v < h on a rhombic one.  Newton steps on the nome series at
+        -iy (``_values``) polish y; the values at v are those at -iy with
+        2 eta' added to zeta.
         """
-        ns = self.nome_series
-        half = self.periods.omega_prime.imag
-        seed = complex(0.0, -carlson_rf(*(max(g, 0.0) for g in gaps)))
-        v_c, values = self._polish_inverse(seed, w, ns.at_complex,
-                                           0.5 * min(self.periods.omega.real, half))
+        per = self.periods
+        half = (per.omega_prime if self.rectangular else per.omega_prime - per.omega).imag
+        seed = complex(0.0, -carlson_rf(*self._clamped(gaps)).real)
+        v_c, values = self._polish_inverse(seed, w, self._values, 0.25 * self._dmin)
         y = abs(v_c.imag)
-        if y > half:               # a step past omega' lands on the mirror point
+        if y > half:               # a step past ih lands on the mirror point
             y = 2.0 * half - y
-        if v_c.imag != -y:
+        if v_c != complex(0.0, -y):
             v_c = complex(0.0, -y)
-            values = ns.at_complex(v_c)
+            values = self._values(v_c)
         p, pp, zt = values
-        return complex(0.0, 2.0 * half - y), (p, pp, zt + 2.0 * self.periods.eta_prime)
+        return 2.0 * per.omega_prime - complex(0.0, y), (p, pp, zt + 2.0 * per.eta_prime)
+
+    def _clamped(self, gaps: tuple) -> tuple:
+        """The real gaps with one a rounding below 0 taken as 0.
+
+        All three are real on a rectangular lattice; on a rhombic one only
+        the gap at e2, the real root.
+        """
+        a, b, c = gaps
+        if self.rectangular:
+            return max(a, 0.0), max(b, 0.0), max(c, 0.0)
+        return a, max(b, 0.0), c
 
     def _polish_inverse(self, z, w, evaluate, lim) -> tuple:
         """(z, (p, p', zeta) at z) polished by Newton steps to p(z) = w.
@@ -428,28 +414,6 @@ class Lattice:
         if 0.0 < abs(step) <= _LAST_STEP * abs(z):
             return z + step, (w, pp, zt - p * step)
         return best
-
-    def _select_branch(self, z: complex, branch: int) -> tuple[complex, tuple | None]:
-        """(z, wp_all(z)) on the branch; None for the values when z flipped."""
-        z = self._canonical(z)
-        values = self.wp_all(z)
-        p, pp = values[0], values[1]
-        scale = (1.0 + abs(p)) ** 1.5
-        if abs(pp) <= 1e-10 * scale:
-            return z, values
-        comp = pp.real if abs(pp.real) >= abs(pp.imag) else pp.imag
-        if comp * branch < 0.0:
-            return self._canonical(-z), None
-        return z, values
-
-    def _canonical(self, z: complex) -> complex:
-        """Representative with cell coordinates in [0, 1); real input -> [0, 2w)."""
-        w1, w2 = 2.0 * self.periods.omega, 2.0 * self.periods.omega_prime
-        x, y = _coordinates(z, w1, w2)
-        z = z - math.floor(x + 1e-13) * w1 - math.floor(y + 1e-13) * w2
-        if abs(z.imag) <= 1e-12 * (1.0 + abs(z.real)):
-            z = complex(z.real, 0.0)
-        return z
 
 
 class NomeSeries:

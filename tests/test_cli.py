@@ -113,6 +113,17 @@ GOLDEN_PROPAGATE_STATES = {"worked": WORKED, "rosette": ROSETTE,
                            "tilted": TILTED, "inbound": INBOUND}
 GOLDEN_PROPAGATE_SPANS = {"t_span": ["--t-span", "500"],
                           "tau_span": ["--tau-span", "100"]}
+# Unbounded states, one for each line that holds the theta pole
+# (``propagation._theta_pole``), under "<state>_t_span" alone: the imaginary
+# axis of a rectangular lattice, its line Re v = omega (all of f's roots
+# positive), and a rhombic lattice.
+GOLDEN_UNBOUNDED_STATES = {
+    "unbounded_axis": ["--r0", "1.0", "--v0", "1.5", "--alpha", "1e-06"],
+    "unbounded_shift": ["--r0", "4.87", "--v0", "0.115", "--gamma0-deg", "44",
+                        "--alpha", "0.26"],
+    "unbounded_rhombic": ["--r0", "1.1", "--v0", "1.5", "--gamma0-deg", "30",
+                          "--alpha", "0.05"],
+}
 with open(os.path.join(os.path.dirname(__file__),
                        "golden_propagate.json")) as _fh:
     GOLDEN_PROPAGATE = json.load(_fh)
@@ -165,6 +176,13 @@ class TestGolden:
                 "--format", "json"]
         assert_close(json.loads(run_ok(argv)),
                      GOLDEN_PROPAGATE[f"{state}_{span}"])
+
+    @pytest.mark.parametrize("state", sorted(GOLDEN_UNBOUNDED_STATES))
+    def test_propagate_unbounded(self, state):
+        argv = ["propagate", *GOLDEN_UNBOUNDED_STATES[state],
+                *GOLDEN_PROPAGATE_SPANS["t_span"], "--samples", "41",
+                "--format", "json"]
+        assert_close(json.loads(run_ok(argv)), GOLDEN_PROPAGATE[f"{state}_t_span"])
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
     def test_period_sweep(self, name):

@@ -59,6 +59,16 @@ def test_pair_straddles_a_point_where_the_cubic_is_positive():
         assert roots[0] <= 0.0 <= roots[1] < roots[2]
 
 
+def test_subnormal_isolated_root():
+    # 4s^3 + 1.5s - 5e-324: the real root is subnormal and keeps one bit,
+    # so c = -f0/(f3 x_s) came out 0.25 and the pair +/-0.667i; the pair
+    # solves 4s^2 + 1.5 = 0
+    roots = solve_cubic(4.0, 0.0, 1.5, -5e-324)
+    assert abs(roots[1]) < 1e-300
+    assert roots[0] == pytest.approx(complex(0.0, (1.5 / 4.0) ** 0.5), abs=1e-15)
+    assert roots[2] == roots[0].conjugate()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     a=st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3),

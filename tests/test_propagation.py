@@ -98,45 +98,27 @@ class TestBuildContext:
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
     def test_apse_start_kernel_work(self, monkeypatch):
-        # theta0 = 0 needs no sigma.  A bounded context makes no kernel call
-        # at all: the pole comes from R_F and the nome series.  An unbounded
-        # one takes p'(v) and zeta(v) from the branch check's call inside
-        # the inversion: no call at v outside it
-        sigma_calls, kernel_calls, outside, inverting = [], [], [], []
+        # theta0 = 0 needs no sigma, and no context makes a wp_all call:
+        # the pole comes from R_F and the nome series on an axis, bounded
+        # or not
+        calls = []
         sigma, wp_all = Lattice.sigma, Lattice.wp_all
-        wp_inverse_all = Lattice.wp_inverse_all
 
         def counted_sigma(self, z):
-            sigma_calls.append(z)
+            calls.append(("sigma", z))
             return sigma(self, z)
 
         def counted_wp_all(self, z):
-            kernel_calls.append(z)
-            if not inverting:
-                outside.append(z)
+            calls.append(("wp_all", z))
             return wp_all(self, z)
-
-        def marked_inverse(self, w, branch=-1):
-            inverting.append(w)
-            try:
-                return wp_inverse_all(self, w, branch)
-            finally:
-                inverting.pop()
 
         monkeypatch.setattr(Lattice, "sigma", counted_sigma)
         monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
-        monkeypatch.setattr(Lattice, "wp_inverse_all", marked_inverse)
         for kw in (WORKED, ROSETTE, dict(r0=1.0, v0=1.2, gamma0=0.0, alpha=0.1)):
-            for calls in (sigma_calls, kernel_calls, outside):
-                calls.clear()
+            calls.clear()
             ctx = build_context(InitialState(**kw))
             assert ctx.theta0 == 0.0
-            assert sigma_calls == []
-            if ctx.bounded:
-                assert kernel_calls == []
-            else:
-                assert [z for z in outside if z.imag != 0.0] == []
-                assert kernel_calls.count(ctx.v) == 1
+            assert calls == []
 
     @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
     def test_pole_values_from_the_branch_check(self, kw):
@@ -146,7 +128,7 @@ class TestBuildContext:
         ctx = build_context(InitialState(**kw))
         lat = ctx.lattice
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
-        v, (p, pp, zt) = propagation._bounded_pole(lat, ctx.k, ctx.e_k, c_v)
+        v, (p, pp, zt) = propagation._theta_pole(lat, ctx.k, ctx.e_k, c_v)
         assert v == ctx.v and zt == ctx.zeta_v
         series = lat.nome_series.at_complex(v - 2.0 * lat.periods.omega_prime)
         shifted = (series[0], series[1], series[2] + 2.0 * lat.periods.eta_prime)
@@ -179,8 +161,13 @@ class TestBuildContext:
         state = InitialState(r_hi, WORKED["v0"] * WORKED["r0"] / r_hi, 0.0,
                              WORKED["alpha"])
         calls = []
-        monkeypatch.setattr(Lattice, "wp_inverse",
-                            lambda self, w, branch=-1: calls.append(w))
+        wp_inverse_real = Lattice.wp_inverse_real
+
+        def counted(self, w, gaps):
+            calls.append(w)
+            return wp_inverse_real(self, w, gaps)
+
+        monkeypatch.setattr(Lattice, "wp_inverse_real", counted)
         ctx = build_context(state)
         assert calls == []
         assert ctx.tau0 == 0.5 * ctx.T_tau
@@ -234,7 +221,7 @@ class TestThetaPole:
         assert ctx.k in (2, 3)
         lat = ctx.lattice
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
-        v, (p, pp, zt) = propagation._bounded_pole(lat, ctx.k, ctx.e_k, c_v)
+        v, (p, pp, zt) = propagation._theta_pole(lat, ctx.k, ctx.e_k, c_v)
         assert v == ctx.v and zt == ctx.zeta_v
         k = lat.nome_series.k
         with mp.workdps(40):
@@ -272,6 +259,52 @@ class TestThetaPole:
         assert abs(series.at_complex(seed)[0] - w) <= 1e-13 * (1.0 + abs(w))
         v_c = ctx.v - 2.0 * lat.periods.omega_prime
         assert abs(series.at_complex(v_c)[0] - w) <= 1e-13 * (1.0 + abs(w))
+
+
+# Unbounded states, one for each line that holds the theta pole
+# (``propagation._theta_pole``): (a) the imaginary axis of a rectangular
+# lattice, (b) its line Re v = omega, where all three roots of f (0.094,
+# 0.685 and 4.855) are positive, and (c) a rhombic lattice, Re v = w_r.
+UNBOUNDED_POLES = {
+    "axis": (1.0, 1.5, 0.0, 1e-6),
+    "shift": (4.87, 0.115, math.radians(44.0), 0.26),
+    "rhombic": (1.1, 1.5, math.radians(30.0), 0.05),
+}
+
+
+class TestUnboundedPole:
+    @pytest.mark.parametrize("name", sorted(UNBOUNDED_POLES))
+    def test_pole_on_its_line(self, name):
+        # v on its line, p'(v) = +i v_m f'(r_m)/(4 r_m), and the values the
+        # inversion returns are those of wp_all at v
+        ctx = build_context(InitialState(*UNBOUNDED_POLES[name]))
+        lat = ctx.lattice
+        roots = [z.real for z in ctx.f.roots]
+        assert not ctx.bounded
+        assert lat.rectangular == (name != "rhombic")
+        assert (min(roots) > 0.0) == (name == "shift")
+        line = {"axis": 0.0, "shift": lat.periods.omega.real,
+                "rhombic": lat.real_half_period}[name]
+        assert ctx.v.real == line and ctx.v.imag > 0.0
+        c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
+        v, (p, pp, zt) = propagation._theta_pole(lat, ctx.k, ctx.e_k, c_v)
+        assert v == ctx.v and zt == ctx.zeta_v
+        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13)
+        for got, want in zip((p, pp, zt), lat.wp_all(v)):
+            assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("name", sorted(UNBOUNDED_POLES))
+    def test_against_rk(self, name):
+        # measured worst 3.9e-12 in r and 3.4e-12 in theta
+        state = InitialState(*UNBOUNDED_POLES[name])
+        ctx = build_context(state)
+        assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-13)
+        traj = oracle.integrate_ode(state, 30.0)
+        for t in np.linspace(0.05, 1.0, 8) * 30.0:
+            r_ref, th_ref, _, _ = traj.at(t)
+            ps = propagate_ctx(ctx, t)
+            assert abs(ps.r - r_ref) / r_ref < 1e-9
+            assert abs(ps.theta - th_ref) < 1e-8
 
 
 class TestRadius:

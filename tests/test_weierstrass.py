@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radialorbit import weierstrass
 from radialorbit.dynamics import InitialState
@@ -383,6 +383,8 @@ class TestEvaluation:
         x=st.floats(0.05, 0.95),
         y=st.floats(0.05, 0.95),
     )
+    # a subnormal g3 made the lattice roots +/-0.667i for +/-0.612i
+    @example(g2=-1.5, g3=5e-324, x=0.5, y=0.75)
     def test_ode_residual_random_invariants(self, g2, g3, x, y):
         inv = Invariants(g2, g3)
         scale = max(abs(g2) ** 3, 27.0 * g3**2, 1e-30)
@@ -614,88 +616,60 @@ class TestLogSigma:
 
 
 class TestInverse:
-    @pytest.mark.parametrize("g2,g3", LATTICE_GRID[:8])
-    def test_round_trip_from_real_axis(self, g2, g3):
-        lat = Lattice.from_invariants(g2, g3)
-        z0 = 0.3 * lat.real_half_period
-        w = lat.wp(z0)
-        z = lat.wp_inverse(w, branch=-1)
-        assert z == pytest.approx(z0, rel=1e-10, abs=1e-12)
+    """p^-1 on the two axes, on rectangular and rhombic lattices alike.
 
-    def test_round_trip_general_value(self):
-        lat = Lattice.from_invariants(*WORKED_G)
-        z0 = lat.wp_inverse(lat.wp(0.3), branch=-1)
-        assert z0 == pytest.approx(0.3, abs=1e-12)
+    The gaps are formed as the dynamics forms them: real ones from the real
+    roots, a conjugate pair on a rhombic lattice.
+    """
 
-    @pytest.mark.parametrize("g2,g3", LATTICE_GRID[:8])
-    def test_half_period_targets(self, g2, g3):
-        lat = Lattice.from_invariants(g2, g3)
-        for k in (1, 2, 3):
-            z = lat.wp_inverse(lat.roots.e_tilde[k - 1])
-            assert abs(lat.wp(z) - lat.roots.e_tilde[k - 1]) <= 1e-10 * (
-                1.0 + abs(lat.roots.e_tilde[k - 1])
-            )
-            zr, _, _ = lat.reduce(z - lat.periods.omega_k(k))
-            assert abs(zr) <= 1e-8 * (1.0 + abs(lat.periods.omega_k(k)))
+    @staticmethod
+    def gaps(lat, w, sign):
+        """sign (w - e_i), real where e_i is."""
+        return tuple(sign * (w - (e if e.imag else e.real)) for e in lat.roots.e_tilde)
 
-    def test_branch_selector_flips_derivative(self):
-        lat = Lattice.from_invariants(*WORKED_G)
-        w = lat.wp(0.41).real
-        z_minus = lat.wp_inverse(w, branch=-1)
-        z_plus = lat.wp_inverse(w, branch=+1)
-        assert lat.wp_all(z_minus)[1].real < 0.0 < lat.wp_all(z_plus)[1].real
-        # both within one real period, mapping to the same p value
-        assert 0.0 <= z_minus.real < 2.0 * lat.real_half_period
-        assert 0.0 <= z_plus.real < 2.0 * lat.real_half_period
-        assert abs(lat.wp(z_plus) - w) <= 1e-10 * (1.0 + abs(w))
-
-    def test_below_smallest_root_lands_on_imaginary_axis(self):
-        lat = Lattice.from_invariants(*WORKED_G)
-        z = lat.wp_inverse(-0.27, branch=+1)
-        assert abs(z.real) < 1e-10
-        assert lat.wp_all(z)[1].imag > 0.0
-
-    @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_real_inverse_from_root_gaps(self, g2, g3):
-        # x in [0, omega] with p(x) = w >= e1; w = e1 gives omega itself
+        # x in [0, w_r] with p(x) = w >= e_k; w = e_k gives w_r itself
         lat = Lattice.from_invariants(g2, g3)
-        series = lat.nome_series
-        roots = [z.real for z in lat.roots.e_tilde]
-        omega = lat.periods.omega.real
+        w_r = lat.real_half_period
+        e_k = lat.roots.e_tilde[0 if lat.rectangular else 1].real
         for frac in (0.05, 0.4, 0.9, 0.999, 1.0):
-            w = roots[0] if frac == 1.0 else series.at(frac * omega)[0]
-            x = lat.wp_inverse_real(w, tuple(w - e for e in roots))
-            assert 0.0 < x <= omega
-            assert abs(series.at(x)[0] - w) <= 1e-13 * (1.0 + abs(w))
+            w = e_k if frac == 1.0 else lat.wp_real(frac * w_r)[0]
+            x = lat.wp_inverse_real(w, self.gaps(lat, w, 1.0))
+            assert 0.0 < x <= w_r
+            assert abs(lat.wp_real(x)[0] - w) <= 1e-13 * (1.0 + abs(w))
             if frac < 0.95:
-                assert x == pytest.approx(frac * omega, rel=1e-12)
-        x = lat.wp_inverse_real(roots[0], (0.0, roots[0] - roots[1], roots[0] - roots[2]))
-        assert x == pytest.approx(omega, rel=1e-15)
+                assert x == pytest.approx(frac * w_r, rel=1e-12)
+        assert x == pytest.approx(w_r, rel=1e-15)
 
-    @pytest.mark.parametrize("g2,g3", RECTANGULAR_GRID)
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_imaginary_inverse_from_root_gaps(self, g2, g3):
-        # v = i y with |omega'| <= y < 2 |omega'|, p(v) = w <= e3, p' on the
-        # +i branch; the values are those of wp_all at v
+        # p(v) = w <= e3 (rectangular) or e2 (rhombic) with p' on the +i
+        # branch: v = 2 omega' - iy, y in (0, h], ih the first half period up
+        # the imaginary axis; w at that half period gives it back.  The
+        # values are those of wp_all at v
         lat = Lattice.from_invariants(g2, g3)
-        series = lat.nome_series
-        roots = [z.real for z in lat.roots.e_tilde]
-        w_i = lat.periods.omega_prime.imag
-        for frac in (0.05, 0.4, 0.9, 0.999):
-            w = series.at_complex(complex(0.0, frac * w_i))[0].real
-            v, (p, pp, zt) = lat.wp_inverse_imaginary(w, tuple(e - w for e in roots))
-            assert v.real == 0.0 and w_i <= v.imag < 2.0 * w_i
+        per = lat.periods
+        h = (per.omega_prime if lat.rectangular else per.omega_prime - per.omega).imag
+        re_v = 0.0 if lat.rectangular else lat.real_half_period
+        lo = h if lat.rectangular else 0.0                           # Im v in [lo, lo + h)
+        e_h = lat.roots.e_tilde[2 if lat.rectangular else 1].real   # p(ih)
+        for frac in (0.05, 0.4, 0.9, 0.999, 1.0):
+            w = e_h if frac == 1.0 else lat.wp(complex(0.0, frac * h)).real
+            v, (p, pp, zt) = lat.wp_inverse_imaginary(w, self.gaps(lat, w, -1.0))
+            assert v.real == re_v
             assert abs(p - w) <= 1e-13 * (1.0 + abs(w))
-            assert pp.imag > 0.0
-            if frac < 0.95:
-                assert v.imag == pytest.approx((2.0 - frac) * w_i, rel=1e-12)
             kernel = lat.wp_all(v)
             for got, want in zip((p, pp, zt), kernel):
-                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
-
-    def test_branch_validation(self):
-        lat = Lattice.from_invariants(*WORKED_G)
-        with pytest.raises(ValueError):
-            lat.wp_inverse(0.3, branch=0)
+                assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+            if frac < 1.0:
+                assert pp.imag > 0.0
+                assert 0.0 < v.imag and lo <= v.imag < lo + h
+            if frac < 0.95:
+                assert v.imag == pytest.approx(2.0 * per.omega_prime.imag - frac * h,
+                                               rel=1e-12)
+        half = per.omega_prime if lat.rectangular else lat.real_half_period
+        assert abs(lat.reduce(v - half)[0]) <= 1e-14 * abs(half)
 
 
 class TestLaurentCoefficients:

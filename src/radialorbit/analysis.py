@@ -15,10 +15,9 @@ boundedness only at the bracket ends and between candidates.  The closed
 form also gives the angle advance per radial period, v_m T_tau -
 4 Im[omega zeta(v) - eta v] - 2 pi, a smooth function of the pericenter
 speed, so closed orbits are the roots of a 1-D function:
-``find_periodic_v`` solves it by safeguarded regula falsi, each
-evaluation on the frame and pole stages of ``build_context`` alone
-(``build_frame``, ``build_pole``), and the closing speed's context adds
-the epoch stage to its evaluation.
+``find_periodic_v`` solves it by safeguarded regula falsi.  Each
+evaluation builds a ``SolutionContext`` to its pole stage, and the
+closing speed's context, kept from its evaluation, adds the epoch stage.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     NoCrossingError,
     UnboundedMotionError,
 )
-from .propagation import SolutionContext, build_frame, build_pole
+from .propagation import SolutionContext
 
 _MARGINAL_BAND = 1e-9
 _RATIO_LEVEL = 2.0**-50   # rounding level of the winding ratio: 4 ulps of the target
@@ -62,18 +61,14 @@ def true_period_implicit(ctx: SolutionContext) -> float:
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:
-    """Boundedness from the roots of f alone (``propagation.lattice_roots``).
+    """Boundedness from the roots of f alone (``propagation.lattice_frame``).
 
     ``bounded`` is that of the allowed region; the margin, of the largest
     real lattice root over e_k (0 beside a conjugate pair).  ``marginal``:
     the two lattice roots besides e_k, which merge at the escape threshold,
     lie within ``_MARGINAL_BAND``, |a (r_i - r_j)|/2 for f's roots.
     """
-    f = dynamics.build_f(state)
-    region = dynamics.classify_region(f, state.r0)
-    r_m, _ = dynamics.pericenter(f, region, state.r0)
-    threshold = 0.5 * state.alpha * r_m + state.energy / 6.0
-    roots, k = propagation.lattice_roots(f, region, threshold)
+    f, region, _, _, threshold, roots, k = propagation.lattice_frame(state)
     margin = (0.0, *roots.gaps[:2])[k - 1].real if roots.e_tilde[0].imag == 0.0 else 0.0
     return BoundednessReport(
         bounded=region.bounded,
@@ -166,25 +161,22 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     when that factor is not positive (Dowell & Jarratt, BIT 11, 1971;
     Anderson & Bjorck, BIT 13, 1973).  The search stops at the last
     evaluated speed when |f| is at the level the winding ratio is computed
-    to, or the bracket is narrower than tol * max(1, v_m).  The context of
-    that speed takes the epoch stage on the frame and pole the evaluation
-    built; only the exit after 200 steps, at a midpoint never evaluated,
-    builds one afresh.
+    to, or the bracket is narrower than tol * max(1, v_m).  The context
+    that evaluation built takes the epoch stage; only the exit after 200
+    steps, at a midpoint never evaluated, builds one afresh.
     """
     m_turns, n_periods = q
     if n_periods <= 0:
         raise ValueError("q = (M, N) needs N >= 1")
 
-    def ratio(v_m: float) -> tuple[float, tuple]:
-        state = InitialState(r_m, v_m, 0.0, alpha)
-        frame = build_frame(state)
-        if frame[-1] is None:           # no T_tau
+    def ratio(v_m: float) -> tuple[float, SolutionContext]:
+        ctx = SolutionContext(InitialState(r_m, v_m, 0.0, alpha))
+        if not ctx.bounded:
             raise UnboundedMotionError(f"v_m = {v_m} gives unbounded motion")
-        pole = build_pole(frame)
-        return pole[2] / (2.0 * math.pi), (state, frame, pole)
+        return ctx.add_pole().dtheta_period / (2.0 * math.pi), ctx
 
-    def closed(evaluation: tuple) -> tuple[float, SolutionContext]:
-        return evaluation[0].v0, propagation._build_epoch(*evaluation)
+    def closed(ctx: SolutionContext) -> tuple[float, SolutionContext]:
+        return ctx.state.v0, ctx.add_epoch()
 
     lo, hi = bracket
     (d_lo, e_lo), (d_hi, e_hi) = ratio(lo), ratio(hi)

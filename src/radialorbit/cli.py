@@ -221,7 +221,7 @@ def cmd_period_sweep(args) -> int:
                      + (args.alpha_hi - args.alpha_lo) * j / max(n_a - 1, 1))
             try:
                 state = units.state(args.r0, v0, 0.0, alpha)
-                t_tau = propagation.build_frame(state)[-1]
+                t_tau = propagation.SolutionContext(state).T_tau
             except RadialOrbitError:
                 continue
             if t_tau is not None:       # bounded

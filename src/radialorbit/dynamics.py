@@ -11,7 +11,7 @@ the Taylor coefficients of f at r0, which need no E:
     F1 = 2 (r0 v0^2 - 1 + a r0^2),   F2 = 4 a r0 + v0^2 - 2/r0,   F3 = 2 a.
 
 The allowed region, the lattice of the closed form
-(``propagation.build_frame``) and boundedness all read these roots.
+(``propagation.lattice_frame``) and boundedness all read these roots.
 """
 
 from __future__ import annotations

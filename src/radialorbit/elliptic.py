@@ -42,8 +42,8 @@ def elliptic_K_tail(m: float, m1: float) -> tuple[float, float]:
     and its first term m/2 folds into (1 + m1)/2; the rest, the tail
     sum_(n>=1) 2^(n-1) c_n^2, is of order m^2 and keeps its relative digits.
     """
-    if not (0.0 <= m < 1.0 and 0.0 < m1 <= 1.0):
-        raise EllipticDomainError(f"parameters m={m!r}, m1={m1!r} outside [0, 1)")
+    if not (0.0 <= m <= 1.0 and 0.0 < m1 <= 1.0):
+        raise EllipticDomainError(f"parameters m={m!r}, m1={m1!r} outside [0, 1] x (0, 1]")
     a, b, c = 1.0, math.sqrt(m1), math.sqrt(m)
     tail, weight = 0.0, 1.0
     for _ in range(200):

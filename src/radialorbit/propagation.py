@@ -56,19 +56,20 @@ on which v -/+ tau run, at two sigma evaluations (the theta_1 series of
 the lattice's basis).
 
 ``build_context`` evaluates what does not depend on tau once per state,
-in stages: ``build_frame`` (f, r_m, v_m, the lattice and T_tau),
-``build_pole`` (v, zeta(v) and dtheta) and the epoch (tau_g, T_t, tau0,
-t0 and theta0 = theta(tau0), from which propagated angles are measured).
-Period sweeps run the first stage, ``analysis.find_periodic_v`` the first
-two per speed and the epoch for the speed it returns.  r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
-e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_roots``).
+in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
+lattice and T_tau), the pole (v, zeta(v) and dtheta) and the epoch (tau_g,
+T_t, tau0, t0 and theta0 = theta(tau0), from which propagated angles are
+measured).  Period sweeps build the frame alone, ``analysis.find_periodic_v``
+the frame and pole per speed and the epoch for the speed it returns.
+r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
+e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_frame``).
 The lattice of bounded motion is rectangular, with omega, eta
 and eta' from K and E; T_tau = 2 omega is its real period.  Every p^-1
 lies on a line where p is real (``_theta_pole``): tau0 on the real axis,
 v on the imaginary axis or on Re v = omega, which p(omega + u) = e1 +
-(e1 - e2)(e1 - e3)/(p(u) - e1) maps to it.  R_F of the root gaps seeds
-each and Newton steps on the nome series polish it, so no context makes
-a ``wp_all`` call.  Quasi-periodicity turns
+(e1 - e2)(e1 - e3)/(p(u) - e1) maps to it.  R_F of the root gaps gives
+each (DLMF 19.25) and one Newton step on the nome series refines it, so
+no context makes a ``wp_all`` call.  Quasi-periodicity turns
 zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta (eta = zeta(omega)), and
 L(v - T_tau) - L(v + T_tau) into -4 eta v + 2 pi i, so t and theta
 advance per period by
@@ -76,11 +77,11 @@ advance per period by
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
-(T_t in a form without the 1/a, ``_build_epoch``, and dtheta with
-Legendre's relation taken exactly, ``build_pole``).  Bounded t and theta fold whole
-periods off by these increments, t to the pericenter-centered tau in
-[-omega, omega] and theta to [0, T_tau), which keeps the series'
-arguments within one period of the origin.
+(T_t in a form without the 1/a, ``SolutionContext.add_epoch``, and dtheta
+with Legendre's relation taken exactly, ``SolutionContext.add_pole``).
+Bounded t and theta fold whole periods off by these increments, t to the
+pericenter-centered tau in [-omega, omega] and theta to [0, T_tau), which
+keeps the series' arguments within one period of the origin.
 """
 
 from __future__ import annotations
@@ -107,35 +108,74 @@ _UNIT_ROUNDOFF = 2.0**-53
 _ROUNDING_ULPS = 8          # the unbounded Kepler inversion stops this near t's rounding
 
 
-@dataclasses.dataclass(frozen=True)
 class SolutionContext:
     """Everything needed to evaluate the closed form for one instance.
 
-    Immutable after construction, apart from the pericenter series and
-    the theta series, which are made on first use; safe to share across
-    threads.
+    Built in stages that run once each: the constructor makes the frame
+    (f, r_m, v_m, the lattice and T_tau), ``add_pole`` the theta pole (v,
+    zeta(v) and dtheta_period) and ``add_epoch`` the epoch (tau_g, T_t,
+    tau0, t0 and theta0); ``build_context`` chains the three.  Unchanged
+    once built, apart from the pericenter series and the theta series,
+    which are made on first use.
     """
 
-    state: InitialState
-    energy: float
-    momentum: float
-    f: CubicF
-    region: MotionClass
-    r_m: float
-    v_m: float
-    lattice: Lattice
-    k: int                      # index with e_tilde_k = f''(r_m)/24
-    e_k: float
-    bounded: bool
-    v: complex                  # theta pole location, p(v) = e_k - f'(r_m)/(4 r_m)
-    zeta_v: complex
-    tau0: float
-    t0: float
-    theta0: float               # theta(tau0): the epoch angle from pericenter
-    T_tau: float | None
-    T_t: float | None
-    dtheta_period: float | None
-    series_reach: float         # tau_g: t(tau) takes its pericenter series below it
+    def __init__(self, state: InitialState) -> None:
+        """Stage 1, the frame; T_tau is None on unbounded motion.
+
+        Bounded motion has three real roots of f, so its lattice is the
+        rectangular one T_tau is read from.
+        """
+        self.state = state
+        self.energy, self.momentum = state.energy, state.momentum
+        self.f, self.region, self.r_m, self.v_m, self.e_k, roots, self.k = lattice_frame(state)
+        self.lattice = Lattice(roots)
+        self.bounded = self.region.bounded
+        self.T_tau = 2.0 * self.lattice.real_half_period if self.bounded else None
+
+    def add_pole(self) -> SolutionContext:
+        """Stage 2: v, zeta(v) and dtheta_period, p'(v) on the +i branch."""
+        r_m, v_m, lat = self.r_m, self.v_m, self.lattice
+        c_v = 0.25 * self.f.df(r_m) / r_m      # p(v) = e_k - c_v = -delta/gamma
+        self.v, (_, pv, self.zeta_v) = _theta_pole(lat, self.k, self.e_k, c_v)
+        target = v_m * c_v                     # p'(v) must equal +i * target
+        if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
+            raise RadialOrbitError(
+                f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
+            )
+        self.dtheta_period = None
+        if self.bounded:
+            # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', so Legendre's
+            # relation makes Im[omega zeta(v) - eta v] = omega Im zeta(-iy) + eta y
+            # - pi, with pi exact instead of the relation rounded in the floats
+            per, t_tau = lat.periods, self.T_tau
+            y = 2.0 * per.omega_prime.imag - self.v.imag
+            zeta_c = self.zeta_v - 2.0 * per.eta_prime
+            self.dtheta_period = (v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_c.imag
+                                                       + per.eta.real * y) + 2.0 * math.pi)
+        return self
+
+    def add_epoch(self) -> SolutionContext:
+        """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0).
+
+        theta0 = theta(tau0) is the angle from pericenter that propagated
+        angles are measured from.  T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a
+        scales the rounding of eta by 1/a.  eta = sqrt(d) E - e1 omega,
+        E = K ((1 + m1)/2 - tail) (A&S 17.6.3-4) and e_i = e_k + a (r_i -
+        r_m)/2 turn it into T_tau (r_m + r_M)/2 + 2 d T_tau tail/a for k = 3
+        and 2, where d/a is a difference of f's roots and the tail of order
+        m^2: no term cancels.
+        """
+        state, r_m, lat = self.state, self.r_m, self.lattice
+        self.T_t = (self.T_tau * (0.5 * (r_m + self.region.r_hi)
+                                  + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
+                    if self.bounded else None)
+        self.series_reach = _SERIES_REACH * _pole_distance(lat, self.k, self.bounded)
+        tau0 = t0 = theta0 = 0.0
+        if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
+            tau0 = tau0_from_r0(self, state.r0, 1 if state.rdot0 >= 0.0 else -1)
+            t0, theta0 = radial_kepler(self, tau0), theta_of_tau(self, tau0)
+        self.tau0, self.t0, self.theta0 = tau0, t0, theta0
+        return self
 
     @cached_property
     def _series(self) -> tuple[float, ...]:
@@ -170,35 +210,24 @@ def invariants_from_conserved(alpha: float, energy: float, momentum: float) -> I
 
 def build_context(state: InitialState) -> SolutionContext:
     """The closed-form context of one state: frame, pole and epoch stages."""
-    frame = build_frame(state)
-    return _build_epoch(state, frame, build_pole(frame))
+    return SolutionContext(state).add_pole().add_epoch()
 
 
-def build_frame(state: InitialState) -> tuple:
-    """Stage 1: (f, region, r_m, v_m, lattice, k, e_k, T_tau), T_tau None if unbounded.
+def lattice_frame(state: InitialState
+                  ) -> tuple[CubicF, MotionClass, float, float, float, GRoots, int]:
+    """(f, region, r_m, v_m, e_k, roots, k): f's roots and the lattice's.
 
-    Bounded motion has three real roots of f, so its lattice is the
-    rectangular one T_tau is read from.
-    """
-    f = dynamics.build_f(state)
-    region = dynamics.classify_region(f, state.r0)
-    r_m, v_m = dynamics.pericenter(f, region, state.r0)
-    e_k = 0.5 * state.alpha * r_m + state.energy / 6.0  # f''(r_m)/24
-    roots, k = lattice_roots(f, region, e_k)
-    lat = Lattice(roots)
-    t_tau = 2.0 * lat.real_half_period if region.bounded else None
-    return f, region, r_m, v_m, lat, k, e_k, t_tau
-
-
-def lattice_roots(f: CubicF, region: MotionClass, e_k: float) -> tuple[GRoots, int]:
-    """(roots, k): the lattice roots of f's, with e_tilde_k = e_k at r_m.
-
+    e_k = f''(r_m)/24 is the lattice root e_tilde_k of r_m, and
     e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0.
     The map keeps f's descending order for a > 0 and reverses it for
     a < 0, where r_m is the middle root (k = 2); for a > 0 it is the least
     of three on bounded motion (k = 3), else the largest real root (k = 1,
     or 2 beside a conjugate pair).
     """
+    f = dynamics.build_f(state)
+    region = dynamics.classify_region(f, state.r0)
+    r_m, v_m = dynamics.pericenter(f, region, state.r0)
+    e_k = 0.5 * state.alpha * r_m + state.energy / 6.0
     half = 0.5 * f.alpha
     if f.alpha < 0.0:
         xs, k = f.offsets[::-1], 2
@@ -206,61 +235,9 @@ def lattice_roots(f: CubicF, region: MotionClass, e_k: float) -> tuple[GRoots, i
         xs, k = f.offsets, 3 if region.bounded else 1 if f.offsets[0].imag == 0.0 else 2
     x_m = xs[k - 1].real
     x1, x2, x3 = xs
-    return GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
-                  gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3))), k
-
-
-def build_pole(frame: tuple) -> tuple[complex, complex, float | None]:
-    """Stage 2: (v, zeta(v), dtheta_period), p'(v) on the +i branch."""
-    f, region, r_m, v_m, lat, k, e_k, t_tau = frame
-    c_v = 0.25 * f.df(r_m) / r_m            # p(v) = e_k - c_v = -delta/gamma
-    v, (_, pv, zeta_v) = _theta_pole(lat, k, e_k, c_v)
-    target = v_m * c_v                     # p'(v) must equal +i * target
-    if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
-        raise RadialOrbitError(
-            f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
-        )
-    if not region.bounded:
-        return v, zeta_v, None
-    # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', so Legendre's
-    # relation makes Im[omega zeta(v) - eta v] = omega Im zeta(-iy) + eta y
-    # - pi, with pi exact instead of the relation rounded in the floats
-    per = lat.periods
-    y = 2.0 * per.omega_prime.imag - v.imag
-    zeta_c = zeta_v - 2.0 * per.eta_prime
-    dtheta = (v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_c.imag + per.eta.real * y)
-              + 2.0 * math.pi)
-    return v, zeta_v, dtheta
-
-
-def _build_epoch(state: InitialState, frame: tuple, pole: tuple) -> SolutionContext:
-    """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0).
-
-    T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a scales the rounding of eta by
-    1/a.  eta = sqrt(d) E - e1 omega, E = K ((1 + m1)/2 - tail) (A&S
-    17.6.3-4) and e_i = e_k + a (r_i - r_m)/2 turn it into T_tau (r_m +
-    r_M)/2 + 2 d T_tau tail/a for k = 3 and 2, where d/a is a difference of
-    f's roots and the tail of order m^2: no term cancels.
-    """
-    f, region, r_m, v_m, lat, k, e_k, t_tau = frame
-    v, zeta_v, dtheta = pole
-    bounded = region.bounded
-    t_t = (t_tau * (0.5 * (r_m + region.r_hi)
-                    + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
-           if bounded else None)
-    ctx = SolutionContext(
-        state=state, energy=state.energy, momentum=state.momentum, f=f, region=region,
-        r_m=r_m, v_m=v_m, lattice=lat, k=k, e_k=e_k,
-        bounded=bounded, v=v, zeta_v=zeta_v,
-        tau0=0.0, t0=0.0, theta0=0.0, T_tau=t_tau, T_t=t_t,
-        dtheta_period=dtheta,
-        series_reach=_SERIES_REACH * _pole_distance(lat, k, bounded),
-    )
-    if abs(state.r0 - r_m) <= 1e-12 * max(1.0, r_m):
-        return ctx
-    tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
-    return _replace(ctx, tau0=tau0, t0=radial_kepler(ctx, tau0),
-                    theta0=theta_of_tau(ctx, tau0))
+    roots = GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
+                   gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3)))
+    return f, region, r_m, v_m, e_k, roots, k
 
 
 def _root_offsets(lat: Lattice, k: int) -> tuple:
@@ -318,15 +295,6 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
     per = lat.periods
     return (per.omega + 2.0 * per.omega_prime - u,
             (e_k - c_v, pp * c_v / s, 2.0 * per.eta_prime - zt + per.eta + 0.5 * pp / s))
-
-
-def _replace(ctx: SolutionContext, **changes) -> SolutionContext:
-    """dataclasses.replace that keeps the series made so far."""
-    new = dataclasses.replace(ctx, **changes)
-    for name in ("_series", "_theta_series"):
-        if name in vars(ctx):
-            vars(new)[name] = vars(ctx)[name]
-    return new
 
 
 def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float

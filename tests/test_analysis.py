@@ -187,30 +187,28 @@ class TestFindPeriodic:
     @pytest.mark.parametrize("family", sorted(PERIODIC_FAMILIES))
     def test_closes_the_orbit_in_few_contexts(self, family, monkeypatch):
         r_m, alpha, q, bracket, winding = PERIODIC_FAMILIES[family]
-        built, poles = [], []
+        built = []
 
-        def counted(state):
-            built.append(state)
-            return propagation.build_frame(state)
+        class Counted(propagation.SolutionContext):
+            def __init__(self, state):
+                built.append(self)
+                super().__init__(state)
 
-        def recorded(frame):
-            poles.append(propagation.build_pole(frame))
-            return poles[-1]
-
-        monkeypatch.setattr(analysis, "build_frame", counted)
-        monkeypatch.setattr(analysis, "build_pole", recorded)
+        monkeypatch.setattr(analysis, "SolutionContext", Counted)
         v_m, ctx = analysis.find_periodic_v(r_m, alpha, q, bracket)
         assert len(built) <= 10
         assert bracket[0] < v_m < bracket[1]
         assert abs(ctx.dtheta_period / (2.0 * math.pi) - winding) <= 1e-13
-        # the returned context is the one built afresh at v_m, bit for bit
+        # the returned context is the last evaluation's, and equals the one
+        # built afresh at v_m bit for bit
+        assert ctx is built[-1]
         fresh = propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))
         assert ctx.state == fresh.state
         assert (ctx.dtheta_period, ctx.T_tau, ctx.T_t) == (
             fresh.dtheta_period, fresh.T_tau, fresh.T_t)
-        assert built[-1] == fresh.state
         # the first two evaluations are the bracket ends, on the same route
         # as the context's angle advance
-        for state, (_, _, dtheta) in zip(built[:2], poles[:2]):
-            assert state.v0 in bracket
-            assert dtheta == propagation.build_context(state).dtheta_period
+        for evaluated in built[:2]:
+            assert evaluated.state.v0 in bracket
+            assert (evaluated.dtheta_period
+                    == propagation.build_context(evaluated.state).dtheta_period)

@@ -39,17 +39,18 @@ def test_K_domain_errors(m):
         elliptic_K(m)
 
 
-# the smaller of m and m1 = 1 - m, passed exactly; the other one is 1 - it
-SMALL_PARAMETERS = [1e-12, 3e-11, 1e-9, 2e-7, 1e-5, 1e-3, 0.05, 0.3, 0.5]
+# the smaller of m and m1 = 1 - m, passed exactly; the other one is 1 - it,
+# which rounds to 1.0 at 1e-19 (near-circular lattices)
+SMALL_PARAMETERS = [1e-19, 1e-12, 3e-11, 1e-9, 2e-7, 1e-5, 1e-3, 0.05, 0.3, 0.5]
 
 
 @pytest.mark.parametrize("small", SMALL_PARAMETERS)
 @pytest.mark.parametrize("side", ["m", "m1"])
 def test_K_and_E_match_mpmath(small, side):
-    # K, K', E and E' for m and m1 from 1e-12 to 1 - 1e-12; the reference
+    # K, K', E and E' for m and m1 from 1e-19 to 1 - 1e-19; the reference
     # takes the parameter from the exact one of the pair.  Measured worst:
-    # 2.4e-16 for K, 3.4e-15 for E at m1 = 1e-9, where E = K (1 - sum)
-    # cancels by about a factor K/E
+    # 2.4e-16 for K, 4.4e-15 for E at m1 = 1e-19 (3.4e-15 at 1e-9), where
+    # E = K (1 - sum) cancels by about a factor K/E
     mp = pytest.importorskip("mpmath")
     m, m1 = (small, 1.0 - small) if side == "m" else (1.0 - small, small)
     with mp.workdps(40):

@@ -13,6 +13,7 @@ from radialorbit.errors import (
     NonMonotoneArcError,
     NoPericenterError,
     OutOfIntervalError,
+    WpInverseError,
 )
 from radialorbit.propagation import (
     build_context,
@@ -242,10 +243,10 @@ class TestThetaPole:
     def test_near_circular_pole_is_polished(self):
         # next to the critical point p(omega') = e3, R_F of the root gaps
         # (the k-th one f'(r_m)/(4 r_m), exact) seeds the pole.  With the
-        # gaps from f's root differences the seed already meets p(v) = w at
-        # the polish's stop level (within 1e-15 on 5748 random bounded
-        # states; 6.7e-12 here when the lattice had roots of its own), and
-        # the polished pole keeps it
+        # gaps from f's root differences the seed already meets p(v) = w to
+        # 1e-13 (within 1e-15 on 5748 random bounded states; 6.7e-12 here
+        # when the lattice had roots of its own), and the pole refined by
+        # one Newton step keeps it
         ctx = build_context(InitialState(**NEAR_CIRCULAR_K2))
         lat = ctx.lattice
         series = lat.nome_series
@@ -305,6 +306,59 @@ class TestUnboundedPole:
             ps = propagate_ctx(ctx, t)
             assert abs(ps.r - r_ref) / r_ref < 1e-9
             assert abs(ps.theta - th_ref) < 1e-8
+
+
+class TestOneStepInverse:
+    """Every p^-1 is its R_F seed and one refining Newton step.
+
+    One step serves because the seed is exact up to rounding: |p(seed) - w|
+    <= 1e-13 (1 + |w|) on every inversion of the sweep.  Measured worst over
+    its 606 inversions: 1.2e-15 (1 + |w|).
+    """
+
+    @staticmethod
+    def sweep_states():
+        # both signs of alpha with log10|alpha| in [-9, -0.5]; the sweep
+        # holds bounded, rectangular-unbounded and rhombic states, and the
+        # fixed states add the pole on Re v = omega and a near-circular one
+        rng = np.random.default_rng(2026)
+        states = [InitialState(*s) for s in UNBOUNDED_POLES.values()]
+        states.append(InitialState(**NEAR_CIRCULAR_K2))
+        for i in range(300):
+            alpha = (1.0 if i % 2 else -1.0) * 10.0 ** rng.uniform(-9.0, -0.5)
+            states.append(InitialState(rng.uniform(0.5, 3.0), rng.uniform(0.3, 1.8),
+                                       rng.uniform(-1.2, 1.2), alpha))
+        return states
+
+    def test_seed_meets_the_target(self, monkeypatch):
+        refine = Lattice._refine_seed
+        residuals = []
+
+        def checked(self, z, w, evaluate):
+            residuals.append(abs(evaluate(z)[0] - w) / (1.0 + abs(w)))
+            return refine(self, z, w, evaluate)
+
+        monkeypatch.setattr(Lattice, "_refine_seed", checked)
+        kinds = set()
+        for state in self.sweep_states():
+            residuals.clear()
+            ctx = build_context(state)
+            assert residuals and max(residuals) <= 1e-13
+            kinds.add((ctx.bounded, ctx.lattice.rectangular, state.alpha > 0.0,
+                       ctx.v.real != 0.0))
+        assert kinds == {(True, True, False, False), (True, True, True, False),
+                         (False, True, True, False), (False, True, True, True),
+                         (False, False, True, True)}
+
+    def test_seed_off_target_raises(self, worked_ctx):
+        # gaps of w + 1 handed in with w: the seed misses by far more than
+        # the 1e-11 (1 + |w|) that one Newton step may start from
+        lat = worked_ctx.lattice
+        e1 = lat.roots.e_tilde[0].real
+        w = e1 + 1.0
+        gaps = tuple(w + 1.0 - e.real for e in lat.roots.e_tilde)
+        with pytest.raises(WpInverseError):
+            lat.wp_inverse_real(w, gaps)
 
 
 class TestRadius:
@@ -655,8 +709,8 @@ class TestThetaSeries:
             return build(*args)
 
         monkeypatch.setattr(propagation, "_theta_series", counted)
-        # the epoch angle makes them inside build_context; the
-        # dataclasses.replace that sets the epoch carries them over
+        # the epoch angle makes them inside build_context, on the context
+        # that propagation then uses
         ctx = build_context(TILTED_STATE)
         assert len(made) == 1
         for t in (0.5, 7.0, 40.0):
@@ -785,11 +839,31 @@ class TestRootsOfF:
         assert ps.tau > ctx.series_reach
         assert ps.r == pytest.approx(98.125204137170427955, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.01, -0.01, 1e-6, 1e-10])
-    def test_exact_circular_start_is_a_degenerate_lattice(self, alpha):
-        # r0 v0^2 = 1 - alpha r0^2 at an apse: the pair of f's roots at r0
-        # is double within rounding, and so is the lattice's
-        state = InitialState(1.0, math.sqrt(1.0 - alpha), 0.0, alpha)
+    @pytest.mark.parametrize("state", [
+        *(InitialState(1.0, math.sqrt(1.0 - a), 0.0, a) for a in (0.01, -0.01, 1e-6, 1e-10)),
+        InitialState(1.0, math.sqrt(1.0 - 1e-10), 1e-9, 1e-10),
+    ], ids=["0.01", "-0.01", "1e-06", "1e-10", "tilted-1e-10"])
+    def test_exact_circular_start_matches_the_ode(self, state):
+        # r0 v0^2 = 1 - alpha r0^2 at an apse (the last start 1e-9 rad off
+        # it): the pair of f's roots at r0 is double within rounding, so
+        # m = (r_M - r_m)/(r_3 - r_m) is below 1e-16 and m1 = 1 - m rounds
+        # to 1; K(m1) and E(m1) take m as given
+        ctx = build_context(state)
+        assert ctx.bounded and ctx.lattice.rectangular
+        traj = oracle.integrate_ode(state, 30.0)
+        for t in np.linspace(0.5, 30.0, 12):
+            ps = propagate_ctx(ctx, t)
+            assert abs(ps.r - traj.r(t)) <= 1e-10
+            assert abs(ps.theta - traj.theta(t)) <= 1e-10
+
+    @pytest.mark.parametrize("state", [
+        InitialState(1.0, math.sqrt(1.2), 0.0, -0.2),
+        InitialState(0.7, math.sqrt(1.49 / 0.7), 0.0, -1.0),
+    ], ids=["r0=1", "r0=0.7"])
+    def test_exact_circular_start_with_two_zero_gaps_is_degenerate(self, state):
+        # the theta pole's target p(v) falls on the double root e2 = e3 to
+        # rounding, so two of the gaps handed to R_F are 0: the typed error,
+        # not R_F's ValueError
         with pytest.raises(DegenerateLatticeError):
             build_context(state)
 

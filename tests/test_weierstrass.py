@@ -713,7 +713,7 @@ class TestLaurentCoefficients:
         # comparison is in units of 1/|z|^2
         lat = Lattice.from_invariants(g2, g3)
         c = self.half_sum(g2, g3)
-        radius = 0.1 * lat._dmin
+        radius = 0.2 * min(abs(lat.basis.omega), abs(lat.basis.omega_prime))
         for angle in (0.1, 0.9, 2.0, 3.0):
             z = cmath.rect(radius, angle)
             want = 1.0 / z**2 + sum(c[k] * z ** (2 * k - 2) for k in range(2, len(c)))

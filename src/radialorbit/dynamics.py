@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .cubic import cubic_roots
 from .errors import (
+    DegenerateLatticeError,
     InfeasibleStateError,
     NoPericenterError,
     QuadraticDegeneracyError,
@@ -187,7 +188,8 @@ def classify_region(f: CubicF, r0: float) -> MotionClass:
     Just above r0, f has the sign of alpha times (-1)^(number of roots
     above r0); just below, with the roots at r0 counted too.  Compared as
     offsets from f's epoch radius, exact there, where ``build_f`` put r0
-    inside its component; another radius may lie in a forbidden gap.
+    inside its component; another radius may lie in a forbidden gap.  A
+    double root at r0 with f < 0 about it is one point: DegenerateLatticeError.
     """
     x0 = r0 - f.r0
     xs = sorted(x.real for x in f.offsets if x.imag == 0.0)
@@ -198,6 +200,9 @@ def classify_region(f: CubicF, r0: float) -> MotionClass:
     elif (f.alpha > 0.0) == (sum(1 for x in xs if x >= x0) % 2 == 0):
         lo = max((x for x in xs if x < x0), default=-math.inf)
         hi = x0
+    elif xs.count(x0) > 1:
+        raise DegenerateLatticeError(f"r0 = {r0} is a double root of f, f < 0 on both "
+                                     "sides: the allowed region is that one point")
     else:
         raise InfeasibleStateError(
             f"r0 = {r0} lies in a forbidden region (f(r0) < 0)"

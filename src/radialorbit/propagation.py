@@ -46,14 +46,11 @@ Halley steps follow, since t' = r and t'' = dr/dtau come from the same
 call, and the last one's r and dr/dtau serve the propagated state.
 
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
-exp(2 tau zeta(v))] with the argument continuous in tau.  On bounded
-motion the theta_1 product (DLMF 23.6.9, 20.5.1) turns it into
-slope tau +/- arg W(tau) + sum s_m sin 2mb, b = pi tau/(2 omega), with
-constants made once per context (``_theta_series``), so theta also costs
-one (sin, cos) pair.  Unbounded motion takes L, the branch of log sigma
-that ``Lattice.log_sigma`` keeps continuous along the line Im z = Im v > 0
-on which v -/+ tau run, at two sigma evaluations (the theta_1 series of
-the lattice's basis).
+exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
+that branch).  On every lattice the theta_1 product (DLMF 23.6.9, 20.5.1)
+on the real-period basis (w_r, omega') turns it into slope tau +/- arg W +
+sum s_m sin 2mb, b = pi tau/(2 w_r), with constants made once per context
+(``_theta_series``): one (sin, cos) pair and no kernel call per theta.
 
 ``build_context`` evaluates what does not depend on tau once per state,
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
@@ -95,17 +92,18 @@ from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     ConvergenceError,
+    DegenerateLatticeError,
     NonMonotoneArcError,
     OutOfIntervalError,
     RadialOrbitError,
 )
-from .weierstrass import GRoots, Invariants, Lattice
+from .weierstrass import GRoots, Invariants, Lattice, _coordinates
 
 _PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
 _SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
 _POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
 _UNIT_ROUNDOFF = 2.0**-53
-_ROUNDING_ULPS = 8          # the unbounded Kepler inversion stops this near t's rounding
+_ROUNDING_ULPS = 8          # ulps of a rounding level: the unbounded Kepler stop, the theta pole
 
 
 class SolutionContext:
@@ -185,8 +183,7 @@ class SolutionContext:
 
     @cached_property
     def _theta_series(self) -> tuple[float, float, float, complex, tuple[float, ...]]:
-        # bounded motion only; made on the first theta, which a context
-        # with a pericenter epoch, read for its periods alone, never takes
+        # made on the first theta: a pericenter epoch read for its periods never takes one
         return _theta_series(self.lattice, self.v, self.zeta_v, self.v_m)
 
 
@@ -282,10 +279,16 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
       g13 (w_v - e2)/(e1 - w_v), are products of positive factors.
     - (c) A conjugate pair: a rhombic lattice, e_k = e2 (k = 2), and f < 0
       on all of (-inf, r_m), so w_v < e2, the imaginary axis.
-    The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.
+    The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.  A w_v
+    between e3 and e2 beyond their rounding lies on neither line; only a
+    double root e1 = e2 to rounding puts it there: DegenerateLatticeError.
     """
     gaps = tuple(d + c_v for d in _root_offsets(lat, k))
     if gaps[1] >= 0.0:              # w_v <= e2: the imaginary axis
+        g13 = lat.roots.gaps[1].real    # e1 - e3, the scale of the gaps' rounding
+        if lat.rectangular and -gaps[2] > _ROUNDING_ULPS * _UNIT_ROUNDOFF * g13:
+            raise DegenerateLatticeError(f"theta pole between e3 and e2 (gaps {gaps!r}): "
+                                         "e1 - e2 is a double root to rounding")
         return lat.wp_inverse_imaginary(e_k - c_v, gaps)
     g12, g13, _ = (g.real for g in lat.roots.gaps)
     s = g12 * g13 / c_v             # (b): e1 - w_u, as e1 - w_v = c_v
@@ -299,17 +302,22 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
 
 def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
                   ) -> tuple[float, float, float, complex, tuple[float, ...]]:
-    """(k, slope, sign, E, (s_1, s_2, ...)): theta(tau) of bounded motion.
+    """(k, slope, sign, E, (s_1, s_2, ...)): theta(tau) on any lattice.
 
-    v is first reduced into the centred cell, v = v_c + 2 m omega +
+    The series is that of the real-period basis (w, omega'): w the real
+    half period, eta = zeta(w), k = pi/(2w), and omega' = (w + i w_i)/2 on
+    a rhombic lattice.  So k is real, and so is q^2 = exp(2 i pi omega'/w)
+    = +/-exp(-2 pi Im omega'/w), negative on a rhombic lattice.
+
+    v is first reduced into the centred cell, v = v_c + 2 m w +
     2 n omega'; by quasi-periodicity that adds -4 (m eta + n eta') tau to
     L(v - tau) - L(v + tau).  With a = k v_c and b = k tau, the theta_1
     product (DLMF 23.6.9, 20.5.1) gives
 
-        L(v_c - tau) - L(v_c + tau) = -2 eta v_c tau/omega
+        L(v_c - tau) - L(v_c + tau) = -2 eta v_c tau/w
             + log[sin(a - b)/sin(a + b)] - sum (4 c_m/m) sin 2ma sin 2mb,
 
-    c_m = q^(2m)/(1 - q^(2m)).  The log is +/-2ib + Log(1 - E e^(-/+2ib))
+    c_m = q^(2m)/(1 - q^(2m)), real.  The log is +/-2ib + Log(1 - E e^(-/+2ib))
     - Log(1 - E e^(+/-2ib)) with E = e^(+/-2ia), the sign of Im a, so that
     |E| < 1 and each Log stays off its cut; its imaginary part is
     -/+ arg[(1 - E e^(2ib))(1 - conj(E) e^(2ib))].  Every term linear in
@@ -318,30 +326,35 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
         theta = slope tau +/- arg[...] + sum s_m sin 2mb,
         s_m = Im(4 c_m sin 2ma)/m.
 
-    |s_m| <= 4 c_m e^(2m|Im a|)/m, and |Im v_c| <= |omega'| makes the
-    ratio of successive bounds at most q; the sum stops before the first m
-    whose bound is below 2^-53 (1 - q), which leaves a tail below the unit
-    roundoff in radians.
+    |s_m| <= 4 |c_m| e^(2m|Im a|)/m, and |Im v_c| <= Im omega' makes
+    e^(2|Im a|) <= 1/|q|, so the ratio of successive bounds is at most |q|
+    wherever |q|^(2m) is far below the rounding; the sum stops before the
+    first m whose bound is below 2^-53 (1 - |q|), which leaves a tail below
+    the unit roundoff in radians.
     """
-    ns = lat.nome_series
     per = lat.periods
-    v_c, m, n = lat.reduce(v)
-    a = ns.k * v_c
+    w = lat.real_half_period
+    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w), as in real_half_period
+    k = math.pi / (2.0 * w)
+    x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
+    m, n = math.floor(x + 0.5), math.floor(y + 0.5)
+    v_c = v - 2.0 * (m * w + n * per.omega_prime)
+    a = k * v_c
     sign = 1.0 if a.imag > 0.0 else -1.0
-    shift = 2.0 * (m * per.eta + n * per.eta_prime)      # zeta(v) - zeta(v_c)
-    slope = (v_m + (2.0 * ns.eta_over_omega * v_c + 2.0 * shift - 2.0 * zeta_v).imag
-             - sign * 2.0 * ns.k)
-    q = ns.nome
+    shift = 2.0 * (m * eta + n * per.eta_prime)          # zeta(v) - zeta(v_c)
+    slope = v_m + (2.0 * (eta / w) * v_c + 2.0 * shift - 2.0 * zeta_v).imag - sign * 2.0 * k
+    q = math.exp(-math.pi * per.omega_prime.imag / w)    # |q|
+    q_signed = q if lat.rectangular else -q              # q^2 = q_signed q
     spread = math.exp(2.0 * abs(a.imag))
     coeffs = []
-    j, q2j, grow = 1, q * q, spread
+    j, q2j, grow = 1, q_signed * q, spread
     while True:
         c = q2j / (1.0 - q2j)
-        if 4.0 * c * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
+        if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
             break
         coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
-        j, q2j, grow = j + 1, q2j * q * q, grow * spread
-    return ns.k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
+        j, q2j, grow = j + 1, q2j * q_signed * q, grow * spread
+    return k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
 
 
 def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
@@ -476,24 +489,17 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
 def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Continuous polar angle with theta(0) = 0 at pericenter.
 
-    theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)].  Bounded
-    motion folds whole pseudo-periods, each adding ``dtheta_period``, and
-    sums the series of ``_theta_series``: slope tau + sign arg W +
-    sum s_m sin 2mb, with b = k tau and W = (1 - E e^(2ib))(1 - conj(E)
-    e^(2ib)), sin 2mb by angle addition from (sin 2b, cos 2b).  Unbounded
-    motion takes L = B + Log(sigma exp(-B)) with the carrier
-    B(z) = eta z^2/(2 omega) + log(2 omega/pi) + log sin(pi z/(2 omega)) of
-    ``Lattice.log_sigma``; L is continuous in tau while Im v > 0 and
-    sigma exp(-B), the theta_1 product, keeps off the negative real axis
-    along Im z = Im v.
+    theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)], summed
+    as the series of ``_theta_series`` on every lattice: slope tau +
+    sign arg W + sum s_m sin 2mb, with b = k tau and W = (1 - E e^(2ib))
+    (1 - conj(E) e^(2ib)), sin 2mb by angle addition from (sin 2b, cos 2b).
+    Each factor of W has a positive real part, so arg W is continuous in
+    tau.  Bounded motion first folds whole pseudo-periods, each adding
+    ``dtheta_period``; unbounded motion has |tau| < w, the real half
+    period, and needs no fold.
     """
-    if not ctx.bounded:
-        lat = ctx.lattice
-        phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
-                 + 2.0 * tau * ctx.zeta_v)
-        return ctx.v_m * tau - phase.imag
-    n = math.floor(tau / ctx.T_tau)
-    tau -= n * ctx.T_tau
+    n = math.floor(tau / ctx.T_tau) if ctx.bounded else 0
+    tau -= n * ctx.T_tau if n else 0.0
     k, slope, sign, e, coeffs = ctx._theta_series
     b2 = 2.0 * k * tau
     s2, c2 = math.sin(b2), math.cos(b2)

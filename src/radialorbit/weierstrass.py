@@ -262,7 +262,7 @@ class Lattice:
 
     def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
         """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
-        return (*self._values(z), self._sigma(z))
+        return (*self._values(z), self.sigma(z))
 
     def wp_real(self, x: float) -> tuple[float, float, float]:
         """(p, p', zeta) at real x, all three real.
@@ -283,9 +283,6 @@ class Lattice:
         return self._values(z)[2]
 
     def sigma(self, z: complex) -> complex:
-        return self._sigma(z)
-
-    def _sigma(self, z: complex) -> complex:
         zr, m, n = self.reduce(complex(z))
         sg = self.nome_series.sigma(zr)
         if m or n:
@@ -294,26 +291,6 @@ class Lattice:
             sign = -1.0 if (m + n + m * n) % 2 else 1.0
             sg *= sign * cmath.exp(eta_mn * (zr + m * b.omega + n * b.omega_prime))
         return sg
-
-    def log_sigma(self, z: complex) -> complex:
-        """log sigma(z) on a branch continuous along each line Im z = c > 0.
-
-        With w the real half period, e = zeta(w) and u = pi z/(2 w), DLMF
-        23.6.9 and 20.5.1 write sigma = exp(B) P with the carrier
-        B(z) = e z^2/(2 w) + log(2 w/pi) + log(i/2) - i u + Log(1 - exp(2 i u)),
-        whose last three terms are log sin u and continuous for Im z > 0,
-        and P the theta_1 product, 2w-periodic and bounded on the line.
-        The principal Log of P is continuous while P keeps off the negative
-        real axis.
-        """
-        w = self.real_half_period
-        # zeta(w), with the index k of w = omega_k in real_half_period
-        eta = self.periods.eta_k(1 if self.rectangular else 2).real
-        u = math.pi * z / (2.0 * w)
-        carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
-                   + cmath.log(0.5j) - 1j * u
-                   + cmath.log(1.0 - cmath.exp(2j * u)))
-        return carrier + cmath.log(self.sigma(z) * cmath.exp(-carrier))
 
     # -- inversion ----------------------------------------------------------
 

@@ -232,6 +232,27 @@ def stepped_theta(ctx, tau: float) -> float:
     return ctx.v_m * tau - arg
 
 
+def log_sigma(lat: Lattice, z: complex) -> complex:
+    """log sigma(z) on a branch continuous along each line Im z = c > 0.
+
+    With w the real half period, e = zeta(w) and u = pi z/(2 w), DLMF
+    23.6.9 and 20.5.1 write sigma = exp(B) P with the carrier
+    B(z) = e z^2/(2 w) + log(2 w/pi) + log(i/2) - i u + Log(1 - exp(2 i u)),
+    whose last three terms are log sin u and continuous for Im z > 0,
+    and P the theta_1 product, 2w-periodic and bounded on the line.
+    The principal Log of P is continuous while P keeps off the negative
+    real axis.
+    """
+    w = lat.real_half_period
+    # zeta(w), with the index k of w = omega_k in real_half_period
+    eta = lat.periods.eta_k(1 if lat.rectangular else 2).real
+    u = math.pi * z / (2.0 * w)
+    carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
+               + cmath.log(0.5j) - 1j * u
+               + cmath.log(1.0 - cmath.exp(2j * u)))
+    return carrier + cmath.log(lat.sigma(z) * cmath.exp(-carrier))
+
+
 def r_of_tau_general(state: InitialState, tau: float) -> float:
     """Radius from an arbitrary epoch radius via the general inversion formula.
 

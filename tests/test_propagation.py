@@ -587,7 +587,8 @@ class TestThetaClosedForm:
         assert not ctx.bounded
         assert ctx.v.imag > 0.0
         w = ctx.lattice.real_half_period
-        for tau in np.linspace(-0.98 * w, 0.98 * w, 15):
+        near_asymptote = [s * frac * w for frac in (0.999, 0.9999) for s in (-1.0, 1.0)]
+        for tau in [*np.linspace(-0.98 * w, 0.98 * w, 15), *near_asymptote]:
             ref = oracle.stepped_theta(ctx, tau)
             assert theta_of_tau(ctx, tau) == pytest.approx(
                 ref, abs=1e-13 * (1.0 + abs(ref)))
@@ -621,31 +622,33 @@ class TestThetaClosedForm:
             assert ctx.dtheta_period == pytest.approx(
                 oracle.stepped_theta(ctx, ctx.T_tau), abs=1e-12)
 
-    def test_two_sigma_evaluations_at_any_tau(self, worked_ctx, monkeypatch):
-        # bounded theta sums its nome series with no kernel call at all;
-        # unbounded theta takes the two sigma evaluations of log sigma
-        sigma_calls, kernel_calls = [], []
-        sigma, wp_all = Lattice.sigma, Lattice.wp_all
+    @pytest.mark.parametrize("state,rectangular", [
+        (InitialState(**WORKED), True),
+        (InitialState(1.0, 0.5, 0.0, 1.0), True),
+        (InitialState(*UNBOUNDED[0]), False),
+    ], ids=["bounded", "rectangular-unbounded", "rhombic"])
+    def test_no_kernel_call_at_any_tau(self, state, rectangular, monkeypatch):
+        # theta sums the series of _theta_series on every lattice, bounded
+        # or not, with no sigma, wp_all or wp_real call at all
+        ctx = build_context(state)
+        assert ctx.lattice.rectangular == rectangular
+        calls = []
+        for name in ("sigma", "wp_all", "wp_real"):
+            method = getattr(Lattice, name)
 
-        def counted_sigma(self, z):
-            sigma_calls.append(z)
-            return sigma(self, z)
+            def counted(self, z, name=name, method=method):
+                calls.append((name, z))
+                return method(self, z)
 
-        def counted_wp_all(self, z):
-            kernel_calls.append(z)
-            return wp_all(self, z)
-
-        monkeypatch.setattr(Lattice, "sigma", counted_sigma)
-        monkeypatch.setattr(Lattice, "wp_all", counted_wp_all)
-        # 50.6 periods fold to 0.6 T_tau, which the stepped phase took in 5 steps
-        for periods in (0.1, 50.6):
-            theta_of_tau(worked_ctx, periods * worked_ctx.T_tau)
-        assert sigma_calls == [] and kernel_calls == []
-        ctx = build_context(InitialState(*UNBOUNDED[0]))
-        for frac in (0.1, -0.9):
-            sigma_calls.clear()
-            theta_of_tau(ctx, frac * ctx.lattice.real_half_period)
-            assert len(sigma_calls) == 2
+            monkeypatch.setattr(Lattice, name, counted)
+        if ctx.bounded:
+            # 50.6 periods fold to 0.6 T_tau, which the stepped phase took in 5 steps
+            taus = [periods * ctx.T_tau for periods in (0.1, 50.6, -3.3)]
+        else:
+            taus = [frac * ctx.lattice.real_half_period for frac in (0.1, -0.9, 0.9999)]
+        for tau in taus:
+            theta_of_tau(ctx, tau)
+        assert calls == []
 
 
 def log_sigma_theta(ctx, tau):
@@ -653,7 +656,7 @@ def log_sigma_theta(ctx, tau):
     n = math.floor(tau / ctx.T_tau)
     tau -= n * ctx.T_tau
     lat = ctx.lattice
-    phase = (lat.log_sigma(ctx.v - tau) - lat.log_sigma(ctx.v + tau)
+    phase = (oracle.log_sigma(lat, ctx.v - tau) - oracle.log_sigma(lat, ctx.v + tau)
              + 2.0 * tau * ctx.zeta_v)
     return ctx.v_m * tau - phase.imag + n * ctx.dtheta_period
 
@@ -859,11 +862,18 @@ class TestRootsOfF:
     @pytest.mark.parametrize("state", [
         InitialState(1.0, math.sqrt(1.2), 0.0, -0.2),
         InitialState(0.7, math.sqrt(1.49 / 0.7), 0.0, -1.0),
-    ], ids=["r0=1", "r0=0.7"])
+        InitialState(1.9, math.sqrt(0.639 / 1.9), 0.0, 0.1),
+        InitialState(1.0, 2.0, 0.0, -3.0),
+    ], ids=["r0=1", "r0=0.7", "unstable-outer", "double-root-r0"])
     def test_exact_circular_start_with_two_zero_gaps_is_degenerate(self, state):
-        # the theta pole's target p(v) falls on the double root e2 = e3 to
-        # rounding, so two of the gaps handed to R_F are 0: the typed error,
-        # not R_F's ValueError
+        # the first two: the theta pole's target p(v) falls on the double
+        # root e2 = e3 to rounding, so two of the gaps handed to R_F are 0.
+        # The unstable outer circle has e1 - e2 = 1.4e-17, and rounding puts
+        # p(v) 0.0109 above e3 but below e2, on neither line of p^-1.  At
+        # (1, 2, 0, -3) f's Taylor coefficients at r0 are (0, 0, -10, -6):
+        # r0 is a double root of f and the allowed region that one point.
+        # Each gets the typed error, not R_F's ValueError, WpInverseError
+        # or InfeasibleStateError
         with pytest.raises(DegenerateLatticeError):
             build_context(state)
 

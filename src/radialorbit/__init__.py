@@ -36,7 +36,6 @@ from .propagation import (
     state_at_tau,
     tau0_from_r0,
     theta_of_tau,
-    time_of_flight_implicit,
 )
 from .weierstrass import GRoots, HalfPeriods, Invariants, Lattice, g_roots
 

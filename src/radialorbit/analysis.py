@@ -3,8 +3,8 @@
 Bounded radial motion has pseudo-period T_tau, the real period of the
 lattice, and physical period T_t = t(T_tau); ``build_context`` computes
 both once (``SolutionContext.T_tau`` and ``T_t``), in closed form from K
-and E.  ``true_period_implicit`` recomputes T_t by
-the zeta quadrature of the time of flight.  Boundedness itself is the
+and E.  ``true_period_implicit`` recomputes T_t from two complex zeta
+values, the quadrature of the time of flight.  Boundedness itself is the
 root structure of f, solved once at r0 (``dynamics.build_f``): the
 allowed component holding r0 is bounded iff a root of f lies above it,
 which with a > 0 needs three real roots and r0 below the upper two.  The
@@ -52,12 +52,19 @@ class BoundednessReport:
 
 
 def true_period_implicit(ctx: SolutionContext) -> float:
-    """T_t as twice the pericenter-to-apocenter implicit time of flight."""
+    """T_t as twice (2/a)(zeta(w_k) - zeta(T_tau/2 + w_k)) - E T_tau/(6a).
+
+    That is the quadrature of dt = r dtau, r = (2/a) p(tau + w_k) - E/(3a),
+    from pericenter to apocenter, independent of the t(tau) route.
+    """
     if not ctx.bounded:
         raise UnboundedMotionError("no period: motion is unbounded")
-    return 2.0 * propagation.time_of_flight_implicit(
-        ctx, ctx.region.r_lo, ctx.region.r_hi, ascending=True
-    )
+    a, lat = ctx.state.alpha, ctx.lattice
+    rho_a = lat.periods.omega_k(ctx.k)
+    rho_b = 0.5 * ctx.T_tau + rho_a
+    half = ((2.0 / a) * (lat.zeta(rho_a) - lat.zeta(rho_b))
+            + ctx.energy / (3.0 * a) * (rho_a - rho_b))
+    return 2.0 * half.real
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:

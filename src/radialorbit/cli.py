@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from . import analysis, propagation
@@ -265,11 +266,19 @@ def cmd_escape_alpha(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-1e-05" for a value: argparse's negative-number pattern has no exponent."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)    # subparsers are of this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser as it was, and
     # an in-process caller may call main many times
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="radialorbit",
         description="Constant radial acceleration orbits in closed form",
     )

@@ -41,10 +41,6 @@ class UnboundedMotionError(RadialOrbitError):
     """Operation requires bounded (librating) radial motion."""
 
 
-class NonMonotoneArcError(RadialOrbitError):
-    """Radial arc crosses a turning point; split the arc first."""
-
-
 class BracketError(RadialOrbitError):
     """Search bracket does not enclose a sign change."""
 

@@ -39,12 +39,6 @@ the b_j from r'' = f'(r)/2 (``_pericenter_series``).  The series carries
 no 1/a factor, while the closed form scales the rounding error of S by
 1/a.  At small |a| the series reaches the apocenter.
 
-``invert_kepler`` starts from Kepler's equation, which holds for a = 0:
-there tau is proportional to the eccentric anomaly E, so E - e sin E =
-2 pi t/T_t with e = (r_M - r_m)/(r_M + r_m) gives tau = E T_tau/(2 pi).
-Halley steps follow, since t' = r and t'' = dr/dtau come from the same
-call, and the last one's r and dr/dtau serve the propagated state.
-
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
 that branch).  On every lattice the theta_1 product (DLMF 23.6.9, 20.5.1)
@@ -77,8 +71,8 @@ advance per period by
 (T_t in a form without the 1/a, ``SolutionContext.add_epoch``, and dtheta
 with Legendre's relation taken exactly, ``SolutionContext.add_pole``).
 Bounded t and theta fold whole periods off by these increments, t to the
-pericenter-centered tau in [-omega, omega] and theta to [0, T_tau), which
-keeps the series' arguments within one period of the origin.
+pericenter-centered tau in [-omega, omega] and theta past +/-T_tau to
+[0, T_tau), which keeps the series' arguments within a period of 0.
 """
 
 from __future__ import annotations
@@ -93,9 +87,7 @@ from .dynamics import CubicF, InitialState, MotionClass
 from .errors import (
     ConvergenceError,
     DegenerateLatticeError,
-    NonMonotoneArcError,
     OutOfIntervalError,
-    RadialOrbitError,
 )
 from .weierstrass import GRoots, Invariants, Lattice, _coordinates
 
@@ -103,18 +95,16 @@ _PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
 _SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
 _POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
 _UNIT_ROUNDOFF = 2.0**-53
-_ROUNDING_ULPS = 8          # ulps of a rounding level: the unbounded Kepler stop, the theta pole
+_ROUNDING_ULPS = 8          # ulps of a rounding level: the theta pole off both lines
 
 
 class SolutionContext:
     """Everything needed to evaluate the closed form for one instance.
 
-    Built in stages that run once each: the constructor makes the frame
-    (f, r_m, v_m, the lattice and T_tau), ``add_pole`` the theta pole (v,
-    zeta(v) and dtheta_period) and ``add_epoch`` the epoch (tau_g, T_t,
-    tau0, t0 and theta0); ``build_context`` chains the three.  Unchanged
-    once built, apart from the pericenter series and the theta series,
-    which are made on first use.
+    Built in the three stages of the module docstring, each run once: the
+    constructor, ``add_pole`` and ``add_epoch``, which ``build_context``
+    chains.  Unchanged once built, apart from the pericenter series and the
+    theta series, which are made on first use.
     """
 
     def __init__(self, state: InitialState) -> None:
@@ -134,12 +124,7 @@ class SolutionContext:
         """Stage 2: v, zeta(v) and dtheta_period, p'(v) on the +i branch."""
         r_m, v_m, lat = self.r_m, self.v_m, self.lattice
         c_v = 0.25 * self.f.df(r_m) / r_m      # p(v) = e_k - c_v = -delta/gamma
-        self.v, (_, pv, self.zeta_v) = _theta_pole(lat, self.k, self.e_k, c_v)
-        target = v_m * c_v                     # p'(v) must equal +i * target
-        if abs(pv - 1j * target) > 1e-7 * (1.0 + abs(target)):
-            raise RadialOrbitError(
-                f"theta branch selection failed: p'(v) = {pv!r}, expected {1j * target!r}"
-            )
+        self.v, (_, _, self.zeta_v) = _theta_pole(lat, self.k, self.e_k, c_v)
         self.dtheta_period = None
         if self.bounded:
             # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', so Legendre's
@@ -156,23 +141,22 @@ class SolutionContext:
         """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0).
 
         theta0 = theta(tau0) is the angle from pericenter that propagated
-        angles are measured from.  T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a
-        scales the rounding of eta by 1/a.  eta = sqrt(d) E - e1 omega,
-        E = K ((1 + m1)/2 - tail) (A&S 17.6.3-4) and e_i = e_k + a (r_i -
-        r_m)/2 turn it into T_tau (r_m + r_M)/2 + 2 d T_tau tail/a for k = 3
-        and 2, where d/a is a difference of f's roots and the tail of order
-        m^2: no term cancels.
+        angles are measured from (``_epoch_tau0``).  T_t = r_m T_tau -
+        (2 e_k T_tau + 4 eta)/a scales the rounding of eta by 1/a.  eta =
+        sqrt(d) E - e1 omega, E = K ((1 + m1)/2 - tail) (A&S 17.6.3-4) and
+        e_i = e_k + a (r_i - r_m)/2 turn it into T_tau (r_m + r_M)/2 +
+        2 d T_tau tail/a for k = 3 and 2, where d/a is a difference of f's
+        roots and the tail of order m^2: no term cancels.
         """
         state, r_m, lat = self.state, self.r_m, self.lattice
         self.T_t = (self.T_tau * (0.5 * (r_m + self.region.r_hi)
                                   + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
                     if self.bounded else None)
         self.series_reach = _SERIES_REACH * _pole_distance(lat, self.k, self.bounded)
-        tau0 = t0 = theta0 = 0.0
-        if abs(state.r0 - r_m) > 1e-12 * max(1.0, r_m):
-            tau0 = tau0_from_r0(self, state.r0, 1 if state.rdot0 >= 0.0 else -1)
-            t0, theta0 = radial_kepler(self, tau0), theta_of_tau(self, tau0)
-        self.tau0, self.t0, self.theta0 = tau0, t0, theta0
+        self.tau0 = tau0 = _epoch_tau0(self)
+        self.t0 = self.theta0 = 0.0
+        if tau0:
+            self.t0, self.theta0 = radial_kepler(self, tau0), theta_of_tau(self, tau0)
         return self
 
     @cached_property
@@ -360,16 +344,16 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
 def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
     """rho: distance from 0 to the nearest pole of r, a point of w_k + lattice.
 
-    The lattice of bounded motion is rectangular, and w_k is that point.
-    Otherwise the 5 x 5 block of lattice translates around the cell
-    representative of w_k holds it; on rhombic lattices it is often not
-    w_k itself (rho = 6.6 against |w_k| = 37 near the escape threshold).
+    Bounded motion: w_k itself, on its rectangular lattice.  Unbounded
+    motion has w_k = w_r, the real half period: rho = w_r on a rectangular
+    lattice, poles (2m + 1) w_r + 2n omega'; on a rhombic one, 2 omega =
+    w_r - i w_i, poles a w_r + i b w_i with a + b odd, rho = min(w_r, w_i)
+    (w_i = 2 Im omega' = 6.6 against w_r = 37 near the escape threshold).
     """
     if bounded:
         return abs(lat.periods.omega_k(k))
-    w1, w2 = 2.0 * lat.basis.omega, 2.0 * lat.basis.omega_prime
-    u0 = lat.reduce(lat.periods.omega_k(k))[0]
-    return min(abs(u0 + m * w1 + n * w2) for m in range(-2, 3) for n in range(-2, 3))
+    w_r = lat.real_half_period
+    return w_r if lat.rectangular else min(w_r, 2.0 * lat.periods.omega_prime.imag)
 
 
 def _pericenter_series(ctx: SolutionContext) -> tuple[float, ...]:
@@ -457,6 +441,35 @@ def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     return _orbit_point(ctx, tau, timed=False)[1]
 
 
+def _epoch_tau0(ctx: SolutionContext) -> float:
+    """tau0 of the state: p^-1 of r0, or near an apse r_a the root of dr/dtau = rp0.
+
+    p^-1 (``tau0_from_r0``) rounds r0 - r_a to an ulp of r0 and so moves
+    tau0 by eps r0/|rp0|, rp0 = r0 rdot0: R = r0 |f'(r0)|/(2 rp0^2) ~
+    r0/(2 |r0 - r_a|) times what dr/dtau = rp0 does (r'' = f'(r)/2).  It
+    serves R <= 1e4, where both agree to the rounding of the propagated
+    samples.  Newton steps from x = tau - tau_a = 2 rp0/f'(r_a) (tau_a = 0
+    where f'(r0) > 0, else T_tau/2) converge where |f''(r0)| rp0^2 <
+    f'(r0)^2/100, each error below 1/100 of the last one's square relative
+    to x, and stop after a step below 2^-26 |x| or one that fails to halve
+    the last.  An inbound start keeps x < 0, which T_tau + x would round.
+    """
+    r0, rdot0 = ctx.state.r0, ctx.state.rdot0
+    rp0, fp0 = r0 * rdot0, ctx.f.df(r0)
+    if (rp0 == 0.0 or r0 * abs(fp0) <= 2e4 * rp0 * rp0 or not (fp0 > 0.0 or ctx.bounded)
+            or 100.0 * abs(ctx.f.d2f(r0)) * rp0 * rp0 >= fp0 * fp0):
+        return tau0_from_r0(ctx, r0, 1 if rdot0 >= 0.0 else -1)
+    tau_a, r_a = (0.0, ctx.r_m) if fp0 > 0.0 else (0.5 * ctx.T_tau, ctx.region.r_hi)
+    tau, step, last = tau_a, 2.0 * rp0 / ctx.f.df(r_a), math.inf
+    while abs(step) < 0.5 * last:
+        tau, last = tau + step, abs(step)
+        if last <= 2.0**-26 * abs(tau - tau_a):
+            break
+        _, r, rp = _orbit_point(ctx, tau, timed=False)
+        step = 2.0 * (rp0 - rp) / ctx.f.df(r)
+    return tau
+
+
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     """Pseudo-time at radius r0 on the branch with sign(dr/dtau) = sign_rdot.
 
@@ -494,11 +507,10 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     sign arg W + sum s_m sin 2mb, with b = k tau and W = (1 - E e^(2ib))
     (1 - conj(E) e^(2ib)), sin 2mb by angle addition from (sin 2b, cos 2b).
     Each factor of W has a positive real part, so arg W is continuous in
-    tau.  Bounded motion first folds whole pseudo-periods, each adding
-    ``dtheta_period``; unbounded motion has |tau| < w, the real half
-    period, and needs no fold.
+    tau.  Bounded motion folds whole pseudo-periods off |tau| >= T_tau,
+    each adding ``dtheta_period``; unbounded motion has |tau| < w_r.
     """
-    n = math.floor(tau / ctx.T_tau) if ctx.bounded else 0
+    n = math.floor(tau / ctx.T_tau) if ctx.bounded and abs(tau) >= ctx.T_tau else 0
     tau -= n * ctx.T_tau if n else 0.0
     k, slope, sign, e, coeffs = ctx._theta_series
     b2 = 2.0 * k * tau
@@ -518,12 +530,8 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
     """Physical time since pericenter passage, t(0) = 0, odd and increasing.
 
-    p, p' and zeta at real tau (``Lattice.wp_real``): the addition theorem
-    turns the pair zeta(tau - w_k) + zeta(tau + w_k) into
-    2 zeta(tau) + p'(tau)/(p(tau) - e_k).  Unbounded motion takes the pair
-    as 2 zeta(|tau| - w_k) + 2 eta_k, odd in tau, from a second
-    evaluation, and |tau| < tau_g takes the pericenter series
-    instead (module docstring).  Bounded motion folds whole pseudo-periods,
+    The zeta pair in closed form or the pericenter series below tau_g
+    (module docstring); bounded motion folds whole pseudo-periods,
     t(tau + n T_tau) = t(tau) + n T_t.
     """
     return _orbit_point(ctx, tau)[0]
@@ -532,16 +540,11 @@ def radial_kepler(ctx: SolutionContext, tau: float) -> float:
 def invert_kepler(ctx: SolutionContext, t: float) -> float:
     """Solve t(tau) = t for tau: safeguarded Halley steps on the monotone branch.
 
-    Bounded motion starts from Kepler's equation, exact for a = 0, where
-    tau is proportional to the eccentric anomaly: M = E - e sin E with
-    M = 2 pi t/T_t and e = (r_M - r_m)/(r_M + r_m), then tau = E T_tau/(2 pi);
-    unbounded motion brackets tau by [0, w_r), the escape asymptote, and
-    starts from the pericenter series or the pole term of t at w_r
-    (``_unbounded_start``).  Each
-    step takes t, t' = r and t'' = dr/dtau from one evaluation; a step that
-    leaves the bracket bisects it.  Once |t(tau) - t| <= 1e-13 max(1, |t|),
-    or on unbounded motion the rounding level of t (``_halley_bisect``),
-    one more Newton step from the same evaluation refines tau.
+    Bounded motion brackets tau by one period and starts from Kepler's
+    equation (``_kepler_start``), unbounded motion by [0, w_r), w_r the
+    escape asymptote, and starts from the pericenter series or the pole of
+    t at w_r (``_unbounded_start``).  Each step takes t, t' = r and t'' =
+    dr/dtau from one evaluation (``_halley_bisect``).
     """
     return _invert(ctx, t)[0]
 
@@ -558,8 +561,7 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     if t < 0.0:
         tau, r, rp = _invert(ctx, -t)
         return -tau, r, -rp
-    # unbounded: the bracket is [0, w_r), w_r the real half period (escape
-    # asymptote); its upper end is never evaluated
+    # unbounded: [0, w_r), w_r the escape asymptote, never evaluated
     return _halley_bisect(ctx, t, 0.0, ctx.lattice.real_half_period,
                           _unbounded_start(ctx, t))
 
@@ -575,15 +577,13 @@ def _unbounded_start(ctx: SolutionContext, t: float) -> float:
     t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a, C = B w_r - 2 eta_k/a;
     x is the positive root of B x^2 + (t - C) x - 2/a, taken in a form
     without cancellation (a > 0 on unbounded motion), when it lies below w_r.
+    An estimate at or past the asymptote w_r gives way to w_r/2.
     """
     a, r_m = ctx.state.alpha, ctx.r_m
-    cube = ctx.f.df(r_m) / 12.0
-    if cube > 0.0:
-        p = r_m / cube
-        tau = 2.0 * math.sqrt(p / 3.0) * math.sinh(
-            math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
-    else:
-        tau = t / r_m
+    cube = ctx.f.df(r_m) / 12.0         # > 0: r_m is a simple root of f
+    p = r_m / cube
+    tau = 2.0 * math.sqrt(p / 3.0) * math.sinh(
+        math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
     w_r = ctx.lattice.real_half_period
     b = r_m - 2.0 * ctx.e_k / a
     d = t - (b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
@@ -592,11 +592,15 @@ def _unbounded_start(ctx: SolutionContext, t: float) -> float:
         x = 4.0 / (a * (d + math.sqrt(disc)))
         if x < w_r:
             tau = min(tau, w_r - x)
-    return tau
+    return tau if tau < w_r else 0.5 * w_r
 
 
 def _kepler_start(ctx: SolutionContext, t: float) -> float:
-    """tau at time t in [0, T_t) on the a = 0 orbit with the same apses and periods."""
+    """tau at time t in [0, T_t) on the a = 0 orbit with the same apses and periods.
+
+    Kepler's equation M = E - e sin E, M = 2 pi t/T_t, e = (r_M - r_m)/(r_M + r_m)
+    gives the eccentric anomaly E, and tau = E T_tau/(2 pi).
+    """
     r_hi = ctx.region.r_hi
     ecc = (r_hi - ctx.r_m) / (r_hi + ctx.r_m)
     mean = 2.0 * math.pi * t / ctx.T_t
@@ -613,37 +617,23 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
                    guess: float) -> tuple[float, float, float]:
     """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess.
 
-    The steps stop once |t(tau) - t| <= 1e-13 max(1, |t|), and one more
-    Newton step h = -err/r from the same evaluation refines tau.  Unbounded
-    motion outside the pericenter series, where t = r_m tau -
-    (2 e_k tau + S)/a rounds its two terms and scales them by 1/a, relaxes
-    the stop so that it never chases rounding noise down to the last ulp
-    of tau (48 evaluations per sample at a = 1e-6 before):
-    - to at least _ROUNDING_ULPS units of that rounding level,
-      eps (|2 e_k tau| + |S|)/|a|, with S = a (r_m tau - t) - 2 e_k tau
-      recovered from t;
-    - and it also stops once the residual that the Newton step leaves,
-      h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 (the next terms of the Taylor
-      series of t, whose second and third derivatives are dr/dtau and
-      f'(r)/2), is within that stop.
+    The steps stop once |t(tau) - t| <= tol = 1e-13 max(1, |t|), or, where
+    the 1/a of unbounded t past the pericenter series scales its rounding
+    (module docstring), once the residual that a Newton step h = -err/r
+    leaves, h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 by Taylor, is within tol;
+    that step then refines tau.  So no step chases rounding noise to the
+    last ulp of tau (48 evaluations per sample at a = 1e-6 without it).
     """
     tol = 1e-13 * max(1.0, abs(t))
     tau = min(max(guess, lo), hi)
-    unbounded, a = not ctx.bounded, ctx.state.alpha
     for _ in range(100):
         t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
-        done = abs(err) <= tol
-        if not done and unbounded and abs(tau) >= ctx.series_reach:
-            x = 2.0 * ctx.e_k * tau
-            s = a * (ctx.r_m * tau - t_tau) - x
-            stop = _ROUNDING_ULPS * _UNIT_ROUNDOFF * (abs(x) + abs(s)) / abs(a)
-            h = err / r
-            left = h * h * (0.5 * abs(rp) + abs(ctx.f.df(r) * h) / 12.0)
-            done = min(abs(err), left) <= max(tol, stop)
-        if done:
+        step = -err / r
+        past_series = not ctx.bounded and abs(tau) >= ctx.series_reach
+        if abs(err) <= tol or past_series and (
+                step * step * (0.5 * abs(rp) + abs(ctx.f.df(r) * step) / 12.0) <= tol):
             # tau to O(err^2), r and r' by Taylor
-            step = -err / r
             return tau + step, r + rp * step, rp + 0.5 * ctx.f.df(r) * step
         if err > 0.0:
             hi = tau
@@ -660,37 +650,6 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
     raise ConvergenceError(
         f"radial Kepler inversion failed to reach {tol:.1e} for t={t!r}"
     )
-
-
-def time_of_flight_implicit(ctx: SolutionContext, r_start: float, r_end: float,
-                            ascending: bool = True) -> float:
-    """Time of flight along a monotone radial arc via the zeta quadrature.
-
-    dt integrates to (2/a)(zeta(rho_a) - zeta(rho_b)) + E/(3a) (rho_a - rho_b)
-    with rho = tau + w_k the p-preimage of f''(r)/24; independent of the
-    radial Kepler route, which it must reproduce on every monotone arc.
-    """
-    if r_start == r_end:
-        return 0.0
-    if (ascending and r_start > r_end) or (not ascending and r_start < r_end):
-        raise NonMonotoneArcError(
-            f"arc {r_start} -> {r_end} is not monotone "
-            f"{'ascending' if ascending else 'descending'}"
-        )
-    for r in (r_start, r_end):
-        if not ctx.region.contains(r):
-            raise OutOfIntervalError(f"radius {r} outside the allowed interval")
-    sign = 1 if ascending else -1
-    tau_a = tau0_from_r0(ctx, r_start, sign)
-    tau_b = tau0_from_r0(ctx, r_end, sign)
-    if tau_b < tau_a:
-        raise NonMonotoneArcError("arc endpoints straddle a turning point")
-    a, e = ctx.state.alpha, ctx.energy
-    w_k = ctx.lattice.periods.omega_k(ctx.k)
-    rho_a, rho_b = tau_a + w_k, tau_b + w_k
-    val = ((2.0 / a) * (ctx.lattice.zeta(rho_a) - ctx.lattice.zeta(rho_b))
-           + e / (3.0 * a) * (rho_a - rho_b))
-    return val.real
 
 
 def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:

@@ -298,6 +298,33 @@ class TestParser:
         assert reused == [run_ok(argv) for argv in self.SEQUENCE]
 
 
+    # repr writes every |x| < 1e-4 with an exponent, which argparse's own
+    # negative-number pattern lacks: "--alpha -1e-05" exited 2 with
+    # "expected one argument".  One float option per subcommand, each
+    # against the same value joined to its flag
+    NEGATIVE_EXPONENT = [
+        ["propagate", "--r0", "1.0", "--v0", "1.2", "--gamma0-deg", "-1e-05",
+         "--alpha", "0.02", "--t-span", "1.0", "--samples", "2"],
+        ["classify", "--r0", "1.0", "--v0", "1.2", "--alpha", "-1e-05"],
+        ["period", "--r0", "1.0", "--v0", "1.2", "--alpha", "-1e-05"],
+        ["period-sweep", "--v0-samples", "2", "--alpha-lo", "-1e-05",
+         "--alpha-hi", "0.02", "--alpha-samples", "2"],
+        ["find-periodic", "--r-m", "1", "--alpha", "-1e-05", "--M", "1",
+         "--N", "20000", "--bracket-lo", "1.1", "--bracket-hi", "1.3"],
+        ["escape-alpha", "--r0", "1.0", "--v0", "1.2", "--gamma0-deg", "-1e-05",
+         "--alpha-lo", "0.01", "--alpha-hi", "0.05"],
+    ]
+
+    @pytest.mark.parametrize("argv", NEGATIVE_EXPONENT, ids=[a[0] for a in NEGATIVE_EXPONENT])
+    def test_negative_number_with_an_exponent(self, argv):
+        i = argv.index("-1e-05")
+        joined = argv[:i - 1] + [f"{argv[i - 1]}=-1e-05"] + argv[i + 1:]
+        args = cli._build_parser().parse_args(argv)
+        assert vars(args) == vars(cli._build_parser().parse_args(joined))
+        assert getattr(args, argv[i - 1].lstrip("-").replace("-", "_")) == -1e-05
+        assert run_ok(argv) == run_ok(joined)
+
+
 class TestPeriod:
     def test_kepler_curve_spans_one_pseudo_period(self):
         doc = json.loads(run_ok(["period", *WORKED, "--kepler-curve",

@@ -10,7 +10,6 @@ from radialorbit.dynamics import InitialState
 from radialorbit.elliptic import carlson_rf
 from radialorbit.errors import (
     DegenerateLatticeError,
-    NonMonotoneArcError,
     NoPericenterError,
     OutOfIntervalError,
     WpInverseError,
@@ -25,7 +24,6 @@ from radialorbit.propagation import (
     state_at_tau,
     tau0_from_r0,
     theta_of_tau,
-    time_of_flight_implicit,
 )
 
 from radialorbit.weierstrass import Lattice
@@ -123,9 +121,9 @@ class TestBuildContext:
 
     @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
     def test_pole_values_from_the_branch_check(self, kw):
-        # the checked values at v are the nome series' at the reduced pole
-        # v - 2 omega', with 2 eta' added to zeta; wp_all at v agrees, and
-        # p'(v) = +i v_m f'(r_m)/(4 r_m)
+        # the values at v that _theta_pole returns are the nome series' at
+        # the reduced pole v - 2 omega', with 2 eta' added to zeta; wp_all at
+        # v agrees, and p'(v) = +i v_m f'(r_m)/(4 r_m)
         ctx = build_context(InitialState(**kw))
         lat = ctx.lattice
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
@@ -349,6 +347,26 @@ class TestOneStepInverse:
         assert kinds == {(True, True, False, False), (True, True, True, False),
                          (False, True, True, False), (False, True, True, True),
                          (False, False, True, True)}
+
+    def test_theta_pole_on_the_plus_i_branch(self):
+        # p'(v) = +i v_m f'(r_m)/(4 r_m), as _theta_pole proves, on bounded,
+        # rectangular-unbounded (v on the imaginary axis and on Re v =
+        # omega) and rhombic lattices; in units of k^3 (k = pi/(2 omega)),
+        # as p'(v) is small next to the double root of a near-circular
+        # orbit.  Measured worst 5.8e-15
+        kinds = set()
+        for state in self.sweep_states():
+            ctx = build_context(state)
+            lat = ctx.lattice
+            c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
+            v, (_, pp, _) = propagation._theta_pole(lat, ctx.k, ctx.e_k, c_v)
+            target = ctx.v_m * c_v
+            assert v == ctx.v
+            assert abs(pp - 1j * target) <= 1e-13 * max(abs(target),
+                                                        abs(lat.nome_series.k) ** 3)
+            kinds.add((ctx.bounded, lat.rectangular, v.real != 0.0))
+        assert kinds == {(True, True, False), (False, True, False),
+                         (False, True, True), (False, False, True)}
 
     def test_seed_off_target_raises(self, worked_ctx):
         # gaps of w + 1 handed in with w: the seed misses by far more than
@@ -1068,22 +1086,66 @@ class TestInvertKepler:
             assert abs(ps.theta - th_ref) < 5e-11
 
 
+# Unbounded states whose Kepler start fell at or past the escape asymptote
+# w_r: (state, ((t, r, theta), ...)) with r and theta from perfbench's
+# mpmath reference.  The first is a CLI run (gamma0 = -59.88499788192391
+# deg) that raised ZeroDivisionError at t = 4398; the second raised
+# PoleProximityError ("real argument 0.0") at t = 10 and 100
+ESCAPE_START = [
+    ((0.17174621123606648, 3.4751657041338806, math.radians(-59.88499788192391),
+      1.0414844492562693e-06),
+     ((1466.0328826834077, 977.5885266014941, 5.005652198586425),
+      (2932.0657653668154, 1945.7843735329593, 5.005883026372889),
+      (4398.098648050223, 2915.5664219928904, 5.00596042279988))),
+    ((0.03673945321023024, 9.409249480518895, -1e-7, 0.004128045775959188),
+     ((10.0, 58.78937811222822, 2.0297081347618615),
+      (100.0, 604.8309424186031, 2.0306009870204225),
+      (1000.0, 7903.723198672267, 2.0306784228028305))),
+]
+
+
+@pytest.mark.parametrize("state, samples", ESCAPE_START, ids=["cli", "near-apse"])
+def test_kepler_start_past_the_escape_asymptote(state, samples):
+    # such a start begins at the bracket midpoint w_r/2; measured 1.4e-13
+    # in r and 1.6e-14 in theta on the first state
+    ctx = build_context(InitialState(*state))
+    w_r = ctx.lattice.real_half_period
+    for t, r, theta in samples:
+        assert propagation._unbounded_start(ctx, ctx.t0 + t) < w_r
+        ps = propagate_ctx(ctx, t)
+        assert ps.tau < w_r
+        assert ps.r == pytest.approx(r, rel=1e-12)
+        assert ps.theta == pytest.approx(theta, abs=1e-13)
+
+
+def test_seeded_valid_states_propagate():
+    # r0 in 10^[-2, 2], alpha = +/-10^[-11.5, 1], r0 v0^2 in [0.05, 4],
+    # gamma0 wide, tiny or 0, three spans each: about 9 % of such states
+    # raised ZeroDivisionError or PoleProximityError from a Kepler start at
+    # or past the escape asymptote
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        r0 = 10.0 ** rng.uniform(-2.0, 2.0)
+        alpha = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.5, 1.0)
+        u, g = rng.uniform(0.05, 4.0), rng.uniform()
+        gamma0 = (rng.uniform(-1.5, 1.5) if g < 0.7 else 0.0 if g > 0.95
+                  else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0))
+        ctx = build_context(InitialState(r0, math.sqrt(u / r0), gamma0, alpha))
+        for lo in (-2.0, 0.0, 2.0):
+            ps = propagate_ctx(ctx, 2.0 * math.pi * r0**1.5 * 10.0 ** rng.uniform(lo, lo + 2.0))
+            assert math.isfinite(ps.r) and math.isfinite(ps.theta)
+
+
 class TestTimeOfFlight:
-    def test_zero_arc(self, worked_ctx):
-        assert time_of_flight_implicit(worked_ctx, 2.0, 2.0) == 0.0
+    """Times of flight over monotone arcs as differences of t(tau)."""
 
-    def test_non_monotone_rejected(self, worked_ctx):
-        with pytest.raises(NonMonotoneArcError):
-            time_of_flight_implicit(worked_ctx, 2.9, 1.3, ascending=True)
-        with pytest.raises(NonMonotoneArcError):
-            time_of_flight_implicit(worked_ctx, 1.3, 2.9, ascending=False)
-
-    def test_out_of_interval(self, worked_ctx):
-        with pytest.raises(OutOfIntervalError):
-            time_of_flight_implicit(worked_ctx, 1.0, 5.0)
+    @staticmethod
+    def flight(ctx, r_a, r_b):
+        return radial_kepler(ctx, tau0_from_r0(ctx, r_b, 1)) - radial_kepler(
+            ctx, tau0_from_r0(ctx, r_a, 1))
 
     def test_pericenter_to_apocenter_is_half_period(self, worked_ctx):
-        dt = time_of_flight_implicit(worked_ctx, 1.0, APO, ascending=True)
+        dt = self.flight(worked_ctx, 1.0, APO)
         assert dt == pytest.approx(worked_ctx.T_t / 2.0, abs=1e-9)
 
     def test_matches_quadrature_and_kepler(self, worked_ctx):
@@ -1093,25 +1155,137 @@ class TestTimeOfFlight:
             r_a, r_b = np.sort(rng.uniform(1.001, APO - 0.001, 2))
             if r_b - r_a < 1e-3:
                 continue
-            dt = time_of_flight_implicit(ctx, r_a, r_b, ascending=True)
             ref = oracle.quadrature_tof(ctx.state, r_a, r_b)
-            assert dt == pytest.approx(ref, abs=1e-8)
-            tau_a = tau0_from_r0(ctx, r_a, 1)
-            tau_b = tau0_from_r0(ctx, r_b, 1)
-            assert dt == pytest.approx(
-                radial_kepler(ctx, tau_b) - radial_kepler(ctx, tau_a), abs=1e-8
-            )
-
-    def test_descending_equals_ascending(self, worked_ctx):
-        up = time_of_flight_implicit(worked_ctx, 1.3, 2.9, ascending=True)
-        down = time_of_flight_implicit(worked_ctx, 2.9, 1.3, ascending=False)
-        assert down == pytest.approx(up, rel=1e-10)
+            assert self.flight(ctx, r_a, r_b) == pytest.approx(ref, abs=1e-8)
 
     def test_unbounded_arc(self):
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
-        dt = time_of_flight_implicit(ctx, 1.5, 6.0, ascending=True)
         ref = oracle.quadrature_tof(ctx.state, 1.5, 6.0)
-        assert dt == pytest.approx(ref, abs=1e-8)
+        assert self.flight(ctx, 1.5, 6.0) == pytest.approx(ref, abs=1e-8)
+
+
+# Epochs gamma0 = +/-1e-9 ... +/-1e-5 rad from an apse of three orbits
+# (r0, v0, alpha): the pericenter of (1, 1.2, 0.02) and the apocenters of
+# (1, 0.9, -0.05) and (2, 0.6, 0.01).  Values: (r, theta) at dt = 0.01, 0.5
+# and 3 from perfbench's mpmath reference (30 digits), rounded to doubles
+NEAR_APSE_DTS = (0.01, 0.5, 3.0)
+NEAR_APSE = {
+    (1.0, 1.2, 1e-09, 0.02): (1.0000229995673462, 0.011999816005798972,
+                              1.0549126536269324, 0.5786918824437263,
+                              1.948075676033025, 2.091235645508487),
+    (1.0, 1.2, -1e-09, 0.02): (1.0000229995433472, 0.011999816006086957,
+                               1.0549126525312513, 0.5786918830785709,
+                               1.9480756741874363, 2.0912356501195877),
+    (1.0, 1.2, 1e-08, 0.02): (1.000022999675342, 0.011999816004503042,
+                              1.0549126585574977, 0.5786918795869254,
+                              1.9480756843381735, 2.091235624758532),
+    (1.0, 1.2, -1e-08, 0.02): (1.0000229994353513, 0.011999816007382888,
+                               1.054912647600686, 0.5786918859353717,
+                               1.948075665882288, 2.0912356708695428),
+    (1.0, 1.2, 1e-07, 0.02): (1.0000230007553004, 0.011999815991543681,
+                              1.0549127078631488, 0.5786918510189167,
+                              1.948075767389663, 2.0912354172589973),
+    (1.0, 1.2, -1e-07, 0.02): (1.0000229983553932, 0.01199981602034213,
+                               1.0549125982950323, 0.5786919145033791,
+                               1.9480755828308098, 2.0912358783691034),
+    (1.0, 1.2, 1e-06, 0.02): (1.0000230115548827, 0.01199981586194472,
+                              1.054913200919542, 0.5786915653387724,
+                              1.9480765979050607, 2.09123334226482),
+    (1.0, 1.2, -1e-06, 0.02): (1.0000229875558106, 0.011999816149929217,
+                               1.0549121052383754, 0.5786922001833966,
+                               1.9480747523165296, 2.091237953365878),
+    (1.0, 1.2, 1e-05, 0.02): (1.0000231195506997, 0.01199981456542072,
+                              1.0549181314716027, 0.5786887085316209,
+                              1.9480849031093395, 2.0912125924398963),
+    (1.0, 1.2, -1e-05, 0.02): (1.0000228795599793, 0.011999817445265688,
+                               1.0549071746599359, 0.5786950569778629,
+                               1.9480664472240294, 2.0912587034504755),
+    (1.0, 0.9, 1e-09, -0.05): (0.9999880000520007, 0.009000072000541802,
+                               0.9702820763916343, 0.4591966990462288,
+                               0.7715025824281148, 4.4978521100275035),
+    (1.0, 0.9, -1e-09, -0.05): (0.9999880000340009, 0.009000072000703805,
+                                0.9702820755089688, 0.4591966994660406,
+                                0.7715025843305685, 4.4978521146179204),
+    (1.0, 0.9, 1e-08, -0.05): (0.9999880001330002, 0.009000071999812792,
+                               0.9702820803636285, 0.45919669715707573,
+                               0.7715025738670731, 4.497852089370629),
+    (1.0, 0.9, -1e-08, -0.05): (0.9999879999530015, 0.009000072001432815,
+                                0.9702820715369747, 0.45919670135519364,
+                                0.7715025928916102, 4.497852135274794),
+    (1.0, 0.9, 1e-07, -0.05): (0.9999880009429943, 0.00900007199252264,
+                               0.9702821200835703, 0.4591966782655442,
+                               0.7715024882566573, 4.497851882801864),
+    (1.0, 0.9, -1e-07, -0.05): (0.9999879991430073, 0.009000072008722874,
+                                0.970282031817031, 0.45919672024672314,
+                                0.7715026785020279, 4.49785234184351),
+    (1.0, 0.9, 1e-06, -0.05): (0.9999880090429363, 0.009000071919617136,
+                               0.9702825172829045, 0.4591964893501369,
+                               0.7715016321525879, 4.497849817111996),
+    (1.0, 0.9, -1e-06, -0.05): (0.9999879910430652, 0.009000072081619471,
+                                0.9702816346175117, 0.45919690916192607,
+                                0.7715035346062937, 4.497854407528453),
+    (1.0, 0.9, 1e-05, -0.05): (0.9999880900423518, 0.009000071190161218,
+                               0.9702864892679204, 0.4591946001868669,
+                               0.7714930711207327, 4.497829159991671),
+    (1.0, 0.9, -1e-05, -0.05): (0.9999879100436418, 0.009000072810184574,
+                                0.9702776626139923, 0.45919879830475885,
+                                0.7715120956577896, 4.497875064156247),
+    (2.0, 0.6, 1e-09, 0.01): (1.9999970000065, 0.00300000299999475,
+                              1.992503163618966, 0.15037617480382567,
+                              1.7361437408145965, 0.9909438436487457),
+    (2.0, 0.6, -1e-09, 0.01): (1.9999969999945, 0.00300000300001275,
+                               1.9925031630194754, 0.15037617484906088,
+                               1.7361437374109665, 0.9909438456110704),
+    (2.0, 0.6, 1e-08, 0.01): (1.9999970000605, 0.0030000029999137498,
+                              1.9925031663166746, 0.15037617460026725,
+                              1.7361437561309312, 0.9909438348182845),
+    (2.0, 0.6, -1e-08, 0.01): (1.9999969999405, 0.00300000300009375,
+                               1.9925031603217667, 0.15037617505261927,
+                               1.7361437220946319, 0.9909438544415317),
+    (2.0, 0.6, 1e-07, 0.01): (1.9999970006005, 0.003000002999103733,
+                              1.99250319329376, 0.15037617256468247,
+                              1.7361439092942732, 0.9909437465136797),
+    (2.0, 0.6, -1e-07, 0.01): (1.9999969994005002, 0.003000003000903737,
+                               1.992503133344681, 0.15037617708820264,
+                               1.7361435689312787, 0.990943942746151),
+    (2.0, 0.6, 1e-06, 0.01): (1.999997006000498, 0.003000002991002231,
+                              1.9925034630645932, 0.15037615220877182,
+                              1.736145440927198, 0.9909428634682848),
+    (2.0, 0.6, -1e-06, 0.01): (1.999996994000502, 0.0030000030090022688,
+                               1.9925028635738034, 0.1503761974439734,
+                               1.7361420372972536, 0.9909448257929984),
+    (2.0, 0.6, 1e-05, 0.01): (1.999997060000479, 0.003000002909853566,
+                              1.9925061607709325, 0.15037594864336967,
+                              1.7361607572069313, 0.9909340330796869),
+    (2.0, 0.6, -1e-05, 0.01): (1.999996940000519, 0.003000003089853941,
+                               1.9925001658630337, 0.15037640099538543,
+                               1.736126720907488, 0.9909536563268253),
+}
+
+
+class TestNearApseEpoch:
+    """tau0 from dr/dtau = r0 rdot0 where p^-1 of r0 loses digits.
+
+    The pericenter snap took such epochs for the apse itself (5.2e-8 off
+    in r and 2.3e-7 in theta at gamma0 = 1e-7) and p^-1 of r0 lost digits
+    as sqrt(r0 - r_apse) (4e-12 and 2e-11 at 1e-6).  Measured worst over
+    the 30 starts: 4.1e-15 in r and 1.9e-14 in theta, the gamma0 = 0 level.
+    """
+
+    @pytest.mark.parametrize("state", list(NEAR_APSE),
+                             ids=[f"{s[0]}-{s[1]}-{s[2]:+g}" for s in NEAR_APSE])
+    def test_against_mpmath(self, state):
+        ctx = build_context(InitialState(*state))
+        ref = NEAR_APSE[state]
+        for i, dt in enumerate(NEAR_APSE_DTS):
+            ps = propagate_ctx(ctx, dt)
+            assert abs(ps.r - ref[2 * i]) <= 1e-14 * ref[2 * i]
+            assert abs(ps.theta - ref[2 * i + 1]) <= 3e-14
+
+    def test_inbound_pericenter_epoch_is_negative(self):
+        # T_tau + x would round x to an ulp of T_tau
+        ctx = build_context(InitialState(1.0, 1.2, -1e-7, 0.02))
+        assert ctx.tau0 == pytest.approx(-2.608695652173866e-07, rel=1e-13)
 
 
 class TestPropagate:

@@ -106,10 +106,6 @@ class CubicF:
     def d2f(self, r: float) -> float:
         return 12.0 * self.alpha * r + 4.0 * self.energy
 
-    @property
-    def d3f(self) -> float:
-        return 12.0 * self.alpha
-
     def real_roots_desc(self) -> list[float]:
         return sorted((z.real for z in self.roots if z.imag == 0.0), reverse=True)
 

@@ -12,32 +12,24 @@ g3 = a^2 h^2/4 + a E/6 - E^3/27, ek is always a root of 4 s^3 - g2 s - g3,
 w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
-a function of physical time.  The paper's coefficient
-ek f'(r_m)/(2 g3 + 16 ek^3) of the bracket is exactly 1/a, which keeps
-all its digits at small |a| and at ek = 0: r(tau) = (2/a) p(tau + w_k) -
-E/(3a) integrates to t = -(S + E tau/3)/a, S the zeta pair below, and
-E/3 = 2 ek - a r_m.
+a function of physical time.
 
-t(tau) needs p, p' and zeta at one real argument.  By the addition
-theorem (DLMF 23.10.4 with p(w_k) = ek) the zeta pair is
-
-    S = zeta(tau - w_k) + zeta(tau + w_k) = 2 zeta(tau) + p'(tau)/(p(tau) - ek),
-
-so the values at the pericenter-centered tau that give r and dr/dtau give
-t as well.  Every context takes them from one evaluation of the lattice's
-nome series at the real argument (``Lattice.wp_real``, DLMF 23.8.1-23.8.2):
-on the rectangular lattice of bounded motion one (sin, cos) pair and a
-few real terms, on a rhombic one the series of the reduced basis.
-Unbounded motion has w_k = w_r, the real half period, and
-p(tau) - ek -> 0 at the escape asymptote tau -> w_r, where that quotient
-loses its digits; there zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k turns
-S into 2 zeta(|tau| - w_k) + 2 eta_k (odd in tau), one more evaluation.  Near
-tau = 0 the 1/tau parts of 2 zeta and the quotient cancel, so for
-|tau| < tau_g = 0.3 rho, rho the distance to the nearest pole of r (a point
-of w_k + lattice), t takes its series r_m tau + sum_j b_j tau^(2j+1)/(2j+1),
-the b_j from r'' = f'(r)/2 (``_pericenter_series``).  The series carries
-no 1/a factor, while the closed form scales the rounding error of S by
-1/a.  At small |a| the series reaches the apocenter.
+By the half-period addition theorem r - r_m = (2/a)(p(tau + w_k) - ek),
+whose nome series (DLMF 23.8.1 shifted by a half period) carries 1/a in
+every coefficient: r, dr/dtau and t, its term-by-term integral, come from
+one series with no 1/a-scaled difference and no pole at tau = 0
+(``_radial_forms``).  With k = pi/(2 w), u = k tau, on a basis where w_k
+is a half period:
+- S, bounded: w = omega, q = exp(-pi |omega'|/omega), a_n = s^n q^n/(a (1 -
+  q^2n)), s = +1 (k = 3) or -1 (k = 2); r = r_m + 32 k^2 sum n a_n sin^2 nu,
+  t = r_m tau + 8 k sum a_n (2nu - sin 2nu).
+- H, near the pericenter of a rectangular lattice: the basis (-omega',
+  omega) turns sin nu into sinh nv, v = pi tau/(2 |omega'|), and q into
+  +/-q' = +/-exp(-pi omega/|omega'|).
+- T, unbounded, toward the escape asymptote w_r: the real-period basis of
+  ``_theta_series``, Q = q^2 (negative on a rhombic lattice), gamma_n =
+  (-Q)^n/(1 - Q^n); r = r_m + (2 k^2/a)[tan^2 u + 16 sum n gamma_n
+  sin^2 nu], t = r_m tau + (2 k/a)[tan u - u + 4 sum gamma_n (2nu - sin 2nu)].
 
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
@@ -48,31 +40,21 @@ sum s_m sin 2mb, b = pi tau/(2 w_r), with constants made once per context
 
 ``build_context`` evaluates what does not depend on tau once per state,
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
-lattice and T_tau), the pole (v, zeta(v) and dtheta) and the epoch (tau_g,
-T_t, tau0, t0 and theta0 = theta(tau0), from which propagated angles are
-measured).  Period sweeps build the frame alone, ``analysis.find_periodic_v``
-the frame and pole per speed and the epoch for the speed it returns.
-r = (2 s - E/3)/a maps the lattice cubic to f, so the lattice roots
-e_i = (a r_i + E/3)/2 come from f's, e_k from r_m (``lattice_frame``).
-The lattice of bounded motion is rectangular, with omega, eta
-and eta' from K and E; T_tau = 2 omega is its real period.  Every p^-1
-lies on a line where p is real (``_theta_pole``): tau0 on the real axis,
-v on the imaginary axis or on Re v = omega, which p(omega + u) = e1 +
-(e1 - e2)(e1 - e3)/(p(u) - e1) maps to it.  R_F of the root gaps gives
-each (DLMF 19.25) and one Newton step on the nome series refines it, so
-no context makes a ``wp_all`` call.  Quasi-periodicity turns
-zeta(T_tau - w_k) + zeta(T_tau + w_k) into 4 eta (eta = zeta(omega)), and
-L(v - T_tau) - L(v + T_tau) into -4 eta v + 2 pi i, so t and theta
-advance per period by
+lattice and T_tau = 2 omega), the pole (v, zeta(v) and dtheta) and the
+epoch (T_t, tau0, t0 and theta0 = theta(tau0), from which propagated
+angles are measured).  Period sweeps build the frame alone,
+``analysis.find_periodic_v`` the frame and pole per speed and the epoch
+for the speed it returns.  The lattice roots e_i = (a r_i + E/3)/2 come
+from f's (``lattice_frame``), and every p^-1 lies on a line where p is
+real (``_theta_pole``).  Quasi-periodicity gives the advances per period
 
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
-(T_t in a form without the 1/a, ``SolutionContext.add_epoch``, and dtheta
-with Legendre's relation taken exactly, ``SolutionContext.add_pole``).
-Bounded t and theta fold whole periods off by these increments, t to the
-pericenter-centered tau in [-omega, omega] and theta past +/-T_tau to
-[0, T_tau), which keeps the series' arguments within a period of 0.
+(``SolutionContext.add_epoch`` and ``add_pole``).  Bounded t and theta
+fold whole periods off by these, t to the pericenter-centered tau in
+[-omega, omega] and theta past +/-T_tau to [0, T_tau), which keeps the
+series' arguments within a period of 0.
 """
 
 from __future__ import annotations
@@ -80,7 +62,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
@@ -91,9 +73,6 @@ from .errors import (
 )
 from .weierstrass import GRoots, Invariants, Lattice, _coordinates
 
-_PERI_TAU_GUARD = 1e-6     # below this |tau| r takes its Taylor expansion
-_SERIES_REACH = 0.3        # t takes its pericenter series below this share of rho
-_POLE_BLOCK = 25            # multiplicity that bounds the poles' sum in the series
 _UNIT_ROUNDOFF = 2.0**-53
 _ROUNDING_ULPS = 8          # ulps of a rounding level: the theta pole off both lines
 
@@ -103,8 +82,8 @@ class SolutionContext:
 
     Built in the three stages of the module docstring, each run once: the
     constructor, ``add_pole`` and ``add_epoch``, which ``build_context``
-    chains.  Unchanged once built, apart from the pericenter series and the
-    theta series, which are made on first use.
+    chains.  Unchanged once built, apart from the radial and theta series,
+    which are made on first use.
     """
 
     def __init__(self, state: InitialState) -> None:
@@ -138,7 +117,7 @@ class SolutionContext:
         return self
 
     def add_epoch(self) -> SolutionContext:
-        """Stage 3: the series reach, T_t and the epoch (tau0, t0, theta0).
+        """Stage 3: T_t and the epoch (tau0, t0, theta0).
 
         theta0 = theta(tau0) is the angle from pericenter that propagated
         angles are measured from (``_epoch_tau0``).  T_t = r_m T_tau -
@@ -152,7 +131,6 @@ class SolutionContext:
         self.T_t = (self.T_tau * (0.5 * (r_m + self.region.r_hi)
                                   + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
                     if self.bounded else None)
-        self.series_reach = _SERIES_REACH * _pole_distance(lat, self.k, self.bounded)
         self.tau0 = tau0 = _epoch_tau0(self)
         self.t0 = self.theta0 = 0.0
         if tau0:
@@ -160,10 +138,9 @@ class SolutionContext:
         return self
 
     @cached_property
-    def _series(self) -> tuple[float, ...]:
-        # made on the first use of the series: contexts that never evaluate
-        # t inside tau_g, apse starts among them, never pay for it
-        return _pericenter_series(self)
+    def _radial(self) -> tuple:
+        # made on the first r or t: an apse epoch read for its periods takes none
+        return _radial_forms(self)
 
     @cached_property
     def _theta_series(self) -> tuple[float, float, float, complex, tuple[float, ...]]:
@@ -341,104 +318,137 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
     return k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
 
 
-def _pole_distance(lat: Lattice, k: int, bounded: bool) -> float:
-    """rho: distance from 0 to the nearest pole of r, a point of w_k + lattice.
+def _radial_forms(ctx: SolutionContext) -> tuple:
+    """(switch, below, above): the forms of ``_series_point`` on either side of x = switch.
 
-    Bounded motion: w_k itself, on its rectangular lattice.  Unbounded
-    motion has w_k = w_r, the real half period: rho = w_r on a rectangular
-    lattice, poles (2m + 1) w_r + 2n omega'; on a rhombic one, 2 omega =
-    w_r - i w_i, poles a w_r + i b w_i with a + b odd, rho = min(w_r, w_i)
-    (w_i = 2 Im omega' = 6.6 against w_r = 37 near the escape threshold).
+    S (bounded) and T (unbounded) serve above, H below on a rectangular
+    lattice whose S or T terms alternate in sign (k = 1 or 2, where S
+    cancels near the pericenter of an eccentric orbit), up to where H's
+    ratio q' e^(2v) reaches 1/e or S's ratio q.  A table stops once its tail
+    is below the unit roundoff of the leading term: n^3 |a_n|/|a_1| in S
+    (|sin nu| <= n |sin u|), n^2 rho^(n-1) in H (terms shrink by ((n+1)/n)^3
+    rho, rho <= 1/e at the switch), and in T 16 n |gamma_n| min(n^2, c + c^2)
+    against tan^2 u, c = cot u at the switch (inf if rhombic: gamma_n > 0).
     """
-    if bounded:
-        return abs(lat.periods.omega_k(k))
-    w_r = lat.real_half_period
-    return w_r if lat.rectangular else min(w_r, 2.0 * lat.periods.omega_prime.imag)
-
-
-def _pericenter_series(ctx: SolutionContext) -> tuple[float, ...]:
-    """(a_K, ..., a_1) with t = r_m tau + sum_j a_j tau^(2j+1) for |tau| < tau_g.
-
-    r = r_m + sum_j b_j tau^(2j) solves r'' = f'(r)/2 with f cubic, so
-    b_1 = f'/4, b_2 = f'' f'/96 and
-    2 (2j+2)(2j+1) b_(j+1) = f'' b_j + f''' (b_1 b_(j-1) + ... + b_(j-1) b_1)/2,
-    derivatives at r_m; dt = r dtau gives a_j = b_j/(2j+1).  The series
-    converges out to rho, the distance to the nearest pole of r, and
-    serves |tau| < tau_g = 0.3 rho.  As r - r_m = (2/a)(p(tau + w_k) - e_k),
-    b_j = (2/a)(2j+1) sum_u u^(-2j-2) over the poles u, so the j-th term
-    at tau is at most (2/(|a| tau)) sum_u (tau/|u|)^(2j+2).  That sum is
-    taken as 25 (tau/rho)^(2j+2): 25 poles as near as the nearest one.
-    Summed over the whole lattice, sum_u (rho/|u|)^(2j+2) at the index
-    where the series stops is at most 4.1 over 76 test states (near-escape,
-    |a| down to 3e-7).  The bound shrinks by (tau/rho)^2 <= 0.09 per term,
-    and the series stops at the first term whose bound, with that
-    geometric tail, is below the unit roundoff relative to r_m tau at
-    the largest |tau| it serves.
-    """
-    rho = ctx.series_reach / _SERIES_REACH
-    tau = min(ctx.series_reach, ctx.lattice.real_half_period)
-    scale = 2.0 * _POLE_BLOCK / (abs(ctx.state.alpha) * ctx.r_m * tau * tau
-                                 * (1.0 - _SERIES_REACH**2))
-    # first left-out index j: scale (tau/rho)^(2j+2) <= unit roundoff
-    stop = max(2, math.ceil(math.log(_UNIT_ROUNDOFF / scale)
-                            / (2.0 * math.log(tau / rho))) - 1)
-    f = ctx.f
-    fpp, half_fppp = f.d2f(ctx.r_m), 0.5 * f.d3f
-    b = [0.0, 0.25 * f.df(ctx.r_m)]
-    for j in range(1, stop - 1):
-        conv = math.fsum(b[i] * b[j - i] for i in range(1, j))
-        b.append((fpp * b[j] + half_fppp * conv) / (2.0 * (2 * j + 2) * (2 * j + 1)))
-    return tuple(b[j] / (2 * j + 1) for j in range(len(b) - 1, 0, -1))
-
-
-def _orbit_point(ctx: SolutionContext, tau: float,
-                 timed: bool = True) -> tuple[float | None, float, float]:
-    """(t, r, dr/dtau) at pseudo-time tau; t is None unless ``timed``.
-
-    p, p' and zeta at the real, pericenter-centered tau_c
-    (``Lattice.wp_real``) give r and dr/dtau and, for bounded motion, t.
-    Unbounded t outside the pericenter series takes zeta at one more real
-    point (module docstring).
-    """
-    lat = ctx.lattice
-    # fold tau to the pericenter-centered representative so period
-    # multiples hit the series expansion instead of the lattice pole
-    period = 2.0 * lat.real_half_period
-    n = round(tau / period)
-    tau_c = tau - period * n
-    fp_m = ctx.f.df(ctx.r_m)
-    if abs(tau_c) < _PERI_TAU_GUARD:     # well inside the series reach tau_g
-        r, rp = ctx.r_m + 0.25 * fp_m * tau_c * tau_c, 0.5 * fp_m * tau_c
+    lat, alpha, r_m = ctx.lattice, ctx.state.alpha, ctx.r_m
+    w_r, w_p = lat.real_half_period, lat.periods.omega_prime.imag
+    # H's ratio q' e^(2v) = exp(-pi (w_r - x)/|omega'|) reaches e^-depth at the switch
+    depth = max(1.0, math.pi * w_p / w_r) if ctx.bounded else 1.0
+    switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
+    if ctx.bounded:
+        k, q = lat.nome_series.k, lat.nome_series.nome
+        above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, _table(
+            q if ctx.k == 3 else -q, q * q, alpha, q, lambda n, c: n**3 * abs(c) / q))
     else:
-        p, pp, zt = lat.wp_real(tau_c)
-        r = ctx.r_m + 0.25 * fp_m / (p - ctx.e_k)
-        rp = -0.25 * fp_m * pp / (p - ctx.e_k) ** 2
-    if not timed:
-        return None, r, rp
-    if not ctx.bounded:
-        n, tau_c = 0, tau          # t has no period; r is periodic all the same
-    if abs(tau_c) < ctx.series_reach:
-        u = tau_c * tau_c
-        acc = 0.0
-        for a in ctx._series:
-            acc = acc * u + a
-        t = ctx.r_m * tau_c + tau_c * u * acc
+        k = math.pi / (2.0 * w_r)
+        big_q = (1.0 if lat.rectangular else -1.0) * math.exp(-2.0 * math.pi * w_p / w_r)
+        c = math.tan(k * (w_r - switch))
+        spread = c + c * c
+        above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r, _table(
+            -big_q, big_q, alpha, abs(big_q), lambda n, g: 16.0 * n * min(n * n, spread) * abs(g)))
+    if switch == 0.0:
+        return switch, None, above
+    q_h = math.exp(-math.pi * w_r / w_p)
+    below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_h if ctx.bounded else q_h,
+                    0.0, w_r, _table(1.0, q_h * q_h, alpha, math.exp(-depth),
+                                     lambda n, c: n * n * math.exp(depth * (1 - n))))
+    return switch, below, above
+
+
+def _table(mu: float, nu: float, alpha: float, ratio: float,
+           weight) -> tuple[tuple[float, float, float], ...]:
+    """((n c_n, n^2 c_n, c_n), ...), c_n = mu^n/(a (1 - nu^n)), n = 1, 2, ...,
+    stopped before the first n with r = ((n+1)/n)^3 ratio < 1 and
+    weight(n, a c_n) <= 2^-53 (1 - r)."""
+    table, n, m, d = [], 1, mu, nu
+    while True:
+        c = m / (alpha * (1.0 - d))
+        r = ((n + 1) / n) ** 3 * ratio
+        if r < 1.0 and weight(n, c * alpha) <= _UNIT_ROUNDOFF * (1.0 - r):
+            return tuple(table)
+        table.append((n * c, n * n * c, c))
+        n, m, d = n + 1, m * mu, d * nu
+
+
+def _series_point(r_m: float, k: float, lam: float, pole: float, w_r: float, table: tuple,
+                  x: float) -> tuple[float, float, float]:
+    """(t, r, dr/dtau) at x >= 0 from one form of ``_radial_forms``.
+
+    With y = 2 k x the sums take s_n = sin ny, V_n = 1 - cos ny and D_n =
+    ny - sin ny (in H lam^n times sinh ny, cosh ny - 1 and sinh ny - ny),
+    each by angle addition from s_1, V_1 and D_1 without cancellation:
+    r - r_m = 16 k^2 sum n c_n V_n, dr/dtau = 32 k^3 sum n^2 c_n s_n and
+    t - r_m x = 8 k sum c_n D_n; T adds its pole terms, tan u = 1/tan(k (w_r
+    - x)) past u = 1.  H stops at a term below 2^-54 of its sum (n >= 5).
+    """
+    u = k * x
+    y = 2.0 * u
+    a = b = c = 0.0
+    if lam:
+        s1, v1 = math.sinh(y), 2.0 * math.sinh(u) ** 2
+        d1, g = _odd_tail(y, s1, 1.0), 1.0 + v1
+        sn, vn, dn, pn = lam * s1, lam * v1, lam * d1, lam
+        for n, (ca, cb, cc) in enumerate(table, 1):
+            a += ca * vn
+            b += cb * sn
+            c += cc * dn
+            if n >= 5 and 2.0 * abs(cb * sn) <= _UNIT_ROUNDOFF * abs(b):
+                break
+            dn = lam * (dn + d1 * pn + sn * v1 + s1 * vn)
+            v = lam * (vn * g + v1 * pn + s1 * sn)
+            sn = lam * (sn * g + s1 * (pn + vn))
+            vn = v
+            pn *= lam
     else:
-        if ctx.bounded:
-            # zeta(tau + w_k) + zeta(tau - w_k) = 2 zeta(tau) + p'/(p - e_k)
-            bracket = 2.0 * zt + pp / (p - ctx.e_k)
+        s1, v1 = math.sin(y), 2.0 * math.sin(u) ** 2
+        d1, g = _odd_tail(y, s1, -1.0), 1.0 - v1
+        sn, vn, dn = s1, v1, d1
+        for ca, cb, cc in table:
+            a += ca * vn
+            b += cb * sn
+            c += cc * dn
+            dn += d1 + sn * v1 + s1 * vn
+            v = vn * g + v1 + s1 * sn
+            sn = sn * g + s1 * (1.0 - vn)
+            vn = v
+    kk = k * k
+    t, r, rp = 8.0 * k * c, 16.0 * kk * a, 32.0 * kk * k * b
+    if pole:
+        if u < 1.0:
+            tan, tail = s1 / (2.0 - v1), (u * v1 - d1) / (2.0 - v1)
         else:
-            # w_k is real: zeta(tau + w_k) = zeta(tau - w_k) + 2 eta_k
-            w_k = lat.periods.omega_k(ctx.k).real
-            bracket = math.copysign(2.0, tau_c) * (
-                lat.wp_real(abs(tau_c) - w_k)[2] + lat.periods.eta_k(ctx.k).real)
-        t = ctx.r_m * tau_c - (1.0 / ctx.state.alpha) * (2.0 * ctx.e_k * tau_c + bracket)
+            tan = 1.0 / math.tan(k * (w_r - x))
+            tail = tan - u
+        t += pole * k * tail
+        r += pole * kk * tan * tan
+        rp += 2.0 * pole * kk * k * tan * (1.0 + tan * tan)
+    return r_m * x + t, r_m + r, rp
+
+
+def _odd_tail(y: float, s1: float, sign: float) -> float:
+    """y - sin y (sign -1, s1 = sin y) or sinh y - y (+1, s1 = sinh y), by Taylor below 1."""
+    if y >= 1.0:
+        return sign * (s1 - y)
+    y2, acc = sign * y * y, 1.0
+    for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
+        acc = 1.0 + acc * y2 / d
+    return y * y * y / 6.0 * acc
+
+
+def _orbit_point(ctx: SolutionContext, tau: float) -> tuple[float, float, float]:
+    """(t, r, dr/dtau) at tau from one series; bounded tau folds to [-T_tau/2, T_tau/2]."""
+    n = round(tau / ctx.T_tau) if ctx.bounded else 0
+    x = tau - ctx.T_tau * n if n else tau
+    switch, below, above = ctx._radial
+    t, r, rp = (below if abs(x) < switch else above)(abs(x))
+    if x < 0.0:
+        t, rp = -t, -rp
     return (t + n * ctx.T_t if n else t), r, rp
 
 
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     """Radius at pseudo-time tau measured from pericenter passage (even in tau)."""
-    return _orbit_point(ctx, tau, timed=False)[1]
+    return _orbit_point(ctx, tau)[1]
 
 
 def _epoch_tau0(ctx: SolutionContext) -> float:
@@ -465,7 +475,7 @@ def _epoch_tau0(ctx: SolutionContext) -> float:
         tau, last = tau + step, abs(step)
         if last <= 2.0**-26 * abs(tau - tau_a):
             break
-        _, r, rp = _orbit_point(ctx, tau, timed=False)
+        _, r, rp = _orbit_point(ctx, tau)
         step = 2.0 * (rp0 - rp) / ctx.f.df(r)
     return tau
 
@@ -473,10 +483,9 @@ def _epoch_tau0(ctx: SolutionContext) -> float:
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     """Pseudo-time at radius r0 on the branch with sign(dr/dtau) = sign_rdot.
 
-    r0 > r_m puts p(tau0) = e(r0) above e_k (``_theta_pole``), so tau0 is
-    real: ``Lattice.wp_inverse_real`` on every lattice.  Bounded motion
-    returns tau0 in [0, T_tau); an inbound unbounded state returns a
-    negative tau0 (pericenter passage lies ahead at tau = 0).
+    r0 > r_m puts p(tau0) = e(r0) above e_k (``_theta_pole``), so tau0 = +/-z
+    is real, z from ``Lattice.wp_inverse_real``.  Inbound is -z, pericenter
+    passage ahead at tau = 0: T_tau - z would round z to an ulp of T_tau.
     """
     if sign_rdot not in (-1, 1):
         raise ValueError("sign_rdot must be +1 or -1")
@@ -492,9 +501,7 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
     gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k))
     z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
-    if sign_rdot > 0:
-        return z
-    return ctx.T_tau - z if ctx.bounded else -z
+    return z if sign_rdot > 0 else -z
 
 
 # -- polar angle ---------------------------------------------------------
@@ -530,9 +537,8 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 def radial_kepler(ctx: SolutionContext, tau: float) -> float:
     """Physical time since pericenter passage, t(0) = 0, odd and increasing.
 
-    The zeta pair in closed form or the pericenter series below tau_g
-    (module docstring); bounded motion folds whole pseudo-periods,
-    t(tau + n T_tau) = t(tau) + n T_t.
+    The series of the module docstring; bounded motion folds whole
+    pseudo-periods, t(tau + n T_tau) = t(tau) + n T_t.
     """
     return _orbit_point(ctx, tau)[0]
 
@@ -542,8 +548,8 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
 
     Bounded motion brackets tau by one period and starts from Kepler's
     equation (``_kepler_start``), unbounded motion by [0, w_r), w_r the
-    escape asymptote, and starts from the pericenter series or the pole of
-    t at w_r (``_unbounded_start``).  Each step takes t, t' = r and t'' =
+    escape asymptote, and starts from the Taylor series of t or its pole
+    at w_r (``_unbounded_start``).  Each step takes t, t' = r and t'' =
     dr/dtau from one evaluation (``_halley_bisect``).
     """
     return _invert(ctx, t)[0]
@@ -569,10 +575,9 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
 def _unbounded_start(ctx: SolutionContext, t: float) -> float:
     """tau at time t > 0 on unbounded motion: the smaller of two estimates.
 
-    Near pericenter, t = r_m tau + f'(r_m) tau^3/12 + ..., the pericenter
-    series to its second term; its root comes from the sinh form of the
-    depressed cubic.  Near the escape asymptote, x = w_r - tau -> 0 with
-    w_k = w_r and zeta(tau - w_r) = -1/x + O(x^3) turn the unbounded
+    Near pericenter, t = r_m tau + f'(r_m) tau^3/12 + ..., whose root comes
+    from the sinh form of the depressed cubic.  Near the escape asymptote,
+    x = w_r - tau -> 0 with w_k = w_r and zeta(tau - w_r) = -1/x + O(x^3) turn
     t(tau) = r_m tau - (2 e_k tau + 2 zeta(tau - w_r) + 2 eta_k)/a into
     t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a, C = B w_r - 2 eta_k/a;
     x is the positive root of B x^2 + (t - C) x - 2/a, taken in a form
@@ -617,12 +622,11 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
                    guess: float) -> tuple[float, float, float]:
     """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess.
 
-    The steps stop once |t(tau) - t| <= tol = 1e-13 max(1, |t|), or, where
-    the 1/a of unbounded t past the pericenter series scales its rounding
-    (module docstring), once the residual that a Newton step h = -err/r
-    leaves, h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 by Taylor, is within tol;
-    that step then refines tau.  So no step chases rounding noise to the
-    last ulp of tau (48 evaluations per sample at a = 1e-6 without it).
+    The steps stop once |t(tau) - t| <= tol = 1e-13 max(1, |t|) or, on
+    unbounded motion, once the residual that a Newton step h = -err/r leaves,
+    h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 by Taylor, is below the rounding
+    2^-52 |t| that every form gives t to.  The Newton step then refines tau,
+    and r'' = f'(r)/2 carries r and dr/dtau along.
     """
     tol = 1e-13 * max(1.0, abs(t))
     tau = min(max(guess, lo), hi)
@@ -630,11 +634,10 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
         t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
         step = -err / r
-        past_series = not ctx.bounded and abs(tau) >= ctx.series_reach
-        if abs(err) <= tol or past_series and (
-                step * step * (0.5 * abs(rp) + abs(ctx.f.df(r) * step) / 12.0) <= tol):
-            # tau to O(err^2), r and r' by Taylor
-            return tau + step, r + rp * step, rp + 0.5 * ctx.f.df(r) * step
+        if abs(err) <= tol or not ctx.bounded and step * step * (
+                0.5 * abs(rp) + abs(ctx.f.df(r) * step) / 12.0) <= 2.0 * _UNIT_ROUNDOFF * abs(t):
+            fp = ctx.f.df(r)
+            return tau + step, r + rp * step + 0.25 * fp * step * step, rp + 0.5 * fp * step
         if err > 0.0:
             hi = tau
         else:
@@ -656,7 +659,7 @@ def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:
     """State at epoch + dt."""
     t = ctx.t0 + dt
     if dt == 0.0:
-        return _state(ctx, ctx.tau0, t, *_orbit_point(ctx, ctx.tau0, timed=False)[1:])
+        return _state(ctx, ctx.tau0, t, *_orbit_point(ctx, ctx.tau0)[1:])
     tau, r, rp = _invert(ctx, t)
     return _state(ctx, tau, t, r, rp)
 

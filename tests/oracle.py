@@ -275,7 +275,7 @@ def r_of_tau_general(state: InitialState, tau: float) -> float:
     p, pp, _, _ = lat.wp_all(complex(tau))
     gk = f.d2f(r0) / 24.0
     num = (-s * math.sqrt(big_f) * pp
-           + big_f * f.d3f / 24.0
+           + big_f * f.alpha / 2.0           # f''' = 12 a
            + 0.5 * f.df(r0) * (p - gk))
     den = 2.0 * (p - gk) ** 2
     return (r0 + num / den).real

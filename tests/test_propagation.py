@@ -10,6 +10,7 @@ from radialorbit.dynamics import InitialState
 from radialorbit.elliptic import carlson_rf
 from radialorbit.errors import (
     DegenerateLatticeError,
+    RadialOrbitError,
     NoPericenterError,
     OutOfIntervalError,
     WpInverseError,
@@ -55,7 +56,7 @@ WORKED_T0_11 = 0.6875539671379249
 
 def r_prime_of_tau(ctx, tau):
     """dr/dtau at pseudo-time tau, from the same evaluation as r."""
-    return propagation._orbit_point(ctx, tau, timed=False)[2]
+    return propagation._orbit_point(ctx, tau)[2]
 
 
 def shifted_worked_state(r0=1.1, sign=+1):
@@ -491,9 +492,12 @@ class TestTau0:
         assert r_prime_of_tau(worked_ctx, tau0) > 0.0
 
     def test_descending_is_period_complement(self, worked_ctx):
+        # -z, one period before the complement T_tau - z, which would round
+        # z to an ulp of T_tau
         up = tau0_from_r0(worked_ctx, 1.1, 1)
         down = tau0_from_r0(worked_ctx, 1.1, -1)
-        assert down == pytest.approx(worked_ctx.T_tau - up, abs=1e-10)
+        assert down == -up
+        assert down + worked_ctx.T_tau == pytest.approx(worked_ctx.T_tau - up, abs=1e-10)
         assert r_prime_of_tau(worked_ctx, down) < 0.0
 
     def test_round_trip_across_interval(self, worked_ctx):
@@ -501,7 +505,7 @@ class TestTau0:
             for sign in (1, -1):
                 tau0 = tau0_from_r0(worked_ctx, r0, sign)
                 assert r_of_tau(worked_ctx, tau0) == pytest.approx(r0, abs=1e-10)
-                assert 0.0 <= tau0 < worked_ctx.T_tau
+                assert sign * tau0 >= 0.0 and abs(tau0) <= 0.5 * worked_ctx.T_tau
 
     def test_unbounded_descending_is_negative(self):
         ctx = build_context(InitialState(3.0, 1.1, -0.9, 0.1))
@@ -646,26 +650,34 @@ class TestThetaClosedForm:
         (InitialState(*UNBOUNDED[0]), False),
     ], ids=["bounded", "rectangular-unbounded", "rhombic"])
     def test_no_kernel_call_at_any_tau(self, state, rectangular, monkeypatch):
-        # theta sums the series of _theta_series on every lattice, bounded
-        # or not, with no sigma, wp_all or wp_real call at all
+        # theta sums the series of _theta_series and r, dr/dtau and t those
+        # of _radial_forms on every lattice, bounded or not, on both sides
+        # of the H/T switch: no sigma, wp_all, wp_real or nome series call
         ctx = build_context(state)
         assert ctx.lattice.rectangular == rectangular
         calls = []
-        for name in ("sigma", "wp_all", "wp_real"):
-            method = getattr(Lattice, name)
+        for cls, name in ((Lattice, "sigma"), (Lattice, "wp_all"), (Lattice, "wp_real"),
+                          (weierstrass.NomeSeries, "at"),
+                          (weierstrass.NomeSeries, "at_complex")):
+            method = getattr(cls, name)
 
             def counted(self, z, name=name, method=method):
                 calls.append((name, z))
                 return method(self, z)
 
-            monkeypatch.setattr(Lattice, name, counted)
+            monkeypatch.setattr(cls, name, counted)
         if ctx.bounded:
             # 50.6 periods fold to 0.6 T_tau, which the stepped phase took in 5 steps
             taus = [periods * ctx.T_tau for periods in (0.1, 50.6, -3.3)]
         else:
             taus = [frac * ctx.lattice.real_half_period for frac in (0.1, -0.9, 0.9999)]
+            switch = ctx._radial[0]
+            assert any(abs(tau) < switch for tau in taus) == rectangular
+            assert any(abs(tau) > switch for tau in taus)
         for tau in taus:
             theta_of_tau(ctx, tau)
+            state_at_tau(ctx, tau)
+            propagate_ctx(ctx, radial_kepler(ctx, tau) - ctx.t0)
         assert calls == []
 
 
@@ -816,7 +828,6 @@ def test_near_parabolic_period_at_tiny_inward_alpha():
     # and E by 8.0e-12
     ctx = build_context(InitialState(1.7136312244517515, 1.131364515621618,
                                      -0.3286883833003511, -1.6906792983117208e-09))
-    assert ctx.series_reach < ctx.lattice.real_half_period
     assert ctx.T_t == pytest.approx(397432877.89283483412, rel=2e-11)
 
 
@@ -854,11 +865,12 @@ class TestRootsOfF:
 
     def test_unbounded_radius_past_the_series_reach(self):
         # the 1/a of the closed form scaled the lattice roots' error to
-        # 1.5e-9 in r
+        # 1.5e-9 in r; the H series below the switch carries no 1/a
+        # (measured 2.9e-16)
         ctx = build_context(InitialState(1.0, 1.5, 0.0, 1e-6))
         ps = propagate_ctx(ctx, 174.3)
-        assert ps.tau > ctx.series_reach
-        assert ps.r == pytest.approx(98.125204137170427955, rel=1e-12)
+        assert 0.3 * ctx.lattice.real_half_period < ps.tau < ctx._radial[0]
+        assert ps.r == pytest.approx(98.125204137170427955, rel=1e-14)
 
     @pytest.mark.parametrize("state", [
         *(InitialState(1.0, math.sqrt(1.0 - a), 0.0, a) for a in (0.01, -0.01, 1e-6, 1e-10)),
@@ -917,36 +929,48 @@ class TestRootsOfF:
 
 
 class TestPericenterSeries:
+    """r and t about the pericenter from the series of ``_radial_forms``.
+
+    No Taylor series about the pericenter is left: S, H and T serve every
+    tau, and these tests check them where the series and its reach were
+    checked before.
+    """
+
     @pytest.fixture(params=["worked", "rosette", "tilted"])
     def anchor_ctx(self, request, worked_ctx, rosette_ctx):
         return {"worked": worked_ctx, "rosette": rosette_ctx,
                 "tilted": build_context(TILTED_STATE)}[request.param]
 
     def test_leading_coefficients(self, anchor_ctx):
+        # r = r_m + b_1 tau^2 + b_2 tau^4 + ... with b_1 = f'/4 and
+        # b_2 = f'' f'/96; 1 - cos 2nu = 2 (nu)^2 - 2 (nu)^4/3 + ... turns
+        # r - r_m = 16 k^2 sum n a_n (1 - cos 2nu) into b_1 = 32 k^4 sum n^3 a_n
+        # and b_2 = -(32/3) k^6 sum n^5 a_n
         ctx = anchor_ctx
         fp, fpp = ctx.f.df(ctx.r_m), ctx.f.d2f(ctx.r_m)
-        a = ctx._series[::-1]            # a_j = b_j / (2j + 1)
-        assert 3.0 * a[0] == pytest.approx(fp / 4.0, rel=1e-15)
-        assert 5.0 * a[1] == pytest.approx(fpp * fp / 96.0, rel=1e-14)
+        _, below, above = ctx._radial
+        form = above or below                    # S, also beside H when k = 2
+        k, table = form.args[1], form.args[-1]
+        b1 = 32.0 * k**4 * math.fsum(n * row[1] for n, row in enumerate(table, 1))
+        b2 = -32.0 / 3.0 * k**6 * math.fsum(n**3 * row[1] for n, row in enumerate(table, 1))
+        assert b1 == pytest.approx(fp / 4.0, rel=1e-14)
+        assert b2 == pytest.approx(fpp * fp / 96.0, rel=1e-13)
+        for tau in (1e-6, 1e-4, -1e-3):
+            assert r_of_tau(ctx, tau) == pytest.approx(
+                ctx.r_m + b1 * tau**2 + b2 * tau**4, rel=2e-16)
 
     def test_coefficients_are_lattice_sums(self, anchor_ctx):
-        # r - r_m = (2/a)(p(tau + w_k) - e_k): b_j = (2/a)(2j+1) sum u^-(2j+2)
+        # r - r_m = (2/a)(p(tau + w_k) - e_k), with p from the kernel
         ctx = anchor_ctx
-        per = ctx.lattice.periods
-        w_k = per.omega_k(ctx.k)
-        poles = [w_k + 2.0 * m * per.omega + 2.0 * n * per.omega_prime
-                 for m in range(-40, 41) for n in range(-40, 41)]
-        a = ctx._series[::-1]
-        for j in range(3, 7):
-            lattice_sum = sum(u ** (-2 * j - 2) for u in poles).real
-            want = 2.0 / ctx.state.alpha * (2 * j + 1) * lattice_sum
-            assert (2 * j + 1) * a[j - 1] == pytest.approx(want, rel=1e-9)
+        lat, w_k = ctx.lattice, ctx.lattice.periods.omega_k(ctx.k)
+        for tau in np.linspace(0.1, 1.9 * ctx.T_tau, 13):
+            want = 2.0 / ctx.state.alpha * (lat.wp(tau + w_k).real - ctx.e_k)
+            assert r_of_tau(ctx, tau) - ctx.r_m == pytest.approx(want, rel=1e-9)
 
     def test_joins_the_zeta_pair_form_across_the_reach(self, anchor_ctx):
+        # the paper's zeta pair over the whole period, on both halves
         ctx = anchor_ctx
-        tau_g = ctx.series_reach
-        assert 0.0 < tau_g < ctx.lattice.real_half_period
-        for tau in np.linspace(0.5 * tau_g, 1.5 * tau_g, 21):
+        for tau in np.linspace(0.05, 0.95, 19) * ctx.T_tau:
             want = zeta_pair_time(ctx, tau)
             assert radial_kepler(ctx, tau) == pytest.approx(want, rel=5e-14)
             assert radial_kepler(ctx, -tau) == pytest.approx(-want, rel=5e-14)
@@ -957,35 +981,36 @@ class TestPericenterSeries:
     def test_matches_quadrature_across_the_reach(self, state):
         ctx = build_context(InitialState(*state))
         w = ctx.lattice.real_half_period
-        for tau in np.linspace(0.2 * ctx.series_reach,
-                               min(2.0 * ctx.series_reach, 0.95 * w), 9):
+        # scipy's quadrature itself misses by 1e-10 at 0.02 w
+        for tau in np.linspace(0.1 * w, 0.95 * w, 9):
             ref = oracle.quadrature_tof(ctx.state, ctx.r_m, r_of_tau(ctx, tau))
             assert radial_kepler(ctx, tau) == pytest.approx(ref, rel=1e-11)
 
     def test_reach_covers_the_orbit_at_tiny_alpha(self):
-        # T_t then comes from the series as well, not from the closed form
+        # S at tau = T_tau sums to T_t from add_epoch
         ctx = build_context(InitialState(*LOW_ALPHA[0]))
-        assert ctx.series_reach > ctx.lattice.real_half_period
         ref = 2.0 * oracle.quadrature_tof(ctx.state, ctx.r_m, ctx.region.r_hi)
         assert ctx.T_t == pytest.approx(ref, rel=1e-11)
+        assert radial_kepler(ctx, ctx.T_tau) == pytest.approx(ctx.T_t, rel=1e-15)
+        assert radial_kepler(ctx, 0.5 * ctx.T_tau) == pytest.approx(0.5 * ctx.T_t, rel=1e-15)
 
     def test_made_once_and_only_when_needed(self, monkeypatch):
         made = []
-        series = propagation._pericenter_series
+        forms = propagation._radial_forms
 
         def counted(ctx):
             made.append(ctx)
-            return series(ctx)
+            return forms(ctx)
 
-        monkeypatch.setattr(propagation, "_pericenter_series", counted)
+        monkeypatch.setattr(propagation, "_radial_forms", counted)
         apse = build_context(InitialState(1.0, 1.2, 0.0, 0.02))
-        state_at_tau(apse, 0.5 * apse.T_tau)     # outside the reach
-        assert made == []
-        off_apse = build_context(TILTED_STATE)   # t0 lies inside the reach
+        assert made == []                        # an apse epoch evaluates no r or t
+        off_apse = build_context(TILTED_STATE)   # t0 = t(tau0)
         assert len(made) == 1
         for dt in (0.1, 3.0, 25.0):
             propagate_ctx(off_apse, dt)
         state_at_tau(apse, 0.3)
+        state_at_tau(apse, 0.5 * apse.T_tau)
         assert len(made) == 2
 
 
@@ -1028,25 +1053,32 @@ class TestInvertKepler:
         assert calls == []
 
     def test_unbounded_kernel_calls_per_sample(self, monkeypatch):
-        # Halley from the pericenter series' first two terms or the pole
-        # term of t at the escape asymptote: at most 6 calls per sample on
-        # this sweep (22 when bracketing halfway to the asymptote step by step)
+        # Halley from the first two Taylor terms of t or the pole term of t
+        # at the escape asymptote: no kernel call, and at most 3 evaluations
+        # of t(tau) per sample on this sweep (the kernel route took up to 6
+        # wp_real calls, 22 when bracketing halfway to the asymptote)
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
-        calls = []
-        wp_real = Lattice.wp_real
+        calls, points = [], []
+        wp_real, orbit_point = Lattice.wp_real, propagation._orbit_point
 
         def counted(self, x):
             calls.append(x)
             return wp_real(self, x)
 
+        def counted_point(ctx, tau):
+            points.append(tau)
+            return orbit_point(ctx, tau)
+
         monkeypatch.setattr(Lattice, "wp_real", counted)
+        monkeypatch.setattr(propagation, "_orbit_point", counted_point)
         counts = []
         for t in np.geomspace(0.5, 500.0, 60):
-            calls.clear()
+            points.clear()
             ps = propagate_ctx(ctx, t)
-            counts.append(len(calls))
+            counts.append(len(points))
             assert abs(radial_kepler(ctx, ps.tau) - t) <= 1e-12 * t
-        assert max(counts) <= 6
+        assert calls == []
+        assert max(counts) <= 3
 
     def test_unbounded_branch(self):
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
@@ -1059,31 +1091,30 @@ class TestInvertKepler:
         )
 
     def test_unbounded_stop_at_the_rounding_of_t(self, monkeypatch):
-        # past the series reach 7.32, t(tau) scales the rounding of its two
-        # terms by 1/a = 1e6, about 1e-10 here, far above 1e-13 |t|; the
-        # inversion took 42-48 kernel calls per sample chasing it.  The
-        # error against the ODE, 1.5e-9 in r and 4e-11 in theta, is the
-        # lattice's own (its roots carry the 1/a-scaled error of
-        # solve_cubic); the stop rule leaves it at the level it had
+        # the 1/a of the old closed form scaled the rounding of t to about
+        # 1e-10 past its pericenter series; the inversion took 42-48 kernel
+        # calls per sample chasing it, and r missed the ODE by 1.5e-9 (the
+        # lattice roots' 1/a-scaled error).  H and T give t to its rounding:
+        # 4 evaluations per sample, and the error left is the oracle's
         state = InitialState(1.0, 1.5, 0.0, 1e-6)
         ctx = build_context(state)
-        assert not ctx.bounded and ctx.series_reach < 7.4
+        assert not ctx.bounded and ctx.lattice.rectangular
         traj = oracle.integrate_ode(state, 450.0)
-        calls = []
-        wp_real = Lattice.wp_real
+        points = []
+        orbit_point = propagation._orbit_point
 
-        def counted(self, x):
-            calls.append(x)
-            return wp_real(self, x)
+        def counted(ctx, tau):
+            points.append(tau)
+            return orbit_point(ctx, tau)
 
-        monkeypatch.setattr(Lattice, "wp_real", counted)
+        monkeypatch.setattr(propagation, "_orbit_point", counted)
         for t in (174.3, 200.0, 400.0):
-            calls.clear()
+            points.clear()
             ps = propagate_ctx(ctx, t)
-            assert len(calls) <= 8
+            assert len(points) <= 4
             r_ref, th_ref, _, _ = traj.at(t)
-            assert abs(ps.r - r_ref) / r_ref < 1.6e-9
-            assert abs(ps.theta - th_ref) < 5e-11
+            assert abs(ps.r - r_ref) / r_ref < 2e-11
+            assert abs(ps.theta - th_ref) < 1e-11
 
 
 # Unbounded states whose Kepler start fell at or past the escape asymptote
@@ -1116,6 +1147,108 @@ def test_kepler_start_past_the_escape_asymptote(state, samples):
         assert ps.tau < w_r
         assert ps.r == pytest.approx(r, rel=1e-12)
         assert ps.theta == pytest.approx(theta, abs=1e-13)
+
+
+# A wide unbounded lattice where p(tau) rounded onto e_k before the escape
+# asymptote, and the paper's r = r_m + f'(r_m)/(4 (p - e_k)) raised
+# ZeroDivisionError; inbound epochs of a long-period orbit, whose tau0 =
+# T_tau - z rounded z to an ulp of T_tau (3.6e-13 in r at gamma0 = -0.0224);
+# and an inbound epoch with T_t = 7e12, where t0 = T_t - t(z) kept dt to
+# 1e-3 (r 7228 for 1388.6 at dt = 100).  (state, dt, r, theta, theta_tol)
+# with r and theta from perfbench's mpmath reference
+SERIES_REPROS = [
+    ((0.013863214463189022, 13.596734700514835, 0.00013321868118074297,
+      4.891897955539798e-12), 40.08, 255.60564140382584, 2.2647424578931963, 1e-13),
+    ((1.036600911899285, 1.3889293430016292, -0.0224, 4.164274195722233e-09),
+     1026.6, 166.25068553325386, 3.0300425142160323, 1e-13),
+    ((1.036600911899285, 1.3889293430016292, -0.05, 4.164274195722233e-09),
+     1026.6, 166.24828873931477, 3.08540530602611, 1e-13),
+    ((1.036600911899285, 1.3889293430016292, 0.0224, 4.164274195722233e-09),
+     1026.6, 166.2579161119008, 2.940434010293077, 1e-13),
+    ((0.03407006071731699, 15.858767441333171, -1.4946150007837016,
+      -3.935775268688421e-12), 100.0, 1388.5540035127474, 5.1643267792005325, 3e-13),
+]
+
+
+@pytest.mark.parametrize("state, dt, r, theta, theta_tol", SERIES_REPROS,
+                         ids=["alpha-5e-12", "inbound-0.0224", "inbound-0.05",
+                              "outbound-0.0224", "inbound-T_t-7e12"])
+def test_series_repros_against_mpmath(state, dt, r, theta, theta_tol):
+    ps = propagate_ctx(build_context(InitialState(*state)), dt)
+    assert abs(ps.r - r) <= 1e-13 * r
+    assert abs(ps.theta - theta) <= theta_tol
+
+
+def paper_radial_reference(ctx, taus, mp):
+    """(t, r) at each tau from the paper's p and zeta forms, at 60 digits.
+
+    r = r_m + f'(r_m)/(4 (p(tau) - e_k)) and t = r_m tau - (2 e_k tau +
+    zeta(tau - w_k) + zeta(tau + w_k))/a, on the lattice of the roots of f
+    that mpmath finds for the state's binary64 inputs (``theta_reference``).
+    The working precision absorbs the 1/a and the cancellations at tau = 0
+    and at the escape asymptote.
+    """
+    with mp.workdps(60):
+        st = ctx.state
+        r0, v0, g0, a = (mp.mpf(x) for x in (st.r0, st.v0, st.gamma0, st.alpha))
+        energy = v0**2 / 2 - 1 / r0 - a * r0
+        h = r0 * v0 * mp.cos(g0)
+        roots = mp.polyroots([2 * a, 2 * energy, 2, -h * h], maxsteps=400, extraprec=400)
+        r_m = min((mp.re(z) for z in roots), key=lambda z: abs(z - ctx.r_m))
+        e_k = a * r_m / 2 + energy / 6
+        e = [(a * z + energy / 3) / 2 for z in roots]
+        g2 = -4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2])
+        ref, omega1, omega3 = theta_reference(mp.re(g2), mp.re(4 * e[0] * e[1] * e[2]), mp)
+        w_k = min((omega1, omega3, omega1 + omega3), key=lambda w: abs(ref(w)[0] - e_k))
+        fp = (6 * a * r_m + 4 * energy) * r_m + 2
+        out = []
+        for tau in taus:
+            tau = mp.mpf(tau)
+            r = r_m + fp / (4 * (ref(tau)[0] - e_k))
+            pair = ref(tau - w_k)[1] + ref(tau + w_k)[1]
+            out.append((float(mp.re(r_m * tau - (2 * e_k * tau + pair) / a)), float(mp.re(r))))
+        return out
+
+
+def seeded_series_states(seed, per_kind=2):
+    """Valid states of four kinds, |alpha| in [1e-10, 0.5]: bounded with
+    k = 3 and k = 2, unbounded on a rectangular and on a rhombic lattice."""
+    rng = np.random.default_rng(seed)
+    kinds = {"k3": [], "k2": [], "rectangular": [], "rhombic": []}
+    while any(len(v) < per_kind for v in kinds.values()):
+        sign = rng.choice([-1.0, 1.0])
+        alpha = sign * 10.0 ** rng.uniform(-10.0, math.log10(0.5))
+        u, r0 = rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.0)
+        state = InitialState(r0, math.sqrt(u / r0), rng.uniform(-0.6, 0.6), alpha)
+        try:
+            ctx = build_context(state)
+        except RadialOrbitError:
+            continue
+        kind = ("k%d" % ctx.k if ctx.bounded
+                else "rectangular" if ctx.lattice.rectangular else "rhombic")
+        if len(kinds[kind]) < per_kind:
+            kinds[kind].append(ctx)
+    return [ctx for v in kinds.values() for ctx in v]
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_seeded_series_against_mpmath(seed):
+    # r and t within 1e-14 relative of the paper's forms at 60 digits, or
+    # of 4 times the floor 2 ulp(w_r)/(w_r - tau) that the rounding of w_r
+    # sets near the escape asymptote; bounded tau over a whole period,
+    # unbounded tau/w_r in [0.01, 1 - 1e-6], on both sides of the H/T switch
+    mp = pytest.importorskip("mpmath")
+    for ctx in seeded_series_states(seed):
+        w = ctx.lattice.real_half_period
+        if ctx.bounded:
+            taus = [1e-3 * w, *np.linspace(0.0, 2.0 * w, 6)[1:]]
+        else:
+            taus = [f * w for f in (0.01, 0.3, 0.7, 0.95, 0.999, 1.0 - 1e-6)]
+        for tau, (t_ref, r_ref) in zip(taus, paper_radial_reference(ctx, taus, mp)):
+            bound = max(1e-14, 0.0 if ctx.bounded else 8.0 * math.ulp(w) / (w - tau))
+            t, r, _ = propagation._orbit_point(ctx, tau)
+            assert abs(r - r_ref) <= bound * r_ref
+            assert abs(t - t_ref) <= bound * abs(t_ref)
 
 
 def test_seeded_valid_states_propagate():
@@ -1332,34 +1465,30 @@ class TestPropagate:
 
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):
-        calls = []
-        wp_real = Lattice.wp_real
+        # r, dr/dtau and t of a state take one series evaluation, bounded or
+        # not, inside or outside a period, and no kernel call
+        calls, points = [], []
+        wp_real, orbit_point = Lattice.wp_real, propagation._orbit_point
 
         def counted(self, x):
             calls.append(x)
             return wp_real(self, x)
 
+        def counted_point(ctx, tau):
+            points.append(tau)
+            return orbit_point(ctx, tau)
+
         monkeypatch.setattr(Lattice, "wp_real", counted)
-        # inside (1.1) and outside (3.0; 30.0 folds to -2.6) the series reach
-        # 2.09: bounded r, dr/dtau, t and theta take one evaluation of the
-        # series at the real argument, and theta none
-        for tau in (1.1, 3.0, 30.0):
-            calls.clear()
-            ps = state_at_tau(worked_ctx, tau)
-            assert len(calls) == 1
-            assert ps.r == r_of_tau(worked_ctx, tau)
-        # unbounded: r, dr/dtau and t(tau) share one evaluation inside the
-        # series reach; outside it the zeta pair 2 zeta(|tau| - w_k) + 2 eta_k
-        # takes a second one
-        ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
-        for tau, count in ((0.5 * ctx.series_reach, 1),
-                           (-0.5 * ctx.series_reach, 1),
-                           (1.5 * ctx.series_reach, 2)):
-            calls.clear()
+        monkeypatch.setattr(propagation, "_orbit_point", counted_point)
+        unbounded = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
+        w = unbounded.lattice.real_half_period
+        for ctx, tau in ((worked_ctx, 1.1), (worked_ctx, 3.0), (worked_ctx, 30.0),
+                         (unbounded, 0.1 * w), (unbounded, -0.5 * w), (unbounded, 0.99 * w)):
+            points.clear()
             ps = state_at_tau(ctx, tau)
-            assert len(calls) == count
-            assert all(isinstance(x, float) for x in calls)
+            assert points == [tau]
             assert ps.r == r_of_tau(ctx, tau)
+        assert calls == []
 
 
 class TestOracleEquivalence:

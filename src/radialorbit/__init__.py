@@ -24,7 +24,6 @@ from .dynamics import (
     classify_region,
     pericenter,
 )
-from .elliptic import carlson_rf, elliptic_K
 from .propagation import (
     PropagatedState,
     SolutionContext,
@@ -37,7 +36,7 @@ from .propagation import (
     tau0_from_r0,
     theta_of_tau,
 )
-from .weierstrass import GRoots, HalfPeriods, Invariants, Lattice, g_roots
+from .weierstrass import Lattice
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -3,8 +3,8 @@
 Bounded radial motion has pseudo-period T_tau, the real period of the
 lattice, and physical period T_t = t(T_tau); ``build_context`` computes
 both once (``SolutionContext.T_tau`` and ``T_t``), in closed form from K
-and E.  ``true_period_implicit`` recomputes T_t from two complex zeta
-values, the quadrature of the time of flight.  Boundedness itself is the
+and E.  ``true_period_implicit`` recomputes T_t as -(4 eta + 2 E omega/3)/a,
+the quadrature of the time of flight.  Boundedness itself is the
 root structure of f, solved once at r0 (``dynamics.build_f``): the
 allowed component holding r0 is bounded iff a root of f lies above it,
 which with a > 0 needs three real roots and r0 below the upper two.  The
@@ -37,6 +37,7 @@ from .errors import (
 from .propagation import SolutionContext
 
 _MARGINAL_BAND = 1e-9
+_BRACKET_TOL = 1e-12      # relative width at which find_periodic_v stops
 _RATIO_LEVEL = 2.0**-50   # rounding level of the winding ratio: 4 ulps of the target
 
 
@@ -52,19 +53,18 @@ class BoundednessReport:
 
 
 def true_period_implicit(ctx: SolutionContext) -> float:
-    """T_t as twice (2/a)(zeta(w_k) - zeta(T_tau/2 + w_k)) - E T_tau/(6a).
+    """T_t as -(4 eta + 2 E omega/3)/a, eta = zeta(omega) and omega = T_tau/2.
 
     That is the quadrature of dt = r dtau, r = (2/a) p(tau + w_k) - E/(3a),
-    from pericenter to apocenter, independent of the t(tau) route.
+    from pericenter to apocenter, (2/a)(zeta(w_k) - zeta(omega + w_k)) -
+    E omega/(3a), doubled: zeta(omega + w_k) - zeta(w_k) = eta for every
+    k by quasi-periodicity.  It reads eta from the lattice, independent of
+    the t(tau) route.
     """
     if not ctx.bounded:
         raise UnboundedMotionError("no period: motion is unbounded")
-    a, lat = ctx.state.alpha, ctx.lattice
-    rho_a = lat.periods.omega_k(ctx.k)
-    rho_b = 0.5 * ctx.T_tau + rho_a
-    half = ((2.0 / a) * (lat.zeta(rho_a) - lat.zeta(rho_b))
-            + ctx.energy / (3.0 * a) * (rho_a - rho_b))
-    return 2.0 * half.real
+    per = ctx.lattice.periods
+    return -(4.0 * per.eta.real + 2.0 * ctx.energy * per.omega.real / 3.0) / ctx.state.alpha
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:
@@ -152,8 +152,7 @@ def escape_alpha(r0: float, v0: float, gamma0: float,
 
 
 def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
-                    bracket: tuple[float, float],
-                    tol: float = 1e-12) -> tuple[float, SolutionContext]:
+                    bracket: tuple[float, float]) -> tuple[float, SolutionContext]:
     """Pericenter speed closing the orbit after N radial periods, and its context.
 
     ``q = (M, N)`` requests a per-period angle advance congruent to
@@ -168,9 +167,9 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
     when that factor is not positive (Dowell & Jarratt, BIT 11, 1971;
     Anderson & Bjorck, BIT 13, 1973).  The search stops at the last
     evaluated speed when |f| is at the level the winding ratio is computed
-    to, or the bracket is narrower than tol * max(1, v_m).  The context
-    that evaluation built takes the epoch stage; only the exit after 200
-    steps, at a midpoint never evaluated, builds one afresh.
+    to, or the bracket is narrower than ``_BRACKET_TOL`` max(1, v_m).  The
+    context that evaluation built takes the epoch stage; only the exit after
+    200 steps, at a midpoint never evaluated, builds one afresh.
     """
     m_turns, n_periods = q
     if n_periods <= 0:
@@ -228,7 +227,7 @@ def find_periodic_v(r_m: float, alpha: float, q: tuple[int, int],
                 f_lo *= m if m > 0.0 else 0.5
             hi, f_hi = v_m, f_v
             moved = 1
-        if hi - lo < tol * max(1.0, abs(v_m)):
+        if hi - lo < _BRACKET_TOL * max(1.0, abs(v_m)):
             return closed(e_v)
     v_m = 0.5 * (lo + hi)
     return v_m, propagation.build_context(InitialState(r_m, v_m, 0.0, alpha))

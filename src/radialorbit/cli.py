@@ -83,8 +83,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _meta_block(ctx, units: _Units) -> dict:
     lat = ctx.lattice
-    inv = propagation.invariants_from_conserved(ctx.state.alpha, ctx.energy,
-                                                ctx.momentum)
+    g2, g3 = propagation.invariants_from_conserved(ctx.state.alpha, ctx.energy,
+                                                   ctx.momentum)
     meta = {
         "energy": ctx.energy,
         "momentum": ctx.momentum,
@@ -93,8 +93,8 @@ def _meta_block(ctx, units: _Units) -> dict:
         "bounded": ctx.bounded,
         "f_roots": [[z.real, z.imag] for z in ctx.f.roots],
         "g_roots": [[z.real, z.imag] for z in lat.roots.e_tilde],
-        "g2": inv.g2,
-        "g3": inv.g3,
+        "g2": g2,
+        "g3": g3,
     }
     if ctx.bounded:
         meta["T_tau"] = ctx.T_tau

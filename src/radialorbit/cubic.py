@@ -1,8 +1,8 @@
 """Cubic roots: the most isolated root by Newton steps, the pair by deflation.
 
 One solver serves the dynamics cubic at the epoch radius
-(``dynamics.build_f``) and the lattice cubic of given invariants
-(``solve_cubic``).  Roots come in the A&S 18.1 order, descending
+(``dynamics.build_f``) and the merge cubic of the escape threshold
+(``analysis.escape_alpha``).  Roots come in the A&S 18.1 order, descending
 imaginary then real part: e1 >= e2 >= e3, or e1 = a+ib, e2 real, e3 = a-ib.
 """
 
@@ -12,13 +12,6 @@ import math
 
 _ULP = 2.0**-52
 _SMALLEST_NORMAL = 2.0**-1022   # below it a float keeps fewer than 53 bits
-
-
-def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[complex, complex, complex]:
-    """Roots of a x^3 + b x^2 + c x + d in descending (Im, Re) order (``cubic_roots``)."""
-    if a == 0.0:
-        raise ValueError("leading coefficient is zero; not a cubic")
-    return cubic_roots(d, c, b, a)
 
 
 def cubic_roots(f0: float, f1: float, f2: float, f3: float

@@ -106,9 +106,6 @@ class CubicF:
     def d2f(self, r: float) -> float:
         return 12.0 * self.alpha * r + 4.0 * self.energy
 
-    def real_roots_desc(self) -> list[float]:
-        return sorted((z.real for z in self.roots if z.imag == 0.0), reverse=True)
-
 
 class MotionTag(enum.Enum):
     """Shape of the allowed radial component containing the state."""

@@ -21,11 +21,6 @@ from .errors import EllipticDomainError
 _RF_TOL = 1e-4  # spread tolerance before the series tail; error ~ spread^6
 
 
-def elliptic_K(m: float) -> float:
-    """K(m) with the parameter convention K(m) = F(pi/2 | m)."""
-    return elliptic_K_tail(m, 1.0 - m)[0]
-
-
 def elliptic_KE(m: float, m1: float) -> tuple[float, float]:
     """(K(m), E(m)) for m + m1 = 1, each of the two passed to full precision."""
     k, tail = elliptic_K_tail(m, m1)

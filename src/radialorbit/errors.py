@@ -6,7 +6,7 @@ class RadialOrbitError(Exception):
 
 
 class DegenerateLatticeError(RadialOrbitError):
-    """Invariants satisfy g2^3 - 27 g3^2 = 0; the period lattice collapses."""
+    """The invariants satisfy g2^3 - 27 g3^2 = 0; the period lattice collapses."""
 
 
 class PoleProximityError(RadialOrbitError):

@@ -71,7 +71,7 @@ from .errors import (
     DegenerateLatticeError,
     OutOfIntervalError,
 )
-from .weierstrass import GRoots, Invariants, Lattice, _coordinates
+from .weierstrass import GRoots, Lattice
 
 _UNIT_ROUNDOFF = 2.0**-53
 _ROUNDING_ULPS = 8          # ulps of a rounding level: the theta pole off both lines
@@ -160,10 +160,12 @@ class PropagatedState:
     t: float
 
 
-def invariants_from_conserved(alpha: float, energy: float, momentum: float) -> Invariants:
+def invariants_from_conserved(alpha: float, energy: float, momentum: float
+                              ) -> tuple[float, float]:
+    """(g2, g3), the invariants of the lattice cubic 4 s^3 - g2 s - g3."""
     g2 = energy**2 / 3.0 - alpha
     g3 = alpha**2 * momentum**2 / 4.0 + alpha * energy / 6.0 - energy**3 / 27.0
-    return Invariants(g2, g3)
+    return g2, g3
 
 
 def build_context(state: InitialState) -> SolutionContext:
@@ -316,6 +318,13 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
         coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
         j, q2j, grow = j + 1, q2j * q_signed * q, grow * spread
     return k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
+
+
+def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
+    """Real (x, y) with z = x a + y b."""
+    det = a.real * b.imag - a.imag * b.real
+    return ((z.real * b.imag - z.imag * b.real) / det,
+            (z.imag * a.real - z.real * a.imag) / det)
 
 
 def _radial_forms(ctx: SolutionContext) -> tuple:

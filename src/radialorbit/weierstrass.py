@@ -1,55 +1,56 @@
-"""Weierstrass elliptic functions for real invariants (g2, g3).
+"""Weierstrass p, p' and zeta for real invariants, on the lattice's two axes.
 
-One kernel serves every lattice: the Fourier series in the nome
-q = exp(i pi tau), tau = omega3/omega1, of a basis (omega1, omega3) with
-Im tau > 0 (``NomeSeries``).  With k = pi/(2 omega1), u = k z and
-c_n = q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 and 23.6.9 give
+The closed form evaluates p and zeta only while it builds a context: p^-1
+on the real axis (the epoch's tau0) and on the imaginary axis (the theta
+pole).  Both lines take the Fourier series in the nome q = exp(i pi tau),
+tau = omega3/omega1, of a basis (omega1, omega3) whose q^2 is real
+(``NomeSeries``).  With k = pi/(2 omega1), u = k z and c_n =
+q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 give
 
     p     = -eta1/omega1 + k^2 (csc^2 u - 8 sum n c_n cos 2nu),
     zeta  = eta1 z/omega1 + k (cot u + 4 sum c_n sin 2nu),
-    sigma = k^-1 exp(eta1 z^2/(2 omega1))
-            sum (-1)^n q^(n(n+1)) sin (2n+1)u / sum (-1)^n (2n+1) q^(n(n+1)),
 
-and p' by differentiation.  A point is first reduced into the centred
-cell of the basis, where |Im u| <= pi Im tau/2 bounds the growth
-e^(2n|Im u|) of the n-th term by |q|^(-n); each sum stops where a bound on
-its omitted tail falls below the unit roundoff in units of its leading
-term.  Values outside the cell follow from periodicity of p, p' and the
-quasi-periodicity of zeta and sigma.
+and p' by differentiation.  On the real axis the sums take one
+(sin u, cos u) pair (``NomeSeries.at``); at z = -iy one (sinh, cosh) pair,
+which is the same arithmetic with p real and p', zeta imaginary
+(``NomeSeries.at_imaginary``).  The two axes swap under the homogeneity
+p(iz; g2, g3) = -p(z; g2, -g3), zeta(iz; g2, g3) = -i zeta(z; g2, -g3)
+(DLMF 23.10(iv)), which relates a lattice to its companion (g2, -g3).
 
 The basis:
 - A rectangular lattice (positive discriminant) uses (omega, omega') of
-  A&S 18.9, with q = exp(-pi |omega'|/omega) real.  On the real axis its
-  sums take one (sin u, cos u) pair and a fixed list of terms (``at``):
-  q <= 0.07 on most lattices of bounded motion, so under ten.  Its half
-  periods and eta come from K and E in closed form.
+  A&S 18.9, with q = exp(-pi |omega'|/omega) real: q <= 0.07 on most
+  lattices of bounded motion, so under ten terms on the real axis.  Its
+  half periods and eta come from K and E in closed form.
 - A rhombic lattice (negative discriminant) keeps its half periods from
-  Carlson R_F at the conjugate pair and evaluates on their
-  Lagrange-reduced basis, where Im tau >= sqrt(3)/2 and so
-  |q| <= exp(-pi sqrt(3)/2) = 0.066.  eta1 is the series' constant term,
-  eta1 = omega1 k^2 (1/3 - 8 sum n c_n), and eta3 follows from the
-  Legendre relation eta1 omega3 - eta3 omega1 = i pi/2.  The eta of any
-  half period is the same integer combination of eta1 and eta3 as the
-  half period is of omega1 and omega3.
+  Carlson R_F at the conjugate pair: w_r, the real one, and w_i, the real
+  one of the companion.  It sums the real-period basis of the companion,
+  (w_i, (w_i + i w_r)/2), whose q^2 = -exp(-pi w_r/w_i) is negative
+  (|q| <= 0.33 on the benchmark's rhombic states).  The companion's real
+  axis is the lattice's imaginary one, and its line at -ix the lattice's
+  real axis, in reach up to w_r/2; past it p folds at the half period w_r
+  (``Lattice.wp_real``).  eta of the companion is its series' constant
+  term, and Legendre's relation gives zeta(w_r) from it.
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
-no kernel call is made to build a lattice.  The series take omega and eta
+no series is summed to build a lattice.  The series take omega and eta
 as they are, so they inherit their error from the roots e_i and their
-differences (``GRoots``): a lattice of the dynamics takes both from the
-roots of f (``propagation.lattice_frame``), ``Lattice.from_invariants``
-from the rounded invariants (``g_roots``).  Conventions follow A&S ch. 18:
+differences (``GRoots``), which a lattice of the dynamics takes from the
+roots of f (``propagation.lattice_frame``).  Conventions follow A&S ch. 18:
 omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
 with the roots e1, e2, e3 ordered by descending imaginary then real part.
+
+The tests' reference kernel (``tests/oracle.py``) evaluates p, p', zeta
+and sigma anywhere in the plane, in complex arithmetic on (omega, omega')
+or on the Lagrange-reduced basis of a rhombic lattice.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cubic import solve_cubic
 from .elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
 from .errors import (
     DegenerateLatticeError,
@@ -60,26 +61,6 @@ from .errors import (
 _UNIT_ROUNDOFF = 2.0**-53   # truncation target of the series
 _POLE_GUARD = 1e-12         # |z - lattice point| below which p, p' and zeta raise
 _LAST_STEP = 16 * _UNIT_ROUNDOFF   # reach of the Newton step that refines an R_F seed
-
-
-@dataclass(frozen=True)
-class Invariants:
-    """Real lattice invariants; the cubic is 4 s^3 - g2 s - g3."""
-
-    g2: float
-    g3: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
-            raise ValueError("invariants must be finite")
-
-    @property
-    def discriminant(self) -> float:
-        return self.g2**3 - 27.0 * self.g3**2
-
-    def is_degenerate(self) -> bool:
-        scale = max(abs(self.g2) ** 3, 27.0 * self.g3**2, 1e-300)
-        return abs(self.discriminant) <= 1e-14 * scale
 
 
 @dataclass(frozen=True)
@@ -121,25 +102,13 @@ class HalfPeriods:
         return (first, first + third, third)[k - 1]
 
 
-def g_roots(inv: Invariants) -> GRoots:
-    """Ordered roots of the lattice cubic 4 s^3 - g2 s - g3."""
-    if inv.is_degenerate():
-        raise DegenerateLatticeError(
-            f"g2^3 - 27 g3^2 = {inv.discriminant:.3e} vanishes; "
-            "the lattice degenerates (alpha = 0 / double-root boundary)"
-        )
-    e1, e2, e3 = solve_cubic(4.0, 0.0, -inv.g2, -inv.g3)
-    return GRoots(e_tilde=(e1, e2, e3), gaps=(e1 - e2, e1 - e3, e2 - e3))
-
-
 class Lattice:
     """Immutable evaluation context for the lattice of one set of roots.
 
     Construction computes the half-periods, the eta values and the nome
-    series of the kernel basis from the roots and their differences
-    (module docstring): ``basis`` holds omega1, omega3, eta1 and eta3 of
-    that basis, which is ``periods`` itself on a rectangular lattice.  All
-    evaluation methods are pure.
+    series from the roots and their differences (module docstring): the
+    lattice's own series on a rectangular lattice, its companion's on a
+    rhombic one.  All evaluation methods are pure.
     """
 
     def __init__(self, roots: GRoots) -> None:
@@ -149,11 +118,6 @@ class Lattice:
             self._rectangular_periods()
         else:
             self._rhombic_periods()
-
-    @classmethod
-    def from_invariants(cls, g2: float, g3: float) -> "Lattice":
-        """The lattice of invariants (g2, g3), its roots from ``g_roots``."""
-        return cls(g_roots(Invariants(g2, g3)))
 
     # -- construction ----------------------------------------------------
 
@@ -186,111 +150,100 @@ class Lattice:
         big_k1, big_e1 = elliptic_KE(m1, m)
         omega, omega_i = big_k / s, big_k1 / s
         eta = s * big_e - e1 * omega
-        self.periods = self.basis = HalfPeriods(
+        self.periods = HalfPeriods(
             omega=complex(omega, 0.0), omega_prime=complex(0.0, omega_i),
             eta=complex(eta, 0.0), eta_prime=complex(0.0, -(s * big_e1 + e3 * omega_i)))
         self.nome_series = NomeSeries(math.pi / (2.0 * omega),
                                       math.exp(-math.pi * omega_i / omega), eta / omega)
 
     def _rhombic_periods(self) -> None:
-        """Half periods from R_F at the conjugate pair; eta from the series.
+        """Half periods from R_F at the conjugate pair; eta from the companion's series.
 
         e2 is real and e1, e3 a conjugate pair.  The real half period
         w_r = R_F(0, e2 - e1, e2 - e3) comes from the real root for
-        (g2, g3); the imaginary one w_i is the same object for (g2, -g3),
-        by p(iz; g2, -g3) = -p(z; g2, g3) (``_rf_zero_pair``).
-        omega = (w_r - i w_i)/2 is the half period with p(omega) = e1, and
-        omega' = conj(omega) puts Im(omega'/omega) > 0, so omega + omega'
-        = w_r.  The series of the reduced basis give eta1, Legendre's
-        relation eta3, and each of eta, eta' is the combination of the two
-        that its half period is of the basis.  The series give the p of
-        roots that sum to 0; adding their mean s as given makes p(omega_k)
-        = e_k, as on a rectangular lattice.
+        (g2, g3); the imaginary one w_i is the same object for the
+        companion (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3)
+        (``_rf_zero_pair``).  omega = (w_r - i w_i)/2 is the half period
+        with p(omega) = e1, and omega' = conj(omega) puts Im(omega'/omega)
+        > 0, so omega + omega' = w_r and omega' - omega = i w_i.
+
+        The companion's basis (w_i, (w_i + i w_r)/2) has |q| =
+        exp(-pi w_r/(2 w_i)) and q^2 negative.  Its series' constant term
+        is eta_c/w_i, eta_c = zeta_c(w_i) = i zeta(i w_i), and Legendre's
+        relation eta omega' - eta' omega = i pi/2 with zeta(w_r) = eta +
+        eta' and zeta(i w_i) = eta' - eta gives zeta(w_r) w_i + eta_c w_r
+        = pi.  The series give the p of roots that sum to 0; adding their
+        mean s as given, p(iy) = s - p_c(y), makes p(omega_k) = e_k, as on
+        a rectangular lattice.
         """
         g12 = self.roots.gaps[0]          # e1 - e2
         w_r, w_i = _rf_zero_pair(-g12), _rf_zero_pair(g12)
+        series = NomeSeries(math.pi / (2.0 * w_i), -math.exp(-math.pi * w_r / (2.0 * w_i)))
+        series.eta_over_omega += sum(self.roots.e_tilde).real / 3.0
+        eta_c = series.eta_over_omega * w_i
+        eta_r = (math.pi - eta_c * w_r) / w_i          # zeta(w_r)
         omega = 0.5 * complex(w_r, -w_i)
-        omega_p = omega.conjugate()
-        b1, b3 = _reduced_basis(omega, omega_p)
-        k = math.pi / (2.0 * b1)
-        series = NomeSeries(k, cmath.exp(1j * math.pi * b3 / b1))
-        series.eta_over_omega -= sum(self.roots.e_tilde).real / 3.0
-        eta1 = series.eta_over_omega * b1
-        eta3 = (eta1 * b3 - 0.5j * math.pi) / b1
-        self.basis = HalfPeriods(omega=b1, omega_prime=b3, eta=eta1, eta_prime=eta3)
         self.nome_series = series
-
-        def eta_of(w: complex) -> complex:
-            x, y = _coordinates(w, b1, b3)
-            return round(x) * eta1 + round(y) * eta3
-
-        self.periods = HalfPeriods(omega=omega, omega_prime=omega_p,
-                                   eta=eta_of(omega), eta_prime=eta_of(omega_p))
+        self.periods = HalfPeriods(omega=omega, omega_prime=omega.conjugate(),
+                                   eta=0.5 * complex(eta_r, eta_c),
+                                   eta_prime=0.5 * complex(eta_r, -eta_c))
 
     @cached_property
     def real_half_period(self) -> float:
         """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
         return self.periods.omega_k(1 if self.rectangular else 2).real
 
-    # -- reduction ---------------------------------------------------------
-
-    def reduce(self, z: complex) -> tuple[complex, int, int]:
-        """(z_c, m, n) with z = z_c + 2 m omega1 + 2 n omega3, z_c in the centred cell.
-
-        The cell is that of the kernel basis (``basis``), where the series
-        converge as the module docstring bounds.
-        """
-        w1, w3 = 2.0 * self.basis.omega, 2.0 * self.basis.omega_prime
-        x, y = _coordinates(z, w1, w3)
-        m = math.floor(x + 0.5)
-        n = math.floor(y + 0.5)
-        return z - m * w1 - n * w3, m, n
-
-    # -- public evaluation -------------------------------------------------
-
-    def _values(self, z: complex) -> tuple[complex, complex, complex]:
-        """(p, p', zeta) at arbitrary z."""
-        zr, m, n = self.reduce(complex(z))
-        if abs(zr) < _POLE_GUARD:
-            raise PoleProximityError(
-                f"|z - lattice| = {abs(zr):.2e} below pole guard {_POLE_GUARD:.1e}"
-            )
-        p, pp, zt = self.nome_series.at_complex(zr)
-        if m or n:
-            zt += 2.0 * (m * self.basis.eta + n * self.basis.eta_prime)
-        return p, pp, zt
-
-    def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
-        """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
-        return (*self._values(z), self.sigma(z))
+    # -- evaluation on the two axes ---------------------------------------
 
     def wp_real(self, x: float) -> tuple[float, float, float]:
         """(p, p', zeta) at real x, all three real.
 
-        A rectangular lattice sums its real-axis series (``NomeSeries.at``);
-        a rhombic one reduces x into the cell of its basis, off the real
-        axis, and takes the real parts.
+        A rectangular lattice sums its real-axis series (``NomeSeries.at``).
+        A rhombic one, for 0 < x <= w_r, sums its companion's at -ix
+        (``NomeSeries.at_imaginary``): p(x) = -p_c(-ix), p'(x) =
+        i p_c'(-ix) and zeta(x) = -i zeta_c(-ix), in reach up to w_r/2, the
+        edge of the companion's cell.  Past it u = w_r - x, and the
+        half-period addition theorem at p(w_r) = e2 (DLMF 23.10.1) gives
+
+            p(x)    = e2 + G/(p(u) - e2),    p'(x) = G p'(u)/(p(u) - e2)^2,
+            zeta(x) = zeta(w_r) - zeta(u) - p'(u)/(2 (p(u) - e2)),
+
+        G = (e2 - e1)(e2 - e3) = |e1 - e2|^2, and p(u) - e2 >= sqrt(G).
+        zeta there is the difference of two terms of order 1/u and carries
+        their rounding, 2^-53/u; p^-1 reads p and p' alone.  Within the
+        pole guard of w_r, where p(u) would raise, the Taylor terms
+        e2 + G u^2, -2 G u and zeta(w_r) + e2 u take its place.
         """
         if self.rectangular:
             return self.nome_series.at(x)
-        p, pp, zt = self._values(x)
-        return p.real, pp.real, zt.real
+        w_r = self.real_half_period
+        if x <= 0.5 * w_r:
+            p, pp, zt = self.nome_series.at_imaginary(x)
+            return -p, -pp, zt
+        u = w_r - x
+        g12 = self.roots.gaps[0]
+        e2, g = self.roots.e_tilde[1].real, g12.real ** 2 + g12.imag ** 2
+        eta_r = self.periods.eta_k(2).real
+        if abs(u) < _POLE_GUARD:
+            return e2 + g * u * u, -2.0 * g * u, eta_r + e2 * u
+        p, pp, zt = self.wp_real(u)
+        d = p - e2
+        return e2 + g / d, g * pp / (d * d), eta_r - zt - 0.5 * pp / d
 
-    def wp(self, z: complex) -> complex:
-        return self._values(z)[0]
+    def _wp_imaginary(self, x: float) -> tuple[float, float, float]:
+        """(p, dp/dx, Im zeta) at z = ix, where p is real and p', zeta imaginary.
 
-    def zeta(self, z: complex) -> complex:
-        return self._values(z)[2]
-
-    def sigma(self, z: complex) -> complex:
-        zr, m, n = self.reduce(complex(z))
-        sg = self.nome_series.sigma(zr)
-        if m or n:
-            b = self.basis
-            eta_mn = 2.0 * (m * b.eta + n * b.eta_prime)
-            sign = -1.0 if (m + n + m * n) % 2 else 1.0
-            sg *= sign * cmath.exp(eta_mn * (zr + m * b.omega + n * b.omega_prime))
-        return sg
+        p'(ix) = -i dp/dx, and d Im zeta(ix)/dx = -p, as d zeta/dx on the
+        real axis, so one Newton step serves both axes (``_refine_seed``).
+        A rectangular lattice sums its series at ix
+        (``NomeSeries.at_imaginary``), a rhombic one its companion's real
+        axis (``NomeSeries.at``): p(ix) = -p_c(x), zeta(ix) = -i zeta_c(x).
+        """
+        if self.rectangular:
+            p, pp, zt = self.nome_series.at_imaginary(-x)
+            return p, -pp, zt
+        p, pp, zt = self.nome_series.at(x)
+        return -p, -pp, -zt
 
     # -- inversion ----------------------------------------------------------
 
@@ -323,22 +276,22 @@ class Lattice:
         omega on a rhombic one.  There p'(iy) = -i dp(iy)/dy lies on the -i
         branch, and its mirror v = 2 omega' - iy on the +i branch: Re v = 0
         and h <= Im v < 2h on a rectangular lattice, Re v = w_r and
-        0 <= Im v < h on a rhombic one.  One Newton step on the nome series
-        at -iy (``_values``) refines y (``_refine_seed``); the values at v
+        0 <= Im v < h on a rhombic one.  One Newton step at -iy
+        (``_wp_imaginary``) refines y (``_refine_seed``); the values at v
         are those at -iy with 2 eta' added to zeta.
         """
         per = self.periods
         half = (per.omega_prime if self.rectangular else per.omega_prime - per.omega).imag
-        seed = complex(0.0, -carlson_rf(*self._clamped(gaps)).real)
-        v_c, values = self._refine_seed(seed, w, self._values)
-        y = abs(v_c.imag)
+        seed = -carlson_rf(*self._clamped(gaps)).real
+        x, values = self._refine_seed(seed, w, self._wp_imaginary)
+        y = abs(x)
         if y > half:               # a step past ih lands on the mirror point
             y = 2.0 * half - y
-        if v_c != complex(0.0, -y):
-            v_c = complex(0.0, -y)
-            values = self._values(v_c)
-        p, pp, zt = values
-        return 2.0 * per.omega_prime - complex(0.0, y), (p, pp, zt + 2.0 * per.eta_prime)
+        if x != -y:
+            values = self._wp_imaginary(-y)
+        p, dp, zt = values
+        return (2.0 * per.omega_prime - complex(0.0, y),
+                (p, complex(0.0, -dp), complex(0.0, zt) + 2.0 * per.eta_prime))
 
     def _clamped(self, gaps: tuple) -> tuple:
         """The real gaps with one a rounding below 0 taken as 0.
@@ -356,31 +309,33 @@ class Lattice:
                 f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
         return clamped
 
-    def _refine_seed(self, z, w, evaluate) -> tuple:
-        """(z, (p, p', zeta) at z) for the R_F seed z of p(z) = w.
+    def _refine_seed(self, x: float, w: float, evaluate) -> tuple:
+        """(x, (p, dp/dx, Z) at x) for the R_F seed x of p = w on one axis.
 
-        ``evaluate`` returns (p, p', zeta).  The seed is exact up to the
-        rounding of R_F and of the series: its residual |p(z) - w| was at
-        most 1.2e-15 (1 + |w|) over 606 inversions on 304 seeded bounded,
-        unbounded and rhombic states.  WpInverseError when it exceeds
-        1e-11 (1 + |w|).  Otherwise one Newton step from the same
-        evaluation refines z, with zeta moved by zeta' = -p, if it is within
-        a few ulps of z (up to 8e-15 of the angle advance per period on the
-        anchors, 3e-15 after); a larger step, next to a critical point of p,
-        would chase rounding divided by a small p'.
+        ``evaluate`` returns p, its derivative along the axis and Z, the
+        zeta part whose derivative is -p (``wp_real``, ``_wp_imaginary``).
+        The seed is exact up to the rounding of R_F and of the series: its
+        residual |p(x) - w| was at most 1.2e-15 (1 + |w|) over 601
+        inversions on 304 seeded bounded, unbounded and rhombic states.
+        WpInverseError when it exceeds 1e-11 (1 + |w|).  Otherwise one
+        Newton step from the same evaluation refines x, with Z moved by
+        -p times the step, if it is within a few ulps of x (up to 8e-15 of
+        the angle advance per period on the anchors, 3e-15 after); a
+        larger step, next to a critical point of p, would chase rounding
+        divided by a small p'.
         """
-        values = evaluate(z)
+        values = evaluate(x)
         p, pp, zt = values
         if abs(p - w) > 1e-11 * (1.0 + abs(w)):
             raise WpInverseError(f"inversion failed for w={w!r}")
         step = (w - p) / pp if pp else 0.0
-        if 0.0 < abs(step) <= _LAST_STEP * abs(z):
-            return z + step, (w, pp, zt - p * step)
-        return z, values
+        if 0.0 < abs(step) <= _LAST_STEP * abs(x):
+            return x + step, (w, pp, zt - p * step)
+        return x, values
 
 
 class NomeSeries:
-    """p, p', zeta and sigma of one lattice basis from its nome series.
+    """p, p' and zeta on the two axes of a basis whose q^2 is real.
 
     With k = pi/(2 omega1), u = k z, the nome q = exp(i pi omega3/omega1)
     and c_n = q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 give
@@ -389,28 +344,27 @@ class NomeSeries:
         p'    = k^3 (-2 cos u/sin^3 u + 16 sum n^2 c_n sin 2nu),
         zeta  = eta z/omega + k (cot u + 4 sum c_n sin 2nu),
 
-    eta/omega = eta1/omega1 = k^2 (1/3 - 8 sum n c_n), and DLMF 23.6.9 the
-    theta_1 form of sigma (``sigma``).  k, q and eta/omega are real on a
-    rectangular lattice and complex on a rhombic one.  sin u and cos u are
-    taken directly, since csc^2 u from 1 - cos 2u would lose digits near
-    the pole, and the sines and cosines of multiples of u follow by angle
-    addition.
+    eta/omega = eta1/omega1 = k^2 (1/3 - 8 sum n c_n).  ``nome`` is |q|
+    with the sign of q^2 = nome |nome|: positive on a rectangular basis,
+    negative on the real-period basis of a rhombic lattice.  sin u and
+    cos u are taken directly, since csc^2 u from 1 - cos 2u would lose
+    digits near the pole, and the sines and cosines of multiples of u
+    follow by angle addition.
 
-    On the real axis of a rectangular lattice (``at``) the sums stop
-    before the first n with 16 n^2 c_n <= 2^-53 (1 - q).  From that n on,
-    successive terms shrink by at most ((n+1)/n)^2 q^2, and that is below
-    q at the stopping index for every q < 0.98 (q = 0.41 on the bounded
+    On the real axis (``at``) the sums stop before the first n with
+    16 n^2 |c_n| <= 2^-53 (1 - |q|).  From that n on, successive terms
+    shrink by at most ((n+1)/n)^2 |q|^2, and that is below |q| at the
+    stopping index for every |q| < 0.98 (q = 0.41 on the bounded
     near-escape states of the benchmark).  So the omitted tail of each sum
     is below the unit roundoff in units of k^2, k^3 and k, the sizes of
     the leading terms csc^2 u >= 1, the cube and the cotangent.  The same
     list of terms gives eta/omega when it is not known in closed form.
     """
 
-    __slots__ = ("k", "nome", "eta_over_omega", "terms", "theta1_prime")
+    __slots__ = ("k", "nome", "eta_over_omega", "terms")
 
-    def __init__(self, k: complex, nome: complex,
-                 eta_over_omega: complex | None = None) -> None:
-        q2 = nome * nome
+    def __init__(self, k: float, nome: float, eta_over_omega: float | None = None) -> None:
+        q2 = nome * abs(nome)
         bound = _UNIT_ROUNDOFF * (1.0 - abs(nome))
         terms = []
         n, q2n = 1, q2
@@ -422,20 +376,13 @@ class NomeSeries:
             n, q2n = n + 1, q2n * q2
         if eta_over_omega is None:
             eta_over_omega = k * k * (1.0 / 3.0 - sum(a for a, _, _ in reversed(terms)))
-        # theta_1'(0) / (2 q^(1/4)) = sum (-1)^n (2n+1) q^(n(n+1)), n >= 0
-        norm, n, qn, q2n = 1.0, 1, q2, q2
-        while (2 * n + 1) * abs(qn) > _UNIT_ROUNDOFF:
-            norm += (-1) ** n * (2 * n + 1) * qn
-            n, q2n = n + 1, q2n * q2
-            qn *= q2n
         self.k = k
         self.nome = nome
         self.eta_over_omega = eta_over_omega
         self.terms = tuple(terms)   # (8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ...
-        self.theta1_prime = norm
 
     def at(self, x: float) -> tuple[float, float, float]:
-        """(p, p', zeta) at real x on a rectangular lattice."""
+        """(p, p', zeta) at real x."""
         k = self.k
         u = k * x
         s, c = math.sin(u), math.cos(u)
@@ -457,29 +404,32 @@ class NomeSeries:
         zt = self.eta_over_omega * x + k * (c * inv_s + szt)
         return p, pp, zt
 
-    def at_complex(self, z: complex) -> tuple[complex, complex, complex]:
-        """(p, p', zeta) at z in the centred cell of the basis.
+    def at_imaginary(self, y: float) -> tuple[float, float, float]:
+        """(p, Im p', Im zeta) at z = -iy, where p is real and p', zeta imaginary.
 
-        The same series off the real axis: sin 2nu and cos 2nu grow like
-        e^(2n|Im u|), so the n-th term of the p' sum is at most
-        B_n = 16 n^2 |c_n| e^(2n|Im u|), and B_(n+1)/B_n <= r_n =
-        ((n+1)/n)^2 |q|^2 e^(2|Im u|), which falls with n.  In the cell
-        |Im u| <= pi Im(omega3/omega1)/2 makes e^(2|Im u|) <= 1/|q|, so
+        The sums of ``at`` at u = -it, t = k y: sin u = -i sinh t and
+        cos u = cosh t, so sin 2nu = -i sinh 2nt and cos 2nu = cosh 2nt,
+        each sum real and the complex arithmetic of the series the same
+        operations, in the same order, on their nonzero parts.  The terms
+        grow like e^(2nt), so the n-th term of the p' sum is at most B_n =
+        16 n^2 |c_n| e^(2n|t|), and B_(n+1)/B_n <= r_n = ((n+1)/n)^2 |q|^2
+        e^(2|t|), which falls with n.  Within half the other period,
+        |t| <= pi Im(omega3/omega1)/2 makes e^(2|t|) <= 1/|q|, so
         r_n <= 4|q|.  The sums stop before the first n with r_n < 1 and
         B_n <= 2^-53 (1 - r_n), so the omitted tail of each is below the
-        unit roundoff in units of |k|^2, |k|^3 and |k|.
+        unit roundoff in units of k^2, k^3 and k.
         """
         k = self.k
-        u = k * z
-        s, c = cmath.sin(u), cmath.cos(u)
-        if abs(s) < abs(k) * _POLE_GUARD:
-            raise PoleProximityError(f"argument {z!r} at a lattice point")
-        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
-        q2 = self.nome * self.nome
-        spread = math.exp(2.0 * abs(u.imag))
+        t = k * y
+        s, c = -math.sinh(t), math.cosh(t)      # sin u = i s, cos u = c
+        if abs(s) < k * _POLE_GUARD:
+            raise PoleProximityError(f"argument {complex(0.0, -y)!r} at a lattice point")
+        s2, c2 = 2.0 * s * c, c * c + s * s
+        q2 = self.nome * abs(self.nome)
+        spread = math.exp(2.0 * abs(t))
         step = abs(q2) * spread
         sn, cn = s2, c2
-        sp = spp = szt = 0j
+        sp = spp = szt = 0.0
         n, q2n, grow = 1, q2, spread
         while True:
             cq = q2n / (1.0 - q2n)
@@ -490,45 +440,15 @@ class NomeSeries:
             sp += 8.0 * n * cq * cn
             spp += 16.0 * n * n * cq * sn
             szt += 4.0 * cq * sn
-            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+            sn, cn = sn * c2 + cn * s2, cn * c2 + sn * s2
             n, q2n, grow = n + 1, q2n * q2, grow * spread
-        inv_s = 1.0 / s
-        csc2 = inv_s * inv_s
+        inv_s = -1.0 / s
+        csc2 = -(inv_s * inv_s)
         kk = k * k
         p = kk * (csc2 - sp) - self.eta_over_omega
         pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
-        zt = self.eta_over_omega * z + k * (c * inv_s + szt)
+        zt = -self.eta_over_omega * y + k * (c * inv_s + szt)
         return p, pp, zt
-
-    def sigma(self, z: complex) -> complex:
-        """sigma(z) at z in the centred cell (DLMF 23.6.9, 20.2.1).
-
-        sigma = exp(eta z^2/(2 omega)) T(u)/(k T'(0)) with
-        T(u) = sum (-1)^n q^(n(n+1)) sin (2n+1)u, theta_1 without its
-        factor 2 q^(1/4).  |sin (2n+1)u| <= (2n+1) e^(2n|Im u|) |sin u|, so
-        the n-th term is at most A_n = (2n+1) |q|^(n(n+1)) e^(2n|Im u|) in
-        units of the leading sin u, and A_(n+1)/A_n <= s_n =
-        (2n+3)/(2n+1) |q|^(2n+2) e^(2|Im u|), which falls with n.  The sum
-        stops before the first n with s_n < 1 and A_n <= 2^-53 (1 - s_n).
-        """
-        k = self.k
-        u = k * z
-        s, c = cmath.sin(u), cmath.cos(u)
-        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
-        q2 = self.nome * self.nome
-        spread = math.exp(2.0 * abs(u.imag))
-        acc, sn, cn = s, s, c
-        n, qn, q2n, grow = 1, q2, q2, spread
-        while True:
-            bound = (2 * n + 1) * abs(qn) * grow
-            ratio = (2 * n + 3) / (2 * n + 1) * abs(q2n * q2) * spread
-            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
-                break
-            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
-            acc += qn * sn if n % 2 == 0 else -qn * sn
-            n, q2n, grow = n + 1, q2n * q2, grow * spread
-            qn *= q2n
-        return cmath.exp(0.5 * self.eta_over_omega * z * z) * acc / (k * self.theta1_prime)
 
 
 def _rf_zero_pair(y: complex) -> float:
@@ -544,27 +464,3 @@ def _rf_zero_pair(y: complex) -> float:
     s = y.imag * y.imag / (r - y.real) if y.real < 0.0 else y.real + r
     y1 = complex(s, y.imag)
     return 2.0 * carlson_rf(r, y1, y1.conjugate()).real
-
-
-def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
-    """Real (x, y) with z = x a + y b."""
-    det = a.real * b.imag - a.imag * b.real
-    return ((z.real * b.imag - z.imag * b.real) / det,
-            (z.imag * a.real - z.real * a.imag) / det)
-
-
-def _reduced_basis(a: complex, b: complex) -> tuple[complex, complex]:
-    """Lagrange-reduced basis of the lattice spanned by a and b.
-
-    Returns (a, b) with |a| <= |b|, |Re(b/a)| <= 1/2 and Im(b/a) > 0, so
-    that tau = b/a lies in the fundamental domain, where Im tau >=
-    sqrt(3)/2 (DLMF 23.18).
-    """
-    if abs(b) < abs(a):
-        a, b = b, a
-    while True:
-        b = b - round((b / a).real) * a
-        if abs(b) >= abs(a):
-            break
-        a, b = b, a
-    return (a, b) if (b / a).imag > 0.0 else (a, -b)

@@ -91,10 +91,10 @@ def sample_states(seed, count, bounded=None, g3_sign=None, max_t_tau=80.0):
         state = InitialState(r0, v0, gamma0, alpha)
         if state.momentum < 0.3:
             continue
-        inv = propagation.invariants_from_conserved(
+        _, g3 = propagation.invariants_from_conserved(
             alpha, state.energy, state.momentum
         )
-        if g3_sign is not None and inv.g3 * g3_sign <= 0.0:
+        if g3_sign is not None and g3 * g3_sign <= 0.0:
             continue
         try:
             rep = analysis.boundedness_from_state(state)

@@ -9,6 +9,12 @@ Cartesian coordinates so that both conserved quantities are genuine
 drift monitors (in polar form h would be an input, not an output), with
 the accumulated polar angle carried as an extra state to avoid unwrap
 ambiguity.
+
+The reference kernel (``ReferenceLattice``) evaluates p, p', zeta and
+sigma anywhere in the plane from the nome series of (omega, omega'), or of
+the reduced basis of a rhombic lattice, in complex arithmetic, with the
+lattice cubic of given invariants solved here (``g_roots``); the package
+evaluates p and zeta on the lattice's two axes only.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from radialorbit.dynamics import InitialState, build_f
-from radialorbit.errors import RadialOrbitError
-from radialorbit.propagation import invariants_from_conserved
-from radialorbit.weierstrass import Lattice
+from radialorbit.cubic import cubic_roots
+from radialorbit.dynamics import CubicF, InitialState, build_f
+from radialorbit.elliptic import elliptic_K_tail
+from radialorbit.errors import DegenerateLatticeError, PoleProximityError, RadialOrbitError
+from radialorbit.propagation import _coordinates, invariants_from_conserved
+from radialorbit.weierstrass import _POLE_GUARD, _UNIT_ROUNDOFF, GRoots, HalfPeriods, Lattice
 
 _RTOL_DEFAULT = 1e-11
 _ATOL_DEFAULT = 1e-13
@@ -217,7 +225,7 @@ def stepped_theta(ctx, tau: float) -> float:
     The phase speed v_m - h/r lies in [0, v_m), so steps of pi/(2 v_m) move
     it by less than pi/2 and cannot alias.
     """
-    lat = ctx.lattice
+    lat = ReferenceLattice(ctx.lattice.roots)
 
     def phase(s):
         return (lat.sigma(ctx.v - s) / lat.sigma(ctx.v + s)
@@ -232,7 +240,7 @@ def stepped_theta(ctx, tau: float) -> float:
     return ctx.v_m * tau - arg
 
 
-def log_sigma(lat: Lattice, z: complex) -> complex:
+def log_sigma(lat: ReferenceLattice, z: complex) -> complex:
     """log sigma(z) on a branch continuous along each line Im z = c > 0.
 
     With w the real half period, e = zeta(w) and u = pi z/(2 w), DLMF
@@ -263,8 +271,8 @@ def r_of_tau_general(state: InitialState, tau: float) -> float:
     periodic in tau, so tau is first reduced by the real period of p.
     """
     f = build_f(state)
-    inv = invariants_from_conserved(state.alpha, state.energy, state.momentum)
-    lat = Lattice.from_invariants(inv.g2, inv.g3)
+    lat = ReferenceLattice.from_invariants(
+        *invariants_from_conserved(state.alpha, state.energy, state.momentum))
     period = 2.0 * lat.real_half_period
     tau = tau - period * round(tau / period)
     r0 = state.r0
@@ -313,3 +321,252 @@ def pericenter_start_conditions(r0: float, v0: float) -> tuple[str, float]:
     if u <= 2.0:
         return "mid-speed", a3
     return "high-speed", 0.0
+
+
+# -- reference kernel ------------------------------------------------------
+
+def solve_cubic(a: float, b: float, c: float, d: float) -> tuple[complex, complex, complex]:
+    """Roots of a x^3 + b x^2 + c x + d in descending (Im, Re) order (``cubic_roots``)."""
+    if a == 0.0:
+        raise ValueError("leading coefficient is zero; not a cubic")
+    return cubic_roots(d, c, b, a)
+
+
+def elliptic_K(m: float) -> float:
+    """K(m) with the parameter convention K(m) = F(pi/2 | m)."""
+    return elliptic_K_tail(m, 1.0 - m)[0]
+
+
+def real_roots_desc(f: CubicF) -> list[float]:
+    """The real roots of f, descending."""
+    return sorted((z.real for z in f.roots if z.imag == 0.0), reverse=True)
+
+
+@dataclass(frozen=True)
+class Invariants:
+    """Real lattice invariants; the cubic is 4 s^3 - g2 s - g3."""
+
+    g2: float
+    g3: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
+            raise ValueError("invariants must be finite")
+
+    @property
+    def discriminant(self) -> float:
+        return self.g2**3 - 27.0 * self.g3**2
+
+    def is_degenerate(self) -> bool:
+        scale = max(abs(self.g2) ** 3, 27.0 * self.g3**2, 1e-300)
+        return abs(self.discriminant) <= 1e-14 * scale
+
+
+def g_roots(inv: Invariants) -> GRoots:
+    """Ordered roots of the lattice cubic 4 s^3 - g2 s - g3."""
+    if inv.is_degenerate():
+        raise DegenerateLatticeError(
+            f"g2^3 - 27 g3^2 = {inv.discriminant:.3e} vanishes; "
+            "the lattice degenerates (alpha = 0 / double-root boundary)"
+        )
+    e1, e2, e3 = solve_cubic(4.0, 0.0, -inv.g2, -inv.g3)
+    return GRoots(e_tilde=(e1, e2, e3), gaps=(e1 - e2, e1 - e3, e2 - e3))
+
+
+class ComplexSeries:
+    """p, p', zeta and sigma of one lattice basis from its nome series, anywhere in its cell.
+
+    The sums of ``NomeSeries`` (DLMF 23.8.1-23.8.2) in complex arithmetic,
+    for a complex nome q = exp(i pi omega3/omega1) as well, and DLMF 23.6.9
+    the theta_1 form of sigma (``sigma``).  ``theta1_prime`` is
+    theta_1'(0)/(2 q^(1/4)) = sum (-1)^n (2n+1) q^(n(n+1)), n >= 0.
+    """
+
+    def __init__(self, k: complex, nome: complex,
+                 eta_over_omega: complex | None = None) -> None:
+        q2 = nome * nome
+        if eta_over_omega is None:
+            bound = _UNIT_ROUNDOFF * (1.0 - abs(nome))
+            terms, n, q2n = [], 1, q2
+            while True:
+                c = q2n / (1.0 - q2n)
+                if 16.0 * n * n * abs(c) <= bound:
+                    break
+                terms.append(8.0 * n * c)
+                n, q2n = n + 1, q2n * q2
+            eta_over_omega = k * k * (1.0 / 3.0 - sum(reversed(terms)))
+        norm, n, qn, q2n = 1.0, 1, q2, q2
+        while (2 * n + 1) * abs(qn) > _UNIT_ROUNDOFF:
+            norm += (-1) ** n * (2 * n + 1) * qn
+            n, q2n = n + 1, q2n * q2
+            qn *= q2n
+        self.k = k
+        self.nome = nome
+        self.eta_over_omega = eta_over_omega
+        self.theta1_prime = norm
+
+    def at_complex(self, z: complex) -> tuple[complex, complex, complex]:
+        """(p, p', zeta) at z in the centred cell of the basis.
+
+        sin 2nu and cos 2nu grow like e^(2n|Im u|), so the n-th term of the
+        p' sum is at most B_n = 16 n^2 |c_n| e^(2n|Im u|), and B_(n+1)/B_n
+        <= r_n = ((n+1)/n)^2 |q|^2 e^(2|Im u|), which falls with n.  In the
+        cell |Im u| <= pi Im(omega3/omega1)/2 makes e^(2|Im u|) <= 1/|q|, so
+        r_n <= 4|q|.  The sums stop before the first n with r_n < 1 and
+        B_n <= 2^-53 (1 - r_n).
+        """
+        k = self.k
+        u = k * z
+        s, c = cmath.sin(u), cmath.cos(u)
+        if abs(s) < abs(k) * _POLE_GUARD:
+            raise PoleProximityError(f"argument {z!r} at a lattice point")
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        q2 = self.nome * self.nome
+        spread = math.exp(2.0 * abs(u.imag))
+        step = abs(q2) * spread
+        sn, cn = s2, c2
+        sp = spp = szt = 0j
+        n, q2n, grow = 1, q2, spread
+        while True:
+            cq = q2n / (1.0 - q2n)
+            bound = 16.0 * n * n * abs(cq) * grow
+            ratio = ((n + 1) / n) ** 2 * step
+            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
+                break
+            sp += 8.0 * n * cq * cn
+            spp += 16.0 * n * n * cq * sn
+            szt += 4.0 * cq * sn
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+            n, q2n, grow = n + 1, q2n * q2, grow * spread
+        inv_s = 1.0 / s
+        csc2 = inv_s * inv_s
+        kk = k * k
+        p = kk * (csc2 - sp) - self.eta_over_omega
+        pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
+        zt = self.eta_over_omega * z + k * (c * inv_s + szt)
+        return p, pp, zt
+
+    def sigma(self, z: complex) -> complex:
+        """sigma(z) at z in the centred cell (DLMF 23.6.9, 20.2.1).
+
+        sigma = exp(eta z^2/(2 omega)) T(u)/(k T'(0)) with
+        T(u) = sum (-1)^n q^(n(n+1)) sin (2n+1)u, theta_1 without its
+        factor 2 q^(1/4).  |sin (2n+1)u| <= (2n+1) e^(2n|Im u|) |sin u|, so
+        the n-th term is at most A_n = (2n+1) |q|^(n(n+1)) e^(2n|Im u|) in
+        units of the leading sin u, and A_(n+1)/A_n <= s_n =
+        (2n+3)/(2n+1) |q|^(2n+2) e^(2|Im u|), which falls with n.  The sum
+        stops before the first n with s_n < 1 and A_n <= 2^-53 (1 - s_n).
+        """
+        k = self.k
+        u = k * z
+        s, c = cmath.sin(u), cmath.cos(u)
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        q2 = self.nome * self.nome
+        spread = math.exp(2.0 * abs(u.imag))
+        acc, sn, cn = s, s, c
+        n, qn, q2n, grow = 1, q2, q2, spread
+        while True:
+            bound = (2 * n + 1) * abs(qn) * grow
+            ratio = (2 * n + 3) / (2 * n + 1) * abs(q2n * q2) * spread
+            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
+                break
+            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+            acc += qn * sn if n % 2 == 0 else -qn * sn
+            n, q2n, grow = n + 1, q2n * q2, grow * spread
+            qn *= q2n
+        return cmath.exp(0.5 * self.eta_over_omega * z * z) * acc / (k * self.theta1_prime)
+
+
+class ReferenceLattice(Lattice):
+    """The package's lattice of the same roots, with p, p', zeta and sigma anywhere.
+
+    ``basis`` holds omega1, omega3, eta1 and eta3 of the kernel's basis and
+    ``kernel`` its series (``ComplexSeries``).  A rectangular lattice uses
+    (omega, omega') and the constants of its own real-axis series, so on
+    the imaginary axis the kernel does what ``NomeSeries.at_imaginary``
+    does.  A rhombic one uses the Lagrange-reduced basis of (omega,
+    omega'), where Im tau >= sqrt(3)/2 and so |q| <= exp(-pi sqrt(3)/2) =
+    0.066, with eta1 the series' constant term, eta1 = omega1 k^2 (1/3 -
+    8 sum n c_n), and eta3 from the Legendre relation eta1 omega3 - eta3
+    omega1 = i pi/2: independent of the companion route.  A point is
+    reduced into the centred cell of the basis, and values outside it
+    follow from periodicity of p, p' and the quasi-periodicity of zeta and
+    sigma.
+    """
+
+    def __init__(self, roots: GRoots) -> None:
+        super().__init__(roots)
+        if self.rectangular:
+            series = self.nome_series
+            self.basis = self.periods
+            self.kernel = ComplexSeries(series.k, series.nome, series.eta_over_omega)
+            return
+        b1, b3 = _reduced_basis(self.periods.omega, self.periods.omega_prime)
+        kernel = ComplexSeries(math.pi / (2.0 * b1), cmath.exp(1j * math.pi * b3 / b1))
+        kernel.eta_over_omega -= sum(roots.e_tilde).real / 3.0
+        eta1 = kernel.eta_over_omega * b1
+        eta3 = (eta1 * b3 - 0.5j * math.pi) / b1
+        self.basis = HalfPeriods(omega=b1, omega_prime=b3, eta=eta1, eta_prime=eta3)
+        self.kernel = kernel
+
+    @classmethod
+    def from_invariants(cls, g2: float, g3: float) -> "ReferenceLattice":
+        """The lattice of invariants (g2, g3), its roots from ``g_roots``."""
+        return cls(g_roots(Invariants(g2, g3)))
+
+    def reduce(self, z: complex) -> tuple[complex, int, int]:
+        """(z_c, m, n) with z = z_c + 2 m omega1 + 2 n omega3, z_c in the centred cell."""
+        w1, w3 = 2.0 * self.basis.omega, 2.0 * self.basis.omega_prime
+        x, y = _coordinates(z, w1, w3)
+        m = math.floor(x + 0.5)
+        n = math.floor(y + 0.5)
+        return z - m * w1 - n * w3, m, n
+
+    def _values(self, z: complex) -> tuple[complex, complex, complex]:
+        """(p, p', zeta) at arbitrary z."""
+        zr, m, n = self.reduce(complex(z))
+        if abs(zr) < _POLE_GUARD:
+            raise PoleProximityError(
+                f"|z - lattice| = {abs(zr):.2e} below pole guard {_POLE_GUARD:.1e}"
+            )
+        p, pp, zt = self.kernel.at_complex(zr)
+        if m or n:
+            zt += 2.0 * (m * self.basis.eta + n * self.basis.eta_prime)
+        return p, pp, zt
+
+    def wp_all(self, z: complex) -> tuple[complex, complex, complex, complex]:
+        """(p, p', zeta, sigma) at arbitrary z via quasi-periodic extension."""
+        return (*self._values(z), self.sigma(z))
+
+    def wp(self, z: complex) -> complex:
+        return self._values(z)[0]
+
+    def zeta(self, z: complex) -> complex:
+        return self._values(z)[2]
+
+    def sigma(self, z: complex) -> complex:
+        zr, m, n = self.reduce(complex(z))
+        sg = self.kernel.sigma(zr)
+        if m or n:
+            b = self.basis
+            eta_mn = 2.0 * (m * b.eta + n * b.eta_prime)
+            sign = -1.0 if (m + n + m * n) % 2 else 1.0
+            sg *= sign * cmath.exp(eta_mn * (zr + m * b.omega + n * b.omega_prime))
+        return sg
+
+
+def _reduced_basis(a: complex, b: complex) -> tuple[complex, complex]:
+    """Lagrange-reduced basis of the lattice spanned by a and b.
+
+    Returns (a, b) with |a| <= |b|, |Re(b/a)| <= 1/2 and Im(b/a) > 0, so
+    that tau = b/a lies in the fundamental domain, where Im tau >=
+    sqrt(3)/2 (DLMF 23.18).
+    """
+    if abs(b) < abs(a):
+        a, b = b, a
+    while True:
+        b = b - round((b / a).real) * a
+        if abs(b) >= abs(a):
+            break
+        a, b = b, a
+    return (a, b) if (b / a).imag > 0.0 else (a, -b)

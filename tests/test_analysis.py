@@ -6,7 +6,6 @@ import pytest
 import oracle
 from radialorbit import analysis, dynamics, propagation
 from radialorbit.dynamics import InitialState, build_f
-from radialorbit.elliptic import elliptic_K
 from radialorbit.errors import UnboundedMotionError
 
 from conftest import sample_states
@@ -25,7 +24,7 @@ class TestPeriods:
         for ctx in bounded_contexts(worked_ctx, rosette_ctx):
             e1, e2, e3 = (z.real for z in ctx.lattice.roots.e_tilde)
             m = (e2 - e3) / (e1 - e3)
-            k_form = 2.0 * elliptic_K(m) / math.sqrt(e1 - e3)
+            k_form = 2.0 * oracle.elliptic_K(m) / math.sqrt(e1 - e3)
             assert ctx.T_tau == pytest.approx(k_form, rel=1e-14)
 
     def test_true_period_against_quadrature(self, worked_ctx, rosette_ctx):
@@ -35,7 +34,8 @@ class TestPeriods:
             assert ctx.T_t == pytest.approx(ref, rel=1e-9)
 
     def test_true_period_against_implicit(self, worked_ctx, rosette_ctx):
-        # the zeta quadrature shares no evaluation with T_t's closed form
+        # -(4 eta + 2 E omega/3)/a, the quadrature of r dtau over a period,
+        # shares no evaluation with T_t's closed form beyond eta and omega
         for ctx in bounded_contexts(worked_ctx, rosette_ctx):
             implicit = analysis.true_period_implicit(ctx)
             assert ctx.T_t == pytest.approx(implicit, rel=1e-12)

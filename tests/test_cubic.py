@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radialorbit.cubic import cubic_roots, solve_cubic
+from oracle import solve_cubic
+from radialorbit.cubic import cubic_roots
 
 
 def test_simple_integer_roots():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import circular_start_roots
+from oracle import circular_start_roots, real_roots_desc
 from radialorbit.dynamics import (
     InitialState,
     MotionTag,
@@ -55,14 +55,14 @@ class TestBuildF:
         f = build_f(InitialState(1.0, 1.0, 0.0, 0.125))
         # an apse start: the pair solves 0.25 x^2 - 0.5 x + 0.25 = 0 exactly
         assert f.roots[0] == f.roots[1] == 2.0
-        roots = f.real_roots_desc()
+        roots = real_roots_desc(f)
         assert roots[0] == pytest.approx(2.0, abs=1e-10)
         assert roots[1] == pytest.approx(2.0, abs=1e-10)
         assert roots[2] == pytest.approx(1.0, abs=1e-10)
 
     def test_worked_roots_closed_form(self):
         f = build_f(InitialState(1.0, 1.2, 0.0, 0.02))
-        assert f.real_roots_desc() == pytest.approx(
+        assert real_roots_desc(f) == pytest.approx(
             [7.0 + SQRT13, 7.0 - SQRT13, 1.0], abs=1e-10
         )
 
@@ -126,7 +126,7 @@ class TestClassify:
             assert region.bounded
             assert region.tag is MotionTag.BOUNDED_ANNULUS
             # Descartes: exactly two positive real roots for alpha < 0
-            pos = [r for r in f.real_roots_desc() if r > 0.0]
+            pos = [r for r in real_roots_desc(f) if r > 0.0]
             assert len(pos) == 2
 
     def test_circular_below_classical_threshold_bounded(self):

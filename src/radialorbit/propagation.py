@@ -30,13 +30,34 @@ is a half period:
   ``_theta_series``, Q = q^2 (negative on a rhombic lattice), gamma_n =
   (-Q)^n/(1 - Q^n); r = r_m + (2 k^2/a)[tan^2 u + 16 sum n gamma_n
   sin^2 nu], t = r_m tau + (2 k/a)[tan u - u + 4 sum gamma_n (2nu - sin 2nu)].
+- T', near the escape threshold, where one period diverges: T on a basis
+  whose first half period iW is imaginary, (omega', -omega) for k = 3 and
+  (omega' - omega, -omega) = (i w_i, -omega) on a rhombic lattice, turns
+  tan u and sin nu into tanh u and sinh nu, k = pi/(2W): r = r_m +
+  (2 k^2/a)[tanh^2 u + 16 sum n gamma_n sinh^2 nu], t = r_m tau +
+  (2 k/a)[u - tanh u + 4 sum gamma_n (sinh 2nu - 2nu)], with Q = q'^2,
+  q' = exp(-pi omega/|omega'|), or Q = -q_c^2, q_c = exp(-pi w_r/(2 w_i)).
+  Its term ratio |Q| e^(2u) stays below q' over a folded orbit and below
+  q_c up to w_r/2, past which a rhombic lattice folds at p(w_r) = e2
+  (``_fold_point``), its pole at w_r exact.
+
+Each series is summed on the basis with the smaller term ratio, which the
+lattice fixes: T' takes the place of S where q' < q (ln q ln q' = pi^2, so
+they cross at q = e^-pi = 0.043) and of T where q_c is below T's |Q|.  The
+H/T switch of a rectangular unbounded lattice and S of k = 2 stay as they
+are.
 
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
 that branch).  On every lattice the theta_1 product (DLMF 23.6.9, 20.5.1)
 on the real-period basis (w_r, omega') turns it into slope tau +/- arg W +
 sum s_m sin 2mb, b = pi tau/(2 w_r), with constants made once per context
-(``_theta_series``): one (sin, cos) pair and no kernel call per theta.
+(``_theta_series``): one (sin, cos) pair and no kernel call per theta.  Its
+ratio is |q| = exp(-pi Im omega'/w_r); where the basis of T' has a smaller
+one, q' or q_c, on bounded motion or a rhombic lattice, theta sums the same
+product on that basis (Jacobi's imaginary transformation, DLMF 20.7(viii),
+whose Gaussian factor only adds to the slope): slope tau - 2 arg sin(a +
+i beta) - sum s_m sinh 2m beta, beta = k tau (``_theta_imaginary``).
 
 ``build_context`` evaluates what does not depend on tau once per state,
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
@@ -53,8 +74,9 @@ real (``_theta_pole``).  Quasi-periodicity gives the advances per period
 
 (``SolutionContext.add_epoch`` and ``add_pole``).  Bounded t and theta
 fold whole periods off by these, t to the pericenter-centered tau in
-[-omega, omega] and theta past +/-T_tau to [0, T_tau), which keeps the
-series' arguments within a period of 0.
+[-omega, omega] and theta past +/-T_tau to [0, T_tau) (on the basis of T'
+on to [-omega, omega]), which keeps the series' arguments within a period
+of 0.
 """
 
 from __future__ import annotations
@@ -143,9 +165,9 @@ class SolutionContext:
         return _radial_forms(self)
 
     @cached_property
-    def _theta_series(self) -> tuple[float, float, float, complex, tuple[float, ...]]:
+    def _theta_series(self) -> partial:
         # made on the first theta: a pericenter epoch read for its periods never takes one
-        return _theta_series(self.lattice, self.v, self.zeta_v, self.v_m)
+        return _theta_series(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,9 +285,51 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
             (e_k - c_v, pp * c_v / s, 2.0 * per.eta_prime - zt + per.eta + 0.5 * pp / s))
 
 
-def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
-                  ) -> tuple[float, float, float, complex, tuple[float, ...]]:
-    """(k, slope, sign, E, (s_1, s_2, ...)): theta(tau) on any lattice.
+def _theta_series(ctx: SolutionContext) -> partial:
+    """theta(tau) on any lattice, from the basis whose theta_1 series has the smaller ratio.
+
+    The real-period basis (w, omega') has ratio |q| = exp(-pi Im omega'/w)
+    (``_theta_real``).  Bounded motion and a rhombic lattice, where v lies
+    on Im-axis lines of the lattice, also have the basis (omega1, omega3) =
+    (omega', -omega) or (omega' - omega, -omega), whose first half period
+    is imaginary and whose ratio is exp(-pi Im(omega3/omega1)): q' =
+    exp(-pi omega/|omega'|) or |q_c| = exp(-pi w_r/(2 w_i)), small where one
+    period diverges near the escape threshold (``_theta_imaginary``).
+    """
+    lat, v, zeta_v, v_m = ctx.lattice, ctx.v, ctx.zeta_v, ctx.v_m
+    per = lat.periods
+    w = lat.real_half_period
+    q = math.exp(-math.pi * per.omega_prime.imag / w)    # |q|
+    if ctx.bounded or not lat.rectangular:
+        w1 = per.omega_prime if lat.rectangular else per.omega_prime - per.omega
+        q_t = math.exp(-math.pi * (-per.omega / w1).imag)
+        if q_t < q:
+            return _theta_imaginary(ctx, w1, q_t)
+    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w), as in real_half_period
+    k = math.pi / (2.0 * w)
+    x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
+    m, n = math.floor(x + 0.5), math.floor(y + 0.5)
+    v_c = v - 2.0 * (m * w + n * per.omega_prime)
+    a = k * v_c
+    sign = 1.0 if a.imag > 0.0 else -1.0
+    shift = 2.0 * (m * eta + n * per.eta_prime)          # zeta(v) - zeta(v_c)
+    slope = v_m + (2.0 * (eta / w) * v_c + 2.0 * shift - 2.0 * zeta_v).imag - sign * 2.0 * k
+    q_signed = q if lat.rectangular else -q              # q^2 = q_signed q
+    spread = math.exp(2.0 * abs(a.imag))
+    coeffs = []
+    j, q2j, grow = 1, q_signed * q, spread
+    while True:
+        c = q2j / (1.0 - q2j)
+        if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
+            break
+        coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
+        j, q2j, grow = j + 1, q2j * q_signed * q, grow * spread
+    return partial(_theta_real, k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs))
+
+
+def _theta_real(k: float, slope: float, sign: float, e: complex, coeffs: tuple,
+                tau: float) -> float:
+    """theta(tau) on the real-period basis, from the constants of ``_theta_series``.
 
     The series is that of the real-period basis (w, omega'): w the real
     half period, eta = zeta(w), k = pi/(2w), and omega' = (w + i w_i)/2 on
@@ -295,29 +359,112 @@ def _theta_series(lat: Lattice, v: complex, zeta_v: complex, v_m: float
     first m whose bound is below 2^-53 (1 - |q|), which leaves a tail below
     the unit roundoff in radians.
     """
-    per = lat.periods
-    w = lat.real_half_period
-    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w), as in real_half_period
-    k = math.pi / (2.0 * w)
-    x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
-    m, n = math.floor(x + 0.5), math.floor(y + 0.5)
-    v_c = v - 2.0 * (m * w + n * per.omega_prime)
-    a = k * v_c
-    sign = 1.0 if a.imag > 0.0 else -1.0
-    shift = 2.0 * (m * eta + n * per.eta_prime)          # zeta(v) - zeta(v_c)
-    slope = v_m + (2.0 * (eta / w) * v_c + 2.0 * shift - 2.0 * zeta_v).imag - sign * 2.0 * k
-    q = math.exp(-math.pi * per.omega_prime.imag / w)    # |q|
-    q_signed = q if lat.rectangular else -q              # q^2 = q_signed q
-    spread = math.exp(2.0 * abs(a.imag))
-    coeffs = []
-    j, q2j, grow = 1, q_signed * q, spread
-    while True:
-        c = q2j / (1.0 - q2j)
-        if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
-            break
-        coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
-        j, q2j, grow = j + 1, q2j * q_signed * q, grow * spread
-    return k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs)
+    b2 = 2.0 * k * tau
+    s2, c2 = math.sin(b2), math.cos(b2)
+    turn = complex(c2, s2)                          # e^(2ib)
+    w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
+    acc, sn, cn = 0.0, s2, c2
+    for s_j in coeffs:
+        acc += s_j * sn
+        sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
+    return slope * tau + sign * math.atan2(w.imag, w.real) + acc
+
+
+def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
+    """theta on the basis (omega1, omega3) = (w1, -omega), omega1 = iW imaginary.
+
+    There k = pi/(2 omega1) = -i kappa, kappa = pi/(2W), so b = k tau =
+    -i beta, beta = kappa tau, and v reduces to v_c = iY on the imaginary
+    axis, a = k v_c = kappa Y real, taken in (0, pi) by a shift of pi that
+    no term sees.  The theta_1 product of ``_theta_real`` then gives
+
+        theta = slope tau - 2 arg sin(a + i beta) - sum s_m sinh 2m beta,
+
+    with slope = v_m + Im[2 (eta1/omega1) v_c + 2 shift - 2 zeta(v)] as
+    there, s_m = 4 c_m sin(2ma)/m and c_m = Q^m/(1 - Q^m), Q = +/-q^2
+    (negative on a rhombic lattice).  sin a > 0 keeps the argument
+    continuous.  Bounded tau folds to [-omega, omega], where e^(2|beta|) <=
+    1/q; unbounded tau beyond w_r/2 to u = w_r - tau <= w_r/2: v' = v - w_r
+    lies on the imaginary axis, and 2 w_r-periodicity gives
+
+        theta = C - slope' u + 2 arg sin(a' + i kappa u) + sum s'_m sinh 2m kappa u,
+
+    from the constants of v' in place of v's, with C set by continuity at
+    w_r/2 and theta odd in tau.  Either way |s_m sinh 2m beta| <= 2 |c_m|
+    q^-m/m, successive bounds shrink by about q, and the sums stop as in
+    ``_theta_real``.
+    """
+    lat, per = ctx.lattice, ctx.lattice.periods
+    eta1 = per.eta_prime if lat.rectangular else per.eta_prime - per.eta
+    w3, eta3 = -per.omega, -per.eta
+    kappa = 0.5 * math.pi / w1.imag
+    q2 = q * q if lat.rectangular else -q * q
+
+    def constants(v: complex, drift: float) -> tuple[float, tuple]:
+        x, y = _coordinates(v, 2.0 * w1, 2.0 * w3)
+        m, n = math.floor(x + 0.5), math.floor(y + 0.5)
+        v_c = v - 2.0 * (m * w1 + n * w3)
+        a = kappa * v_c.imag
+        if a <= 0.0:
+            a += math.pi
+        shift = 2.0 * (m * eta1 + n * eta3)         # zeta(v) - zeta(v_c)
+        slope = drift + (2.0 * (eta1 / w1) * v_c + 2.0 * shift).imag
+        coeffs = []
+        j, q2j, grow = 1, q2, 1.0 / q
+        while True:
+            c = q2j / (1.0 - q2j)
+            if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
+                break
+            coeffs.append(4.0 * c * math.sin(2 * j * a) / j)
+            j, q2j, grow = j + 1, q2j * q2, grow / q
+        return slope, (kappa, math.sin(a), math.cos(a), tuple(coeffs))
+
+    drift = ctx.v_m - 2.0 * ctx.zeta_v.imag
+    slope, first = constants(ctx.v, drift)
+    if ctx.bounded:
+        return partial(_theta_centred, slope, first, ctx.T_tau, ctx.dtheta_period)
+    w_r = lat.real_half_period
+    half = 0.5 * w_r
+    slope_u, second = constants(ctx.v - w_r, drift)
+    const = slope * half - _theta_phase(*first, half) + slope_u * half - _theta_phase(*second, half)
+    return partial(_theta_folded, slope, first, w_r, const, slope_u, second)
+
+
+def _theta_phase(kappa: float, sin_a: float, cos_a: float, coeffs: tuple, x: float) -> float:
+    """2 arg sin(a + i kappa x) + sum s_m sinh 2m kappa x, by angle addition."""
+    b = kappa * x
+    sh, ch = math.sinh(b), math.cosh(b)
+    s2, c2 = 2.0 * sh * ch, ch * ch + sh * sh
+    acc, sn, cn = 0.0, s2, c2
+    for s_j in coeffs:
+        acc += s_j * sn
+        sn, cn = sn * c2 + cn * s2, cn * c2 + sn * s2
+    return 2.0 * math.atan2(cos_a * sh, sin_a * ch) + acc
+
+
+def _theta_centred(slope: float, phase: tuple, period: float, dtheta: float,
+                   tau: float) -> float:
+    """Bounded theta of ``_theta_imaginary`` at |tau| < T_tau, folded to [-omega, omega].
+
+    T_tau/2 <= |tau| < T_tau makes tau -/+ T_tau exact (Sterbenz).
+    """
+    if abs(tau) <= 0.5 * period:
+        return slope * tau - _theta_phase(*phase, tau)
+    n = 1.0 if tau > 0.0 else -1.0
+    tau -= n * period
+    return slope * tau - _theta_phase(*phase, tau) + n * dtheta
+
+
+def _theta_folded(slope: float, first: tuple, w_r: float, const: float, slope_u: float,
+                  second: tuple, tau: float) -> float:
+    """Unbounded theta of ``_theta_imaginary``, odd in tau, folded at w_r/2."""
+    x = abs(tau)
+    if x <= 0.5 * w_r:
+        theta = slope * x - _theta_phase(*first, x)
+    else:
+        u = w_r - x
+        theta = const - slope_u * u + _theta_phase(*second, u)
+    return theta if tau >= 0.0 else -theta
 
 
 def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
@@ -338,6 +485,8 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     (|sin nu| <= n |sin u|), n^2 rho^(n-1) in H (terms shrink by ((n+1)/n)^3
     rho, rho <= 1/e at the switch), and in T 16 n |gamma_n| min(n^2, c + c^2)
     against tan^2 u, c = cot u at the switch (inf if rhombic: gamma_n > 0).
+    Where the transformed basis has the smaller ratio, T' takes S's place
+    (k = 3) or T's (rhombic, folded at w_r/2 by ``_fold_point``).
     """
     lat, alpha, r_m = ctx.lattice, ctx.state.alpha, ctx.r_m
     w_r, w_p = lat.real_half_period, lat.periods.omega_prime.imag
@@ -346,11 +495,17 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
     if ctx.bounded:
         k, q = lat.nome_series.k, lat.nome_series.nome
+        q_t = math.exp(-math.pi * w_r / w_p)         # T' on (omega', -omega): ratio q'
+        if ctx.k == 3 and q_t < q:
+            return 0.0, None, _transformed(r_m, w_p, q_t * q_t, alpha)
         above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, _table(
             q if ctx.k == 3 else -q, q * q, alpha, q, lambda n, c: n**3 * abs(c) / q))
     else:
         k = math.pi / (2.0 * w_r)
         big_q = (1.0 if lat.rectangular else -1.0) * math.exp(-2.0 * math.pi * w_p / w_r)
+        q_c = math.exp(-0.25 * math.pi * w_r / w_p)  # T' on (omega' - omega, -omega)
+        if not lat.rectangular and q_c < -big_q:
+            return _folded_forms(ctx, _transformed(0.0, 2.0 * w_p, -q_c * q_c, alpha))
         c = math.tan(k * (w_r - switch))
         spread = c + c * c
         above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r, _table(
@@ -362,6 +517,51 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
                     0.0, w_r, _table(1.0, q_h * q_h, alpha, math.exp(-depth),
                                      lambda n, c: n * n * math.exp(depth * (1 - n))))
     return switch, below, above
+
+
+def _transformed(r_m: float, w: float, big_q: float, alpha: float) -> partial:
+    """T' on the basis whose first half period is i w: Q = q^2, |q| <= exp(-pi w_r/(2 w)).
+
+    The terms of tanh^2 u + 16 sum n gamma_n sinh^2 nu, gamma_n = (-Q)^n/(1 - Q^n),
+    grow like (|Q| e^(2u))^n, at most |q|^n where the form serves (|x| <=
+    omega, or w_r/2 on a rhombic lattice), and their ratio to tanh^2 u, or
+    that of the t terms to u - tanh u, is at most 16 n^3 |gamma_n| e^(2nu).
+    """
+    ratio = math.sqrt(abs(big_q))
+    return partial(_series_point, r_m, math.pi / (2.0 * w), -big_q, 2.0 / alpha, 0.0, _table(
+        1.0, big_q, alpha, ratio, lambda n, c: 16.0 * n**3 * ratio**n * abs(c)))
+
+
+def _folded_forms(ctx: SolutionContext, form: partial) -> tuple:
+    """(w_r/2, T', its fold) on a rhombic lattice; ``form`` is T' without r_m."""
+    r_m, w_r = ctx.r_m, ctx.lattice.real_half_period
+    half = 0.5 * w_r
+    x1, x2, _ = ctx.f.offsets                    # the conjugate root and r_m
+    t_h, d_h, dp_h = form(half)
+    inv_a = 1.0 / ctx.state.alpha
+    const = 2.0 * t_h - inv_a * dp_h / d_h
+    below = partial(_series_point, r_m, *form.args[1:])
+    gap2 = (x1.real - x2.real) ** 2 + x1.imag * x1.imag
+    return half, below, partial(_fold_point, r_m, const, gap2, inv_a, w_r, form)
+
+
+def _fold_point(r_m: float, const: float, gap2: float, inv_a: float, w_r: float,
+                form: partial, x: float) -> tuple[float, float, float]:
+    """(t, r, dr/dtau) at w_r/2 <= x < w_r from T' at u = w_r - x (``_folded_forms``).
+
+    With R(u) = r(u) - r_m and Z(u) = t(u) - r_m u from T', the half-period
+    addition theorem at p(w_r) = e2 gives r - r_m = |r_c - r_m|^2/R(u), r_c
+    the complex root of f, and zeta(u + w_r) = zeta(u) + zeta(w_r) +
+    p'(u)/(2 (p(u) - e2)) its integral, so that
+
+        t = r_m x + 2 Z(w_r/2) - Z(u) + (R'(u)/R(u) - R'(w_r/2)/R(w_r/2))/a,
+
+    continuous at w_r/2, where R = |r_c - r_m|, and exact at the pole u = 0.
+    """
+    u = w_r - x
+    z, d, dp = form(u)
+    slope = dp / d
+    return r_m * x + const - z + inv_a * slope, r_m + gap2 / d, gap2 * slope / d
 
 
 def _table(mu: float, nu: float, alpha: float, ratio: float,
@@ -384,11 +584,12 @@ def _series_point(r_m: float, k: float, lam: float, pole: float, w_r: float, tab
     """(t, r, dr/dtau) at x >= 0 from one form of ``_radial_forms``.
 
     With y = 2 k x the sums take s_n = sin ny, V_n = 1 - cos ny and D_n =
-    ny - sin ny (in H lam^n times sinh ny, cosh ny - 1 and sinh ny - ny),
+    ny - sin ny (in H and T' lam^n times sinh ny, cosh ny - 1 and sinh ny - ny),
     each by angle addition from s_1, V_1 and D_1 without cancellation:
     r - r_m = 16 k^2 sum n c_n V_n, dr/dtau = 32 k^3 sum n^2 c_n s_n and
     t - r_m x = 8 k sum c_n D_n; T adds its pole terms, tan u = 1/tan(k (w_r
-    - x)) past u = 1.  H stops at a term below 2^-54 of its sum (n >= 5).
+    - x)) past u = 1, and T' its tanh terms from sinh y and cosh y - 1.  H
+    and T' stop at a term below 2^-54 of their sum (n >= 5).
     """
     u = k * x
     y = 2.0 * u
@@ -422,7 +623,14 @@ def _series_point(r_m: float, k: float, lam: float, pole: float, w_r: float, tab
             vn = v
     kk = k * k
     t, r, rp = 8.0 * k * c, 16.0 * kk * a, 32.0 * kk * k * b
-    if pole:
+    if pole and lam:
+        # tanh u = sinh 2u/(2 + v1), sech^2 u = 2/(2 + v1), u - tanh u = (u v1 - d1)/(2 + v1)
+        g = 1.0 / (2.0 + v1)
+        tanh = s1 * g
+        t += pole * k * (u * v1 - d1) * g
+        r += pole * kk * tanh * tanh
+        rp += 4.0 * pole * kk * k * tanh * g
+    elif pole:
         if u < 1.0:
             tan, tail = s1 / (2.0 - v1), (u * v1 - d1) / (2.0 - v1)
         else:
@@ -528,16 +736,7 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     """
     n = math.floor(tau / ctx.T_tau) if ctx.bounded and abs(tau) >= ctx.T_tau else 0
     tau -= n * ctx.T_tau if n else 0.0
-    k, slope, sign, e, coeffs = ctx._theta_series
-    b2 = 2.0 * k * tau
-    s2, c2 = math.sin(b2), math.cos(b2)
-    turn = complex(c2, s2)                          # e^(2ib)
-    w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
-    acc, sn, cn = 0.0, s2, c2
-    for s_j in coeffs:
-        acc += s_j * sn
-        sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
-    theta = slope * tau + sign * math.atan2(w.imag, w.real) + acc
+    theta = ctx._theta_series(tau)
     return theta + n * ctx.dtheta_period if n else theta
 
 
@@ -582,22 +781,31 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
 
 
 def _unbounded_start(ctx: SolutionContext, t: float) -> float:
-    """tau at time t > 0 on unbounded motion: the smaller of two estimates.
+    """tau at time t > 0 on unbounded motion: the smallest of three estimates.
 
     Near pericenter, t = r_m tau + f'(r_m) tau^3/12 + ..., whose root comes
-    from the sinh form of the depressed cubic.  Near the escape asymptote,
-    x = w_r - tau -> 0 with w_k = w_r and zeta(tau - w_r) = -1/x + O(x^3) turn
-    t(tau) = r_m tau - (2 e_k tau + 2 zeta(tau - w_r) + 2 eta_k)/a into
-    t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a, C = B w_r - 2 eta_k/a;
-    x is the positive root of B x^2 + (t - C) x - 2/a, taken in a form
-    without cancellation (a > 0 on unbounded motion), when it lies below w_r.
-    An estimate at or past the asymptote w_r gives way to w_r/2.
+    from the sinh form of the depressed cubic.  For E > 0 the a = 0 orbit
+    with the same r_m and E has r'' = 2 E r + 1 <= f'(r)/2, so its time
+    t = r_m tau + (1 + 2 E r_m)(sinh(s tau)/s - tau)/(2E), s = sqrt(2E),
+    never exceeds the true one, and its root, Kepler's hyperbolic equation
+    e sinh H - H = (2E)^(3/2) t with e = 1 + 2 E r_m and H = s tau
+    (``_hyperbolic_anomaly``), lies at or above the true tau.  Near the
+    escape asymptote, x = w_r - tau -> 0 with w_k = w_r and zeta(tau - w_r)
+    = -1/x + O(x^3) turn t(tau) = r_m tau - (2 e_k tau + 2 zeta(tau - w_r)
+    + 2 eta_k)/a into t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a,
+    C = B w_r - 2 eta_k/a; x is the positive root of B x^2 + (t - C) x -
+    2/a, taken in a form without cancellation (a > 0 on unbounded motion),
+    when it lies below w_r.  An estimate at or past the asymptote w_r gives
+    way to w_r/2.
     """
-    a, r_m = ctx.state.alpha, ctx.r_m
+    a, r_m, energy = ctx.state.alpha, ctx.r_m, ctx.energy
     cube = ctx.f.df(r_m) / 12.0         # > 0: r_m is a simple root of f
     p = r_m / cube
     tau = 2.0 * math.sqrt(p / 3.0) * math.sinh(
         math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
+    if energy > 0.0:
+        s = math.sqrt(2.0 * energy)
+        tau = min(tau, _hyperbolic_anomaly(2.0 * energy * r_m, s * s * s * t) / s)
     w_r = ctx.lattice.real_half_period
     b = r_m - 2.0 * ctx.e_k / a
     d = t - (b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
@@ -607,6 +815,28 @@ def _unbounded_start(ctx: SolutionContext, t: float) -> float:
         if x < w_r:
             tau = min(tau, w_r - x)
     return tau if tau < w_r else 0.5 * w_r
+
+
+def _hyperbolic_anomaly(excess: float, mean: float) -> float:
+    """H > 0 with e sinh H - H = mean > 0, e = 1 + excess > 1, by Newton's method.
+
+    The left side, excess sinh H + (sinh H - H), and its derivative, excess
+    cosh H + 2 sinh^2(H/2), are formed without cancellation.  It is convex
+    and increasing, so Newton's iterates fall monotonically to the root from
+    any start above it: the least of (6 mean)^(1/3) and asinh(mean/excess),
+    as sinh H - H >= H^3/6 and sinh H >= H, and of asinh((mean + H)/e) at
+    that bound, as H = asinh((mean + H)/e) at the root.
+    """
+    bound = min((6.0 * mean) ** (1.0 / 3.0), math.asinh(mean / excess))
+    anomaly = min(bound, math.asinh((mean + bound) / (1.0 + excess)))
+    for _ in range(50):
+        sh = math.sinh(anomaly)
+        step = ((excess * sh + _odd_tail(anomaly, sh, 1.0) - mean)
+                / (excess * math.cosh(anomaly) + 2.0 * math.sinh(0.5 * anomaly) ** 2))
+        anomaly -= step
+        if abs(step) <= 1e-12 * anomaly:
+            break
+    return anomaly
 
 
 def _kepler_start(ctx: SolutionContext, t: float) -> float:

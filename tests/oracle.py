@@ -179,13 +179,16 @@ def _arc_integral(state: InitialState, r_a: float, r_b: float,
 
     def sub_from(endpoint, sign):
         # u = endpoint + sign * s^2;  du / sqrt(f) = 2 s ds / sqrt(f) with
-        # f(u)/s^2 -> sign * f'(endpoint) as s -> 0
+        # phi = f(u)/s^2 = sign f' + f'' s^2/2 + sign 2 a s^4 at the endpoint,
+        # f's Taylor polynomial with f(endpoint) = 0: f(u)/s^2 in floats
+        # carries the rounding of f(u) divided by s^2
+        fp, fpp = sign * f.df(endpoint), 0.5 * f.d2f(endpoint)
+        cubic = sign * 2.0 * f.alpha
+
         def g(s):
             u = endpoint + sign * s * s
-            if s < 1e-7:
-                phi = sign * f.df(endpoint) + 0.5 * f.d2f(endpoint) * s * s
-            else:
-                phi = f(u) / (s * s)
+            s2 = s * s
+            phi = fp + s2 * (fpp + s2 * cubic)
             return 2.0 * weight(u) / math.sqrt(max(phi, 1e-300))
         return g
 

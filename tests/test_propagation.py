@@ -1,5 +1,7 @@
 import cmath
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -66,6 +68,23 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(weierstrass.NomeSeries, name, counted)
     return calls
+
+
+def series_terms(form):
+    """Lengths of the coefficient tables a radial form or a theta evaluator sums.
+
+    A table is a tuple of floats (theta) or of 3-tuples of floats (r and t);
+    the forms are partials whose arguments hold them, directly or nested.
+    """
+    if isinstance(form, partial):
+        return [n for arg in form.args for n in series_terms(arg)]
+    if not isinstance(form, tuple):
+        return []
+    if all(isinstance(x, float) for x in form) or all(
+            isinstance(x, tuple) and len(x) == 3 and all(isinstance(y, float) for y in x)
+            for x in form):
+        return [len(form)]
+    return [n for item in form for n in series_terms(item)]
 
 
 def r_prime_of_tau(ctx, tau):
@@ -693,13 +712,13 @@ class TestThetaClosedForm:
 
 
 def log_sigma_theta(ctx, tau):
-    """Bounded theta through two log sigma evaluations, the unbounded route."""
-    n = math.floor(tau / ctx.T_tau)
-    tau -= n * ctx.T_tau
+    """theta through two log sigma evaluations; bounded tau folds to [0, T_tau)."""
+    n = math.floor(tau / ctx.T_tau) if ctx.bounded else 0
+    tau -= n * ctx.T_tau if n else 0.0
     lat = oracle.ReferenceLattice(ctx.lattice.roots)
     phase = (oracle.log_sigma(lat, ctx.v - tau) - oracle.log_sigma(lat, ctx.v + tau)
              + 2.0 * tau * ctx.zeta_v)
-    return ctx.v_m * tau - phase.imag + n * ctx.dtheta_period
+    return ctx.v_m * tau - phase.imag + (n * ctx.dtheta_period if n else 0.0)
 
 
 # alpha at which the apse start r0 = 1, v0 = 1.2 stops being bounded
@@ -742,7 +761,18 @@ class TestThetaSeries:
         series = ctx.lattice.nome_series
         assert 0.40 < series.nome < 0.42
         assert len(series.terms) == 26
-        assert len(ctx._theta_series[4]) == 23
+        # 23 on the real-period basis; q' = 1.5e-5 on (omega', -omega)
+        assert series_terms(ctx._theta_series) == [3]
+
+    @pytest.mark.parametrize("delta", [-1e-4, -1e-8, 1e-4, 1e-8])
+    def test_term_counts_near_escape(self, delta):
+        # each series on its smallest-nome basis: the real-period basis took
+        # 32/56/69/123 r/t terms and 13/23/64/110 theta terms
+        ctx = build_context(InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta)))
+        assert ctx.bounded == (delta < 0.0)
+        _, below, above = ctx._radial
+        radial, theta = series_terms(below) + series_terms(above), series_terms(ctx._theta_series)
+        assert radial and theta and max(radial + theta) <= 15
 
     def test_constants_made_once_per_context(self, monkeypatch):
         made = []
@@ -1000,10 +1030,13 @@ class TestPericenterSeries:
     def test_matches_quadrature_across_the_reach(self, state):
         ctx = build_context(InitialState(*state))
         w = ctx.lattice.real_half_period
-        # scipy's quadrature itself misses by 1e-10 at 0.02 w
-        for tau in np.linspace(0.1 * w, 0.95 * w, 9):
-            ref = oracle.quadrature_tof(ctx.state, ctx.r_m, r_of_tau(ctx, tau))
-            assert radial_kepler(ctx, tau) == pytest.approx(ref, rel=1e-11)
+        # the quadrature missed by 1e-10 at 0.02 w while it formed f(u)/s^2
+        # in floats; its Taylor polynomial keeps it within 2e-14 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tau in np.linspace(0.02 * w, 0.95 * w, 9):
+                ref = oracle.quadrature_tof(ctx.state, ctx.r_m, r_of_tau(ctx, tau))
+                assert radial_kepler(ctx, tau) == pytest.approx(ref, rel=1e-11)
 
     def test_reach_covers_the_orbit_at_tiny_alpha(self):
         # S at tau = T_tau sums to T_t from add_epoch
@@ -1161,6 +1194,22 @@ def test_kepler_start_past_the_escape_asymptote(state, samples):
         assert ps.theta == pytest.approx(theta, abs=1e-13)
 
 
+def test_unbounded_start_from_the_hyperbola(monkeypatch):
+    # E > 0: the alpha = 0 hyperbola with the same r_m and E bounds tau from
+    # above and stays close; the pole estimate alone started at 12.30 and
+    # 16.77 against the roots 8.935 and 10.68, and took 4 and 5 evaluations
+    ctx = build_context(InitialState(1.0, 1.5, 0.0, 1e-6))
+    calls = []
+    point = propagation._orbit_point
+    monkeypatch.setattr(propagation, "_orbit_point",
+                        lambda c, tau: calls.append(tau) or point(c, tau))
+    for t, root in ((400.0, 8.934851293292914), (1000.0, 10.678580123201941)):
+        assert root <= propagation._unbounded_start(ctx, t) <= root * (1.0 + 2e-4)
+        calls.clear()
+        assert invert_kepler(ctx, t) == pytest.approx(root, rel=1e-15)
+        assert len(calls) == 2
+
+
 # A wide unbounded lattice where p(tau) rounded onto e_k before the escape
 # asymptote, and the paper's r = r_m + f'(r_m)/(4 (p - e_k)) raised
 # ZeroDivisionError; inbound epochs of a long-period orbit, whose tau0 =
@@ -1191,28 +1240,40 @@ def test_series_repros_against_mpmath(state, dt, r, theta, theta_tol):
     assert abs(ps.theta - theta) <= theta_tol
 
 
-def paper_radial_reference(ctx, taus, mp):
+def paper_radial_reference(ctx, taus, mp, own_roots=False):
     """(t, r) at each tau from the paper's p and zeta forms, at 60 digits.
 
     r = r_m + f'(r_m)/(4 (p(tau) - e_k)) and t = r_m tau - (2 e_k tau +
     zeta(tau - w_k) + zeta(tau + w_k))/a, on the lattice of the roots of f
-    that mpmath finds for the state's binary64 inputs (``theta_reference``).
-    The working precision absorbs the 1/a and the cancellations at tau = 0
-    and at the escape asymptote.
+    that mpmath finds for the state's binary64 inputs (``theta_reference``),
+    or with ``own_roots`` on the lattice of the context's own roots of f,
+    f = 2 a (r - r_1)(r - r_2)(r - r_3) with r_i = r0 + offset_i exactly:
+    that isolates the series from the rounding of the roots, which near the
+    escape threshold moves the periods by up to 1e-10.  The working
+    precision absorbs the 1/a and the cancellations at tau = 0 and at the
+    escape asymptote.
     """
     with mp.workdps(60):
         st = ctx.state
         r0, v0, g0, a = (mp.mpf(x) for x in (st.r0, st.v0, st.gamma0, st.alpha))
-        energy = v0**2 / 2 - 1 / r0 - a * r0
-        h = r0 * v0 * mp.cos(g0)
-        roots = mp.polyroots([2 * a, 2 * energy, 2, -h * h], maxsteps=400, extraprec=400)
+        if own_roots:
+            roots = [r0 + mp.mpc(x.real, x.imag) for x in ctx.f.offsets]
+            energy = -a * mp.re(sum(roots))
+        else:
+            energy = v0**2 / 2 - 1 / r0 - a * r0
+            h = r0 * v0 * mp.cos(g0)
+            roots = mp.polyroots([2 * a, 2 * energy, 2, -h * h], maxsteps=400, extraprec=400)
         r_m = min((mp.re(z) for z in roots), key=lambda z: abs(z - ctx.r_m))
         e_k = a * r_m / 2 + energy / 6
         e = [(a * z + energy / 3) / 2 for z in roots]
         g2 = -4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2])
         ref, omega1, omega3 = theta_reference(mp.re(g2), mp.re(4 * e[0] * e[1] * e[2]), mp)
         w_k = min((omega1, omega3, omega1 + omega3), key=lambda w: abs(ref(w)[0] - e_k))
-        fp = (6 * a * r_m + 4 * energy) * r_m + 2
+        if own_roots:
+            others = sorted(roots, key=lambda z: abs(z - r_m))[1:]
+            fp = mp.re(2 * a * (r_m - others[0]) * (r_m - others[1]))
+        else:
+            fp = (6 * a * r_m + 4 * energy) * r_m + 2
         out = []
         for tau in taus:
             tau = mp.mpf(tau)
@@ -1223,8 +1284,10 @@ def paper_radial_reference(ctx, taus, mp):
 
 
 def seeded_series_states(seed, per_kind=2):
-    """Valid states of four kinds, |alpha| in [1e-10, 0.5]: bounded with
-    k = 3 and k = 2, unbounded on a rectangular and on a rhombic lattice."""
+    """Valid states of six kinds: bounded with k = 3 and k = 2, unbounded on a
+    rectangular and on a rhombic lattice, |alpha| in [1e-10, 0.5]; and apse
+    starts at relative distance delta in [1e-8, 1e-2] below the escape
+    threshold (bounded, k = 3) and above it (rhombic)."""
     rng = np.random.default_rng(seed)
     kinds = {"k3": [], "k2": [], "rectangular": [], "rhombic": []}
     while any(len(v) < per_kind for v in kinds.values()):
@@ -1240,7 +1303,24 @@ def seeded_series_states(seed, per_kind=2):
                 else "rectangular" if ctx.lattice.rectangular else "rhombic")
         if len(kinds[kind]) < per_kind:
             kinds[kind].append(ctx)
-    return [ctx for v in kinds.values() for ctx in v]
+    for side in (-1.0, 1.0):
+        for _ in range(per_kind):
+            u, r0 = rng.uniform(1.0, 1.9), rng.uniform(0.5, 2.0)   # u = r0 v0^2
+            alpha_star = (2.0 - u) ** 2 / (8.0 * r0 * r0 * u)
+            delta = 10.0 ** rng.uniform(-8.0, -2.0)
+            ctx = build_context(InitialState(r0, math.sqrt(u / r0), 0.0,
+                                             alpha_star * (1.0 + side * delta)))
+            assert ctx.bounded == (side < 0.0) and ctx.k in (2, 3)
+            kinds.setdefault("escape", []).append(ctx)
+    return [(kind, ctx) for kind, v in kinds.items() for ctx in v]
+
+
+def radial_route(ctx):
+    """The form that serves tau beyond the switch: S, T, T' or T' folded."""
+    form = ctx._radial[2]
+    if form.func is propagation._fold_point:
+        return "T' folded"
+    return ("T'" if form.args[3] else "S") if form.args[2] else ("T" if form.args[3] else "S")
 
 
 @pytest.mark.parametrize("seed", [20, 21])
@@ -1249,18 +1329,52 @@ def test_seeded_series_against_mpmath(seed):
     # of 4 times the floor 2 ulp(w_r)/(w_r - tau) that the rounding of w_r
     # sets near the escape asymptote; bounded tau over a whole period,
     # unbounded tau/w_r in [0.01, 1 - 1e-6], on both sides of the H/T switch
+    # and of the fold at w_r/2, and (dr/dtau)^2 = f(r) to 1e-13 of f's
+    # largest term (measured 3e-15).  Near-escape states are checked on the
+    # lattice of their own roots of f: their rounding moves the periods by
+    # up to 1e-10 there, which no form of the series can repair
     mp = pytest.importorskip("mpmath")
-    for ctx in seeded_series_states(seed):
+    states = seeded_series_states(seed)
+    routes = {(ctx.bounded, ctx.lattice.rectangular, radial_route(ctx)) for _, ctx in states}
+    # both sides of each switch: S or T' (k = 3), T or T' folded (rhombic)
+    assert {(True, True, "S"), (True, True, "T'"), (False, False, "T"),
+            (False, False, "T' folded")} <= routes
+    for kind, ctx in states:
         w = ctx.lattice.real_half_period
         if ctx.bounded:
             taus = [1e-3 * w, *np.linspace(0.0, 2.0 * w, 6)[1:]]
         else:
-            taus = [f * w for f in (0.01, 0.3, 0.7, 0.95, 0.999, 1.0 - 1e-6)]
-        for tau, (t_ref, r_ref) in zip(taus, paper_radial_reference(ctx, taus, mp)):
+            taus = [f * w for f in (0.01, 0.3, 0.5, 0.7, 0.95, 0.999, 1.0 - 1e-6)]
+        own = kind == "escape"
+        for tau, (t_ref, r_ref) in zip(taus, paper_radial_reference(ctx, taus, mp, own)):
             bound = max(1e-14, 0.0 if ctx.bounded else 8.0 * math.ulp(w) / (w - tau))
-            t, r, _ = propagation._orbit_point(ctx, tau)
+            t, r, rp = propagation._orbit_point(ctx, tau)
             assert abs(r - r_ref) <= bound * r_ref
             assert abs(t - t_ref) <= bound * abs(t_ref)
+            terms = (2.0 * abs(ctx.state.alpha) * r**3 + 2.0 * abs(ctx.energy) * r**2
+                     + 2.0 * r + ctx.momentum**2)
+            assert abs(rp * rp - ctx.f(r)) <= 1e-13 * terms
+
+
+@pytest.mark.parametrize("seed", [20, 21])
+def test_seeded_theta_against_log_sigma(seed):
+    # theta on both sides of the basis switch against two log sigma
+    # evaluations on the same lattice, at the 2e-12 of TestThetaSeries'
+    # q = 0.41 state; bounded over +/-50 periods, which folds tau across
+    # +/-omega, unbounded up to 0.999 w_r across the fold at w_r/2
+    states = seeded_series_states(seed)
+    routes = {(ctx.bounded, ctx.lattice.rectangular, ctx._theta_series.func.__name__)
+              for _, ctx in states if ctx.bounded or not ctx.lattice.rectangular}
+    assert routes == {(True, True, "_theta_real"), (True, True, "_theta_centred"),
+                      (False, False, "_theta_real"), (False, False, "_theta_folded")}
+    for _, ctx in states:
+        if ctx.bounded:
+            taus = np.linspace(-50.0 * ctx.T_tau, 50.0 * ctx.T_tau, 101)
+        else:
+            w = ctx.lattice.real_half_period
+            taus = [f * w for f in (-0.999, -0.7, -0.3, 0.01, 0.3, 0.5, 0.7, 0.95, 0.999)]
+        for tau in taus:
+            assert abs(theta_of_tau(ctx, tau) - log_sigma_theta(ctx, tau)) <= 2e-12
 
 
 def test_seeded_valid_states_propagate():

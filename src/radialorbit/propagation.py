@@ -494,7 +494,7 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     depth = max(1.0, math.pi * w_p / w_r) if ctx.bounded else 1.0
     switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
     if ctx.bounded:
-        k, q = lat.nome_series.k, lat.nome_series.nome
+        k, q = math.pi / (2.0 * w_r), math.exp(-math.pi * w_p / w_r)
         q_t = math.exp(-math.pi * w_r / w_p)         # T' on (omega', -omega): ratio q'
         if ctx.k == 3 and q_t < q:
             return 0.0, None, _transformed(r_m, w_p, q_t * q_t, alpha)
@@ -701,8 +701,10 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     """Pseudo-time at radius r0 on the branch with sign(dr/dtau) = sign_rdot.
 
     r0 > r_m puts p(tau0) = e(r0) above e_k (``_theta_pole``), so tau0 = +/-z
-    is real, z from ``Lattice.wp_inverse_real``.  Inbound is -z, pericenter
-    passage ahead at tau = 0: T_tau - z would round z to an ulp of T_tau.
+    is real, z = R_F of the gaps e(r0) - e_i (``Lattice.wp_inverse_real``).
+    Inbound is -z, pericenter passage ahead at tau = 0: T_tau - z would
+    round z to an ulp of T_tau.  An r0 within 1e-12 relative of an apse or
+    past it, inside the pad of ``MotionClass.contains``, is that apse.
     """
     if sign_rdot not in (-1, 1):
         raise ValueError("sign_rdot must be +1 or -1")
@@ -711,13 +713,12 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
             f"r0 = {r0} outside allowed interval "
             f"[{ctx.region.r_lo}, {ctx.region.r_hi}]"
         )
-    if abs(r0 - ctx.r_m) <= 1e-12 * max(1.0, ctx.r_m):
+    if r0 - ctx.r_m <= 1e-12 * max(1.0, ctx.r_m):
         return 0.0
-    if ctx.bounded and abs(r0 - ctx.region.r_hi) <= 1e-12 * max(1.0, ctx.region.r_hi):
+    if ctx.bounded and ctx.region.r_hi - r0 <= 1e-12 * max(1.0, ctx.region.r_hi):
         return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
     c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
-    gaps = tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k))
-    z = ctx.lattice.wp_inverse_real(ctx.e_k + c_0, gaps)
+    z = ctx.lattice.wp_inverse_real(tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k)))
     return z if sign_rdot > 0 else -z
 
 

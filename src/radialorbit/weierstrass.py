@@ -1,16 +1,18 @@
-"""Weierstrass p, p' and zeta for real invariants, on the lattice's two axes.
+"""Weierstrass p, p' and zeta for real invariants, evaluated on one axis.
 
-The closed form evaluates p and zeta only while it builds a context: p^-1
-on the real axis (the epoch's tau0) and on the imaginary axis (the theta
-pole).  Both lines take the Fourier series in the nome q = exp(i pi tau),
-tau = omega3/omega1, of a basis (omega1, omega3) whose q^2 is real
-(``NomeSeries``).  With k = pi/(2 omega1), u = k z and c_n =
+The closed form inverts p on the lattice's two axes while it builds a
+context.  On the real axis (the epoch's tau0) p^-1 is Carlson's R_F of
+the root gaps (DLMF 19.25.35), with no evaluation of p.  On the imaginary
+axis (the theta pole) R_F seeds one Newton step, the one evaluation, which
+also gives p' and zeta.  It sums the Fourier series in the nome q =
+exp(i pi tau), tau = omega3/omega1, of a basis (omega1, omega3) whose q^2
+is real (``NomeSeries``).  With k = pi/(2 omega1), u = k z and c_n =
 q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 give
 
     p     = -eta1/omega1 + k^2 (csc^2 u - 8 sum n c_n cos 2nu),
     zeta  = eta1 z/omega1 + k (cot u + 4 sum c_n sin 2nu),
 
-and p' by differentiation.  On the real axis the sums take one
+and p' by differentiation.  On the basis's real axis the sums take one
 (sin u, cos u) pair (``NomeSeries.at``); at z = -iy one (sinh, cosh) pair,
 which is the same arithmetic with p real and p', zeta imaginary
 (``NomeSeries.at_imaginary``).  The two axes swap under the homogeneity
@@ -20,17 +22,15 @@ p(iz; g2, g3) = -p(z; g2, -g3), zeta(iz; g2, g3) = -i zeta(z; g2, -g3)
 The basis:
 - A rectangular lattice (positive discriminant) uses (omega, omega') of
   A&S 18.9, with q = exp(-pi |omega'|/omega) real: q <= 0.07 on most
-  lattices of bounded motion, so under ten terms on the real axis.  Its
-  half periods and eta come from K and E in closed form.
+  lattices of bounded motion.  Its half periods and eta come from K and E
+  in closed form, and its imaginary axis is the series' line at -iy.
 - A rhombic lattice (negative discriminant) keeps its half periods from
   Carlson R_F at the conjugate pair: w_r, the real one, and w_i, the real
   one of the companion.  It sums the real-period basis of the companion,
   (w_i, (w_i + i w_r)/2), whose q^2 = -exp(-pi w_r/w_i) is negative
   (|q| <= 0.33 on the benchmark's rhombic states).  The companion's real
-  axis is the lattice's imaginary one, and its line at -ix the lattice's
-  real axis, in reach up to w_r/2; past it p folds at the half period w_r
-  (``Lattice.wp_real``).  eta of the companion is its series' constant
-  term, and Legendre's relation gives zeta(w_r) from it.
+  axis is the lattice's imaginary one.  eta of the companion is its
+  series' constant term, and Legendre's relation gives zeta(w_r) from it.
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
 no series is summed to build a lattice.  The series take omega and eta
@@ -193,51 +193,16 @@ class Lattice:
         """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
         return self.periods.omega_k(1 if self.rectangular else 2).real
 
-    # -- evaluation on the two axes ---------------------------------------
-
-    def wp_real(self, x: float) -> tuple[float, float, float]:
-        """(p, p', zeta) at real x, all three real.
-
-        A rectangular lattice sums its real-axis series (``NomeSeries.at``).
-        A rhombic one, for 0 < x <= w_r, sums its companion's at -ix
-        (``NomeSeries.at_imaginary``): p(x) = -p_c(-ix), p'(x) =
-        i p_c'(-ix) and zeta(x) = -i zeta_c(-ix), in reach up to w_r/2, the
-        edge of the companion's cell.  Past it u = w_r - x, and the
-        half-period addition theorem at p(w_r) = e2 (DLMF 23.10.1) gives
-
-            p(x)    = e2 + G/(p(u) - e2),    p'(x) = G p'(u)/(p(u) - e2)^2,
-            zeta(x) = zeta(w_r) - zeta(u) - p'(u)/(2 (p(u) - e2)),
-
-        G = (e2 - e1)(e2 - e3) = |e1 - e2|^2, and p(u) - e2 >= sqrt(G).
-        zeta there is the difference of two terms of order 1/u and carries
-        their rounding, 2^-53/u; p^-1 reads p and p' alone.  Within the
-        pole guard of w_r, where p(u) would raise, the Taylor terms
-        e2 + G u^2, -2 G u and zeta(w_r) + e2 u take its place.
-        """
-        if self.rectangular:
-            return self.nome_series.at(x)
-        w_r = self.real_half_period
-        if x <= 0.5 * w_r:
-            p, pp, zt = self.nome_series.at_imaginary(x)
-            return -p, -pp, zt
-        u = w_r - x
-        g12 = self.roots.gaps[0]
-        e2, g = self.roots.e_tilde[1].real, g12.real ** 2 + g12.imag ** 2
-        eta_r = self.periods.eta_k(2).real
-        if abs(u) < _POLE_GUARD:
-            return e2 + g * u * u, -2.0 * g * u, eta_r + e2 * u
-        p, pp, zt = self.wp_real(u)
-        d = p - e2
-        return e2 + g / d, g * pp / (d * d), eta_r - zt - 0.5 * pp / d
+    # -- inversion ----------------------------------------------------------
 
     def _wp_imaginary(self, x: float) -> tuple[float, float, float]:
         """(p, dp/dx, Im zeta) at z = ix, where p is real and p', zeta imaginary.
 
-        p'(ix) = -i dp/dx, and d Im zeta(ix)/dx = -p, as d zeta/dx on the
-        real axis, so one Newton step serves both axes (``_refine_seed``).
-        A rectangular lattice sums its series at ix
-        (``NomeSeries.at_imaginary``), a rhombic one its companion's real
-        axis (``NomeSeries.at``): p(ix) = -p_c(x), zeta(ix) = -i zeta_c(x).
+        p'(ix) = -i dp/dx, and d Im zeta(ix)/dx = -p, which the Newton
+        step of ``_refine_seed`` uses.  A rectangular lattice sums its
+        series at ix (``NomeSeries.at_imaginary``), a rhombic one its
+        companion's real axis (``NomeSeries.at``): p(ix) = -p_c(x),
+        zeta(ix) = -i zeta_c(x).
         """
         if self.rectangular:
             p, pp, zt = self.nome_series.at_imaginary(-x)
@@ -245,24 +210,19 @@ class Lattice:
         p, pp, zt = self.nome_series.at(x)
         return -p, -pp, -zt
 
-    # -- inversion ----------------------------------------------------------
-
-    def wp_inverse_real(self, w: float, gaps: tuple) -> float:
-        """x in [0, w_r] with p(x) = w >= e_k, w_r the real half period.
+    def wp_inverse_real(self, gaps: tuple) -> float:
+        """x in (0, w_r] with p(x) = w >= e_k, from ``gaps`` = w - e_i, i = 1, 2, 3.
 
         e_k is e1 on a rectangular lattice and e2, the real root, on a
-        rhombic one; p falls from +inf at 0 to e_k at w_r.  ``gaps`` are
-        w - e_i for i = 1, 2, 3, which a caller can often form with less
-        cancellation than the subtraction: real ones, or on a rhombic lattice
-        a conjugate pair and a real one.  A real gap a rounding below 0
-        counts as 0 (w = e_k, x = w_r).  R_F of the gaps is x (DLMF 19.25),
-        real as its arguments are closed under conjugation, and one Newton
-        step on ``wp_real`` refines it (``_refine_seed``).
+        rhombic one, and w_r the real half period: p falls from +inf at 0
+        to e_k at w_r.  A caller can often form the gaps with less
+        cancellation than the subtraction: real ones, or on a rhombic
+        lattice a conjugate pair and a real one.  A real gap a rounding
+        below 0 counts as 0 (w = e_k, x = w_r).  x is R_F of the gaps
+        (DLMF 19.25.35), real as its arguments are closed under
+        conjugation: no evaluation of p.
         """
-        w_r = self.real_half_period
-        seed = carlson_rf(*self._clamped(gaps)).real
-        x = abs(self._refine_seed(seed, w, self.wp_real)[0])
-        return 2.0 * w_r - x if x > w_r else x   # p is even, symmetric about w_r
+        return carlson_rf(*self._clamped(gaps)).real
 
     def wp_inverse_imaginary(self, w: float, gaps: tuple
                              ) -> tuple[complex, tuple[complex, complex, complex]]:
@@ -283,7 +243,7 @@ class Lattice:
         per = self.periods
         half = (per.omega_prime if self.rectangular else per.omega_prime - per.omega).imag
         seed = -carlson_rf(*self._clamped(gaps)).real
-        x, values = self._refine_seed(seed, w, self._wp_imaginary)
+        x, values = self._refine_seed(seed, w)
         y = abs(x)
         if y > half:               # a step past ih lands on the mirror point
             y = 2.0 * half - y
@@ -309,22 +269,20 @@ class Lattice:
                 f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
         return clamped
 
-    def _refine_seed(self, x: float, w: float, evaluate) -> tuple:
-        """(x, (p, dp/dx, Z) at x) for the R_F seed x of p = w on one axis.
+    def _refine_seed(self, x: float, w: float) -> tuple:
+        """(x, (p, dp/dx, Im zeta) at ix) for the R_F seed x of p(ix) = w.
 
-        ``evaluate`` returns p, its derivative along the axis and Z, the
-        zeta part whose derivative is -p (``wp_real``, ``_wp_imaginary``).
         The seed is exact up to the rounding of R_F and of the series: its
-        residual |p(x) - w| was at most 1.2e-15 (1 + |w|) over 601
-        inversions on 304 seeded bounded, unbounded and rhombic states.
+        residual |p(ix) - w| was at most 1.2e-15 (1 + |w|) over the theta
+        poles of 310 seeded bounded, unbounded and rhombic states.
         WpInverseError when it exceeds 1e-11 (1 + |w|).  Otherwise one
-        Newton step from the same evaluation refines x, with Z moved by
-        -p times the step, if it is within a few ulps of x (up to 8e-15 of
-        the angle advance per period on the anchors, 3e-15 after); a
-        larger step, next to a critical point of p, would chase rounding
-        divided by a small p'.
+        Newton step from the same evaluation (``_wp_imaginary``) refines x,
+        with Im zeta moved by -p times the step, if it is within a few ulps
+        of x (up to 8e-15 of the angle advance per period on the anchors,
+        3e-15 after); a larger step, next to a critical point of p, would
+        chase rounding divided by a small p'.
         """
-        values = evaluate(x)
+        values = self._wp_imaginary(x)
         p, pp, zt = values
         if abs(p - w) > 1e-11 * (1.0 + abs(w)):
             raise WpInverseError(f"inversion failed for w={w!r}")
@@ -354,11 +312,12 @@ class NomeSeries:
     On the real axis (``at``) the sums stop before the first n with
     16 n^2 |c_n| <= 2^-53 (1 - |q|).  From that n on, successive terms
     shrink by at most ((n+1)/n)^2 |q|^2, and that is below |q| at the
-    stopping index for every |q| < 0.98 (q = 0.41 on the bounded
-    near-escape states of the benchmark).  So the omitted tail of each sum
-    is below the unit roundoff in units of k^2, k^3 and k, the sizes of
-    the leading terms csc^2 u >= 1, the cube and the cotangent.  The same
-    list of terms gives eta/omega when it is not known in closed form.
+    stopping index for every |q| < 0.98 (|q| <= 0.33 on the benchmark's
+    rhombic states, whose imaginary axis this is).  So the omitted tail of
+    each sum is below the unit roundoff in units of k^2, k^3 and k, the
+    sizes of the leading terms csc^2 u >= 1, the cube and the cotangent.
+    The same list of terms gives eta/omega when it is not known in closed
+    form.
     """
 
     __slots__ = ("k", "nome", "eta_over_omega", "terms")

@@ -130,16 +130,23 @@ class TestBuildContext:
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
     def test_apse_start_kernel_work(self, monkeypatch):
-        # theta0 = 0 needs no theta, and the pole is the one series
-        # evaluation of a context: its R_F seed and one Newton step on the
-        # imaginary axis, the lattice's own series at -iy (bounded) or its
-        # companion's real axis (rhombic)
+        # the pole is the one series evaluation of a context: its R_F seed
+        # and one Newton step on the imaginary axis, the lattice's own
+        # series at -iy (rectangular) or its companion's real axis
+        # (rhombic).  An apse start needs no theta (theta0 = 0); off an apse
+        # tau0 is R_F of the gaps and t0, theta0 come from the radial and
+        # theta series, none of which calls the kernel
         calls = kernel_calls(monkeypatch)
-        for kw, name in ((WORKED, "at_imaginary"), (ROSETTE, "at_imaginary"),
-                         (dict(r0=1.0, v0=1.2, gamma0=0.0, alpha=0.1), "at")):
+        for state, name, apse in (
+                (InitialState(**WORKED), "at_imaginary", True),
+                (InitialState(**ROSETTE), "at_imaginary", True),
+                (InitialState(1.0, 1.2, 0.0, 0.1), "at", True),
+                (InitialState(**TILTED), "at_imaginary", False),
+                (InitialState(*UNBOUNDED_POLES["rhombic"]), "at", False),
+                (InitialState(*UNBOUNDED_POLES["shift"]), "at_imaginary", False)):
             calls.clear()
-            ctx = build_context(InitialState(**kw))
-            assert ctx.theta0 == 0.0
+            ctx = build_context(state)
+            assert (ctx.theta0 == 0.0) == apse
             assert [called for called, _ in calls] == [name]
 
     @pytest.mark.parametrize("kw", [WORKED, ROSETTE, TILTED])
@@ -186,9 +193,9 @@ class TestBuildContext:
         calls = []
         wp_inverse_real = Lattice.wp_inverse_real
 
-        def counted(self, w, gaps):
-            calls.append(w)
-            return wp_inverse_real(self, w, gaps)
+        def counted(self, gaps):
+            calls.append(gaps)
+            return wp_inverse_real(self, gaps)
 
         monkeypatch.setattr(Lattice, "wp_inverse_real", counted)
         ctx = build_context(state)
@@ -331,22 +338,41 @@ class TestUnboundedPole:
             assert abs(ps.theta - th_ref) < 1e-8
 
 
+# the escaping rhombic anchor (1.1, 1.5, 30 deg, 0.05) at tau = 0.7 w_r
+RHOMBIC_PAST_HALF = (19.751843564068306, 1.5486313019025022,
+                     math.radians(87.32243744629993), 0.05)
+
+
 class TestOneStepInverse:
-    """Every p^-1 is its R_F seed and one refining Newton step.
+    """The theta pole is its R_F seed and one refining Newton step; tau0 is R_F.
 
     One step serves because the seed is exact up to rounding: |p(seed) - w|
-    <= 1e-13 (1 + |w|) on every inversion of the sweep.  Measured worst over
-    its 601 inversions: 1.2e-15 (1 + |w|).
+    <= 1e-13 (1 + |w|) at every theta pole of the sweep.  Measured worst over
+    its 310 poles: 1.2e-15 (1 + |w|).  tau0 off an apse is R_F of the gaps
+    with no step, and r(tau0) meets r0 to 1e-13 relative (measured worst
+    1.7e-14 at the rhombic starts past w_r/2, 7.3e-15 elsewhere).
     """
 
     @staticmethod
     def sweep_states():
         # both signs of alpha with log10|alpha| in [-9, -0.5]; the sweep
         # holds bounded, rectangular-unbounded and rhombic states, and the
-        # fixed states add the pole on Re v = omega and a near-circular one
+        # fixed states add the pole on Re v = omega, a near-circular one,
+        # the rhombic starts at tau = +/-0.7 w_r and starts off the
+        # pericenter of (1, 1.2, 0, alpha*(1 -/+ 1e-8)), 1e-8 below and
+        # above the escape threshold alpha* = 0.56^2/11.52
         rng = np.random.default_rng(2026)
         states = [InitialState(*s) for s in UNBOUNDED_POLES.values()]
         states.append(InitialState(**NEAR_CIRCULAR_K2))
+        states += [InitialState(*RHOMBIC_PAST_HALF[:2], sign * RHOMBIC_PAST_HALF[2],
+                                RHOMBIC_PAST_HALF[3]) for sign in (1.0, -1.0)]
+        for side in (-1.0, 1.0):
+            alpha = 0.56**2 / 11.52 * (1.0 + side * 1e-8)
+            apse = build_context(InitialState(1.0, 1.2, 0.0, alpha))
+            half = 0.5 * apse.T_tau if apse.bounded else apse.lattice.real_half_period
+            for frac in (0.3, -0.8):
+                ps = state_at_tau(apse, frac * half)
+                states.append(InitialState(ps.r, ps.v, ps.gamma, alpha))
         for i in range(300):
             alpha = (1.0 if i % 2 else -1.0) * 10.0 ** rng.uniform(-9.0, -0.5)
             states.append(InitialState(rng.uniform(0.5, 3.0), rng.uniform(0.3, 1.8),
@@ -354,24 +380,33 @@ class TestOneStepInverse:
         return states
 
     def test_seed_meets_the_target(self, monkeypatch):
+        # the pole's seed within 1e-13 (1 + |w|) of the target, and r(tau0)
+        # within 1e-13 of r0 wherever tau0 is R_F's, off an apse
         refine = Lattice._refine_seed
         residuals = []
 
-        def checked(self, z, w, evaluate):
-            residuals.append(abs(evaluate(z)[0] - w) / (1.0 + abs(w)))
-            return refine(self, z, w, evaluate)
+        def checked(self, y, w):
+            residuals.append(abs(self._wp_imaginary(y)[0] - w) / (1.0 + abs(w)))
+            return refine(self, y, w)
 
         monkeypatch.setattr(Lattice, "_refine_seed", checked)
-        kinds = set()
+        kinds, off_apse = set(), set()
         for state in self.sweep_states():
             residuals.clear()
             ctx = build_context(state)
-            assert residuals and max(residuals) <= 1e-13
+            assert len(residuals) == 1 and residuals[0] <= 1e-13
             kinds.add((ctx.bounded, ctx.lattice.rectangular, state.alpha > 0.0,
                        ctx.v.real != 0.0))
+            tau0 = tau0_from_r0(ctx, state.r0, 1 if state.rdot0 >= 0.0 else -1)
+            if tau0 not in (0.0, 0.5 * ctx.T_tau if ctx.bounded else 0.0):
+                assert abs(r_of_tau(ctx, tau0) - state.r0) <= 1e-13 * state.r0
+                off_apse.add((ctx.bounded, ctx.lattice.rectangular,
+                              abs(tau0) > 0.5 * ctx.lattice.real_half_period))
         assert kinds == {(True, True, False, False), (True, True, True, False),
                          (False, True, True, False), (False, True, True, True),
                          (False, False, True, True)}
+        assert {(True, True), (False, True), (False, False)} == {k[:2] for k in off_apse}
+        assert (False, False, True) in off_apse
 
     def test_theta_pole_on_the_plus_i_branch(self):
         # p'(v) = +i v_m f'(r_m)/(4 r_m), as _theta_pole proves, on bounded,
@@ -394,14 +429,13 @@ class TestOneStepInverse:
                          (False, True, True), (False, False, True)}
 
     def test_seed_off_target_raises(self, worked_ctx):
-        # gaps of w + 1 handed in with w: the seed misses by far more than
+        # gaps of w - 1 handed in with w: the seed misses by far more than
         # the 1e-11 (1 + |w|) that one Newton step may start from
         lat = worked_ctx.lattice
-        e1 = lat.roots.e_tilde[0].real
-        w = e1 + 1.0
-        gaps = tuple(w + 1.0 - e.real for e in lat.roots.e_tilde)
+        w = lat.roots.e_tilde[2].real - 1.0
+        gaps = tuple(e.real - (w - 1.0) for e in lat.roots.e_tilde)
         with pytest.raises(WpInverseError):
-            lat.wp_inverse_real(w, gaps)
+            lat.wp_inverse_imaginary(w, gaps)
 
 
 class TestRadius:
@@ -539,15 +573,37 @@ class TestTau0:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_rhombic_start_past_half_the_real_period(self, sign):
-        # the escaping anchor (1.1, 1.5, 30 deg, 0.05) at tau = +/-0.7 w_r:
-        # p^-1 on a rhombic lattice past w_r/2 folds at the half period w_r
-        # (Lattice.wp_real); the start's rounding leaves 4.8e-15 of w_r
-        state = InitialState(19.751843564068306, 1.5486313019025022,
-                             sign * math.radians(87.32243744629993), 0.05)
+        # the escaping anchor (1.1, 1.5, 30 deg, 0.05) at tau = +/-0.7 w_r,
+        # past w_r/2, where the rhombic lattice's series do not reach and
+        # R_F does; the start's rounding leaves 4.8e-15 of w_r
+        r0, v0, gamma0, alpha = RHOMBIC_PAST_HALF
+        state = InitialState(r0, v0, sign * gamma0, alpha)
         ctx = build_context(state)
         assert not ctx.bounded and not ctx.lattice.rectangular
         assert abs(ctx.tau0 / ctx.lattice.real_half_period - sign * 0.7) <= 1e-14
         assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, -0.05])
+    @pytest.mark.parametrize("rel", [1e-11, 1e-10])
+    def test_apse_within_the_pad(self, alpha, rel):
+        # (1, 1.2, 0, alpha): WORKED, the rhombic escaping anchor and a k = 2
+        # orbit.  Past an apse, inside the 1e-9 pad of MotionClass.contains,
+        # r0 is that apse on both branches: tau0 = 0 or T_tau/2, exactly, as
+        # R_F of gaps of the wrong sign has no meaning there.  As far
+        # inside, tau0 is R_F's and r(tau0) meets r0
+        ctx = build_context(InitialState(1.0, 1.2, 0.0, alpha))
+        assert ctx.bounded == (alpha != 0.1)
+        apses = [(ctx.r_m, 0.0, -1.0)]
+        if ctx.bounded:
+            apses.append((ctx.region.r_hi, 0.5 * ctx.T_tau, 1.0))
+        for r_a, tau_a, outward in apses:
+            for sign in (1, -1):
+                past, inside = r_a * (1.0 + outward * rel), r_a * (1.0 - outward * rel)
+                assert ctx.region.contains(past)
+                assert tau0_from_r0(ctx, past, sign) == tau_a
+                tau0 = tau0_from_r0(ctx, inside, sign)
+                assert sign * tau0 > 0.0 and not (ctx.bounded and sign * tau0 >= 0.5 * ctx.T_tau)
+                assert abs(r_of_tau(ctx, tau0) - inside) <= 1e-13 * inside
 
     def test_out_of_interval(self, worked_ctx):
         with pytest.raises(OutOfIntervalError):
@@ -1101,20 +1157,15 @@ class TestInvertKepler:
         # Halley from the first two Taylor terms of t or the pole term of t
         # at the escape asymptote: no kernel call, and at most 3 evaluations
         # of t(tau) per sample on this sweep (the kernel route took up to 6
-        # wp_real calls, 22 when bracketing halfway to the asymptote)
+        # evaluations of p, 22 when bracketing halfway to the asymptote)
         ctx = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
-        calls, points = [], []
-        wp_real, orbit_point = Lattice.wp_real, propagation._orbit_point
-
-        def counted(self, x):
-            calls.append(x)
-            return wp_real(self, x)
+        calls, points = kernel_calls(monkeypatch), []
+        orbit_point = propagation._orbit_point
 
         def counted_point(ctx, tau):
             points.append(tau)
             return orbit_point(ctx, tau)
 
-        monkeypatch.setattr(Lattice, "wp_real", counted)
         monkeypatch.setattr(propagation, "_orbit_point", counted_point)
         counts = []
         for t in np.geomspace(0.5, 500.0, 60):
@@ -1321,6 +1372,28 @@ def radial_route(ctx):
     if form.func is propagation._fold_point:
         return "T' folded"
     return ("T'" if form.args[3] else "S") if form.args[2] else ("T" if form.args[3] else "S")
+
+
+@pytest.mark.parametrize("delta", [1e-8, 1e-4, 1e-2])
+def test_fold_meets_the_pole_at_the_real_half_period(delta):
+    # T' folded at w_r/2 (``_fold_point``) on (1, 1.2, 0, alpha*(1 + delta)),
+    # toward the escape asymptote w_r: with u = w_r - tau, r - r_m = 2/(a u^2),
+    # dr/dtau = 4/(a u^3) and t = 2/(a u) + c + O(u).  Measured worst 1.1e-15
+    # in r and dr/dtau from u = 1e-15 w_r on, and c steady to 3.4e-16 of t
+    alpha = 0.56**2 / 11.52 * (1.0 + delta)
+    ctx = build_context(InitialState(1.0, 1.2, 0.0, alpha))
+    assert radial_route(ctx) == "T' folded"
+    w_r = ctx.lattice.real_half_period
+    consts = []
+    for frac in (1e-15, 1e-12, 1e-9):
+        tau = w_r * (1.0 - frac)
+        u = w_r - tau
+        t, r, rp = propagation._orbit_point(ctx, tau)
+        assert abs((r - ctx.r_m) * alpha * u * u / 2.0 - 1.0) <= 4e-15
+        assert abs(rp * alpha * u**3 / 4.0 - 1.0) <= 4e-15
+        consts.append((t - 2.0 / (alpha * u), t))
+    (c_12, t_12), (c_9, _) = consts[1:]
+    assert abs(c_12 - c_9) <= 1e-14 * t_12
 
 
 @pytest.mark.parametrize("seed", [20, 21])
@@ -1593,20 +1666,15 @@ class TestPropagate:
                                                        monkeypatch):
         # r, dr/dtau and t of a state take one series evaluation, bounded or
         # not, inside or outside a period, and no kernel call
-        calls, points = [], []
-        wp_real, orbit_point = Lattice.wp_real, propagation._orbit_point
-
-        def counted(self, x):
-            calls.append(x)
-            return wp_real(self, x)
+        unbounded = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
+        calls, points = kernel_calls(monkeypatch), []
+        orbit_point = propagation._orbit_point
 
         def counted_point(ctx, tau):
             points.append(tau)
             return orbit_point(ctx, tau)
 
-        monkeypatch.setattr(Lattice, "wp_real", counted)
         monkeypatch.setattr(propagation, "_orbit_point", counted_point)
-        unbounded = build_context(InitialState(1.0, 1.2, 0.0, 0.1))
         w = unbounded.lattice.real_half_period
         for ctx, tau in ((worked_ctx, 1.1), (worked_ctx, 3.0), (worked_ctx, 30.0),
                          (unbounded, 0.1 * w), (unbounded, -0.5 * w), (unbounded, 0.99 * w)):

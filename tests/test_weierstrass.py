@@ -250,11 +250,10 @@ class TestHalfPeriods:
         for g2, g3 in LATTICE_GRID:
             lat = Lattice(g_roots(Invariants(g2, g3)))
             assert calls == []
-            # the series are live once construction is over: the real axis
-            # of a rhombic lattice is its companion's line at -ix
-            lat.wp_real(0.3 * lat.real_half_period)
-            assert calls == [("at" if lat.rectangular else "at_imaginary",
-                              0.3 * lat.real_half_period)]
+            # the series are live once construction is over: the imaginary
+            # axis of a rhombic lattice is its companion's real axis
+            lat._wp_imaginary(0.3)
+            assert calls == [("at_imaginary", -0.3) if lat.rectangular else ("at", 0.3)]
             calls.clear()
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
@@ -534,16 +533,16 @@ class TestNomeSeries:
         with pytest.raises(PoleProximityError):
             lat.nome_series.at_imaginary(0.0)
         # a rhombic lattice sums its companion's series, whose q^2 is
-        # negative; on its real axis p, p' and zeta come from the
-        # companion's line at -ix, and agree with the reference kernel
+        # negative; on its imaginary axis p, p' and zeta come from the
+        # companion's real axis, and agree with the reference kernel
         rhombic = ReferenceLattice.from_invariants(-1.0, 0.3)
         assert rhombic.nome_series.nome < 0.0
         for frac in (0.4, 0.8):
-            x = frac * rhombic.real_half_period
-            for got, want in zip(rhombic.wp_real(x), rhombic.wp_all(x)):
-                assert isinstance(got, float)
-                assert abs(got - want) <= 1e-15 * abs(want)
-                assert abs(want.imag) <= 1e-13 * abs(want)
+            y = frac * rhombic.periods.omega_prime.imag
+            p, dp, zt = rhombic._wp_imaginary(y)
+            assert all(isinstance(x, float) for x in (p, dp, zt))
+            for got, want in zip((p, -1j * dp, 1j * zt), rhombic.wp_all(1j * y)):
+                assert abs(got - want) <= 1e-14 * abs(want)
 
 
 # Unbounded states of the benchmark's state_scatter workload (seed 1) just
@@ -629,11 +628,11 @@ class TestRhombicSeries:
 
     @pytest.mark.parametrize("index", range(len(RHOMBIC_GRID) + len(NEAR_ESCAPE_RHOMBIC) + 2))
     def test_companion_route_matches_theta_reference(self, index):
-        # the package's route on both axes: the companion's line at -ix up
-        # to w_r/2 and the fold at e2 past it (to w_r itself), and the
-        # companion's real axis at iy.  Relative to the value or k^2, k^3
-        # and k, k that of the companion; measured worst 2.7e-14 (p' at
-        # (1.0, 1.0), |q| = 0.61)
+        # the package's route on the imaginary axis, the companion's real
+        # axis at iy, and the reference kernel on the real axis up to w_r
+        # itself, past the companion's reach w_r/2.  Relative to the value
+        # or k^2, k^3 and k, k that of the companion; measured worst 2.7e-14
+        # (p' at (1.0, 1.0) on the imaginary axis, |q| = 0.61)
         mp = pytest.importorskip("mpmath")
         lat = companion_lattices()[index]
         assert not lat.rectangular
@@ -645,7 +644,8 @@ class TestRhombicSeries:
             e = [x - mean for x in e]
             g2 = mp.re(-4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]))
             ref, _, _ = theta_reference(g2, mp.re(4 * e[0] * e[1] * e[2]), mp)
-            points = [(frac * w_r, lat.wp_real(frac * w_r))
+            kernel = ReferenceLattice(lat.roots)
+            points = [(frac * w_r, kernel.wp_all(frac * w_r)[:3])
                       for frac in (0.05, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99, 1.0)]
             for frac in (0.05, 0.3, 0.7, 1.0):
                 p, dp, zt = lat._wp_imaginary(frac * w_i)
@@ -659,22 +659,16 @@ class TestRhombicSeries:
 
     @pytest.mark.parametrize("index", range(len(RHOMBIC_GRID)))
     def test_fold_meets_its_taylor_terms_at_the_half_period(self, index):
-        # within the pole guard of w_r, where p(u) would raise, wp_real takes
-        # the Taylor terms about w_r: on either side of the guard p = e2 to
-        # rounding and p' = -2 G u; inside it zeta = zeta(w_r) + e2 u
+        # p folds back at w_r: p(w_r - u) = e2 + G u^2 + O(u^4), G = |e1 - e2|^2.
+        # R_F of the gaps of that value is w_r - u to rounding, from u
+        # inside the pole guard on; measured worst 5.9e-16 w_r
         lat = rhombic_lattices()[index]
-        w_r, e2 = lat.real_half_period, lat.roots.e_tilde[1].real
-        g = abs(lat.roots.gaps[0]) ** 2
-        eta_r = lat.periods.eta_k(2).real
+        w_r, g12 = lat.real_half_period, lat.roots.gaps[0]
         guard = weierstrass._POLE_GUARD
-        for u in (0.5 * guard, 2.0 * guard):
-            x = w_r - u
-            p, pp, zt = lat.wp_real(x)
-            assert abs(p - e2) <= 1e-15 * max(abs(e2), math.sqrt(g))
-            assert pp == pytest.approx(-2.0 * g * (w_r - x), rel=1e-9)
-            if u < guard:
-                assert zt == pytest.approx(eta_r + e2 * (w_r - x),
-                                           abs=1e-15 * (1.0 + abs(eta_r)))
+        for u in (0.5 * guard, 2.0 * guard, 1e-9 * w_r, 1e-6 * w_r):
+            gap2 = abs(g12) ** 2 * u * u
+            x = lat.wp_inverse_real((gap2 - g12, gap2, (gap2 - g12).conjugate()))
+            assert abs(x - (w_r - u)) <= 2e-15 * w_r
 
     def test_near_escape_periods_keep_their_digits(self):
         # R_F(0, e2 - e1, e2 - e3) with e1 - e2 near the negative real axis
@@ -734,15 +728,16 @@ class TestInverse:
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_real_inverse_from_root_gaps(self, g2, g3):
-        # x in [0, w_r] with p(x) = w >= e_k; w = e_k gives w_r itself
+        # x in (0, w_r) with p(x) = w > e_k, R_F of the gaps; w = e_k gives
+        # w_r to the rounding of R_F
         lat = ReferenceLattice.from_invariants(g2, g3)
         w_r = lat.real_half_period
         e_k = lat.roots.e_tilde[0 if lat.rectangular else 1].real
         for frac in (0.05, 0.4, 0.9, 0.999, 1.0):
-            w = e_k if frac == 1.0 else lat.wp_real(frac * w_r)[0]
-            x = lat.wp_inverse_real(w, self.gaps(lat, w, 1.0))
-            assert 0.0 < x <= w_r
-            assert abs(lat.wp_real(x)[0] - w) <= 1e-13 * (1.0 + abs(w))
+            w = e_k if frac == 1.0 else lat.wp(frac * w_r).real
+            x = lat.wp_inverse_real(self.gaps(lat, w, 1.0))
+            assert 0.0 < x < w_r or frac == 1.0   # there R_F rounds to w_r
+            assert abs(lat.wp(x) - w) <= 1e-13 * (1.0 + abs(w))
             if frac < 0.95:
                 assert x == pytest.approx(frac * w_r, rel=1e-12)
         assert x == pytest.approx(w_r, rel=1e-15)

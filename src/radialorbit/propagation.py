@@ -12,7 +12,11 @@ g3 = a^2 h^2/4 + a E/6 - E^3/27, ek is always a root of 4 s^3 - g2 s - g3,
 w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
-a function of physical time.
+a function of physical time.  On bounded motion the series S below is a
+generalised Kepler equation, M = y - sum e_n sin ny in the mean anomalies
+M and y of t and tau, whose first three harmonics start the inversion
+(``_kepler_start``); a Halley step whose Taylor remainder is at the
+rounding of t is then taken without a further evaluation.
 
 By the half-period addition theorem r - r_m = (2/a)(p(tau + w_k) - ek),
 whose nome series (DLMF 23.8.1 shifted by a half period) carries 1/a in
@@ -82,7 +86,7 @@ of 0.
 from __future__ import annotations
 
 import cmath
-import dataclasses
+import collections
 import math
 from functools import cached_property, partial
 
@@ -104,8 +108,8 @@ class SolutionContext:
 
     Built in the three stages of the module docstring, each run once: the
     constructor, ``add_pole`` and ``add_epoch``, which ``build_context``
-    chains.  Unchanged once built, apart from the radial and theta series,
-    which are made on first use.
+    chains.  Unchanged once built, apart from the radial and theta series
+    and the Kepler harmonics, which are made on first use.
     """
 
     def __init__(self, state: InitialState) -> None:
@@ -165,21 +169,20 @@ class SolutionContext:
         return _radial_forms(self)
 
     @cached_property
+    def _kepler(self) -> tuple[float, float, float]:
+        # made on the first bounded inversion, like _radial
+        return _kepler_harmonics(self)
+
+    @cached_property
     def _theta_series(self) -> partial:
         # made on the first theta: a pericenter epoch read for its periods never takes one
         return _theta_series(self)
 
 
-@dataclasses.dataclass(frozen=True)
-class PropagatedState:
+class PropagatedState(collections.namedtuple("PropagatedState", "r theta v gamma tau t")):
     """State at pseudo-time tau; t counts from pericenter, theta from the epoch."""
 
-    r: float
-    theta: float
-    v: float
-    gamma: float
-    tau: float
-    t: float
+    __slots__ = ()
 
 
 def invariants_from_conserved(alpha: float, energy: float, momentum: float
@@ -755,11 +758,14 @@ def radial_kepler(ctx: SolutionContext, tau: float) -> float:
 def invert_kepler(ctx: SolutionContext, t: float) -> float:
     """Solve t(tau) = t for tau: safeguarded Halley steps on the monotone branch.
 
-    Bounded motion brackets tau by one period and starts from Kepler's
-    equation (``_kepler_start``), unbounded motion by [0, w_r), w_r the
-    escape asymptote, and starts from the Taylor series of t or its pole
-    at w_r (``_unbounded_start``).  Each step takes t, t' = r and t'' =
-    dr/dtau from one evaluation (``_halley_bisect``).
+    Bounded motion folds t to [0, T_t), brackets tau by one period and
+    starts from the first three harmonics of S (``_kepler_start``);
+    unbounded motion brackets tau by [0, w_r), w_r the escape asymptote,
+    and starts from the Taylor series of t, the alpha = 0 hyperbola or the
+    pole of t at w_r (``_unbounded_start``).  Each evaluation gives t,
+    t' = r and t'' = dr/dtau, and a Halley step from it is taken without
+    another evaluation once its Taylor remainder is at the rounding of t
+    (``_halley_bisect``): about one evaluation per bounded sample.
     """
     return _invert(ctx, t)[0]
 
@@ -840,59 +846,103 @@ def _hyperbolic_anomaly(excess: float, mean: float) -> float:
     return anomaly
 
 
-def _kepler_start(ctx: SolutionContext, t: float) -> float:
-    """tau at time t in [0, T_t) on the a = 0 orbit with the same apses and periods.
+def _kepler_harmonics(ctx: SolutionContext) -> tuple[float, float, float]:
+    """(e1, e2, e3), the first three harmonics of bounded t(tau) (``_kepler_start``).
 
-    Kepler's equation M = E - e sin E, M = 2 pi t/T_t, e = (r_M - r_m)/(r_M + r_m)
-    gives the eccentric anomaly E, and tau = E T_tau/(2 pi).
+    e_n = 16 k^2 a_n T_tau/T_t, with a_n = s^n q^n/(a (1 - q^2n)) the
+    coefficients of S in the module docstring, k = pi/(2 omega) and q =
+    exp(-pi |omega'|/omega); also where T' sums the series.
     """
-    r_hi = ctx.region.r_hi
-    ecc = (r_hi - ctx.r_m) / (r_hi + ctx.r_m)
+    w_r, w_p = ctx.lattice.real_half_period, ctx.lattice.periods.omega_prime.imag
+    k, q = math.pi / (2.0 * w_r), math.exp(-math.pi * w_p / w_r)
+    s = q if ctx.k == 3 else -q
+    scale = 16.0 * k * k * ctx.T_tau / (ctx.T_t * ctx.state.alpha)
+    return tuple(scale * s**n / (1.0 - q ** (2 * n)) for n in (1, 2, 3))
+
+
+def _kepler_start(ctx: SolutionContext, t: float) -> float:
+    """tau at time t in [0, T_t) from the first three harmonics of S.
+
+    S is a generalised Kepler equation: with y = 2 pi tau/T_tau and M =
+    2 pi t/T_t it reads M = y - sum e_n sin ny, e_n of order q^n
+    (``_kepler_harmonics``), and the first three harmonics leave an error of
+    order e_1 q^3 in y.  Newton steps start from Kepler's first-order
+    estimate y = M + e_1 sin M.  The truncated equation need not be
+    monotone at large q and high eccentricity, so a step is taken only
+    where its derivative is positive and it lands in the bracket, which
+    starts as [0, 2 pi); otherwise the bracket is bisected.  The steps stop
+    after one below 2^-17, about the cube root of the 2^-52 that
+    ``_halley_bisect`` holds its remainder to: the error left, of order the
+    step's square, is then below what the first Halley step takes.
+    """
+    e1, e2, e3 = ctx._kepler
     mean = 2.0 * math.pi * t / ctx.T_t
-    anomaly = mean + 0.85 * ecc * (1.0 if mean < math.pi else -1.0)
-    for _ in range(50):
-        step = (anomaly - ecc * math.sin(anomaly) - mean) / (1.0 - ecc * math.cos(anomaly))
-        anomaly -= step
-        if abs(step) <= 1e-12:
+    lo, hi, y = 0.0, 2.0 * math.pi, mean + e1 * math.sin(mean)
+    for _ in range(60):
+        s, c = math.sin(y), math.cos(y)
+        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
+        s3, c3 = s2 * c + c2 * s, c2 * c - s2 * s
+        g = y - e1 * s - e2 * s2 - e3 * s3 - mean
+        if g > 0.0:
+            hi = y
+        else:
+            lo = y
+        slope = 1.0 - e1 * c - 2.0 * e2 * c2 - 3.0 * e3 * c3
+        y_new = y - g / slope if slope > 0.0 else math.inf
+        if not lo <= y_new <= hi:
+            y_new = 0.5 * (lo + hi)
+        step, y = y_new - y, y_new
+        if abs(step) <= 2.0**-17:
             break
-    return anomaly / (2.0 * math.pi) * ctx.T_tau
+    return y / (2.0 * math.pi) * ctx.T_tau
 
 
 def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
                    guess: float) -> tuple[float, float, float]:
     """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess.
 
-    The steps stop once |t(tau) - t| <= tol = 1e-13 max(1, |t|) or, on
-    unbounded motion, once the residual that a Newton step h = -err/r leaves,
-    h^2 |dr/dtau|/2 + |h|^3 |f'(r)|/12 by Taylor, is below the rounding
-    2^-52 |t| that every form gives t to.  The Newton step then refines tau,
-    and r'' = f'(r)/2 carries r and dr/dtau along.
+    Each evaluation (t(tau), r, r') gives the Halley step h.  With r'' =
+    f'(r)/2 and r''' = f''(r) r'/2, Taylor puts its residual in t at
+    h^3 (f'(r)/12 - r'^2/(4r)), and tau + h is taken with no further
+    evaluation once it lies in the bracket and |h|^3 (r'^2/(4r) +
+    |f'(r)|/12) is below the rounding 2^-52 |t| that every form gives t
+    to.  r and r' are carried to tau + h to third and second order; the
+    next Taylor terms, from r'''' = 6 a r'^2 + f'(r) f''(r)/4, must also
+    be below 2^-52 of their own scales: r, and for r' the r v =
+    sqrt(r'^2 + h_mom^2) that the flight-path angle atan2(r', h_mom) reads
+    it against.  Otherwise the Halley step, or the bracket's midpoint
+    where that leaves the bracket, is the next tau.
     """
-    tol = 1e-13 * max(1.0, abs(t))
+    f, alpha, momentum = ctx.f, ctx.state.alpha, ctx.momentum
+    ulp = 2.0 * _UNIT_ROUNDOFF
     tau = min(max(guess, lo), hi)
     for _ in range(100):
         t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
-        step = -err / r
-        if abs(err) <= tol or not ctx.bounded and step * step * (
-                0.5 * abs(rp) + abs(ctx.f.df(r) * step) / 12.0) <= 2.0 * _UNIT_ROUNDOFF * abs(t):
-            fp = ctx.f.df(r)
-            return tau + step, r + rp * step + 0.25 * fp * step * step, rp + 0.5 * fp * step
         if err > 0.0:
             hi = tau
         else:
             lo = tau
-        # Halley: the Newton step err/r corrected by the curvature dr/dtau
         denom = 2.0 * r * r - err * rp
-        tau_new = tau - 2.0 * err * r / denom if denom > 0.0 else lo
-        if not (lo < tau_new < hi):    # outside the bracket, or no Halley step
+        tau_new = lo
+        if denom > 0.0:
+            h = -2.0 * err * r / denom
+            tau_new = tau + h
+            if lo <= tau_new <= hi:
+                fp, fpp = f.df(r), f.d2f(r)
+                cube = h * h * abs(h)
+                fourth = cube * (abs(6.0 * alpha) * rp * rp + 0.25 * abs(fp * fpp))
+                if (cube * (0.25 * rp * rp / r + abs(fp) / 12.0) <= ulp * abs(t)
+                        and fourth <= 6.0 * ulp * math.hypot(rp, momentum)
+                        and fourth * abs(h) <= 24.0 * ulp * r):
+                    return (tau_new, r + h * (rp + h * (0.25 * fp + h * fpp * rp / 12.0)),
+                            rp + h * (0.5 * fp + 0.25 * h * fpp * rp))
+        if not lo < tau_new < hi:    # outside the bracket, or no Halley step
             tau_new = 0.5 * (lo + hi)
         if tau_new == tau:
             return tau, r, rp
         tau = tau_new
-    raise ConvergenceError(
-        f"radial Kepler inversion failed to reach {tol:.1e} for t={t!r}"
-    )
+    raise ConvergenceError(f"radial Kepler inversion failed to converge for t={t!r}")
 
 
 def propagate_ctx(ctx: SolutionContext, dt: float) -> PropagatedState:

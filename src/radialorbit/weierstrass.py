@@ -317,28 +317,31 @@ class NomeSeries:
     each sum is below the unit roundoff in units of k^2, k^3 and k, the
     sizes of the leading terms csc^2 u >= 1, the cube and the cotangent.
     The same list of terms gives eta/omega when it is not known in closed
-    form.
+    form.  It is made on first use: ``at_imaginary`` sums its own terms, so
+    a rectangular lattice, whose eta/omega is known in closed form and
+    whose series is read on the imaginary axis alone, never makes it.
     """
 
-    __slots__ = ("k", "nome", "eta_over_omega", "terms")
-
     def __init__(self, k: float, nome: float, eta_over_omega: float | None = None) -> None:
-        q2 = nome * abs(nome)
-        bound = _UNIT_ROUNDOFF * (1.0 - abs(nome))
+        self.k = k
+        self.nome = nome
+        if eta_over_omega is None:
+            eta_over_omega = k * k * (1.0 / 3.0 - sum(a for a, _, _ in reversed(self.terms)))
+        self.eta_over_omega = eta_over_omega
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, float, float], ...]:
+        """(8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ..., to the bound of the class docstring."""
+        q2 = self.nome * abs(self.nome)
+        bound = _UNIT_ROUNDOFF * (1.0 - abs(self.nome))
         terms = []
         n, q2n = 1, q2
         while True:
             c = q2n / (1.0 - q2n)
             if 16.0 * n * n * abs(c) <= bound:
-                break
+                return tuple(terms)
             terms.append((8.0 * n * c, 16.0 * n * n * c, 4.0 * c))
             n, q2n = n + 1, q2n * q2
-        if eta_over_omega is None:
-            eta_over_omega = k * k * (1.0 / 3.0 - sum(a for a, _, _ in reversed(terms)))
-        self.k = k
-        self.nome = nome
-        self.eta_over_omega = eta_over_omega
-        self.terms = tuple(terms)   # (8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ...
 
     def at(self, x: float) -> tuple[float, float, float]:
         """(p, p', zeta) at real x."""

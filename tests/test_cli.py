@@ -331,7 +331,7 @@ class TestPeriod:
                                  "--samples", "3", "--format", "json"]))
         curve = doc["kepler_curve"]
         assert [row["tau"] for row in curve] == pytest.approx(
-            [0.0, 0.5 * doc["T_tau"], doc["T_tau"]], rel=1e-15)
+            [0.0, 0.5 * doc["T_tau"], doc["T_tau"]], rel=1e-15, abs=0.0)
         assert curve[0]["t"] == 0.0
         assert curve[-1]["t"] == pytest.approx(doc["T_t"], rel=1e-12)
 

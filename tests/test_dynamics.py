@@ -39,7 +39,7 @@ class TestConserved:
     def test_gamma_reduces_momentum(self):
         state = InitialState(2.0, 1.0, math.pi / 3.0, 0.01)
         assert state.momentum == pytest.approx(2.0 * math.cos(math.pi / 3.0),
-                                               rel=1e-15)
+                                               rel=1e-15, abs=0.0)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

@@ -166,7 +166,7 @@ class TestBuildContext:
         for got, near, far in zip((p, pp, zt), shifted, kernel):
             assert abs(got - near) <= 1e-14 * (1.0 + abs(got))
             assert abs(got - far) <= 1e-13 * (1.0 + abs(got))
-        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13)
+        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13, abs=0.0)
 
     def test_apse_epoch_without_inversion(self):
         # near-circular apse start: f(r0) = 0 makes r0 a root exactly, the
@@ -201,8 +201,8 @@ class TestBuildContext:
         ctx = build_context(state)
         assert calls == []
         assert ctx.tau0 == 0.5 * ctx.T_tau
-        assert ctx.t0 == pytest.approx(0.5 * ctx.T_t, rel=1e-13)
-        assert ctx.theta0 == pytest.approx(0.5 * ctx.dtheta_period, rel=1e-13)
+        assert ctx.t0 == pytest.approx(0.5 * ctx.T_t, rel=1e-13, abs=0.0)
+        assert ctx.theta0 == pytest.approx(0.5 * ctx.dtheta_period, rel=1e-13, abs=0.0)
 
     def test_theta_pole_branch(self, worked_ctx):
         ctx = worked_ctx
@@ -320,7 +320,7 @@ class TestUnboundedPole:
         c_v = 0.25 * ctx.f.df(ctx.r_m) / ctx.r_m
         v, (p, pp, zt) = propagation._theta_pole(lat, ctx.k, ctx.e_k, c_v)
         assert v == ctx.v and zt == ctx.zeta_v
-        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13)
+        assert pp == pytest.approx(1j * ctx.v_m * c_v, rel=1e-13, abs=0.0)
         for got, want in zip((p, pp, zt), oracle.ReferenceLattice(lat.roots).wp_all(v)):
             assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
 
@@ -329,7 +329,7 @@ class TestUnboundedPole:
         # measured worst 3.9e-12 in r and 3.4e-12 in theta
         state = InitialState(*UNBOUNDED_POLES[name])
         ctx = build_context(state)
-        assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-13)
+        assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-13, abs=0.0)
         traj = oracle.integrate_ode(state, 30.0)
         for t in np.linspace(0.05, 1.0, 8) * 30.0:
             r_ref, th_ref, _, _ = traj.at(t)
@@ -883,10 +883,10 @@ class TestRadialKepler:
         for ctx in (worked_ctx, rosette_ctx):
             for n in (50, -60, 200):
                 assert radial_kepler(ctx, (n + 0.5) * ctx.T_tau) == pytest.approx(
-                    (n + 0.5) * ctx.T_t, rel=1e-13)
+                    (n + 0.5) * ctx.T_t, rel=1e-13, abs=0.0)
                 tau = n * ctx.T_tau + 0.3
                 assert radial_kepler(ctx, tau) == pytest.approx(
-                    n * ctx.T_t + radial_kepler(ctx, 0.3), rel=1e-13)
+                    n * ctx.T_t + radial_kepler(ctx, 0.3), rel=1e-13, abs=0.0)
 
     def test_full_period_value(self, worked_ctx):
         assert radial_kepler(worked_ctx, worked_ctx.T_tau) == pytest.approx(
@@ -967,7 +967,7 @@ class TestRootsOfF:
         ctx = build_context(InitialState(1.0, 1.5, 0.0, 1e-6))
         ps = propagate_ctx(ctx, 174.3)
         assert 0.3 * ctx.lattice.real_half_period < ps.tau < ctx._radial[0]
-        assert ps.r == pytest.approx(98.125204137170427955, rel=1e-14)
+        assert ps.r == pytest.approx(98.125204137170427955, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("state", [
         *(InitialState(1.0, math.sqrt(1.0 - a), 0.0, a) for a in (0.01, -0.01, 1e-6, 1e-10)),
@@ -1058,11 +1058,11 @@ class TestPericenterSeries:
         k, table = form.args[1], form.args[-1]
         b1 = 32.0 * k**4 * math.fsum(n * row[1] for n, row in enumerate(table, 1))
         b2 = -32.0 / 3.0 * k**6 * math.fsum(n**3 * row[1] for n, row in enumerate(table, 1))
-        assert b1 == pytest.approx(fp / 4.0, rel=1e-14)
-        assert b2 == pytest.approx(fpp * fp / 96.0, rel=1e-13)
+        assert b1 == pytest.approx(fp / 4.0, rel=1e-14, abs=0.0)
+        assert b2 == pytest.approx(fpp * fp / 96.0, rel=1e-13, abs=0.0)
         for tau in (1e-6, 1e-4, -1e-3):
             assert r_of_tau(ctx, tau) == pytest.approx(
-                ctx.r_m + b1 * tau**2 + b2 * tau**4, rel=2e-16)
+                ctx.r_m + b1 * tau**2 + b2 * tau**4, rel=2e-16, abs=0.0)
 
     def test_coefficients_are_lattice_sums(self, anchor_ctx):
         # r - r_m = (2/a)(p(tau + w_k) - e_k), with p from the kernel
@@ -1077,8 +1077,8 @@ class TestPericenterSeries:
         ctx = anchor_ctx
         for tau in np.linspace(0.05, 0.95, 19) * ctx.T_tau:
             want = zeta_pair_time(ctx, tau)
-            assert radial_kepler(ctx, tau) == pytest.approx(want, rel=5e-14)
-            assert radial_kepler(ctx, -tau) == pytest.approx(-want, rel=5e-14)
+            assert radial_kepler(ctx, tau) == pytest.approx(want, rel=5e-14, abs=0.0)
+            assert radial_kepler(ctx, -tau) == pytest.approx(-want, rel=5e-14, abs=0.0)
 
     @pytest.mark.parametrize("state", [(1.0, 1.2, 0.0, 0.02),
                                        (1.0, 1.2601352426205996, 0.0, -0.05),
@@ -1099,8 +1099,9 @@ class TestPericenterSeries:
         ctx = build_context(InitialState(*LOW_ALPHA[0]))
         ref = 2.0 * oracle.quadrature_tof(ctx.state, ctx.r_m, ctx.region.r_hi)
         assert ctx.T_t == pytest.approx(ref, rel=1e-11)
-        assert radial_kepler(ctx, ctx.T_tau) == pytest.approx(ctx.T_t, rel=1e-15)
-        assert radial_kepler(ctx, 0.5 * ctx.T_tau) == pytest.approx(0.5 * ctx.T_t, rel=1e-15)
+        assert radial_kepler(ctx, ctx.T_tau) == pytest.approx(ctx.T_t, rel=1e-15, abs=0.0)
+        assert radial_kepler(ctx, 0.5 * ctx.T_tau) == pytest.approx(0.5 * ctx.T_t,
+                                                                    rel=1e-15, abs=0.0)
 
     def test_made_once_and_only_when_needed(self, monkeypatch):
         made = []
@@ -1120,6 +1121,36 @@ class TestPericenterSeries:
         state_at_tau(apse, 0.3)
         state_at_tau(apse, 0.5 * apse.T_tau)
         assert len(made) == 2
+
+
+# Bounded orbits of the one-evaluation inversion: the benchmark's dense
+# orbit anchors, then Kepler ellipses (a, e, nu) perturbed by an |alpha| in
+# [5e-4, 5e-2] of either sign
+def kepler_orbits(seed, count):
+    rng = np.random.default_rng(seed)
+    states = [InitialState(**kw) for kw in (WORKED, ROSETTE, TILTED, INBOUND)]
+    while len(states) < 4 + count:
+        a, e, nu = rng.uniform(0.8, 1.8), rng.uniform(0.05, 0.6), rng.uniform(-math.pi, math.pi)
+        alpha = (-1.0) ** len(states) * 10.0 ** rng.uniform(-3.3, -1.3)
+        r0 = a * (1.0 - e * e) / (1.0 + e * math.cos(nu))
+        state = InitialState(r0, math.sqrt(2.0 / r0 - 1.0 / a),
+                             math.atan2(e * math.sin(nu), 1.0 + e * math.cos(nu)), alpha)
+        if build_context(state).bounded:
+            states.append(state)
+    return states
+
+
+# Kepler eccentricity 0.95 in a confining field (k = 2, apses 1 and 8.7),
+# and q = 0.22 and 0.41 just below the escape threshold of (1, 1.2, 0, .)
+KEPLER_HARD = [InitialState(1.0, math.sqrt(1.95), 0.0, -0.01)] + [
+    InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 - delta))
+    for delta in (1e-4, 1e-8)]
+
+KEPLER_ACCEPTED = [tuple(kw.values()) for kw in (WORKED, ROSETTE, TILTED, INBOUND)] + [
+    (1.0, math.sqrt(1.95), 0.0, -0.01),
+    (1.0, 1.5, 0.3, 1e-6),
+    (1.1, 1.5, math.radians(30.0), 0.05),
+] + [(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta)) for delta in (1e-8, 1e-4)]
 
 
 class TestInvertKepler:
@@ -1149,8 +1180,8 @@ class TestInvertKepler:
         times = np.linspace(0.3, 10.0 * worked_ctx.T_t, 50)
         for t in times:
             propagate_ctx(worked_ctx, t)
-        # a Kepler-equation start and Halley steps, about three t(tau)
-        # evaluations per sample, each from the nome series: no kernel call
+        # a start from S's first three harmonics and one Halley step, one
+        # t(tau) evaluation per sample, from the nome series: no kernel call
         assert calls == []
 
     def test_unbounded_kernel_calls_per_sample(self, monkeypatch):
@@ -1212,6 +1243,91 @@ class TestInvertKepler:
             assert abs(ps.r - r_ref) / r_ref < 2e-11
             assert abs(ps.theta - th_ref) < 1e-11
 
+    def test_evaluations_per_inversion(self, monkeypatch):
+        # S's first three harmonics start a bounded inversion close enough
+        # for the first Halley step to be taken: 1.0 evaluations per sample
+        # on the plain orbits (2.5 from the alpha = 0 ellipse and the
+        # residual stop), at most 2.1 where a high eccentricity or q up to
+        # 0.41 leaves the truncated harmonics further off (3.0-3.4)
+        points = []
+        orbit_point = propagation._orbit_point
+        monkeypatch.setattr(propagation, "_orbit_point",
+                            lambda ctx, tau: points.append(tau) or orbit_point(ctx, tau))
+
+        def evaluations(state):
+            ctx = build_context(state)
+            points.clear()
+            for j in range(1, 40):      # 20 radial periods, no sample at the epoch
+                propagate_ctx(ctx, 20.0 * ctx.T_t * j / 39.0)
+            return len(points) / 39.0
+
+        assert np.mean([evaluations(s) for s in kepler_orbits(seed=24, count=16)]) <= 1.1
+        for state in KEPLER_HARD:
+            assert evaluations(state) <= 2.2
+
+    @pytest.mark.parametrize("state", KEPLER_ACCEPTED, ids=[
+        "worked", "rosette", "tilted", "inbound", "ecc_0.95",
+        "hyperbolic", "escaping", "rhombic_1e-8", "rhombic_1e-4"])
+    def test_accepted_point_matches_a_fresh_evaluation(self, state):
+        # t, r and r' where the Halley step is taken, carried to tau + h,
+        # against _orbit_point at the returned tau: r within the rounding
+        # of two evaluations (up to 4 ulps each), r' within 2^-50 r v, the
+        # scale gamma = atan2(r', h) reads it against, and t(tau) within
+        # 2^-50 max(1, |t|); plus what one ulp of tau, conditioning the
+        # returned float, moves each by.  Bounded t is in [0, T_t), to
+        # which the inversion folds it.  A first-order carry of r' after a
+        # Newton step missed by up to 4.7 times its bound on the rhombic
+        # states, at t from 49 to 129, which the dense stretch covers
+        ctx = build_context(InitialState(*state))
+        rng = np.random.default_rng(17)
+        times = (rng.uniform(0.0, ctx.T_t, 100) if ctx.bounded
+                 else np.concatenate([rng.uniform(-2000.0, 2000.0, 80),
+                                      np.geomspace(1e-3, 2000.0, 20),
+                                      np.linspace(40.0, 140.0, 201)]))
+        for t in times:
+            tau, r, rp = propagation._invert(ctx, t)
+            t_f, r_f, rp_f = propagation._orbit_point(ctx, tau)
+            ulp = math.ulp(tau)
+            assert abs(r - r_f) <= 8.0 * math.ulp(r_f) + abs(rp_f) * ulp
+            assert abs(rp - rp_f) <= (2.0**-50 * math.hypot(rp_f, ctx.momentum)
+                                      + 0.5 * abs(ctx.f.df(r_f)) * ulp)
+            assert abs(t_f - t) <= 2.0**-50 * max(1.0, abs(t)) + r_f * ulp
+
+    def test_start_from_the_harmonics_of_s(self):
+        # Newton's last step on the truncated equation is below 2^-17, which
+        # leaves an error of order its square (measured residual 2^-36.7),
+        # and the truncated root is within about e_1 q^3 of the true one
+        # (2.9e-6 of T_tau on the benchmark's dense orbits; the alpha = 0
+        # ellipse started up to 3.1e-3 off)
+        for state in kepler_orbits(seed=24, count=8) + KEPLER_HARD:
+            ctx = build_context(state)
+            e1, e2, e3 = ctx._kepler
+            q = math.exp(-math.pi * ctx.lattice.periods.omega_prime.imag / (0.5 * ctx.T_tau))
+            for frac in np.linspace(0.0, 1.0, 25, endpoint=False):
+                t = frac * ctx.T_t
+                tau = propagation._kepler_start(ctx, t)
+                y = 2.0 * math.pi * tau / ctx.T_tau
+                mean = y - e1 * math.sin(y) - e2 * math.sin(2 * y) - e3 * math.sin(3 * y)
+                assert abs(mean - 2.0 * math.pi * frac) <= 2.0**-34
+                root = propagation.invert_kepler(ctx, t)
+                assert abs(tau - root) <= (2.0 * abs(e1) * q**3 + 2.0**-32) * ctx.T_tau
+
+    @pytest.mark.parametrize("harmonics", [(1.5, 0.0, 0.0), (0.9, 0.3, 0.1), (1.2, -0.4, 0.3)])
+    def test_start_bisects_where_the_truncation_is_not_monotone(self, worked_ctx, harmonics):
+        # harmonics whose truncated equation falls somewhere: Newton steps
+        # only where it rises and inside the bracket, else bisection, and the
+        # start still lands on a root of the truncation in [0, T_tau]
+        # (measured residual 2^-33.6 at worst)
+        ctx = build_context(worked_ctx.state)
+        ctx._kepler = e1, e2, e3 = harmonics
+        for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
+            tau = propagation._kepler_start(ctx, frac * ctx.T_t)
+            assert 0.0 <= tau <= ctx.T_tau
+            y = 2.0 * math.pi * tau / ctx.T_tau
+            mean = y - e1 * math.sin(y) - e2 * math.sin(2 * y) - e3 * math.sin(3 * y)
+            slope = 1.0 + abs(e1) + 2.0 * abs(e2) + 3.0 * abs(e3)
+            assert abs(mean - 2.0 * math.pi * frac) <= 2.0**-17 * slope
+
 
 # Unbounded states whose Kepler start fell at or past the escape asymptote
 # w_r: (state, ((t, r, theta), ...)) with r and theta from perfbench's
@@ -1257,7 +1373,7 @@ def test_unbounded_start_from_the_hyperbola(monkeypatch):
     for t, root in ((400.0, 8.934851293292914), (1000.0, 10.678580123201941)):
         assert root <= propagation._unbounded_start(ctx, t) <= root * (1.0 + 2e-4)
         calls.clear()
-        assert invert_kepler(ctx, t) == pytest.approx(root, rel=1e-15)
+        assert invert_kepler(ctx, t) == pytest.approx(root, rel=1e-15, abs=0.0)
         assert len(calls) == 2
 
 
@@ -1617,7 +1733,7 @@ class TestNearApseEpoch:
     def test_inbound_pericenter_epoch_is_negative(self):
         # T_tau + x would round x to an ulp of T_tau
         ctx = build_context(InitialState(1.0, 1.2, -1e-7, 0.02))
-        assert ctx.tau0 == pytest.approx(-2.608695652173866e-07, rel=1e-13)
+        assert ctx.tau0 == pytest.approx(-2.608695652173866e-07, rel=1e-13, abs=0.0)
 
 
 class TestPropagate:

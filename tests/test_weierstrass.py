@@ -151,7 +151,7 @@ class TestHalfPeriods:
     def test_lemniscatic_case(self):
         per = ReferenceLattice.from_invariants(4.0, 0.0).periods
         assert per.omega.real == pytest.approx(
-            1.8540746773013719 / math.sqrt(2.0), rel=1e-14
+            1.8540746773013719 / math.sqrt(2.0), rel=1e-14, abs=0.0
         )
         assert per.omega.imag == 0.0
         assert per.omega_prime.real == 0.0
@@ -274,7 +274,8 @@ class TestHalfPeriods:
                 x, y = propagation._coordinates(w, per.omega, per.omega_prime)
                 assert abs(x - round(x)) + abs(y - round(y)) <= 1e-12
         assert tau.imag > 0.0
-        assert lat.kernel.nome == pytest.approx(cmath.exp(1j * math.pi * tau), rel=1e-14)
+        assert lat.kernel.nome == pytest.approx(cmath.exp(1j * math.pi * tau),
+                                                rel=1e-14, abs=0.0)
 
     def test_rectangular_orientation_for_positive_g3(self):
         per = ReferenceLattice.from_invariants(3.0, 0.5).periods
@@ -740,7 +741,7 @@ class TestInverse:
             assert abs(lat.wp(x) - w) <= 1e-13 * (1.0 + abs(w))
             if frac < 0.95:
                 assert x == pytest.approx(frac * w_r, rel=1e-12)
-        assert x == pytest.approx(w_r, rel=1e-15)
+        assert x == pytest.approx(w_r, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_imaginary_inverse_from_root_gaps(self, g2, g3):

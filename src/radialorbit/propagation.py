@@ -71,7 +71,8 @@ angles are measured).  Period sweeps build the frame alone,
 ``analysis.find_periodic_v`` the frame and pole per speed and the epoch
 for the speed it returns.  The lattice roots e_i = (a r_i + E/3)/2 come
 from f's (``lattice_frame``), and every p^-1 lies on a line where p is
-real (``_theta_pole``).  Quasi-periodicity gives the advances per period
+real (``_theta_pole``); tau0's gaps are products of f's root differences
+(``tau0_from_r0``).  Quasi-periodicity gives the advances per period
 
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
@@ -145,8 +146,9 @@ class SolutionContext:
     def add_epoch(self) -> SolutionContext:
         """Stage 3: T_t and the epoch (tau0, t0, theta0).
 
+        tau0 = p^-1 of e(r0) on the branch of rdot0 (``tau0_from_r0``), and
         theta0 = theta(tau0) is the angle from pericenter that propagated
-        angles are measured from (``_epoch_tau0``).  T_t = r_m T_tau -
+        angles are measured from.  T_t = r_m T_tau -
         (2 e_k T_tau + 4 eta)/a scales the rounding of eta by 1/a.  eta =
         sqrt(d) E - e1 omega, E = K ((1 + m1)/2 - tail) (A&S 17.6.3-4) and
         e_i = e_k + a (r_i - r_m)/2 turn it into T_tau (r_m + r_M)/2 +
@@ -157,7 +159,7 @@ class SolutionContext:
         self.T_t = (self.T_tau * (0.5 * (r_m + self.region.r_hi)
                                   + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
                     if self.bounded else None)
-        self.tau0 = tau0 = _epoch_tau0(self)
+        self.tau0 = tau0 = tau0_from_r0(self, state.r0, 1 if state.rdot0 >= 0.0 else -1)
         self.t0 = self.theta0 = 0.0
         if tau0:
             self.t0, self.theta0 = radial_kepler(self, tau0), theta_of_tau(self, tau0)
@@ -203,26 +205,33 @@ def lattice_frame(state: InitialState
     """(f, region, r_m, v_m, e_k, roots, k): f's roots and the lattice's.
 
     e_k = f''(r_m)/24 is the lattice root e_tilde_k of r_m, and
-    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0.
-    The map keeps f's descending order for a > 0 and reverses it for
-    a < 0, where r_m is the middle root (k = 2); for a > 0 it is the least
-    of three on bounded motion (k = 3), else the largest real root (k = 1,
-    or 2 beside a conjugate pair).
+    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0,
+    in the order of ``_lattice_order``.
     """
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
     r_m, v_m = dynamics.pericenter(f, region, state.r0)
     e_k = 0.5 * state.alpha * r_m + state.energy / 6.0
     half = 0.5 * f.alpha
-    if f.alpha < 0.0:
-        xs, k = f.offsets[::-1], 2
-    else:
-        xs, k = f.offsets, 3 if region.bounded else 1 if f.offsets[0].imag == 0.0 else 2
+    xs, k = _lattice_order(f, region.bounded)
     x_m = xs[k - 1].real
     x1, x2, x3 = xs
     roots = GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
                    gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3)))
     return f, region, r_m, v_m, e_k, roots, k
+
+
+def _lattice_order(f: CubicF, bounded: bool) -> tuple[tuple, int]:
+    """(xs, k): f's root offsets in the order of the lattice roots, r_m at index k.
+
+    The map keeps f's descending order for a > 0 and reverses it for
+    a < 0, where r_m is the middle root (k = 2); for a > 0 it is the least
+    of three on bounded motion (k = 3), else the largest real root (k = 1,
+    or 2 beside a conjugate pair).
+    """
+    if f.alpha < 0.0:
+        return f.offsets[::-1], 2
+    return f.offsets, 3 if bounded else 1 if f.offsets[0].imag == 0.0 else 2
 
 
 def _root_offsets(lat: Lattice, k: int) -> tuple:
@@ -671,43 +680,18 @@ def r_of_tau(ctx: SolutionContext, tau: float) -> float:
     return _orbit_point(ctx, tau)[1]
 
 
-def _epoch_tau0(ctx: SolutionContext) -> float:
-    """tau0 of the state: p^-1 of r0, or near an apse r_a the root of dr/dtau = rp0.
-
-    p^-1 (``tau0_from_r0``) rounds r0 - r_a to an ulp of r0 and so moves
-    tau0 by eps r0/|rp0|, rp0 = r0 rdot0: R = r0 |f'(r0)|/(2 rp0^2) ~
-    r0/(2 |r0 - r_a|) times what dr/dtau = rp0 does (r'' = f'(r)/2).  It
-    serves R <= 1e4, where both agree to the rounding of the propagated
-    samples.  Newton steps from x = tau - tau_a = 2 rp0/f'(r_a) (tau_a = 0
-    where f'(r0) > 0, else T_tau/2) converge where |f''(r0)| rp0^2 <
-    f'(r0)^2/100, each error below 1/100 of the last one's square relative
-    to x, and stop after a step below 2^-26 |x| or one that fails to halve
-    the last.  An inbound start keeps x < 0, which T_tau + x would round.
-    """
-    r0, rdot0 = ctx.state.r0, ctx.state.rdot0
-    rp0, fp0 = r0 * rdot0, ctx.f.df(r0)
-    if (rp0 == 0.0 or r0 * abs(fp0) <= 2e4 * rp0 * rp0 or not (fp0 > 0.0 or ctx.bounded)
-            or 100.0 * abs(ctx.f.d2f(r0)) * rp0 * rp0 >= fp0 * fp0):
-        return tau0_from_r0(ctx, r0, 1 if rdot0 >= 0.0 else -1)
-    tau_a, r_a = (0.0, ctx.r_m) if fp0 > 0.0 else (0.5 * ctx.T_tau, ctx.region.r_hi)
-    tau, step, last = tau_a, 2.0 * rp0 / ctx.f.df(r_a), math.inf
-    while abs(step) < 0.5 * last:
-        tau, last = tau + step, abs(step)
-        if last <= 2.0**-26 * abs(tau - tau_a):
-            break
-        _, r, rp = _orbit_point(ctx, tau)
-        step = 2.0 * (rp0 - rp) / ctx.f.df(r)
-    return tau
-
-
 def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     """Pseudo-time at radius r0 on the branch with sign(dr/dtau) = sign_rdot.
 
     r0 > r_m puts p(tau0) = e(r0) above e_k (``_theta_pole``), so tau0 = +/-z
     is real, z = R_F of the gaps e(r0) - e_i (``Lattice.wp_inverse_real``).
-    Inbound is -z, pericenter passage ahead at tau = 0: T_tau - z would
-    round z to an ulp of T_tau.  An r0 within 1e-12 relative of an apse or
-    past it, inside the pad of ``MotionClass.contains``, is that apse.
+    f = 2a (r - r_m)(r - r_i)(r - r_j) and e_i - e_k = a (r_i - r_m)/2 make
+    them (a/2)(r_i - r_m)(r_j - r0)/(r0 - r_m), and at i = k the same with
+    r_m for r0: factors read from f's offsets, none cancelling, each of
+    exact sign.  Inbound is -z, pericenter passage ahead at tau = 0:
+    T_tau - z would round z to an ulp of T_tau.  An r0 at or past an apse,
+    inside the pad of ``MotionClass.contains``, is that apse: 0 if r0 - r_m
+    <= 0, and T_tau/2 if a gap is <= 0 on bounded motion, where r0 >= r_M.
     """
     if sign_rdot not in (-1, 1):
         raise ValueError("sign_rdot must be +1 or -1")
@@ -716,12 +700,20 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
             f"r0 = {r0} outside allowed interval "
             f"[{ctx.region.r_lo}, {ctx.region.r_hi}]"
         )
-    if r0 - ctx.r_m <= 1e-12 * max(1.0, ctx.r_m):
+    x0, xs, m = r0 - ctx.f.r0, _lattice_order(ctx.f, ctx.bounded)[0], ctx.k - 1
+    d0 = x0 - xs[m].real                # r0 - r_m
+    if d0 <= 0.0:
         return 0.0
-    if ctx.bounded and ctx.region.r_hi - r0 <= 1e-12 * max(1.0, ctx.region.r_hi):
-        return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
-    c_0 = 0.25 * ctx.f.df(ctx.r_m) / (r0 - ctx.r_m)     # p(tau0) = e_k + c_0
-    z = ctx.lattice.wp_inverse_real(tuple(c_0 - d for d in _root_offsets(ctx.lattice, ctx.k)))
+    i, j = (m + 1) % 3, (m + 2) % 3
+    scale, d_i, d_j = 0.5 * ctx.f.alpha / d0, xs[i] - xs[m], xs[j] - xs[m]
+    gaps = [0.0, 0.0, 0.0]
+    gaps[i], gaps[j] = scale * d_i * (xs[j] - x0), scale * d_j * (xs[i] - x0)
+    gaps[m] = scale * (d_i * d_j).real  # real: a conjugate pair's |r_i - r_m|^2 if rhombic
+    if ctx.lattice.rectangular:
+        gaps = [g.real for g in gaps]
+        if ctx.bounded and min(gaps) <= 0.0:
+            return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
+    z = ctx.lattice.wp_inverse_real(tuple(gaps))
     return z if sign_rdot > 0 else -z
 
 

@@ -350,7 +350,7 @@ class TestOneStepInverse:
     <= 1e-13 (1 + |w|) at every theta pole of the sweep.  Measured worst over
     its 310 poles: 1.2e-15 (1 + |w|).  tau0 off an apse is R_F of the gaps
     with no step, and r(tau0) meets r0 to 1e-13 relative (measured worst
-    1.7e-14 at the rhombic starts past w_r/2, 7.3e-15 elsewhere).
+    7.3e-15; 1.8e-16 at the rhombic starts past w_r/2).
     """
 
     @staticmethod
@@ -541,7 +541,32 @@ class TestGeneralForm:
 
 class TestTau0:
     def test_limit_to_pericenter(self, worked_ctx):
-        assert tau0_from_r0(worked_ctx, 1.0 + 1e-13, 1) == 0.0
+        # 1 + 1e-13 is no apse: r'' = f'(r)/2 puts tau0 at
+        # +/-sqrt(4 d/f'(r_m)), d = r0 - r_m, which fl(1 + 1e-13) moves
+        # 4e-4 off 1e-13; higher terms are of relative order d
+        r0 = 1.0 + 1e-13
+        d = r0 - worked_ctx.r_m
+        for sign in (1, -1):
+            tau0 = tau0_from_r0(worked_ctx, r0, sign)
+            assert tau0 == pytest.approx(sign * math.sqrt(4.0 * d / worked_ctx.f.df(1.0)),
+                                         rel=1e-9, abs=0.0)
+            assert abs(r_of_tau(worked_ctx, tau0) - r0) <= 2.0 * math.ulp(r0)
+
+    def test_limit_to_apocenter(self, worked_ctx):
+        # the mirror case: tau0 = +/-(T_tau/2 - x), x = sqrt(4 d/|f'(r_M)|)
+        # with d = r_M - r0 read from f's offsets, of which r_M is a
+        # rounding; x keeps the rounding of T_tau/2, 6e-10 of x per ulp,
+        # and r(tau0) the series' own (8 ulps, TestNearApseSweep)
+        ctx = worked_ctx
+        r_hi = ctx.region.r_hi
+        r0 = r_hi * (1.0 - 1e-13)
+        d = ctx.f.offsets[1].real - (r0 - ctx.f.r0)
+        for sign in (1, -1):
+            tau0 = tau0_from_r0(ctx, r0, sign)
+            assert sign * tau0 > 0.0
+            assert 0.5 * ctx.T_tau - abs(tau0) == pytest.approx(
+                math.sqrt(-4.0 * d / ctx.f.df(r_hi)), rel=4e-9, abs=0.0)
+            assert abs(r_of_tau(ctx, tau0) - r0) <= 8.0 * math.ulp(r0)
 
     def test_worked_value_ascending(self, worked_ctx):
         tau0 = tau0_from_r0(worked_ctx, 1.1, 1)
@@ -575,13 +600,15 @@ class TestTau0:
     def test_rhombic_start_past_half_the_real_period(self, sign):
         # the escaping anchor (1.1, 1.5, 30 deg, 0.05) at tau = +/-0.7 w_r,
         # past w_r/2, where the rhombic lattice's series do not reach and
-        # R_F does; the start's rounding leaves 4.8e-15 of w_r
+        # R_F does; the start's rounding leaves 2.3e-15 of w_r.  r(tau0)
+        # misses r0 by 1.8e-16 relative: R_F's gaps are products of f's
+        # root differences, none of which cancels
         r0, v0, gamma0, alpha = RHOMBIC_PAST_HALF
         state = InitialState(r0, v0, sign * gamma0, alpha)
         ctx = build_context(state)
         assert not ctx.bounded and not ctx.lattice.rectangular
         assert abs(ctx.tau0 / ctx.lattice.real_half_period - sign * 0.7) <= 1e-14
-        assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-14)
+        assert r_of_tau(ctx, ctx.tau0) == pytest.approx(state.r0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.02, 0.1, -0.05])
     @pytest.mark.parametrize("rel", [1e-11, 1e-10])
@@ -1712,12 +1739,11 @@ NEAR_APSE = {
 
 
 class TestNearApseEpoch:
-    """tau0 from dr/dtau = r0 rdot0 where p^-1 of r0 loses digits.
+    """tau0 of starts next to an apse: R_F of gaps built from f's root offsets.
 
-    The pericenter snap took such epochs for the apse itself (5.2e-8 off
-    in r and 2.3e-7 in theta at gamma0 = 1e-7) and p^-1 of r0 lost digits
-    as sqrt(r0 - r_apse) (4e-12 and 2e-11 at 1e-6).  Measured worst over
-    the 30 starts: 4.1e-15 in r and 1.9e-14 in theta, the gamma0 = 0 level.
+    Those gaps are products of root differences, none cancelling, so tau0
+    keeps its digits however close r0 is to the apse.  Measured worst over
+    the 30 starts: 7.2e-16 in r and 3.6e-15 in theta.
     """
 
     @pytest.mark.parametrize("state", list(NEAR_APSE),
@@ -1734,6 +1760,39 @@ class TestNearApseEpoch:
         # T_tau + x would round x to an ulp of T_tau
         ctx = build_context(InitialState(1.0, 1.2, -1e-7, 0.02))
         assert ctx.tau0 == pytest.approx(-2.608695652173866e-07, rel=1e-13, abs=0.0)
+
+
+# apse contexts of a k = 3, a k = 2, a rectangular unbounded (k = 1) and a
+# rhombic orbit
+NEAR_APSE_SWEEP = {"k3": (1.0, 1.2, 0.0, 0.02), "k2": (1.0, 1.2, 0.0, -0.05),
+                   "rectangular": (1.0, 1.5, 0.0, 1e-6), "rhombic": (1.0, 1.2, 0.0, 0.1)}
+
+
+class TestNearApseSweep:
+    """r(tau0) meets r0 at every distance from an apse, both branches.
+
+    r0 at relative distance 10^-j, j = 1...15, inside each apse.  8 ulps of
+    r0 is the most the series rounds r by (``_series_point``, near the
+    escape threshold).  Measured worst: 6 ulps (k = 3), 4 (k = 2), 1
+    (rectangular) and 0 (rhombic).
+    """
+
+    @pytest.mark.parametrize("name", list(NEAR_APSE_SWEEP))
+    def test_r_of_tau0_meets_r0(self, name):
+        ctx = build_context(InitialState(*NEAR_APSE_SWEEP[name]))
+        assert ctx.k == {"k3": 3, "k2": 2, "rectangular": 1, "rhombic": 2}[name]
+        assert ctx.lattice.rectangular == (name != "rhombic")
+        apses = [(ctx.r_m, 1.0)]
+        if ctx.bounded:
+            apses.append((ctx.region.r_hi, -1.0))
+        for r_a, inward in apses:
+            for j in range(1, 16):
+                r0 = r_a * (1.0 + inward * 10.0**-j)
+                for sign in (1, -1):
+                    tau0 = tau0_from_r0(ctx, r0, sign)
+                    assert sign * tau0 > 0.0
+                    assert not (ctx.bounded and sign * tau0 >= 0.5 * ctx.T_tau)
+                    assert abs(r_of_tau(ctx, tau0) - r0) <= 8.0 * math.ulp(r0), (r0, sign)
 
 
 class TestPropagate:

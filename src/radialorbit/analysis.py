@@ -22,12 +22,12 @@ closing speed's context, kept from its evaluation, adds the epoch stage.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from . import dynamics, propagation
 from .cubic import cubic_roots
-from .dynamics import CubicF, InitialState, MotionClass
+from .dynamics import InitialState
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -41,15 +41,19 @@ _BRACKET_TOL = 1e-12      # relative width at which find_periodic_v stops
 _RATIO_LEVEL = 2.0**-50   # rounding level of the winding ratio: 4 ulps of the target
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    bounded: bool          # region.bounded
-    marginal: bool         # the pair that merges at escape within _MARGINAL_BAND
-    e_tilde_max: float     # largest real lattice root = minimum of p on the real axis
-    threshold: float       # f''(r_m)/24, the lattice root of r_m
-    margin: float          # e_tilde_max - threshold
-    f: CubicF
-    region: MotionClass    # allowed component of f >= 0 holding r0
+class BoundednessReport(collections.namedtuple(
+        "BoundednessReport", "bounded marginal e_tilde_max threshold margin f region")):
+    """``boundedness_from_state``'s verdict.
+
+    ``bounded`` is region.bounded; ``marginal``, the pair that merges at
+    escape within _MARGINAL_BAND; ``e_tilde_max``, the largest real lattice
+    root, the minimum of p on the real axis; ``threshold``, f''(r_m)/24,
+    the lattice root of r_m; ``margin``, e_tilde_max - threshold; ``f``,
+    the dynamics cubic; ``region``, the allowed component of f >= 0 holding
+    r0.
+    """
+
+    __slots__ = ()
 
 
 def true_period_implicit(ctx: SolutionContext) -> float:
@@ -68,14 +72,18 @@ def true_period_implicit(ctx: SolutionContext) -> float:
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:
-    """Boundedness from the roots of f alone (``propagation.lattice_frame``).
+    """Boundedness from the roots of f alone (``propagation._lattice_roots``).
 
     ``bounded`` is that of the allowed region; the margin, of the largest
     real lattice root over e_k (0 beside a conjugate pair).  ``marginal``:
     the two lattice roots besides e_k, which merge at the escape threshold,
-    lie within ``_MARGINAL_BAND``, |a (r_i - r_j)|/2 for f's roots.
+    lie within ``_MARGINAL_BAND``, |a (r_i - r_j)|/2 for f's roots.  No
+    pericenter is needed, so a region that reaches down to r = 0 (h = 0)
+    is classified too.
     """
-    f, region, _, _, threshold, roots, k = propagation.lattice_frame(state)
+    f = dynamics.build_f(state)
+    region = dynamics.classify_region(f, state.r0)
+    threshold, roots, k = propagation._lattice_roots(f, region)
     margin = (0.0, *roots.gaps[:2])[k - 1].real if roots.e_tilde[0].imag == 0.0 else 0.0
     return BoundednessReport(
         bounded=region.bounded,

@@ -16,9 +16,9 @@ The allowed region, the lattice of the closed form
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
-from dataclasses import dataclass
 
 from .cubic import cubic_roots
 from .errors import (
@@ -32,29 +32,39 @@ _ALPHA_FLOOR = 1e-12   # |alpha| below this counts as the Kepler limit
 _SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant for doubles
 
 
-@dataclass(frozen=True)
 class InitialState:
     """Radius, speed, flight-path angle and radial acceleration (mu = 1).
 
     Negative ``alpha`` is an inward acceleration.  ``gamma0`` is the
     flight-path angle in radians; gamma0 = 0 means a purely transverse
-    velocity (apse passage).
+    velocity (apse passage).  A slotted class, as every propagated sample
+    reads alpha; states with equal fields are equal.
     """
 
-    r0: float
-    v0: float
-    gamma0: float
-    alpha: float
+    __slots__ = ("r0", "v0", "gamma0", "alpha")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.r0, self.v0, self.gamma0, self.alpha))):
+    def __init__(self, r0: float, v0: float, gamma0: float, alpha: float) -> None:
+        if not all(map(math.isfinite, (r0, v0, gamma0, alpha))):
             raise ValueError("state fields must be finite")
-        if self.r0 <= 0.0:
-            raise ValueError(f"r0 must be positive, got {self.r0}")
-        if self.v0 < 0.0:
-            raise ValueError(f"v0 must be nonnegative, got {self.v0}")
-        if abs(self.gamma0) > math.pi / 2.0 + 1e-12:
+        if r0 <= 0.0:
+            raise ValueError(f"r0 must be positive, got {r0}")
+        if v0 < 0.0:
+            raise ValueError(f"v0 must be nonnegative, got {v0}")
+        if abs(gamma0) > math.pi / 2.0 + 1e-12:
             raise ValueError("gamma0 must lie in [-pi/2, pi/2]")
+        self.r0, self.v0, self.gamma0, self.alpha = r0, v0, gamma0, alpha
+
+    def _key(self) -> tuple[float, float, float, float]:
+        return self.r0, self.v0, self.gamma0, self.alpha
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is InitialState and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "InitialState(r0=%r, v0=%r, gamma0=%r, alpha=%r)" % self._key()
 
     @property
     def energy(self) -> float:
@@ -72,21 +82,22 @@ class InitialState:
         return self.v0 * math.sin(self.gamma0)
 
 
-@dataclass(frozen=True)
 class CubicF:
     """f(r) = 2 a r^3 + 2 E r^2 + 2 r - h^2 with ordered roots.
 
     Root order follows the descending (Im, Re) convention: with three real
     roots r1 >= r2 >= r3; otherwise r2 is the real root and r1 = conj(r3).
     ``offsets`` are the roots minus the epoch radius r0, as solved: their
-    differences keep the digits that those of ``roots`` lose to r0.
+    differences keep the digits that those of ``roots`` lose to r0.  A
+    slotted class, as each inversion step reads alpha and energy.
     """
 
-    alpha: float
-    energy: float
-    momentum: float
-    r0: float
-    offsets: tuple[complex, complex, complex]
+    __slots__ = ("alpha", "energy", "momentum", "r0", "offsets")
+
+    def __init__(self, alpha: float, energy: float, momentum: float, r0: float,
+                 offsets: tuple[complex, complex, complex]) -> None:
+        self.alpha, self.energy, self.momentum = alpha, energy, momentum
+        self.r0, self.offsets = r0, offsets
 
     @property
     def roots(self) -> tuple[complex, ...]:
@@ -115,11 +126,10 @@ class MotionTag(enum.Enum):
     BOUNDED_BELOW_GAP = "bounded-below-gap"  # bounded, forbidden gap, outer region above
 
 
-@dataclass(frozen=True)
-class MotionClass:
-    tag: MotionTag
-    r_lo: float
-    r_hi: float  # math.inf when unbounded
+class MotionClass(collections.namedtuple("MotionClass", "tag r_lo r_hi")):
+    """The allowed component [r_lo, r_hi] holding r0; r_hi = math.inf when unbounded."""
+
+    __slots__ = ()
 
     @property
     def bounded(self) -> bool:

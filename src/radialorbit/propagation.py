@@ -27,9 +27,9 @@ is a half period:
 - S, bounded: w = omega, q = exp(-pi |omega'|/omega), a_n = s^n q^n/(a (1 -
   q^2n)), s = +1 (k = 3) or -1 (k = 2); r = r_m + 32 k^2 sum n a_n sin^2 nu,
   t = r_m tau + 8 k sum a_n (2nu - sin 2nu).
-- H, near the pericenter of a rectangular lattice: the basis (-omega',
-  omega) turns sin nu into sinh nv, v = pi tau/(2 |omega'|), and q into
-  +/-q' = +/-exp(-pi omega/|omega'|).
+- H, on a rectangular lattice: S on the basis (omega', -omega) turns sin nu
+  into sinh nv, v = pi tau/(2 |omega'|), and q into +/-q' = +/-exp(-pi
+  omega/|omega'|); its term ratio q' e^(2v) grows toward w_r.
 - T, unbounded, toward the escape asymptote w_r: the real-period basis of
   ``_theta_series``, Q = q^2 (negative on a rhombic lattice), gamma_n =
   (-Q)^n/(1 - Q^n); r = r_m + (2 k^2/a)[tan^2 u + 16 sum n gamma_n
@@ -42,14 +42,19 @@ is a half period:
   (2 k/a)[u - tanh u + 4 sum gamma_n (sinh 2nu - 2nu)], with Q = q'^2,
   q' = exp(-pi omega/|omega'|), or Q = -q_c^2, q_c = exp(-pi w_r/(2 w_i)).
   Its term ratio |Q| e^(2u) stays below q' over a folded orbit and below
-  q_c up to w_r/2, past which a rhombic lattice folds at p(w_r) = e2
-  (``_fold_point``), its pole at w_r exact.
+  q_c up to w_r/2.
 
 Each series is summed on the basis with the smaller term ratio, which the
-lattice fixes: T' takes the place of S where q' < q (ln q ln q' = pi^2, so
-they cross at q = e^-pi = 0.043) and of T where q_c is below T's |Q|.  The
-H/T switch of a rectangular unbounded lattice and S of k = 2 stay as they
-are.
+lattice fixes once (``Lattice.q`` and ``Lattice.q_t``): where q' < q (ln q
+ln q' = pi^2, so they cross at q = e^-pi = 0.043), T' takes the place of S
+on k = 3 and H serves k = 1 up to w_r/2, where its ratio is sqrt(q'); T'
+takes the place of T on a rhombic lattice where q_c is below T's |Q|.  An
+unbounded lattice on either route folds past w_r/2 at the half period,
+p(w_r) = e_k (``_fold_point``): r - r_m = gap2/R(w_r - tau), with R the
+form's r - r_m and gap2 the product of f's root gaps at r_m, its pole at
+w_r exact and its t free of 1/a.  Elsewhere H serves near the pericenter
+of a k = 2 orbit and of k = 1 at q' >= q, up to where its ratio reaches
+1/e, and S or T beyond.
 
 theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
@@ -58,10 +63,12 @@ on the real-period basis (w_r, omega') turns it into slope tau +/- arg W +
 sum s_m sin 2mb, b = pi tau/(2 w_r), with constants made once per context
 (``_theta_series``): one (sin, cos) pair and no kernel call per theta.  Its
 ratio is |q| = exp(-pi Im omega'/w_r); where the basis of T' has a smaller
-one, q' or q_c, on bounded motion or a rhombic lattice, theta sums the same
-product on that basis (Jacobi's imaginary transformation, DLMF 20.7(viii),
-whose Gaussian factor only adds to the slope): slope tau - 2 arg sin(a +
-i beta) - sum s_m sinh 2m beta, beta = k tau (``_theta_imaginary``).
+one, q' or q_c, and v lies on its Im-axis line (all but case (b) of
+``_theta_pole``), theta sums the same product on that basis (Jacobi's
+imaginary transformation, DLMF 20.7(viii), whose Gaussian factor only adds
+to the slope): slope tau - 2 arg sin(a + i beta) - sum s_m sinh 2m beta,
+beta = k tau (``_theta_imaginary``), whose ratio on a rectangular lattice
+stays below q' over all |tau| <= omega.
 
 ``build_context`` evaluates what does not depend on tau once per state,
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
@@ -204,21 +211,30 @@ def lattice_frame(state: InitialState
                   ) -> tuple[CubicF, MotionClass, float, float, float, GRoots, int]:
     """(f, region, r_m, v_m, e_k, roots, k): f's roots and the lattice's.
 
-    e_k = f''(r_m)/24 is the lattice root e_tilde_k of r_m, and
-    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0,
-    in the order of ``_lattice_order``.
+    r_m is the pericenter (``dynamics.pericenter``); the rest needs only
+    f and its region (``_lattice_roots``).
     """
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
     r_m, v_m = dynamics.pericenter(f, region, state.r0)
-    e_k = 0.5 * state.alpha * r_m + state.energy / 6.0
+    return (f, region, r_m, v_m, *_lattice_roots(f, region))
+
+
+def _lattice_roots(f: CubicF, region: MotionClass) -> tuple[float, GRoots, int]:
+    """(e_k, roots, k) of the lattice of f, r_m the lower end of ``region``.
+
+    e_k = f''(r_m)/24 is the lattice root e_tilde_k of r_m, and
+    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0,
+    in the order of ``_lattice_order``.
+    """
+    e_k = 0.5 * f.alpha * region.r_lo + f.energy / 6.0
     half = 0.5 * f.alpha
     xs, k = _lattice_order(f, region.bounded)
     x_m = xs[k - 1].real
     x1, x2, x3 = xs
     roots = GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
                    gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3)))
-    return f, region, r_m, v_m, e_k, roots, k
+    return e_k, roots, k
 
 
 def _lattice_order(f: CubicF, bounded: bool) -> tuple[tuple, int]:
@@ -301,22 +317,21 @@ def _theta_series(ctx: SolutionContext) -> partial:
     """theta(tau) on any lattice, from the basis whose theta_1 series has the smaller ratio.
 
     The real-period basis (w, omega') has ratio |q| = exp(-pi Im omega'/w)
-    (``_theta_real``).  Bounded motion and a rhombic lattice, where v lies
-    on Im-axis lines of the lattice, also have the basis (omega1, omega3) =
-    (omega', -omega) or (omega' - omega, -omega), whose first half period
-    is imaginary and whose ratio is exp(-pi Im(omega3/omega1)): q' =
-    exp(-pi omega/|omega'|) or |q_c| = exp(-pi w_r/(2 w_i)), small where one
-    period diverges near the escape threshold (``_theta_imaginary``).
+    (``_theta_real``).  Where v lies on an Im-axis line of the lattice (the
+    imaginary axis of a rectangular one, Re v = w_r of a rhombic one), the
+    basis (omega1, omega3) = (omega', -omega) or (omega' - omega, -omega),
+    whose first half period is imaginary, has ratio q_t =
+    exp(-pi Im(omega3/omega1)): q' = exp(-pi omega/|omega'|) or |q_c| =
+    exp(-pi w_r/(2 w_i)), small where one period diverges near the escape
+    threshold and at small a (``_theta_imaginary``).  Case (b) of
+    ``_theta_pole``, v on Re v = omega, keeps the real-period basis.
     """
     lat, v, zeta_v, v_m = ctx.lattice, ctx.v, ctx.zeta_v, ctx.v_m
     per = lat.periods
-    w = lat.real_half_period
-    q = math.exp(-math.pi * per.omega_prime.imag / w)    # |q|
-    if ctx.bounded or not lat.rectangular:
+    w, q = lat.real_half_period, lat.q
+    if lat.q_t < q and (v.real == 0.0 or not lat.rectangular):
         w1 = per.omega_prime if lat.rectangular else per.omega_prime - per.omega
-        q_t = math.exp(-math.pi * (-per.omega / w1).imag)
-        if q_t < q:
-            return _theta_imaginary(ctx, w1, q_t)
+        return _theta_imaginary(ctx, w1, lat.q_t)
     eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w), as in real_half_period
     k = math.pi / (2.0 * w)
     x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
@@ -396,8 +411,10 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
     there, s_m = 4 c_m sin(2ma)/m and c_m = Q^m/(1 - Q^m), Q = +/-q^2
     (negative on a rhombic lattice).  sin a > 0 keeps the argument
     continuous.  Bounded tau folds to [-omega, omega], where e^(2|beta|) <=
-    1/q; unbounded tau beyond w_r/2 to u = w_r - tau <= w_r/2: v' = v - w_r
-    lies on the imaginary axis, and 2 w_r-periodicity gives
+    1/q, and unbounded tau on a rectangular lattice lies there already
+    (|tau| < w_r = omega).  On a rhombic lattice unbounded tau beyond w_r/2
+    folds to u = w_r - tau <= w_r/2: v' = v - w_r lies on the imaginary
+    axis, and 2 w_r-periodicity gives
 
         theta = C - slope' u + 2 arg sin(a' + i kappa u) + sum s'_m sinh 2m kappa u,
 
@@ -433,8 +450,9 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
 
     drift = ctx.v_m - 2.0 * ctx.zeta_v.imag
     slope, first = constants(ctx.v, drift)
-    if ctx.bounded:
-        return partial(_theta_centred, slope, first, ctx.T_tau, ctx.dtheta_period)
+    if lat.rectangular:
+        return partial(_theta_centred, slope, first,
+                       ctx.T_tau if ctx.bounded else math.inf, ctx.dtheta_period)
     w_r = lat.real_half_period
     half = 0.5 * w_r
     slope_u, second = constants(ctx.v - w_r, drift)
@@ -456,9 +474,10 @@ def _theta_phase(kappa: float, sin_a: float, cos_a: float, coeffs: tuple, x: flo
 
 def _theta_centred(slope: float, phase: tuple, period: float, dtheta: float,
                    tau: float) -> float:
-    """Bounded theta of ``_theta_imaginary`` at |tau| < T_tau, folded to [-omega, omega].
+    """Rectangular theta of ``_theta_imaginary`` at |tau| < T_tau, folded to [-omega, omega].
 
     T_tau/2 <= |tau| < T_tau makes tau -/+ T_tau exact (Sterbenz).
+    Unbounded motion passes period = inf: |tau| < w_r needs no fold.
     """
     if abs(tau) <= 0.5 * period:
         return slope * tau - _theta_phase(*phase, tau)
@@ -489,44 +508,51 @@ def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
 def _radial_forms(ctx: SolutionContext) -> tuple:
     """(switch, below, above): the forms of ``_series_point`` on either side of x = switch.
 
-    S (bounded) and T (unbounded) serve above, H below on a rectangular
-    lattice whose S or T terms alternate in sign (k = 1 or 2, where S
-    cancels near the pericenter of an eccentric orbit), up to where H's
-    ratio q' e^(2v) reaches 1/e or S's ratio q.  A table stops once its tail
-    is below the unit roundoff of the leading term: n^3 |a_n|/|a_1| in S
-    (|sin nu| <= n |sin u|), n^2 rho^(n-1) in H (terms shrink by ((n+1)/n)^3
-    rho, rho <= 1/e at the switch), and in T 16 n |gamma_n| min(n^2, c + c^2)
-    against tan^2 u, c = cot u at the switch (inf if rhombic: gamma_n > 0).
-    Where the transformed basis has the smaller ratio, T' takes S's place
-    (k = 3) or T's (rhombic, folded at w_r/2 by ``_fold_point``).
+    Where the basis whose first half period is imaginary has the smaller
+    ratio (``Lattice.q_t``), it serves: T' in S's place on k = 3 (q' < q),
+    and up to w_r/2, folded past it by ``_fold_point``, H on k = 1 (q' <
+    q; ratio q' e^(2v) <= sqrt(q') there) and T' on a rhombic lattice (q_c
+    below T's |Q| = q^2).  Otherwise S (bounded) and T (unbounded) serve
+    above, H below on a rectangular lattice whose S or T terms alternate in
+    sign (k = 1 or 2, where S cancels near the pericenter of an eccentric
+    orbit), up to where H's ratio q' e^(2v) reaches 1/e or S's ratio q.  A
+    table stops once its tail is below the unit roundoff of the leading
+    term: n^3 |a_n|/|a_1| in S (|sin nu| <= n |sin u|), n^2 rho^(n-1) in H
+    up to the switch (terms shrink by ((n+1)/n)^3 rho, rho <= 1/e there)
+    and n^3 rho^(n-1) up to w_r/2 (rho = sqrt(q'); V_n/V_1, D_n/D_1 and
+    s_n/s_1 are at most n^3 e^((n-1)y)), and in T 16 n |gamma_n| min(n^2,
+    c + c^2) against tan^2 u, c = cot u at the switch.
     """
     lat, alpha, r_m = ctx.lattice, ctx.state.alpha, ctx.r_m
     w_r, w_p = lat.real_half_period, lat.periods.omega_prime.imag
+    q, q_t = lat.q, lat.q_t
+    if not lat.rectangular:
+        if q_t < q * q:               # T' on (omega' - omega, -omega)
+            return _folded_forms(ctx, _transformed(0.0, 2.0 * w_p, -q_t * q_t, alpha))
+    elif q_t < q and ctx.k == 3:      # T' on (omega', -omega)
+        return 0.0, None, _transformed(r_m, w_p, q_t * q_t, alpha)
+    elif q_t < q and ctx.k == 1:      # H on (omega', -omega)
+        rho = math.sqrt(q_t)
+        return _folded_forms(ctx, partial(_series_point, 0.0, math.pi / (2.0 * w_p), q_t, 0.0,
+                                          w_r, _table(1.0, q_t * q_t, alpha, rho,
+                                                      lambda n, c: n**3 * rho ** (n - 1) * abs(c))))
     # H's ratio q' e^(2v) = exp(-pi (w_r - x)/|omega'|) reaches e^-depth at the switch
     depth = max(1.0, math.pi * w_p / w_r) if ctx.bounded else 1.0
     switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
+    k = math.pi / (2.0 * w_r)
     if ctx.bounded:
-        k, q = math.pi / (2.0 * w_r), math.exp(-math.pi * w_p / w_r)
-        q_t = math.exp(-math.pi * w_r / w_p)         # T' on (omega', -omega): ratio q'
-        if ctx.k == 3 and q_t < q:
-            return 0.0, None, _transformed(r_m, w_p, q_t * q_t, alpha)
         above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, _table(
             q if ctx.k == 3 else -q, q * q, alpha, q, lambda n, c: n**3 * abs(c) / q))
     else:
-        k = math.pi / (2.0 * w_r)
-        big_q = (1.0 if lat.rectangular else -1.0) * math.exp(-2.0 * math.pi * w_p / w_r)
-        q_c = math.exp(-0.25 * math.pi * w_r / w_p)  # T' on (omega' - omega, -omega)
-        if not lat.rectangular and q_c < -big_q:
-            return _folded_forms(ctx, _transformed(0.0, 2.0 * w_p, -q_c * q_c, alpha))
+        big_q = q * q if lat.rectangular else -q * q
         c = math.tan(k * (w_r - switch))
         spread = c + c * c
         above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r, _table(
             -big_q, big_q, alpha, abs(big_q), lambda n, g: 16.0 * n * min(n * n, spread) * abs(g)))
     if switch == 0.0:
         return switch, None, above
-    q_h = math.exp(-math.pi * w_r / w_p)
-    below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_h if ctx.bounded else q_h,
-                    0.0, w_r, _table(1.0, q_h * q_h, alpha, math.exp(-depth),
+    below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_t if ctx.bounded else q_t,
+                    0.0, w_r, _table(1.0, q_t * q_t, alpha, math.exp(-depth),
                                      lambda n, c: n * n * math.exp(depth * (1 - n))))
     return switch, below, above
 
@@ -545,35 +571,44 @@ def _transformed(r_m: float, w: float, big_q: float, alpha: float) -> partial:
 
 
 def _folded_forms(ctx: SolutionContext, form: partial) -> tuple:
-    """(w_r/2, T', its fold) on a rhombic lattice; ``form`` is T' without r_m."""
+    """(w_r/2, form, its fold) toward the escape asymptote; ``form`` is H or T' without r_m.
+
+    gap2 = (r_i - r_m)(r_j - r_m) over f's other two roots, from f's
+    offsets: positive on k = 1, |r_c - r_m|^2 beside a conjugate pair.
+    """
     r_m, w_r = ctx.r_m, ctx.lattice.real_half_period
     half = 0.5 * w_r
-    x1, x2, _ = ctx.f.offsets                    # the conjugate root and r_m
+    xs, m = _lattice_order(ctx.f, False)[0], ctx.k - 1
+    gap2 = ((xs[(m + 1) % 3] - xs[m]) * (xs[(m + 2) % 3] - xs[m])).real
     t_h, d_h, dp_h = form(half)
-    inv_a = 1.0 / ctx.state.alpha
-    const = 2.0 * t_h - inv_a * dp_h / d_h
     below = partial(_series_point, r_m, *form.args[1:])
-    gap2 = (x1.real - x2.real) ** 2 + x1.imag * x1.imag
-    return half, below, partial(_fold_point, r_m, const, gap2, inv_a, w_r, form)
+    return half, below, partial(_fold_point, r_m, 2.0 * t_h, d_h, dp_h / d_h, gap2, w_r, form)
 
 
-def _fold_point(r_m: float, const: float, gap2: float, inv_a: float, w_r: float,
-                form: partial, x: float) -> tuple[float, float, float]:
-    """(t, r, dr/dtau) at w_r/2 <= x < w_r from T' at u = w_r - x (``_folded_forms``).
+def _fold_point(r_m: float, const: float, d_h: float, slope_h: float, gap2: float,
+                w_r: float, form: partial, x: float) -> tuple[float, float, float]:
+    """(t, r, dr/dtau) at w_r/2 <= x < w_r from ``form`` at u = w_r - x (``_folded_forms``).
 
-    With R(u) = r(u) - r_m and Z(u) = t(u) - r_m u from T', the half-period
-    addition theorem at p(w_r) = e2 gives r - r_m = |r_c - r_m|^2/R(u), r_c
-    the complex root of f, and zeta(u + w_r) = zeta(u) + zeta(w_r) +
-    p'(u)/(2 (p(u) - e2)) its integral, so that
+    With R(u) = r(u) - r_m and Z(u) = t(u) - r_m u from the form, the
+    half-period addition theorem at p(w_r) = e_k (e1 on k = 1, e2 on a
+    rhombic lattice) gives r - r_m = gap2/R(u), and zeta(u + w_r) =
+    zeta(u) + zeta(w_r) + p'(u)/(2 (p(u) - e_k)) its integral, so that
 
-        t = r_m x + 2 Z(w_r/2) - Z(u) + (R'(u)/R(u) - R'(w_r/2)/R(w_r/2))/a,
+        t = r_m x + 2 Z(w_r/2) - Z(u) + (A(u) - A(w_r/2))/a,   A = R'/R,
 
-    continuous at w_r/2, where R = |r_c - r_m|, and exact at the pole u = 0.
+    continuous at w_r/2 and exact at the pole u = 0.  (R'/R)^2 = f(r)/R^2 =
+    2a (R + s + gap2/R), s the sum of r_m - r_i over the other roots, turns
+    the difference of slopes, which agree to O(a), into the a-free
+
+        (A(u) - A(h))/a = 2 (R(u) - R(h)) (1 - gap2/(R(u) R(h))) / (A(u) + A(h)),
+
+    h = w_r/2, both slopes positive.
     """
     u = w_r - x
     z, d, dp = form(u)
     slope = dp / d
-    return r_m * x + const - z + inv_a * slope, r_m + gap2 / d, gap2 * slope / d
+    jump = 2.0 * (d - d_h) * (1.0 - gap2 / (d * d_h)) / (slope + slope_h)
+    return r_m * x + const - z + jump, r_m + gap2 / d, gap2 * slope / d
 
 
 def _table(mu: float, nu: float, alpha: float, ratio: float,
@@ -843,10 +878,9 @@ def _kepler_harmonics(ctx: SolutionContext) -> tuple[float, float, float]:
 
     e_n = 16 k^2 a_n T_tau/T_t, with a_n = s^n q^n/(a (1 - q^2n)) the
     coefficients of S in the module docstring, k = pi/(2 omega) and q =
-    exp(-pi |omega'|/omega); also where T' sums the series.
+    exp(-pi |omega'|/omega) (``Lattice.q``); also where T' sums the series.
     """
-    w_r, w_p = ctx.lattice.real_half_period, ctx.lattice.periods.omega_prime.imag
-    k, q = math.pi / (2.0 * w_r), math.exp(-math.pi * w_p / w_r)
+    k, q = math.pi / (2.0 * ctx.lattice.real_half_period), ctx.lattice.q
     s = q if ctx.k == 3 else -q
     scale = 16.0 * k * k * ctx.T_tau / (ctx.T_t * ctx.state.alpha)
     return tuple(scale * s**n / (1.0 - q ** (2 * n)) for n in (1, 2, 3))

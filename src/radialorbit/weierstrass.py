@@ -19,11 +19,17 @@ which is the same arithmetic with p real and p', zeta imaginary
 p(iz; g2, g3) = -p(z; g2, -g3), zeta(iz; g2, g3) = -i zeta(z; g2, -g3)
 (DLMF 23.10(iv)), which relates a lattice to its companion (g2, -g3).
 
-The basis:
-- A rectangular lattice (positive discriminant) uses (omega, omega') of
-  A&S 18.9, with q = exp(-pi |omega'|/omega) real: q <= 0.07 on most
-  lattices of bounded motion.  Its half periods and eta come from K and E
-  in closed form, and its imaginary axis is the series' line at -iy.
+The basis: each lattice decides once which series it sums, the one whose
+nome is the smaller (``Lattice``).
+- A rectangular lattice (positive discriminant) has (omega, omega') of
+  A&S 18.9, with q = exp(-pi |omega'|/omega) real, and its half periods
+  and eta from K and E in closed form.  At q <= q' = exp(-pi
+  omega/|omega'|), as on most lattices of bounded motion (q <= 0.07), it
+  sums its own series, whose line at -iy is its imaginary axis.  At q' <
+  q, past q = e^-pi = 0.043 (ln q ln q' = pi^2), it sums the series of
+  the companion on (omega', -omega) in the companion's terms: real half
+  period |omega'|, nome q', and eta from K and E in closed form.  The
+  companion's real axis is then the lattice's imaginary one, as below.
 - A rhombic lattice (negative discriminant) keeps its half periods from
   Carlson R_F at the conjugate pair: w_r, the real one, and w_i, the real
   one of the companion.  It sums the real-period basis of the companion,
@@ -47,8 +53,8 @@ or on the Lagrange-reduced basis of a rhombic lattice.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
@@ -63,13 +69,11 @@ _POLE_GUARD = 1e-12         # |z - lattice point| below which p, p' and zeta rai
 _LAST_STEP = 16 * _UNIT_ROUNDOFF   # reach of the Newton step that refines an R_F seed
 
 
-@dataclass(frozen=True)
-class GRoots:
+class GRoots(collections.namedtuple("GRoots", "e_tilde gaps")):
     """Roots of 4 s^3 - g2 s - g3, descending (Im, Re), with ``gaps`` =
     (e1 - e2, e1 - e3, e2 - e3), often known to more digits than the roots."""
 
-    e_tilde: tuple[complex, complex, complex]
-    gaps: tuple[complex, complex, complex]
+    __slots__ = ()
 
     @property
     def discriminant(self) -> float:
@@ -78,14 +82,11 @@ class GRoots:
         return (16.0 * (g12 * g13 * g23) ** 2).real
 
 
-@dataclass(frozen=True)
-class HalfPeriods:
-    """Half-period data of the lattice generated by (2 omega, 2 omega')."""
+class HalfPeriods(collections.namedtuple("HalfPeriods", "omega omega_prime eta eta_prime")):
+    """Half-period data of the lattice generated by (2 omega, 2 omega'):
+    eta = zeta(omega) and eta_prime = zeta(omega')."""
 
-    omega: complex
-    omega_prime: complex
-    eta: complex          # zeta(omega)
-    eta_prime: complex    # zeta(omega')
+    __slots__ = ()
 
     def omega_k(self, k: int) -> complex:
         return self._pick(k, self.omega, self.omega_prime)
@@ -105,10 +106,13 @@ class HalfPeriods:
 class Lattice:
     """Immutable evaluation context for the lattice of one set of roots.
 
-    Construction computes the half-periods, the eta values and the nome
-    series from the roots and their differences (module docstring): the
-    lattice's own series on a rectangular lattice, its companion's on a
-    rhombic one.  All evaluation methods are pure.
+    Construction computes the half-periods, the eta values, the two nomes
+    and the nome series from the roots and their differences (module
+    docstring).  ``q`` is |q| of the real-period basis, ``q_t`` the nome
+    of the basis whose first half period is imaginary, and ``companion``
+    says whether the series is the companion's, read on its real axis: on
+    a rhombic lattice always, on a rectangular one where q_t < q.  All
+    evaluation methods are pure.
     """
 
     def __init__(self, roots: GRoots) -> None:
@@ -136,6 +140,12 @@ class Lattice:
         construction, so neither needs a check here.  ``tail``, of order
         m^2 in E = K ((1 + m1)/2 - tail), serves ``SolutionContext.add_epoch``.
         Either of m and m1 may round to 1 while the other stays positive.
+
+        The nomes are q = exp(-pi |omega'|/omega) and q_t = q' =
+        exp(-pi omega/|omega'|), ln q ln q' = pi^2.  The series is the
+        lattice's own at q <= q', and otherwise that of the companion
+        (g2, -g3), whose roots are -e3 > -e2 > -e1: real half period
+        |omega'|, nome q' and eta_c = i eta' = sqrt(d) E(m1) + e3 |omega'|.
         """
         e1, _, e3 = (z.real for z in self.roots.e_tilde)
         g12, d, g23 = (g.real for g in self.roots.gaps)
@@ -149,12 +159,17 @@ class Lattice:
         big_e = big_k * (0.5 * (1.0 + m1) - self.tail)
         big_k1, big_e1 = elliptic_KE(m1, m)
         omega, omega_i = big_k / s, big_k1 / s
-        eta = s * big_e - e1 * omega
+        eta, eta_c = s * big_e - e1 * omega, s * big_e1 + e3 * omega_i
         self.periods = HalfPeriods(
             omega=complex(omega, 0.0), omega_prime=complex(0.0, omega_i),
-            eta=complex(eta, 0.0), eta_prime=complex(0.0, -(s * big_e1 + e3 * omega_i)))
-        self.nome_series = NomeSeries(math.pi / (2.0 * omega),
-                                      math.exp(-math.pi * omega_i / omega), eta / omega)
+            eta=complex(eta, 0.0), eta_prime=complex(0.0, -eta_c))
+        self.q = math.exp(-math.pi * omega_i / omega)
+        self.q_t = math.exp(-math.pi * omega / omega_i)
+        self.companion = self.q_t < self.q
+        if self.companion:
+            self.nome_series = NomeSeries(math.pi / (2.0 * omega_i), self.q_t, eta_c / omega_i)
+        else:
+            self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega)
 
     def _rhombic_periods(self) -> None:
         """Half periods from R_F at the conjugate pair; eta from the companion's series.
@@ -167,26 +182,30 @@ class Lattice:
         with p(omega) = e1, and omega' = conj(omega) puts Im(omega'/omega)
         > 0, so omega + omega' = w_r and omega' - omega = i w_i.
 
-        The companion's basis (w_i, (w_i + i w_r)/2) has |q| =
-        exp(-pi w_r/(2 w_i)) and q^2 negative.  Its series' constant term
-        is eta_c/w_i, eta_c = zeta_c(w_i) = i zeta(i w_i), and Legendre's
-        relation eta omega' - eta' omega = i pi/2 with zeta(w_r) = eta +
-        eta' and zeta(i w_i) = eta' - eta gives zeta(w_r) w_i + eta_c w_r
-        = pi.  The series give the p of roots that sum to 0; adding their
-        mean s as given, p(iy) = s - p_c(y), makes p(omega_k) = e_k, as on
-        a rectangular lattice.
+        The companion's basis (w_i, (w_i + i w_r)/2) has |q| = q_t =
+        exp(-pi w_r/(2 w_i)) and q^2 negative; the real-period basis
+        (w_r, omega') has q = exp(-pi w_i/(2 w_r)).  The companion series'
+        constant term is eta_c/w_i, eta_c = zeta_c(w_i) = i zeta(i w_i),
+        and Legendre's relation eta omega' - eta' omega = i pi/2 with
+        zeta(w_r) = eta + eta' and zeta(i w_i) = eta' - eta gives zeta(w_r)
+        w_i + eta_c w_r = pi.  The series give the p of roots that sum to
+        0; adding their mean s as given, p(iy) = s - p_c(y), makes
+        p(omega_k) = e_k, as on a rectangular lattice.
         """
         g12 = self.roots.gaps[0]          # e1 - e2
         w_r, w_i = _rf_zero_pair(-g12), _rf_zero_pair(g12)
-        series = NomeSeries(math.pi / (2.0 * w_i), -math.exp(-math.pi * w_r / (2.0 * w_i)))
+        self.q_t = math.exp(-math.pi * w_r / (2.0 * w_i))
+        series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t)
         series.eta_over_omega += sum(self.roots.e_tilde).real / 3.0
         eta_c = series.eta_over_omega * w_i
         eta_r = (math.pi - eta_c * w_r) / w_i          # zeta(w_r)
         omega = 0.5 * complex(w_r, -w_i)
         self.nome_series = series
+        self.companion = True
         self.periods = HalfPeriods(omega=omega, omega_prime=omega.conjugate(),
                                    eta=0.5 * complex(eta_r, eta_c),
                                    eta_prime=0.5 * complex(eta_r, -eta_c))
+        self.q = math.exp(-math.pi * self.periods.omega_prime.imag / w_r)
 
     @cached_property
     def real_half_period(self) -> float:
@@ -199,16 +218,15 @@ class Lattice:
         """(p, dp/dx, Im zeta) at z = ix, where p is real and p', zeta imaginary.
 
         p'(ix) = -i dp/dx, and d Im zeta(ix)/dx = -p, which the Newton
-        step of ``_refine_seed`` uses.  A rectangular lattice sums its
-        series at ix (``NomeSeries.at_imaginary``), a rhombic one its
-        companion's real axis (``NomeSeries.at``): p(ix) = -p_c(x),
-        zeta(ix) = -i zeta_c(x).
+        step of ``_refine_seed`` uses.  The lattice's own series is summed
+        at ix (``NomeSeries.at_imaginary``), the companion's on its real
+        axis (``NomeSeries.at``): p(ix) = -p_c(x), zeta(ix) = -i zeta_c(x).
         """
-        if self.rectangular:
-            p, pp, zt = self.nome_series.at_imaginary(-x)
-            return p, -pp, zt
-        p, pp, zt = self.nome_series.at(x)
-        return -p, -pp, -zt
+        if self.companion:
+            p, pp, zt = self.nome_series.at(x)
+            return -p, -pp, -zt
+        p, pp, zt = self.nome_series.at_imaginary(-x)
+        return p, -pp, zt
 
     def wp_inverse_real(self, gaps: tuple) -> float:
         """x in (0, w_r] with p(x) = w >= e_k, from ``gaps`` = w - e_i, i = 1, 2, 3.
@@ -313,13 +331,14 @@ class NomeSeries:
     16 n^2 |c_n| <= 2^-53 (1 - |q|).  From that n on, successive terms
     shrink by at most ((n+1)/n)^2 |q|^2, and that is below |q| at the
     stopping index for every |q| < 0.98 (|q| <= 0.33 on the benchmark's
-    rhombic states, whose imaginary axis this is).  So the omitted tail of
-    each sum is below the unit roundoff in units of k^2, k^3 and k, the
-    sizes of the leading terms csc^2 u >= 1, the cube and the cotangent.
-    The same list of terms gives eta/omega when it is not known in closed
-    form.  It is made on first use: ``at_imaginary`` sums its own terms, so
-    a rectangular lattice, whose eta/omega is known in closed form and
-    whose series is read on the imaginary axis alone, never makes it.
+    rhombic states and |q| < e^-pi on a rectangular lattice's companion,
+    whose imaginary axis this is).  So the omitted tail of each sum is
+    below the unit roundoff in units of k^2, k^3 and k, the sizes of the
+    leading terms csc^2 u >= 1, the cube and the cotangent.  The same
+    list of terms gives eta/omega when it is not known in closed form.  It
+    is made on first use: ``at_imaginary`` sums its own terms, so a
+    lattice that sums its own series, whose eta/omega is known in closed
+    form and which is read on the imaginary axis alone, never makes it.
     """
 
     def __init__(self, k: float, nome: float, eta_over_omega: float | None = None) -> None:

@@ -31,7 +31,9 @@ from radialorbit.dynamics import CubicF, InitialState, build_f
 from radialorbit.elliptic import elliptic_K_tail
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError, RadialOrbitError
 from radialorbit.propagation import _coordinates, invariants_from_conserved
-from radialorbit.weierstrass import _POLE_GUARD, _UNIT_ROUNDOFF, GRoots, HalfPeriods, Lattice
+from radialorbit.weierstrass import (
+    _POLE_GUARD, _UNIT_ROUNDOFF, GRoots, HalfPeriods, Lattice, NomeSeries,
+)
 
 _RTOL_DEFAULT = 1e-11
 _ATOL_DEFAULT = 1e-13
@@ -485,24 +487,26 @@ class ReferenceLattice(Lattice):
 
     ``basis`` holds omega1, omega3, eta1 and eta3 of the kernel's basis and
     ``kernel`` its series (``ComplexSeries``).  A rectangular lattice uses
-    (omega, omega') and the constants of its own real-axis series, so on
-    the imaginary axis the kernel does what ``NomeSeries.at_imaginary``
-    does.  A rhombic one uses the Lagrange-reduced basis of (omega,
-    omega'), where Im tau >= sqrt(3)/2 and so |q| <= exp(-pi sqrt(3)/2) =
-    0.066, with eta1 the series' constant term, eta1 = omega1 k^2 (1/3 -
-    8 sum n c_n), and eta3 from the Legendre relation eta1 omega3 - eta3
-    omega1 = i pi/2: independent of the companion route.  A point is
-    reduced into the centred cell of the basis, and values outside it
-    follow from periodicity of p, p' and the quasi-periodicity of zeta and
-    sigma.
+    (omega, omega') and the constants of its own real-axis series
+    ``series``, k = pi/(2 omega), q and eta/omega, whichever series the
+    package's lattice sums (``Lattice.companion``), so on the imaginary
+    axis the kernel does what ``series.at_imaginary`` does.  A rhombic one
+    uses the Lagrange-reduced basis of (omega, omega'), where Im tau >=
+    sqrt(3)/2 and so |q| <= exp(-pi sqrt(3)/2) = 0.066, with eta1 the
+    series' constant term, eta1 = omega1 k^2 (1/3 - 8 sum n c_n), and eta3
+    from the Legendre relation eta1 omega3 - eta3 omega1 = i pi/2:
+    independent of the companion route.  A point is reduced into the
+    centred cell of the basis, and values outside it follow from
+    periodicity of p, p' and the quasi-periodicity of zeta and sigma.
     """
 
     def __init__(self, roots: GRoots) -> None:
         super().__init__(roots)
         if self.rectangular:
-            series = self.nome_series
+            omega, eta = self.periods.omega.real, self.periods.eta.real
             self.basis = self.periods
-            self.kernel = ComplexSeries(series.k, series.nome, series.eta_over_omega)
+            self.series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega)
+            self.kernel = ComplexSeries(self.series.k, self.q, self.series.eta_over_omega)
             return
         b1, b3 = _reduced_basis(self.periods.omega, self.periods.omega_prime)
         kernel = ComplexSeries(math.pi / (2.0 * b1), cmath.exp(1j * math.pi * b3 / b1))

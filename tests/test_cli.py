@@ -364,6 +364,21 @@ class TestClassify:
         assert doc["tag"] == "unbounded-above"
         assert doc["margin"] == 0.0
 
+    @pytest.mark.parametrize("gamma0_deg", ["90", "89.9999999"])
+    def test_radial_start_needs_no_pericenter(self, gamma0_deg):
+        # h = 0 or 2.1e-9: f = 2 r (a r^2 + E r + 1) - h^2 has roots 0, 4
+        # and 25 to rounding, and the allowed component [0, 4] reaches r = 0,
+        # where dynamics.pericenter raises NoPericenterError (exit 2).  The
+        # verdict needs only f's roots and that component: e_k = E/6 at
+        # r_m = 0 and margin e1 - e3 = a (25 - 0)/2
+        doc = json.loads(run_ok(["classify", "--r0", "1", "--v0", "1.2", "--gamma0-deg",
+                                 gamma0_deg, "--alpha", "0.01", "--format", "json"]))
+        assert (doc["verdict"], doc["tag"]) == ("bounded", "bounded-below-gap")
+        lo, hi = doc["allowed_interval"]
+        assert abs(lo) <= 1e-15 and hi == pytest.approx(4.0, rel=1e-14, abs=0.0)
+        assert doc["threshold"] == pytest.approx(doc["energy"] / 6.0, rel=1e-14, abs=0.0)
+        assert doc["margin"] == pytest.approx(0.125, rel=1e-14, abs=0.0)
+
 
 class TestEscapeAlpha:
     @pytest.mark.parametrize("name", ["escape_alpha_worked", "escape_alpha_rosette"])

@@ -132,8 +132,8 @@ class TestBuildContext:
     def test_apse_start_kernel_work(self, monkeypatch):
         # the pole is the one series evaluation of a context: its R_F seed
         # and one Newton step on the imaginary axis, the lattice's own
-        # series at -iy (rectangular) or its companion's real axis
-        # (rhombic).  An apse start needs no theta (theta0 = 0); off an apse
+        # series at -iy (rectangular, q <= q') or its companion's real axis
+        # (rhombic, and the k = 1 lattice at alpha = 1e-7, q' < q).  An apse start needs no theta (theta0 = 0); off an apse
         # tau0 is R_F of the gaps and t0, theta0 come from the radial and
         # theta series, none of which calls the kernel
         calls = kernel_calls(monkeypatch)
@@ -143,7 +143,8 @@ class TestBuildContext:
                 (InitialState(1.0, 1.2, 0.0, 0.1), "at", True),
                 (InitialState(**TILTED), "at_imaginary", False),
                 (InitialState(*UNBOUNDED_POLES["rhombic"]), "at", False),
-                (InitialState(*UNBOUNDED_POLES["shift"]), "at_imaginary", False)):
+                (InitialState(*UNBOUNDED_POLES["shift"]), "at_imaginary", False),
+                (InitialState(1.0, 1.5, 0.0, 1e-7), "at", True)):
             calls.clear()
             ctx = build_context(state)
             assert (ctx.theta0 == 0.0) == apse
@@ -840,11 +841,14 @@ class TestThetaSeries:
             assert abs(theta_of_tau(ctx, tau) - log_sigma_theta(ctx, tau)) <= tol
 
     def test_term_counts_at_q_041(self):
+        # q = 0.41 on the real-period basis, whose series would take 26
+        # terms for the theta pole and 23 theta coefficients; the lattice
+        # sums its companion's series at q' = 1.5e-5 on (omega', -omega)
         ctx = build_context(NEAR_ESCAPE_8)
-        series = ctx.lattice.nome_series
-        assert 0.40 < series.nome < 0.42
-        assert len(series.terms) == 26
-        # 23 on the real-period basis; q' = 1.5e-5 on (omega', -omega)
+        lat = ctx.lattice
+        assert 0.40 < lat.q < 0.42 and lat.companion
+        assert lat.nome_series.nome == lat.q_t < 2e-5
+        assert len(lat.nome_series.terms) == 1
         assert series_terms(ctx._theta_series) == [3]
 
     @pytest.mark.parametrize("delta", [-1e-4, -1e-8, 1e-4, 1e-8])
@@ -856,6 +860,26 @@ class TestThetaSeries:
         _, below, above = ctx._radial
         radial, theta = series_terms(below) + series_terms(above), series_terms(ctx._theta_series)
         assert radial and theta and max(radial + theta) <= 15
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-5])
+    def test_term_counts_at_small_alpha(self, alpha):
+        # a rectangular unbounded (k = 1) lattice at q = 0.60/0.51/0.37, q' =
+        # 5e-9/5e-7/5e-5: the real-period basis would take 51/38/25 terms for
+        # the theta pole, 45 H and 39/30/20 T terms for r and t, and 38/29/19
+        # theta coefficients.  On (omega', -omega): H up to w_r/2, its fold
+        # past it, and theta over all of |tau| < w_r
+        ctx = build_context(InitialState(1.0, 1.5, 0.0, alpha))
+        lat = ctx.lattice
+        assert not ctx.bounded and lat.rectangular and lat.companion and ctx.k == 1
+        assert lat.q_t < 1e-4 < 0.3 < lat.q
+        switch, below, above = ctx._radial
+        assert switch == 0.5 * lat.real_half_period
+        assert above.func is propagation._fold_point
+        assert ctx._theta_series.func is propagation._theta_centred
+        assert 1 <= len(lat.nome_series.terms) <= 3
+        assert 1 <= len(ctx._theta_series.args[1][3]) <= 4
+        radial = series_terms(below) + series_terms(above)
+        assert radial and max(radial) <= 10
 
     def test_constants_made_once_per_context(self, monkeypatch):
         made = []
@@ -1478,10 +1502,12 @@ def paper_radial_reference(ctx, taus, mp, own_roots=False):
 
 
 def seeded_series_states(seed, per_kind=2):
-    """Valid states of six kinds: bounded with k = 3 and k = 2, unbounded on a
-    rectangular and on a rhombic lattice, |alpha| in [1e-10, 0.5]; and apse
+    """Valid states of seven kinds: bounded with k = 3 and k = 2, unbounded on
+    a rectangular and on a rhombic lattice, |alpha| in [1e-10, 0.5]; apse
     starts at relative distance delta in [1e-8, 1e-2] below the escape
-    threshold (bounded, k = 3) and above it (rhombic)."""
+    threshold (bounded, k = 3) and above it (rhombic); and unbounded
+    rectangular (k = 1) states with E > 0 and alpha in [1e-10, 1e-5], whose
+    lattices sum their companion's series (q' < q)."""
     rng = np.random.default_rng(seed)
     kinds = {"k3": [], "k2": [], "rectangular": [], "rhombic": []}
     while any(len(v) < per_kind for v in kinds.values()):
@@ -1506,26 +1532,42 @@ def seeded_series_states(seed, per_kind=2):
                                              alpha_star * (1.0 + side * delta)))
             assert ctx.bounded == (side < 0.0) and ctx.k in (2, 3)
             kinds.setdefault("escape", []).append(ctx)
+    for _ in range(per_kind):
+        u, r0 = rng.uniform(2.05, 3.0), rng.uniform(0.5, 2.0)      # E > 0
+        ctx = build_context(InitialState(r0, math.sqrt(u / r0), rng.uniform(-0.6, 0.6),
+                                         10.0 ** rng.uniform(-10.0, -5.0)))
+        assert not ctx.bounded and ctx.k == 1 and ctx.lattice.companion
+        kinds.setdefault("small", []).append(ctx)
     return [(kind, ctx) for kind, v in kinds.items() for ctx in v]
 
 
 def radial_route(ctx):
-    """The form that serves tau beyond the switch: S, T, T' or T' folded."""
+    """The form that serves tau beyond the switch: S, T, T', or H or T' folded."""
     form = ctx._radial[2]
     if form.func is propagation._fold_point:
-        return "T' folded"
+        return "T' folded" if form.args[-1].args[3] else "H folded"
     return ("T'" if form.args[3] else "S") if form.args[2] else ("T" if form.args[3] else "S")
 
 
-@pytest.mark.parametrize("delta", [1e-8, 1e-4, 1e-2])
-def test_fold_meets_the_pole_at_the_real_half_period(delta):
-    # T' folded at w_r/2 (``_fold_point``) on (1, 1.2, 0, alpha*(1 + delta)),
-    # toward the escape asymptote w_r: with u = w_r - tau, r - r_m = 2/(a u^2),
-    # dr/dtau = 4/(a u^3) and t = 2/(a u) + c + O(u).  Measured worst 1.1e-15
-    # in r and dr/dtau from u = 1e-15 w_r on, and c steady to 3.4e-16 of t
-    alpha = 0.56**2 / 11.52 * (1.0 + delta)
-    ctx = build_context(InitialState(1.0, 1.2, 0.0, alpha))
-    assert radial_route(ctx) == "T' folded"
+# (state, the fold's form): T' on the rhombic lattices of (1, 1.2, 0, alpha)
+# at delta above the escape threshold, H on k = 1 lattices at tiny alpha
+FOLD_STATES = [
+    *(pytest.param((1.0, 1.2, 0.0, 0.56**2 / 11.52 * (1.0 + delta)), "T' folded", id=repr(delta))
+      for delta in (1e-8, 1e-4, 1e-2)),
+    *(pytest.param((1.0, 1.5, 0.0, alpha), "H folded", id="k1-%r" % alpha)
+      for alpha in (1e-9, 1e-5)),
+]
+
+
+@pytest.mark.parametrize("state, route", FOLD_STATES)
+def test_fold_meets_the_pole_at_the_real_half_period(state, route):
+    # the form folded at w_r/2 (``_fold_point``), toward the escape
+    # asymptote w_r: with u = w_r - tau, r - r_m = 2/(a u^2), dr/dtau =
+    # 4/(a u^3) and t = 2/(a u) + c + O(u).  Measured worst 1.1e-15 in r
+    # and dr/dtau from u = 1e-15 w_r on, and c steady to 3.4e-16 of t
+    ctx = build_context(InitialState(*state))
+    alpha = ctx.state.alpha
+    assert radial_route(ctx) == route
     w_r = ctx.lattice.real_half_period
     consts = []
     for frac in (1e-15, 1e-12, 1e-9):
@@ -1552,9 +1594,10 @@ def test_seeded_series_against_mpmath(seed):
     mp = pytest.importorskip("mpmath")
     states = seeded_series_states(seed)
     routes = {(ctx.bounded, ctx.lattice.rectangular, radial_route(ctx)) for _, ctx in states}
-    # both sides of each switch: S or T' (k = 3), T or T' folded (rhombic)
+    # both sides of each switch: S or T' (k = 3), T or T' folded (rhombic),
+    # H folded (k = 1 with q' < q)
     assert {(True, True, "S"), (True, True, "T'"), (False, False, "T"),
-            (False, False, "T' folded")} <= routes
+            (False, False, "T' folded"), (False, True, "H folded")} <= routes
     for kind, ctx in states:
         w = ctx.lattice.real_half_period
         if ctx.bounded:
@@ -1577,12 +1620,14 @@ def test_seeded_theta_against_log_sigma(seed):
     # theta on both sides of the basis switch against two log sigma
     # evaluations on the same lattice, at the 2e-12 of TestThetaSeries'
     # q = 0.41 state; bounded over +/-50 periods, which folds tau across
-    # +/-omega, unbounded up to 0.999 w_r across the fold at w_r/2
+    # +/-omega, unbounded up to 0.999 w_r across the fold at w_r/2 of a
+    # rhombic lattice, and on a k = 1 lattice with q' < q, unfolded
     states = seeded_series_states(seed)
     routes = {(ctx.bounded, ctx.lattice.rectangular, ctx._theta_series.func.__name__)
-              for _, ctx in states if ctx.bounded or not ctx.lattice.rectangular}
+              for _, ctx in states}
     assert routes == {(True, True, "_theta_real"), (True, True, "_theta_centred"),
-                      (False, False, "_theta_real"), (False, False, "_theta_folded")}
+                      (False, False, "_theta_real"), (False, False, "_theta_folded"),
+                      (False, True, "_theta_centred")}
     for _, ctx in states:
         if ctx.bounded:
             taus = np.linspace(-50.0 * ctx.T_tau, 50.0 * ctx.T_tau, 101)

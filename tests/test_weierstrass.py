@@ -251,9 +251,11 @@ class TestHalfPeriods:
             lat = Lattice(g_roots(Invariants(g2, g3)))
             assert calls == []
             # the series are live once construction is over: the imaginary
-            # axis of a rhombic lattice is its companion's real axis
+            # axis of a rhombic lattice, and of a rectangular one with q' < q,
+            # is its companion's real axis
             lat._wp_imaginary(0.3)
-            assert calls == [("at_imaginary", -0.3) if lat.rectangular else ("at", 0.3)]
+            assert lat.companion == (not lat.rectangular or lat.q_t < lat.q)
+            assert calls == [("at", 0.3) if lat.companion else ("at_imaginary", -0.3)]
             calls.clear()
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
@@ -411,6 +413,10 @@ class TestEvaluation:
 
 RECTANGULAR_GRID = [(g2, g3) for g2, g3 in LATTICE_GRID
                     if Invariants(g2, g3).discriminant > 0.0]
+# the rectangular lattices with q' < q (q = 0.046-0.108), which sum their
+# companion's series
+COMPANION_GRID = [(g2, g3) for g2, g3 in RECTANGULAR_GRID
+                  if Lattice(g_roots(Invariants(g2, g3))).companion]
 
 
 class TestNomeSeries:
@@ -426,7 +432,7 @@ class TestNomeSeries:
         # measured worst 3.5e-14 (p' at (0.08, -0.001))
         mp = pytest.importorskip("mpmath")
         lat = ReferenceLattice.from_invariants(g2, g3)
-        series = lat.nome_series
+        series = lat.series
         with mp.workdps(30):
             ref, omega1, _ = theta_reference(g2, g3, mp)
             assert abs(series.k - float(mp.pi / (2 * omega1))) <= 1e-15 * series.k
@@ -469,7 +475,7 @@ class TestNomeSeries:
         # (TestLaurentCoefficients)
         lat = ReferenceLattice.from_invariants(g2, g3)
         for x in np.linspace(0.05, 1.95, 39) * lat.real_half_period:
-            got = lat.nome_series.at(x)
+            got = lat.series.at(x)
             want = lat.wp_all(x)[:3]
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
@@ -479,7 +485,7 @@ class TestNomeSeries:
         # at_imaginary(y) does the kernel's complex sums at -iy on their
         # nonzero parts: p real, p' and zeta imaginary, each bit for bit
         for y in ys:
-            p, pp, zt = lat.nome_series.at_imaginary(y)
+            p, pp, zt = lat.series.at_imaginary(y)
             want = lat.kernel.at_complex(complex(0.0, -y))
             assert (want[0].imag, want[1].real, want[2].real) == (0.0, 0.0, 0.0)
             assert (p, pp, zt) == (want[0].real, want[1].imag, want[2].imag)
@@ -544,6 +550,26 @@ class TestNomeSeries:
             assert all(isinstance(x, float) for x in (p, dp, zt))
             for got, want in zip((p, -1j * dp, 1j * zt), rhombic.wp_all(1j * y)):
                 assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("g2,g3", COMPANION_GRID)
+    def test_rectangular_companion_on_the_imaginary_axis(self, g2, g3):
+        # q' < q: the lattice sums its companion's series, nome q', on
+        # (omega', -omega) and reads its imaginary axis as the companion's
+        # real one, p(iy) = -p_c(y).  Against the reference kernel's complex
+        # sums on (omega, omega'), relative to the value or k^2, k^3 and k
+        # of the real-period basis, and p(omega') = e3 from eta in closed form.
+        # Measured worst 9.4e-16 and 4.4e-16 k^2; 4-6 terms against 7-9
+        lat = ReferenceLattice.from_invariants(g2, g3)
+        assert lat.companion and lat.nome_series.nome == lat.q_t < lat.q
+        assert len(lat.nome_series.terms) < len(lat.series.terms)
+        w_i, k = lat.periods.omega_prime.imag, lat.series.k
+        for frac in (0.05, 0.3, 0.7, 1.0):
+            p, dp, zt = lat._wp_imaginary(frac * w_i)
+            want = lat.wp_all(complex(0.0, frac * w_i))[:3]
+            for got, ref, order in ((p, want[0], 2), (complex(0.0, -dp), want[1], 3),
+                                    (complex(0.0, zt), want[2], 1)):
+                assert abs(got - ref) <= 1e-13 * max(abs(ref), k**order)
+        assert abs(lat._wp_imaginary(w_i)[0] - lat.roots.e_tilde[2].real) <= 2e-15 * k * k
 
 
 # Unbounded states of the benchmark's state_scatter workload (seed 1) just

@@ -118,11 +118,18 @@ def cmd_propagate(args) -> int:
     state = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha)
     ctx = propagation.build_context(state)
     n = args.samples
-    if n < 1 or (n < 2 and (args.t_span or args.tau_span)):
-        raise ValueError("need at least 2 samples for a nonzero span")
-
-    t0 = units.time_in(args.t0)
-    span = units.time_in(args.t_span)
+    if n < 1:
+        raise ValueError("--samples must be at least 1")
+    t0, span = units.time_in(args.t0), units.time_in(args.t_span)
+    flag = "--t-span" if args.tau_span is None else "--tau-span"
+    if n < 2 and (args.t_span or args.tau_span):
+        raise ValueError(f"need at least 2 samples for a nonzero {flag}")
+    # the last sample's time or pseudo-time, formed as the loop below forms it
+    last = (t0 + span * (n - 1) / max(n - 1, 1) if args.tau_span is None
+            else ctx.tau0 + args.tau_span * (n - 1) / max(n - 1, 1))
+    if not (math.isfinite(t0) and math.isfinite(last)):
+        raise ValueError(f"--t0 and {flag} must give finite sample times, "
+                         f"got --t0 {t0!r} and a last sample at {last!r}")
     rows = []
     for i in range(n):
         if args.tau_span is not None:

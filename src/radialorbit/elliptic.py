@@ -5,15 +5,14 @@ quadratic convergence, full double precision).  The AGM starts from
 (1, sqrt(m1)) with the complementary parameter m1 = 1 - m passed on its
 own, so a caller that knows m1 to full relative precision (m near 1)
 keeps it.  R_F follows Carlson's duplication algorithm with the
-fifth-order series tail (Carlson 1995, Numerical Algorithms 10): real
-square roots for nonnegative real arguments, principal-branch complex
-ones otherwise, which is what the half-period and inverse-p computations
-need for real invariants.
+fifth-order series tail (Carlson 1995, Numerical Algorithms 10), for
+nonnegative real arguments in real arithmetic: the half periods of both
+lattice kinds come from K, and p^-1 at a conjugate pair of gaps reduces
+to R_F of real arguments (``weierstrass._rf_pair``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .errors import EllipticDomainError
@@ -52,25 +51,17 @@ def elliptic_K_tail(m: float, m1: float) -> tuple[float, float]:
     return math.pi / (a + b), tail
 
 
-def carlson_rf(x: complex, y: complex, z: complex) -> complex:
-    """Symmetric elliptic integral R_F(x, y, z), principal branches.
+def carlson_rf(x: float, y: float, z: float) -> float:
+    """Symmetric elliptic integral R_F(x, y, z) of nonnegative real arguments.
 
-    At most one argument may be zero.  Arguments on the negative real
-    axis take the +i0 side of the cut (cmath.sqrt convention).  Three
-    nonnegative real arguments give a real result in real arithmetic.
+    At most one argument may be zero.
     """
-    if all(isinstance(v, (int, float)) and v >= 0.0 for v in (x, y, z)):
-        sqrt = math.sqrt
-        x, y, z = float(x), float(y), float(z)
-    else:
-        sqrt = cmath.sqrt
-        x, y, z = complex(x), complex(y), complex(z)
-    if sum(1 for v in (x, y, z) if v == 0) > 1:
+    sqrt = math.sqrt
+    if (x, y, z).count(0.0) > 1:
         raise ValueError("at most one argument of R_F may be zero")
     for _ in range(120):
         mu = (x + y + z) / 3.0
-        denom = abs(mu) + 1e-300
-        spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / denom
+        spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / mu
         if spread < _RF_TOL:
             break
         sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)

@@ -4,7 +4,8 @@ The closed form inverts p on the lattice's two axes while it builds a
 context.  On the real axis (the epoch's tau0) p^-1 is Carlson's R_F of
 the root gaps (DLMF 19.25.35), with no evaluation of p.  On the imaginary
 axis (the theta pole) R_F seeds one Newton step, the one evaluation, which
-also gives p' and zeta.  It sums the Fourier series in the nome q =
+also gives p' and zeta.  At a conjugate pair of gaps R_F reduces to real
+arguments (``_rf_pair``).  It sums the Fourier series in the nome q =
 exp(i pi tau), tau = omega3/omega1, of a basis (omega1, omega3) whose q^2
 is real (``NomeSeries``).  With k = pi/(2 omega1), u = k z and c_n =
 q^(2n)/(1 - q^(2n)), DLMF 23.8.1-23.8.2 give
@@ -30,13 +31,13 @@ nome is the smaller (``Lattice``).
   the companion on (omega', -omega) in the companion's terms: real half
   period |omega'|, nome q', and eta from K and E in closed form.  The
   companion's real axis is then the lattice's imaginary one, as below.
-- A rhombic lattice (negative discriminant) keeps its half periods from
-  Carlson R_F at the conjugate pair: w_r, the real one, and w_i, the real
-  one of the companion.  It sums the real-period basis of the companion,
-  (w_i, (w_i + i w_r)/2), whose q^2 = -exp(-pi w_r/w_i) is negative
-  (|q| <= 0.33 on the benchmark's rhombic states).  The companion's real
-  axis is the lattice's imaginary one.  eta of the companion is its
-  series' constant term, and Legendre's relation gives zeta(w_r) from it.
+- A rhombic lattice (negative discriminant) has w_r, its real half
+  period, and w_i, the companion's, each from the AGM of K (A&S 18.9,
+  case Delta < 0), which also gives the companion's eta, and zeta(w_r)
+  from Legendre's relation.  It sums the real-period basis of the
+  companion, (w_i, (w_i + i w_r)/2), whose q^2 = -exp(-pi w_r/w_i) is
+  negative (|q| <= 0.33 on the benchmark's rhombic states), on its real
+  axis, the lattice's imaginary one.
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
 no series is summed to build a lattice.  The series take omega and eta
@@ -172,40 +173,44 @@ class Lattice:
             self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega)
 
     def _rhombic_periods(self) -> None:
-        """Half periods from R_F at the conjugate pair; eta from the companion's series.
+        """Half periods, eta values and series of a real root e2 and a pair e1, e3.
 
-        e2 is real and e1, e3 a conjugate pair.  The real half period
-        w_r = R_F(0, e2 - e1, e2 - e3) comes from the real root for
-        (g2, g3); the imaginary one w_i is the same object for the
-        companion (g2, -g3), by p(iz; g2, -g3) = -p(z; g2, g3)
-        (``_rf_zero_pair``).  omega = (w_r - i w_i)/2 is the half period
-        with p(omega) = e1, and omega' = conj(omega) puts Im(omega'/omega)
-        > 0, so omega + omega' = w_r and omega' - omega = i w_i.
-
-        The companion's basis (w_i, (w_i + i w_r)/2) has |q| = q_t =
-        exp(-pi w_r/(2 w_i)) and q^2 negative; the real-period basis
-        (w_r, omega') has q = exp(-pi w_i/(2 w_r)).  The companion series'
-        constant term is eta_c/w_i, eta_c = zeta_c(w_i) = i zeta(i w_i),
-        and Legendre's relation eta omega' - eta' omega = i pi/2 with
-        zeta(w_r) = eta + eta' and zeta(i w_i) = eta' - eta gives zeta(w_r)
-        w_i + eta_c w_r = pi.  The series give the p of roots that sum to
-        0; adding their mean s as given, p(iy) = s - p_c(y), makes
-        p(omega_k) = e_k, as on a rectangular lattice.
+        With H = |e1 - e2| and m, m1 = (H +/- Re(e1 - e2))/(2H), A&S 18.9
+        (case Delta < 0) gives the real half period w_r = K(m)/sqrt(H).  The
+        companion (g2, -g3), roots -e3, -e2, -e1, has the same H with m and
+        m1 swapped: its real half period, the lattice's imaginary one, is
+        w_i = K(m1)/sqrt(H), and eta_c = zeta_c(w_i) = sqrt(H) (2 E(m1) -
+        K(m1)) + e2 w_i = w_i (H m + e2 - 2 H tail), E(m1) from the AGM of
+        K(m1) (``elliptic_K_tail``).  H m H m1 = (Im(e1 - e2))^2/4 gives the
+        smaller of the two as (Im(e1 - e2))^2/(2 (H + |Re(e1 - e2)|)), which
+        does not cancel where the pair closes on the real axis (the escape
+        threshold).  omega = (w_r - i w_i)/2 has p(omega) = e1 and omega' =
+        conj(omega), so omega + omega' = w_r and omega' - omega = i w_i, and
+        Legendre's relation eta omega' - eta' omega = i pi/2 gives zeta(w_r)
+        w_i + eta_c w_r = pi.  The companion's basis (w_i, (w_i + i w_r)/2)
+        has |q| = q_t = exp(-pi w_r/(2 w_i)) and q^2 negative; the
+        real-period basis (w_r, omega') has q = exp(-pi w_i/(2 w_r)).
         """
         g12 = self.roots.gaps[0]          # e1 - e2
-        w_r, w_i = _rf_zero_pair(-g12), _rf_zero_pair(g12)
-        self.q_t = math.exp(-math.pi * w_r / (2.0 * w_i))
-        series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t)
-        series.eta_over_omega += sum(self.roots.e_tilde).real / 3.0
-        eta_c = series.eta_over_omega * w_i
+        h, re = abs(g12), abs(g12.real)
+        big, small = 0.5 * (h + re), 0.5 * g12.imag * g12.imag / (h + re)
+        hm, hm1 = (big, small) if g12.real >= 0.0 else (small, big)     # H m, H m1
+        m, m1 = hm / h, hm1 / h
+        if not (m > 0.0 and m1 > 0.0):
+            raise DegenerateLatticeError(f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})")
+        s = math.sqrt(h)
+        (big_k, _), (big_k1, tail) = elliptic_K_tail(m, m1), elliptic_K_tail(m1, m)
+        w_r, w_i = big_k / s, big_k1 / s
+        eta_c = w_i * (hm + self.roots.e_tilde[1].real - 2.0 * h * tail)
         eta_r = (math.pi - eta_c * w_r) / w_i          # zeta(w_r)
         omega = 0.5 * complex(w_r, -w_i)
-        self.nome_series = series
+        self.q = math.exp(-math.pi * w_i / (2.0 * w_r))
+        self.q_t = math.exp(-math.pi * w_r / (2.0 * w_i))
+        self.nome_series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t, eta_c / w_i)
         self.companion = True
         self.periods = HalfPeriods(omega=omega, omega_prime=omega.conjugate(),
                                    eta=0.5 * complex(eta_r, eta_c),
                                    eta_prime=0.5 * complex(eta_r, -eta_c))
-        self.q = math.exp(-math.pi * self.periods.omega_prime.imag / w_r)
 
     @cached_property
     def real_half_period(self) -> float:
@@ -235,12 +240,10 @@ class Lattice:
         rhombic one, and w_r the real half period: p falls from +inf at 0
         to e_k at w_r.  A caller can often form the gaps with less
         cancellation than the subtraction: real ones, or on a rhombic
-        lattice a conjugate pair and a real one.  A real gap a rounding
-        below 0 counts as 0 (w = e_k, x = w_r).  x is R_F of the gaps
-        (DLMF 19.25.35), real as its arguments are closed under
-        conjugation: no evaluation of p.
+        lattice a conjugate pair and a real one.  x is R_F of the gaps
+        (DLMF 19.25.35) in real arithmetic (``_rf_gaps``): no p evaluated.
         """
-        return carlson_rf(*self._clamped(gaps)).real
+        return self._rf_gaps(gaps, self.real_half_period)
 
     def wp_inverse_imaginary(self, w: float, gaps: tuple
                              ) -> tuple[complex, tuple[complex, complex, complex]]:
@@ -251,17 +254,16 @@ class Lattice:
         ``wp_inverse_real``.  p(iy; g2, g3) = -p(y; g2, -g3) makes y =
         R_F(gaps) the point of (0, h] with p(iy) = w, where ih is the first
         half period up the axis: omega' on a rectangular lattice, omega' -
-        omega on a rhombic one.  There p'(iy) = -i dp(iy)/dy lies on the -i
-        branch, and its mirror v = 2 omega' - iy on the +i branch: Re v = 0
-        and h <= Im v < 2h on a rectangular lattice, Re v = w_r and
-        0 <= Im v < h on a rhombic one.  One Newton step at -iy
+        omega = i w_i on a rhombic one.  There p'(iy) = -i dp(iy)/dy lies
+        on the -i branch, and its mirror v = 2 omega' - iy on the +i
+        branch: Re v = 0 and h <= Im v < 2h on a rectangular lattice, Re v
+        = w_r and 0 <= Im v < h on a rhombic one.  One Newton step at -iy
         (``_wp_imaginary``) refines y (``_refine_seed``); the values at v
         are those at -iy with 2 eta' added to zeta.
         """
         per = self.periods
         half = (per.omega_prime if self.rectangular else per.omega_prime - per.omega).imag
-        seed = -carlson_rf(*self._clamped(gaps)).real
-        x, values = self._refine_seed(seed, w)
+        x, values = self._refine_seed(-self._rf_gaps(gaps, half), w)
         y = abs(x)
         if y > half:               # a step past ih lands on the mirror point
             y = 2.0 * half - y
@@ -271,21 +273,21 @@ class Lattice:
         return (2.0 * per.omega_prime - complex(0.0, y),
                 (p, complex(0.0, -dp), complex(0.0, zt) + 2.0 * per.eta_prime))
 
-    def _clamped(self, gaps: tuple) -> tuple:
-        """The real gaps with one a rounding below 0 taken as 0.
+    def _rf_gaps(self, gaps: tuple, full: float) -> float:
+        """R_F of the gaps of ``wp_inverse_*``, a real one a rounding below 0 taken as 0.
 
-        All three are real on a rectangular lattice; on a rhombic one only
-        the gap at e2, the real root.  Two zero gaps put w on a double root
-        of the lattice cubic, where R_F diverges: DegenerateLatticeError.
+        Rectangular: three real gaps; two of them 0 put w on a double root,
+        where R_F diverges: DegenerateLatticeError.  Rhombic: the gap x at
+        e2 and a conjugate pair b, b - x = +/-(e1 - e2), reduced with the
+        lattice's H (``_rf_pair``); ``full`` is the axis's half period.
         """
-        a, b, c = gaps
         if self.rectangular:
-            a, c = max(a, 0.0), max(c, 0.0)
-        clamped = a, max(b, 0.0), c
-        if clamped.count(0.0) > 1:
-            raise DegenerateLatticeError(
-                f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
-        return clamped
+            clamped = tuple(max(g, 0.0) for g in gaps)
+            if clamped.count(0.0) > 1:
+                raise DegenerateLatticeError(
+                    f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
+            return carlson_rf(*clamped)
+        return _rf_pair(max(gaps[1], 0.0), gaps[0], abs(self.roots.gaps[0]), full)
 
     def _refine_seed(self, x: float, w: float) -> tuple:
         """(x, (p, dp/dx, Im zeta) at ix) for the R_F seed x of p(ix) = w.
@@ -334,18 +336,14 @@ class NomeSeries:
     rhombic states and |q| < e^-pi on a rectangular lattice's companion,
     whose imaginary axis this is).  So the omitted tail of each sum is
     below the unit roundoff in units of k^2, k^3 and k, the sizes of the
-    leading terms csc^2 u >= 1, the cube and the cotangent.  The same
-    list of terms gives eta/omega when it is not known in closed form.  It
-    is made on first use: ``at_imaginary`` sums its own terms, so a
-    lattice that sums its own series, whose eta/omega is known in closed
-    form and which is read on the imaginary axis alone, never makes it.
+    leading terms csc^2 u >= 1, the cube and the cotangent.  eta/omega is
+    given in closed form (``Lattice``), so the terms are made on the first
+    call of ``at``, not with the lattice; ``at_imaginary`` sums its own.
     """
 
-    def __init__(self, k: float, nome: float, eta_over_omega: float | None = None) -> None:
+    def __init__(self, k: float, nome: float, eta_over_omega: float) -> None:
         self.k = k
         self.nome = nome
-        if eta_over_omega is None:
-            eta_over_omega = k * k * (1.0 / 3.0 - sum(a for a, _, _ in reversed(self.terms)))
         self.eta_over_omega = eta_over_omega
 
     @cached_property
@@ -432,16 +430,18 @@ class NomeSeries:
         return p, pp, zt
 
 
-def _rf_zero_pair(y: complex) -> float:
-    """R_F(0, y, conj y), with its first duplication step taken by hand.
+def _rf_pair(x: float, b: complex, h: float, full: float) -> float:
+    """R_F(x, b, conj b) for x >= 0 and Im b != 0, in real arithmetic.
 
-    sqrt(y) sqrt(conj y) = |y|, so duplication (DLMF 19.26.18) gives
-    2 R_F(|y|, y + |y|, conj y + |y|).  Near the negative real axis,
-    Re y + |y| = (Im y)^2/(|y| - Re y) keeps the digits that the sum, and
-    the plain algorithm's first step, cancel: near the escape threshold
-    R_F(0, e2 - e1, e2 - e3) lost 1e-13 of w_r that way.
+    With h = |b - x| and full = R_F(0, b - x, conj(b - x)), R_F(x, b, conj b)
+    = sqrt(x) R_F((x - h)^2, |b|^2, (x + h)^2) for x >= h, and full minus
+    that for x < h, where it is below full/2: no cancellation.  The
+    arguments are divided by (x + h)^2, which keeps the squares in range,
+    and (x - h)/(x + h) = (x^2 - h^2)/(x + h)^2 is formed from b and x:
+    from a rounded h it would lose its digits where |b| << x = h.
     """
-    r = abs(y)
-    s = y.imag * y.imag / (r - y.real) if y.real < 0.0 else y.real + r
-    y1 = complex(s, y.imag)
-    return 2.0 * carlson_rf(r, y1, y1.conjugate()).real
+    inv = 1.0 / (x + h)
+    br, bi = b.real * inv, b.imag * inv
+    t = br * (2.0 * x * inv - br) - bi * bi           # (x - h)/(x + h)
+    value = math.sqrt(x) * inv * carlson_rf(t * t, br * br + bi * bi, 1.0)
+    return value if t >= 0.0 else full - value

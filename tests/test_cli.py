@@ -231,6 +231,32 @@ class TestPropagate:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--t0", "inf", "--samples", "1"], "--t-span"),
+        (["--t0", "nan"], "--t-span"),
+        (["--t-span", "nan"], "--t-span"),
+        (["--t-span", "inf"], "--t-span"),
+        (["--tau-span", "nan"], "--tau-span"),
+        (["--tau-span", "inf"], "--tau-span"),
+        # finite flags whose last sample, span * (n - 1) / (n - 1), overflows
+        (["--t-span", "1e308", "--samples", "3"], "--t-span"),
+        (["--tau-span", "1e308", "--samples", "3"], "--tau-span"),
+    ], ids=["t0-inf", "t0-nan", "t_span-nan", "t_span-inf", "tau_span-nan", "tau_span-inf",
+            "t_span-last", "tau_span-last"])
+    def test_non_finite_times_are_rejected(self, argv, flag):
+        # they exited 1 with OverflowError, or 2 with "cannot convert float
+        # NaN to integer"
+        code, out, err = run_cli(["propagate", *WORKED, *argv])
+        assert (code, out) == (2, "")
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"--t0 and {flag} must give finite sample times")
+
+    def test_zero_samples_are_rejected(self):
+        code, out, err = run_cli(["propagate", *WORKED, "--samples", "0"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == "--samples must be at least 1"
+
     @pytest.mark.parametrize("flag", ["--t-span", "--tau-span"])
     def test_single_sample_with_zero_span_is_the_epoch(self, flag):
         (row,) = propagate_rows([*TILTED, flag, "0", "--samples", "1"])

@@ -10,7 +10,7 @@ from oracle import Invariants, ReferenceLattice, g_roots
 from radialorbit import propagation, weierstrass
 from radialorbit.dynamics import InitialState
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError
-from radialorbit.propagation import build_context
+from radialorbit.propagation import build_context, r_of_tau
 from radialorbit.weierstrass import Lattice
 
 from conftest import FORMER_DEGENERATE, sample_states
@@ -235,9 +235,9 @@ class TestHalfPeriods:
         assert lat.real_half_period == self.shortest_real_vector(lat)
 
     def test_construction_makes_no_kernel_call(self, monkeypatch):
-        # rectangular lattices take the half periods and eta from K and E,
-        # rhombic ones eta from the constant term of their companion's
-        # series and Legendre's relation: no evaluation of p or zeta
+        # both lattice kinds take the half periods and eta from K and E (a
+        # rhombic one zeta(w_r) from Legendre's relation): no evaluation of
+        # p or zeta, and no series terms, which the first real-axis call makes
         calls = []
         for name in ("at", "at_imaginary"):
             method = getattr(weierstrass.NomeSeries, name)
@@ -250,6 +250,7 @@ class TestHalfPeriods:
         for g2, g3 in LATTICE_GRID:
             lat = Lattice(g_roots(Invariants(g2, g3)))
             assert calls == []
+            assert "terms" not in vars(lat.nome_series)
             # the series are live once construction is over: the imaginary
             # axis of a rhombic lattice, and of a rectangular one with q' < q,
             # is its companion's real axis
@@ -711,6 +712,76 @@ class TestRhombicSeries:
             assert abs(2.0 * lat.periods.omega_prime.imag - w_i) <= 1e-15 * w_i
 
 
+def seeded_rhombic_roots(n, seed):
+    """Roots e2 + g, e2, e2 + conj g with |g| = H in [0.01, 10], e2 in [-2H, 2H].
+
+    arg g spans (1e-3, pi - 1e-3), a third of the lattices within 1 of
+    either end: near 0 the pair closes on the real axis (m1 -> 0, the
+    escape threshold), near pi it does with m -> 0.
+    """
+    rng = np.random.default_rng(seed)
+    roots = []
+    for i in range(n):
+        h = 10.0 ** rng.uniform(-2.0, 1.0)
+        end = 10.0 ** rng.uniform(-3.0, 0.0)
+        phi = (end, math.pi - end, rng.uniform(0.01, math.pi - 0.01))[i % 3]
+        g = complex(h * math.cos(phi), h * math.sin(phi))
+        e2 = h * rng.uniform(-2.0, 2.0)
+        roots.append(weierstrass.GRoots(e_tilde=(e2 + g, complex(e2), e2 + g.conjugate()),
+                                        gaps=(g, complex(0.0, 2.0 * g.imag), -g.conjugate())))
+    return roots
+
+
+class TestRhombicConstruction:
+    """w_r, w_i, zeta(w_r) and eta_c of a rhombic lattice from one AGM per axis.
+
+    Against mpmath on the lattice's own roots: R_F for the half periods,
+    the theta_1 reference for zeta.  ``oracle.ReferenceLattice`` builds its
+    half periods as the package does, so it is no reference here.
+    """
+
+    def test_half_periods_against_mpmath(self):
+        # w_r = R_F(0, e2 - e1, e2 - e3), w_i = R_F(0, e1 - e2, e3 - e2);
+        # measured worst 4.4e-16 (2 ulps) over 4000 of them, against
+        # 6.7e-16 for the complex R_F route this replaced
+        mp = pytest.importorskip("mpmath")
+        for roots in seeded_rhombic_roots(150, 61):
+            lat = Lattice(roots)
+            assert not lat.rectangular
+            w_r, w_i = lat.real_half_period, 2.0 * lat.periods.omega_prime.imag
+            with mp.workdps(30):
+                g = mp.mpc(roots.gaps[0])
+                assert abs(w_r - mp.re(mp.elliprf(0, -g, -mp.conj(g)))) <= 6e-16 * w_r
+                assert abs(w_i - mp.re(mp.elliprf(0, g, mp.conj(g)))) <= 6e-16 * w_i
+
+    def test_zeta_at_the_half_periods_against_theta_reference(self):
+        # zeta(w_r) and eta_c = i zeta(i w_i), each within 1e-15 of the
+        # size of what its formula sums, |zeta| + (|e2| + H) w: sqrt(H)
+        # K = H w and e2 w in eta_c, and in zeta(w_r) = (pi - eta_c w_r)/w_i,
+        # where pi/w_i <= |zeta| + (|e2| + H) w_r.  Measured worst 3.1e-16
+        # over 600 lattices; relative to |zeta| + |e2| w alone it reads up
+        # to 1.6e-15 where 2E - K or pi - eta_c w_r cancels
+        mp = pytest.importorskip("mpmath")
+        for roots in seeded_rhombic_roots(24, 62):
+            lat = Lattice(roots)
+            per = lat.periods
+            w_r, w_i = lat.real_half_period, 2.0 * per.omega_prime.imag
+            zeta_r, eta_c = 2.0 * per.eta.real, 2.0 * per.eta.imag
+            e2, h = roots.e_tilde[1].real, abs(roots.gaps[0])
+            with mp.workdps(30):
+                g, s = mp.mpc(roots.gaps[0]), mp.mpf(e2)
+                e = [s + g, s, s + mp.conj(g)]
+                mean = sum(e) / 3
+                e = [x - mean for x in e]
+                g2 = mp.re(-4 * (e[0] * e[1] + e[0] * e[2] + e[1] * e[2]))
+                ref, omega1, omega3 = theta_reference(g2, mp.re(4 * e[0] * e[1] * e[2]), mp)
+                iw_i = 2 * mp.mpc(0, mp.im(omega3))
+                want_r = mp.re(ref(omega1)[1] - mean * omega1)
+                want_c = mp.re(1j * (ref(iw_i)[1] - mean * iw_i))
+            assert abs(zeta_r - want_r) <= 1e-15 * (abs(want_r) + (abs(e2) + h) * w_r)
+            assert abs(eta_c - want_c) <= 1e-15 * (abs(want_c) + (abs(e2) + h) * w_i)
+
+
 class TestLogSigma:
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_branch_is_continuous_along_lines(self, g2, g3):
@@ -797,6 +868,39 @@ class TestInverse:
                                                rel=1e-12)
         half = per.omega_prime if lat.rectangular else lat.real_half_period
         assert abs(lat.reduce(v - half)[0]) <= 1e-14 * abs(half)
+
+    def test_far_branch_of_the_pair_reduction(self, monkeypatch):
+        # rhombic p^-1 past half the axis's half period, where R_F is the
+        # half period minus the reduced value: tau0 at 0.63 w_r on (2, 0.5,
+        # 45 deg, 0.3), and the theta pole's y = w_i - Im v at 0.60 w_i on
+        # (2, 0.5, 10 deg, 0.3).  Each against mpmath's complex R_F of the
+        # gaps the context hands in; measured 8.2e-17 and 3.2e-17
+        mp = pytest.importorskip("mpmath")
+        seen = {}
+        for name in ("wp_inverse_real", "wp_inverse_imaginary"):
+            method = getattr(Lattice, name)
+
+            def kept(self, *args, name=name, method=method):
+                seen[name] = args[-1]
+                return method(self, *args)
+
+            monkeypatch.setattr(Lattice, name, kept)
+        far = build_context(InitialState(2.0, 0.5, math.radians(45.0), 0.3))
+        tau_gaps = seen["wp_inverse_real"]
+        pole = build_context(InitialState(2.0, 0.5, math.radians(10.0), 0.3))
+        pole_gaps = seen["wp_inverse_imaginary"]
+        w_r = far.lattice.real_half_period
+        w_i = 2.0 * pole.lattice.periods.omega_prime.imag
+        y = w_i - pole.v.imag
+        assert not far.lattice.rectangular and not pole.lattice.rectangular
+        assert far.tau0 / w_r == pytest.approx(0.63, abs=0.01)
+        assert pole.v.real == pole.lattice.real_half_period
+        assert pole.v.imag / w_i == pytest.approx(0.40, abs=0.01)
+        with mp.workdps(30):
+            for got, gaps in ((far.tau0, tau_gaps), (y, pole_gaps)):
+                want = mp.re(mp.elliprf(*(mp.mpc(g) for g in gaps)))
+                assert abs(got - want) <= 4e-15 * want
+        assert r_of_tau(far, far.tau0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
 
 class TestLaurentCoefficients:

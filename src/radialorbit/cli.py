@@ -5,6 +5,9 @@ accepts a gravitational parameter and a length unit and converts on the
 way in and out: with DU the length unit and TU = sqrt(DU^3 / mu), inputs
 scale as r/DU, v * TU/DU, alpha * TU^2/DU, t/TU.
 
+Each call parses its arguments once: a first argument naming a command
+goes straight to that command's parser (``_parse``).
+
 Exit codes: 0 success, 2 invalid input or domain error, 3 internal
 numerical failure.  Domain errors emit a one-line JSON record on stderr.
 """
@@ -360,11 +363,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_escape_alpha)
 
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    ap.commands = sub.choices
     return ap
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``_build_parser().parse_args(argv)``, from one parser pass.
+
+    The top-level parser hands every string after the command on to the
+    command's parser unparsed, so a first argument naming a command is
+    parsed by that parser alone; strings it leaves are reported as the
+    top-level parser reports them.  Anything else (no arguments, -h, an
+    unknown command) takes the full parser.
+    """
+    ap = _build_parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        ap.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ConvergenceError, WpInverseError) as exc:

@@ -701,13 +701,21 @@ def _odd_tail(y: float, s1: float, sign: float) -> float:
 
 def _orbit_point(ctx: SolutionContext, tau: float) -> tuple[float, float, float]:
     """(t, r, dr/dtau) at tau from one series; bounded tau folds to [-T_tau/2, T_tau/2]."""
-    n = round(tau / ctx.T_tau) if ctx.bounded else 0
+    try:
+        n = round(tau / ctx.T_tau) if ctx.bounded else 0
+    except (OverflowError, ValueError):
+        raise _no_fold(tau, ctx.T_tau) from None
     x = tau - ctx.T_tau * n if n else tau
     switch, below, above = ctx._radial
     t, r, rp = (below if abs(x) < switch else above)(abs(x))
     if x < 0.0:
         t, rp = -t, -rp
     return (t + n * ctx.T_t if n else t), r, rp
+
+
+def _no_fold(x: float, period: float) -> OutOfIntervalError:
+    """The error of a bounded fold whose period count x/period is not finite."""
+    return OutOfIntervalError(f"{x!r} is not a finite number of periods {period!r}")
 
 
 def r_of_tau(ctx: SolutionContext, tau: float) -> float:
@@ -723,10 +731,15 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     f = 2a (r - r_m)(r - r_i)(r - r_j) and e_i - e_k = a (r_i - r_m)/2 make
     them (a/2)(r_i - r_m)(r_j - r0)/(r0 - r_m), and at i = k the same with
     r_m for r0: factors read from f's offsets, none cancelling, each of
-    exact sign.  Inbound is -z, pericenter passage ahead at tau = 0:
-    T_tau - z would round z to an ulp of T_tau.  An r0 at or past an apse,
-    inside the pad of ``MotionClass.contains``, is that apse: 0 if r0 - r_m
-    <= 0, and T_tau/2 if a gap is <= 0 on bounded motion, where r0 >= r_M.
+    exact sign.  They grow as 1/(r0 - r_m), past the floats once r0 - r_m
+    is subnormal, so they are formed for (r0 - r_m)/4^e in [1/2, 2) and
+    R_F is scaled back by 2^e (``Lattice.wp_inverse_real``): a power of 4
+    scales every rounding exactly, so z is bit for bit the unscaled one
+    wherever that stays in range.  Inbound is -z, pericenter passage ahead
+    at tau = 0: T_tau - z would round z to an ulp of T_tau.  An r0 at or
+    past an apse, inside the pad of ``MotionClass.contains``, is that apse:
+    0 if r0 - r_m <= 0, and T_tau/2 if a gap is <= 0 on bounded motion,
+    where r0 >= r_M.
     """
     if sign_rdot not in (-1, 1):
         raise ValueError("sign_rdot must be +1 or -1")
@@ -739,8 +752,8 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     d0 = x0 - xs[m].real                # r0 - r_m
     if d0 <= 0.0:
         return 0.0
-    i, j = (m + 1) % 3, (m + 2) % 3
-    scale, d_i, d_j = 0.5 * ctx.f.alpha / d0, xs[i] - xs[m], xs[j] - xs[m]
+    i, j, e = (m + 1) % 3, (m + 2) % 3, math.frexp(d0)[1] // 2
+    scale, d_i, d_j = 0.5 * ctx.f.alpha / math.ldexp(d0, -2 * e), xs[i] - xs[m], xs[j] - xs[m]
     gaps = [0.0, 0.0, 0.0]
     gaps[i], gaps[j] = scale * d_i * (xs[j] - x0), scale * d_j * (xs[i] - x0)
     gaps[m] = scale * (d_i * d_j).real  # real: a conjugate pair's |r_i - r_m|^2 if rhombic
@@ -748,7 +761,7 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
         gaps = [g.real for g in gaps]
         if ctx.bounded and min(gaps) <= 0.0:
             return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
-    z = ctx.lattice.wp_inverse_real(tuple(gaps))
+    z = ctx.lattice.wp_inverse_real(tuple(gaps), e)
     return z if sign_rdot > 0 else -z
 
 
@@ -765,7 +778,10 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
     tau.  Bounded motion folds whole pseudo-periods off |tau| >= T_tau,
     each adding ``dtheta_period``; unbounded motion has |tau| < w_r.
     """
-    n = math.floor(tau / ctx.T_tau) if ctx.bounded and abs(tau) >= ctx.T_tau else 0
+    try:
+        n = math.floor(tau / ctx.T_tau) if ctx.bounded and abs(tau) >= ctx.T_tau else 0
+    except (OverflowError, ValueError):
+        raise _no_fold(tau, ctx.T_tau) from None
     tau -= n * ctx.T_tau if n else 0.0
     theta = ctx._theta_series(tau)
     return theta + n * ctx.dtheta_period if n else theta
@@ -802,7 +818,10 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     if t == 0.0:
         return 0.0, ctx.r_m, 0.0
     if ctx.bounded:
-        n_per = math.floor(t / ctx.T_t)
+        try:
+            n_per = math.floor(t / ctx.T_t)
+        except (OverflowError, ValueError):
+            raise _no_fold(t, ctx.T_t) from None
         t_r = t - n_per * ctx.T_t
         tau, r, rp = _halley_bisect(ctx, t_r, 0.0, ctx.T_tau, _kepler_start(ctx, t_r))
         return tau + n_per * ctx.T_tau, r, rp

@@ -233,8 +233,8 @@ class Lattice:
         p, pp, zt = self.nome_series.at_imaginary(-x)
         return p, -pp, zt
 
-    def wp_inverse_real(self, gaps: tuple) -> float:
-        """x in (0, w_r] with p(x) = w >= e_k, from ``gaps`` = w - e_i, i = 1, 2, 3.
+    def wp_inverse_real(self, gaps: tuple, e: int = 0) -> float:
+        """x in (0, w_r] with p(x) = w >= e_k, from ``gaps`` = 4^e (w - e_i), i = 1, 2, 3.
 
         e_k is e1 on a rectangular lattice and e2, the real root, on a
         rhombic one, and w_r the real half period: p falls from +inf at 0
@@ -242,8 +242,10 @@ class Lattice:
         cancellation than the subtraction: real ones, or on a rhombic
         lattice a conjugate pair and a real one.  x is R_F of the gaps
         (DLMF 19.25.35) in real arithmetic (``_rf_gaps``): no p evaluated.
+        The power of 4 lets a w near the pole, whose gaps leave the floats,
+        be passed scaled: R_F(4^e g) = 2^-e R_F(g) exactly.
         """
-        return self._rf_gaps(gaps, self.real_half_period)
+        return self._rf_gaps(gaps, self.real_half_period, e)
 
     def wp_inverse_imaginary(self, w: float, gaps: tuple
                              ) -> tuple[complex, tuple[complex, complex, complex]]:
@@ -273,21 +275,22 @@ class Lattice:
         return (2.0 * per.omega_prime - complex(0.0, y),
                 (p, complex(0.0, -dp), complex(0.0, zt) + 2.0 * per.eta_prime))
 
-    def _rf_gaps(self, gaps: tuple, full: float) -> float:
-        """R_F of the gaps of ``wp_inverse_*``, a real one a rounding below 0 taken as 0.
+    def _rf_gaps(self, gaps: tuple, full: float, e: int = 0) -> float:
+        """2^e R_F of the gaps of ``wp_inverse_*``, a real one a rounding below 0 taken as 0.
 
         Rectangular: three real gaps; two of them 0 put w on a double root,
         where R_F diverges: DegenerateLatticeError.  Rhombic: the gap x at
-        e2 and a conjugate pair b, b - x = +/-(e1 - e2), reduced with the
-        lattice's H (``_rf_pair``); ``full`` is the axis's half period.
+        e2 and a conjugate pair b, b - x = +/-(e1 - e2) 4^e, reduced with
+        the lattice's H (``_rf_pair``); ``full`` is the axis's half period.
         """
         if self.rectangular:
             clamped = tuple(max(g, 0.0) for g in gaps)
             if clamped.count(0.0) > 1:
                 raise DegenerateLatticeError(
                     f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
-            return carlson_rf(*clamped)
-        return _rf_pair(max(gaps[1], 0.0), gaps[0], abs(self.roots.gaps[0]), full)
+            return math.ldexp(carlson_rf(*clamped), e)
+        h = math.ldexp(abs(self.roots.gaps[0]), 2 * e)
+        return math.ldexp(_rf_pair(max(gaps[1], 0.0), gaps[0], h, math.ldexp(full, -e)), e)
 
     def _refine_seed(self, x: float, w: float) -> tuple:
         """(x, (p, dp/dx, Im zeta) at ix) for the R_F seed x of p(ix) = w.

@@ -252,6 +252,14 @@ class TestPropagate:
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"--t0 and {flag} must give finite sample times")
 
+    def test_period_count_past_the_floats_is_a_domain_error(self):
+        # t0/T_t is finite but its whole periods of T_tau are not: the fold
+        # of theta exited 1 with an OverflowError
+        code, out, err = run_cli(["propagate", "--r0", "0.05", "--v0", "6.2",
+                                  "--alpha", "0.02", "--t0", "1.7e308", "--samples", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "OutOfIntervalError"
+
     def test_zero_samples_are_rejected(self):
         code, out, err = run_cli(["propagate", *WORKED, "--samples", "0"])
         assert (code, out) == (2, "")
@@ -349,6 +357,62 @@ class TestParser:
         assert vars(args) == vars(cli._build_parser().parse_args(joined))
         assert getattr(args, argv[i - 1].lstrip("-").replace("-", "_")) == -1e-05
         assert run_ok(argv) == run_ok(joined)
+
+    # A first argument naming a command is parsed by that command's parser
+    # alone (``cli._parse``); the full parser takes the rest.  Both routes
+    # must give one namespace, and one stdout, stderr and exit code on
+    # errors and help, the top-level usage included
+    @pytest.mark.parametrize("argv", SEQUENCE + NEGATIVE_EXPONENT)
+    def test_dispatch_matches_the_full_parser(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv))
+
+    ROUTE_CASES = {
+        "unrecognized_flag": ["period", *WORKED, "--bogus", "1"],
+        "stray_positional": ["period", *WORKED, "stray"],
+        "missing_required": ["period", "--r0", "1.0", "--v0", "1.2"],
+        "bad_choice": ["period", *WORKED, "--format", "xml"],
+        "not_a_float": ["period", "--r0", "one", "--v0", "1.2", "--alpha", "0.02"],
+        "exclusive_spans": ["propagate", *WORKED, "--t-span", "1", "--tau-span", "1"],
+        "abbreviated": ["period", "--r0", "1.0", "--v0", "1.2", "--alp", "0.02"],
+        "command_help": ["period", "-h"],
+        "no_arguments": [],
+        "unknown_command": ["bogus", *WORKED],
+        "top_level_help": ["--help"],
+    }
+
+    @staticmethod
+    def outcome(argv):
+        """(exit code, stdout, stderr) of ``cli.main``, SystemExit included."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", ROUTE_CASES)
+    def test_errors_and_help_match_the_full_parser(self, name, monkeypatch):
+        argv = self.ROUTE_CASES[name]
+        dispatched = self.outcome(argv)
+        monkeypatch.setattr(cli, "_parse", lambda a: cli._build_parser().parse_args(a))
+        assert dispatched == self.outcome(argv)
+        assert dispatched[0] in (0, 2) and (dispatched[1] or dispatched[2])
+
+    def test_command_skips_the_top_level_pass(self, monkeypatch):
+        ap = cli._build_parser()
+        top_level, entered = ap.parse_known_args, []
+
+        def spy(*args, **kwargs):
+            entered.append(args)
+            return top_level(*args, **kwargs)
+
+        monkeypatch.setattr(ap, "parse_known_args", spy)
+        run_ok(["period", *WORKED])
+        assert entered == []
+        with pytest.raises(SystemExit):
+            cli.main(["bogus"])
+        assert entered
 
 
 class TestPeriod:

@@ -633,6 +633,36 @@ class TestTau0:
                 assert sign * tau0 > 0.0 and not (ctx.bounded and sign * tau0 >= 0.5 * ctx.T_tau)
                 assert abs(r_of_tau(ctx, tau0) - inside) <= 1e-13 * inside
 
+    @pytest.mark.parametrize("v0,alpha,rectangular,bounded", [
+        (1.2, 0.1, False, False), (1.2, 0.02, True, True),
+        (1.2, -0.05, True, True), (1.5, 1e-6, True, False),
+    ], ids=["rhombic", "bounded_k3", "bounded_k2", "unbounded_k1"])
+    def test_subnormal_offset_from_pericenter(self, v0, alpha, rectangular, bounded):
+        # (1, v0, gamma0, alpha) puts r0 - r_m near gamma0^2: subnormal at
+        # gamma0 = 1e-155 and 1e-160 rad, 0 at 1e-170.  R_F's gaps, of order
+        # 1/(r0 - r_m), overflowed there: tau0 = nan, then an error.  tau0
+        # is of order gamma0, and tau0/gamma0 holds its value at 1e-150 to
+        # 1e-13, or to the rounding of the subnormal r0 - r_m itself, which
+        # keeps 4 digits at 1e-160.  Propagated states are the gamma0 = 0
+        # start's
+        start = build_context(InitialState(1.0, v0, 0.0, alpha))
+        ratio = None
+        for gamma0 in (1e-150, 1e-155, 1e-160, 1e-170):
+            ctx = build_context(InitialState(1.0, v0, gamma0, alpha))
+            assert (ctx.lattice.rectangular, ctx.bounded) == (rectangular, bounded)
+            d0 = -propagation._lattice_order(ctx.f, ctx.bounded)[0][ctx.k - 1].real
+            assert math.isfinite(ctx.tau0)
+            if d0 <= 0.0:
+                assert ctx.tau0 == 0.0 and gamma0 == 1e-170
+            elif ratio is None:
+                ratio = ctx.tau0 / gamma0
+            else:
+                assert abs(ctx.tau0 / gamma0 / ratio - 1.0) <= max(1e-13, math.ulp(d0) / d0)
+            for dt in (0.5, 2.0):
+                got, want = propagate_ctx(ctx, dt), propagate_ctx(start, dt)
+                assert abs(got.r - want.r) <= 1e-14 * want.r
+                assert abs(got.theta - want.theta) <= 1e-14
+
     def test_out_of_interval(self, worked_ctx):
         with pytest.raises(OutOfIntervalError):
             tau0_from_r0(worked_ctx, 5.0, 1)
@@ -1881,6 +1911,23 @@ class TestPropagate:
         for tau in (w, -w, 1.5 * w, 20.0):
             with pytest.raises(OutOfIntervalError):
                 state_at_tau(ctx, tau)
+
+    def test_period_count_past_the_floats_is_rejected(self):
+        # a bounded fold takes whole periods off t or tau; with t/T_t or
+        # tau/T_tau past the floats it raised OverflowError: t = 1.7e308 on
+        # an orbit of T_tau = 0.31, and on one of T_tau = 5.2, where
+        # t/T_t is finite but its periods of T_tau are not.  A count in the
+        # floats still folds
+        tiny = build_context(InitialState(0.001, 40.0, 0.0, 0.02))
+        for call in (invert_kepler, propagate_ctx, state_at_tau, theta_of_tau,
+                     r_of_tau, radial_kepler):
+            with pytest.raises(OutOfIntervalError):
+                call(tiny, 1.7e308)
+        ctx = build_context(InitialState(0.05, 6.2, 0.0, 0.02))
+        with pytest.raises(OutOfIntervalError):
+            propagate_ctx(ctx, 1.7e308)
+        ps = propagate_ctx(ctx, 8.5e307)
+        assert math.isfinite(ps.theta) and ctx.region.contains(ps.r)
 
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):

@@ -841,6 +841,18 @@ class TestInverse:
         assert x == pytest.approx(w_r, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+    def test_real_inverse_of_gaps_scaled_by_a_power_of_4(self, g2, g3):
+        # gaps passed as 4^e (w - e_i), as tau0 passes those of a w near
+        # the pole, give the unscaled x bit for bit: R_F(4^e g) = 2^-e R_F(g)
+        # and every rounding scales exactly
+        lat = ReferenceLattice.from_invariants(g2, g3)
+        for frac in (0.05, 0.4, 0.9):
+            gaps = self.gaps(lat, lat.wp(frac * lat.real_half_period).real, 1.0)
+            x = lat.wp_inverse_real(gaps)
+            for e in (-300, -7, 1, 200):
+                assert lat.wp_inverse_real(tuple(g * 4.0**e for g in gaps), e) == x
+
+    @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_imaginary_inverse_from_root_gaps(self, g2, g3):
         # p(v) = w <= e3 (rectangular) or e2 (rhombic) with p' on the +i
         # branch: v = 2 omega' - iy, y in (0, h], ih the first half period up
@@ -874,21 +886,23 @@ class TestInverse:
         # half period minus the reduced value: tau0 at 0.63 w_r on (2, 0.5,
         # 45 deg, 0.3), and the theta pole's y = w_i - Im v at 0.60 w_i on
         # (2, 0.5, 10 deg, 0.3).  Each against mpmath's complex R_F of the
-        # gaps the context hands in; measured 8.2e-17 and 3.2e-17
+        # gaps the context hands in, tau0's passed as 4^e times theirs;
+        # measured 8.2e-17 and 3.2e-17
         mp = pytest.importorskip("mpmath")
         seen = {}
         for name in ("wp_inverse_real", "wp_inverse_imaginary"):
             method = getattr(Lattice, name)
 
             def kept(self, *args, name=name, method=method):
-                seen[name] = args[-1]
+                seen[name] = args
                 return method(self, *args)
 
             monkeypatch.setattr(Lattice, name, kept)
         far = build_context(InitialState(2.0, 0.5, math.radians(45.0), 0.3))
-        tau_gaps = seen["wp_inverse_real"]
+        scaled, e = seen["wp_inverse_real"]
+        tau_gaps = [mp.mpc(g) * mp.ldexp(1, -2 * e) for g in scaled]
         pole = build_context(InitialState(2.0, 0.5, math.radians(10.0), 0.3))
-        pole_gaps = seen["wp_inverse_imaginary"]
+        pole_gaps = seen["wp_inverse_imaginary"][1]
         w_r = far.lattice.real_half_period
         w_i = 2.0 * pole.lattice.periods.omega_prime.imag
         y = w_i - pole.v.imag

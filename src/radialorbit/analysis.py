@@ -1,10 +1,10 @@
 """Boundedness, the escape threshold and periodic-orbit search.
 
 Bounded radial motion has pseudo-period T_tau, the real period of the
-lattice, and physical period T_t = t(T_tau); ``build_context`` computes
-both once (``SolutionContext.T_tau`` and ``T_t``), in closed form from K
-and E.  ``true_period_implicit`` recomputes T_t as -(4 eta + 2 E omega/3)/a,
-the quadrature of the time of flight.  Boundedness itself is the
+lattice, and physical period T_t = t(T_tau); the frame stage of
+``SolutionContext`` computes both once (``T_tau`` and ``T_t``), in closed
+form from K and E.  ``true_period_implicit`` recomputes T_t as
+-(4 eta + 2 E omega/3)/a, the quadrature of the time of flight.  Boundedness itself is the
 root structure of f, solved once at r0 (``dynamics.build_f``): the
 allowed component holding r0 is bounded iff a root of f lies above it,
 which with a > 0 needs three real roots and r0 below the upper two.  The

@@ -193,7 +193,7 @@ def cmd_period(args) -> int:
         raise ValueError("--kepler-curve needs at least 2 samples")
     units = _Units(args.mu, args.du)
     state = units.state(args.r0, args.v0, args.gamma0_deg, args.alpha)
-    ctx = propagation.build_context(state)
+    ctx = propagation.SolutionContext(state)     # the frame holds both periods
     if not ctx.bounded:
         raise RadialOrbitError("no period: motion is unbounded")
     payload: dict = {

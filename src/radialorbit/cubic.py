@@ -69,7 +69,12 @@ def _isolated_root(f0: float, f1: float, f2: float, f3: float) -> float:
     and R = (2 a2^3 - 9 a2 a1 + 27 a0)/54; its root of largest |t| is
     -sgn(R) 2 sqrt(Q) cos(phi/3), cos phi = |R|/Q^(3/2), if R^2 < Q^3, else
     A + Q/A with A = -sgn(R) (|R| + sqrt(R^2 - Q^3))^(1/3).  Newton steps
-    on the cubic take it to the rounding level of x.
+    on the cubic take it to the rounding level of x: they stop after a
+    step within an ulp of x, or at the first iterate seen before.  Where
+    the cubic's rounding exceeds an ulp of x the steps can cycle through a
+    few floats around the root and never get that small; the iteration is
+    a fixed map of the floats, so a repeat means the first test would
+    never hold, and wherever it does the repeat test changes nothing.
     """
     a2, a1, a0 = f2 / f3, f1 / f3, f0 / f3
     q = (a2 * a2 - 3.0 * a1) / 9.0
@@ -82,12 +87,14 @@ def _isolated_root(f0: float, f1: float, f2: float, f3: float) -> float:
         big = -math.copysign((abs(r) + math.sqrt(r * r - q3)) ** (1.0 / 3.0), r)
         t = big + q / big if big else 0.0
     x = t - a2 / 3.0
+    seen = {x}
     for _ in range(60):
         dp = (3.0 * f3 * x + 2.0 * f2) * x + f1
         if dp == 0.0:
             break
         step = (((f3 * x + f2) * x + f1) * x + f0) / dp
         x -= step
-        if abs(step) <= _ULP * abs(x):
+        if abs(step) <= _ULP * abs(x) or x in seen:
             break
+        seen.add(x)
     return x

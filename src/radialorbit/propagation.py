@@ -72,9 +72,11 @@ stays below q' over all |tau| <= omega.
 
 ``build_context`` evaluates what does not depend on tau once per state,
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
-lattice and T_tau = 2 omega), the pole (v, zeta(v) and dtheta) and the
-epoch (T_t, tau0, t0 and theta0 = theta(tau0), from which propagated
-angles are measured).  Period sweeps build the frame alone,
+lattice and both periods, T_tau = 2 omega and T_t), the pole (v, zeta(v)
+and dtheta) and the epoch (tau0, t0 and theta0 = theta(tau0), from which
+propagated angles are measured).  The frame's periods read only the
+lattice's real half, so a frame read for them takes one AGM.  The CLI's
+``period`` and ``period-sweep`` build the frame alone,
 ``analysis.find_periodic_v`` the frame and pole per speed and the epoch
 for the speed it returns.  The lattice roots e_i = (a r_i + E/3)/2 come
 from f's (``lattice_frame``), and every p^-1 lies on a line where p is
@@ -84,7 +86,7 @@ real (``_theta_pole``); tau0's gaps are products of f's root differences
     T_t    = r_m T_tau - (2 ek T_tau + 4 eta) / a,
     dtheta = v_m T_tau - 4 Im[omega zeta(v) - eta v] - 2 pi
 
-(``SolutionContext.add_epoch`` and ``add_pole``).  Bounded t and theta
+(``SolutionContext``, the frame, and ``add_pole``).  Bounded t and theta
 fold whole periods off by these, t to the pericenter-centered tau in
 [-omega, omega] and theta past +/-T_tau to [0, T_tau) (on the basis of T'
 on to [-omega, omega]), which keeps the series' arguments within a period
@@ -116,22 +118,36 @@ class SolutionContext:
 
     Built in the three stages of the module docstring, each run once: the
     constructor, ``add_pole`` and ``add_epoch``, which ``build_context``
-    chains.  Unchanged once built, apart from the radial and theta series
-    and the Kepler harmonics, which are made on first use.
+    chains.  The constructor's frame holds T_tau and T_t, so the CLI's
+    ``period`` builds it alone.  Unchanged once built, apart from the
+    radial and theta series and the Kepler harmonics, which are made on
+    first use.
     """
 
     def __init__(self, state: InitialState) -> None:
-        """Stage 1, the frame; T_tau is None on unbounded motion.
+        """Stage 1, the frame with both periods; T_tau and T_t are None on unbounded motion.
 
         Bounded motion has three real roots of f, so its lattice is the
-        rectangular one T_tau is read from.
+        rectangular one T_tau is read from, and T_t reads only r_m, r_M,
+        e1 - e3, the lattice's tail and alpha: the real half of the
+        lattice (``Lattice``), so a frame read for its periods builds no
+        more.  T_t = r_m T_tau - (2 e_k T_tau + 4 eta)/a scales the
+        rounding of eta by 1/a.  eta = sqrt(d) E - e1 omega, E = K ((1 +
+        m1)/2 - tail) (A&S 17.6.3-4) and e_i = e_k + a (r_i - r_m)/2 turn
+        it into T_tau (r_m + r_M)/2 + 2 d T_tau tail/a for k = 3 and 2,
+        where d/a is a difference of f's roots and the tail of order m^2:
+        no term cancels.
         """
         self.state = state
         self.energy, self.momentum = state.energy, state.momentum
         self.f, self.region, self.r_m, self.v_m, self.e_k, roots, self.k = lattice_frame(state)
-        self.lattice = Lattice(roots)
+        self.lattice = lat = Lattice(roots)
         self.bounded = self.region.bounded
-        self.T_tau = 2.0 * self.lattice.real_half_period if self.bounded else None
+        self.T_tau = self.T_t = None
+        if self.bounded:
+            self.T_tau = 2.0 * lat.real_half_period
+            self.T_t = self.T_tau * (0.5 * (self.r_m + self.region.r_hi)
+                                     + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
 
     def add_pole(self) -> SolutionContext:
         """Stage 2: v, zeta(v) and dtheta_period, p'(v) on the +i branch."""
@@ -151,21 +167,13 @@ class SolutionContext:
         return self
 
     def add_epoch(self) -> SolutionContext:
-        """Stage 3: T_t and the epoch (tau0, t0, theta0).
+        """Stage 3: the epoch (tau0, t0, theta0).
 
         tau0 = p^-1 of e(r0) on the branch of rdot0 (``tau0_from_r0``), and
         theta0 = theta(tau0) is the angle from pericenter that propagated
-        angles are measured from.  T_t = r_m T_tau -
-        (2 e_k T_tau + 4 eta)/a scales the rounding of eta by 1/a.  eta =
-        sqrt(d) E - e1 omega, E = K ((1 + m1)/2 - tail) (A&S 17.6.3-4) and
-        e_i = e_k + a (r_i - r_m)/2 turn it into T_tau (r_m + r_M)/2 +
-        2 d T_tau tail/a for k = 3 and 2, where d/a is a difference of f's
-        roots and the tail of order m^2: no term cancels.
+        angles are measured from.
         """
-        state, r_m, lat = self.state, self.r_m, self.lattice
-        self.T_t = (self.T_tau * (0.5 * (r_m + self.region.r_hi)
-                                  + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
-                    if self.bounded else None)
+        state = self.state
         self.tau0 = tau0 = tau0_from_r0(self, state.r0, 1 if state.rdot0 >= 0.0 else -1)
         self.t0 = self.theta0 = 0.0
         if tau0:
@@ -332,7 +340,7 @@ def _theta_series(ctx: SolutionContext) -> partial:
     if lat.q_t < q and (v.real == 0.0 or not lat.rectangular):
         w1 = per.omega_prime if lat.rectangular else per.omega_prime - per.omega
         return _theta_imaginary(ctx, w1, lat.q_t)
-    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w), as in real_half_period
+    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w): w = omega_1 or omega_2
     k = math.pi / (2.0 * w)
     x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
     m, n = math.floor(x + 0.5), math.floor(y + 0.5)
@@ -805,12 +813,18 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
     starts from the first three harmonics of S (``_kepler_start``);
     unbounded motion brackets tau by [0, w_r), w_r the escape asymptote,
     and starts from the Taylor series of t, the alpha = 0 hyperbola or the
-    pole of t at w_r (``_unbounded_start``).  Each evaluation gives t,
+    pole of t at w_r (``_unbounded_start``).  Past t at the last float
+    before w_r no float tau solves it: OutOfIntervalError, as for a
+    bounded t whose tau overflows.  Each evaluation gives t,
     t' = r and t'' = dr/dtau, and a Halley step from it is taken without
     another evaluation once its Taylor remainder is at the rounding of t
     (``_halley_bisect``): about one evaluation per bounded sample.
     """
-    return _invert(ctx, t)[0]
+    tau = _invert(ctx, t)[0]
+    # whole periods of T_tau past the floats; in propagate_ctx theta's fold stops them
+    if not math.isfinite(tau):
+        raise _no_fold(t, ctx.T_t)
+    return tau
 
 
 def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
@@ -829,8 +843,16 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
         tau, r, rp = _invert(ctx, -t)
         return -tau, r, -rp
     # unbounded: [0, w_r), w_r the escape asymptote, never evaluated
-    return _halley_bisect(ctx, t, 0.0, ctx.lattice.real_half_period,
-                          _unbounded_start(ctx, t))
+    w_r = ctx.lattice.real_half_period
+    if t * ctx.state.alpha * math.ulp(w_r) <= 1.0:
+        return _halley_bisect(ctx, t, 0.0, w_r, _unbounded_start(ctx, t))
+    # t above a quarter of t(top) ~ 2/(a (w_r - top)), top the last float before w_r
+    top = math.nextafter(w_r, 0.0)
+    t_top = _orbit_point(ctx, top)[0]
+    if not t <= t_top:
+        raise OutOfIntervalError(f"t = {t!r} past t = {t_top!r} at the last float "
+                                 f"{top!r} before the escape asymptote")
+    return _halley_bisect(ctx, t, 0.0, top, top)
 
 
 def _unbounded_start(ctx: SolutionContext, t: float) -> float:

@@ -40,10 +40,15 @@ nome is the smaller (``Lattice``).
   axis, the lattice's imaginary one.
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
-no series is summed to build a lattice.  The series take omega and eta
-as they are, so they inherit their error from the roots e_i and their
-differences (``GRoots``), which a lattice of the dynamics takes from the
-roots of f (``propagation.lattice_frame``).  Conventions follow A&S ch. 18:
+no series is summed to build a lattice.  A lattice builds its real half
+at construction: the real half period, one AGM, and on a rectangular
+lattice the tail of E that T_t reads.  It builds its imaginary half, the
+other AGM, eta, the nomes and the series, once, on first read
+(``Lattice``), so a context read only for its periods takes one AGM.
+The series take omega and eta as they are, so they inherit their error
+from the roots e_i and their differences (``GRoots``), which a lattice of
+the dynamics takes from the roots of f (``propagation.lattice_frame``).
+Conventions follow A&S ch. 18:
 omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
 with the roots e1, e2, e3 ordered by descending imaginary then real part.
 
@@ -104,43 +109,82 @@ class HalfPeriods(collections.namedtuple("HalfPeriods", "omega omega_prime eta e
         return (first, first + third, third)[k - 1]
 
 
+class _ImaginaryHalf:
+    """An attribute of a ``Lattice``'s imaginary half: its first read builds the half.
+
+    A non-data descriptor: the instance attributes the build sets serve
+    every later read, and every other attribute reads as a plain one (a
+    ``__getattr__`` hook would slow them all).
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, lat, owner: type = None):
+        if lat is None:
+            return self
+        (lat._rectangular_imaginary if lat.rectangular else lat._rhombic_imaginary)()
+        return lat.__dict__[self.name]
+
+
 class Lattice:
     """Immutable evaluation context for the lattice of one set of roots.
 
-    Construction computes the half-periods, the eta values, the two nomes
-    and the nome series from the roots and their differences (module
-    docstring).  ``q`` is |q| of the real-period basis, ``q_t`` the nome
-    of the basis whose first half period is imaginary, and ``companion``
-    says whether the series is the companion's, read on its real axis: on
-    a rhombic lattice always, on a rectangular one where q_t < q.  All
-    evaluation methods are pure.
+    Construction builds the real half, ``real_half_period`` and on a
+    rectangular lattice ``tail``; the first read of ``periods``, ``q``,
+    ``q_t``, ``companion`` or ``nome_series`` builds the imaginary half
+    (module docstring).  ``q`` is |q| of the real-period basis, ``q_t`` the
+    nome of the basis whose first half period is imaginary, and
+    ``companion`` says whether the series is the companion's, read on its
+    real axis: on a rhombic lattice always, on a rectangular one where
+    q_t < q.  All evaluation methods are pure.
     """
+
+    periods, q, q_t, companion, nome_series = (_ImaginaryHalf() for _ in range(5))
 
     def __init__(self, roots: GRoots) -> None:
         self.roots = roots
         self.rectangular = roots.discriminant > 0.0
         if self.rectangular:
-            self._rectangular_periods()
+            self._rectangular_real()
         else:
-            self._rhombic_periods()
+            self._rhombic_real()
 
     # -- construction ----------------------------------------------------
 
-    def _rectangular_periods(self) -> None:
-        """Half periods, eta values and series of three real roots e1 > e2 > e3.
+    def _rectangular_real(self) -> None:
+        """omega and ``tail`` of three real roots e1 > e2 > e3.
 
         With d = e1 - e3, m = (e2 - e3)/d and m1 = (e1 - e2)/d, each from
         its own root difference so that neither loses digits as 1 - the
-        other, A&S 18.9 gives omega = K(m)/sqrt(d), omega' = i K(m1)/sqrt(d),
+        other, A&S 18.9 gives omega = K(m)/sqrt(d).  ``tail``, of order
+        m^2 in E = K ((1 + m1)/2 - tail), serves T_t.  Either of m and m1
+        may round to 1 while the other stays positive.
+        """
+        g12, d, g23 = self.roots.gaps
+        d = d.real
+        m, m1 = g23.real / d, g12.real / d
+        if not (m > 0.0 and m1 > 0.0):
+            raise DegenerateLatticeError(
+                f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})"
+            )
+        s = math.sqrt(d)
+        big_k, self.tail = elliptic_K_tail(m, m1)
+        self.real_half_period = big_k / s
+        self._real = (m, m1, s, big_k)
+
+    def _rectangular_imaginary(self) -> None:
+        """Half periods, eta values and series of three real roots e1 > e2 > e3.
+
+        With m, m1 and omega of ``_rectangular_real``, A&S 18.9 gives
+        omega' = i K(m1)/sqrt(d),
 
             eta  = sqrt(d) E(m) - e1 omega,
             eta' = -i (sqrt(d) E(m1) + e3 |omega'|).
 
         Then eta omega' - eta' omega = i (E K' + E' K - K K') = i pi/2 is
         Legendre's relation for K and E, and p(omega_k) = e_k holds by
-        construction, so neither needs a check here.  ``tail``, of order
-        m^2 in E = K ((1 + m1)/2 - tail), serves ``SolutionContext.add_epoch``.
-        Either of m and m1 may round to 1 while the other stays positive.
+        construction, so neither needs a check here.
 
         The nomes are q = exp(-pi |omega'|/omega) and q_t = q' =
         exp(-pi omega/|omega'|), ln q ln q' = pi^2.  The series is the
@@ -148,18 +192,12 @@ class Lattice:
         (g2, -g3), whose roots are -e3 > -e2 > -e1: real half period
         |omega'|, nome q' and eta_c = i eta' = sqrt(d) E(m1) + e3 |omega'|.
         """
-        e1, _, e3 = (z.real for z in self.roots.e_tilde)
-        g12, d, g23 = (g.real for g in self.roots.gaps)
-        m, m1 = g23 / d, g12 / d
-        if not (m > 0.0 and m1 > 0.0):
-            raise DegenerateLatticeError(
-                f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})"
-            )
-        s = math.sqrt(d)
-        big_k, self.tail = elliptic_K_tail(m, m1)
+        e1, _, e3 = self.roots.e_tilde
+        e1, e3 = e1.real, e3.real
+        m, m1, s, big_k = self._real
         big_e = big_k * (0.5 * (1.0 + m1) - self.tail)
         big_k1, big_e1 = elliptic_KE(m1, m)
-        omega, omega_i = big_k / s, big_k1 / s
+        omega, omega_i = self.real_half_period, big_k1 / s
         eta, eta_c = s * big_e - e1 * omega, s * big_e1 + e3 * omega_i
         self.periods = HalfPeriods(
             omega=complex(omega, 0.0), omega_prime=complex(0.0, omega_i),
@@ -172,24 +210,14 @@ class Lattice:
         else:
             self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega)
 
-    def _rhombic_periods(self) -> None:
-        """Half periods, eta values and series of a real root e2 and a pair e1, e3.
+    def _rhombic_real(self) -> None:
+        """w_r of a real root e2 and a pair e1, e3.
 
         With H = |e1 - e2| and m, m1 = (H +/- Re(e1 - e2))/(2H), A&S 18.9
-        (case Delta < 0) gives the real half period w_r = K(m)/sqrt(H).  The
-        companion (g2, -g3), roots -e3, -e2, -e1, has the same H with m and
-        m1 swapped: its real half period, the lattice's imaginary one, is
-        w_i = K(m1)/sqrt(H), and eta_c = zeta_c(w_i) = sqrt(H) (2 E(m1) -
-        K(m1)) + e2 w_i = w_i (H m + e2 - 2 H tail), E(m1) from the AGM of
-        K(m1) (``elliptic_K_tail``).  H m H m1 = (Im(e1 - e2))^2/4 gives the
-        smaller of the two as (Im(e1 - e2))^2/(2 (H + |Re(e1 - e2)|)), which
-        does not cancel where the pair closes on the real axis (the escape
-        threshold).  omega = (w_r - i w_i)/2 has p(omega) = e1 and omega' =
-        conj(omega), so omega + omega' = w_r and omega' - omega = i w_i, and
-        Legendre's relation eta omega' - eta' omega = i pi/2 gives zeta(w_r)
-        w_i + eta_c w_r = pi.  The companion's basis (w_i, (w_i + i w_r)/2)
-        has |q| = q_t = exp(-pi w_r/(2 w_i)) and q^2 negative; the
-        real-period basis (w_r, omega') has q = exp(-pi w_i/(2 w_r)).
+        (case Delta < 0) gives the real half period w_r = K(m)/sqrt(H).
+        H m H m1 = (Im(e1 - e2))^2/4 gives the smaller of the two as
+        (Im(e1 - e2))^2/(2 (H + |Re(e1 - e2)|)), which does not cancel
+        where the pair closes on the real axis (the escape threshold).
         """
         g12 = self.roots.gaps[0]          # e1 - e2
         h, re = abs(g12), abs(g12.real)
@@ -199,8 +227,27 @@ class Lattice:
         if not (m > 0.0 and m1 > 0.0):
             raise DegenerateLatticeError(f"double root of the lattice cubic (m = {m!r}, m1 = {m1!r})")
         s = math.sqrt(h)
-        (big_k, _), (big_k1, tail) = elliptic_K_tail(m, m1), elliptic_K_tail(m1, m)
-        w_r, w_i = big_k / s, big_k1 / s
+        self.real_half_period = elliptic_K_tail(m, m1)[0] / s
+        self._real = (m, m1, s, h, hm)
+
+    def _rhombic_imaginary(self) -> None:
+        """Half periods, eta values and series of a real root e2 and a pair e1, e3.
+
+        The companion (g2, -g3), roots -e3, -e2, -e1, has the H of
+        ``_rhombic_real`` with m and m1 swapped: its real half period, the
+        lattice's imaginary one, is w_i = K(m1)/sqrt(H), and eta_c =
+        zeta_c(w_i) = sqrt(H) (2 E(m1) - K(m1)) + e2 w_i = w_i (H m + e2 -
+        2 H tail), E(m1) from the AGM of K(m1) (``elliptic_K_tail``).
+        omega = (w_r - i w_i)/2 has p(omega) = e1 and omega' = conj(omega),
+        so omega + omega' = w_r and omega' - omega = i w_i, and Legendre's
+        relation eta omega' - eta' omega = i pi/2 gives zeta(w_r) w_i +
+        eta_c w_r = pi.  The companion's basis (w_i, (w_i + i w_r)/2) has
+        |q| = q_t = exp(-pi w_r/(2 w_i)) and q^2 negative; the real-period
+        basis (w_r, omega') has q = exp(-pi w_i/(2 w_r)).
+        """
+        m, m1, s, h, hm = self._real
+        big_k1, tail = elliptic_K_tail(m1, m)
+        w_r, w_i = self.real_half_period, big_k1 / s
         eta_c = w_i * (hm + self.roots.e_tilde[1].real - 2.0 * h * tail)
         eta_r = (math.pi - eta_c * w_r) / w_i          # zeta(w_r)
         omega = 0.5 * complex(w_r, -w_i)
@@ -211,11 +258,6 @@ class Lattice:
         self.periods = HalfPeriods(omega=omega, omega_prime=omega.conjugate(),
                                    eta=0.5 * complex(eta_r, eta_c),
                                    eta_prime=0.5 * complex(eta_r, -eta_c))
-
-    @cached_property
-    def real_half_period(self) -> float:
-        """Half the real period of p: omega (rectangular) or omega + omega' (rhombic)."""
-        return self.periods.omega_k(1 if self.rectangular else 2).real
 
     # -- inversion ----------------------------------------------------------
 

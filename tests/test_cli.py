@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import radialorbit
-from radialorbit import cli
+from radialorbit import cli, propagation, weierstrass
 
 
 WORKED = ["--r0", "1.0", "--v0", "1.2", "--alpha", "0.02"]
@@ -260,6 +260,15 @@ class TestPropagate:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "OutOfIntervalError"
 
+    def test_time_past_the_escape_asymptote_is_a_domain_error(self):
+        # t(tau) at the last float below w_r is 1.13e17 on this orbit: the
+        # sample at 1.7e308 exited 1 with ZeroDivisionError
+        code, out, err = run_cli(["propagate", "--r0", "1", "--v0", "1.5", "--alpha", "0.02",
+                                  "--t-span", "1.7e308", "--samples", "2"])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "OutOfIntervalError"
+
     def test_zero_samples_are_rejected(self):
         code, out, err = run_cli(["propagate", *WORKED, "--samples", "0"])
         assert (code, out) == (2, "")
@@ -438,6 +447,64 @@ class TestPeriod:
                                 "--alpha", "0.1"])
         assert code == 2
         assert json.loads(err)["error"] == "RadialOrbitError"
+
+    @staticmethod
+    def frame_only(monkeypatch):
+        """Make the pole and epoch stages fail: a command that reaches them fails."""
+        def refused(self):
+            raise AssertionError("a period command built past the frame")
+
+        monkeypatch.setattr(propagation.SolutionContext, "add_pole", refused)
+        monkeypatch.setattr(propagation.SolutionContext, "add_epoch", refused)
+
+    def test_periods_come_from_the_frame_alone(self, monkeypatch):
+        # period and period-sweep build no theta pole and no epoch, and
+        # print what they printed from a full context
+        argvs = [GOLDEN_JSON["period_worked"][0], GOLDEN_JSON["period_rosette"][0],
+                 GOLDEN_SWEEP["worked"][0], GOLDEN_SWEEP["rosette"][0]]
+        full = [run_ok(argv) for argv in argvs]
+        self.frame_only(monkeypatch)
+        assert [run_ok(argv) for argv in argvs] == full
+
+    def test_kepler_curve_from_the_frame_alone(self, monkeypatch):
+        ctx = radialorbit.build_context(radialorbit.InitialState(1.0, 1.2, 0.0, 0.02))
+        self.frame_only(monkeypatch)
+        doc = json.loads(run_ok(["period", *WORKED, "--kepler-curve", "--samples", "5",
+                                 "--format", "json"]))
+        assert doc["T_tau"] == ctx.T_tau and doc["T_t"] == ctx.T_t
+        assert doc["kepler_curve"] == [
+            {"tau": ctx.T_tau * i / 4, "t": propagation.radial_kepler(ctx, ctx.T_tau * i / 4)}
+            for i in range(5)]
+
+    def test_sweep_frames_build_no_imaginary_half(self, monkeypatch):
+        # the sweep reads T_tau, the real half of each lattice: bounded,
+        # k = 1 and rhombic states alike leave the imaginary half unbuilt
+        def refused(self):
+            raise AssertionError("a sweep frame built the imaginary half of its lattice")
+
+        want = [run_ok(GOLDEN_SWEEP[name][0]) for name in sorted(GOLDEN_SWEEP)]
+        monkeypatch.setattr(weierstrass.Lattice, "_rectangular_imaginary", refused)
+        monkeypatch.setattr(weierstrass.Lattice, "_rhombic_imaginary", refused)
+        assert [run_ok(GOLDEN_SWEEP[name][0]) for name in sorted(GOLDEN_SWEEP)] == want
+        # rectangular (k = 1) at alpha = 1e-6, rhombic above
+        unbounded = ["period-sweep", "--r0", "1.0", "--v0-lo", "1.5", "--v0-hi", "1.6",
+                     "--v0-samples", "2", "--alpha-lo", "1e-6", "--alpha-hi", "0.3",
+                     "--alpha-samples", "3"]
+        assert run_ok(unbounded) == "v0,alpha,T_tau\n"
+
+    def test_exact_circle(self):
+        # v0^2 = 1/r0 - alpha r0 at alpha = -0.2: the theta pole falls on the
+        # lattice's double root, so propagate fails as before, but the
+        # period, which builds no pole, is the epicyclic one, 2 pi/sqrt(1.6)
+        circle = ["--r0", "1", "--v0", "1.0954451150103321", "--alpha", "-0.2"]
+        assert run_ok(["period", *circle]).splitlines() == [
+            "T_tau = 4.967294132898051", "T_t = 4.96729413289805"]
+        assert 2.0 * math.pi / math.sqrt(1.6) == 4.967294132898051
+        doc = json.loads(run_ok(["period", *circle, "--format", "json"]))
+        assert doc["T_t_implicit"] == pytest.approx(doc["T_t"], rel=1e-14, abs=0.0)
+        code, out, err = run_cli(["propagate", *circle, "--t-span", "6", "--samples", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "DegenerateLatticeError"
 
 
 class TestClassify:

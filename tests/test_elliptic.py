@@ -6,7 +6,8 @@ from scipy.integrate import quad
 from scipy.special import ellipk
 
 from oracle import elliptic_K
-from radialorbit.elliptic import carlson_rf, elliptic_KE
+from radialorbit import elliptic
+from radialorbit.elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
 from radialorbit.errors import EllipticDomainError
 from radialorbit.weierstrass import _rf_pair
 
@@ -61,6 +62,76 @@ def test_K_and_E_match_mpmath(small, side):
                               (elliptic_KE(m1, m), 1 - exact)):
             assert abs(k - mp.ellipk(param)) <= 1e-15 * mp.ellipk(param)
             assert abs(e - mp.ellipe(param)) <= 1e-14 * mp.ellipe(param)
+
+
+# (m, m1) where the AGM's means settle one ulp apart just above a power of
+# two: a stop at |a - b| <= 2e-16 a never held there, and the loop ran to
+# its 200-step limit.  K and the tail are those that loop returned
+STALLED_AGM = [
+    ((0.9413948474069394, 0.058605152593060796), (2.8320262447407276, 0.15194608557149597)),
+    ((0.9683912963964377, 0.031608703603562334), (3.1304361062865715, 0.18304192122951268)),
+]
+
+
+def agm_parameters(n, seed=29):
+    """Seeded (m, m1): uniform, and each of m and m1 log-uniform down to 1e-18."""
+    rng = random.Random(seed)
+    for i in range(n):
+        small = rng.random() if i % 3 == 0 else 10.0 ** rng.uniform(-18.0, 0.0)
+        yield (small, 1.0 - small) if i % 2 else (1.0 - small, small)
+
+
+def relative_stop_agm(m, m1):
+    """(K, tail, steps) of ``elliptic_K_tail`` with the stop |a - b| <= 2e-16 a."""
+    a, b, c = 1.0, math.sqrt(m1), math.sqrt(m)
+    tail, weight = 0.0, 1.0
+    for steps in range(200):
+        if abs(a - b) <= 2e-16 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        tail += weight * c * c
+        weight *= 2.0
+    else:
+        steps = 200
+    return math.pi / (a + b), tail, steps
+
+
+def agm_steps(monkeypatch, m, m1):
+    """(K, tail) of ``elliptic_K_tail`` and its AGM steps: its sqrt calls less the two at the start."""
+    calls = []
+    sqrt = math.sqrt
+    monkeypatch.setattr(elliptic.math, "sqrt", lambda x: calls.append(x) or sqrt(x))
+    try:
+        result = elliptic_K_tail(m, m1)
+    finally:
+        monkeypatch.undo()
+    return result, len(calls) - 2
+
+
+def test_agm_takes_at_most_eight_steps(monkeypatch):
+    params = [*agm_parameters(3000), *(p for p, _ in STALLED_AGM)]
+    assert max(agm_steps(monkeypatch, m, m1)[1] for m, m1 in params) <= 8
+
+
+@pytest.mark.parametrize("params, frozen", STALLED_AGM)
+def test_agm_stops_where_its_means_meet(monkeypatch, params, frozen):
+    result, steps = agm_steps(monkeypatch, *params)
+    assert steps <= 8
+    assert result == frozen
+    assert relative_stop_agm(*params) == (*frozen, 200)
+
+
+def test_ulp_stop_keeps_every_result_the_relative_stop_reaches():
+    # bit for bit wherever |a - b| <= 2e-16 a stops the loop
+    stalled = 0
+    for m, m1 in agm_parameters(20000):
+        k, tail, steps = relative_stop_agm(m, m1)
+        if steps < 200:
+            assert elliptic_K_tail(m, m1) == (k, tail), (m, m1)
+        else:
+            stalled += 1
+    assert 0 < stalled < 1000
 
 
 def test_KE_domain_errors():

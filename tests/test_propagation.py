@@ -129,6 +129,20 @@ class TestBuildContext:
             res = 4.0 * ctx.e_k**3 - g2 * ctx.e_k - g3
             assert abs(res) <= 1e-10 * max(1.0, abs(g2), abs(g3))
 
+    @pytest.mark.parametrize("state", [
+        WORKED, ROSETTE, TILTED, INBOUND, dict(r0=1.0, v0=1.5, gamma0=0.0, alpha=1e-6),
+        dict(r0=1.1, v0=1.5, gamma0=math.radians(30.0), alpha=0.05)],
+        ids=["worked", "rosette", "tilted", "inbound", "k1", "rhombic"])
+    def test_frame_holds_both_periods_from_the_real_half(self, state):
+        # T_tau and T_t read the lattice's real half alone; the imaginary
+        # half (periods, nomes, series) is made on the pole's first read
+        frame = propagation.SolutionContext(InitialState(**state))
+        assert not {"periods", "q", "q_t", "companion", "nome_series"} & set(vars(frame.lattice))
+        ctx = build_context(InitialState(**state))
+        assert (frame.T_tau, frame.T_t) == (ctx.T_tau, ctx.T_t)
+        assert (frame.T_t is None) == (not frame.bounded)
+        assert "periods" in vars(ctx.lattice)
+
     def test_apse_start_kernel_work(self, monkeypatch):
         # the pole is the one series evaluation of a context: its R_F seed
         # and one Newton step on the imaginary axis, the lattice's own
@@ -1928,6 +1942,40 @@ class TestPropagate:
             propagate_ctx(ctx, 1.7e308)
         ps = propagate_ctx(ctx, 8.5e307)
         assert math.isfinite(ps.theta) and ctx.region.contains(ps.r)
+
+    def test_bounded_inversion_past_the_floats_is_rejected(self):
+        # t/T_t = 5e307 is finite, but its whole periods of T_tau = 5.2 are
+        # not: tau came back inf
+        ctx = build_context(InitialState(0.05, 6.2, 0.0, 0.02))
+        with pytest.raises(OutOfIntervalError):
+            invert_kepler(ctx, 1.7e308)
+        assert math.isfinite(invert_kepler(ctx, 8.5e307))
+
+    def test_unbounded_time_past_the_last_float_is_rejected(self, monkeypatch):
+        # t(tau) at the last float below w_r is 1.13e17 here: past it no
+        # float tau solves t(tau) = t.  t = 1e18 raised ZeroDivisionError,
+        # and t = 1e300 returned tau = 5.9489, where t(tau) = 1.67e4.  Below
+        # it the inversion keeps to the floats' spacing of t
+        ctx = build_context(InitialState(1.0, 1.5, 0.0, 0.02))
+        top = math.nextafter(ctx.lattice.real_half_period, 0.0)
+        t_top = radial_kepler(ctx, top)
+        assert 1.12e17 < t_top < 1.13e17
+        for t in (math.nextafter(t_top, math.inf), 1e18, 1e300, 1.7e308):
+            for call in (invert_kepler, propagate_ctx):
+                with pytest.raises(OutOfIntervalError):
+                    call(ctx, t)
+        assert invert_kepler(ctx, t_top) == top
+        for t in (1e6, 1e10, 1e14, 1e16):
+            tau = invert_kepler(ctx, t)
+            spacing = radial_kepler(ctx, tau) - radial_kepler(ctx, math.nextafter(tau, 0.0))
+            assert abs(radial_kepler(ctx, tau) - t) <= spacing, t
+        # the horizon costs no evaluation below a quarter of t(top)
+        points = []
+        orbit_point = propagation._orbit_point
+        monkeypatch.setattr(propagation, "_orbit_point",
+                            lambda c, tau: points.append(tau) or orbit_point(c, tau))
+        invert_kepler(ctx, 1e3)
+        assert top not in points
 
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):

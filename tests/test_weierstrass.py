@@ -782,6 +782,37 @@ class TestRhombicConstruction:
             assert abs(eta_c - want_c) <= 1e-15 * (abs(want_c) + (abs(e2) + h) * w_i)
 
 
+class TestImaginaryHalf:
+    """A lattice builds its real half at construction and the rest on first read."""
+
+    IMAGINARY = ("periods", "q", "q_t", "companion", "nome_series")
+
+    @pytest.mark.parametrize("g2, g3", [WORKED_G, (4.0, 0.0), (-1.0, 0.3), (0.2, -1.0)])
+    def test_built_once_on_first_read(self, g2, g3, monkeypatch):
+        roots = g_roots(Invariants(g2, g3))
+        lat = Lattice(roots)
+        assert not set(self.IMAGINARY) & set(vars(lat))
+        assert ("tail" in vars(lat)) == lat.rectangular
+        builds = []
+        name = "_rectangular_imaginary" if lat.rectangular else "_rhombic_imaginary"
+        build = getattr(Lattice, name)
+        monkeypatch.setattr(Lattice, name, lambda self: builds.append(self) or build(self))
+        for _ in range(2):
+            for attr in self.IMAGINARY:
+                getattr(lat, attr)
+        assert builds == [lat]
+        # whichever attribute is read first, the imaginary half is the same
+        for name in self.IMAGINARY:
+            other = Lattice(roots)
+            getattr(other, name)
+            assert set(self.IMAGINARY) <= set(vars(other))
+            assert [getattr(other, n) for n in self.IMAGINARY[:4]] == \
+                [getattr(lat, n) for n in self.IMAGINARY[:4]]
+        # real_half_period is omega_1 (rectangular) or omega_2 (rhombic), bit for bit
+        k = 1 if lat.rectangular else 2
+        assert lat.real_half_period == lat.periods.omega_k(k).real
+
+
 class TestLogSigma:
     @pytest.mark.parametrize("g2,g3", LATTICE_GRID)
     def test_branch_is_continuous_along_lines(self, g2, g3):

@@ -12,11 +12,14 @@ g3 = a^2 h^2/4 + a E/6 - E^3/27, ek is always a root of 4 s^3 - g2 s - g3,
 w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
-a function of physical time.  On bounded motion the series S below is a
-generalised Kepler equation, M = y - sum e_n sin ny in the mean anomalies
-M and y of t and tau, whose first three harmonics start the inversion
-(``_kepler_start``); a Halley step whose Taylor remainder is at the
-rounding of t is then taken without a further evaluation.
+a function of physical time, from a start that ``_radial_forms`` makes
+with the series form that serves: on S below, a generalised Kepler
+equation M = y - sum e_n sin ny in the mean anomalies M and y of t and
+tau, its first three harmonics (``_kepler_start``); on T' below, its tanh
+terms and first gamma_n, folded past w_r/2 (``_leading_start``) but on a
+rhombic lattice at q_c >= 0.01; elsewhere the Taylor, hyperbola and pole
+estimates of ``_unbounded_start``.  A Halley step whose Taylor remainder
+is at the rounding of t is then taken without a further evaluation.
 
 By the half-period addition theorem r - r_m = (2/a)(p(tau + w_k) - ek),
 whose nome series (DLMF 23.8.1 shifted by a half period) carries 1/a in
@@ -120,8 +123,8 @@ class SolutionContext:
     constructor, ``add_pole`` and ``add_epoch``, which ``build_context``
     chains.  The constructor's frame holds T_tau and T_t, so the CLI's
     ``period`` builds it alone.  Unchanged once built, apart from the
-    radial and theta series and the Kepler harmonics, which are made on
-    first use.
+    radial and theta series, which are made on first use; the radial
+    forms come with the start of the Kepler inversion.
     """
 
     def __init__(self, state: InitialState) -> None:
@@ -184,11 +187,6 @@ class SolutionContext:
     def _radial(self) -> tuple:
         # made on the first r or t: an apse epoch read for its periods takes none
         return _radial_forms(self)
-
-    @cached_property
-    def _kepler(self) -> tuple[float, float, float]:
-        # made on the first bounded inversion, like _radial
-        return _kepler_harmonics(self)
 
     @cached_property
     def _theta_series(self) -> partial:
@@ -514,7 +512,8 @@ def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
 
 
 def _radial_forms(ctx: SolutionContext) -> tuple:
-    """(switch, below, above): the forms of ``_series_point`` on either side of x = switch.
+    """(switch, below, above, start): the forms of ``_series_point`` on either
+    side of x = switch, and t -> the first tau of a Kepler inversion.
 
     Where the basis whose first half period is imaginary has the smaller
     ratio (``Lattice.q_t``), it serves: T' in S's place on k = 3 (q' < q),
@@ -530,15 +529,31 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     and n^3 rho^(n-1) up to w_r/2 (rho = sqrt(q'); V_n/V_1, D_n/D_1 and
     s_n/s_1 are at most n^3 e^((n-1)y)), and in T 16 n |gamma_n| min(n^2,
     c + c^2) against tan^2 u, c = cot u at the switch.
+
+    The start solves the leading terms of the form that serves from x = 0:
+    S's first three harmonics (``_kepler_start``), T''s own
+    (``_leading_start``), and on T, H with its fold and T' with its fold at
+    q_c >= 0.01, where the leading terms cost more than they save, the
+    estimates of ``_unbounded_start``.  None of them refers to the context,
+    which would make a cycle.
     """
     lat, alpha, r_m = ctx.lattice, ctx.state.alpha, ctx.r_m
     w_r, w_p = lat.real_half_period, lat.periods.omega_prime.imag
     q, q_t = lat.q, lat.q_t
     if not lat.rectangular:
         if q_t < q * q:               # T' on (omega' - omega, -omega)
-            return _folded_forms(ctx, _transformed(0.0, 2.0 * w_p, -q_t * q_t, alpha))
+            k = math.pi / (2.0 * (2.0 * w_p))
+            form, lead = _transformed(0.0, k, -q_t * q_t, alpha)
+            # the leading terms cost about one evaluation of the form through
+            # the fold; from q_c = 0.01 on, _unbounded_start took under two
+            # per sample on (1, 1.2, 0, alpha* (1 + delta)) up to t = 2000
+            # (1.87 at q_c = 0.011, 1.15 at 0.048), so it keeps serving there
+            return _folded_forms(ctx, form, lead if q_t < 0.01 else None, k)
     elif q_t < q and ctx.k == 3:      # T' on (omega', -omega)
-        return 0.0, None, _transformed(r_m, w_p, q_t * q_t, alpha)
+        k = math.pi / (2.0 * w_p)
+        form, lead = _transformed(r_m, k, q_t * q_t, alpha)
+        return 0.0, None, form, partial(_leading_start, lead, None, r_m, k, 2.0 / alpha,
+                                        0.5 * ctx.T_tau, 0.5 * ctx.T_t, 0.0, 0.0)
     elif q_t < q and ctx.k == 1:      # H on (omega', -omega)
         rho = math.sqrt(q_t)
         return _folded_forms(ctx, partial(_series_point, 0.0, math.pi / (2.0 * w_p), q_t, 0.0,
@@ -551,46 +566,70 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     if ctx.bounded:
         above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, _table(
             q if ctx.k == 3 else -q, q * q, alpha, q, lambda n, c: n**3 * abs(c) / q))
+        start = partial(_kepler_start, _kepler_harmonics(ctx), ctx.T_tau, ctx.T_t)
     else:
         big_q = q * q if lat.rectangular else -q * q
         c = math.tan(k * (w_r - switch))
         spread = c + c * c
         above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r, _table(
             -big_q, big_q, alpha, abs(big_q), lambda n, g: 16.0 * n * min(n * n, spread) * abs(g)))
+        start = _unbounded_start_of(ctx)
     if switch == 0.0:
-        return switch, None, above
+        return switch, None, above, start
     below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_t if ctx.bounded else q_t,
                     0.0, w_r, _table(1.0, q_t * q_t, alpha, math.exp(-depth),
                                      lambda n, c: n * n * math.exp(depth * (1 - n))))
-    return switch, below, above
+    return switch, below, above, start
 
 
-def _transformed(r_m: float, w: float, big_q: float, alpha: float) -> partial:
-    """T' on the basis whose first half period is i w: Q = q^2, |q| <= exp(-pi w_r/(2 w)).
+def _transformed(r_m: float, k: float, big_q: float, alpha: float) -> tuple[partial, partial]:
+    """(T', its leading terms) on the basis whose first half period is i w, k = pi/(2 w).
 
-    The terms of tanh^2 u + 16 sum n gamma_n sinh^2 nu, gamma_n = (-Q)^n/(1 - Q^n),
-    grow like (|Q| e^(2u))^n, at most |q|^n where the form serves (|x| <=
-    omega, or w_r/2 on a rhombic lattice), and their ratio to tanh^2 u, or
-    that of the t terms to u - tanh u, is at most 16 n^3 |gamma_n| e^(2nu).
+    Q = q^2, |q| <= exp(-pi w_r/(2 w)).  The terms of tanh^2 u + 16 sum n
+    gamma_n sinh^2 nu, gamma_n = (-Q)^n/(1 - Q^n), grow like (|Q|
+    e^(2u))^n, at most |q|^n where the form serves (|x| <= omega, or w_r/2
+    on a rhombic lattice), and their ratio to tanh^2 u, or that of the t
+    terms to u - tanh u, is at most 16 n^3 |gamma_n| e^(2nu).  The leading
+    terms, which start the inversion (``_leading_start``), keep the gamma
+    terms whose bound is above 2^-17 of the tanh terms', about the cube
+    root of the rounding of t: none to four of them near the threshold.
     """
-    ratio = math.sqrt(abs(big_q))
-    return partial(_series_point, r_m, math.pi / (2.0 * w), -big_q, 2.0 / alpha, 0.0, _table(
-        1.0, big_q, alpha, ratio, lambda n, c: 16.0 * n**3 * ratio**n * abs(c)))
+    ratio, pole = math.sqrt(abs(big_q)), 2.0 / alpha
+    table = _table(1.0, big_q, alpha, ratio, lambda n, c: 16.0 * n**3 * ratio**n * abs(c))
+    n = 0
+    while (n < len(table)
+           and 32.0 * (n + 1)**3 * ratio**(n + 1) * abs(table[n][2]) > 2.0**-17 * pole):
+        n += 1
+    return (partial(_series_point, r_m, k, -big_q, pole, 0.0, table),
+            partial(_series_point, r_m, k, -big_q, pole, 0.0, table[:n]))
 
 
-def _folded_forms(ctx: SolutionContext, form: partial) -> tuple:
-    """(w_r/2, form, its fold) toward the escape asymptote; ``form`` is H or T' without r_m.
+def _folded_forms(ctx: SolutionContext, form: partial, lead: partial | None = None,
+                  k: float = 0.0) -> tuple:
+    """(w_r/2, form, its fold, start) toward the escape asymptote; ``form`` is H or T' without r_m.
 
     gap2 = (r_i - r_m)(r_j - r_m) over f's other two roots, from f's
     offsets: positive on k = 1, |r_c - r_m|^2 beside a conjugate pair.
+    Given ``lead``, T''s leading terms (``_transformed``) with k of its
+    basis, the start solves them below w_r/2 and their fold above it
+    (``_leading_start``); otherwise it is ``_unbounded_start``.
     """
     r_m, w_r = ctx.r_m, ctx.lattice.real_half_period
     half = 0.5 * w_r
     xs, m = _lattice_order(ctx.f, False)[0], ctx.k - 1
     gap2 = ((xs[(m + 1) % 3] - xs[m]) * (xs[(m + 2) % 3] - xs[m])).real
     t_h, d_h, dp_h = form(half)
+    fold = partial(_fold_point, r_m, 2.0 * t_h, d_h, dp_h / d_h, gap2, w_r)
     below = partial(_series_point, r_m, *form.args[1:])
-    return half, below, partial(_fold_point, r_m, 2.0 * t_h, d_h, dp_h / d_h, gap2, w_r, form)
+    if lead is None:
+        return half, below, partial(fold, form), _unbounded_start_of(ctx)
+    # past w_r/2, t = pole/s + b + c s with s = w_r - x matches t and r there
+    pole = 2.0 / ctx.state.alpha
+    t_h, r_h = r_m * half + t_h, r_m + gap2 / d_h
+    c = pole / (half * half) - r_h
+    return half, below, partial(fold, form), partial(
+        _leading_start, partial(_series_point, r_m, *lead.args[1:]), partial(fold, lead),
+        r_m, k, pole, half, t_h, t_h - pole / half - c * half, c)
 
 
 def _fold_point(r_m: float, const: float, d_h: float, slope_h: float, gap2: float,
@@ -679,10 +718,19 @@ def _series_point(r_m: float, k: float, lam: float, pole: float, w_r: float, tab
     kk = k * k
     t, r, rp = 8.0 * k * c, 16.0 * kk * a, 32.0 * kk * k * b
     if pole and lam:
-        # tanh u = sinh 2u/(2 + v1), sech^2 u = 2/(2 + v1), u - tanh u = (u v1 - d1)/(2 + v1)
+        # sech^2 u = 2/(2 + v1); below u = 1, u - tanh u = (u cosh u - sinh u)/cosh u,
+        # a series of positive terms 2n u^(2n+1)/(2n+1)!, the first one left
+        # out below 2^-58 of the sum; above it u - tanh u cancels by at most 4.2
         g = 1.0 / (2.0 + v1)
-        tanh = s1 * g
-        t += pole * k * (u * v1 - d1) * g
+        tanh = math.tanh(u)
+        if u < 1.0:
+            u2 = u * u
+            t += pole * k * u * u2 * (1.0 / 3.0 + u2 * (1.0 / 30.0 + u2 * (1.0 / 840.0 + u2 * (
+                1.0 / 45360.0 + u2 * (1.0 / 3991680.0 + u2 * (1.0 / 518918400.0 + u2 * (
+                    1.0 / 93405312000.0 + u2 * (1.0 / 22230464256000.0
+                                                + u2 / 6758061133824000.0)))))))) / math.cosh(u)
+        else:
+            t += pole * k * (u - tanh)
         r += pole * kk * tanh * tanh
         rp += 4.0 * pole * kk * k * tanh * g
     elif pole:
@@ -714,7 +762,7 @@ def _orbit_point(ctx: SolutionContext, tau: float) -> tuple[float, float, float]
     except (OverflowError, ValueError):
         raise _no_fold(tau, ctx.T_tau) from None
     x = tau - ctx.T_tau * n if n else tau
-    switch, below, above = ctx._radial
+    switch, below, above, _ = ctx._radial
     t, r, rp = (below if abs(x) < switch else above)(abs(x))
     if x < 0.0:
         t, rp = -t, -rp
@@ -809,16 +857,22 @@ def radial_kepler(ctx: SolutionContext, tau: float) -> float:
 def invert_kepler(ctx: SolutionContext, t: float) -> float:
     """Solve t(tau) = t for tau: safeguarded Halley steps on the monotone branch.
 
-    Bounded motion folds t to [0, T_t), brackets tau by one period and
-    starts from the first three harmonics of S (``_kepler_start``);
-    unbounded motion brackets tau by [0, w_r), w_r the escape asymptote,
-    and starts from the Taylor series of t, the alpha = 0 hyperbola or the
-    pole of t at w_r (``_unbounded_start``).  Past t at the last float
-    before w_r no float tau solves it: OutOfIntervalError, as for a
-    bounded t whose tau overflows.  Each evaluation gives t,
-    t' = r and t'' = dr/dtau, and a Halley step from it is taken without
-    another evaluation once its Taylor remainder is at the rounding of t
-    (``_halley_bisect``): about one evaluation per bounded sample.
+    Bounded motion folds t to [0, T_t) and brackets tau by one period;
+    unbounded motion brackets tau by [0, w_r), w_r the escape asymptote.
+    The start solves the leading terms of the series form that serves
+    (``_radial_forms``): the first three harmonics of S
+    (``_kepler_start``); on T', near the escape threshold, its tanh terms
+    and first gamma_n, folded by symmetry past T_t/2 or through the
+    addition formula past w_r/2 (``_leading_start``); on T and H the
+    Taylor series of t, the alpha = 0 hyperbola or the pole of t at w_r
+    (``_unbounded_start``).  Past t at the last float before w_r no float
+    tau solves it: OutOfIntervalError, as for a bounded t whose tau
+    overflows.  Each evaluation gives t, t' = r and t'' = dr/dtau, and a
+    Halley step from it is taken without another evaluation once its
+    Taylor remainder is at the rounding of t (``_halley_bisect``): about
+    one evaluation per sample on S and T'.  Where floats of tau no longer
+    resolve t, near w_r, the nearer in t of two adjacent floats is
+    returned.
     """
     tau = _invert(ctx, t)[0]
     # whole periods of T_tau past the floats; in propagate_ctx theta's fold stops them
@@ -828,7 +882,13 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
 
 
 def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
-    """(tau, r, dr/dtau) with t(tau) = t; r and dr/dtau from the last step."""
+    """(tau, r, dr/dtau) with t(tau) = t; r and dr/dtau from the last step.
+
+    The start is the one ``_radial_forms`` made with the form that serves:
+    S's (``_kepler_start``), T''s (``_leading_start``) or
+    ``_unbounded_start``'s; unbounded t past a quarter of t at the last
+    float below w_r starts at that float.
+    """
     if t == 0.0:
         return 0.0, ctx.r_m, 0.0
     if ctx.bounded:
@@ -837,7 +897,7 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
         except (OverflowError, ValueError):
             raise _no_fold(t, ctx.T_t) from None
         t_r = t - n_per * ctx.T_t
-        tau, r, rp = _halley_bisect(ctx, t_r, 0.0, ctx.T_tau, _kepler_start(ctx, t_r))
+        tau, r, rp = _halley_bisect(ctx, t_r, 0.0, ctx.T_tau, ctx._radial[3](t_r))
         return tau + n_per * ctx.T_tau, r, rp
     if t < 0.0:
         tau, r, rp = _invert(ctx, -t)
@@ -845,7 +905,7 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     # unbounded: [0, w_r), w_r the escape asymptote, never evaluated
     w_r = ctx.lattice.real_half_period
     if t * ctx.state.alpha * math.ulp(w_r) <= 1.0:
-        return _halley_bisect(ctx, t, 0.0, w_r, _unbounded_start(ctx, t))
+        return _halley_bisect(ctx, t, 0.0, w_r, ctx._radial[3](t))
     # t above a quarter of t(top) ~ 2/(a (w_r - top)), top the last float before w_r
     top = math.nextafter(w_r, 0.0)
     t_top = _orbit_point(ctx, top)[0]
@@ -855,7 +915,16 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     return _halley_bisect(ctx, t, 0.0, top, top)
 
 
-def _unbounded_start(ctx: SolutionContext, t: float) -> float:
+def _unbounded_start_of(ctx: SolutionContext) -> partial:
+    """t -> ``_unbounded_start`` on the constants of ``ctx``."""
+    a, r_m, w_r = ctx.state.alpha, ctx.r_m, ctx.lattice.real_half_period
+    b = r_m - 2.0 * ctx.e_k / a
+    return partial(_unbounded_start, a, r_m, r_m / (ctx.f.df(r_m) / 12.0), ctx.energy, w_r,
+                   b, b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
+
+
+def _unbounded_start(a: float, r_m: float, p: float, energy: float, w_r: float,
+                     b: float, c: float, t: float) -> float:
     """tau at time t > 0 on unbounded motion: the smallest of three estimates.
 
     Near pericenter, t = r_m tau + f'(r_m) tau^3/12 + ..., whose root comes
@@ -871,19 +940,15 @@ def _unbounded_start(ctx: SolutionContext, t: float) -> float:
     C = B w_r - 2 eta_k/a; x is the positive root of B x^2 + (t - C) x -
     2/a, taken in a form without cancellation (a > 0 on unbounded motion),
     when it lies below w_r.  An estimate at or past the asymptote w_r gives
-    way to w_r/2.
+    way to w_r/2.  ``_unbounded_start_of`` forms p = 12 r_m/f'(r_m) (> 0:
+    r_m is a simple root of f), B and C once per context.
     """
-    a, r_m, energy = ctx.state.alpha, ctx.r_m, ctx.energy
-    cube = ctx.f.df(r_m) / 12.0         # > 0: r_m is a simple root of f
-    p = r_m / cube
     tau = 2.0 * math.sqrt(p / 3.0) * math.sinh(
         math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
     if energy > 0.0:
         s = math.sqrt(2.0 * energy)
         tau = min(tau, _hyperbolic_anomaly(2.0 * energy * r_m, s * s * s * t) / s)
-    w_r = ctx.lattice.real_half_period
-    b = r_m - 2.0 * ctx.e_k / a
-    d = t - (b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
+    d = t - c
     disc = d * d + 8.0 * b / a
     if disc >= 0.0 and d + math.sqrt(disc) > 0.0:
         x = 4.0 / (a * (d + math.sqrt(disc)))
@@ -919,7 +984,7 @@ def _kepler_harmonics(ctx: SolutionContext) -> tuple[float, float, float]:
 
     e_n = 16 k^2 a_n T_tau/T_t, with a_n = s^n q^n/(a (1 - q^2n)) the
     coefficients of S in the module docstring, k = pi/(2 omega) and q =
-    exp(-pi |omega'|/omega) (``Lattice.q``); also where T' sums the series.
+    exp(-pi |omega'|/omega) (``Lattice.q``).
     """
     k, q = math.pi / (2.0 * ctx.lattice.real_half_period), ctx.lattice.q
     s = q if ctx.k == 3 else -q
@@ -927,7 +992,8 @@ def _kepler_harmonics(ctx: SolutionContext) -> tuple[float, float, float]:
     return tuple(scale * s**n / (1.0 - q ** (2 * n)) for n in (1, 2, 3))
 
 
-def _kepler_start(ctx: SolutionContext, t: float) -> float:
+def _kepler_start(harmonics: tuple[float, float, float], t_tau: float, t_t: float,
+                  t: float) -> float:
     """tau at time t in [0, T_t) from the first three harmonics of S.
 
     S is a generalised Kepler equation: with y = 2 pi tau/T_tau and M =
@@ -942,8 +1008,8 @@ def _kepler_start(ctx: SolutionContext, t: float) -> float:
     ``_halley_bisect`` holds its remainder to: the error left, of order the
     step's square, is then below what the first Halley step takes.
     """
-    e1, e2, e3 = ctx._kepler
-    mean = 2.0 * math.pi * t / ctx.T_t
+    e1, e2, e3 = harmonics
+    mean = 2.0 * math.pi * t / t_t
     lo, hi, y = 0.0, 2.0 * math.pi, mean + e1 * math.sin(mean)
     for _ in range(60):
         s, c = math.sin(y), math.cos(y)
@@ -961,7 +1027,64 @@ def _kepler_start(ctx: SolutionContext, t: float) -> float:
         step, y = y_new - y, y_new
         if abs(step) <= 2.0**-17:
             break
-    return y / (2.0 * math.pi) * ctx.T_tau
+    return y / (2.0 * math.pi) * t_tau
+
+
+def _leading_start(lead: partial, fold: partial | None, r_m: float, k: float, pole: float,
+                   half: float, t_half: float, b: float, c: float, t: float) -> float:
+    """tau at time t >= 0 on T' from its leading terms ``lead`` (``_transformed``).
+
+    Up to t_half = t(half), tau = x solves lead(x) = t on [0, half] by
+    Halley steps (``_leading_root``); the truncated t is convex and
+    increasing there.  Without its gamma terms, t = r_m x + k pole (u -
+    tanh u), u = k x, lies between r_m x + k pole u^3/3 and r_m x + k pole
+    (u - 1), so the first x is the root of the cubic (the sinh form of the
+    depressed cubic, as in ``_unbounded_start``), a lower bound, where its
+    u is at most 1.2, and else the least of the upper bounds t/r_m and (t +
+    k pole)/(r_m + k^2 pole), the second exact to e^(-2u) at large u.
+    Bounded t past T_t/2 = t_half folds by symmetry, tau = T_tau - x(T_t -
+    t).  Unbounded t past t(w_r/2) solves ``fold``, the leading terms
+    through ``_fold_point``'s addition formula (``_folded_forms``), from s
+    = w_r - x on t = pole/s + b + c s: the fold's pole at w_r, with b and c
+    such that t and dt/ds = -r match the form's at w_r/2.
+    """
+    if t <= t_half:
+        p = 3.0 * r_m / (k**4 * pole)
+        x = 2.0 * math.sqrt(p / 3.0) * math.sinh(
+            math.asinh(1.5 * t / r_m * math.sqrt(3.0 / p)) / 3.0)
+        if k * x > 1.2:
+            x = min(t / r_m, (t + k * pole) / (r_m + k * k * pole))
+        return _leading_root(lead, t, 0.0, half, x, 0.0)
+    if fold is None:
+        return 2.0 * half - _leading_start(lead, None, r_m, k, pole, half, t_half, b, c,
+                                           2.0 * t_half - t)
+    w_r = 2.0 * half
+    d = t - b
+    den = d + math.sqrt(max(d * d - 4.0 * pole * c, 0.0))
+    s = 2.0 * pole / den if den * half > 2.0 * pole else half
+    return _leading_root(fold, t, half, math.nextafter(w_r, 0.0), w_r - s, w_r)
+
+
+def _leading_root(model: partial, t: float, lo: float, hi: float, x: float,
+                  anchor: float) -> float:
+    """x in [lo, hi] with model(x)[0] = t, by Halley steps from x, each kept in [lo, hi].
+
+    The steps stop after one below 2^-8 |x - anchor|: Halley's error is of
+    order the cube of its step, and 2^-24 is below what the first Halley
+    step of ``_halley_bisect`` takes.  They also stop at an end that a
+    step would pass again, where the truncated root lies past the end.
+    """
+    x = min(max(x, lo), hi)
+    for _ in range(30):
+        t_x, r, rp = model(x)
+        err = t_x - t
+        denom = 2.0 * r * r - err * rp
+        step = -2.0 * err * r / denom if denom > 0.0 else -err / r
+        x_new = min(max(x + step, lo), hi)
+        if abs(step) <= 2.0**-8 * abs(x_new - anchor) or x_new == x:
+            return x_new
+        x = x_new
+    return x
 
 
 def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
@@ -978,11 +1101,16 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
     be below 2^-52 of their own scales: r, and for r' the r v =
     sqrt(r'^2 + h_mom^2) that the flight-path angle atan2(r', h_mom) reads
     it against.  Otherwise the Halley step, or the bracket's midpoint
-    where that leaves the bracket, is the next tau.
+    where that leaves the bracket, is the next tau.  A step below half an
+    ulp of tau goes to the next float toward the root instead, and a
+    bracket with no float inside returns the evaluated tau whose t is
+    nearest t: near the escape asymptote adjacent floats of tau can be
+    percents apart in t.
     """
     f, alpha, momentum = ctx.f, ctx.state.alpha, ctx.momentum
     ulp = 2.0 * _UNIT_ROUNDOFF
     tau = min(max(guess, lo), hi)
+    best = (math.inf,)
     for _ in range(100):
         t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
@@ -1004,10 +1132,14 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
                         and fourth * abs(h) <= 24.0 * ulp * r):
                     return (tau_new, r + h * (rp + h * (0.25 * fp + h * fpp * rp / 12.0)),
                             rp + h * (0.5 * fp + 0.25 * h * fpp * rp))
+            if tau_new == tau:      # below half an ulp: the root is at most an ulp away
+                tau_new = math.nextafter(tau, hi if err < 0.0 else lo)
+        if abs(err) <= best[0]:
+            best = abs(err), tau, r, rp
         if not lo < tau_new < hi:    # outside the bracket, or no Halley step
             tau_new = 0.5 * (lo + hi)
-        if tau_new == tau:
-            return tau, r, rp
+            if not lo < tau_new < hi:   # lo and hi adjacent floats
+                return best[1:]
         tau = tau_new
     raise ConvergenceError(f"radial Kepler inversion failed to converge for t={t!r}")
 

@@ -1,6 +1,8 @@
 import cmath
+import gc
 import math
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -901,7 +903,7 @@ class TestThetaSeries:
         # 32/56/69/123 r/t terms and 13/23/64/110 theta terms
         ctx = build_context(InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta)))
         assert ctx.bounded == (delta < 0.0)
-        _, below, above = ctx._radial
+        _, below, above = ctx._radial[:3]
         radial, theta = series_terms(below) + series_terms(above), series_terms(ctx._theta_series)
         assert radial and theta and max(radial + theta) <= 15
 
@@ -916,7 +918,7 @@ class TestThetaSeries:
         lat = ctx.lattice
         assert not ctx.bounded and lat.rectangular and lat.companion and ctx.k == 1
         assert lat.q_t < 1e-4 < 0.3 < lat.q
-        switch, below, above = ctx._radial
+        switch, below, above = ctx._radial[:3]
         assert switch == 0.5 * lat.real_half_period
         assert above.func is propagation._fold_point
         assert ctx._theta_series.func is propagation._theta_centred
@@ -994,6 +996,35 @@ class TestRadialKepler:
             tau = tau0_from_r0(ctx, r_hi, 1)
             ref = oracle.quadrature_tof(ctx.state, ctx.r_m, r_hi)
             assert radial_kepler(ctx, tau) == pytest.approx(ref, abs=1e-9)
+
+    def test_t_prime_rounds_t_and_r_to_three_units(self):
+        # T''s t and r against the same coefficients summed in 40 digits,
+        # over [0, T_tau/2] or [0, w_r/2]: within 3 units of 2^-52 relative
+        # (measured 1.8 in t and 2.6 in r).  tanh u as sinh 2u/(2 + v1) and
+        # u - tanh u as (u v1 - (sinh 2u - 2u))/(2 + v1) reached 5.3 and 5.5
+        mp = pytest.importorskip("mpmath")
+        states = [InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta))
+                  for delta in (-1e-8, -1e-4, 1e-4, 1e-8)] + near_escape_sweep(30, 12)
+        for state in states:
+            ctx = build_context(state)
+            switch, below, above = ctx._radial[:3]
+            form = below or above
+            r_m, k, lam, pole, _, table = form.args
+            assert lam and pole                                 # T'
+            end = 0.5 * (ctx.T_tau if ctx.bounded else ctx.lattice.real_half_period)
+            with mp.workdps(40):
+                for i in range(1, 41):
+                    x = end * i / 41.0
+                    t, r, _ = form(x)
+                    u = mp.mpf(k) * x
+                    ref_t, ref_r = mp.mpf(r_m) * x + pole * k * (u - mp.tanh(u)), \
+                        mp.mpf(r_m) + pole * k * k * mp.tanh(u) ** 2
+                    for n, (_, cb, cc) in enumerate(table, 1):
+                        ln = mp.mpf(lam) ** n
+                        ref_t += 8 * k * cc * ln * (mp.sinh(2 * n * u) - 2 * n * u)
+                        ref_r += 16 * k * k * cb / n * ln * (mp.cosh(2 * n * u) - 1)
+                    assert abs(t - ref_t) <= 3.0 * 2.0**-52 * ref_t, (state, x)
+                    assert abs(r - ref_r) <= 3.0 * 2.0**-52 * ref_r, (state, x)
 
 
 # Bounded states at |alpha| ~ 1e-6, where the closed form of t(tau) scales
@@ -1148,7 +1179,7 @@ class TestPericenterSeries:
         # and b_2 = -(32/3) k^6 sum n^5 a_n
         ctx = anchor_ctx
         fp, fpp = ctx.f.df(ctx.r_m), ctx.f.d2f(ctx.r_m)
-        _, below, above = ctx._radial
+        _, below, above = ctx._radial[:3]
         form = above or below                    # S, also beside H when k = 2
         k, table = form.args[1], form.args[-1]
         b1 = 32.0 * k**4 * math.fsum(n * row[1] for n, row in enumerate(table, 1))
@@ -1236,7 +1267,8 @@ def kepler_orbits(seed, count):
 
 
 # Kepler eccentricity 0.95 in a confining field (k = 2, apses 1 and 8.7),
-# and q = 0.22 and 0.41 just below the escape threshold of (1, 1.2, 0, .)
+# and q = 0.22 and 0.41 just below the escape threshold of (1, 1.2, 0, .),
+# where T' sums the series (q' = 1.6e-3 and 1.6e-5)
 KEPLER_HARD = [InitialState(1.0, math.sqrt(1.95), 0.0, -0.01)] + [
     InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 - delta))
     for delta in (1e-4, 1e-8)]
@@ -1245,7 +1277,26 @@ KEPLER_ACCEPTED = [tuple(kw.values()) for kw in (WORKED, ROSETTE, TILTED, INBOUN
     (1.0, math.sqrt(1.95), 0.0, -0.01),
     (1.0, 1.5, 0.3, 1e-6),
     (1.1, 1.5, math.radians(30.0), 0.05),
-] + [(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta)) for delta in (1e-8, 1e-4)]
+] + [(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + delta)) for delta in (1e-8, 1e-4, -1e-8, -1e-4)]
+
+
+def near_escape_sweep(seed, count):
+    """Near-escape states alpha* (1 + delta), |delta| in [1e-12, 1e-2] on both sides.
+
+    Half are apse starts (gamma0 = 0) and half are not; alpha* is each
+    state's own threshold (``analysis.escape_alpha``).  Every one of them
+    sums T' (bounded, k = 3) or T' and its fold (rhombic).
+    """
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(count):
+        r0, u = rng.uniform(0.7, 1.5), rng.uniform(1.2, 1.8)
+        v0 = math.sqrt(u / r0)
+        gamma0 = 0.0 if i % 2 == 0 else rng.uniform(-1.0, 1.0)
+        a_star = analysis.escape_alpha(r0, v0, gamma0, -0.01, 10.0)
+        delta = (-1.0 if i % 4 < 2 else 1.0) * 10.0 ** rng.uniform(-12.0, -2.0)
+        states.append(InitialState(r0, v0, gamma0, a_star * (1.0 + delta)))
+    return states
 
 
 class TestInvertKepler:
@@ -1342,8 +1393,14 @@ class TestInvertKepler:
         # S's first three harmonics start a bounded inversion close enough
         # for the first Halley step to be taken: 1.0 evaluations per sample
         # on the plain orbits (2.5 from the alpha = 0 ellipse and the
-        # residual stop), at most 2.1 where a high eccentricity or q up to
-        # 0.41 leaves the truncated harmonics further off (3.0-3.4)
+        # residual stop), 2.1 at Kepler eccentricity 0.95 (3.0-3.4).  Near
+        # the escape threshold T' starts from its own leading terms: 1.00
+        # evaluations per sample over 20 periods below alpha* at |delta| =
+        # 1e-2 to 1e-12, where S's harmonics took 1.97-2.08, and up to t =
+        # 2000 above it at 1e-4 to 1e-12, where the Taylor, hyperbola and
+        # pole estimates took 4.67, 7.49 and 8.08.  At delta = 1e-2 above
+        # (q_c = 0.0155) those estimates still serve, at 1.67: the leading
+        # terms through the fold would cost more than the 0.67 they save
         points = []
         orbit_point = propagation._orbit_point
         monkeypatch.setattr(propagation, "_orbit_point",
@@ -1351,18 +1408,30 @@ class TestInvertKepler:
 
         def evaluations(state):
             ctx = build_context(state)
+            span = 20.0 * ctx.T_t if ctx.bounded else 2000.0
             points.clear()
-            for j in range(1, 40):      # 20 radial periods, no sample at the epoch
-                propagate_ctx(ctx, 20.0 * ctx.T_t * j / 39.0)
+            for j in range(1, 40):      # no sample at the epoch
+                propagate_ctx(ctx, span * j / 39.0)
             return len(points) / 39.0
 
         assert np.mean([evaluations(s) for s in kepler_orbits(seed=24, count=16)]) <= 1.1
-        for state in KEPLER_HARD:
-            assert evaluations(state) <= 2.2
+        assert evaluations(KEPLER_HARD[0]) <= 2.2
+        for state in KEPLER_HARD[1:]:
+            assert evaluations(state) <= 1.05
+        for delta in (1e-2, 1e-4, 1e-8, 1e-12):
+            for side in (-1.0, 1.0):
+                state = InitialState(1.0, 1.2, 0.0, ESCAPE_ALPHA * (1.0 + side * delta))
+                if side > 0.0 and delta == 1e-2:
+                    assert build_context(state)._radial[3].func is propagation._unbounded_start
+                    assert evaluations(state) <= 1.67
+                    continue
+                assert build_context(state)._radial[3].func is propagation._leading_start
+                assert evaluations(state) <= 1.05, (side, delta)
 
     @pytest.mark.parametrize("state", KEPLER_ACCEPTED, ids=[
         "worked", "rosette", "tilted", "inbound", "ecc_0.95",
-        "hyperbolic", "escaping", "rhombic_1e-8", "rhombic_1e-4"])
+        "hyperbolic", "escaping", "rhombic_1e-8", "rhombic_1e-4",
+        "bounded_1e-8", "bounded_1e-4"])
     def test_accepted_point_matches_a_fresh_evaluation(self, state):
         # t, r and r' where the Halley step is taken, carried to tau + h,
         # against _orbit_point at the returned tau: r within the rounding
@@ -1372,7 +1441,10 @@ class TestInvertKepler:
         # returned float, moves each by.  Bounded t is in [0, T_t), to
         # which the inversion folds it.  A first-order carry of r' after a
         # Newton step missed by up to 4.7 times its bound on the rhombic
-        # states, at t from 49 to 129, which the dense stretch covers
+        # states, at t from 49 to 129, which the dense stretch covers.  T'
+        # formed tanh u as sinh 2u/(2 + v1), up to 5 ulps off, and its
+        # near-escape states reached 7.6 of the 8 ulps (9.0 on rhombic_1e-8
+        # once the first Halley step was taken); with math.tanh, 3.0
         ctx = build_context(InitialState(*state))
         rng = np.random.default_rng(17)
         times = (rng.uniform(0.0, ctx.T_t, 100) if ctx.bounded
@@ -1388,6 +1460,59 @@ class TestInvertKepler:
                                       + 0.5 * abs(ctx.f.df(r_f)) * ulp)
             assert abs(t_f - t) <= 2.0**-50 * max(1.0, abs(t)) + r_f * ulp
 
+    @pytest.mark.parametrize("seed", [30, 31])
+    def test_start_from_the_leading_terms_of_t_prime(self, seed, monkeypatch):
+        # T''s start lands in the half of its bracket that holds the root:
+        # [0, T_tau/2] up to T_t/2 and [T_tau/2, T_tau] past it, [0, w_r/2]
+        # up to t(w_r/2) and [w_r/2, w_r) past it, also at t -> 0, T_t/2 +/-
+        # an ulp, t -> T_t and t(w_r/2) +/- an ulp.  From t = 1e-300 on it
+        # is within 2^-17 of the root, relative to the distance from the
+        # nearer apse or the asymptote (measured 2^-25.4 at worst), so one
+        # evaluation serves each inversion.  t(tau) then meets t to 2^-50
+        # max(1, |t|) but where no float of tau can: at T_t/2 t(tau) jumps
+        # by T_t - 2 t(T_tau/2), where the fold by T_t takes over, and both
+        # are rounded (up to 1.4 times 2^-50 t on these orbits); and past
+        # w_r/2 one ulp of tau moves t by r ulp(tau), which past t = 300
+        # here is more than 2^-50 t
+        points = []
+        orbit_point = propagation._orbit_point
+        monkeypatch.setattr(propagation, "_orbit_point",
+                            lambda ctx, tau: points.append(tau) or orbit_point(ctx, tau))
+        rng = np.random.default_rng(seed)
+        for state in near_escape_sweep(seed, 12):
+            ctx = build_context(state)
+            start = ctx._radial[3]
+            lead = start.func is propagation._leading_start     # else q_c >= 0.01
+            assert lead or (not ctx.bounded and ctx.lattice.q_t >= 0.01)
+            if ctx.bounded:
+                end, half_t = ctx.T_tau, 0.5 * ctx.T_t
+                jump = abs(ctx.T_t - 2.0 * orbit_point(ctx, 0.5 * end)[0])
+                edges = [math.nextafter(half_t, 0.0), half_t, math.nextafter(half_t, math.inf),
+                         math.nextafter(ctx.T_t, 0.0)]
+                times = rng.uniform(0.0, ctx.T_t, 20)
+            else:
+                end = ctx.lattice.real_half_period
+                half_t = orbit_point(ctx, 0.5 * end)[0]
+                edges = [math.nextafter(half_t, 0.0), half_t, math.nextafter(half_t, math.inf)]
+                times = np.concatenate([rng.uniform(0.0, 2000.0, 20), [1e4, 1e6]])
+            for t in [5e-324, 1e-300, 1e-12] + edges + [float(x) for x in times]:
+                points.clear()
+                tau, r, _ = propagation._invert(ctx, t)
+                if lead:
+                    guess = start(t)
+                    assert (0.0 <= guess <= 0.5 * end if t <= half_t
+                            else 0.5 * end <= guess <= end), (state, t, guess)
+                    assert len(points) == 1, (state, t)
+                    if t >= 1e-300:
+                        apse = end if tau > 0.5 * end else 0.0
+                        assert abs(guess - tau) <= 2.0**-17 * abs(tau - apse), (state, t)
+                t_f = orbit_point(ctx, tau)[0]
+                if ctx.bounded:
+                    slack = jump if abs(t - half_t) <= math.ulp(half_t) else 0.0
+                else:
+                    slack = r * math.ulp(tau) if tau > 0.5 * end else 0.0
+                assert abs(t_f - t) <= 2.0**-50 * max(1.0, t) + slack, (state, t)
+
     def test_start_from_the_harmonics_of_s(self):
         # Newton's last step on the truncated equation is below 2^-17, which
         # leaves an error of order its square (measured residual 2^-36.7),
@@ -1396,11 +1521,11 @@ class TestInvertKepler:
         # ellipse started up to 3.1e-3 off)
         for state in kepler_orbits(seed=24, count=8) + KEPLER_HARD:
             ctx = build_context(state)
-            e1, e2, e3 = ctx._kepler
+            e1, e2, e3 = harmonics = propagation._kepler_harmonics(ctx)
             q = math.exp(-math.pi * ctx.lattice.periods.omega_prime.imag / (0.5 * ctx.T_tau))
             for frac in np.linspace(0.0, 1.0, 25, endpoint=False):
                 t = frac * ctx.T_t
-                tau = propagation._kepler_start(ctx, t)
+                tau = propagation._kepler_start(harmonics, ctx.T_tau, ctx.T_t, t)
                 y = 2.0 * math.pi * tau / ctx.T_tau
                 mean = y - e1 * math.sin(y) - e2 * math.sin(2 * y) - e3 * math.sin(3 * y)
                 assert abs(mean - 2.0 * math.pi * frac) <= 2.0**-34
@@ -1413,10 +1538,10 @@ class TestInvertKepler:
         # only where it rises and inside the bracket, else bisection, and the
         # start still lands on a root of the truncation in [0, T_tau]
         # (measured residual 2^-33.6 at worst)
-        ctx = build_context(worked_ctx.state)
-        ctx._kepler = e1, e2, e3 = harmonics
+        ctx = worked_ctx
+        e1, e2, e3 = harmonics
         for frac in np.linspace(0.0, 1.0, 50, endpoint=False):
-            tau = propagation._kepler_start(ctx, frac * ctx.T_t)
+            tau = propagation._kepler_start(harmonics, ctx.T_tau, ctx.T_t, frac * ctx.T_t)
             assert 0.0 <= tau <= ctx.T_tau
             y = 2.0 * math.pi * tau / ctx.T_tau
             mean = y - e1 * math.sin(y) - e2 * math.sin(2 * y) - e3 * math.sin(3 * y)
@@ -1448,8 +1573,9 @@ def test_kepler_start_past_the_escape_asymptote(state, samples):
     # in r and 1.6e-14 in theta on the first state
     ctx = build_context(InitialState(*state))
     w_r = ctx.lattice.real_half_period
+    assert ctx._radial[3].func is propagation._unbounded_start
     for t, r, theta in samples:
-        assert propagation._unbounded_start(ctx, ctx.t0 + t) < w_r
+        assert ctx._radial[3](ctx.t0 + t) < w_r
         ps = propagate_ctx(ctx, t)
         assert ps.tau < w_r
         assert ps.r == pytest.approx(r, rel=1e-12)
@@ -1466,7 +1592,8 @@ def test_unbounded_start_from_the_hyperbola(monkeypatch):
     monkeypatch.setattr(propagation, "_orbit_point",
                         lambda c, tau: calls.append(tau) or point(c, tau))
     for t, root in ((400.0, 8.934851293292914), (1000.0, 10.678580123201941)):
-        assert root <= propagation._unbounded_start(ctx, t) <= root * (1.0 + 2e-4)
+        assert ctx._radial[3].func is propagation._unbounded_start
+        assert root <= ctx._radial[3](t) <= root * (1.0 + 2e-4)
         calls.clear()
         assert invert_kepler(ctx, t) == pytest.approx(root, rel=1e-15, abs=0.0)
         assert len(calls) == 2
@@ -1976,6 +2103,51 @@ class TestPropagate:
                             lambda c, tau: points.append(tau) or orbit_point(c, tau))
         invert_kepler(ctx, 1e3)
         assert top not in points
+
+    def test_unbounded_time_near_the_last_float(self, monkeypatch):
+        # a few ulps below w_r, t(tau) moves by percents from one float to
+        # the next, and no float meets t: the inversion returns whichever of
+        # the two floats around t has t nearer, in at most 4 evaluations.
+        # At t = 1e14, 1e15, 1e16, 5e16 and 1e17 it took 12, 7, 27, 28 and
+        # 28, bisecting once a Halley step rounded to its own tau, and at
+        # 1e15, 1e16 and 1e17 it returned the float whose t was 0.36 %, 6.2 %
+        # and 43.7 % off, though the other was 0.53 %, 2.4 % and 12.6 % off
+        ctx = build_context(InitialState(1.0, 1.5, 0.0, 0.02))
+        points = []
+        orbit_point = propagation._orbit_point
+        monkeypatch.setattr(propagation, "_orbit_point",
+                            lambda c, tau: points.append(tau) or orbit_point(c, tau))
+        for t in (1e13, 1e14, 1e15, 1e16, 5e16, 1e17):
+            points.clear()
+            tau = invert_kepler(ctx, t)
+            assert len(points) <= 4, t
+            err = orbit_point(ctx, tau)[0] - t
+            other = math.nextafter(tau, math.inf if err < 0.0 else 0.0)
+            err_other = orbit_point(ctx, other)[0] - t
+            assert err * err_other <= 0.0 and abs(err) <= abs(err_other), t
+
+    def test_context_is_freed_without_the_cycle_collector(self):
+        # nothing a context makes on first use refers back to it, so a
+        # context is freed as soon as its last reference goes; a Kepler
+        # start that held its context left each one to the cycle collector
+        # and cost state_scatter 4 % at p50
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # S, bounded T', rhombic T' and its fold, rhombic T, H and its fold
+            for state in (InitialState(**WORKED), NEAR_ESCAPE_8,
+                          InitialState(1.0, 1.2, 0.0, 0.0272223),
+                          InitialState(1.1, 1.5, math.radians(30.0), 0.05),
+                          InitialState(1.0, 1.5, 0.3, 1e-6)):
+                ctx = build_context(state)
+                for dt in (0.5, 30.0):
+                    propagate_ctx(ctx, dt)
+                freed = weakref.ref(ctx)
+                del ctx
+                assert freed() is None, state
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_state_evaluates_the_kernel_once_per_point(self, worked_ctx,
                                                        monkeypatch):

@@ -83,7 +83,7 @@ def boundedness_from_state(state: InitialState) -> BoundednessReport:
     """
     f = dynamics.build_f(state)
     region = dynamics.classify_region(f, state.r0)
-    threshold, roots, k = propagation._lattice_roots(f, region)
+    threshold, roots, k, _ = propagation._lattice_roots(f, region)
     margin = (0.0, *roots.gaps[:2])[k - 1].real if roots.e_tilde[0].imag == 0.0 else 0.0
     return BoundednessReport(
         bounded=region.bounded,

@@ -26,7 +26,8 @@ def cubic_roots(f0: float, f1: float, f2: float, f3: float
     and so it does at a subnormal x_s, off by O(x_s): there x_s has lost
     the relative digits c needs (g3 = 5e-324 gave c = 0.25 for 0.375).
     The stable quadratic formula gives the pair, and one Newton step on
-    the cubic polishes every root.  f0 >= 0 with f3 x_s > 0 makes c <= 0:
+    the cubic polishes the pair; x_s, solved already, would only move to
+    the next member of a Newton cycle.  f0 >= 0 with f3 x_s > 0 makes c <= 0:
     the pair straddles 0, the epoch radius of the dynamics, by construction.
     A polishing step that takes a real root across 0, or by half its
     distance to another root (noise at a near-double root), is refused.
@@ -44,8 +45,8 @@ def cubic_roots(f0: float, f1: float, f2: float, f3: float
         return z, complex(x_s), z.conjugate()
     s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     x1, x2, x3 = x_s, s / a, c / s if s else 0.0
-    xs = sorted((_polish(x1, x2, x3, f0, f1, f2, f3), _polish(x2, x1, x3, f0, f1, f2, f3),
-                 _polish(x3, x1, x2, f0, f1, f2, f3)), reverse=True)
+    xs = sorted((x1, _polish(x2, x1, x3, f0, f1, f2, f3), _polish(x3, x1, x2, f0, f1, f2, f3)),
+                reverse=True)
     return complex(xs[0]), complex(xs[1]), complex(xs[2])
 
 

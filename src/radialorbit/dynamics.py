@@ -11,7 +11,7 @@ the Taylor coefficients of f at r0, which need no E:
     F1 = 2 (r0 v0^2 - 1 + a r0^2),   F2 = 4 a r0 + v0^2 - 2/r0,   F3 = 2 a.
 
 The allowed region, the lattice of the closed form
-(``propagation.lattice_frame``) and boundedness all read these roots.
+(``propagation.SolutionContext``) and boundedness all read these roots.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import enum
 import math
+from bisect import bisect_left, bisect_right
 
 from .cubic import cubic_roots
 from .errors import (
@@ -147,8 +148,8 @@ def build_f(state: InitialState) -> CubicF:
             "alpha = 0 reduces f(r) to a quadratic (Kepler limit); "
             "the cubic machinery does not apply"
         )
-    return CubicF(alpha=state.alpha, energy=state.energy, momentum=state.momentum,
-                  r0=state.r0, offsets=cubic_roots(*_taylor_coefficients(state)))
+    return CubicF(state.alpha, state.energy, state.momentum, state.r0,
+                  cubic_roots(*_taylor_coefficients(state)))
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -195,15 +196,17 @@ def classify_region(f: CubicF, r0: float) -> MotionClass:
     double root at r0 with f < 0 about it is one point: DegenerateLatticeError.
     """
     x0 = r0 - f.r0
-    xs = sorted(x.real for x in f.offsets if x.imag == 0.0)
-    above = sum(1 for x in xs if x > x0)
+    x1, x2, x3 = f.offsets      # descending; a conjugate pair leaves x2 the real root
+    xs = (x3.real, x2.real, x1.real) if x1.imag == 0.0 else (x2.real,)
+    below, upto = bisect_left(xs, x0), bisect_right(xs, x0)     # roots < x0 and <= x0
+    above = len(xs) - upto
     if (f.alpha > 0.0) == (above % 2 == 0):
-        lo = max((x for x in xs if x <= x0), default=-math.inf)
+        lo = xs[upto - 1] if upto else -math.inf
         hi = xs[-above] if above else math.inf
-    elif (f.alpha > 0.0) == (sum(1 for x in xs if x >= x0) % 2 == 0):
-        lo = max((x for x in xs if x < x0), default=-math.inf)
+    elif (f.alpha > 0.0) == ((len(xs) - below) % 2 == 0):
+        lo = xs[below - 1] if below else -math.inf
         hi = x0
-    elif xs.count(x0) > 1:
+    elif upto - below > 1:
         raise DegenerateLatticeError(f"r0 = {r0} is a double root of f, f < 0 on both "
                                      "sides: the allowed region is that one point")
     else:

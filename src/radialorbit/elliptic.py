@@ -12,7 +12,9 @@ ulp apart for good.  R_F follows Carlson's duplication algorithm with the
 fifth-order series tail (Carlson 1995, Numerical Algorithms 10), for
 nonnegative real arguments in real arithmetic: the half periods of both
 lattice kinds come from K, and p^-1 at a conjugate pair of gaps reduces
-to R_F of real arguments (``weierstrass._rf_pair``).
+to R_F of real arguments (``weierstrass._rf_pair``).  A duplication takes
+x, y, z and their mean mu to (. + lam)/4, so the spread max|x - mu| is
+carried, divided by 4 per step, to the stop at 1e-4 mu (120 steps at most).
 """
 
 from __future__ import annotations
@@ -62,14 +64,15 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     sqrt = math.sqrt
     if (x, y, z).count(0.0) > 1:
         raise ValueError("at most one argument of R_F may be zero")
+    mu = (x + y + z) / 3.0
+    spread = max(abs(x - mu), abs(y - mu), abs(z - mu))
     for _ in range(120):
-        mu = (x + y + z) / 3.0
-        spread = max(abs(x - mu), abs(y - mu), abs(z - mu)) / mu
-        if spread < _RF_TOL:
+        if spread < _RF_TOL * mu:
             break
         sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * sy + sy * sz + sz * sx
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mu, spread = 0.25 * (mu + lam), 0.25 * spread
     mu = (x + y + z) / 3.0
     dx = (mu - x) / mu
     dy = (mu - y) / mu

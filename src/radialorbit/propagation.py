@@ -13,13 +13,8 @@ w_k is the half-period with p(w_k) = ek, and p(v) = ek - f'(r_m)/(4 r_m)
 with p'(v) on the +i branch, which puts v above the real axis.  t(tau) is
 the radial Kepler equation; its numerical inversion recovers the state as
 a function of physical time, from a start that ``_radial_forms`` makes
-with the series form that serves: on S below, a generalised Kepler
-equation M = y - sum e_n sin ny in the mean anomalies M and y of t and
-tau, its first three harmonics (``_kepler_start``); on T' below, its tanh
-terms and first gamma_n, folded past w_r/2 (``_leading_start``) but on a
-rhombic lattice at q_c >= 0.01; elsewhere the Taylor, hyperbola and pole
-estimates of ``_unbounded_start``.  A Halley step whose Taylor remainder
-is at the rounding of t is then taken without a further evaluation.
+with the series form that serves.  A Halley step whose Taylor remainder
+is at the rounding of t is taken without a further evaluation.
 
 By the half-period addition theorem r - r_m = (2/a)(p(tau + w_k) - ek),
 whose nome series (DLMF 23.8.1 shifted by a half period) carries 1/a in
@@ -82,7 +77,7 @@ lattice's real half, so a frame read for them takes one AGM.  The CLI's
 ``period`` and ``period-sweep`` build the frame alone,
 ``analysis.find_periodic_v`` the frame and pole per speed and the epoch
 for the speed it returns.  The lattice roots e_i = (a r_i + E/3)/2 come
-from f's (``lattice_frame``), and every p^-1 lies on a line where p is
+from f's (``_lattice_roots``), and every p^-1 lies on a line where p is
 real (``_theta_pole``); tau0's gaps are products of f's root differences
 (``tau0_from_r0``).  Quasi-periodicity gives the advances per period
 
@@ -102,6 +97,7 @@ import cmath
 import collections
 import math
 from functools import cached_property, partial
+from operator import truediv
 
 from . import dynamics
 from .dynamics import CubicF, InitialState, MotionClass
@@ -110,7 +106,7 @@ from .errors import (
     DegenerateLatticeError,
     OutOfIntervalError,
 )
-from .weierstrass import GRoots, Lattice
+from .weierstrass import GRoots, Lattice, stop_index
 
 _UNIT_ROUNDOFF = 2.0**-53
 _ROUNDING_ULPS = 8          # ulps of a rounding level: the theta pole off both lines
@@ -142,8 +138,11 @@ class SolutionContext:
         no term cancels.
         """
         self.state = state
-        self.energy, self.momentum = state.energy, state.momentum
-        self.f, self.region, self.r_m, self.v_m, self.e_k, roots, self.k = lattice_frame(state)
+        self.f = f = dynamics.build_f(state)
+        self.energy, self.momentum = f.energy, f.momentum
+        self.region = dynamics.classify_region(f, state.r0)
+        self.r_m, self.v_m = dynamics.pericenter(f, self.region, state.r0)
+        self.e_k, roots, self.k, self.xs = _lattice_roots(f, self.region)
         self.lattice = lat = Lattice(roots)
         self.bounded = self.region.bounded
         self.T_tau = self.T_t = None
@@ -213,47 +212,27 @@ def build_context(state: InitialState) -> SolutionContext:
     return SolutionContext(state).add_pole().add_epoch()
 
 
-def lattice_frame(state: InitialState
-                  ) -> tuple[CubicF, MotionClass, float, float, float, GRoots, int]:
-    """(f, region, r_m, v_m, e_k, roots, k): f's roots and the lattice's.
-
-    r_m is the pericenter (``dynamics.pericenter``); the rest needs only
-    f and its region (``_lattice_roots``).
-    """
-    f = dynamics.build_f(state)
-    region = dynamics.classify_region(f, state.r0)
-    r_m, v_m = dynamics.pericenter(f, region, state.r0)
-    return (f, region, r_m, v_m, *_lattice_roots(f, region))
-
-
-def _lattice_roots(f: CubicF, region: MotionClass) -> tuple[float, GRoots, int]:
-    """(e_k, roots, k) of the lattice of f, r_m the lower end of ``region``.
+def _lattice_roots(f: CubicF, region: MotionClass) -> tuple[float, GRoots, int, tuple]:
+    """(e_k, roots, k, xs) of the lattice of f, r_m the lower end of ``region``.
 
     e_k = f''(r_m)/24 is the lattice root e_tilde_k of r_m, and
-    e_i = e_k + a (x_i - x_m)/2 with x the offsets of f's roots from r0,
-    in the order of ``_lattice_order``.
+    e_i = e_k + a (x_i - x_m)/2 with xs the offsets of f's roots from r0 in
+    the lattice roots' order, r_m at index k: f's descending order for a > 0,
+    reversed for a < 0, where r_m is the middle root (k = 2); for a > 0 the
+    least of three on bounded motion (k = 3), else the largest real root
+    (k = 1, or 2 beside a conjugate pair).
     """
     e_k = 0.5 * f.alpha * region.r_lo + f.energy / 6.0
     half = 0.5 * f.alpha
-    xs, k = _lattice_order(f, region.bounded)
+    if f.alpha < 0.0:
+        xs, k = f.offsets[::-1], 2
+    else:
+        xs, k = f.offsets, 3 if region.bounded else 1 if f.offsets[0].imag == 0.0 else 2
     x_m = xs[k - 1].real
     x1, x2, x3 = xs
-    roots = GRoots(e_tilde=tuple(e_k + half * (x - x_m) for x in xs),
-                   gaps=(half * (x1 - x2), half * (x1 - x3), half * (x2 - x3)))
-    return e_k, roots, k
-
-
-def _lattice_order(f: CubicF, bounded: bool) -> tuple[tuple, int]:
-    """(xs, k): f's root offsets in the order of the lattice roots, r_m at index k.
-
-    The map keeps f's descending order for a > 0 and reverses it for
-    a < 0, where r_m is the middle root (k = 2); for a > 0 it is the least
-    of three on bounded motion (k = 3), else the largest real root (k = 1,
-    or 2 beside a conjugate pair).
-    """
-    if f.alpha < 0.0:
-        return f.offsets[::-1], 2
-    return f.offsets, 3 if bounded else 1 if f.offsets[0].imag == 0.0 else 2
+    roots = GRoots((e_k + half * (x1 - x_m), e_k + half * (x2 - x_m), e_k + half * (x3 - x_m)),
+                   (half * (x1 - x2), half * (x1 - x3), half * (x2 - x3)))
+    return e_k, roots, k, xs
 
 
 def _root_offsets(lat: Lattice, k: int) -> tuple:
@@ -262,8 +241,9 @@ def _root_offsets(lat: Lattice, k: int) -> tuple:
     Real on a rectangular lattice; on a rhombic one (k = 2) e1 - e2 and
     e3 - e2 are a conjugate pair.
     """
-    gaps = lat.roots.gaps
-    g12, g13, g23 = (g.real for g in gaps) if lat.rectangular else gaps
+    g12, g13, g23 = lat.roots.gaps
+    if lat.rectangular:
+        g12, g13, g23 = g12.real, g13.real, g23.real
     return ((0.0, -g12, -g13), (g12, 0.0, -g23), (g13, g23, 0.0))[k - 1]
 
 
@@ -302,14 +282,15 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
     between e3 and e2 beyond their rounding lies on neither line; only a
     double root e1 = e2 to rounding puts it there: DegenerateLatticeError.
     """
-    gaps = tuple(d + c_v for d in _root_offsets(lat, k))
+    d1, d2, d3 = _root_offsets(lat, k)
+    gaps = (d1 + c_v, d2 + c_v, d3 + c_v)
     if gaps[1] >= 0.0:              # w_v <= e2: the imaginary axis
         g13 = lat.roots.gaps[1].real    # e1 - e3, the scale of the gaps' rounding
         if lat.rectangular and -gaps[2] > _ROUNDING_ULPS * _UNIT_ROUNDOFF * g13:
             raise DegenerateLatticeError(f"theta pole between e3 and e2 (gaps {gaps!r}): "
                                          "e1 - e2 is a double root to rounding")
         return lat.wp_inverse_imaginary(e_k - c_v, gaps)
-    g12, g13, _ = (g.real for g in lat.roots.gaps)
+    g12, g13 = lat.roots.gaps[0].real, lat.roots.gaps[1].real
     s = g12 * g13 / c_v             # (b): e1 - w_u, as e1 - w_v = c_v
     u, (_, pp, zt) = lat.wp_inverse_imaginary(
         e_k - s, (s, -g12 * gaps[2] / c_v, -g13 * gaps[1] / c_v))
@@ -347,16 +328,13 @@ def _theta_series(ctx: SolutionContext) -> partial:
     sign = 1.0 if a.imag > 0.0 else -1.0
     shift = 2.0 * (m * eta + n * per.eta_prime)          # zeta(v) - zeta(v_c)
     slope = v_m + (2.0 * (eta / w) * v_c + 2.0 * shift - 2.0 * zeta_v).imag - sign * 2.0 * k
-    q_signed = q if lat.rectangular else -q              # q^2 = q_signed q
-    spread = math.exp(2.0 * abs(a.imag))
-    coeffs = []
-    j, q2j, grow = 1, q_signed * q, spread
-    while True:
-        c = q2j / (1.0 - q2j)
-        if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
-            break
-        coeffs.append((4.0 * c * cmath.sin(2 * j * a)).imag / j)
-        j, q2j, grow = j + 1, q2j * q_signed * q, grow * spread
+    stop = stop_index(lat.row, 4.0, -1, q * q * math.exp(2.0 * abs(a.imag)),
+                      limit=_UNIT_ROUNDOFF * (1.0 - q))
+    # sin 2ja by the angle addition sin 2(j+1)a = 2 cos 2a sin 2ja - sin 2(j-1)a
+    coeffs, sn, prev, two_cos = [], cmath.sin(2 * a), 0j, 2.0 * cmath.cos(2 * a)
+    for j, c in zip(range(1, stop), map(truediv, lat.row.powers, lat.row.dens)):
+        coeffs.append((4.0 * c * sn).imag / j)
+        sn, prev = two_cos * sn - prev, sn
     return partial(_theta_real, k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs))
 
 
@@ -389,8 +367,8 @@ def _theta_real(k: float, slope: float, sign: float, e: complex, coeffs: tuple,
     |s_m| <= 4 |c_m| e^(2m|Im a|)/m, and |Im v_c| <= Im omega' makes
     e^(2|Im a|) <= 1/|q|, so the ratio of successive bounds is at most |q|
     wherever |q|^(2m) is far below the rounding; the sum stops before the
-    first m whose bound is below 2^-53 (1 - |q|), which leaves a tail below
-    the unit roundoff in radians.
+    first m whose bound is below 2^-53 (1 - |q|) (``stop_index``), which
+    leaves a tail below the unit roundoff in radians.
     """
     b2 = 2.0 * k * tau
     s2, c2 = math.sin(b2), math.cos(b2)
@@ -433,7 +411,8 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
     eta1 = per.eta_prime if lat.rectangular else per.eta_prime - per.eta
     w3, eta3 = -per.omega, -per.eta
     kappa = 0.5 * math.pi / w1.imag
-    q2 = q * q if lat.rectangular else -q * q
+    stop = stop_index(lat.row_t, 4.0, -1, q, limit=_UNIT_ROUNDOFF * (1.0 - q))
+    fours = [4.0 * c for c in map(truediv, lat.row_t.powers[:stop - 1], lat.row_t.dens)]
 
     def constants(v: complex, drift: float) -> tuple[float, tuple]:
         x, y = _coordinates(v, 2.0 * w1, 2.0 * w3)
@@ -444,15 +423,13 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
             a += math.pi
         shift = 2.0 * (m * eta1 + n * eta3)         # zeta(v) - zeta(v_c)
         slope = drift + (2.0 * (eta1 / w1) * v_c + 2.0 * shift).imag
-        coeffs = []
-        j, q2j, grow = 1, q2, 1.0 / q
-        while True:
-            c = q2j / (1.0 - q2j)
-            if 4.0 * abs(c) * grow / j <= _UNIT_ROUNDOFF * (1.0 - q):
-                break
-            coeffs.append(4.0 * c * math.sin(2 * j * a) / j)
-            j, q2j, grow = j + 1, q2j * q2, grow / q
-        return slope, (kappa, math.sin(a), math.cos(a), tuple(coeffs))
+        sin_a, cos_a = math.sin(a), math.cos(a)     # sin 2ja as in _theta_series:
+        coeffs, sn, prev = [], 2.0 * sin_a * cos_a, 0.0
+        two_cos = 2.0 * (cos_a - sin_a) * (cos_a + sin_a)
+        for j, c4 in enumerate(fours, 1):
+            coeffs.append(c4 * sn / j)
+            sn, prev = two_cos * sn - prev, sn
+        return slope, (kappa, sin_a, cos_a, tuple(coeffs))
 
     drift = ctx.v_m - 2.0 * ctx.zeta_v.imag
     slope, first = constants(ctx.v, drift)
@@ -523,12 +500,13 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     above, H below on a rectangular lattice whose S or T terms alternate in
     sign (k = 1 or 2, where S cancels near the pericenter of an eccentric
     orbit), up to where H's ratio q' e^(2v) reaches 1/e or S's ratio q.  A
-    table stops once its tail is below the unit roundoff of the leading
-    term: n^3 |a_n|/|a_1| in S (|sin nu| <= n |sin u|), n^2 rho^(n-1) in H
-    up to the switch (terms shrink by ((n+1)/n)^3 rho, rho <= 1/e there)
-    and n^3 rho^(n-1) up to w_r/2 (rho = sqrt(q'); V_n/V_1, D_n/D_1 and
-    s_n/s_1 are at most n^3 e^((n-1)y)), and in T 16 n |gamma_n| min(n^2,
-    c + c^2) against tan^2 u, c = cot u at the switch.
+    table (``_table``) stops where its tail is below the unit roundoff of
+    the leading term (``stop_index``, ratio bound ((n+1)/n)^3 rho < 1):
+    n^3 |a_n|/|a_1| in S (|sin nu| <= n |sin u|, rho = q), n^2 rho^(n-1) in
+    H up to the switch (rho <= 1/e there) and n^3 rho^(n-1) up to w_r/2
+    (rho = sqrt(q'); V_n/V_1, D_n/D_1 and s_n/s_1 are at most n^3
+    e^((n-1)y)), and in T 16 n |gamma_n| min(n^2, c + c^2) against tan^2 u
+    (rho = |Q|), c = cot u at the switch.
 
     The start solves the leading terms of the form that serves from x = 0:
     S's first three harmonics (``_kepler_start``), T''s own
@@ -543,7 +521,7 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     if not lat.rectangular:
         if q_t < q * q:               # T' on (omega' - omega, -omega)
             k = math.pi / (2.0 * (2.0 * w_p))
-            form, lead = _transformed(0.0, k, -q_t * q_t, alpha)
+            form, lead = _transformed(0.0, k, lat.row_t, alpha)
             # the leading terms cost about one evaluation of the form through
             # the fold; from q_c = 0.01 on, _unbounded_start took under two
             # per sample on (1, 1.2, 0, alpha* (1 + delta)) up to t = 2000
@@ -551,57 +529,61 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
             return _folded_forms(ctx, form, lead if q_t < 0.01 else None, k)
     elif q_t < q and ctx.k == 3:      # T' on (omega', -omega)
         k = math.pi / (2.0 * w_p)
-        form, lead = _transformed(r_m, k, q_t * q_t, alpha)
+        form, lead = _transformed(r_m, k, lat.row_t, alpha)
         return 0.0, None, form, partial(_leading_start, lead, None, r_m, k, 2.0 / alpha,
                                         0.5 * ctx.T_tau, 0.5 * ctx.T_t, 0.0, 0.0)
     elif q_t < q and ctx.k == 1:      # H on (omega', -omega)
         rho = math.sqrt(q_t)
+        stop = stop_index(lat.row_t, 1.0 / rho, 3, rho, rho)
         return _folded_forms(ctx, partial(_series_point, 0.0, math.pi / (2.0 * w_p), q_t, 0.0,
-                                          w_r, _table(1.0, q_t * q_t, alpha, rho,
-                                                      lambda n, c: n**3 * rho ** (n - 1) * abs(c))))
+                                          w_r, _table(1.0, lat.row_t, alpha, stop)))
     # H's ratio q' e^(2v) = exp(-pi (w_r - x)/|omega'|) reaches e^-depth at the switch
     depth = max(1.0, math.pi * w_p / w_r) if ctx.bounded else 1.0
     switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
     k = math.pi / (2.0 * w_r)
     if ctx.bounded:
-        above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, _table(
-            q if ctx.k == 3 else -q, q * q, alpha, q, lambda n, c: n**3 * abs(c) / q))
-        start = partial(_kepler_start, _kepler_harmonics(ctx), ctx.T_tau, ctx.T_t)
+        table = _table(q if ctx.k == 3 else -q, lat.row, alpha,
+                       stop_index(lat.row, 1.0 / q, 3, q, q))
+        above = partial(_series_point, r_m, k, 0.0, 0.0, w_r, table)
+        scale = 16.0 * k * k * ctx.T_tau / ctx.T_t      # e_n of _kepler_start
+        harmonics = tuple([scale * c for _, _, c in table[:3]] + [0.0, 0.0])[:3]
+        start = partial(_kepler_start, harmonics, ctx.T_tau, ctx.T_t)
     else:
-        big_q = q * q if lat.rectangular else -q * q
+        big_q = lat.row.big_q
         c = math.tan(k * (w_r - switch))
-        spread = c + c * c
-        above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r, _table(
-            -big_q, big_q, alpha, abs(big_q), lambda n, g: 16.0 * n * min(n * n, spread) * abs(g)))
+        stop = stop_index(lat.row, 16.0, 3, abs(big_q), abs(big_q))
+        if stop * stop > c + c * c:   # else min(n^2, c + c^2) = n^2 up to the stop
+            stop = min(stop, stop_index(lat.row, 16 * (c + c * c), 1, abs(big_q), abs(big_q)))
+        above = partial(_series_point, r_m, k, 0.0, 2.0 / alpha, w_r,
+                        _table(-big_q, lat.row, alpha, stop))
         start = _unbounded_start_of(ctx)
     if switch == 0.0:
         return switch, None, above, start
+    ratio = math.exp(-depth)
     below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_t if ctx.bounded else q_t,
-                    0.0, w_r, _table(1.0, q_t * q_t, alpha, math.exp(-depth),
-                                     lambda n, c: n * n * math.exp(depth * (1 - n))))
+                    0.0, w_r, _table(1.0, lat.row_t, alpha,
+                                     stop_index(None, 1.0 / ratio, 2, ratio, ratio)))
     return switch, below, above, start
 
 
-def _transformed(r_m: float, k: float, big_q: float, alpha: float) -> tuple[partial, partial]:
+def _transformed(r_m: float, k: float, row, alpha: float) -> tuple[partial, partial]:
     """(T', its leading terms) on the basis whose first half period is i w, k = pi/(2 w).
 
-    Q = q^2, |q| <= exp(-pi w_r/(2 w)).  The terms of tanh^2 u + 16 sum n
-    gamma_n sinh^2 nu, gamma_n = (-Q)^n/(1 - Q^n), grow like (|Q|
+    Q = q^2 of ``row``, |q| <= exp(-pi w_r/(2 w)).  The terms of tanh^2 u +
+    16 sum n gamma_n sinh^2 nu, gamma_n = (-Q)^n/(1 - Q^n), grow like (|Q|
     e^(2u))^n, at most |q|^n where the form serves (|x| <= omega, or w_r/2
     on a rhombic lattice), and their ratio to tanh^2 u, or that of the t
-    terms to u - tanh u, is at most 16 n^3 |gamma_n| e^(2nu).  The leading
-    terms, which start the inversion (``_leading_start``), keep the gamma
-    terms whose bound is above 2^-17 of the tanh terms', about the cube
-    root of the rounding of t: none to four of them near the threshold.
+    terms to u - tanh u, is at most 16 n^3 |q|^n/|1 - Q^n|: the table stops
+    where that is below 2^-53 (1 - r), r = ((n+1)/n)^3 |q|, and the leading
+    terms, which start the inversion (``_leading_start``), below 2^-17, the
+    cube root of t's rounding: none to four of them near the threshold.
     """
-    ratio, pole = math.sqrt(abs(big_q)), 2.0 / alpha
-    table = _table(1.0, big_q, alpha, ratio, lambda n, c: 16.0 * n**3 * ratio**n * abs(c))
-    n = 0
-    while (n < len(table)
-           and 32.0 * (n + 1)**3 * ratio**(n + 1) * abs(table[n][2]) > 2.0**-17 * pole):
-        n += 1
+    big_q, pole = row.big_q, 2.0 / alpha
+    ratio = math.sqrt(abs(big_q))
+    table = _table(1.0, row, alpha, stop_index(row, 16.0, 3, ratio, ratio))
+    lead = table[:stop_index(row, 16.0, 3, ratio, limit=2.0**-17) - 1]
     return (partial(_series_point, r_m, k, -big_q, pole, 0.0, table),
-            partial(_series_point, r_m, k, -big_q, pole, 0.0, table[:n]))
+            partial(_series_point, r_m, k, -big_q, pole, 0.0, lead))
 
 
 def _folded_forms(ctx: SolutionContext, form: partial, lead: partial | None = None,
@@ -616,7 +598,7 @@ def _folded_forms(ctx: SolutionContext, form: partial, lead: partial | None = No
     """
     r_m, w_r = ctx.r_m, ctx.lattice.real_half_period
     half = 0.5 * w_r
-    xs, m = _lattice_order(ctx.f, False)[0], ctx.k - 1
+    xs, m = ctx.xs, ctx.k - 1
     gap2 = ((xs[(m + 1) % 3] - xs[m]) * (xs[(m + 2) % 3] - xs[m])).real
     t_h, d_h, dp_h = form(half)
     fold = partial(_fold_point, r_m, 2.0 * t_h, d_h, dp_h / d_h, gap2, w_r)
@@ -658,19 +640,14 @@ def _fold_point(r_m: float, const: float, d_h: float, slope_h: float, gap2: floa
     return r_m * x + const - z + jump, r_m + gap2 / d, gap2 * slope / d
 
 
-def _table(mu: float, nu: float, alpha: float, ratio: float,
-           weight) -> tuple[tuple[float, float, float], ...]:
-    """((n c_n, n^2 c_n, c_n), ...), c_n = mu^n/(a (1 - nu^n)), n = 1, 2, ...,
-    stopped before the first n with r = ((n+1)/n)^3 ratio < 1 and
-    weight(n, a c_n) <= 2^-53 (1 - r)."""
-    table, n, m, d = [], 1, mu, nu
-    while True:
-        c = m / (alpha * (1.0 - d))
-        r = ((n + 1) / n) ** 3 * ratio
-        if r < 1.0 and weight(n, c * alpha) <= _UNIT_ROUNDOFF * (1.0 - r):
-            return tuple(table)
+def _table(mu: float, row, alpha: float, stop: int) -> tuple[tuple[float, float, float], ...]:
+    """((n c_n, n^2 c_n, c_n), ...), c_n = mu^n/(a (1 - Q^n)), n < stop, Q of ``row``."""
+    table, m = [], 1.0
+    for n, d in zip(range(1, stop), row.upto(stop)[1]):
+        m *= mu
+        c = m / (alpha * d)
         table.append((n * c, n * n * c, c))
-        n, m, d = n + 1, m * mu, d * nu
+    return tuple(table)
 
 
 def _series_point(r_m: float, k: float, lam: float, pole: float, w_r: float, table: tuple,
@@ -804,7 +781,7 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
             f"r0 = {r0} outside allowed interval "
             f"[{ctx.region.r_lo}, {ctx.region.r_hi}]"
         )
-    x0, xs, m = r0 - ctx.f.r0, _lattice_order(ctx.f, ctx.bounded)[0], ctx.k - 1
+    x0, xs, m = r0 - ctx.f.r0, ctx.xs, ctx.k - 1
     d0 = x0 - xs[m].real                # r0 - r_m
     if d0 <= 0.0:
         return 0.0
@@ -814,10 +791,10 @@ def tau0_from_r0(ctx: SolutionContext, r0: float, sign_rdot: int) -> float:
     gaps[i], gaps[j] = scale * d_i * (xs[j] - x0), scale * d_j * (xs[i] - x0)
     gaps[m] = scale * (d_i * d_j).real  # real: a conjugate pair's |r_i - r_m|^2 if rhombic
     if ctx.lattice.rectangular:
-        gaps = [g.real for g in gaps]
+        gaps = (gaps[0].real, gaps[1].real, gaps[2].real)
         if ctx.bounded and min(gaps) <= 0.0:
             return 0.5 * ctx.T_tau  # apocenter: both branches meet at the half period
-    z = ctx.lattice.wp_inverse_real(tuple(gaps), e)
+    z = ctx.lattice.wp_inverse_real(gaps, e)
     return z if sign_rdot > 0 else -z
 
 
@@ -860,19 +837,12 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
     Bounded motion folds t to [0, T_t) and brackets tau by one period;
     unbounded motion brackets tau by [0, w_r), w_r the escape asymptote.
     The start solves the leading terms of the series form that serves
-    (``_radial_forms``): the first three harmonics of S
-    (``_kepler_start``); on T', near the escape threshold, its tanh terms
-    and first gamma_n, folded by symmetry past T_t/2 or through the
-    addition formula past w_r/2 (``_leading_start``); on T and H the
-    Taylor series of t, the alpha = 0 hyperbola or the pole of t at w_r
-    (``_unbounded_start``).  Past t at the last float before w_r no float
-    tau solves it: OutOfIntervalError, as for a bounded t whose tau
-    overflows.  Each evaluation gives t, t' = r and t'' = dr/dtau, and a
-    Halley step from it is taken without another evaluation once its
-    Taylor remainder is at the rounding of t (``_halley_bisect``): about
-    one evaluation per sample on S and T'.  Where floats of tau no longer
-    resolve t, near w_r, the nearer in t of two adjacent floats is
-    returned.
+    (``_radial_forms``).  Past t at the last float before w_r no float tau
+    solves it: OutOfIntervalError, as for a bounded t whose tau overflows.
+    A Halley step whose Taylor remainder is at the rounding of t is taken
+    without another evaluation (``_halley_bisect``): about one evaluation
+    per sample on S and T'.  Where floats of tau no longer resolve t, near
+    w_r, the nearer in t of two adjacent floats is returned.
     """
     tau = _invert(ctx, t)[0]
     # whole periods of T_tau past the floats; in propagate_ctx theta's fold stops them
@@ -884,10 +854,9 @@ def invert_kepler(ctx: SolutionContext, t: float) -> float:
 def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
     """(tau, r, dr/dtau) with t(tau) = t; r and dr/dtau from the last step.
 
-    The start is the one ``_radial_forms`` made with the form that serves:
-    S's (``_kepler_start``), T''s (``_leading_start``) or
-    ``_unbounded_start``'s; unbounded t past a quarter of t at the last
-    float below w_r starts at that float.
+    The start is the one ``_radial_forms`` made; unbounded t past a
+    quarter of t at the last float below w_r starts at that float, whose
+    evaluation checks t first.
     """
     if t == 0.0:
         return 0.0, ctx.r_m, 0.0
@@ -908,11 +877,11 @@ def _invert(ctx: SolutionContext, t: float) -> tuple[float, float, float]:
         return _halley_bisect(ctx, t, 0.0, w_r, ctx._radial[3](t))
     # t above a quarter of t(top) ~ 2/(a (w_r - top)), top the last float before w_r
     top = math.nextafter(w_r, 0.0)
-    t_top = _orbit_point(ctx, top)[0]
-    if not t <= t_top:
-        raise OutOfIntervalError(f"t = {t!r} past t = {t_top!r} at the last float "
+    point = _orbit_point(ctx, top)
+    if not t <= point[0]:
+        raise OutOfIntervalError(f"t = {t!r} past t = {point[0]!r} at the last float "
                                  f"{top!r} before the escape asymptote")
-    return _halley_bisect(ctx, t, 0.0, top, top)
+    return _halley_bisect(ctx, t, 0.0, top, top, point)
 
 
 def _unbounded_start_of(ctx: SolutionContext) -> partial:
@@ -979,26 +948,14 @@ def _hyperbolic_anomaly(excess: float, mean: float) -> float:
     return anomaly
 
 
-def _kepler_harmonics(ctx: SolutionContext) -> tuple[float, float, float]:
-    """(e1, e2, e3), the first three harmonics of bounded t(tau) (``_kepler_start``).
-
-    e_n = 16 k^2 a_n T_tau/T_t, with a_n = s^n q^n/(a (1 - q^2n)) the
-    coefficients of S in the module docstring, k = pi/(2 omega) and q =
-    exp(-pi |omega'|/omega) (``Lattice.q``).
-    """
-    k, q = math.pi / (2.0 * ctx.lattice.real_half_period), ctx.lattice.q
-    s = q if ctx.k == 3 else -q
-    scale = 16.0 * k * k * ctx.T_tau / (ctx.T_t * ctx.state.alpha)
-    return tuple(scale * s**n / (1.0 - q ** (2 * n)) for n in (1, 2, 3))
-
-
 def _kepler_start(harmonics: tuple[float, float, float], t_tau: float, t_t: float,
                   t: float) -> float:
     """tau at time t in [0, T_t) from the first three harmonics of S.
 
     S is a generalised Kepler equation: with y = 2 pi tau/T_tau and M =
-    2 pi t/T_t it reads M = y - sum e_n sin ny, e_n of order q^n
-    (``_kepler_harmonics``), and the first three harmonics leave an error of
+    2 pi t/T_t it reads M = y - sum e_n sin ny, e_n = 16 k^2 a_n T_tau/T_t of
+    order q^n from S's table a_n (``_radial_forms``), and the first three
+    harmonics leave an error of
     order e_1 q^3 in y.  Newton steps start from Kepler's first-order
     estimate y = M + e_1 sin M.  The truncated equation need not be
     monotone at large q and high eccentricity, so a step is taken only
@@ -1087,9 +1044,10 @@ def _leading_root(model: partial, t: float, lo: float, hi: float, x: float,
     return x
 
 
-def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
-                   guess: float) -> tuple[float, float, float]:
-    """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess.
+def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float, guess: float,
+                   point: tuple | None = None) -> tuple[float, float, float]:
+    """(tau, r, dr/dtau) with t(tau) = t in [lo, hi], from Halley steps at guess,
+    whose (t, r, dr/dtau) is ``point`` where the caller has evaluated it.
 
     Each evaluation (t(tau), r, r') gives the Halley step h.  With r'' =
     f'(r)/2 and r''' = f''(r) r'/2, Taylor puts its residual in t at
@@ -1110,9 +1068,9 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
     f, alpha, momentum = ctx.f, ctx.state.alpha, ctx.momentum
     ulp = 2.0 * _UNIT_ROUNDOFF
     tau = min(max(guess, lo), hi)
+    t_tau, r, rp = _orbit_point(ctx, tau) if point is None else point
     best = (math.inf,)
     for _ in range(100):
-        t_tau, r, rp = _orbit_point(ctx, tau)
         err = t_tau - t
         if err > 0.0:
             hi = tau
@@ -1141,6 +1099,7 @@ def _halley_bisect(ctx: SolutionContext, t: float, lo: float, hi: float,
             if not lo < tau_new < hi:   # lo and hi adjacent floats
                 return best[1:]
         tau = tau_new
+        t_tau, r, rp = _orbit_point(ctx, tau)
     raise ConvergenceError(f"radial Kepler inversion failed to converge for t={t!r}")
 
 
@@ -1173,4 +1132,4 @@ def _state(ctx: SolutionContext, tau: float, t: float, r: float,
     v_sq = 2.0 * ctx.energy + 2.0 / r + 2.0 * ctx.state.alpha * r
     v = math.sqrt(max(v_sq, 0.0))
     gamma = math.atan2(rp, ctx.momentum)
-    return PropagatedState(r=r, theta=theta, v=v, gamma=gamma, tau=tau, t=t)
+    return PropagatedState(r, theta, v, gamma, tau, t)

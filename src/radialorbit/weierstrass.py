@@ -47,7 +47,7 @@ other AGM, eta, the nomes and the series, once, on first read
 (``Lattice``), so a context read only for its periods takes one AGM.
 The series take omega and eta as they are, so they inherit their error
 from the roots e_i and their differences (``GRoots``), which a lattice of
-the dynamics takes from the roots of f (``propagation.lattice_frame``).
+the dynamics takes from the roots of f (``propagation._lattice_roots``).
 Conventions follow A&S ch. 18:
 omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
 with the roots e1, e2, e3 ordered by descending imaginary then real part.
@@ -62,6 +62,7 @@ from __future__ import annotations
 import collections
 import math
 from functools import cached_property
+from operator import truediv
 
 from .elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
 from .errors import (
@@ -132,15 +133,16 @@ class Lattice:
 
     Construction builds the real half, ``real_half_period`` and on a
     rectangular lattice ``tail``; the first read of ``periods``, ``q``,
-    ``q_t``, ``companion`` or ``nome_series`` builds the imaginary half
-    (module docstring).  ``q`` is |q| of the real-period basis, ``q_t`` the
-    nome of the basis whose first half period is imaginary, and
-    ``companion`` says whether the series is the companion's, read on its
-    real axis: on a rhombic lattice always, on a rectangular one where
-    q_t < q.  All evaluation methods are pure.
+    ``q_t``, ``row``, ``row_t``, ``companion`` or ``nome_series`` builds the
+    imaginary half (module docstring).  ``q`` is |q| of the real-period
+    basis and ``q_t`` the nome of the one whose first half period is
+    imaginary, with rows (``DenominatorRow``) of Q = +/-q^2 and +/-q_t^2,
+    negative on a rhombic lattice.  ``companion`` says whether the series
+    is the companion's, read on its real axis: on a rhombic lattice always,
+    on a rectangular one where q_t < q.  All evaluation methods are pure.
     """
 
-    periods, q, q_t, companion, nome_series = (_ImaginaryHalf() for _ in range(5))
+    periods, q, q_t, row, row_t, companion, nome_series = (_ImaginaryHalf() for _ in range(7))
 
     def __init__(self, roots: GRoots) -> None:
         self.roots = roots
@@ -199,16 +201,17 @@ class Lattice:
         big_k1, big_e1 = elliptic_KE(m1, m)
         omega, omega_i = self.real_half_period, big_k1 / s
         eta, eta_c = s * big_e - e1 * omega, s * big_e1 + e3 * omega_i
-        self.periods = HalfPeriods(
-            omega=complex(omega, 0.0), omega_prime=complex(0.0, omega_i),
-            eta=complex(eta, 0.0), eta_prime=complex(0.0, -eta_c))
+        self.periods = HalfPeriods(complex(omega, 0.0), complex(0.0, omega_i),
+                                   complex(eta, 0.0), complex(0.0, -eta_c))
         self.q = math.exp(-math.pi * omega_i / omega)
         self.q_t = math.exp(-math.pi * omega / omega_i)
+        self.row, self.row_t = DenominatorRow(self.q * self.q), DenominatorRow(self.q_t * self.q_t)
         self.companion = self.q_t < self.q
         if self.companion:
-            self.nome_series = NomeSeries(math.pi / (2.0 * omega_i), self.q_t, eta_c / omega_i)
+            self.nome_series = NomeSeries(math.pi / (2.0 * omega_i), self.q_t, eta_c / omega_i,
+                                          self.row_t)
         else:
-            self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega)
+            self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega, self.row)
 
     def _rhombic_real(self) -> None:
         """w_r of a real root e2 and a pair e1, e3.
@@ -253,11 +256,13 @@ class Lattice:
         omega = 0.5 * complex(w_r, -w_i)
         self.q = math.exp(-math.pi * w_i / (2.0 * w_r))
         self.q_t = math.exp(-math.pi * w_r / (2.0 * w_i))
-        self.nome_series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t, eta_c / w_i)
+        self.row, self.row_t = (DenominatorRow(-self.q * self.q),
+                                DenominatorRow(-self.q_t * self.q_t))
+        self.nome_series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t, eta_c / w_i, self.row_t)
         self.companion = True
-        self.periods = HalfPeriods(omega=omega, omega_prime=omega.conjugate(),
-                                   eta=0.5 * complex(eta_r, eta_c),
-                                   eta_prime=0.5 * complex(eta_r, -eta_c))
+        self.periods = HalfPeriods(omega, omega.conjugate(), 0.5 * complex(eta_r, eta_c),
+                                   0.5 * complex(eta_r, -eta_c))
+
 
     # -- inversion ----------------------------------------------------------
 
@@ -326,11 +331,11 @@ class Lattice:
         the lattice's H (``_rf_pair``); ``full`` is the axis's half period.
         """
         if self.rectangular:
-            clamped = tuple(max(g, 0.0) for g in gaps)
-            if clamped.count(0.0) > 1:
+            g1, g2, g3 = max(gaps[0], 0.0), max(gaps[1], 0.0), max(gaps[2], 0.0)
+            if (g1 == 0.0) + (g2 == 0.0) + (g3 == 0.0) > 1:
                 raise DegenerateLatticeError(
                     f"p^-1 at a double root of the lattice cubic (gaps {gaps!r})")
-            return math.ldexp(carlson_rf(*clamped), e)
+            return math.ldexp(carlson_rf(g1, g2, g3), e)
         h = math.ldexp(abs(self.roots.gaps[0]), 2 * e)
         return math.ldexp(_rf_pair(max(gaps[1], 0.0), gaps[0], h, math.ldexp(full, -e)), e)
 
@@ -357,6 +362,51 @@ class Lattice:
         return x, values
 
 
+class DenominatorRow:
+    """Q^n and 1 - Q^n, n = 1, 2, ..., Q = q^2 real: the denominators of p, p', zeta,
+    theta, r and t on one basis, each made once, when a reader first reaches it."""
+
+    __slots__ = ("big_q", "powers", "dens")
+
+    def __init__(self, big_q: float) -> None:
+        self.big_q, self.powers, self.dens = big_q, [], []
+
+    def upto(self, n: int) -> tuple[list, list]:
+        """(powers, dens), entry i for index i + 1, made to index n at least."""
+        powers, dens, p = self.powers, self.dens, self.powers[-1] if self.powers else 1.0
+        while len(dens) < n:
+            p *= self.big_q
+            powers.append(p)
+            dens.append(1.0 - p)
+        return powers, dens
+
+
+def stop_index(row: DenominatorRow | None, scale: float, power: int, base: float,
+               ratio: float = 0.0, grow: int = 3, limit: float = _UNIT_ROUNDOFF) -> int:
+    """The first n >= 1 with B_n = scale n^power base^n/|1 - Q^n| <= limit (1 - r_n).
+
+    A series whose n-th term is at most B_n stops there; r_n = ((n+1)/n)^grow
+    ratio < 1 bounds the ratio of later terms.  Q is ``row``'s, 1 without a
+    row.  Fixed-point steps on n = (ln(scale/limit) + power ln n)/ln(1/base)
+    from power = 0 stay at or below the root, and B_n falls past its maximum.
+    """
+    if base == 0.0:
+        return 1
+    lam, big = -math.log(base), math.log(scale / limit)
+    n = big / lam
+    if n > 1.0:
+        n = (big + power * math.log(n)) / lam
+        if power > 0 and n > 1.0:
+            n = (big + power * math.log(n)) / lam
+    n = math.ceil(n) if n > 1.0 else 1
+    while True:
+        r = ((n + 1) / n) ** grow * ratio
+        den = 1.0 if row is None else abs(row.upto(n)[1][n - 1])
+        if r < 1.0 and scale * n**power * base**n <= limit * (1.0 - r) * den:
+            return n
+        n += 1
+
+
 class NomeSeries:
     """p, p' and zeta on the two axes of a basis whose q^2 is real.
 
@@ -372,38 +422,31 @@ class NomeSeries:
     negative on the real-period basis of a rhombic lattice.  sin u and
     cos u are taken directly, since csc^2 u from 1 - cos 2u would lose
     digits near the pole, and the sines and cosines of multiples of u
-    follow by angle addition.
+    follow by angle addition.  1 - q^(2n) is the lattice's row of the
+    basis (``DenominatorRow``).
 
     On the real axis (``at``) the sums stop before the first n with
-    16 n^2 |c_n| <= 2^-53 (1 - |q|).  From that n on, successive terms
-    shrink by at most ((n+1)/n)^2 |q|^2, and that is below |q| at the
-    stopping index for every |q| < 0.98 (|q| <= 0.33 on the benchmark's
-    rhombic states and |q| < e^-pi on a rectangular lattice's companion,
-    whose imaginary axis this is).  So the omitted tail of each sum is
-    below the unit roundoff in units of k^2, k^3 and k, the sizes of the
-    leading terms csc^2 u >= 1, the cube and the cotangent.  eta/omega is
-    given in closed form (``Lattice``), so the terms are made on the first
-    call of ``at``, not with the lattice; ``at_imaginary`` sums its own.
+    16 n^2 |c_n| <= 2^-53 (1 - |q|) (``stop_index``).  From there terms
+    shrink by at most ((n+1)/n)^2 |q|^2 < |q| for every |q| < 0.98 (|q| <=
+    0.33 on the benchmark's rhombic states, |q| < e^-pi on a rectangular
+    lattice's companion), so each omitted tail is below the unit roundoff
+    in units of k^2, k^3 and k, the sizes of csc^2 u >= 1, the cube and the
+    cotangent.  The terms are made on the first call of ``at``;
+    ``at_imaginary`` takes its own stop per call.
     """
 
-    def __init__(self, k: float, nome: float, eta_over_omega: float) -> None:
-        self.k = k
-        self.nome = nome
-        self.eta_over_omega = eta_over_omega
+    def __init__(self, k: float, nome: float, eta_over_omega: float,
+                 row: DenominatorRow | None = None) -> None:
+        self.k, self.nome, self.eta_over_omega = k, nome, eta_over_omega
+        self.row = DenominatorRow(nome * abs(nome)) if row is None else row
 
     @cached_property
     def terms(self) -> tuple[tuple[float, float, float], ...]:
         """(8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ..., to the bound of the class docstring."""
-        q2 = self.nome * abs(self.nome)
-        bound = _UNIT_ROUNDOFF * (1.0 - abs(self.nome))
-        terms = []
-        n, q2n = 1, q2
-        while True:
-            c = q2n / (1.0 - q2n)
-            if 16.0 * n * n * abs(c) <= bound:
-                return tuple(terms)
-            terms.append((8.0 * n * c, 16.0 * n * n * c, 4.0 * c))
-            n, q2n = n + 1, q2n * q2
+        q = abs(self.nome)
+        stop, row = stop_index(self.row, 16.0, 2, q * q, limit=_UNIT_ROUNDOFF * (1.0 - q)), self.row
+        return tuple([(8.0 * n * c, 16.0 * n * n * c, 4.0 * c)
+                      for n, c in zip(range(1, stop), map(truediv, row.powers, row.dens))])
 
     def at(self, x: float) -> tuple[float, float, float]:
         """(p, p', zeta) at real x."""
@@ -440,8 +483,7 @@ class NomeSeries:
         e^(2|t|), which falls with n.  Within half the other period,
         |t| <= pi Im(omega3/omega1)/2 makes e^(2|t|) <= 1/|q|, so
         r_n <= 4|q|.  The sums stop before the first n with r_n < 1 and
-        B_n <= 2^-53 (1 - r_n), so the omitted tail of each is below the
-        unit roundoff in units of k^2, k^3 and k.
+        B_n <= 2^-53 (1 - r_n) (``stop_index``).
         """
         k = self.k
         t = k * y
@@ -449,23 +491,15 @@ class NomeSeries:
         if abs(s) < k * _POLE_GUARD:
             raise PoleProximityError(f"argument {complex(0.0, -y)!r} at a lattice point")
         s2, c2 = 2.0 * s * c, c * c + s * s
-        q2 = self.nome * abs(self.nome)
-        spread = math.exp(2.0 * abs(t))
-        step = abs(q2) * spread
+        row, step = self.row, abs(self.row.big_q) * math.exp(2.0 * abs(t))
+        stop = stop_index(row, 16.0, 2, step, step, 2)
         sn, cn = s2, c2
         sp = spp = szt = 0.0
-        n, q2n, grow = 1, q2, spread
-        while True:
-            cq = q2n / (1.0 - q2n)
-            bound = 16.0 * n * n * abs(cq) * grow
-            ratio = ((n + 1) / n) ** 2 * step
-            if ratio < 1.0 and bound <= _UNIT_ROUNDOFF * (1.0 - ratio):
-                break
+        for n, cq in zip(range(1, stop), map(truediv, row.powers, row.dens)):
             sp += 8.0 * n * cq * cn
             spp += 16.0 * n * n * cq * sn
             szt += 4.0 * cq * sn
             sn, cn = sn * c2 + cn * s2, cn * c2 + sn * s2
-            n, q2n, grow = n + 1, q2n * q2, grow * spread
         inv_s = -1.0 / s
         csc2 = -(inv_s * inv_s)
         kk = k * k

@@ -192,3 +192,13 @@ def test_newton_cycle_stops_at_its_first_repeat(state):
                                                  maxsteps=100, extraprec=100)),
                   key=lambda z: abs(z - x))
         assert abs(x - ref) <= 2 * math.ulp(x)
+
+
+@pytest.mark.parametrize("state", CYCLING)
+def test_isolated_root_is_returned_as_solved(state):
+    # a Newton step more on the cubic moves a root that stopped on a cycle
+    # to the cycle's next member: on generic26 from 0.79 to 1.21 ulps off
+    # mpmath, so cubic_roots returns _isolated_root's value unpolished
+    coeffs = _taylor_coefficients(InitialState(*state))
+    x = _isolated_root(*coeffs)
+    assert x in [z.real for z in cubic_roots(*coeffs) if z.imag == 0.0]

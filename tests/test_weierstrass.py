@@ -1016,3 +1016,36 @@ class TestAdditionTheorem:
             quotient = pp / (p - e_k)
             assert abs(pair - 2.0 * zt - quotient) <= \
                 1e-12 * (1.0 + abs(zt) + abs(quotient))
+
+
+@pytest.mark.parametrize("g2,g3", LATTICE_GRID)
+def test_series_read_the_lattice_row(g2, g3):
+    # the nome series' coefficients are Q^n/(1 - Q^n) of the lattice's row
+    # of its basis, bit for bit with the powers as repeated products, and
+    # each sum stops at the first n that meets its bound: 16 n^2 |c_n| <=
+    # 2^-53 (1 - |q|) on the real axis, at -iy on its own basis r_n = ((n+1)/n)^2
+    # |Q| e^(2ky) < 1 and 16 n^2 |c_n| e^(2nky) <= 2^-53 (1 - r_n)
+    lat = ReferenceLattice.from_invariants(g2, g3)
+    series = lat.nome_series
+    assert series.row is (lat.row_t if lat.companion else lat.row)
+    q, big_q = abs(series.nome), series.row.big_q
+    assert big_q == series.nome * q
+    c, p = [], 1.0
+    for _ in range(len(series.terms) + 60):
+        p *= big_q
+        c.append(p / (1.0 - p))
+    assert [t[2] for t in series.terms] == [4.0 * x for x in c[:len(series.terms)]]
+    n = 1
+    while 16.0 * n * n * abs(c[n - 1]) > 2.0**-53 * (1.0 - q):
+        n += 1
+    assert len(series.terms) == n - 1
+    for frac in (0.1, 0.5, 0.9) if not lat.companion else ():   # at_imaginary's lattices
+        step = q * q * math.exp(2.0 * series.k * frac * lat.periods.omega_prime.imag)
+        n = 1
+        while True:
+            r = ((n + 1) / n) ** 2 * step
+            if r < 1.0 and 16.0 * n * n * abs(c[n - 1]) * step**n / q ** (2 * n) \
+                    <= 2.0**-53 * (1.0 - r):
+                break
+            n += 1
+        assert weierstrass.stop_index(series.row, 16.0, 2, step, step, 2) == n

@@ -62,13 +62,13 @@ def true_period_implicit(ctx: SolutionContext) -> float:
     That is the quadrature of dt = r dtau, r = (2/a) p(tau + w_k) - E/(3a),
     from pericenter to apocenter, (2/a)(zeta(w_k) - zeta(omega + w_k)) -
     E omega/(3a), doubled: zeta(omega + w_k) - zeta(w_k) = eta for every
-    k by quasi-periodicity.  It reads eta from the lattice, independent of
-    the t(tau) route.
+    k by quasi-periodicity.  It reads eta = eta_r from the lattice's real
+    half, which the frame builds, independent of the t(tau) route.
     """
     if not ctx.bounded:
         raise UnboundedMotionError("no period: motion is unbounded")
-    per = ctx.lattice.periods
-    return -(4.0 * per.eta.real + 2.0 * ctx.energy * per.omega.real / 3.0) / ctx.state.alpha
+    lat = ctx.lattice
+    return -(4.0 * lat.eta_r + 2.0 * ctx.energy * lat.real_half_period / 3.0) / ctx.state.alpha
 
 
 def boundedness_from_state(state: InitialState) -> BoundednessReport:

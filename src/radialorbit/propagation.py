@@ -58,9 +58,10 @@ theta is the paper's v_m tau - arg[sigma(v - tau)/sigma(v + tau)
 exp(2 tau zeta(v))] with the argument continuous in tau (L = log sigma on
 that branch).  On every lattice the theta_1 product (DLMF 23.6.9, 20.5.1)
 on the real-period basis (w_r, omega') turns it into slope tau +/- arg W +
-sum s_m sin 2mb, b = pi tau/(2 w_r), with constants made once per context
-(``_theta_series``): one (sin, cos) pair and no kernel call per theta.  Its
-ratio is |q| = exp(-pi Im omega'/w_r); where the basis of T' has a smaller
+sum s_m sin 2mb, b = pi tau/(2 w_r), with real constants made once per
+context (``_theta_series``): one (sin, cos) pair and no kernel call per
+theta.  Its ratio is |q| = exp(-pi Im omega'/w_r); where the basis of T'
+has a smaller
 one, q' or q_c, and v lies on its Im-axis line (all but case (b) of
 ``_theta_pole``), theta sums the same product on that basis (Jacobi's
 imaginary transformation, DLMF 20.7(viii), whose Gaussian factor only adds
@@ -72,8 +73,13 @@ stays below q' over all |tau| <= omega.
 in the three stages of ``SolutionContext``: the frame (f, r_m, v_m, the
 lattice and both periods, T_tau = 2 omega and T_t), the pole (v, zeta(v)
 and dtheta) and the epoch (tau0, t0 and theta0 = theta(tau0), from which
-propagated angles are measured).  The frame's periods read only the
-lattice's real half, so a frame read for them takes one AGM.  The CLI's
+propagated angles are measured).  Every constant is real: the lattice
+holds w_r, w_i, eta_r and eta_c (``Lattice``), and v lies on Re v = 0 or
+w_r, where Re zeta(v) is 0 or eta_r, so the pole is its line, Im v and
+Im zeta(v).  Complex numbers appear only where f has a conjugate pair,
+in its offsets and the lattice roots (``GRoots``).  The frame's periods
+read only the lattice's real half, so a frame read for them takes one
+AGM.  The CLI's
 ``period`` and ``period-sweep`` build the frame alone,
 ``analysis.find_periodic_v`` the frame and pole per speed and the epoch
 for the speed it returns.  The lattice roots e_i = (a r_i + E/3)/2 come
@@ -93,7 +99,6 @@ of 0.
 
 from __future__ import annotations
 
-import cmath
 import collections
 import math
 from functools import cached_property, partial
@@ -152,20 +157,26 @@ class SolutionContext:
                                      + 2.0 * lat.roots.gaps[1].real * lat.tail / state.alpha)
 
     def add_pole(self) -> SolutionContext:
-        """Stage 2: v, zeta(v) and dtheta_period, p'(v) on the +i branch."""
+        """Stage 2: the theta pole v, Im zeta(v) and dtheta_period, p'(v) on the +i branch.
+
+        v lies on Re v = 0 or Re v = w_r (``_theta_pole``), held as its line
+        ``v_line`` and ``v_im`` = Im v.  Re zeta(v) is fixed by the line, 0
+        or eta_r, and only Im zeta(v), ``zeta_im``, is read.
+        """
         r_m, v_m, lat = self.r_m, self.v_m, self.lattice
         c_v = 0.25 * self.f.df(r_m) / r_m      # p(v) = e_k - c_v = -delta/gamma
-        self.v, (_, _, self.zeta_v) = _theta_pole(lat, self.k, self.e_k, c_v)
+        self.v_line, self.v_im, (_, _, self.zeta_im) = _theta_pole(lat, self.k, self.e_k, c_v)
         self.dtheta_period = None
         if self.bounded:
-            # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', so Legendre's
-            # relation makes Im[omega zeta(v) - eta v] = omega Im zeta(-iy) + eta y
-            # - pi, with pi exact instead of the relation rounded in the floats
-            per, t_tau = lat.periods, self.T_tau
-            y = 2.0 * per.omega_prime.imag - self.v.imag
-            zeta_c = self.zeta_v - 2.0 * per.eta_prime
-            self.dtheta_period = (v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_c.imag
-                                                       + per.eta.real * y) + 2.0 * math.pi)
+            # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', omega' = i w_i
+            # and eta' = -i eta_c, so Legendre's relation makes Im[omega zeta(v)
+            # - eta v] = omega Im zeta(-iy) + eta_r y - pi, with pi exact instead
+            # of the relation rounded in the floats
+            t_tau = self.T_tau
+            y = 2.0 * lat.w_i - self.v_im
+            zeta_c = self.zeta_im + 2.0 * lat.eta_c       # Im zeta(-iy)
+            self.dtheta_period = (v_m * t_tau - 4.0 * (0.5 * t_tau * zeta_c + lat.eta_r * y)
+                                  + 2.0 * math.pi)
         return self
 
     def add_epoch(self) -> SolutionContext:
@@ -248,11 +259,12 @@ def _root_offsets(lat: Lattice, k: int) -> tuple:
 
 
 def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
-                ) -> tuple[complex, tuple[complex, complex, complex]]:
-    """(v, (p, p', zeta) at v) with p(v) = w_v = e_k - c_v, p'(v) on the +i branch.
+                ) -> tuple[float, float, tuple[float, float, float]]:
+    """(Re v, Im v, (p, Im p', Im zeta) at v) with p(v) = w_v = e_k - c_v, p'(v) on the +i branch.
 
-    c_v = f'(r_m)/(4 r_m).  v lies on the imaginary axis
-    (``Lattice.wp_inverse_imaginary``) or, in case (b), on Re v = omega.
+    c_v = f'(r_m)/(4 r_m).  v lies on the imaginary axis of a rectangular
+    lattice or on Re v = w_r, in case (b) and on a rhombic lattice
+    (``Lattice.wp_inverse_imaginary``), where p is real and p' imaginary.
     Proof: r(tau) maps e(r) = e_k + f'(r_m)/(4 (r - r_m)) to r, so e takes
     the roots of f to the lattice roots, r = +/-inf to e_k and r = 0 to
     w_v, and f(0) = -h^2 < 0.  Bounded motion librates between roots
@@ -289,80 +301,92 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
         if lat.rectangular and -gaps[2] > _ROUNDING_ULPS * _UNIT_ROUNDOFF * g13:
             raise DegenerateLatticeError(f"theta pole between e3 and e2 (gaps {gaps!r}): "
                                          "e1 - e2 is a double root to rounding")
-        return lat.wp_inverse_imaginary(e_k - c_v, gaps)
+        v_im, values = lat.wp_inverse_imaginary(e_k - c_v, gaps)
+        return (0.0 if lat.rectangular else lat.real_half_period), v_im, values
     g12, g13 = lat.roots.gaps[0].real, lat.roots.gaps[1].real
     s = g12 * g13 / c_v             # (b): e1 - w_u, as e1 - w_v = c_v
-    u, (_, pp, zt) = lat.wp_inverse_imaginary(
+    u_im, (_, pp, zt) = lat.wp_inverse_imaginary(
         e_k - s, (s, -g12 * gaps[2] / c_v, -g13 * gaps[1] / c_v))
-    # at iy = 2 omega' - u: p - e1 = -s, p' = -pp and zeta = 2 eta' - zt
-    per = lat.periods
-    return (per.omega + 2.0 * per.omega_prime - u,
-            (e_k - c_v, pp * c_v / s, 2.0 * per.eta_prime - zt + per.eta + 0.5 * pp / s))
+    # at iy = 2 omega' - u = 2i w_i - u: p - e1 = -s, p' = -pp and zeta =
+    # 2 eta' - zt = -2i eta_c - zt, to which v = omega + iy adds eta_r
+    return (lat.real_half_period, 2.0 * lat.w_i - u_im,
+            (e_k - c_v, pp * c_v / s, -2.0 * lat.eta_c - zt + 0.5 * pp / s))
 
 
 def _theta_series(ctx: SolutionContext) -> partial:
     """theta(tau) on any lattice, from the basis whose theta_1 series has the smaller ratio.
 
-    The real-period basis (w, omega') has ratio |q| = exp(-pi Im omega'/w)
+    The real-period basis (w_r, omega') has ratio q = exp(-pi w_i/w_r) on a
+    rectangular lattice and exp(-pi w_i/(2 w_r)) on a rhombic one
     (``_theta_real``).  Where v lies on an Im-axis line of the lattice (the
     imaginary axis of a rectangular one, Re v = w_r of a rhombic one), the
-    basis (omega1, omega3) = (omega', -omega) or (omega' - omega, -omega),
-    whose first half period is imaginary, has ratio q_t =
-    exp(-pi Im(omega3/omega1)): q' = exp(-pi omega/|omega'|) or |q_c| =
-    exp(-pi w_r/(2 w_i)), small where one period diverges near the escape
-    threshold and at small a (``_theta_imaginary``).  Case (b) of
-    ``_theta_pole``, v on Re v = omega, keeps the real-period basis.
+    basis whose first half period i w_i is imaginary has ratio q_t = q' =
+    exp(-pi w_r/w_i) or q_c = exp(-pi w_r/(2 w_i)), small where one period
+    diverges near the escape threshold and at small a
+    (``_theta_imaginary``).  Case (b) of ``_theta_pole``, v on Re v = w_r of
+    a rectangular lattice, keeps the real-period basis.
+
+    On the real-period basis, omega' = i w_i and eta' = -i eta_c, or (w_r
+    + i w_i)/2 and (eta_r - i eta_c)/2 on a rhombic lattice.  v reduces by
+    n steps of 2 omega' to v_c with |Im v_c| <= Im omega', and Re v_c is 0
+    or +/-w_r: each step moves Re v by 0 or w_r, and v starts on Re v = 0
+    or w_r.  So a = k v_c has Re a in {0, +/-pi/2}: phi = 2 Re a has cos
+    phi = +/-1 and sin phi = 0, taken exactly rather than from a rounded
+    pi, and every constant is real.  With y = Im a, E = e^(2i sign a) =
+    e^(-2|y|) cos phi and Im sin 2ja = (cos phi)^j sinh 2jy, by the
+    recurrence sin 2(j+1)a = 2 cos 2a sin 2ja - sin 2(j-1)a from one
+    (sinh, cosh) pair.
     """
-    lat, v, zeta_v, v_m = ctx.lattice, ctx.v, ctx.zeta_v, ctx.v_m
-    per = lat.periods
+    lat, v_im, zeta_im = ctx.lattice, ctx.v_im, ctx.zeta_im
     w, q = lat.real_half_period, lat.q
-    if lat.q_t < q and (v.real == 0.0 or not lat.rectangular):
-        w1 = per.omega_prime if lat.rectangular else per.omega_prime - per.omega
-        return _theta_imaginary(ctx, w1, lat.q_t)
-    eta = per.eta_k(1 if lat.rectangular else 2).real     # zeta(w): w = omega_1 or omega_2
+    if lat.q_t < q and (ctx.v_line == 0.0 or not lat.rectangular):
+        return _theta_imaginary(ctx, lat.q_t)
+    step, eta_step = (lat.w_i, lat.eta_c) if lat.rectangular else (0.5 * lat.w_i, 0.5 * lat.eta_c)
+    n = math.floor(v_im / (2.0 * step) + 0.5)
+    y_c = v_im - 2.0 * (n * step)                       # Im v_c
+    cos_phi = -1.0 if (ctx.v_line != 0.0) != (n % 2 == 1 and not lat.rectangular) else 1.0
     k = math.pi / (2.0 * w)
-    x, y = _coordinates(v, 2.0 * w, 2.0 * per.omega_prime)
-    m, n = math.floor(x + 0.5), math.floor(y + 0.5)
-    v_c = v - 2.0 * (m * w + n * per.omega_prime)
-    a = k * v_c
-    sign = 1.0 if a.imag > 0.0 else -1.0
-    shift = 2.0 * (m * eta + n * per.eta_prime)          # zeta(v) - zeta(v_c)
-    slope = v_m + (2.0 * (eta / w) * v_c + 2.0 * shift - 2.0 * zeta_v).imag - sign * 2.0 * k
-    stop = stop_index(lat.row, 4.0, -1, q * q * math.exp(2.0 * abs(a.imag)),
+    a = k * y_c                                         # Im a
+    sign = 1.0 if a > 0.0 else -1.0
+    # 2 Im[(eta_r/w) v_c + shift - zeta(v)], shift = zeta(v) - zeta(v_c) = 2 n eta'
+    slope = (ctx.v_m + (2.0 * (lat.eta_r / w) * y_c - 4.0 * (n * eta_step) - 2.0 * zeta_im)
+             - sign * 2.0 * k)
+    stop = stop_index(lat.row, 4.0, -1, q * q * math.exp(2.0 * abs(a)),
                       limit=_UNIT_ROUNDOFF * (1.0 - q))
-    # sin 2ja by the angle addition sin 2(j+1)a = 2 cos 2a sin 2ja - sin 2(j-1)a
-    coeffs, sn, prev, two_cos = [], cmath.sin(2 * a), 0j, 2.0 * cmath.cos(2 * a)
+    coeffs, sn, prev = [], cos_phi * math.sinh(2.0 * a), 0.0
+    two_cos = 2.0 * cos_phi * math.cosh(2.0 * a)
     for j, c in zip(range(1, stop), map(truediv, lat.row.powers, lat.row.dens)):
-        coeffs.append((4.0 * c * sn).imag / j)
+        coeffs.append(4.0 * c * sn / j)
         sn, prev = two_cos * sn - prev, sn
-    return partial(_theta_real, k, slope, sign, cmath.exp(2j * sign * a), tuple(coeffs))
+    return partial(_theta_real, k, slope, sign, cos_phi * math.exp(-2.0 * abs(a)), tuple(coeffs))
 
 
-def _theta_real(k: float, slope: float, sign: float, e: complex, coeffs: tuple,
+def _theta_real(k: float, slope: float, sign: float, e: float, coeffs: tuple,
                 tau: float) -> float:
     """theta(tau) on the real-period basis, from the constants of ``_theta_series``.
 
-    The series is that of the real-period basis (w, omega'): w the real
-    half period, eta = zeta(w), k = pi/(2w), and omega' = (w + i w_i)/2 on
-    a rhombic lattice.  So k is real, and so is q^2 = exp(2 i pi omega'/w)
+    The series is that of the real-period basis (w, omega'): w = w_r,
+    eta_r = zeta(w), k = pi/(2w), and omega' = i w_i or (w + i w_i)/2 on a
+    rhombic lattice.  So k is real, and so is q^2 = exp(2 i pi omega'/w)
     = +/-exp(-2 pi Im omega'/w), negative on a rhombic lattice.
 
     v is first reduced into the centred cell, v = v_c + 2 m w +
-    2 n omega'; by quasi-periodicity that adds -4 (m eta + n eta') tau to
+    2 n omega'; by quasi-periodicity that adds -4 (m eta_r + n eta') tau to
     L(v - tau) - L(v + tau).  With a = k v_c and b = k tau, the theta_1
     product (DLMF 23.6.9, 20.5.1) gives
 
-        L(v_c - tau) - L(v_c + tau) = -2 eta v_c tau/w
+        L(v_c - tau) - L(v_c + tau) = -2 eta_r v_c tau/w
             + log[sin(a - b)/sin(a + b)] - sum (4 c_m/m) sin 2ma sin 2mb,
 
     c_m = q^(2m)/(1 - q^(2m)), real.  The log is +/-2ib + Log(1 - E e^(-/+2ib))
     - Log(1 - E e^(+/-2ib)) with E = e^(+/-2ia), the sign of Im a, so that
-    |E| < 1 and each Log stays off its cut; its imaginary part is
-    -/+ arg[(1 - E e^(2ib))(1 - conj(E) e^(2ib))].  Every term linear in
-    tau folds into one real slope, so
+    |E| < 1 and each Log stays off its cut.  E is real (``_theta_series``),
+    so the imaginary part is -/+ arg W, W = (1 - E e^(2ib))^2, taken as
+    the product of x + iy = 1 - E e^(2ib) with itself.  Every term linear
+    in tau folds into one real slope, so
 
-        theta = slope tau +/- arg[...] + sum s_m sin 2mb,
-        s_m = Im(4 c_m sin 2ma)/m.
+        theta = slope tau +/- arg W + sum s_m sin 2mb,
+        s_m = 4 c_m Im(sin 2ma)/m.
 
     |s_m| <= 4 |c_m| e^(2m|Im a|)/m, and |Im v_c| <= Im omega' makes
     e^(2|Im a|) <= 1/|q|, so the ratio of successive bounds is at most |q|
@@ -372,26 +396,31 @@ def _theta_real(k: float, slope: float, sign: float, e: complex, coeffs: tuple,
     """
     b2 = 2.0 * k * tau
     s2, c2 = math.sin(b2), math.cos(b2)
-    turn = complex(c2, s2)                          # e^(2ib)
-    w = (1.0 - e * turn) * (1.0 - e.conjugate() * turn)
+    x, y = 1.0 - e * c2, -(e * s2)                  # 1 - E e^(2ib)
     acc, sn, cn = 0.0, s2, c2
     for s_j in coeffs:
         acc += s_j * sn
         sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
-    return slope * tau + sign * math.atan2(w.imag, w.real) + acc
+    return slope * tau + sign * math.atan2(2.0 * x * y, x * x - y * y) + acc
 
 
-def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
-    """theta on the basis (omega1, omega3) = (w1, -omega), omega1 = iW imaginary.
+def _theta_imaginary(ctx: SolutionContext, q: float) -> partial:
+    """theta on the basis (omega1, omega3) = (i w_i, -omega), omega1 imaginary.
 
-    There k = pi/(2 omega1) = -i kappa, kappa = pi/(2W), so b = k tau =
-    -i beta, beta = kappa tau, and v reduces to v_c = iY on the imaginary
-    axis, a = k v_c = kappa Y real, taken in (0, pi) by a shift of pi that
-    no term sees.  The theta_1 product of ``_theta_real`` then gives
+    There k = pi/(2 omega1) = -i kappa, kappa = pi/(2 w_i), so b = k tau =
+    -i beta, beta = kappa tau, and zeta(omega1) = -i eta_c.  The lattice
+    points on Re z = 0 lie at even multiples of i w_i, those on Re z = w_r
+    (rhombic) at odd ones, 2 omega' = w_r + i w_i among them, which moves
+    zeta by 2 eta' = eta_r - i eta_c: in Im, half a step of 2 omega1.  So v
+    reduces to v_c = iY, |Y| <= w_i, by m steps of 2 omega1 in Im, m =
+    floor(Im v/(2 w_i) + 1/2) on Re v = 0 and floor(Im v/(2 w_i)) + 1/2 on
+    Re v = w_r, and a = k v_c = kappa Y is real, taken in (0, pi) by a
+    shift of pi that no term sees.  The theta_1 product of ``_theta_real``
+    then gives
 
         theta = slope tau - 2 arg sin(a + i beta) - sum s_m sinh 2m beta,
 
-    with slope = v_m + Im[2 (eta1/omega1) v_c + 2 shift - 2 zeta(v)] as
+    with slope = v_m + 2 Im[(eta1/omega1) v_c + 2 m eta1 - zeta(v)] as
     there, s_m = 4 c_m sin(2ma)/m and c_m = Q^m/(1 - Q^m), Q = +/-q^2
     (negative on a rhombic lattice).  sin a > 0 keeps the argument
     continuous.  Bounded tau folds to [-omega, omega], where e^(2|beta|) <=
@@ -407,22 +436,20 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
     q^-m/m, successive bounds shrink by about q, and the sums stop as in
     ``_theta_real``.
     """
-    lat, per = ctx.lattice, ctx.lattice.periods
-    eta1 = per.eta_prime if lat.rectangular else per.eta_prime - per.eta
-    w3, eta3 = -per.omega, -per.eta
-    kappa = 0.5 * math.pi / w1.imag
+    lat = ctx.lattice
+    w_i, eta_c = lat.w_i, lat.eta_c
+    kappa = 0.5 * math.pi / w_i
     stop = stop_index(lat.row_t, 4.0, -1, q, limit=_UNIT_ROUNDOFF * (1.0 - q))
     fours = [4.0 * c for c in map(truediv, lat.row_t.powers[:stop - 1], lat.row_t.dens)]
 
-    def constants(v: complex, drift: float) -> tuple[float, tuple]:
-        x, y = _coordinates(v, 2.0 * w1, 2.0 * w3)
-        m, n = math.floor(x + 0.5), math.floor(y + 0.5)
-        v_c = v - 2.0 * (m * w1 + n * w3)
-        a = kappa * v_c.imag
+    def constants(line: float, v_im: float, drift: float) -> tuple[float, tuple]:
+        half = 0.5 if line else 0.0
+        m = math.floor(v_im / (2.0 * w_i) + 0.5 - half) + half
+        y_c = v_im - 2.0 * (m * w_i)                # Im v_c
+        a = kappa * y_c
         if a <= 0.0:
             a += math.pi
-        shift = 2.0 * (m * eta1 + n * eta3)         # zeta(v) - zeta(v_c)
-        slope = drift + (2.0 * (eta1 / w1) * v_c + 2.0 * shift).imag
+        slope = drift + (-2.0 * (eta_c / w_i) * y_c - 4.0 * (m * eta_c))
         sin_a, cos_a = math.sin(a), math.cos(a)     # sin 2ja as in _theta_series:
         coeffs, sn, prev = [], 2.0 * sin_a * cos_a, 0.0
         two_cos = 2.0 * (cos_a - sin_a) * (cos_a + sin_a)
@@ -431,14 +458,14 @@ def _theta_imaginary(ctx: SolutionContext, w1: complex, q: float) -> partial:
             sn, prev = two_cos * sn - prev, sn
         return slope, (kappa, sin_a, cos_a, tuple(coeffs))
 
-    drift = ctx.v_m - 2.0 * ctx.zeta_v.imag
-    slope, first = constants(ctx.v, drift)
+    drift = ctx.v_m - 2.0 * ctx.zeta_im
+    slope, first = constants(ctx.v_line, ctx.v_im, drift)
     if lat.rectangular:
         return partial(_theta_centred, slope, first,
                        ctx.T_tau if ctx.bounded else math.inf, ctx.dtheta_period)
     w_r = lat.real_half_period
     half = 0.5 * w_r
-    slope_u, second = constants(ctx.v - w_r, drift)
+    slope_u, second = constants(0.0, ctx.v_im, drift)
     const = slope * half - _theta_phase(*first, half) + slope_u * half - _theta_phase(*second, half)
     return partial(_theta_folded, slope, first, w_r, const, slope_u, second)
 
@@ -481,13 +508,6 @@ def _theta_folded(slope: float, first: tuple, w_r: float, const: float, slope_u:
     return theta if tau >= 0.0 else -theta
 
 
-def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
-    """Real (x, y) with z = x a + y b."""
-    det = a.real * b.imag - a.imag * b.real
-    return ((z.real * b.imag - z.imag * b.real) / det,
-            (z.imag * a.real - z.real * a.imag) / det)
-
-
 def _radial_forms(ctx: SolutionContext) -> tuple:
     """(switch, below, above, start): the forms of ``_series_point`` on either
     side of x = switch, and t -> the first tau of a Kepler inversion.
@@ -516,30 +536,30 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     which would make a cycle.
     """
     lat, alpha, r_m = ctx.lattice, ctx.state.alpha, ctx.r_m
-    w_r, w_p = lat.real_half_period, lat.periods.omega_prime.imag
+    w_r, w_i = lat.real_half_period, lat.w_i
     q, q_t = lat.q, lat.q_t
     if not lat.rectangular:
-        if q_t < q * q:               # T' on (omega' - omega, -omega)
-            k = math.pi / (2.0 * (2.0 * w_p))
+        if q_t < q * q:               # T' on (omega' - omega, -omega) = (i w_i, -omega)
+            k = math.pi / (2.0 * w_i)
             form, lead = _transformed(0.0, k, lat.row_t, alpha)
             # the leading terms cost about one evaluation of the form through
             # the fold; from q_c = 0.01 on, _unbounded_start took under two
             # per sample on (1, 1.2, 0, alpha* (1 + delta)) up to t = 2000
             # (1.87 at q_c = 0.011, 1.15 at 0.048), so it keeps serving there
             return _folded_forms(ctx, form, lead if q_t < 0.01 else None, k)
-    elif q_t < q and ctx.k == 3:      # T' on (omega', -omega)
-        k = math.pi / (2.0 * w_p)
+    elif q_t < q and ctx.k == 3:      # T' on (omega', -omega) = (i w_i, -omega)
+        k = math.pi / (2.0 * w_i)
         form, lead = _transformed(r_m, k, lat.row_t, alpha)
         return 0.0, None, form, partial(_leading_start, lead, None, r_m, k, 2.0 / alpha,
                                         0.5 * ctx.T_tau, 0.5 * ctx.T_t, 0.0, 0.0)
     elif q_t < q and ctx.k == 1:      # H on (omega', -omega)
         rho = math.sqrt(q_t)
         stop = stop_index(lat.row_t, 1.0 / rho, 3, rho, rho)
-        return _folded_forms(ctx, partial(_series_point, 0.0, math.pi / (2.0 * w_p), q_t, 0.0,
+        return _folded_forms(ctx, partial(_series_point, 0.0, math.pi / (2.0 * w_i), q_t, 0.0,
                                           w_r, _table(1.0, lat.row_t, alpha, stop)))
-    # H's ratio q' e^(2v) = exp(-pi (w_r - x)/|omega'|) reaches e^-depth at the switch
-    depth = max(1.0, math.pi * w_p / w_r) if ctx.bounded else 1.0
-    switch = max(w_r - w_p * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
+    # H's ratio q' e^(2v) = exp(-pi (w_r - x)/w_i) reaches e^-depth at the switch
+    depth = max(1.0, math.pi * w_i / w_r) if ctx.bounded else 1.0
+    switch = max(w_r - w_i * depth / math.pi, 0.0) if lat.rectangular and ctx.k != 3 else 0.0
     k = math.pi / (2.0 * w_r)
     if ctx.bounded:
         table = _table(q if ctx.k == 3 else -q, lat.row, alpha,
@@ -560,7 +580,7 @@ def _radial_forms(ctx: SolutionContext) -> tuple:
     if switch == 0.0:
         return switch, None, above, start
     ratio = math.exp(-depth)
-    below = partial(_series_point, r_m, math.pi / (2.0 * w_p), -q_t if ctx.bounded else q_t,
+    below = partial(_series_point, r_m, math.pi / (2.0 * w_i), -q_t if ctx.bounded else q_t,
                     0.0, w_r, _table(1.0, lat.row_t, alpha,
                                      stop_index(None, 1.0 / ratio, 2, ratio, ratio)))
     return switch, below, above, start
@@ -805,10 +825,10 @@ def theta_of_tau(ctx: SolutionContext, tau: float) -> float:
 
     theta = v_m tau - Im[L(v - tau) - L(v + tau) + 2 tau zeta(v)], summed
     as the series of ``_theta_series`` on every lattice: slope tau +
-    sign arg W + sum s_m sin 2mb, with b = k tau and W = (1 - E e^(2ib))
-    (1 - conj(E) e^(2ib)), sin 2mb by angle addition from (sin 2b, cos 2b).
-    Each factor of W has a positive real part, so arg W is continuous in
-    tau.  Bounded motion folds whole pseudo-periods off |tau| >= T_tau,
+    sign arg W + sum s_m sin 2mb, with b = k tau, E real and W = (1 - E
+    e^(2ib))^2, sin 2mb by angle addition from (sin 2b, cos 2b).  The
+    factor 1 - E e^(2ib) has a positive real part, so arg W is continuous
+    in tau.  Bounded motion folds whole pseudo-periods off |tau| >= T_tau,
     each adding ``dtheta_period``; unbounded motion has |tau| < w_r.
     """
     try:
@@ -889,7 +909,7 @@ def _unbounded_start_of(ctx: SolutionContext) -> partial:
     a, r_m, w_r = ctx.state.alpha, ctx.r_m, ctx.lattice.real_half_period
     b = r_m - 2.0 * ctx.e_k / a
     return partial(_unbounded_start, a, r_m, r_m / (ctx.f.df(r_m) / 12.0), ctx.energy, w_r,
-                   b, b * w_r - 2.0 * ctx.lattice.periods.eta_k(ctx.k).real / a)
+                   b, b * w_r - 2.0 * ctx.lattice.eta_r / a)
 
 
 def _unbounded_start(a: float, r_m: float, p: float, energy: float, w_r: float,
@@ -905,8 +925,8 @@ def _unbounded_start(a: float, r_m: float, p: float, energy: float, w_r: float,
     (``_hyperbolic_anomaly``), lies at or above the true tau.  Near the
     escape asymptote, x = w_r - tau -> 0 with w_k = w_r and zeta(tau - w_r)
     = -1/x + O(x^3) turn t(tau) = r_m tau - (2 e_k tau + 2 zeta(tau - w_r)
-    + 2 eta_k)/a into t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a,
-    C = B w_r - 2 eta_k/a; x is the positive root of B x^2 + (t - C) x -
+    + 2 eta_r)/a into t = 2/(a x) + C - B x + O(x^3), B = r_m - 2 e_k/a,
+    C = B w_r - 2 eta_r/a; x is the positive root of B x^2 + (t - C) x -
     2/a, taken in a form without cancellation (a > 0 on unbounded motion),
     when it lies below w_r.  An estimate at or past the asymptote w_r gives
     way to w_r/2.  ``_unbounded_start_of`` forms p = 12 r_m/f'(r_m) (> 0:

@@ -20,20 +20,28 @@ which is the same arithmetic with p real and p', zeta imaginary
 p(iz; g2, g3) = -p(z; g2, -g3), zeta(iz; g2, g3) = -i zeta(z; g2, -g3)
 (DLMF 23.10(iv)), which relates a lattice to its companion (g2, -g3).
 
+What a lattice holds: four real numbers, the same on both kinds.  w_r
+is the real half period (``real_half_period``), w_i the first half
+period up the imaginary axis, eta_r = zeta(w_r), and eta_c is defined by
+zeta(i w_i) = -i eta_c.  Every quantity the closed form reads off the
+lattice is one of them, or a root or nome; no lattice quantity is
+complex.
+
 The basis: each lattice decides once which series it sums, the one whose
 nome is the smaller (``Lattice``).
-- A rectangular lattice (positive discriminant) has (omega, omega') of
-  A&S 18.9, with q = exp(-pi |omega'|/omega) real, and its half periods
-  and eta from K and E in closed form.  At q <= q' = exp(-pi
-  omega/|omega'|), as on most lattices of bounded motion (q <= 0.07), it
-  sums its own series, whose line at -iy is its imaginary axis.  At q' <
-  q, past q = e^-pi = 0.043 (ln q ln q' = pi^2), it sums the series of
-  the companion on (omega', -omega) in the companion's terms: real half
-  period |omega'|, nome q', and eta from K and E in closed form.  The
-  companion's real axis is then the lattice's imaginary one, as below.
-- A rhombic lattice (negative discriminant) has w_r, its real half
-  period, and w_i, the companion's, each from the AGM of K (A&S 18.9,
-  case Delta < 0), which also gives the companion's eta, and zeta(w_r)
+- A rectangular lattice (positive discriminant) has omega = w_r and
+  omega' = i w_i of A&S 18.9, with q = exp(-pi w_i/w_r), and w_i, eta_r
+  and eta_c from K and E in closed form.  At q <= q' = exp(-pi w_r/w_i),
+  as on most lattices of bounded motion (q <= 0.07), it sums its own
+  series, whose line at -iy is its imaginary axis.  At q' < q, past q =
+  e^-pi = 0.043 (ln q ln q' = pi^2), it sums the series of the companion
+  on (omega', -omega) in the companion's terms: real half period w_i,
+  nome q' and eta eta_c.  The companion's real axis is then the
+  lattice's imaginary one, as below.
+- A rhombic lattice (negative discriminant) has omega = (w_r - i w_i)/2
+  and omega' = conj(omega), so omega + omega' = w_r and omega' - omega =
+  i w_i, the companion's real half period.  w_r and w_i come from the
+  AGM of K (A&S 18.9, case Delta < 0), which also gives eta_c, and eta_r
   from Legendre's relation.  It sums the real-period basis of the
   companion, (w_i, (w_i + i w_r)/2), whose q^2 = -exp(-pi w_r/w_i) is
   negative (|q| <= 0.33 on the benchmark's rhombic states), on its real
@@ -41,16 +49,18 @@ nome is the smaller (``Lattice``).
 
 So the Legendre relation and p(omega_k) = e_k hold by construction, and
 no series is summed to build a lattice.  A lattice builds its real half
-at construction: the real half period, one AGM, and on a rectangular
-lattice the tail of E that T_t reads.  It builds its imaginary half, the
-other AGM, eta, the nomes and the series, once, on first read
-(``Lattice``), so a context read only for its periods takes one AGM.
-The series take omega and eta as they are, so they inherit their error
-from the roots e_i and their differences (``GRoots``), which a lattice of
-the dynamics takes from the roots of f (``propagation._lattice_roots``).
-Conventions follow A&S ch. 18:
-omega1 = omega, omega2 = omega + omega', omega3 = omega', p(omega_k) = e_k,
-with the roots e1, e2, e3 ordered by descending imaginary then real part.
+at construction: w_r, one AGM, and on a rectangular lattice the tail of
+E and eta_r, which T_t and T_t_implicit read.  It builds its imaginary
+half, the other AGM, w_i, eta_c (and on a rhombic lattice eta_r), the
+nomes and the series, once, on first read (``Lattice``), so a context
+read only for its periods takes one AGM.  The series take the half
+periods and eta as they are, so they inherit their error from the roots
+e_i and their differences (``GRoots``), which a lattice of the dynamics
+takes from the roots of f (``propagation._lattice_roots``).  Conventions
+follow A&S ch. 18: omega1 = omega, omega2 = omega + omega', omega3 =
+omega', p(omega_k) = e_k, with the roots e1, e2, e3 ordered by
+descending imaginary then real part.  The roots and their gaps, complex
+beside a conjugate pair, are the one complex input.
 
 The tests' reference kernel (``tests/oracle.py``) evaluates p, p', zeta
 and sigma anywhere in the plane, in complex arithmetic on (omega, omega')
@@ -61,7 +71,6 @@ from __future__ import annotations
 
 import collections
 import math
-from functools import cached_property
 from operator import truediv
 
 from .elliptic import carlson_rf, elliptic_K_tail, elliptic_KE
@@ -89,27 +98,6 @@ class GRoots(collections.namedtuple("GRoots", "e_tilde gaps")):
         return (16.0 * (g12 * g13 * g23) ** 2).real
 
 
-class HalfPeriods(collections.namedtuple("HalfPeriods", "omega omega_prime eta eta_prime")):
-    """Half-period data of the lattice generated by (2 omega, 2 omega'):
-    eta = zeta(omega) and eta_prime = zeta(omega')."""
-
-    __slots__ = ()
-
-    def omega_k(self, k: int) -> complex:
-        return self._pick(k, self.omega, self.omega_prime)
-
-    def eta_k(self, k: int) -> complex:
-        """zeta(omega_k)."""
-        return self._pick(k, self.eta, self.eta_prime)
-
-    @staticmethod
-    def _pick(k: int, first: complex, third: complex) -> complex:
-        # omega_2 = omega_1 + omega_3, and likewise for eta
-        if k not in (1, 2, 3):
-            raise ValueError(f"half-period index must be 1, 2 or 3, got {k}")
-        return (first, first + third, third)[k - 1]
-
-
 class _ImaginaryHalf:
     """An attribute of a ``Lattice``'s imaginary half: its first read builds the half.
 
@@ -131,10 +119,12 @@ class _ImaginaryHalf:
 class Lattice:
     """Immutable evaluation context for the lattice of one set of roots.
 
-    Construction builds the real half, ``real_half_period`` and on a
-    rectangular lattice ``tail``; the first read of ``periods``, ``q``,
-    ``q_t``, ``row``, ``row_t``, ``companion`` or ``nome_series`` builds the
-    imaginary half (module docstring).  ``q`` is |q| of the real-period
+    Construction builds the real half, ``real_half_period`` w_r and on a
+    rectangular lattice ``tail`` and ``eta_r``; the first read of ``w_i``,
+    ``eta_r`` (rhombic), ``eta_c``, ``q``, ``q_t``, ``row``, ``row_t``,
+    ``companion`` or ``nome_series`` builds the imaginary half (module
+    docstring).  w_i is the first half period up the imaginary axis, eta_r
+    = zeta(w_r) and zeta(i w_i) = -i eta_c.  ``q`` is |q| of the real-period
     basis and ``q_t`` the nome of the one whose first half period is
     imaginary, with rows (``DenominatorRow``) of Q = +/-q^2 and +/-q_t^2,
     negative on a rhombic lattice.  ``companion`` says whether the series
@@ -142,7 +132,8 @@ class Lattice:
     on a rectangular one where q_t < q.  All evaluation methods are pure.
     """
 
-    periods, q, q_t, row, row_t, companion, nome_series = (_ImaginaryHalf() for _ in range(7))
+    w_i, eta_r, eta_c, q, q_t, row, row_t, companion, nome_series = (
+        _ImaginaryHalf() for _ in range(9))
 
     def __init__(self, roots: GRoots) -> None:
         self.roots = roots
@@ -155,12 +146,13 @@ class Lattice:
     # -- construction ----------------------------------------------------
 
     def _rectangular_real(self) -> None:
-        """omega and ``tail`` of three real roots e1 > e2 > e3.
+        """w_r, ``tail`` and eta_r of three real roots e1 > e2 > e3.
 
         With d = e1 - e3, m = (e2 - e3)/d and m1 = (e1 - e2)/d, each from
         its own root difference so that neither loses digits as 1 - the
-        other, A&S 18.9 gives omega = K(m)/sqrt(d).  ``tail``, of order
-        m^2 in E = K ((1 + m1)/2 - tail), serves T_t.  Either of m and m1
+        other, A&S 18.9 gives w_r = omega = K(m)/sqrt(d) and eta_r =
+        zeta(omega) = sqrt(d) E(m) - e1 omega.  ``tail``, of order m^2 in
+        E = K ((1 + m1)/2 - tail), serves E and T_t.  Either of m and m1
         may round to 1 while the other stays positive.
         """
         g12, d, g23 = self.roots.gaps
@@ -172,46 +164,40 @@ class Lattice:
             )
         s = math.sqrt(d)
         big_k, self.tail = elliptic_K_tail(m, m1)
-        self.real_half_period = big_k / s
-        self._real = (m, m1, s, big_k)
+        self.real_half_period = omega = big_k / s
+        big_e = big_k * (0.5 * (1.0 + m1) - self.tail)
+        self.eta_r = s * big_e - self.roots.e_tilde[0].real * omega
+        self._real = (m, m1, s)
 
     def _rectangular_imaginary(self) -> None:
-        """Half periods, eta values and series of three real roots e1 > e2 > e3.
+        """w_i, eta_c, nomes and series of three real roots e1 > e2 > e3.
 
         With m, m1 and omega of ``_rectangular_real``, A&S 18.9 gives
-        omega' = i K(m1)/sqrt(d),
+        omega' = i w_i, w_i = K(m1)/sqrt(d), and eta' = zeta(omega') = -i
+        eta_c, eta_c = sqrt(d) E(m1) + e3 w_i.  Then eta_r w_i + eta_c omega
+        = E K' + E' K - K K' = pi/2 is Legendre's relation for K and E, and
+        p(omega_k) = e_k holds by construction, so neither needs a check
+        here.
 
-            eta  = sqrt(d) E(m) - e1 omega,
-            eta' = -i (sqrt(d) E(m1) + e3 |omega'|).
-
-        Then eta omega' - eta' omega = i (E K' + E' K - K K') = i pi/2 is
-        Legendre's relation for K and E, and p(omega_k) = e_k holds by
-        construction, so neither needs a check here.
-
-        The nomes are q = exp(-pi |omega'|/omega) and q_t = q' =
-        exp(-pi omega/|omega'|), ln q ln q' = pi^2.  The series is the
-        lattice's own at q <= q', and otherwise that of the companion
-        (g2, -g3), whose roots are -e3 > -e2 > -e1: real half period
-        |omega'|, nome q' and eta_c = i eta' = sqrt(d) E(m1) + e3 |omega'|.
+        The nomes are q = exp(-pi w_i/omega) and q_t = q' = exp(-pi
+        omega/w_i), ln q ln q' = pi^2.  The series is the lattice's own at q
+        <= q', and otherwise that of the companion (g2, -g3), whose roots
+        are -e3 > -e2 > -e1: real half period w_i, nome q' and eta eta_c.
         """
-        e1, _, e3 = self.roots.e_tilde
-        e1, e3 = e1.real, e3.real
-        m, m1, s, big_k = self._real
-        big_e = big_k * (0.5 * (1.0 + m1) - self.tail)
+        m, m1, s = self._real
         big_k1, big_e1 = elliptic_KE(m1, m)
-        omega, omega_i = self.real_half_period, big_k1 / s
-        eta, eta_c = s * big_e - e1 * omega, s * big_e1 + e3 * omega_i
-        self.periods = HalfPeriods(complex(omega, 0.0), complex(0.0, omega_i),
-                                   complex(eta, 0.0), complex(0.0, -eta_c))
-        self.q = math.exp(-math.pi * omega_i / omega)
-        self.q_t = math.exp(-math.pi * omega / omega_i)
+        omega, w_i = self.real_half_period, big_k1 / s
+        self.w_i = w_i
+        self.eta_c = eta_c = s * big_e1 + self.roots.e_tilde[2].real * w_i
+        self.q = math.exp(-math.pi * w_i / omega)
+        self.q_t = math.exp(-math.pi * omega / w_i)
         self.row, self.row_t = DenominatorRow(self.q * self.q), DenominatorRow(self.q_t * self.q_t)
         self.companion = self.q_t < self.q
         if self.companion:
-            self.nome_series = NomeSeries(math.pi / (2.0 * omega_i), self.q_t, eta_c / omega_i,
-                                          self.row_t)
+            self.nome_series = NomeSeries(math.pi / (2.0 * w_i), self.q_t, eta_c / w_i, self.row_t)
         else:
-            self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, eta / omega, self.row)
+            self.nome_series = NomeSeries(math.pi / (2.0 * omega), self.q, self.eta_r / omega,
+                                          self.row)
 
     def _rhombic_real(self) -> None:
         """w_r of a real root e2 and a pair e1, e3.
@@ -234,35 +220,33 @@ class Lattice:
         self._real = (m, m1, s, h, hm)
 
     def _rhombic_imaginary(self) -> None:
-        """Half periods, eta values and series of a real root e2 and a pair e1, e3.
+        """w_i, eta_c, eta_r, nomes and series of a real root e2 and a pair e1, e3.
 
         The companion (g2, -g3), roots -e3, -e2, -e1, has the H of
         ``_rhombic_real`` with m and m1 swapped: its real half period, the
-        lattice's imaginary one, is w_i = K(m1)/sqrt(H), and eta_c =
-        zeta_c(w_i) = sqrt(H) (2 E(m1) - K(m1)) + e2 w_i = w_i (H m + e2 -
-        2 H tail), E(m1) from the AGM of K(m1) (``elliptic_K_tail``).
-        omega = (w_r - i w_i)/2 has p(omega) = e1 and omega' = conj(omega),
-        so omega + omega' = w_r and omega' - omega = i w_i, and Legendre's
-        relation eta omega' - eta' omega = i pi/2 gives zeta(w_r) w_i +
-        eta_c w_r = pi.  The companion's basis (w_i, (w_i + i w_r)/2) has
-        |q| = q_t = exp(-pi w_r/(2 w_i)) and q^2 negative; the real-period
-        basis (w_r, omega') has q = exp(-pi w_i/(2 w_r)).
+        lattice's first half period up the imaginary axis, is w_i =
+        K(m1)/sqrt(H), and eta_c = zeta_c(w_i) = sqrt(H) (2 E(m1) - K(m1)) +
+        e2 w_i = w_i (H m + e2 - 2 H tail), E(m1) from the AGM of K(m1)
+        (``elliptic_K_tail``).  The half periods omega = (w_r - i w_i)/2,
+        with p(omega) = e1, and omega' = conj(omega) give omega + omega' =
+        w_r and omega' - omega = i w_i, and Legendre's relation eta omega' -
+        eta' omega = i pi/2 gives eta_r w_i + eta_c w_r = pi.  The
+        companion's basis (w_i, (w_i + i w_r)/2) has |q| = q_t = exp(-pi
+        w_r/(2 w_i)) and q^2 negative; the real-period basis (w_r, omega')
+        has q = exp(-pi w_i/(2 w_r)).
         """
         m, m1, s, h, hm = self._real
         big_k1, tail = elliptic_K_tail(m1, m)
         w_r, w_i = self.real_half_period, big_k1 / s
-        eta_c = w_i * (hm + self.roots.e_tilde[1].real - 2.0 * h * tail)
-        eta_r = (math.pi - eta_c * w_r) / w_i          # zeta(w_r)
-        omega = 0.5 * complex(w_r, -w_i)
+        self.w_i = w_i
+        self.eta_c = eta_c = w_i * (hm + self.roots.e_tilde[1].real - 2.0 * h * tail)
+        self.eta_r = (math.pi - eta_c * w_r) / w_i
         self.q = math.exp(-math.pi * w_i / (2.0 * w_r))
         self.q_t = math.exp(-math.pi * w_r / (2.0 * w_i))
         self.row, self.row_t = (DenominatorRow(-self.q * self.q),
                                 DenominatorRow(-self.q_t * self.q_t))
         self.nome_series = NomeSeries(math.pi / (2.0 * w_i), -self.q_t, eta_c / w_i, self.row_t)
         self.companion = True
-        self.periods = HalfPeriods(omega, omega.conjugate(), 0.5 * complex(eta_r, eta_c),
-                                   0.5 * complex(eta_r, -eta_c))
-
 
     # -- inversion ----------------------------------------------------------
 
@@ -295,32 +279,33 @@ class Lattice:
         return self._rf_gaps(gaps, self.real_half_period, e)
 
     def wp_inverse_imaginary(self, w: float, gaps: tuple
-                             ) -> tuple[complex, tuple[complex, complex, complex]]:
-        """(v, (p, p', zeta) at v) with p(v) = w on the imaginary axis.
+                             ) -> tuple[float, tuple[float, float, float]]:
+        """(Im v, (p, Im p', Im zeta) at v) with p(v) = w on the mirror of the imaginary axis.
 
         w <= e3 on a rectangular lattice, w <= e2 on a rhombic one, and
         ``gaps`` are e_i - w for i = 1, 2, 3, formed by the caller as for
         ``wp_inverse_real``.  p(iy; g2, g3) = -p(y; g2, -g3) makes y =
-        R_F(gaps) the point of (0, h] with p(iy) = w, where ih is the first
-        half period up the axis: omega' on a rectangular lattice, omega' -
-        omega = i w_i on a rhombic one.  There p'(iy) = -i dp(iy)/dy lies
-        on the -i branch, and its mirror v = 2 omega' - iy on the +i
-        branch: Re v = 0 and h <= Im v < 2h on a rectangular lattice, Re v
-        = w_r and 0 <= Im v < h on a rhombic one.  One Newton step at -iy
-        (``_wp_imaginary``) refines y (``_refine_seed``); the values at v
-        are those at -iy with 2 eta' added to zeta.
+        R_F(gaps) the point of (0, w_i] with p(iy) = w, i w_i the first half
+        period up the axis.  There p'(iy) = -i dp(iy)/dy lies on the -i
+        branch, and its mirror v = 2 omega' - iy on the +i branch, with p'
+        and zeta imaginary at -iy and their values at v those at -iy with
+        2 eta' added to zeta: on a rectangular lattice omega' = i w_i, eta'
+        = -i eta_c, so Re v = 0 and w_i <= Im v < 2 w_i; on a rhombic one
+        2 omega' = w_r + i w_i, 2 eta' = eta_r - i eta_c, so Re v = w_r and
+        0 <= Im v < w_i.  One Newton step at -iy (``_wp_imaginary``)
+        refines y (``_refine_seed``).
         """
-        per = self.periods
-        half = (per.omega_prime if self.rectangular else per.omega_prime - per.omega).imag
-        x, values = self._refine_seed(-self._rf_gaps(gaps, half), w)
+        w_i, eta_c = self.w_i, self.eta_c
+        x, values = self._refine_seed(-self._rf_gaps(gaps, w_i), w)
         y = abs(x)
-        if y > half:               # a step past ih lands on the mirror point
-            y = 2.0 * half - y
+        if y > w_i:                # a step past i w_i lands on the mirror point
+            y = 2.0 * w_i - y
         if x != -y:
             values = self._wp_imaginary(-y)
         p, dp, zt = values
-        return (2.0 * per.omega_prime - complex(0.0, y),
-                (p, complex(0.0, -dp), complex(0.0, zt) + 2.0 * per.eta_prime))
+        if self.rectangular:
+            return 2.0 * w_i - y, (p, -dp, zt - 2.0 * eta_c)
+        return w_i - y, (p, -dp, zt - eta_c)
 
     def _rf_gaps(self, gaps: tuple, full: float, e: int = 0) -> float:
         """2^e R_F of the gaps of ``wp_inverse_*``, a real one a rounding below 0 taken as 0.
@@ -431,8 +416,8 @@ class NomeSeries:
     0.33 on the benchmark's rhombic states, |q| < e^-pi on a rectangular
     lattice's companion), so each omitted tail is below the unit roundoff
     in units of k^2, k^3 and k, the sizes of csc^2 u >= 1, the cube and the
-    cotangent.  The terms are made on the first call of ``at``;
-    ``at_imaginary`` takes its own stop per call.
+    cotangent.  Each call of ``at`` and ``at_imaginary`` takes its stop
+    from the row and sums each term as it makes it (``_evaluate``).
     """
 
     def __init__(self, k: float, nome: float, eta_over_omega: float,
@@ -440,36 +425,12 @@ class NomeSeries:
         self.k, self.nome, self.eta_over_omega = k, nome, eta_over_omega
         self.row = DenominatorRow(nome * abs(nome)) if row is None else row
 
-    @cached_property
-    def terms(self) -> tuple[tuple[float, float, float], ...]:
-        """(8 n c_n, 16 n^2 c_n, 4 c_n), n = 1, 2, ..., to the bound of the class docstring."""
-        q = abs(self.nome)
-        stop, row = stop_index(self.row, 16.0, 2, q * q, limit=_UNIT_ROUNDOFF * (1.0 - q)), self.row
-        return tuple([(8.0 * n * c, 16.0 * n * n * c, 4.0 * c)
-                      for n, c in zip(range(1, stop), map(truediv, row.powers, row.dens))])
-
     def at(self, x: float) -> tuple[float, float, float]:
         """(p, p', zeta) at real x."""
-        k = self.k
-        u = k * x
+        u, q = self.k * x, abs(self.nome)
         s, c = math.sin(u), math.cos(u)
-        if abs(s) < k * _POLE_GUARD:
-            raise PoleProximityError(f"real argument {x!r} at a lattice point")
-        s2, c2 = 2.0 * s * c, (c - s) * (c + s)
-        sn, cn = s2, c2
-        sp = spp = szt = 0.0
-        for a, b, d in self.terms:
-            sp += a * cn
-            spp += b * sn
-            szt += d * sn
-            sn, cn = sn * c2 + cn * s2, cn * c2 - sn * s2
-        inv_s = 1.0 / s
-        csc2 = inv_s * inv_s
-        kk = k * k
-        p = kk * (csc2 - sp) - self.eta_over_omega
-        pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
-        zt = self.eta_over_omega * x + k * (c * inv_s + szt)
-        return p, pp, zt
+        stop = stop_index(self.row, 16.0, 2, q * q, limit=_UNIT_ROUNDOFF * (1.0 - q))
+        return self._evaluate(x, s, c, (c - s) * (c + s), -1.0, stop)
 
     def at_imaginary(self, y: float) -> tuple[float, float, float]:
         """(p, Im p', Im zeta) at z = -iy, where p is real and p', zeta imaginary.
@@ -485,27 +446,39 @@ class NomeSeries:
         r_n <= 4|q|.  The sums stop before the first n with r_n < 1 and
         B_n <= 2^-53 (1 - r_n) (``stop_index``).
         """
-        k = self.k
-        t = k * y
+        t = self.k * y
         s, c = -math.sinh(t), math.cosh(t)      # sin u = i s, cos u = c
+        step = abs(self.row.big_q) * math.exp(2.0 * abs(t))
+        return self._evaluate(y, s, c, c * c + s * s, 1.0,
+                              stop_index(self.row, 16.0, 2, step, step, 2))
+
+    def _evaluate(self, x: float, s: float, c: float, c2: float, sign: float,
+                  stop: int) -> tuple[float, float, float]:
+        """``at`` x (sign -1) or ``at_imaginary`` x (+1), sin u = s or i s, cos u = c, cos 2u = c2.
+
+        Each term n < ``stop`` is summed as it is made, sin 2nu and cos 2nu
+        by angle addition from the first, whose cos 2(n+1)u takes the sign
+        of its sin 2nu sin 2u term from the axis.
+        """
+        k = self.k
         if abs(s) < k * _POLE_GUARD:
-            raise PoleProximityError(f"argument {complex(0.0, -y)!r} at a lattice point")
-        s2, c2 = 2.0 * s * c, c * c + s * s
-        row, step = self.row, abs(self.row.big_q) * math.exp(2.0 * abs(t))
-        stop = stop_index(row, 16.0, 2, step, step, 2)
+            axis = "real" if sign < 0.0 else "imaginary"
+            raise PoleProximityError(f"{axis} argument {x!r} at a lattice point")
+        row, s2 = self.row, 2.0 * s * c
+        turn = sign * s2
         sn, cn = s2, c2
         sp = spp = szt = 0.0
         for n, cq in zip(range(1, stop), map(truediv, row.powers, row.dens)):
             sp += 8.0 * n * cq * cn
             spp += 16.0 * n * n * cq * sn
             szt += 4.0 * cq * sn
-            sn, cn = sn * c2 + cn * s2, cn * c2 + sn * s2
-        inv_s = -1.0 / s
-        csc2 = -(inv_s * inv_s)
+            sn, cn = sn * c2 + cn * s2, cn * c2 + sn * turn
+        inv_s = -sign / s
+        csc2 = -sign * (inv_s * inv_s)
         kk = k * k
         p = kk * (csc2 - sp) - self.eta_over_omega
         pp = kk * k * (spp - 2.0 * c * inv_s * csc2)
-        zt = -self.eta_over_omega * y + k * (c * inv_s + szt)
+        zt = -sign * self.eta_over_omega * x + k * (c * inv_s + szt)
         return p, pp, zt
 
 

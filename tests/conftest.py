@@ -1,11 +1,12 @@
 import contextlib
 import math
 import signal
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from radialorbit import analysis, propagation
+from radialorbit import analysis, propagation, weierstrass
 from radialorbit.dynamics import InitialState
 from radialorbit.errors import RadialOrbitError
 
@@ -114,6 +115,20 @@ def sample_states(seed, count, bounded=None, g3_sign=None, max_t_tau=80.0):
             continue  # nearly circular librations make poor oracle targets
         out.append(ctx)
     return out
+
+
+def real_axis_stop(series):
+    """The stop of ``NomeSeries.at``, which sums n = 1, ..., stop - 1, seen in one call."""
+    seen = []
+    evaluate = weierstrass.NomeSeries._evaluate
+
+    def spy(self, *args):
+        seen.append(args[-1])
+        return evaluate(self, *args)
+
+    with mock.patch.object(weierstrass.NomeSeries, "_evaluate", spy):
+        series.at(0.25 * math.pi / series.k)
+    return seen[0]
 
 
 def wrap_angle(x):

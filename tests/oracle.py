@@ -14,12 +14,15 @@ The reference kernel (``ReferenceLattice``) evaluates p, p', zeta and
 sigma anywhere in the plane from the nome series of (omega, omega'), or of
 the reduced basis of a rhombic lattice, in complex arithmetic, with the
 lattice cubic of given invariants solved here (``g_roots``); the package
-evaluates p and zeta on the lattice's two axes only.
+evaluates p and zeta on the lattice's two axes only, in real arithmetic.
+``HalfPeriods`` rebuilds the complex half periods and eta values from the
+package's real ones, and ``pole`` a context's complex v and zeta(v).
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -30,10 +33,8 @@ from radialorbit.cubic import cubic_roots
 from radialorbit.dynamics import CubicF, InitialState, build_f
 from radialorbit.elliptic import elliptic_K_tail
 from radialorbit.errors import DegenerateLatticeError, PoleProximityError, RadialOrbitError
-from radialorbit.propagation import _coordinates, invariants_from_conserved
-from radialorbit.weierstrass import (
-    _POLE_GUARD, _UNIT_ROUNDOFF, GRoots, HalfPeriods, Lattice, NomeSeries,
-)
+from radialorbit.propagation import invariants_from_conserved
+from radialorbit.weierstrass import _POLE_GUARD, _UNIT_ROUNDOFF, GRoots, Lattice, NomeSeries
 
 _RTOL_DEFAULT = 1e-11
 _ATOL_DEFAULT = 1e-13
@@ -222,6 +223,14 @@ def quadrature_theta(state: InitialState, r_a: float, r_b: float,
     return _arc_integral(state, r_a, r_b, lambda u: h / u, tol)
 
 
+def pole(ctx) -> tuple[complex, complex]:
+    """(v, zeta(v)) of a context: v on its line Re v = ``v_line`` (0 or w_r),
+    where Re zeta(v) is 0 or eta_r (``propagation.SolutionContext.add_pole``)."""
+    line = ctx.v_line
+    return (complex(line, ctx.v_im),
+            complex(ctx.lattice.eta_r if line else 0.0, ctx.zeta_im))
+
+
 def stepped_theta(ctx, tau: float) -> float:
     """Polar angle v_m tau - arg z(tau), z(s) = sigma(v - s)/sigma(v + s) exp(2 s zeta(v)).
 
@@ -231,10 +240,10 @@ def stepped_theta(ctx, tau: float) -> float:
     it by less than pi/2 and cannot alias.
     """
     lat = ReferenceLattice(ctx.lattice.roots)
+    v, zeta_v = pole(ctx)
 
     def phase(s):
-        return (lat.sigma(ctx.v - s) / lat.sigma(ctx.v + s)
-                * cmath.exp(2.0 * s * ctx.zeta_v))
+        return (lat.sigma(v - s) / lat.sigma(v + s) * cmath.exp(2.0 * s * zeta_v))
 
     steps = max(1, math.ceil(abs(tau) * ctx.v_m / (0.5 * math.pi)))
     arg, prev = 0.0, 1.0 + 0j
@@ -257,10 +266,8 @@ def log_sigma(lat: ReferenceLattice, z: complex) -> complex:
     real axis.
     """
     w = lat.real_half_period
-    # zeta(w), with the index k of w = omega_k in real_half_period
-    eta = lat.periods.eta_k(1 if lat.rectangular else 2).real
     u = math.pi * z / (2.0 * w)
-    carrier = (eta * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
+    carrier = (lat.eta_r * z * z / (2.0 * w) + math.log(2.0 * w / math.pi)
                + cmath.log(0.5j) - 1j * u
                + cmath.log(1.0 - cmath.exp(2j * u)))
     return carrier + cmath.log(lat.sigma(z) * cmath.exp(-carrier))
@@ -482,11 +489,46 @@ class ComplexSeries:
         return cmath.exp(0.5 * self.eta_over_omega * z * z) * acc / (k * self.theta1_prime)
 
 
+class HalfPeriods(collections.namedtuple("HalfPeriods", "omega omega_prime eta eta_prime")):
+    """Half-period data of the lattice generated by (2 omega, 2 omega'):
+    eta = zeta(omega) and eta_prime = zeta(omega')."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, lat: Lattice) -> "HalfPeriods":
+        """A&S 18.9 from the lattice's real w_r, w_i, eta_r and eta_c: omega = w_r,
+        omega' = i w_i on a rectangular lattice, omega = (w_r - i w_i)/2 and
+        omega' = conj(omega) on a rhombic one, with eta and eta' alike."""
+        w_r, w_i, eta_r, eta_c = lat.real_half_period, lat.w_i, lat.eta_r, lat.eta_c
+        if lat.rectangular:
+            return cls(complex(w_r, 0.0), complex(0.0, w_i), complex(eta_r, 0.0),
+                       complex(0.0, -eta_c))
+        omega = 0.5 * complex(w_r, -w_i)
+        return cls(omega, omega.conjugate(), 0.5 * complex(eta_r, eta_c),
+                   0.5 * complex(eta_r, -eta_c))
+
+    def omega_k(self, k: int) -> complex:
+        return self._pick(k, self.omega, self.omega_prime)
+
+    def eta_k(self, k: int) -> complex:
+        """zeta(omega_k)."""
+        return self._pick(k, self.eta, self.eta_prime)
+
+    @staticmethod
+    def _pick(k: int, first: complex, third: complex) -> complex:
+        # omega_2 = omega_1 + omega_3, and likewise for eta
+        if k not in (1, 2, 3):
+            raise ValueError(f"half-period index must be 1, 2 or 3, got {k}")
+        return (first, first + third, third)[k - 1]
+
+
 class ReferenceLattice(Lattice):
     """The package's lattice of the same roots, with p, p', zeta and sigma anywhere.
 
-    ``basis`` holds omega1, omega3, eta1 and eta3 of the kernel's basis and
-    ``kernel`` its series (``ComplexSeries``).  A rectangular lattice uses
+    ``periods`` holds its complex half periods and eta values
+    (``HalfPeriods``), ``basis`` omega1, omega3, eta1 and eta3 of the
+    kernel's basis and ``kernel`` its series (``ComplexSeries``).  A rectangular lattice uses
     (omega, omega') and the constants of its own real-axis series
     ``series``, k = pi/(2 omega), q and eta/omega, whichever series the
     package's lattice sums (``Lattice.companion``), so on the imaginary
@@ -502,6 +544,7 @@ class ReferenceLattice(Lattice):
 
     def __init__(self, roots: GRoots) -> None:
         super().__init__(roots)
+        self.periods = HalfPeriods.of(self)
         if self.rectangular:
             omega, eta = self.periods.omega.real, self.periods.eta.real
             self.basis = self.periods
@@ -560,6 +603,13 @@ class ReferenceLattice(Lattice):
             sign = -1.0 if (m + n + m * n) % 2 else 1.0
             sg *= sign * cmath.exp(eta_mn * (zr + m * b.omega + n * b.omega_prime))
         return sg
+
+
+def _coordinates(z: complex, a: complex, b: complex) -> tuple[float, float]:
+    """Real (x, y) with z = x a + y b."""
+    det = a.real * b.imag - a.imag * b.real
+    return ((z.real * b.imag - z.imag * b.real) / det,
+            (z.imag * a.real - z.real * a.imag) / det)
 
 
 def _reduced_basis(a: complex, b: complex) -> tuple[complex, complex]:

@@ -8,7 +8,7 @@ from radialorbit import analysis, dynamics, propagation
 from radialorbit.dynamics import InitialState, build_f
 from radialorbit.errors import UnboundedMotionError
 
-from conftest import sample_states
+from conftest import ROSETTE, WORKED, sample_states
 
 UNBOUNDED = InitialState(1.0, 1.2, 0.0, 0.1)
 
@@ -42,6 +42,18 @@ class TestPeriods:
             ref = 2.0 * oracle.quadrature_tof(ctx.state, ctx.region.r_lo,
                                               ctx.region.r_hi)
             assert implicit == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("state, golden", [(WORKED, 24.36274395766639),
+                                               (ROSETTE, 11.752090973005837)],
+                             ids=["worked", "rosette"])
+    def test_implicit_period_reads_the_frame_alone(self, state, golden):
+        # eta_r is made with the real half of a rectangular lattice, from K,
+        # the tail of E and e1, so T_t_implicit builds no imaginary half;
+        # its value pinned to the last bit
+        frame = propagation.SolutionContext(InitialState(**state))
+        assert analysis.true_period_implicit(frame) == golden
+        assert not {"w_i", "eta_c", "q", "q_t", "companion", "nome_series"} & set(
+            vars(frame.lattice))
 
     def test_true_period_is_kepler_time_of_pseudo_period(self, worked_ctx,
                                                         rosette_ctx):

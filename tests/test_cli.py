@@ -458,12 +458,20 @@ class TestPeriod:
         monkeypatch.setattr(propagation.SolutionContext, "add_epoch", refused)
 
     def test_periods_come_from_the_frame_alone(self, monkeypatch):
-        # period and period-sweep build no theta pole and no epoch, and
-        # print what they printed from a full context
+        # period and period-sweep build no theta pole, no epoch and no
+        # imaginary half of a lattice (T_t_implicit reads eta_r from the
+        # real half): one AGM per frame.  They print what they printed from
+        # a full context
         argvs = [GOLDEN_JSON["period_worked"][0], GOLDEN_JSON["period_rosette"][0],
                  GOLDEN_SWEEP["worked"][0], GOLDEN_SWEEP["rosette"][0]]
         full = [run_ok(argv) for argv in argvs]
         self.frame_only(monkeypatch)
+
+        def refused(self):
+            raise AssertionError("a period command built the imaginary half of its lattice")
+
+        monkeypatch.setattr(weierstrass.Lattice, "_rectangular_imaginary", refused)
+        monkeypatch.setattr(weierstrass.Lattice, "_rhombic_imaginary", refused)
         assert [run_ok(argv) for argv in argvs] == full
 
     def test_kepler_curve_from_the_frame_alone(self, monkeypatch):

@@ -13,7 +13,7 @@ from radialorbit.errors import DegenerateLatticeError, PoleProximityError
 from radialorbit.propagation import build_context, r_of_tau
 from radialorbit.weierstrass import Lattice
 
-from conftest import FORMER_DEGENERATE, sample_states
+from conftest import FORMER_DEGENERATE, real_axis_stop, sample_states
 
 # Invariant pairs spanning both discriminant signs and both g3 signs,
 # including the physically derived anchors (rectangular and rhombic,
@@ -237,7 +237,7 @@ class TestHalfPeriods:
     def test_construction_makes_no_kernel_call(self, monkeypatch):
         # both lattice kinds take the half periods and eta from K and E (a
         # rhombic one zeta(w_r) from Legendre's relation): no evaluation of
-        # p or zeta, and no series terms, which the first real-axis call makes
+        # p or zeta, and no denominators, which the first evaluation makes
         calls = []
         for name in ("at", "at_imaginary"):
             method = getattr(weierstrass.NomeSeries, name)
@@ -250,7 +250,7 @@ class TestHalfPeriods:
         for g2, g3 in LATTICE_GRID:
             lat = Lattice(g_roots(Invariants(g2, g3)))
             assert calls == []
-            assert "terms" not in vars(lat.nome_series)
+            assert lat.nome_series.row.dens == []
             # the series are live once construction is over: the imaginary
             # axis of a rhombic lattice, and of a rectangular one with q' < q,
             # is its companion's real axis
@@ -274,7 +274,7 @@ class TestHalfPeriods:
             assert abs(lat.kernel.nome) <= math.exp(-math.pi * math.sqrt(3.0) / 2.0)
             # the same lattice: each basis spans the other with integers
             for w in (b.omega, b.omega_prime):
-                x, y = propagation._coordinates(w, per.omega, per.omega_prime)
+                x, y = oracle._coordinates(w, per.omega, per.omega_prime)
                 assert abs(x - round(x)) + abs(y - round(y)) <= 1e-12
         assert tau.imag > 0.0
         assert lat.kernel.nome == pytest.approx(cmath.exp(1j * math.pi * tau),
@@ -507,7 +507,7 @@ class TestNomeSeries:
         for ctx in rectangular:
             lat = ReferenceLattice(ctx.lattice.roots)
             w_i = lat.periods.omega_prime.imag
-            pole = 2.0 * w_i - ctx.v.imag if ctx.v.real == 0.0 else None
+            pole = 2.0 * w_i - ctx.v_im if ctx.v_line == 0.0 else None
             ys = [frac * w_i for frac in (0.1, 0.5, 0.9)] + ([pole] if pole else [])
             self.assert_imaginary_axis_is_the_kernel(lat, ys)
 
@@ -517,8 +517,8 @@ class TestNomeSeries:
         series = ReferenceLattice.from_invariants(g2, g3).nome_series
         q = series.nome
         floor = 2.0**-53 * (1.0 - q)
-        n = len(series.terms) + 1
-        assert all(b > floor for _, b, _ in series.terms)
+        n = real_axis_stop(series)
+        assert all(16.0 * j * j * q ** (2 * j) / (1.0 - q ** (2 * j)) > floor for j in range(1, n))
         assert 16.0 * n * n * q ** (2 * n) / (1.0 - q ** (2 * n)) <= floor
 
     @pytest.mark.parametrize("q", [1e-6, 0.01, 0.07, 0.2, 0.41, 0.6, 0.8, 0.95, 0.979])
@@ -526,7 +526,7 @@ class TestNomeSeries:
         # the geometric bound of the docstring, summed out directly
         series = weierstrass.NomeSeries(0.5 * math.pi, q, 0.0)
         assert series.nome == pytest.approx(q, rel=1e-12)
-        n = len(series.terms) + 1
+        n = real_axis_stop(series)
         assert ((n + 1) / n) ** 2 * q * q <= q
         tail = math.fsum(16.0 * j * j * q ** (2 * j) / (1.0 - q ** (2 * j))
                          for j in range(n, n + 5000))
@@ -562,7 +562,7 @@ class TestNomeSeries:
         # Measured worst 9.4e-16 and 4.4e-16 k^2; 4-6 terms against 7-9
         lat = ReferenceLattice.from_invariants(g2, g3)
         assert lat.companion and lat.nome_series.nome == lat.q_t < lat.q
-        assert len(lat.nome_series.terms) < len(lat.series.terms)
+        assert real_axis_stop(lat.nome_series) < real_axis_stop(lat.series)
         w_i, k = lat.periods.omega_prime.imag, lat.series.k
         for frac in (0.05, 0.3, 0.7, 1.0):
             p, dp, zt = lat._wp_imaginary(frac * w_i)
@@ -664,7 +664,7 @@ class TestRhombicSeries:
         mp = pytest.importorskip("mpmath")
         lat = companion_lattices()[index]
         assert not lat.rectangular
-        w_r, w_i = lat.real_half_period, 2.0 * lat.periods.omega_prime.imag
+        w_r, w_i = lat.real_half_period, lat.w_i
         k = lat.nome_series.k
         with mp.workdps(30):
             e = own_roots(lat, mp)
@@ -709,7 +709,7 @@ class TestRhombicSeries:
                 w_r = mp.re(mp.elliprf(0, e2 - e1, e2 - e3))
                 w_i = mp.re(mp.elliprf(0, e1 - e2, e3 - e2))
             assert abs(lat.real_half_period - w_r) <= 1e-15 * w_r
-            assert abs(2.0 * lat.periods.omega_prime.imag - w_i) <= 1e-15 * w_i
+            assert abs(lat.w_i - w_i) <= 1e-15 * w_i
 
 
 def seeded_rhombic_roots(n, seed):
@@ -748,7 +748,7 @@ class TestRhombicConstruction:
         for roots in seeded_rhombic_roots(150, 61):
             lat = Lattice(roots)
             assert not lat.rectangular
-            w_r, w_i = lat.real_half_period, 2.0 * lat.periods.omega_prime.imag
+            w_r, w_i = lat.real_half_period, lat.w_i
             with mp.workdps(30):
                 g = mp.mpc(roots.gaps[0])
                 assert abs(w_r - mp.re(mp.elliprf(0, -g, -mp.conj(g)))) <= 6e-16 * w_r
@@ -764,9 +764,7 @@ class TestRhombicConstruction:
         mp = pytest.importorskip("mpmath")
         for roots in seeded_rhombic_roots(24, 62):
             lat = Lattice(roots)
-            per = lat.periods
-            w_r, w_i = lat.real_half_period, 2.0 * per.omega_prime.imag
-            zeta_r, eta_c = 2.0 * per.eta.real, 2.0 * per.eta.imag
+            w_r, w_i, zeta_r, eta_c = lat.real_half_period, lat.w_i, lat.eta_r, lat.eta_c
             e2, h = roots.e_tilde[1].real, abs(roots.gaps[0])
             with mp.workdps(30):
                 g, s = mp.mpc(roots.gaps[0]), mp.mpf(e2)
@@ -785,14 +783,15 @@ class TestRhombicConstruction:
 class TestImaginaryHalf:
     """A lattice builds its real half at construction and the rest on first read."""
 
-    IMAGINARY = ("periods", "q", "q_t", "companion", "nome_series")
+    IMAGINARY = ("w_i", "eta_c", "q", "q_t", "companion", "nome_series")
 
     @pytest.mark.parametrize("g2, g3", [WORKED_G, (4.0, 0.0), (-1.0, 0.3), (0.2, -1.0)])
     def test_built_once_on_first_read(self, g2, g3, monkeypatch):
         roots = g_roots(Invariants(g2, g3))
         lat = Lattice(roots)
         assert not set(self.IMAGINARY) & set(vars(lat))
-        assert ("tail" in vars(lat)) == lat.rectangular
+        # a rectangular lattice makes eta_r in its real half, from K, tail and e1
+        assert ("tail" in vars(lat)) == ("eta_r" in vars(lat)) == lat.rectangular
         builds = []
         name = "_rectangular_imaginary" if lat.rectangular else "_rhombic_imaginary"
         build = getattr(Lattice, name)
@@ -806,11 +805,11 @@ class TestImaginaryHalf:
             other = Lattice(roots)
             getattr(other, name)
             assert set(self.IMAGINARY) <= set(vars(other))
-            assert [getattr(other, n) for n in self.IMAGINARY[:4]] == \
-                [getattr(lat, n) for n in self.IMAGINARY[:4]]
-        # real_half_period is omega_1 (rectangular) or omega_2 (rhombic), bit for bit
-        k = 1 if lat.rectangular else 2
-        assert lat.real_half_period == lat.periods.omega_k(k).real
+            assert [getattr(other, n) for n in self.IMAGINARY[:4] + ("eta_r",)] == \
+                [getattr(lat, n) for n in self.IMAGINARY[:4] + ("eta_r",)]
+        # every lattice quantity is a float
+        assert all(type(getattr(lat, n)) is float
+                   for n in ("real_half_period", "w_i", "eta_r", "eta_c", "q", "q_t"))
 
 
 class TestLogSigma:
@@ -897,8 +896,11 @@ class TestInverse:
         e_h = lat.roots.e_tilde[2 if lat.rectangular else 1].real   # p(ih)
         for frac in (0.05, 0.4, 0.9, 0.999, 1.0):
             w = e_h if frac == 1.0 else lat.wp(complex(0.0, frac * h)).real
-            v, (p, pp, zt) = lat.wp_inverse_imaginary(w, self.gaps(lat, w, -1.0))
-            assert v.real == re_v
+            v_im, values = lat.wp_inverse_imaginary(w, self.gaps(lat, w, -1.0))
+            assert all(isinstance(x, float) for x in (v_im, *values))
+            # p real, p' and zeta imaginary at v, Re zeta(v) 0 or eta_r by its line
+            v, (p, pp, zt) = complex(re_v, v_im), (values[0], 1j * values[1], complex(
+                lat.eta_r if re_v else 0.0, values[2]))
             assert abs(p - w) <= 1e-13 * (1.0 + abs(w))
             kernel = lat.wp_all(v)
             for got, want in zip((p, pp, zt), kernel):
@@ -935,12 +937,12 @@ class TestInverse:
         pole = build_context(InitialState(2.0, 0.5, math.radians(10.0), 0.3))
         pole_gaps = seen["wp_inverse_imaginary"][1]
         w_r = far.lattice.real_half_period
-        w_i = 2.0 * pole.lattice.periods.omega_prime.imag
-        y = w_i - pole.v.imag
+        w_i = pole.lattice.w_i
+        y = w_i - pole.v_im
         assert not far.lattice.rectangular and not pole.lattice.rectangular
         assert far.tau0 / w_r == pytest.approx(0.63, abs=0.01)
-        assert pole.v.real == pole.lattice.real_half_period
-        assert pole.v.imag / w_i == pytest.approx(0.40, abs=0.01)
+        assert pole.v_line == pole.lattice.real_half_period
+        assert pole.v_im / w_i == pytest.approx(0.40, abs=0.01)
         with mp.workdps(30):
             for got, gaps in ((far.tau0, tau_gaps), (y, pole_gaps)):
                 want = mp.re(mp.elliprf(*(mp.mpc(g) for g in gaps)))
@@ -1030,15 +1032,16 @@ def test_series_read_the_lattice_row(g2, g3):
     assert series.row is (lat.row_t if lat.companion else lat.row)
     q, big_q = abs(series.nome), series.row.big_q
     assert big_q == series.nome * q
+    stop = real_axis_stop(series)
     c, p = [], 1.0
-    for _ in range(len(series.terms) + 60):
+    for _ in range(stop + 60):
         p *= big_q
         c.append(p / (1.0 - p))
-    assert [t[2] for t in series.terms] == [4.0 * x for x in c[:len(series.terms)]]
+    assert [a / b for a, b in zip(series.row.powers, series.row.dens)][:stop - 1] == c[:stop - 1]
     n = 1
     while 16.0 * n * n * abs(c[n - 1]) > 2.0**-53 * (1.0 - q):
         n += 1
-    assert len(series.terms) == n - 1
+    assert stop == n
     for frac in (0.1, 0.5, 0.9) if not lat.companion else ():   # at_imaginary's lattices
         step = q * q * math.exp(2.0 * series.k * frac * lat.periods.omega_prime.imag)
         n = 1

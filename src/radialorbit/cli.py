@@ -5,8 +5,11 @@ accepts a gravitational parameter and a length unit and converts on the
 way in and out: with DU the length unit and TU = sqrt(DU^3 / mu), inputs
 scale as r/DU, v * TU/DU, alpha * TU^2/DU, t/TU.
 
-Each call parses its arguments once: a first argument naming a command
-goes straight to that command's parser (``_parse``).
+Most calls are parsed in one pass (``_parse``): a first argument naming a
+command, followed by exact ``--option value`` pairs and bare flags, is
+read against a table of that command's own argparse actions.  The full
+argparse parser takes every other argv unchanged and owns help and every
+error message, so both routes give one namespace.
 
 Exit codes: 0 success, 2 invalid input or domain error, 3 internal
 numerical failure.  Domain errors emit a one-line JSON record on stderr.
@@ -35,7 +38,14 @@ class _Units:
         if mu <= 0.0 or du <= 0.0:
             raise ValueError("mu and du must be positive")
         self.du = du
-        self.tu = math.sqrt(du**3 / mu)
+        try:
+            self.tu = math.sqrt(du**3 / mu)
+            tu2 = self.tu**2        # alpha's factor, as state() forms it
+        except OverflowError:
+            tu2 = math.inf
+        if not 0.0 < tu2 < math.inf:
+            raise ValueError(f"--mu {mu!r} and --du {du!r} give a time unit "
+                             "sqrt(du^3/mu) whose square leaves the floats")
 
     def state(self, r0, v0, gamma0_deg, alpha) -> InitialState:
         return InitialState(
@@ -245,9 +255,8 @@ def cmd_find_periodic(args) -> int:
     units = _Units(args.mu, args.du)
     r_m = args.r_m / units.du
     alpha = args.alpha * units.tu**2 / units.du
-    v_m, ctx = analysis.find_periodic_v(
-        r_m, alpha, (args.M, args.N), (args.bracket_lo, args.bracket_hi)
-    )
+    bracket = (args.bracket_lo * units.tu / units.du, args.bracket_hi * units.tu / units.du)
+    v_m, ctx = analysis.find_periodic_v(r_m, alpha, (args.M, args.N), bracket)
     payload = {
         "v_m": units.speed_out(v_m),
         "winding_ratio": ctx.dtheta_period / (2.0 * math.pi),
@@ -365,27 +374,86 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         p.set_defaults(command=name)
-    ap.commands = sub.choices
+    ap.commands = {name: _Command(p) for name, p in sub.choices.items()}
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of ``_build_parser().parse_args(argv)``, from one parser pass.
+class _Command:
+    """One command's argparse actions as a table for ``_parse``, read once from its parser.
 
-    The top-level parser hands every string after the command on to the
-    command's parser unparsed, so a first argument naming a command is
-    parsed by that parser alone; strings it leaves are reported as the
-    top-level parser reports them.  Anything else (no arguments, -h, an
-    unknown command) takes the full parser.
+    Option string -> action (help aside), the namespace's defaults
+    (``set_defaults`` under the actions' own, a str default through its
+    type, as argparse gives them), the required actions, the exclusive
+    groups and the parser's negative-number pattern.  Every action here
+    stores one value (nargs None) or its const (nargs 0, store_true).
+    """
+
+    def __init__(self, parser: argparse.ArgumentParser) -> None:
+        self.actions, self.defaults = {}, dict(parser._defaults)
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):    # the full parser prints help
+                continue
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            self.defaults[action.dest] = default
+            for option in action.option_strings:
+                self.actions[option] = action
+        self.required = frozenset(a for a in parser._actions if a.required)
+        self.exclusive = [frozenset(g._group_actions) for g in parser._mutually_exclusive_groups]
+        self.number = parser._negative_number_matcher.match
+
+    def parse(self, strings: list[str]) -> argparse.Namespace | None:
+        """The namespace of exact ``--option value`` pairs and bare flags, or None.
+
+        None declines and leaves the strings to the full parser: -h, an
+        unknown, abbreviated or ``--opt=value`` string, a missing value, a
+        value that starts with "-" and is no number by the parser's pattern
+        (argparse reads it as an option), a value its type or choices
+        refuse, a missing required option, or two options of one exclusive
+        group.
+        """
+        values, seen, actions = self.defaults.copy(), set(), self.actions
+        strings = iter(strings)
+        for option in strings:
+            action = actions.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                value = next(strings, None)
+                if value is None or (value[:1] == "-" and not self.number(value)):
+                    return None
+                if action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except (TypeError, ValueError, argparse.ArgumentTypeError):
+                        return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            values[action.dest] = value
+            seen.add(action)
+        if not self.required <= seen or any(len(g & seen) > 1 for g in self.exclusive):
+            return None
+        args = argparse.Namespace()
+        vars(args).update(values)       # Namespace(**values) sets them one by one
+        return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``_build_parser().parse_args(argv)``.
+
+    A first argument naming a command, followed by exact ``--option
+    value`` pairs and bare flags of that command, takes one pass over the
+    command's table (``_Command.parse``).  Everything else, help and every
+    error included, takes the full parser with argv unchanged, which
+    prints its help or error text and exits as argparse does.
     """
     ap = _build_parser()
-    sub = ap.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return ap.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:])
-    if extras:
-        ap.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    command = ap.commands.get(argv[0]) if argv else None
+    args = command.parse(argv[1:]) if command is not None else None
+    return ap.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

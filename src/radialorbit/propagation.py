@@ -163,9 +163,8 @@ class SolutionContext:
         ``v_line`` and ``v_im`` = Im v.  Re zeta(v) is fixed by the line, 0
         or eta_r, and only Im zeta(v), ``zeta_im``, is read.
         """
-        r_m, v_m, lat = self.r_m, self.v_m, self.lattice
-        c_v = 0.25 * self.f.df(r_m) / r_m      # p(v) = e_k - c_v = -delta/gamma
-        self.v_line, self.v_im, (_, _, self.zeta_im) = _theta_pole(lat, self.k, self.e_k, c_v)
+        v_m, lat = self.v_m, self.lattice
+        self.v_line, self.v_im, (_, _, self.zeta_im) = _theta_pole(self)
         self.dtheta_period = None
         if self.bounded:
             # v = 2 omega' - iy and zeta(v) = zeta(-iy) + 2 eta', omega' = i w_i
@@ -258,8 +257,7 @@ def _root_offsets(lat: Lattice, k: int) -> tuple:
     return ((0.0, -g12, -g13), (g12, 0.0, -g23), (g13, g23, 0.0))[k - 1]
 
 
-def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
-                ) -> tuple[float, float, tuple[float, float, float]]:
+def _theta_pole(ctx: SolutionContext) -> tuple[float, float, tuple[float, float, float]]:
     """(Re v, Im v, (p, Im p', Im zeta) at v) with p(v) = w_v = e_k - c_v, p'(v) on the +i branch.
 
     c_v = f'(r_m)/(4 r_m).  v lies on the imaginary axis of a rectangular
@@ -285,15 +283,19 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
       p(omega + u) = e1 + g12 g13/(p(u) - e1), p'(omega + u) =
       -g12 g13 p'(u)/(p(u) - e1)^2 and zeta(omega + u) = zeta(u) + eta +
       p'(u)/(2 (p(u) - e1)), so u = iy on the -i branch at w_u = e1 -
-      g12 g13/(e1 - w_v) gives v = omega + iy on the +i one.  The gaps of
-      w_u, g12 g13/(e1 - w_v), g12 (w_v - e3)/(e1 - w_v) and
-      g13 (w_v - e2)/(e1 - w_v), are products of positive factors.
+      g12 g13/(e1 - w_v) gives v = omega + iy on the +i one.  With e_i =
+      e1 + a (r_i - r_m)/2 and c_v = a (r_m - r_2)(r_m - r_3)/(2 r_m), the
+      gaps of w_u, e_i - w_u, are (a/2) (r_m, r_2, r_3), f's own positive
+      roots, so they are taken from f's offsets: formed as g12 (c_v -
+      g13)/c_v and g13 (c_v - g12)/c_v, their factors c_v - g1i cancel.
     - (c) A conjugate pair: a rhombic lattice, e_k = e2 (k = 2), and f < 0
       on all of (-inf, r_m), so w_v < e2, the imaginary axis.
     The gaps e_i - w_v = (e_i - e_k) + c_v are exact at i = k.  A w_v
     between e3 and e2 beyond their rounding lies on neither line; only a
     double root e1 = e2 to rounding puts it there: DegenerateLatticeError.
     """
+    lat, k, e_k, f = ctx.lattice, ctx.k, ctx.e_k, ctx.f
+    c_v = 0.25 * f.df(ctx.r_m) / ctx.r_m       # p(v) = e_k - c_v = -delta/gamma
     d1, d2, d3 = _root_offsets(lat, k)
     gaps = (d1 + c_v, d2 + c_v, d3 + c_v)
     if gaps[1] >= 0.0:              # w_v <= e2: the imaginary axis
@@ -305,8 +307,9 @@ def _theta_pole(lat: Lattice, k: int, e_k: float, c_v: float
         return (0.0 if lat.rectangular else lat.real_half_period), v_im, values
     g12, g13 = lat.roots.gaps[0].real, lat.roots.gaps[1].real
     s = g12 * g13 / c_v             # (b): e1 - w_u, as e1 - w_v = c_v
+    half = 0.5 * f.alpha
     u_im, (_, pp, zt) = lat.wp_inverse_imaginary(
-        e_k - s, (s, -g12 * gaps[2] / c_v, -g13 * gaps[1] / c_v))
+        e_k - s, tuple(half * (f.r0 + x.real) for x in ctx.xs))
     # at iy = 2 omega' - u = 2i w_i - u: p - e1 = -s, p' = -pp and zeta =
     # 2 eta' - zt = -2i eta_c - zt, to which v = omega + iy adds eta_r
     return (lat.real_half_period, 2.0 * lat.w_i - u_im,

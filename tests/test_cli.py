@@ -1,8 +1,11 @@
+import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -422,6 +425,223 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["bogus"])
         assert entered
+
+
+def parsed(parse, argv):
+    """vars() of parse(argv)'s namespace, or its (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def full_parser_spy(monkeypatch):
+    """The list of full-parser runs: the top-level parser's every pass enters it."""
+    ap = cli._build_parser()
+    top_level, entered = ap.parse_known_args, []
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        return top_level(*args, **kwargs)
+
+    monkeypatch.setattr(ap, "parse_known_args", spy)
+    return entered
+
+
+class TestOnePass:
+    """``cli._parse`` against the full parser on seeded argv built from each command's options.
+
+    A case takes every required option of one command and each other one
+    with probability 1/2, as ``--option value`` pairs and bare flags in
+    shuffled order, then up to three edits.  Values are drawn per type:
+    floats with exponents and signs (-1e-05 included), ints and choices.
+    Cases whose edits only repeat an option must take the one pass; every
+    case must give the full parser's namespace, or its exit code, stdout
+    and stderr through ``cli.main``.
+    """
+
+    VALUES = {float: ["1.0", "0.02", "-0.05", "-1e-05", "2.5E+1", "-.5", "7", "inf"],
+              int: ["3", "-1", "0", "40"], None: ["out.csv", "x y"]}
+    # "-inf" is a float to float() but an option string to argparse
+    BAD = {float: ["one", "1,5", "", "-inf", "--r0"], int: ["1.5", "ten", "-1e5"],
+           None: ["-x", "--format"]}
+    EDITS = ("repeat", "drop_required", "bad_value", "missing_value", "both_spans",
+             "abbreviate", "equals", "stray", "help", "unknown")
+    CASES = 500
+
+    @staticmethod
+    def parsers():
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    @classmethod
+    def chunk(cls, rng, action, bad=False):
+        option = rng.choice(action.option_strings)
+        if action.nargs == 0:
+            return [option]
+        if action.choices is not None:
+            return [option, "xml" if bad else rng.choice(action.choices)]
+        return [option, rng.choice((cls.BAD if bad else cls.VALUES)[action.type])]
+
+    @classmethod
+    def case(cls, rng):
+        """(argv, plain): plain when its only edit is a repeated option."""
+        name, parser = rng.choice(sorted(cls.parsers().items()))
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        group = [a for g in parser._mutually_exclusive_groups for a in g._group_actions]
+        chunks, grouped = [], False
+        for action in actions:
+            if action.required or rng.random() < 0.5:
+                if action in group:
+                    if grouped:
+                        continue
+                    grouped = True
+                chunks.append(cls.chunk(rng, action))
+        rng.shuffle(chunks)
+        edits = rng.sample(cls.EDITS, rng.randint(0, 3))
+        for edit in edits:
+            at = rng.randint(0, len(chunks))
+            if edit == "repeat":
+                chunks.insert(at, cls.chunk(rng, rng.choice(actions)))
+            elif edit == "drop_required":
+                required = {o for a in actions if a.required for o in a.option_strings}
+                chunks = [c for c in chunks if c[0] not in required]
+            elif edit == "bad_value":
+                valued = [a for a in actions if a.nargs != 0]
+                chunks.insert(at, cls.chunk(rng, rng.choice(valued), bad=True))
+            elif edit == "missing_value":
+                chunks.append([rng.choice([a for a in actions if a.nargs != 0]).option_strings[0]])
+            elif edit == "both_spans" and group:
+                chunks += [cls.chunk(rng, a) for a in group]
+            elif edit == "abbreviate" and any(len(c[0]) > 4 for c in chunks):
+                i = rng.choice([i for i, c in enumerate(chunks) if len(c[0]) > 4])
+                option = chunks[i][0]
+                chunks[i] = [option[:rng.randint(3, len(option) - 1)], *chunks[i][1:]]
+            elif edit == "equals" and any(len(c) == 2 for c in chunks):
+                i = rng.choice([i for i, c in enumerate(chunks) if len(c) == 2])
+                chunks[i] = ["=".join(chunks[i])]
+            elif edit == "stray":
+                chunks.insert(at, ["stray"])
+            elif edit == "help":
+                chunks.insert(at, [rng.choice(["-h", "--help"])])
+            elif edit == "unknown":
+                chunks.insert(at, ["--bogus", "1"])
+        argv = [name] + [s for c in chunks for s in c]
+        return argv, set(edits) <= {"repeat"}
+
+    def test_matches_the_full_parser(self, monkeypatch):
+        rng = random.Random(33)
+        full = cli._build_parser().parse_args
+        taken = declined = 0
+        for _ in range(self.CASES):
+            argv, plain = self.case(rng)
+            want = parsed(full, argv)
+            entered = full_parser_spy(monkeypatch)
+            if isinstance(want, dict):
+                assert parsed(cli._parse, argv) == want, argv
+            else:
+                assert TestParser.outcome(argv) == want, argv
+                assert want[0] in (0, 2)
+            monkeypatch.undo()
+            if plain:
+                assert entered == [], argv
+            taken += not entered
+            declined += bool(entered)
+        # both routes ran many times: the pass on valid argv, the full
+        # parser on help and errors
+        assert taken >= 100 and declined >= 200
+
+    def test_workload_argv_take_the_pass(self, monkeypatch):
+        # every argv of dense_orbit and design_survey (seed 1) takes the
+        # pass, and the full parser never runs; state_scatter calls no CLI.
+        # design_survey's closing target is an mpmath search of seconds:
+        # a fixed M/N and bracket around v_c keep its argv's form
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mp.mp, "dps", mp.mp.dps)     # perfbench's reference sets its own
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "perfbench"))
+        workloads = importlib.import_module("workloads")
+        monkeypatch.setattr(workloads.DesignSurvey, "_closing_target",
+                            lambda self, r_m, alpha, v_c: ((1, 10), (0.999 * v_c, 1.001 * v_c)))
+        argvs = [op.args[0] for op in workloads.DenseOrbit(1).ops]
+        argvs += [argv for op in workloads.DesignSurvey(1).ops for argv in op.args]
+        assert len(argvs) == 40 + 5 * 35
+        entered = full_parser_spy(monkeypatch)
+        got = [vars(cli._parse(argv)) for argv in argvs]
+        assert entered == []
+        monkeypatch.undo()
+        assert got == [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
+
+
+class TestUnits:
+    """--mu and --du: a state in scaled units gives the canonical outputs scaled back.
+
+    mu = 16 and du = 4 make the time unit sqrt(du^3/mu) = 2, so every
+    conversion is a power of two and exact: the scaled run's lengths are 4
+    times the canonical ones, its times 2 times and its speeds 2 times,
+    bit for bit.
+    """
+
+    UNITS = ["--mu", "16", "--du", "4"]
+
+    def test_propagate(self):
+        canon = json.loads(run_ok(["propagate", *TILTED, "--t-span", "10", "--samples", "5",
+                                   "--format", "json"]))
+        scaled = json.loads(run_ok(["propagate", "--r0", "5.2", "--v0", "2.0",
+                                    "--gamma0-deg", "25", "--alpha", "0.02", "--t-span", "20",
+                                    "--samples", "5", "--format", "json", *self.UNITS]))
+        factor = {"t": 2.0, "r": 4.0, "v": 2.0, "r_pericenter": 4.0, "v_pericenter": 2.0,
+                  "T_t": 2.0}
+        for got, want in zip(scaled["samples"], canon["samples"]):
+            assert got == {k: factor.get(k, 1.0) * v for k, v in want.items()}
+        assert scaled["meta"] == {k: factor.get(k, 1.0) * v if isinstance(v, float) else v
+                                  for k, v in canon["meta"].items()}
+
+    def test_period(self):
+        canon = json.loads(run_ok(["period", *WORKED, "--kepler-curve", "--samples", "3",
+                                   "--format", "json"]))
+        scaled = json.loads(run_ok(["period", "--r0", "4.0", "--v0", "2.4", "--alpha", "0.02",
+                                    "--kepler-curve", "--samples", "3", "--format", "json",
+                                    *self.UNITS]))
+        assert scaled == {"T_tau": canon["T_tau"], "T_t": 2.0 * canon["T_t"],
+                          "T_t_implicit": 2.0 * canon["T_t_implicit"],
+                          "kepler_curve": [{"tau": row["tau"], "t": 2.0 * row["t"]}
+                                           for row in canon["kepler_curve"]]}
+
+    def test_find_periodic(self):
+        # the bracket is a pericenter speed, in scaled units as the output
+        # is (it was read in canonical units)
+        argv, want = GOLDEN_JSON["find_periodic_worked"]
+        canon = json.loads(run_ok(argv))
+        scaled = json.loads(run_ok(["find-periodic", "--r-m", "4.0", "--alpha", "0.02",
+                                    "--M", "1", "--N", "10", "--bracket-lo", "2.3",
+                                    "--bracket-hi", "2.44", "--format", "json", *self.UNITS]))
+        assert scaled == {"v_m": 2.0 * canon["v_m"], "winding_ratio": canon["winding_ratio"],
+                          "T_t": 2.0 * canon["T_t"]}
+
+    @pytest.mark.parametrize("argv", [
+        ["period", *WORKED, "--du", "1e200"],
+        ["period", *WORKED, "--du", "1e-200"],
+        ["period", *WORKED, "--mu", "1e-300", "--du", "1e100"],
+        ["period", *WORKED, "--mu", "nan"],
+        ["propagate", *WORKED, "--du", "1e200"],
+        ["classify", *WORKED, "--du", "1e200"],
+        ["period-sweep", "--alpha-lo", "0.01", "--alpha-hi", "0.02", "--du", "1e200"],
+        ["find-periodic", "--r-m", "1", "--alpha", "0.02", "--M", "1", "--N", "10",
+         "--bracket-lo", "1.15", "--bracket-hi", "1.22", "--du", "1e200"],
+        ["escape-alpha", "--r0", "1", "--v0", "1.2", "--alpha-lo", "0.01",
+         "--alpha-hi", "0.05", "--du", "1e200"],
+    ], ids=["du-overflow", "du-underflow", "mu-overflow", "mu-nan", "propagate", "classify",
+            "period-sweep", "find-periodic", "escape-alpha"])
+    def test_units_outside_the_floats_are_invalid_input(self, argv):
+        # du^3 overflowed (exit 1 with a traceback) or the time unit
+        # underflowed to 0
+        code, out, err = run_cli(argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"] == "ValueError"
 
 
 class TestPeriod:
